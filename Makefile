@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel fuzz-smoke clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock test race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke clean
 
 all: vet lint build test
 
@@ -109,9 +109,22 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...
 	$(GO) test -run='^$$' -bench='BenchmarkTuneParallel|BenchmarkAblation_SAvsOracle' -benchtime=1x -timeout=20m .
 
-# Just the worker-count sweep for BENCH_*.json snapshots.
+# Just the worker-count sweep of the root benchmarks.
 bench-parallel:
 	$(GO) test -bench=BenchmarkTuneParallel -benchtime=1x .
+
+# The perf ledger (bench/README.md): a full result set of the four
+# workloads, written to OUT and stamped with the current commit (~8 min).
+# The default OUT sits outside bench/, whose committed ledgers are the
+# baselines: a fresh one is checked in under bench/ledger/ deliberately.
+OUT ?= ledger.json
+ledger:
+	$(GO) run ./bench -ledger $(OUT) -commit $$(git rev-parse --short HEAD)
+
+# Verdict table between two ledgers; exits 1 on any "worse".
+#   make ledger-compare OLD=bench/ledger/BENCH_12.json NEW=ledger.json
+ledger-compare:
+	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 # Short fuzz pass over the record codec (the store's segment format and
 # the fleet's wire format), the store's torn-tail segment replay, and

@@ -104,9 +104,8 @@ func TestPredictBatchedUsesMemo(t *testing.T) {
 	}
 }
 
-// TestPredictAfterFitStaysConsistent guards the freeze-snapshot design:
-// snapshots are rebuilt per Predict call, so training between calls must
-// be reflected (no stale frozen weights).
+// TestPredictAfterFitStaysConsistent guards that the arena forward reads
+// the live weights: training between Predict calls must be reflected.
 func TestPredictAfterFitStaysConsistent(t *testing.T) {
 	task := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
 	schs := sampleSchedules(task, 16, 35)
@@ -129,7 +128,7 @@ func TestPredictAfterFitStaysConsistent(t *testing.T) {
 		}
 	}
 	if !changed {
-		t.Fatal("training did not change any prediction — stale snapshot?")
+		t.Fatal("training did not change any prediction — stale weights?")
 	}
 }
 

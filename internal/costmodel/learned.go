@@ -11,37 +11,112 @@ import (
 	"pruner/internal/schedule"
 )
 
+// arch is what differs between the learned models: the parameters and the
+// two spellings of the forward over them. Both take one task's lowered
+// candidates and return their (N x 1) score column, bitwise identical to
+// each other under nn.FreezeParams (TestPredictBatchedMatchesReference).
+type arch interface {
+	Name() string
+	Params() []*nn.Tensor
+	// forward is the tape spelling, for training: nn operators that
+	// record a backward when the parameters carry gradients.
+	forward(lws []*schedule.Lowered) *nn.Tensor
+	// score is the arena spelling, for inference: the same kernels with
+	// every output on s, so a warmed call allocates nothing but the batch
+	// headers. The result aliases s and dies at its next Reset.
+	score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
+}
+
+// learned is the core every learned model embeds: the session wiring
+// (pool, round memo, observer), the optimiser and the lazily built
+// parallel trainer, and over them Predict and Fit, implemented once.
+type learned struct {
+	self arch
+	// replica builds a fresh architecture of self's seed and shape: what a
+	// training worker needs. Replicas alias the live weights and never
+	// step, so they carry no core of their own.
+	replica func() arch
+	adam    *nn.Adam
+	seed    int64
+	pool    *parallel.Pool
+	memo    *schedule.Memo
+	mo      *modelObs
+	tr      *trainer
+}
+
+func newLearned(self arch, seed int64, lr float64, replica func() arch) learned {
+	return learned{self: self, replica: replica, adam: nn.NewAdam(self.Params(), lr), seed: seed}
+}
+
+// PoolUser is implemented by models whose batched inference can run on a
+// caller-provided worker pool. The tuner injects its session pool so one
+// Parallelism knob governs every layer of a session.
+type PoolUser interface {
+	SetPool(p *parallel.Pool)
+}
+
+// SetPool implements PoolUser.
+func (c *learned) SetPool(p *parallel.Pool) { c.pool = p }
+
+// SetMemo implements MemoUser.
+func (c *learned) SetMemo(m *schedule.Memo) { c.memo = m }
+
+// SetObserver implements ObsUser.
+func (c *learned) SetObserver(o *obs.Observer) { c.mo = newModelObs(o, c.self.Name()) }
+
+// trainer lazily builds the model's parallel training state: replicas of
+// the same architecture whose weights alias the live model.
+func (c *learned) trainer() *trainer {
+	if c.tr == nil {
+		live := c.self.Params()
+		c.tr = newTrainer(live, func() *replica {
+			r := c.replica()
+			nn.AliasParams(r.Params(), live)
+			return &replica{forward: r.forward, params: r.Params()}
+		})
+	}
+	return c.tr
+}
+
+// Predict implements Model: candidates run through the batched arena
+// engine (predictBatched), bitwise identical to a per-candidate tape
+// forward.
+func (c *learned) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
+	return c.mo.predict(len(schs), func() []float64 {
+		return predictBatched(c.pool, c.self, c.memo, t, schs)
+	})
+}
+
+// Fit implements Model: training runs on the data-parallel engine over
+// the session pool (rankFit, model.go).
+func (c *learned) Fit(recs []Record, opt FitOptions) FitReport {
+	return c.mo.fit(len(recs), func() FitReport {
+		return rankFit(recs, opt, c.adam, c.pool, c.seed, c.trainer())
+	})
+}
+
 // TenSetMLP is the statement-feature MLP baseline (TenSet's cost model and
 // the stand-in for Ansor's learned model): every innermost statement's
 // 164-dim feature row is embedded, per-program embeddings are summed, and
 // a linear head emits the score.
 type TenSetMLP struct {
+	learned
 	embed *nn.MLP
 	head  *nn.MLP
-	adam  *nn.Adam
-	seed  int64
-	pool  *parallel.Pool
-	memo  *schedule.Memo
-	mo    *modelObs
-	tr    *trainer
 }
 
 // NewTenSetMLP builds the model with the given init seed.
 func NewTenSetMLP(seed int64) *TenSetMLP {
 	m := newTenSetMLPArch(seed)
-	m.adam = nn.NewAdam(m.Params(), 7e-4)
+	m.learned = newLearned(m, seed, 7e-4, func() arch { return newTenSetMLPArch(seed) })
 	return m
 }
 
-// newTenSetMLPArch builds the architecture alone — what training
-// replicas need; they alias the live weights and never step, so they
-// skip the optimiser's moment buffers.
 func newTenSetMLPArch(seed int64) *TenSetMLP {
 	rng := rand.New(rand.NewSource(seed))
 	return &TenSetMLP{
 		embed: nn.NewMLP(rng, features.StmtDim, 128, 128),
 		head:  nn.NewMLP(rng, 128, 64, 1),
-		seed:  seed,
 	}
 }
 
@@ -56,61 +131,21 @@ func (m *TenSetMLP) Params() []*nn.Tensor {
 // Costs implements Model.
 func (m *TenSetMLP) Costs() Costs { return Costs{FeatureX: 1, InferX: 1, TrainX: 1} }
 
-// SetPool implements PoolUser.
-func (m *TenSetMLP) SetPool(p *parallel.Pool) { m.pool = p }
-
-// SetMemo implements MemoUser.
-func (m *TenSetMLP) SetMemo(mm *schedule.Memo) { m.memo = mm }
-
-// SetObserver implements ObsUser.
-func (m *TenSetMLP) SetObserver(o *obs.Observer) { m.mo = newModelObs(o, m.Name()) }
-
-func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	rows := nn.FromRows(features.Statement(lw))
-	emb := m.embed.ForwardReLU(rows)
-	return m.head.Forward(nn.SumRows(emb))
-}
-
-// forward is the batched training forward: the whole group's statement
-// rows run through the embedding in one fused pair of GEMMs and pool via
-// a segmented reduction — the training-path mirror of the batched
-// inference engine (batch.go). Row-wise ops and the order-preserving
-// SegmentSumRows keep the forward values bitwise identical to the
-// per-candidate composition forwardOne computes.
+// forward embeds the whole group's statement rows in one fused pair of
+// GEMMs and pools them per candidate with a segmented sum.
 func (m *TenSetMLP) forward(lws []*schedule.Lowered) *nn.Tensor {
 	rows, lens := statementBatch(lws)
 	emb := m.embed.ForwardReLU(nn.FromRows(rows))
 	return m.head.Forward(nn.SegmentSumRows(emb, lens))
 }
 
-// trainer lazily builds the model's parallel training state: replicas of
-// the same architecture and seed whose weights alias the live model.
-func (m *TenSetMLP) trainer() *trainer {
-	if m.tr == nil {
-		m.tr = newTrainer(m.Params(), func() *replica {
-			r := newTenSetMLPArch(m.seed)
-			nn.AliasParams(r.Params(), m.Params())
-			return &replica{forward: r.forward, params: r.Params()}
-		})
-	}
-	return m.tr
-}
-
-// Predict implements Model: candidates run through the batched no-tape
-// inference engine (batch.go), bitwise identical to the per-candidate
-// reference path.
-func (m *TenSetMLP) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
-	return m.mo.predict(len(schs), func() []float64 {
-		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.freeze)
-	})
-}
-
-// Fit implements Model: training runs on the data-parallel engine over
-// the session pool (rankFit, model.go).
-func (m *TenSetMLP) Fit(recs []Record, opt FitOptions) FitReport {
-	return m.mo.fit(len(recs), func() FitReport {
-		return rankFit(recs, opt, m.adam, m.pool, m.seed, m.trainer())
-	})
+// score is forward on the arena.
+//
+//pruner:hotpath
+func (m *TenSetMLP) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+	rows, lens := statementBatch(lws)
+	emb := m.embed.ForwardReLURowsIn(s, rows)
+	return m.head.ForwardIn(s, nn.SegmentSumRowsIn(s, emb, lens))
 }
 
 // PaCM is the paper's Pattern-aware Cost Model: a multi-branch network
@@ -122,16 +157,11 @@ type PaCM struct {
 	UseStatement bool
 	UseDataflow  bool
 
+	learned
 	stmtEmbed *nn.MLP
 	dfProj    *nn.Linear
 	dfAttn    *nn.SelfAttention
 	head      *nn.MLP
-	adam      *nn.Adam
-	seed      int64
-	pool      *parallel.Pool
-	memo      *schedule.Memo
-	mo        *modelObs
-	tr        *trainer
 }
 
 const (
@@ -152,11 +182,10 @@ func NewPaCMAblated(seed int64, useStatement, useDataflow bool) *PaCM {
 
 func newPaCM(seed int64, useStmt, useDf bool) *PaCM {
 	m := newPaCMArch(seed, useStmt, useDf)
-	m.adam = nn.NewAdam(m.Params(), 7e-4)
+	m.learned = newLearned(m, seed, 7e-4, func() arch { return newPaCMArch(seed, useStmt, useDf) })
 	return m
 }
 
-// newPaCMArch builds the architecture alone (see newTenSetMLPArch).
 func newPaCMArch(seed int64, useStmt, useDf bool) *PaCM {
 	rng := rand.New(rand.NewSource(seed))
 	m := &PaCM{
@@ -165,7 +194,6 @@ func newPaCMArch(seed int64, useStmt, useDf bool) *PaCM {
 		stmtEmbed:    nn.NewMLP(rng, features.StmtDim, pacmStmtDim, pacmStmtDim),
 		dfProj:       nn.NewLinear(rng, features.DataflowDim, pacmDfDim),
 		dfAttn:       nn.NewSelfAttention(rng, pacmDfDim),
-		seed:         seed,
 	}
 	width := 0
 	if useStmt {
@@ -203,39 +231,10 @@ func (m *PaCM) Params() []*nn.Tensor {
 // TLP.
 func (m *PaCM) Costs() Costs { return Costs{FeatureX: 1.1, InferX: 1.2, TrainX: 1.6} }
 
-// SetPool implements PoolUser.
-func (m *PaCM) SetPool(p *parallel.Pool) { m.pool = p }
-
-// SetMemo implements MemoUser.
-func (m *PaCM) SetMemo(mm *schedule.Memo) { m.memo = mm }
-
-// SetObserver implements ObsUser.
-func (m *PaCM) SetObserver(o *obs.Observer) { m.mo = newModelObs(o, m.Name()) }
-
-func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	var parts *nn.Tensor
-	if m.UseStatement {
-		rows := nn.FromRows(features.Statement(lw))
-		emb := m.stmtEmbed.ForwardReLU(rows)
-		parts = nn.SumRows(emb)
-	}
-	if m.UseDataflow {
-		df := nn.FromRows(features.Dataflow(lw))
-		tokens := nn.Tanh(m.dfProj.Forward(df))
-		ctx := nn.MeanRows(m.dfAttn.Forward(tokens))
-		if parts == nil {
-			parts = ctx
-		} else {
-			parts = nn.ConcatCols(parts, ctx)
-		}
-	}
-	return m.head.Forward(parts)
-}
-
-// forward is the batched training forward (see TenSetMLP.forward): the
-// statement branch pools fused embeddings with a segmented sum; the
-// dataflow branch deduplicates the zero-padded rows, projects each
-// distinct row once, and runs the gradient-aware segment attention.
+// forward pools the statement branch's fused embeddings with a segmented
+// sum; the dataflow branch projects each distinct row once and runs the
+// segment attention over the gathered tokens. Disabled branches are
+// skipped, which is why the head width follows the ablation flags.
 func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
@@ -244,13 +243,7 @@ func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
 		parts = nn.SegmentSumRows(emb, lens)
 	}
 	if m.UseDataflow {
-		lens := make([]int, len(lws))
-		rows := make([][]float64, 0, len(lws)*features.DataflowSeq)
-		for i, lw := range lws {
-			rows = append(rows, features.Dataflow(lw)...)
-			lens[i] = features.DataflowSeq
-		}
-		uniq, idx := nn.DedupRows(rows)
+		uniq, idx, lens := dataflowBatch(lws)
 		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRows(uniq)))
 		ctx := nn.SegmentMeanRows(m.dfAttn.ForwardSegmentsDedup(tokens, idx, lens), lens)
 		if parts == nil {
@@ -262,34 +255,26 @@ func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
 	return m.head.Forward(parts)
 }
 
-// trainer lazily builds the model's parallel training state; replicas
-// reproduce the branch ablation flags so their head widths match.
-func (m *PaCM) trainer() *trainer {
-	if m.tr == nil {
-		m.tr = newTrainer(m.Params(), func() *replica {
-			r := newPaCMArch(m.seed, m.UseStatement, m.UseDataflow)
-			nn.AliasParams(r.Params(), m.Params())
-			return &replica{forward: r.forward, params: r.Params()}
-		})
+// score is forward on the arena.
+//
+//pruner:hotpath
+func (m *PaCM) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+	var parts *nn.Tensor
+	if m.UseStatement {
+		rows, lens := statementBatch(lws)
+		parts = nn.SegmentSumRowsIn(s, m.stmtEmbed.ForwardReLURowsIn(s, rows), lens)
 	}
-	return m.tr
-}
-
-// Predict implements Model: candidates run through the batched no-tape
-// inference engine (batch.go), bitwise identical to the per-candidate
-// reference path.
-func (m *PaCM) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
-	return m.mo.predict(len(schs), func() []float64 {
-		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.freeze)
-	})
-}
-
-// Fit implements Model: training runs on the data-parallel engine over
-// the session pool (rankFit, model.go).
-func (m *PaCM) Fit(recs []Record, opt FitOptions) FitReport {
-	return m.mo.fit(len(recs), func() FitReport {
-		return rankFit(recs, opt, m.adam, m.pool, m.seed, m.trainer())
-	})
+	if m.UseDataflow {
+		uniq, idx, lens := dataflowBatch(lws)
+		tokens := nn.TanhIn(s, m.dfProj.ForwardRowsIn(s, uniq))
+		ctx := nn.SegmentMeanRowsIn(s, m.dfAttn.ForwardSegmentsDedupIn(s, tokens, idx, lens), lens)
+		if parts == nil {
+			parts = ctx
+		} else {
+			parts = nn.ConcatColsIn(s, parts, ctx)
+		}
+	}
+	return m.head.ForwardIn(s, parts)
 }
 
 // TLP is the schedule-primitive transformer baseline. Its tokens are
@@ -297,33 +282,26 @@ func (m *PaCM) Fit(recs []Record, opt FitOptions) FitReport {
 // online datasets hard to learn from — the behaviour behind the paper's
 // disappearing tuning curves.
 type TLP struct {
+	learned
 	proj *nn.Linear
 	attn *nn.SelfAttention
 	head *nn.MLP
-	adam *nn.Adam
-	seed int64
-	pool *parallel.Pool
-	memo *schedule.Memo
-	mo   *modelObs
-	tr   *trainer
 }
 
-// NewTLP builds the model.
+// NewTLP builds the model. TLP trains with a higher learning rate on
+// sparse features; this is part of why online fine-tuning can
+// destabilise it.
 func NewTLP(seed int64) *TLP {
 	m := newTLPArch(seed)
-	// TLP trains with a higher learning rate on sparse features; this is
-	// part of why online fine-tuning can destabilise it.
-	m.adam = nn.NewAdam(m.Params(), 1.2e-3)
+	m.learned = newLearned(m, seed, 1.2e-3, func() arch { return newTLPArch(seed) })
 	return m
 }
 
-// newTLPArch builds the architecture alone (see newTenSetMLPArch).
 func newTLPArch(seed int64) *TLP {
 	rng := rand.New(rand.NewSource(seed))
 	m := &TLP{
 		proj: nn.NewLinear(rng, features.PrimDim, features.PrimDim),
 		attn: nn.NewSelfAttention(rng, features.PrimDim),
-		seed: seed,
 	}
 	m.head = nn.NewMLP(rng, features.PrimDim, 64, 1)
 	return m
@@ -342,73 +320,20 @@ func (m *TLP) Params() []*nn.Tensor {
 // Costs implements Model: cheap features, heavy model.
 func (m *TLP) Costs() Costs { return Costs{FeatureX: 0.35, InferX: 3.5, TrainX: 8} }
 
-// SetPool implements PoolUser.
-func (m *TLP) SetPool(p *parallel.Pool) { m.pool = p }
-
-// SetMemo implements MemoUser.
-func (m *TLP) SetMemo(mm *schedule.Memo) { m.memo = mm }
-
-// SetObserver implements ObsUser.
-func (m *TLP) SetObserver(o *obs.Observer) { m.mo = newModelObs(o, m.Name()) }
-
-func (m *TLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	tokens := nn.FromRows(features.Primitives(lw))
-	x := m.proj.Forward(tokens)
-	x = m.attn.Forward(x)
-	return m.head.Forward(nn.MeanRows(x))
-}
-
-// forward is the batched training forward: primitive tokens are
-// near-constant one-hots that repeat heavily across a group, so the
-// projection and the attention's Q/K/V run once per distinct row
-// (gradient-aware dedup) and the per-candidate score means fall out of a
-// segmented reduction.
+// forward projects each distinct primitive token once, runs the segment
+// attention over the gathered sequence and takes per-candidate means.
 func (m *TLP) forward(lws []*schedule.Lowered) *nn.Tensor {
-	lens := make([]int, len(lws))
-	rows := make([][]float64, 0, len(lws)*features.PrimSeq)
-	for i, lw := range lws {
-		r := features.Primitives(lw)
-		rows = append(rows, r...)
-		lens[i] = len(r)
-	}
-	uniq, idx := nn.DedupRows(rows)
+	uniq, idx, lens := primitiveBatch(lws)
 	tokens := m.proj.Forward(nn.FromRows(uniq))
 	x := m.attn.ForwardSegmentsDedup(tokens, idx, lens)
 	return m.head.Forward(nn.SegmentMeanRows(x, lens))
 }
 
-// trainer lazily builds the model's parallel training state.
-func (m *TLP) trainer() *trainer {
-	if m.tr == nil {
-		m.tr = newTrainer(m.Params(), func() *replica {
-			r := newTLPArch(m.seed)
-			nn.AliasParams(r.Params(), m.Params())
-			return &replica{forward: r.forward, params: r.Params()}
-		})
-	}
-	return m.tr
-}
-
-// Predict implements Model: candidates run through the batched no-tape
-// inference engine (batch.go), bitwise identical to the per-candidate
-// reference path.
-func (m *TLP) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
-	return m.mo.predict(len(schs), func() []float64 {
-		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.freeze)
-	})
-}
-
-// Fit implements Model: training runs on the data-parallel engine over
-// the session pool (rankFit, model.go).
-func (m *TLP) Fit(recs []Record, opt FitOptions) FitReport {
-	return m.mo.fit(len(recs), func() FitReport {
-		return rankFit(recs, opt, m.adam, m.pool, m.seed, m.trainer())
-	})
-}
-
-// PoolUser is implemented by models whose batched inference can run on a
-// caller-provided worker pool. The tuner injects its session pool so one
-// Parallelism knob governs every layer of a session.
-type PoolUser interface {
-	SetPool(p *parallel.Pool)
+// score is forward on the arena.
+//
+//pruner:hotpath
+func (m *TLP) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+	uniq, idx, lens := primitiveBatch(lws)
+	x := m.attn.ForwardSegmentsDedupIn(s, m.proj.ForwardRowsIn(s, uniq), idx, lens)
+	return m.head.ForwardIn(s, nn.SegmentMeanRowsIn(s, x, lens))
 }

@@ -257,43 +257,3 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 	}
 	return report
 }
-
-// rankFitReference is the pre-engine serial loop — one optimiser step per
-// task group, forward and backward on the live parameters — retained as
-// the ground truth for the trainer's equivalence tests and the
-// BenchmarkFit before/after comparison.
-func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, forward forwardFn, seed int64) FitReport {
-	opt = opt.withDefaults()
-	groups := groupByTask(recs)
-	report := FitReport{Loss: math.NaN()}
-	if len(groups) == 0 {
-		return report
-	}
-	defer func(prev float64) { adam.LR = prev }(adam.SwapLR(opt.LR))
-	rng := rand.New(rand.NewSource(seed ^ opt.Seed))
-	for _, g := range groups {
-		report.Samples += len(g.recs)
-	}
-	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		batches := epochBatches(groups, opt, rng)
-		var epochLoss float64
-		for _, b := range batches {
-			memo := opt.Cache.memo(b.task)
-			lws := make([]*schedule.Lowered, len(b.recs))
-			for i, r := range b.recs {
-				lws[i] = memo.Lower(b.task, r.Sched)
-			}
-			adam.ZeroGrad()
-			loss := nn.LambdaRankLoss(forward(lws), b.rel)
-			nn.Backward(loss)
-			adam.Step()
-			epochLoss += loss.Data[0]
-			report.Batches++
-			report.SampleVisits += len(b.recs)
-		}
-		if len(batches) > 0 {
-			report.Loss = epochLoss / float64(len(batches))
-		}
-	}
-	return report
-}

@@ -25,6 +25,7 @@ import (
 	"pruner/internal/dataset"
 	"pruner/internal/device"
 	"pruner/internal/ir"
+	"pruner/internal/measure"
 	"pruner/internal/nn"
 	"pruner/internal/parallel"
 	"pruner/internal/schedule"
@@ -424,7 +425,7 @@ func (h *harness) tune(dev *device.Device, tasks []*ir.Task, method string, seed
 		opt.Model = costmodel.NewTenSetMLP(seed + 1)
 		opt.OnlineTrain = true
 		opt.Trials = sc.trials * 85 / 100
-		opt.Sim = simulator.NewWithConfig(dev, simulator.Config{MeasureNoise: 0.09})
+		opt.Measurer = measure.NewSim(simulator.NewWithConfig(dev, simulator.Config{MeasureNoise: 0.09}))
 	case "felix": // gradient-descent-style local search
 		opt.Policy = &search.AnsorPolicy{
 			Evo: search.EvoParams{Population: sc.evoPop / 3, Generations: sc.evoGens, MutateProb: 1.0, CrossProb: 0},

@@ -11,7 +11,9 @@ import (
 // analyzer — the analyzer proves no allocating constructs are reachable
 // from the //pruner:hotpath roots, these tests prove the arena actually
 // absorbs every output buffer. A regression in either shows up as a
-// nonzero average from testing.AllocsPerRun.
+// nonzero average from testing.AllocsPerRun. (The gates keep the
+// TestAllocFrozen* names CI's required-test list knows them by; the
+// kernels they pin are the methods on MLP and SelfAttention.)
 
 // mustZeroAllocs pins f to zero steady-state heap allocations.
 func mustZeroAllocs(t *testing.T, name string, f func()) {
@@ -24,10 +26,10 @@ func mustZeroAllocs(t *testing.T, name string, f func()) {
 
 func TestAllocFrozenMLPForwardIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
-	mlp := NewMLP(rng, 9, 16, 16, 1).Freeze()
+	mlp := NewMLP(rng, 9, 16, 16, 1)
 	x := randConst(rng, 24, 9)
 	var s Scratch
-	mustZeroAllocs(t, "FrozenMLP.ForwardIn", func() {
+	mustZeroAllocs(t, "MLP.ForwardIn", func() {
 		s.Reset()
 		mlp.ForwardIn(&s, x)
 	})
@@ -35,13 +37,13 @@ func TestAllocFrozenMLPForwardIn(t *testing.T) {
 
 func TestAllocFrozenMLPForwardReLURowsIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	mlp := NewMLP(rng, 9, 16, 1).Freeze()
+	mlp := NewMLP(rng, 9, 16, 1)
 	rows := make([][]float64, 24)
 	for i := range rows {
 		rows[i] = randConst(rng, 1, 9).Data
 	}
 	var s Scratch
-	mustZeroAllocs(t, "FrozenMLP.ForwardReLURowsIn", func() {
+	mustZeroAllocs(t, "MLP.ForwardReLURowsIn", func() {
 		s.Reset()
 		mlp.ForwardReLURowsIn(&s, rows)
 	})
@@ -49,11 +51,11 @@ func TestAllocFrozenMLPForwardReLURowsIn(t *testing.T) {
 
 func TestAllocFrozenAttentionForwardSegmentsIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	attn := NewSelfAttention(rng, 6).Freeze()
+	attn := NewSelfAttention(rng, 6)
 	x := randConst(rng, 12, 6)
 	lens := []int{4, 3, 5}
 	var s Scratch
-	mustZeroAllocs(t, "FrozenAttention.ForwardSegmentsIn", func() {
+	mustZeroAllocs(t, "SelfAttention.ForwardSegmentsIn", func() {
 		s.Reset()
 		attn.ForwardSegmentsIn(&s, x, lens)
 	})
@@ -61,12 +63,12 @@ func TestAllocFrozenAttentionForwardSegmentsIn(t *testing.T) {
 
 func TestAllocFrozenAttentionForwardSegmentsDedupIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	attn := NewSelfAttention(rng, 6).Freeze()
+	attn := NewSelfAttention(rng, 6)
 	uniq := randConst(rng, 5, 6)
 	idx := []int{0, 1, 0, 2, 3, 0, 4, 1, 2}
 	lens := []int{3, 2, 4}
 	var s Scratch
-	mustZeroAllocs(t, "FrozenAttention.ForwardSegmentsDedupIn", func() {
+	mustZeroAllocs(t, "SelfAttention.ForwardSegmentsDedupIn", func() {
 		s.Reset()
 		attn.ForwardSegmentsDedupIn(&s, uniq, idx, lens)
 	})
@@ -83,49 +85,24 @@ func TestAllocSegmentSumRowsIn(t *testing.T) {
 	})
 }
 
-// TestScratchVariantsBitwiseIdentical pins that the arena-backed *In
-// kernels produce exactly the bits of their allocating twins — the
-// contract that makes swapping them into the engines a pure wall-clock
-// change.
+// TestScratchVariantsBitwiseIdentical pins the free-function kernels —
+// on a nil and on a warm Scratch — to the tape operator each one backs
+// (the reductions' per-segment meaning is pinned on the operators, in
+// infer_test.go).
 func TestScratchVariantsBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
-	var s Scratch
-
-	mlp := NewMLP(rng, 9, 16, 16, 1).Freeze()
-	x := randConst(rng, 12, 9)
-	bitwiseEqual(t, "mlp forward", mlp.ForwardIn(&s, x), mlp.Forward(x))
-
-	rows := make([][]float64, 10)
-	for i := range rows {
-		rows[i] = randConst(rng, 1, 9).Data
-	}
-	s.Reset()
-	bitwiseEqual(t, "mlp relu rows", mlp.ForwardReLURowsIn(&s, rows), mlp.ForwardReLURows(rows))
-
-	attn := NewSelfAttention(rng, 6).Freeze()
-	tokens := randConst(rng, 12, 6)
-	lens := []int{4, 3, 5}
-	s.Reset()
-	bitwiseEqual(t, "attention segments",
-		attn.ForwardSegmentsIn(&s, tokens, lens), attn.ForwardSegments(tokens, lens))
-
-	uniq := randConst(rng, 5, 6)
-	idx := []int{0, 1, 0, 2, 3, 0, 4, 1, 2, 0, 3, 4}
-	s.Reset()
-	bitwiseEqual(t, "attention dedup",
-		attn.ForwardSegmentsDedupIn(&s, uniq, idx, lens), attn.ForwardSegmentsDedup(uniq, idx, lens))
-
 	seg := randConst(rng, 11, 7)
 	segLens := []int{3, 1, 5, 2}
-	s.Reset()
-	bitwiseEqual(t, "segment sum", SegmentSumRowsIn(&s, seg, segLens), SegmentSumRows(seg, segLens))
-	s.Reset()
-	bitwiseEqual(t, "segment mean", SegmentMeanRowsIn(&s, seg, segLens), SegmentMeanRows(seg, segLens))
-	s.Reset()
-	bitwiseEqual(t, "tanh", TanhIn(&s, seg), Tanh(seg))
-	s.Reset()
 	a, b := randConst(rng, 6, 3), randConst(rng, 6, 4)
-	bitwiseEqual(t, "concat cols", ConcatColsIn(&s, a, b), ConcatCols(a, b))
+	idx := []int{5, 0, 0, 3, 5, 1, 2}
+
+	bothScratches(rng, func(name string, s *Scratch) {
+		bitwiseEqual(t, name+": segment sum", SegmentSumRowsIn(s, seg, segLens), SegmentSumRows(seg, segLens))
+		bitwiseEqual(t, name+": segment mean", SegmentMeanRowsIn(s, seg, segLens), SegmentMeanRows(seg, segLens))
+		bitwiseEqual(t, name+": tanh", TanhIn(s, seg), Tanh(seg))
+		bitwiseEqual(t, name+": concat cols", ConcatColsIn(s, a, b), ConcatCols(a, b))
+		bitwiseEqual(t, name+": gather rows", gatherRowsIn(s, a, idx), GatherRows(a, idx))
+	})
 }
 
 // TestScratchReuse pins the arena contract: after Reset the same slots

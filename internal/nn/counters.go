@@ -20,7 +20,7 @@ type EngineCounters struct {
 	// GEMMRows counts output rows produced by those kernels — the
 	// engine's throughput proxy.
 	GEMMRows uint64
-	// AttnSegments counts attention segments run through the frozen
+	// AttnSegments counts attention segments run through the arena
 	// attention core.
 	AttnSegments uint64
 }

@@ -1,22 +1,27 @@
-// Inference engine: no-tape forward kernels for the verify-stage hot
-// path. A model freezes its layers into Frozen* snapshots once per
-// Predict call; the snapshots then run fused matmul-bias(-ReLU) kernels
-// over whole candidate batches. Every kernel accumulates each output
-// element in exactly the same order as the tape-based operators it
-// replaces — ascending over the contraction index — so frozen forwards
-// are bitwise identical to Module forwards under FreezeParams (the
+// Arena kernels: the forward loops of the cost-model path, each written
+// once. Two families are built on them. The inference family is the
+// kernels themselves: methods on the module types (MLP.ForwardIn,
+// Linear.ForwardRowsIn, SelfAttention.ForwardSegmentsDedupIn, ...) and the
+// free functions SegmentSumRowsIn, SegmentMeanRowsIn, TanhIn and
+// ConcatColsIn, which read a module's live weights under FreezeParams and
+// thread a *Scratch arena through the whole chain so a warmed call
+// performs zero heap allocations — the contract the //pruner:hotpath
+// annotations declare, the hotalloc analyzer enforces statically and the
+// TestAlloc* gates pin dynamically. The training family is the tape
+// operators (Affine, Tanh, ConcatCols, GatherRows, SegmentSumRows,
+// SegmentMeanRows): each calls its kernel with a nil Scratch — a nil
+// arena allocates every output on the heap — and attaches only a backward
+// closure. The dependency points one way, tape to kernel, so no closure
+// is reachable from a hot-path root.
+//
+// Every kernel accumulates each output element in ascending contraction
+// order, exactly as the unfused operator chain (MatMul, AddBias, ReLU,
+// SoftmaxRows, LayerNormRows) does, so a batched arena forward is bitwise
+// identical to the per-candidate tape composition under FreezeParams (the
 // property the cost-model equivalence tests pin). The kernels assume
 // finite weights: a zero activation then contributes an exact ±0.0 term,
-// which cannot perturb any partial sum, letting the inner loop run
-// branchless where the tape operator branches per term.
-//
-// Every kernel comes in two spellings: the plain form allocates its
-// outputs (convenient for tests and one-off calls), and the *In form
-// threads a *Scratch arena through the whole chain so a warmed call
-// performs zero heap allocations — the contract the //pruner:hotpath
-// annotations declare, the hotalloc analyzer enforces statically, and
-// the TestAlloc* gates pin dynamically. The two forms share one body
-// (plain delegates with a nil Scratch), so they cannot drift.
+// which cannot perturb any partial sum, letting the inner loops run
+// branchless where MatMul branches per term.
 package nn
 
 import (
@@ -39,7 +44,8 @@ func RowsView(x *Tensor, lo, hi int) *Tensor {
 	return &Tensor{R: hi - lo, C: x.C, Data: x.Data[lo*x.C : hi*x.C]}
 }
 
-// matmulFused is the engine kernel: out = x @ w (+ bias) (then ReLU).
+// matmulFusedIn is the GEMM kernel: out = x @ w (+ bias) (then ReLU),
+// with the output and the nonzero-column index drawn from s when non-nil.
 // It keeps MatMul's outer-product loop order but blocks the contraction
 // index four wide, so each output element is loaded and stored once per
 // four terms instead of once per term, with four independent streams of
@@ -48,12 +54,6 @@ func RowsView(x *Tensor, lo, hi int) *Tensor {
 // [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose four
 // activations are all zero are skipped outright (feature rows carry long
 // zero tails), matching MatMul's per-term zero-skip.
-func matmulFused(x, w *Tensor, bias []float64, relu bool) *Tensor {
-	return matmulFusedIn(nil, x, w, bias, relu)
-}
-
-// matmulFusedIn is matmulFused with the output and the nonzero-column
-// index drawn from s when non-nil.
 func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	// Contract only over columns that are nonzero somewhere in the batch.
 	// Feature matrices carry long structurally-zero column runs (padding
@@ -63,16 +63,11 @@ func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor 
 	return matmulFusedNz(s, x, w, bias, relu, nonzeroColsIn(s, x))
 }
 
-// matmulFusedDense is the kernel entry for activation matrices (post
+// matmulFusedDenseIn is the kernel entry for activation matrices (post
 // projection or ReLU): no structurally-zero columns worth scanning for,
 // so it contracts over every column. Processing zero terms stays
 // bitwise-safe (finite weights), so the result is identical to
-// matmulFused on the same operands.
-func matmulFusedDense(x, w *Tensor, bias []float64, relu bool) *Tensor {
-	return matmulFusedDenseIn(nil, x, w, bias, relu)
-}
-
-// matmulFusedDenseIn is matmulFusedDense over arena storage.
+// matmulFusedIn on the same operands.
 func matmulFusedDenseIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	nz := scratchInts(s, x.C)
 	for k := range nz {
@@ -180,26 +175,21 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	return out
 }
 
-// CompactRows builds the engine's compacted input directly from feature
-// rows: columns that are zero in every row (padding tails, unused one-hot
-// slots) are dropped at copy time, so the first GEMM runs the dense
-// kernel on the surviving columns only. It returns the compacted tensor
-// and the kept column indices (ascending). Dropping an all-zero column
-// removes only exact-zero terms from every output sum, so any layer fed
-// through a correspondingly gathered weight panel (see FrozenLinear
-// ForwardRows) is bitwise identical to the full-width forward.
-func CompactRows(rows [][]float64, width int) (*Tensor, []int) {
-	return CompactRowsIn(nil, rows, width)
-}
-
-// CompactRowsIn is CompactRows over arena storage; the returned tensor
-// and column index alias s and are valid until its next Reset.
-func CompactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
+// compactRowsIn builds a GEMM input directly from feature rows: columns
+// that are zero in every row (padding tails, unused one-hot slots) are
+// dropped at copy time, so the first GEMM runs the dense kernel on the
+// surviving columns only. It returns the compacted tensor and the kept
+// column indices (ascending); both alias s and are valid until its next
+// Reset. Dropping an all-zero column removes only exact-zero terms from
+// every output sum, so a layer fed through the correspondingly gathered
+// weight panel (gatherWeightRows) is bitwise identical to the full-width
+// forward.
+func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 	used := scratchInts(s, width)
 	cnt := 0
 	for _, r := range rows {
 		if len(r) != width {
-			panic(fmt.Sprintf("nn: CompactRows ragged row %d vs %d", len(r), width))
+			panic(fmt.Sprintf("nn: compactRows ragged row %d vs %d", len(r), width))
 		}
 		if cnt == width {
 			break
@@ -232,7 +222,7 @@ func CompactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 }
 
 // gatherWeightRows copies the weight rows selected by cols into one
-// contiguous panel matching a CompactRows input.
+// contiguous panel matching a compactRowsIn input.
 func gatherWeightRows(s *Scratch, w *Tensor, cols []int) *Tensor {
 	out := newTensor(s, len(cols), w.C)
 	for n, k := range cols {
@@ -325,10 +315,7 @@ func DedupRows(rows [][]float64) (uniq [][]float64, idx []int) {
 // a distinct row once and gathering is bitwise identical in the forward
 // and sums the duplicates' gradients in the backward.
 func GatherRows(src *Tensor, idx []int) *Tensor {
-	out := New(len(idx), src.C)
-	for i, j := range idx {
-		copy(out.Data[i*src.C:(i+1)*src.C], src.Data[j*src.C:(j+1)*src.C])
-	}
+	out := gatherRowsIn(nil, src, idx)
 	if needsGrad(src) {
 		out.enableGrad(func() {
 			for i, j := range idx {
@@ -342,9 +329,8 @@ func GatherRows(src *Tensor, idx []int) *Tensor {
 	return out
 }
 
-// gatherRowsIn is GatherRows for the no-tape path: same copies, no
-// backward, output on the arena. Inference inputs never carry gradients
-// (FreezeParams), so dropping the tape cannot change a value.
+// gatherRowsIn is the row-gather kernel: row i of the result is src row
+// idx[i].
 func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 	out := newTensor(s, len(idx), src.C)
 	for i, j := range idx {
@@ -353,182 +339,84 @@ func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 	return out
 }
 
-// FrozenLinear is an inference view of a Linear layer: it aliases the
-// layer's current weights and drives them through the fused kernel. Build
-// it after FreezeParams and use it within one Predict call — it does not
-// participate in the tape and must not outlive concurrent training steps.
-type FrozenLinear struct {
-	w    *Tensor
-	bias []float64
+// forwardDenseIn computes x@W + b on the arena without the nonzero-column
+// scan, for inputs known to be dense activations — bitwise identical to
+// Forward under FreezeParams.
+func (l *Linear) forwardDenseIn(s *Scratch, x *Tensor) *Tensor {
+	return matmulFusedDenseIn(s, x, l.W, l.B.Data, false)
 }
 
-// Freeze returns the layer's inference view.
-func (l *Linear) Freeze() *FrozenLinear {
-	return &FrozenLinear{w: l.W, bias: l.B.Data}
-}
-
-// Forward computes x@W + b, bitwise identical to Linear.Forward.
-func (l *FrozenLinear) Forward(x *Tensor) *Tensor {
-	return matmulFused(x, l.w, l.bias, false)
-}
-
-// ForwardReLU computes max(0, x@W + b) in one pass, bitwise identical to
-// ReLU(Linear.Forward(x)).
-func (l *FrozenLinear) ForwardReLU(x *Tensor) *Tensor {
-	return matmulFused(x, l.w, l.bias, true)
-}
-
-// forwardDenseIn is Forward without the nonzero-column scan, for inputs
-// known to be dense activations.
-func (l *FrozenLinear) forwardDenseIn(s *Scratch, x *Tensor) *Tensor {
-	return matmulFusedDenseIn(s, x, l.w, l.bias, false)
-}
-
-// ForwardRows runs the layer directly on feature rows: the input is
-// compacted at copy time (CompactRows) and contracted against the
-// matching weight panel — bitwise identical to Forward over FromRows.
-func (l *FrozenLinear) ForwardRows(rows [][]float64) *Tensor {
-	return l.ForwardRowsIn(nil, rows)
-}
-
-// ForwardRowsIn is ForwardRows on the arena: zero heap allocations once
-// s is warm.
+// ForwardRowsIn runs the layer directly on feature rows: the input is
+// compacted at copy time (compactRowsIn) and contracted against the
+// matching weight panel — bitwise identical to Forward over FromRows,
+// with zero heap allocations once s is warm.
 //
 //pruner:hotpath
-func (l *FrozenLinear) ForwardRowsIn(s *Scratch, rows [][]float64) *Tensor {
-	x, cols := CompactRowsIn(s, rows, l.w.R)
-	return matmulFusedDenseIn(s, x, gatherWeightRows(s, l.w, cols), l.bias, false)
+func (l *Linear) ForwardRowsIn(s *Scratch, rows [][]float64) *Tensor {
+	x, cols := compactRowsIn(s, rows, l.W.R)
+	return matmulFusedDenseIn(s, x, gatherWeightRows(s, l.W, cols), l.B.Data, false)
 }
 
-// FrozenMLP is an inference view of an MLP.
-type FrozenMLP struct {
-	layers []*FrozenLinear
-}
-
-// Freeze returns the MLP's inference view.
-func (m *MLP) Freeze() *FrozenMLP {
-	f := &FrozenMLP{layers: make([]*FrozenLinear, len(m.Layers))}
+// ForwardIn is Forward on the arena (ReLU between layers, none after the
+// last): zero heap allocations once s is warm. The first layer sees raw
+// feature rows and scans for structurally-zero columns; deeper layers see
+// dense activations and skip the scan.
+//
+//pruner:hotpath
+func (m *MLP) ForwardIn(s *Scratch, x *Tensor) *Tensor {
 	for i, l := range m.Layers {
-		f.layers[i] = l.Freeze()
-	}
-	return f
-}
-
-// Forward mirrors MLP.Forward: ReLU between layers, none after the last.
-// The first layer sees raw feature rows and scans for structurally-zero
-// columns; deeper layers see dense activations and skip the scan.
-func (m *FrozenMLP) Forward(x *Tensor) *Tensor {
-	return m.ForwardIn(nil, x)
-}
-
-// ForwardIn is Forward on the arena: zero heap allocations once s is
-// warm.
-//
-//pruner:hotpath
-func (m *FrozenMLP) ForwardIn(s *Scratch, x *Tensor) *Tensor {
-	for i, l := range m.layers {
-		relu := i+1 < len(m.layers)
+		relu := i+1 < len(m.Layers)
 		if i == 0 {
-			x = matmulFusedIn(s, x, l.w, l.bias, relu)
+			x = matmulFusedIn(s, x, l.W, l.B.Data, relu)
 		} else {
-			x = matmulFusedDenseIn(s, x, l.w, l.bias, relu)
+			x = matmulFusedDenseIn(s, x, l.W, l.B.Data, relu)
 		}
 	}
 	return x
 }
 
-// ForwardReLU applies ReLU after every layer including the last — the
-// ReLU(MLP.Forward(x)) composition the cost models use for embeddings.
-func (m *FrozenMLP) ForwardReLU(x *Tensor) *Tensor {
-	for i, l := range m.layers {
-		if i == 0 {
-			x = matmulFused(x, l.w, l.bias, true)
-		} else {
-			x = matmulFusedDense(x, l.w, l.bias, true)
-		}
+// ForwardReLURowsIn is ForwardReLU on the arena, fed directly from
+// feature rows with the first layer contracted over the compacted columns
+// (see Linear.ForwardRowsIn): zero heap allocations once s is warm.
+//
+//pruner:hotpath
+func (m *MLP) ForwardReLURowsIn(s *Scratch, rows [][]float64) *Tensor {
+	l0 := m.Layers[0]
+	x, cols := compactRowsIn(s, rows, l0.W.R)
+	x = matmulFusedDenseIn(s, x, gatherWeightRows(s, l0.W, cols), l0.B.Data, true)
+	for _, l := range m.Layers[1:] {
+		x = matmulFusedDenseIn(s, x, l.W, l.B.Data, true)
 	}
 	return x
 }
 
-// ForwardReLURows is ForwardReLU fed directly from feature rows, with the
-// first layer contracted over the compacted columns (see ForwardRows).
-func (m *FrozenMLP) ForwardReLURows(rows [][]float64) *Tensor {
-	return m.ForwardReLURowsIn(nil, rows)
-}
-
-// ForwardReLURowsIn is ForwardReLURows on the arena: zero heap
+// ForwardSegmentsIn applies the attention block on the arena,
+// independently to contiguous row segments of x (lens summing to x.R):
+// the Q/K/V/O projections and the residual layer norm run batched across
+// all segments, while the score matmuls and softmax — the only parts that
+// mix rows — stay segment-local. Each segment's output is bitwise
+// identical to Forward over that segment alone, with zero heap
 // allocations once s is warm.
 //
 //pruner:hotpath
-func (m *FrozenMLP) ForwardReLURowsIn(s *Scratch, rows [][]float64) *Tensor {
-	l0 := m.layers[0]
-	x, cols := CompactRowsIn(s, rows, l0.w.R)
-	x = matmulFusedDenseIn(s, x, gatherWeightRows(s, l0.w, cols), l0.bias, true)
-	for _, l := range m.layers[1:] {
-		x = matmulFusedDenseIn(s, x, l.w, l.bias, true)
-	}
-	return x
+func (a *SelfAttention) ForwardSegmentsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
+	return a.forwardFrom(s, x, a.Q.forwardDenseIn(s, x), a.K.forwardDenseIn(s, x), a.V.forwardDenseIn(s, x), lens)
 }
 
-// FrozenAttention is an inference view of a SelfAttention block.
-type FrozenAttention struct {
-	q, k, v, o *FrozenLinear
-	normG      *Tensor
-	normB      *Tensor
-	dim        int
-}
-
-// Freeze returns the block's inference view.
-func (a *SelfAttention) Freeze() *FrozenAttention {
-	return &FrozenAttention{
-		q:     a.Q.Freeze(),
-		k:     a.K.Freeze(),
-		v:     a.V.Freeze(),
-		o:     a.O.Freeze(),
-		normG: a.Norm.G,
-		normB: a.Norm.B,
-		dim:   a.dim,
-	}
-}
-
-// ForwardSegments applies the attention block independently to contiguous
-// row segments of x (lens summing to x.R): the Q/K/V/O projections and
-// the residual layer norm run batched across all segments, while the
-// score matmuls and softmax — the only parts that mix rows — stay
-// segment-local. Each segment's output is bitwise identical to
-// SelfAttention.Forward over that segment alone.
-func (a *FrozenAttention) ForwardSegments(x *Tensor, lens []int) *Tensor {
-	return a.ForwardSegmentsIn(nil, x, lens)
-}
-
-// ForwardSegmentsIn is ForwardSegments on the arena: zero heap
-// allocations once s is warm.
+// ForwardSegmentsDedupIn is ForwardSegmentsIn over a token sequence given
+// in deduplicated form: uniq holds the distinct token rows and idx maps
+// each expanded row to its distinct representative (see DedupRows). The
+// Q/K/V projections run once per distinct row and are gathered back, so
+// batches whose tokens repeat heavily — TLP's near-constant one-hots,
+// PaCM's zero-padded dataflow rows — skip most projection work. A
+// projection is row-wise, so projecting a representative and copying is
+// bitwise identical to projecting every duplicate.
 //
 //pruner:hotpath
-func (a *FrozenAttention) ForwardSegmentsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	return a.forwardFrom(s, x, a.q.forwardDenseIn(s, x), a.k.forwardDenseIn(s, x), a.v.forwardDenseIn(s, x), lens)
-}
-
-// ForwardSegmentsDedup is ForwardSegments over a token sequence given in
-// deduplicated form: uniq holds the distinct token rows and idx maps each
-// expanded row to its distinct representative (see DedupRows). The Q/K/V
-// projections run once per distinct row and are gathered back, so batches
-// whose tokens repeat heavily — TLP's near-constant one-hots, PaCM's
-// zero-padded dataflow rows — skip most projection work. A projection is
-// row-wise, so projecting a representative and copying is bitwise
-// identical to projecting every duplicate.
-func (a *FrozenAttention) ForwardSegmentsDedup(uniq *Tensor, idx []int, lens []int) *Tensor {
-	return a.ForwardSegmentsDedupIn(nil, uniq, idx, lens)
-}
-
-// ForwardSegmentsDedupIn is ForwardSegmentsDedup on the arena: zero heap
-// allocations once s is warm.
-//
-//pruner:hotpath
-func (a *FrozenAttention) ForwardSegmentsDedupIn(s *Scratch, uniq *Tensor, idx []int, lens []int) *Tensor {
-	qu := a.q.forwardDenseIn(s, uniq)
-	ku := a.k.forwardDenseIn(s, uniq)
-	vu := a.v.forwardDenseIn(s, uniq)
+func (a *SelfAttention) ForwardSegmentsDedupIn(s *Scratch, uniq *Tensor, idx []int, lens []int) *Tensor {
+	qu := a.Q.forwardDenseIn(s, uniq)
+	ku := a.K.forwardDenseIn(s, uniq)
+	vu := a.V.forwardDenseIn(s, uniq)
 	return a.forwardFrom(
 		s,
 		gatherRowsIn(s, uniq, idx),
@@ -539,12 +427,12 @@ func (a *FrozenAttention) ForwardSegmentsDedupIn(s *Scratch, uniq *Tensor, idx [
 	)
 }
 
-// forwardFrom is the shared attention core over precomputed projections.
+// forwardFrom is the arena attention core over precomputed projections.
 // Scores, softmax and the value mix run on one reused scratch row per
 // segment — no per-segment tensors — with each value accumulated in the
-// same order as the operator chain it replaces
+// same order as the tape core's operator chain
 // (SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs).
-func (a *FrozenAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) *Tensor {
+func (a *SelfAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) *Tensor {
 	engineAttnSegments.Add(uint64(len(lens)))
 	C := x.C
 	ctx := newTensor(s, x.R, C)
@@ -632,14 +520,13 @@ func (a *FrozenAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int
 	if off != x.R {
 		panic(fmt.Sprintf("nn: ForwardSegments lengths sum to %d, tensor has %d rows", off, x.R))
 	}
-	return addLayerNormRowsIn(s, x, a.o.forwardDenseIn(s, ctx), a.normG, a.normB)
+	return addLayerNormRowsIn(s, x, a.O.forwardDenseIn(s, ctx), a.Norm.G, a.Norm.B)
 }
 
 // addLayerNormRowsIn computes LayerNormRows(Add(x, y), g, b) without the
 // tape: the elementwise sum materialises in ascending index order (Add's
-// order) and each row then normalises exactly as LayerNormRows'
-// inference branch does, so the result is bitwise identical to the
-// operator composition it replaces.
+// order) and each row then normalises exactly as LayerNormRows does, so
+// the result is bitwise identical to the operator composition.
 func addLayerNormRowsIn(s *Scratch, x, y, g, b *Tensor) *Tensor {
 	shapeCheck("add", x, y)
 	const eps = 1e-5
@@ -674,9 +561,12 @@ func addLayerNormRowsIn(s *Scratch, x, y, g, b *Tensor) *Tensor {
 	return out
 }
 
-// SegmentSumRowsIn is SegmentSumRows for the no-tape path: rows
-// accumulate in the identical order (so results are bitwise identical),
-// the backward is dropped, and the output lives on the arena.
+// SegmentSumRowsIn sums contiguous row segments of x: lens[sg] rows belong
+// to segment sg (the lengths must sum to x.R) and row sg of the
+// len(lens) x C result is their sum. Rows accumulate in order, so each
+// output row is bitwise identical to SumRows over that segment in
+// isolation — the reduction that pools a whole candidate batch's
+// statement rows after one fused GEMM.
 //
 //pruner:hotpath
 func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
@@ -705,9 +595,10 @@ func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	return out
 }
 
-// SegmentMeanRowsIn is SegmentMeanRows for the no-tape path (see
+// SegmentMeanRowsIn averages contiguous row segments of x (see
 // SegmentSumRowsIn): sum in row order, then one multiply by the
-// reciprocal length — bitwise identical to the tape operator.
+// reciprocal length, so each output row is bitwise identical to MeanRows
+// over that segment in isolation.
 func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	sum := SegmentSumRowsIn(s, x, lens)
 	out := newTensor(s, sum.R, sum.C)
@@ -720,7 +611,7 @@ func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	return out
 }
 
-// TanhIn is Tanh for the no-tape path, on the arena.
+// TanhIn applies the hyperbolic tangent elementwise.
 func TanhIn(s *Scratch, x *Tensor) *Tensor {
 	out := newTensor(s, x.R, x.C)
 	for i, v := range x.Data {
@@ -729,7 +620,7 @@ func TanhIn(s *Scratch, x *Tensor) *Tensor {
 	return out
 }
 
-// ConcatColsIn is ConcatCols for the no-tape path, on the arena.
+// ConcatColsIn concatenates equal-row tensors side by side.
 func ConcatColsIn(s *Scratch, a, b *Tensor) *Tensor {
 	if a.R != b.R {
 		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))

@@ -125,10 +125,10 @@ func TestMatMulFusedMatchesOps(t *testing.T) {
 			bias[j] = rng.NormFloat64()
 		}
 		bt := FromVec(bias)
-		bitwiseEqual(t, "fused plain", matmulFused(a, w, nil, false), MatMul(a, w))
-		bitwiseEqual(t, "fused bias", matmulFused(a, w, bias, false), AddBias(MatMul(a, w), bt))
-		bitwiseEqual(t, "fused bias+relu", matmulFused(a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
-		bitwiseEqual(t, "fused relu", matmulFused(a, w, nil, true), ReLU(MatMul(a, w)))
+		bitwiseEqual(t, "fused plain", matmulFusedIn(nil, a, w, nil, false), MatMul(a, w))
+		bitwiseEqual(t, "fused bias", matmulFusedIn(nil, a, w, bias, false), AddBias(MatMul(a, w), bt))
+		bitwiseEqual(t, "fused bias+relu", matmulFusedIn(nil, a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
+		bitwiseEqual(t, "fused relu", matmulFusedIn(nil, a, w, nil, true), ReLU(MatMul(a, w)))
 	}
 }
 
@@ -139,7 +139,7 @@ func TestMatMulFusedAllZeroRow(t *testing.T) {
 	a := New(3, 8) // all zeros
 	a.Data[2*8+5] = rng.NormFloat64()
 	w := randConst(rng, 8, 6)
-	bitwiseEqual(t, "zero rows", matmulFused(a, w, nil, false), MatMul(a, w))
+	bitwiseEqual(t, "zero rows", matmulFusedIn(nil, a, w, nil, false), MatMul(a, w))
 }
 
 func TestRowsViewSharesData(t *testing.T) {
@@ -162,9 +162,45 @@ func TestRowsViewSharesData(t *testing.T) {
 	RowsView(p, 0, 1)
 }
 
-// TestFrozenModulesBitwiseIdentical pins the engine's core contract: each
-// frozen snapshot's forward is bitwise identical to the Module forward it
-// replaces, run under FreezeParams.
+// bothScratches runs check twice: with a nil Scratch (every output on the
+// heap — how the tape operators call the kernels) and with an arena that
+// an unrelated call has already dirtied, so a kernel that trusted stale
+// arena contents instead of its zeroed outputs would show up as a bit
+// difference.
+func bothScratches(rng *rand.Rand, check func(name string, s *Scratch)) {
+	check("nil scratch", nil)
+	var s Scratch
+	NewMLP(rng, 9, 16, 16, 6).ForwardIn(&s, randConst(rng, 12, 9))
+	s.Reset()
+	check("warm scratch", &s)
+}
+
+// randRows returns n feature rows of the given width plus the same
+// values as one tensor.
+func randRows(rng *rand.Rand, n, width int) ([][]float64, *Tensor) {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = randConst(rng, 1, width).Data
+	}
+	return rows, FromRows(rows)
+}
+
+// perSegment applies attn.Forward to each contiguous row segment of x
+// alone and stacks the results: the tape composition the arena segment
+// kernels must match bit for bit.
+func perSegment(attn *SelfAttention, x *Tensor, lens []int) *Tensor {
+	parts := make([]*Tensor, len(lens))
+	row := 0
+	for sg, n := range lens {
+		parts[sg] = attn.Forward(RowsView(x, row, row+n))
+		row += n
+	}
+	return ConcatRows(parts...)
+}
+
+// TestFrozenModulesBitwiseIdentical pins the arena family's core
+// contract: under FreezeParams every module kernel — on a nil and on a
+// warm Scratch — is bitwise identical to the tape composition it mirrors.
 func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 
@@ -177,27 +213,26 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	params = append(params, attn.Params()...)
 	defer FreezeParams(params)()
 
-	x := randConst(rng, 12, 9)
-	bitwiseEqual(t, "frozen linear", lin.Freeze().Forward(x), lin.Forward(x))
-	bitwiseEqual(t, "frozen linear+relu", lin.Freeze().ForwardReLU(x), ReLU(lin.Forward(x)))
-	bitwiseEqual(t, "frozen mlp", mlp.Freeze().Forward(x), mlp.Forward(x))
-	bitwiseEqual(t, "frozen mlp+relu", mlp.Freeze().ForwardReLU(x), ReLU(mlp.Forward(x)))
-
-	// Attention over segments vs per-segment module forwards.
+	rows, x := randRows(rng, 12, 9)
 	lens := []int{4, 3, 5}
 	tokens := randConst(rng, 12, 6)
-	got := attn.Freeze().ForwardSegments(tokens, lens)
-	row := 0
-	for s, n := range lens {
-		want := attn.Forward(RowsView(tokens, row, row+n))
-		seg := RowsView(got, row, row+n)
-		bitwiseEqual(t, "frozen attention segment "+string(rune('0'+s)), seg, want)
-		row += n
-	}
+	uniq := randConst(rng, 5, 6)
+	idx := []int{0, 1, 0, 2, 3, 0, 4, 1, 2, 0, 3, 4}
+
+	bothScratches(rng, func(name string, s *Scratch) {
+		bitwiseEqual(t, name+": linear rows", lin.ForwardRowsIn(s, rows), lin.Forward(x))
+		bitwiseEqual(t, name+": linear dense", lin.forwardDenseIn(s, x), lin.Forward(x))
+		bitwiseEqual(t, name+": mlp", mlp.ForwardIn(s, x), mlp.Forward(x))
+		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURowsIn(s, rows), ReLU(mlp.Forward(x)))
+		bitwiseEqual(t, name+": attention segments",
+			attn.ForwardSegmentsIn(s, tokens, lens), perSegment(attn, tokens, lens))
+		bitwiseEqual(t, name+": attention dedup",
+			attn.ForwardSegmentsDedupIn(s, uniq, idx, lens), perSegment(attn, GatherRows(uniq, idx), lens))
+	})
 }
 
 // TestInferenceForwardBuildsNoTape verifies the no-tape property end to
-// end: under FreezeParams an op-composed forward and the engine's frozen
+// end: under FreezeParams an op-composed forward and the arena kernel
 // forward both come back without autograd state.
 func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -207,7 +242,7 @@ func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	x := randConst(rng, 3, 4)
 	for name, y := range map[string]*Tensor{
 		"module": SegmentSumRows(ReLU(mlp.Forward(x)), []int{1, 2}),
-		"frozen": mlp.Freeze().Forward(x),
+		"kernel": mlp.ForwardIn(nil, x),
 	} {
 		if y.requiresGrad || y.back != nil || y.prev != nil || y.Grad != nil {
 			t.Fatalf("%s inference forward carries tape state", name)

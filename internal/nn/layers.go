@@ -137,7 +137,7 @@ func (a *SelfAttention) Forward(x *Tensor) *Tensor {
 // matmuls and softmax, the only row-mixing parts, stay segment-local.
 // Projections and layer norm are row-wise, so each segment's output is
 // bitwise identical to Forward over that segment alone; this is the
-// training-path mirror of FrozenAttention.ForwardSegments.
+// tape counterpart of the arena ForwardSegmentsIn.
 func (a *SelfAttention) ForwardSegments(x *Tensor, lens []int) *Tensor {
 	return a.forwardSegments(x, a.Q.Forward(x), a.K.Forward(x), a.V.Forward(x), lens)
 }

@@ -1,9 +1,9 @@
 // Scratch: the grow-only arena behind the zero-allocation inference
-// path. The batched cost-model engine calls the frozen kernels once per
+// path. The batched cost-model engine calls the arena kernels once per
 // candidate chunk, thousands of times per tuning round; with a warmed
-// Scratch every *In kernel variant runs without touching the heap
-// (pinned by the TestAlloc* gates and the hotalloc analyzer), so the
-// verify stage stops feeding the garbage collector.
+// Scratch every *In kernel runs without touching the heap (pinned by the
+// TestAlloc* gates and the hotalloc analyzer), so the verify stage stops
+// feeding the garbage collector.
 //
 // A Scratch hands out zeroed buffers and reset tensor headers in call
 // order and is rewound wholesale with Reset — allocation happens only
@@ -16,7 +16,7 @@
 package nn
 
 // Scratch is a grow-only arena of float64/int buffers and Tensor
-// headers, reused across frozen-kernel calls. The zero value is ready to
+// headers, reused across arena-kernel calls. The zero value is ready to
 // use.
 type Scratch struct {
 	floatBufs [][]float64
@@ -92,9 +92,9 @@ func (s *Scratch) tensor(r, c int) *Tensor {
 	return t
 }
 
-// newTensor is the allocation seam every frozen kernel output goes
-// through: arena-backed when a Scratch is supplied, a fresh heap tensor
-// when s is nil (the drop-in compatible slow path).
+// newTensor is the allocation seam every kernel output goes through:
+// arena-backed when a Scratch is supplied, a fresh heap tensor when s is
+// nil (how the tape operators call the kernels).
 func newTensor(s *Scratch, r, c int) *Tensor {
 	if s == nil {
 		return New(r, c)

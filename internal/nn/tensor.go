@@ -417,10 +417,7 @@ func ReLU(x *Tensor) *Tensor {
 
 // Tanh applies the hyperbolic tangent.
 func Tanh(x *Tensor) *Tensor {
-	out := New(x.R, x.C)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
+	out := TanhIn(nil, x)
 	if needsGrad(x) {
 		out.enableGrad(func() {
 			for i, g := range out.Grad {
@@ -509,16 +506,9 @@ func Transpose(x *Tensor) *Tensor {
 
 // ConcatCols concatenates equal-row tensors side by side.
 func ConcatCols(a, b *Tensor) *Tensor {
-	if a.R != b.R {
-		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
-	}
-	cols := a.C + b.C
-	out := New(a.R, cols)
-	for i := 0; i < a.R; i++ {
-		copy(out.Data[i*cols:i*cols+a.C], a.Data[i*a.C:(i+1)*a.C])
-		copy(out.Data[i*cols+a.C:(i+1)*cols], b.Data[i*b.C:(i+1)*b.C])
-	}
+	out := ConcatColsIn(nil, a, b)
 	if needsGrad(a, b) {
+		cols := out.C
 		out.enableGrad(func() {
 			for i := 0; i < a.R; i++ {
 				for j := 0; j < a.C; j++ {
@@ -613,87 +603,45 @@ func MeanRows(x *Tensor) *Tensor {
 	return Scale(SumRows(x), 1/float64(x.R))
 }
 
-// SegmentSumRows sums contiguous row segments of x: lens[s] rows belong to
-// segment s (the lengths must sum to x.R) and row s of the len(lens) x C
-// result is their sum. Rows accumulate in order, so each output row is
-// bitwise identical to SumRows over that segment in isolation — the
-// reduction the batched cost-model engine uses to pool a whole candidate
-// batch's statement rows after one fused GEMM.
+// SegmentSumRows is SegmentSumRowsIn on the tape: the backward hands each
+// segment's output-row gradient to every row of the segment.
 func SegmentSumRows(x *Tensor, lens []int) *Tensor {
-	total := 0
-	for s, n := range lens {
-		if n <= 0 {
-			panic(fmt.Sprintf("nn: SegmentSumRows segment %d has length %d", s, n))
-		}
-		total += n
+	out := SegmentSumRowsIn(nil, x, lens)
+	if needsGrad(x) {
+		out.enableGrad(func() { segmentBackward(x, out, lens, false) }, x)
 	}
-	if total != x.R {
-		panic(fmt.Sprintf("nn: SegmentSumRows lengths sum to %d, tensor has %d rows", total, x.R))
+	return out
+}
+
+// SegmentMeanRows is SegmentMeanRowsIn on the tape: the backward hands
+// each segment's output-row gradient, times the reciprocal length, to
+// every row of the segment.
+func SegmentMeanRows(x *Tensor, lens []int) *Tensor {
+	out := SegmentMeanRowsIn(nil, x, lens)
+	if needsGrad(x) {
+		out.enableGrad(func() { segmentBackward(x, out, lens, true) }, x)
 	}
-	out := New(len(lens), x.C)
+	return out
+}
+
+// segmentBackward scatters out's per-segment gradient rows back over x's
+// rows in ascending row order, scaled by 1/len when mean is set.
+func segmentBackward(x, out *Tensor, lens []int, mean bool) {
 	row := 0
 	for s, n := range lens {
-		oRow := out.Data[s*x.C : (s+1)*x.C]
+		gRow := out.Grad[s*x.C : (s+1)*x.C]
+		inv := 1.0
+		if mean {
+			inv = 1 / float64(n)
+		}
 		for r := 0; r < n; r++ {
-			xRow := x.Data[row*x.C : (row+1)*x.C]
-			for j, v := range xRow {
-				oRow[j] += v
+			base := row * x.C
+			for j, g := range gRow {
+				addGrad(x, base+j, g*inv)
 			}
 			row++
 		}
 	}
-	if needsGrad(x) {
-		starts := segmentStarts(lens)
-		out.enableGrad(func() {
-			for s, n := range lens {
-				gRow := out.Grad[s*x.C : (s+1)*x.C]
-				for r := 0; r < n; r++ {
-					base := (starts[s] + r) * x.C
-					for j, g := range gRow {
-						addGrad(x, base+j, g)
-					}
-				}
-			}
-		}, x)
-	}
-	return out
-}
-
-// SegmentMeanRows averages contiguous row segments of x (see
-// SegmentSumRows); each output row is bitwise identical to MeanRows over
-// that segment in isolation (sum in row order, then one multiply by the
-// reciprocal length).
-func SegmentMeanRows(x *Tensor, lens []int) *Tensor {
-	sum := SegmentSumRows(x, lens)
-	out := New(sum.R, sum.C)
-	for s, n := range lens {
-		inv := 1 / float64(n)
-		for j := 0; j < sum.C; j++ {
-			out.Data[s*sum.C+j] = sum.Data[s*sum.C+j] * inv
-		}
-	}
-	if needsGrad(sum) {
-		out.enableGrad(func() {
-			for s, n := range lens {
-				inv := 1 / float64(n)
-				for j := 0; j < sum.C; j++ {
-					addGrad(sum, s*sum.C+j, out.Grad[s*sum.C+j]*inv)
-				}
-			}
-		}, sum)
-	}
-	return out
-}
-
-// segmentStarts returns the first row index of each segment.
-func segmentStarts(lens []int) []int {
-	starts := make([]int, len(lens))
-	row := 0
-	for s, n := range lens {
-		starts[s] = row
-		row += n
-	}
-	return starts
 }
 
 // MeanAll reduces to the scalar mean of all entries.

@@ -14,17 +14,17 @@ import "fmt"
 // Affine is the fused training op out = x@W + b, optionally through
 // ReLU: one tape node where the operator chain ReLU(AddBias(MatMul))
 // builds three, so a Linear layer's forward allocates one output and one
-// gradient buffer instead of three of each. The forward runs the
-// inference engine's register-blocked kernel, which is bitwise identical
-// to the chain for the finite weights training produces; the backward
-// fuses the ReLU mask, the bias column-sum and the two gradient GEMMs,
-// each accumulating per element in the same ascending order as the chain
-// it replaces, so gradients are bitwise identical too.
+// gradient buffer instead of three of each. The forward is the
+// register-blocked GEMM kernel (matmulFusedIn, nil arena), which is
+// bitwise identical to the chain for the finite weights training
+// produces; the backward fuses the ReLU mask, the bias column-sum and
+// the two gradient GEMMs, each accumulating per element in the same
+// ascending order as the chain, so gradients are bitwise identical too.
 func Affine(x, w, b *Tensor, relu bool) *Tensor {
 	if w.R != x.C || b.R != 1 || b.C != w.C {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
 	}
-	out := matmulFused(x, w, b.Data, relu)
+	out := matmulFusedIn(nil, x, w, b.Data, relu)
 	if needsGrad(x, w, b) {
 		out.enableGrad(func() { affineBackward(x, w, b, out, relu) }, x, w, b)
 	}

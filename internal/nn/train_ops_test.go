@@ -2,7 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,6 +111,41 @@ func TestGradGatherRows(t *testing.T) {
 	checkGrads(t, "gatherrows", []*Tensor{src}, func() *Tensor {
 		return MeanAll(Mul(GatherRows(src, idx), w))
 	})
+}
+
+// TestDelegatedTapeOpsPinned pins the tape operators whose forward is an
+// arena kernel (nil Scratch) plus an attached backward: for a fixed-seed
+// graph through each one, the forward values and every input gradient
+// hash to the digest captured before the forwards were delegated — so
+// neither the values nor the gradient accumulation order moved a bit.
+func TestDelegatedTapeOpsPinned(t *testing.T) {
+	idx := []int{0, 2, 1, 2, 3, 2, 0}
+	lens := []int{3, 1, 3}
+	for _, tc := range []struct {
+		name   string
+		golden string
+		op     func(a, b *Tensor) *Tensor
+	}{
+		{"tanh", "fcb0bb0df6d64b43", func(a, _ *Tensor) *Tensor { return Tanh(a) }},
+		{"concatcols", "5b5daabead5f5a8f", func(a, b *Tensor) *Tensor { return ConcatCols(a, GatherRows(b, idx)) }},
+		{"gatherrows", "f36f9a556893e959", func(_, b *Tensor) *Tensor { return GatherRows(b, idx) }},
+		{"segmentsumrows", "73935cf8a31b071b", func(a, _ *Tensor) *Tensor { return SegmentSumRows(a, lens) }},
+		{"segmentmeanrows", "2ec29359d3f100a8", func(a, _ *Tensor) *Tensor { return SegmentMeanRows(a, lens) }},
+	} {
+		rng := rand.New(rand.NewSource(70))
+		a, b := randParam(rng, 7, 3), randParam(rng, 4, 5)
+		out := tc.op(a, b)
+		Backward(MeanAll(Mul(out, randConst(rng, out.R, out.C))))
+		h := fnv.New64a()
+		for _, vals := range [][]float64{out.Data, a.Grad, b.Grad} {
+			for _, v := range vals {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.golden {
+			t.Errorf("%s: values+gradients digest %s, pinned %s", tc.name, got, tc.golden)
+		}
+	}
 }
 
 // TestForwardSegmentsMatchesPerSegment pins the training segment

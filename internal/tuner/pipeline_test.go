@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"sort"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"pruner/internal/device"
 	"pruner/internal/ir"
 	"pruner/internal/measure"
+	"pruner/internal/nn"
 	"pruner/internal/schedule"
 	"pruner/internal/search"
 	"pruner/internal/simulator"
@@ -87,6 +89,84 @@ func TestTunePipelineDepth1MatchesPreRefactorGolden(t *testing.T) {
 	}
 	if got := resultFingerprint(tunePipeline(1, 1, nil)); got != preRefactorGolden {
 		t.Fatalf("depth-1 session fingerprint %s, pre-refactor golden %s", got, preRefactorGolden)
+	}
+}
+
+// goldenMatrix widens the single golden into a pinned policy x model x
+// device matrix: every learned model's verify path (batched Predict) and
+// fit path (online rankFit, MoA's Siamese update) feeds each digest, so a
+// change to any kernel, forward or trainer that moves one bit of one
+// score moves a hash. Hashes are resultFingerprint values captured from
+// the sources that produced preRefactorGolden's current value.
+var goldenMatrix = []struct {
+	name   string
+	dev    *device.Device
+	golden string
+	opt    func() Options
+}{
+	{"pruner+pacm/orin", device.Orin, "69731aacdcf85fd0", func() Options {
+		return Options{Trials: 40, Policy: search.NewPrunerPolicy(), Model: costmodel.NewPaCM(3), OnlineTrain: true}
+	}},
+	{"ansor+tensetmlp/t4", device.T4, "0ef02b14379c57b7", func() Options {
+		return Options{Trials: 40, Policy: smallAnsorPolicy(), Model: costmodel.NewTenSetMLP(4), OnlineTrain: true}
+	}},
+	{"ansor+tlp/orin", device.Orin, "d230c979c365c354", func() Options {
+		return Options{Trials: 30, Policy: smallAnsorPolicy(), Model: costmodel.NewTLP(5), OnlineTrain: true}
+	}},
+	{"ansor+tlp/t4", device.T4, "e0f76551b1c7a0d2", func() Options {
+		return Options{Trials: 20, Policy: smallAnsorPolicy(), Model: costmodel.NewTLP(6), OnlineTrain: true, PipelineDepth: 2, Parallelism: 4}
+	}},
+	{"moa+pacm/orin", device.Orin, "6dae753f4ff547b2", func() Options {
+		return Options{Trials: 40, Policy: search.NewPrunerPolicy(), Model: costmodel.NewPaCM(7), OnlineTrain: true,
+			Adaptation: AdaptMoA, Pretrained: tinyPretrainedPaCM()}
+	}},
+	{"moa+pacm/t4", device.T4, "4359ec6e3c3fb1a4", func() Options {
+		return Options{Trials: 30, Policy: search.NewPrunerPolicy(), Model: costmodel.NewPaCM(8), OnlineTrain: true,
+			Adaptation: AdaptMoA, Pretrained: tinyPretrainedPaCM(), Parallelism: 4}
+	}},
+}
+
+// smallAnsorPolicy is Ansor's evolutionary search at a test-sized
+// population (the default scores 8000 candidates a round).
+func smallAnsorPolicy() *search.AnsorPolicy {
+	return &search.AnsorPolicy{
+		Evo: search.EvoParams{Population: 192, Generations: 2, MutateProb: 0.85, CrossProb: 0.05},
+		Eps: 0.10,
+	}
+}
+
+// tinyPretrainedPaCM is MoA's source-platform snapshot at test scale: a
+// PaCM fitted for two epochs on 48 K80-simulated records of the session's
+// own tasks.
+func tinyPretrainedPaCM() []*nn.Tensor {
+	rng := rand.New(rand.NewSource(21))
+	sim := simulator.New(device.K80)
+	var recs []costmodel.Record
+	for _, task := range twoTasks() {
+		gen := schedule.NewGenerator(task)
+		gen.MaxSharedWords = device.K80.SharedPerBlock
+		schs := gen.InitPopulation(rng, 24)
+		for i, r := range sim.Measure(task, schs, rng) {
+			if r.Valid {
+				recs = append(recs, costmodel.Record{Task: task, Sched: schs[i], Latency: r.Latency})
+			}
+		}
+	}
+	pre := costmodel.NewPaCM(11)
+	pre.Fit(recs, costmodel.FitOptions{Epochs: 2, Seed: 22})
+	return SnapshotParams(pre)
+}
+
+// TestTunePipelineGoldenMatrix pins every cell of goldenMatrix to its
+// captured fingerprint.
+func TestTunePipelineGoldenMatrix(t *testing.T) {
+	for _, cell := range goldenMatrix {
+		opt := cell.opt()
+		opt.BatchSize = 10
+		opt.Seed = 9
+		if got := resultFingerprint(Tune(cell.dev, twoTasks(), opt)); got != cell.golden {
+			t.Errorf("%s: session fingerprint %s, golden %s", cell.name, got, cell.golden)
+		}
 	}
 }
 

@@ -1,30 +1,10 @@
 package tuner
 
 import (
-	"io"
 	"math"
 
 	"pruner/internal/costmodel"
-	"pruner/internal/ir"
-	"pruner/internal/measure"
 )
-
-// The record codec lives in internal/measure — it is the store's segment
-// format AND the measurement fleet's wire format, and measure cannot
-// import tuner. These wrappers keep the historical tuner-level entry
-// points (cmd/pruner-tune -log/-resume) working unchanged.
-
-// WriteRecords streams measurement records as JSON lines.
-func WriteRecords(w io.Writer, recs []costmodel.Record) error {
-	return measure.WriteRecords(w, recs)
-}
-
-// ReadRecords loads a JSON-lines tuning log. Tasks are resolved by ID from
-// the provided set; records of unknown tasks are skipped (a log may cover
-// more networks than the current session).
-func ReadRecords(r io.Reader, tasks []*ir.Task) ([]costmodel.Record, error) {
-	return measure.ReadRecords(r, tasks)
-}
 
 // BestByTask reduces a record log to the best valid schedule per task.
 func BestByTask(recs []costmodel.Record) map[string]BestEntry {

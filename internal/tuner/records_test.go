@@ -1,10 +1,8 @@
 package tuner
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"pruner/internal/costmodel"
@@ -29,115 +27,6 @@ func sampleRecords(t *testing.T) ([]*ir.Task, []costmodel.Record) {
 		recs = append(recs, costmodel.Record{Task: task, Sched: g.Random(rng), Latency: lat})
 	}
 	return []*ir.Task{a, b}, recs
-}
-
-func TestRecordsRoundtrip(t *testing.T) {
-	tasks, recs := sampleRecords(t)
-	var buf bytes.Buffer
-	if err := WriteRecords(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRecords(&buf, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].Task.ID != recs[i].Task.ID {
-			t.Fatalf("record %d task mismatch", i)
-		}
-		if got[i].Sched.Fingerprint() != recs[i].Sched.Fingerprint() {
-			t.Fatalf("record %d schedule mismatch", i)
-		}
-		if math.IsInf(recs[i].Latency, 1) != math.IsInf(got[i].Latency, 1) {
-			t.Fatalf("record %d failure flag mismatch", i)
-		}
-		if !math.IsInf(recs[i].Latency, 1) && math.Abs(got[i].Latency-recs[i].Latency) > 1e-12 {
-			t.Fatalf("record %d latency %g want %g", i, got[i].Latency, recs[i].Latency)
-		}
-	}
-}
-
-// TestRecordsRoundtripNonFinite is the property test for the failed-build
-// sentinel: any latency that is not finite and positive (+Inf, -Inf, NaN,
-// negative) must encode without error — json.Marshal rejects NaN/Inf, so
-// letting one through would abort the log mid-stream — and decode back as
-// the +Inf failure marker, while finite positive latencies round-trip
-// exactly (to the codec's microsecond scaling).
-func TestRecordsRoundtripNonFinite(t *testing.T) {
-	task := ir.NewMatMul(64, 64, 64, ir.FP32, 0)
-	gen := schedule.NewGenerator(task)
-	rng := rand.New(rand.NewSource(7))
-
-	latencies := []float64{
-		math.Inf(1), math.Inf(-1), math.NaN(), -1e-3, -math.SmallestNonzeroFloat64,
-	}
-	// Plus random finite positives across the plausible range.
-	for i := 0; i < 40; i++ {
-		latencies = append(latencies, math.Exp(rng.Float64()*20-14)) // ~1e-6s..4e2s
-	}
-	var recs []costmodel.Record
-	for _, lat := range latencies {
-		recs = append(recs, costmodel.Record{Task: task, Sched: gen.Random(rng), Latency: lat})
-	}
-
-	var buf bytes.Buffer
-	if err := WriteRecords(&buf, recs); err != nil {
-		t.Fatalf("WriteRecords: %v", err)
-	}
-	got, err := ReadRecords(&buf, []*ir.Task{task})
-	if err != nil {
-		t.Fatalf("ReadRecords: %v", err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d (a non-finite latency truncated the log)", len(got), len(recs))
-	}
-	for i, want := range latencies {
-		lat := got[i].Latency
-		if want > 0 && !math.IsInf(want, 1) && !math.IsNaN(want) {
-			if math.Abs(lat-want) > want*1e-12 {
-				t.Errorf("record %d: latency %g, want %g", i, lat, want)
-			}
-			continue
-		}
-		if !math.IsInf(lat, 1) {
-			t.Errorf("record %d: latency %v should decode as the +Inf failure sentinel, got %g", i, want, lat)
-		}
-	}
-}
-
-func TestReadRecordsSkipsUnknownTasks(t *testing.T) {
-	tasks, recs := sampleRecords(t)
-	var buf bytes.Buffer
-	if err := WriteRecords(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRecords(&buf, tasks[:1]) // only the matmul
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range got {
-		if r.Task.ID != tasks[0].ID {
-			t.Fatal("unknown task leaked through")
-		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("expected 2 matmul records, got %d", len(got))
-	}
-}
-
-func TestReadRecordsRejectsCorruptLines(t *testing.T) {
-	tasks, _ := sampleRecords(t)
-	if _, err := ReadRecords(strings.NewReader("{not json"), tasks); err == nil {
-		t.Fatal("corrupt line should error")
-	}
-	// A structurally valid line with tiles that don't match the task.
-	bad := `{"task_id":"` + tasks[0].ID + `","spatial_tiles":[[1,1,1,1,1]],"reduce_tiles":[[128,1,1]],"vector_len":1}`
-	if _, err := ReadRecords(strings.NewReader(bad), tasks); err == nil {
-		t.Fatal("schedule/task mismatch should error")
-	}
 }
 
 func TestBestByTask(t *testing.T) {

@@ -115,10 +115,6 @@ type Options struct {
 	// Adapt bounds the controller; zero fields select defaults. Only
 	// read when AdaptBudget is set.
 	Adapt AdaptConfig
-	// Sim overrides the simulator (tests, noise ablations); nil builds the
-	// default. Kept as a compatibility alias: unless Measurer is set, the
-	// session wraps Sim in the in-process measure.Sim adapter.
-	Sim *simulator.Simulator
 	// Cost overrides the simulated-clock constants; zero uses defaults.
 	Cost simulator.CostParams
 	// DraftConfig tweaks the Symbol-based Analyzer (penalty ablations).
@@ -184,11 +180,8 @@ func (o Options) withDefaults(dev *device.Device) Options {
 		}
 		o.Momentum = math.Pow(0.99, math.Min(32, 100/updates))
 	}
-	if o.Sim == nil {
-		o.Sim = simulator.New(dev)
-	}
 	if o.Measurer == nil {
-		o.Measurer = measure.NewSim(o.Sim)
+		o.Measurer = measure.NewSim(simulator.New(dev))
 	}
 	if o.PipelineDepth <= 0 {
 		o.PipelineDepth = 1
