@@ -1,11 +1,10 @@
 # Developer entry points; CI (.github/workflows/ci.yml) runs the same
 # targets. The repo is stdlib-only — no dependencies to fetch; even the
 # twelve determinism/concurrency/wire contract analyzers (`make lint`,
-# cmd/pruner-vet) are built on go/ast + go/types alone, including the
-# whole-module call-graph generation (ctxflow, lockheld, hotalloc,
-# errdrop), the def-use dataflow generation (clocktaint, lockorder,
-# wireshape) and its measured zero-allocation hot-path gate (the
-# TestAlloc* AllocsPerRun tests run by bench-smoke).
+# cmd/pruner-vet) are built on go/ast + go/types alone: one pass over
+# the loaded module, with a whole-module call graph and def-use
+# dataflow summaries built on demand. hotalloc's static verdict has a
+# measured twin, the TestAlloc* AllocsPerRun tests run by bench-smoke.
 
 GO ?= go
 
@@ -20,14 +19,13 @@ vet:
 	$(GO) vet ./...
 
 # The determinism, concurrency & wire contract: pruner-vet runs all
-# twelve internal/lint analyzers — the per-package generation (exhaust,
-# globalrand, maprange, rawgo, walltime), the call-graph generation
-# (ctxflow, errdrop, hotalloc, lockheld) and the def-use dataflow
-# generation (clocktaint, lockorder, wireshape) — over the whole module
-# and fails on any diagnostic, malformed directive, or unused
-# //pruner:allow suppression. See DESIGN.md §10, §12 and §13;
-# `pruner-vet -json` emits the same diagnostics (suppressed included)
-# machine-readably.
+# twelve internal/lint analyzers (clocktaint, ctxflow, errdrop, exhaust,
+# globalrand, hotalloc, lockheld, lockorder, maprange, rawgo, walltime,
+# wireshape) over the whole module and fails on any unwaived
+# diagnostic, malformed directive, or unused //pruner:allow
+# suppression; additive wire.lock drift is printed as a notice and does
+# not fail. See DESIGN.md §10; `pruner-vet -json` emits the same
+# diagnostics (suppressed included) machine-readably.
 lint:
 	$(GO) build ./cmd/pruner-vet ./internal/lint
 	$(GO) run ./cmd/pruner-vet ./...
@@ -100,7 +98,7 @@ bench:
 # the BenchmarkTunePipeline depth sweep and the fixed-vs-adaptive
 # BenchmarkTuneAdaptive measured-candidate comparison) plus a bounded
 # root subset.
-# The first line is the zero-allocation gate (DESIGN.md §12): the
+# The first line is the zero-allocation gate (DESIGN.md §7): the
 # TestAlloc* tests pin the warmed *In inference kernels to 0 heap
 # allocations per run via testing.AllocsPerRun — the dynamic cross-check
 # of the static hotalloc analyzer.

@@ -25,7 +25,7 @@
 // the wire.lock golden from the live wire schema (the deliberate path
 // for a reviewed wire change; see API.md "Wire compatibility"). A
 // clean run is part of the bitwise-reproducibility contract
-// (DESIGN.md §10, §12, §13).
+// (DESIGN.md §10).
 package main
 
 import (
@@ -99,7 +99,7 @@ func main() {
 	// -write-wire is the deliberate regeneration path: only wireshape
 	// runs, in write mode, and a successful run reports the new golden.
 	if *writeWire {
-		if _, err := lint.RunAllOpts(patterns, []*lint.Analyzer{lint.WireShape}, lint.RunOptions{WriteWire: true}); err != nil {
+		if _, err := lint.Run(patterns, []*lint.Analyzer{lint.WireShape}, lint.RunOptions{WriteWire: true}); err != nil {
 			fmt.Fprintf(os.Stderr, "pruner-vet: %v\n", err)
 			os.Exit(2)
 		}
@@ -107,9 +107,10 @@ func main() {
 		return
 	}
 
-	// RunAll keeps the suppressed diagnostics (marked as such) so -json
-	// can report them; the exit code counts only the survivors either way.
-	all, err := lint.RunAll(patterns, analyzers)
+	// Run returns the suppressed diagnostics and notices too (marked as
+	// such) so -json can report them; the exit code counts only the
+	// failing ones either way.
+	all, err := lint.Run(patterns, analyzers, lint.RunOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pruner-vet: %v\n", err)
 		os.Exit(2)
@@ -117,7 +118,7 @@ func main() {
 	findings := 0
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range all {
-		if !d.Suppressed && !d.Notice {
+		if d.Failing() {
 			findings++
 		}
 		switch {

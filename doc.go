@@ -51,12 +51,17 @@
 // later run — including the daemon's pretrained-weight methods — reuse
 // the weights instead of re-pretraining.
 //
-// The determinism contract is machine-checked: cmd/pruner-vet (run by
-// `make lint` and CI, backed by the stdlib-only internal/lint
-// framework) enforces that no code draws from the process-global
-// math/rand source, performs order-sensitive effects under map
-// iteration, launches goroutines outside the internal/parallel pool, or
-// reads the wall clock in a deterministic layer; see DESIGN.md §10.
+// The determinism, concurrency and wire contract is machine-checked:
+// cmd/pruner-vet (run by `make lint`, CI and plain `go test`, backed by
+// the stdlib-only internal/lint framework) runs twelve analyzers in one
+// pass over the module. No code draws from the process-global math/rand
+// source, performs order-sensitive effects under map iteration,
+// launches goroutines outside the internal/parallel pool, or lets a
+// wall-clock reading reach a deterministic layer or a fingerprinted
+// value; contexts reach everything that blocks, mutexes are never held
+// across a blocking call nor acquired out of order, hot paths do not
+// allocate, errors are not silently dropped, enum switches are
+// exhaustive, and every wire type matches wire.lock; see DESIGN.md §10.
 //
 // See DESIGN.md for the system inventory, the simulator-substitution
 // rationale, the store/daemon architecture (§6), the batched inference

@@ -53,10 +53,61 @@ var waitCallees = map[string]string{
 	"sync.Cond.Wait":      "sync.Cond.Wait",
 }
 
-// blockingCall resolves a call site against a leaf set.
-func blockingCall(c CallSite, leafs map[string]string) (string, bool) {
-	desc, ok := leafs[c.CalleeID]
+// blockingLeaf describes the call when it is a blocking leaf; waits
+// selects whether goroutine joins count (lockheld) or not (ctxflow).
+func blockingLeaf(c CallSite, waits bool) (string, bool) {
+	desc, ok := blockingCallees[c.CalleeID]
+	if !ok && waits {
+		desc, ok = waitCallees[c.CalleeID]
+	}
 	return desc, ok
+}
+
+// directlyBlocking returns the "this function's own body can park the
+// goroutine" predicate — a blocking channel operation or a leaf call —
+// that Transitive and PathTo extend over the call graph.
+func directlyBlocking(waits bool) func(*FuncNode) bool {
+	return func(n *FuncNode) bool {
+		if len(n.ChanOps) > 0 {
+			return true
+		}
+		for _, c := range n.Calls {
+			if _, ok := blockingLeaf(c, waits); ok {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// describeBlockingPath renders a shortest call path ending in a blocking
+// operation as "f → g → Measurer.Measure" (truncated in the middle when
+// long). The final hop is the blocking leaf's own description when the
+// path ends at a leaf call; a path ending in a direct channel operation
+// names it instead.
+func describeBlockingPath(g *CallGraph, path []string, waits bool) string {
+	if len(path) == 0 {
+		return "blocking operation"
+	}
+	var hops []string
+	for _, id := range path {
+		hops = append(hops, shortFuncID(id))
+	}
+	last := g.Nodes[path[len(path)-1]]
+	leaf := "channel operation"
+	if last != nil && len(last.ChanOps) == 0 {
+		for _, c := range last.Calls {
+			if desc, ok := blockingLeaf(c, waits); ok {
+				leaf = desc
+				break
+			}
+		}
+	}
+	hops = append(hops, leaf)
+	if len(hops) > 5 {
+		hops = append(hops[:2], append([]string{"…"}, hops[len(hops)-2:]...)...)
+	}
+	return strings.Join(hops, " → ")
 }
 
 // mainOrTestPkg reports packages outside the contract boundary: binaries

@@ -1,10 +1,8 @@
 package lint
 
-// The whole-module static call graph behind the second-generation
-// analyzers (ctxflow, lockheld, hotalloc). PR 6's checks were
-// single-function and syntactic; the contracts added here — "everything
-// that can block carries a context", "nothing blocks while a mutex is
-// held", "nothing on a hot path allocates" — are properties of call
+// The whole-module static call graph. Contracts like "everything that
+// can block carries a context", "nothing blocks while a mutex is held"
+// and "nothing on a hot path allocates" are properties of call
 // *chains*, so they need reachability over the module, not pattern
 // matches inside one body.
 //
@@ -17,45 +15,17 @@ package lint
 // callbacks, pipelined-round goroutines, tape closures). Calls through
 // function-typed values are recorded separately as callback sites: the
 // callee is unknown at analysis time, which is exactly the property
-// lockheld needs to flag them under a held lock.
-//
-// Because each package is type-checked against export data, the same
-// function is represented by distinct *types.Func objects in different
-// packages' universes. Nodes and edges therefore key on a stable
-// printable ID — "pkgpath.Func" or "pkgpath.Recv.Method" with pointer
-// receivers normalized away — so cross-package edges resolve exactly.
+// lockheld needs to flag them under a held lock. Nodes and edges key on
+// FuncID, so cross-package edges resolve exactly.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
-
-// FuncID returns the stable cross-package identifier of a function or
-// method: "path/to/pkg.Name" for package functions,
-// "path/to/pkg.Recv.Name" for methods (pointer receivers normalized to
-// their element type, so (*T).M and T.M collide intentionally —
-// contracts do not distinguish them). Interface methods use the
-// interface's own named type as the receiver.
-func FuncID(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
-		}
-		return t.String() + "." + fn.Name()
-	}
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
 
 // A CallSite is one statically resolved call inside a function body.
 type CallSite struct {
@@ -144,37 +114,25 @@ func hotDirectiveLines(fset *token.FileSet, f *ast.File) map[int]bool {
 	return lines
 }
 
-// isCtxType reports whether t is context.Context.
-func isCtxType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
-}
-
 // carriesCtx reports whether a parameter of type t gives the function a
 // context to forward: the context itself, a struct (or pointer to one)
 // with a context.Context field, or an *http.Request.
 func carriesCtx(t types.Type) bool {
-	if isCtxType(t) {
+	if namedID(t) == "context.Context" {
 		return true
 	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if named, ok := t.(*types.Named); ok {
-		if named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "net/http" && named.Obj().Name() == "Request" {
-			return true
-		}
-		t = named.Underlying()
+	if namedID(t) == "net/http.Request" {
+		return true
 	}
-	st, ok := t.(*types.Struct)
+	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if isCtxType(st.Field(i).Type()) {
+		if namedID(st.Field(i).Type()) == "context.Context" {
 			return true
 		}
 	}
@@ -198,54 +156,14 @@ func declHasCtx(info *types.Info, fd *ast.FuncDecl) bool {
 	return check(fd.Recv) || check(fd.Type.Params)
 }
 
-// calleeFunc statically resolves a call expression to the function or
-// method object it invokes — package functions, concrete methods, and
-// interface methods alike. Calls of function-typed values and type
-// conversions resolve to nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f
-			}
-			return nil
-		}
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-// callbackTarget classifies a call of a function-typed value: it returns
-// a printable description when the value is caller-supplied (a parameter
-// of the enclosing declaration or a struct field) and "" otherwise.
-// Locally defined literals are not callbacks — their bodies are already
-// attributed to the enclosing function.
-func callbackTarget(info *types.Info, call *ast.CallExpr, params map[types.Object]bool) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if v, ok := info.Uses[fun].(*types.Var); ok {
-			if _, sig := v.Type().Underlying().(*types.Signature); !sig {
-				return ""
-			}
-			if v.IsField() || params[v] {
-				return fun.Name
-			}
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if v, ok := sel.Obj().(*types.Var); ok && v.IsField() {
-				if _, sig := v.Type().Underlying().(*types.Signature); sig {
-					return v.Name()
-				}
-			}
-		}
+// callbackTarget classifies a dynamic call through v: it returns the
+// value's name when it is caller-supplied (a parameter of the enclosing
+// declaration or a struct field) and "" otherwise. Locally defined
+// literals are not callbacks — their bodies are already attributed to
+// the enclosing function.
+func callbackTarget(v *types.Var, params map[types.Object]bool) string {
+	if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc && (v.IsField() || params[v]) {
+		return v.Name()
 	}
 	return ""
 }
@@ -274,13 +192,13 @@ func collectBodyFacts(info *types.Info, fd *ast.FuncDecl, n *FuncNode) {
 		ast.Inspect(node, func(x ast.Node) bool {
 			switch v := x.(type) {
 			case *ast.CallExpr:
-				if tv, ok := info.Types[v.Fun]; ok && tv.IsType() {
-					return true // conversion, not a call
-				}
-				if fn := calleeFunc(info, v); fn != nil {
-					n.Calls = append(n.Calls, CallSite{CalleeID: FuncID(fn), Pos: v.Pos()})
-				} else if cb := callbackTarget(info, v, params); cb != "" {
-					n.CallbackCalls = append(n.CallbackCalls, CallSite{CalleeID: cb, Pos: v.Pos()})
+				switch obj := callee(info, v).(type) {
+				case *types.Func:
+					n.Calls = append(n.Calls, CallSite{CalleeID: FuncID(obj), Pos: v.Pos()})
+				case *types.Var:
+					if cb := callbackTarget(obj, params); cb != "" {
+						n.CallbackCalls = append(n.CallbackCalls, CallSite{CalleeID: cb, Pos: v.Pos()})
+					}
 				}
 			case *ast.SendStmt:
 				if !nonBlockingComm[x] {
@@ -386,67 +304,62 @@ func (g *CallGraph) Transitive(direct func(*FuncNode) bool, skip func(*FuncNode)
 	return result
 }
 
-// ReachableFrom returns every module function reachable from the given
-// root IDs (roots included) through module-local calls.
-func (g *CallGraph) ReachableFrom(roots []string) map[string]bool {
-	seen := map[string]bool{}
-	stack := append([]string(nil), roots...)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] || g.Nodes[id] == nil {
-			continue
-		}
-		seen[id] = true
-		for _, c := range g.Nodes[id].Calls {
-			if g.Nodes[c.CalleeID] != nil && !seen[c.CalleeID] {
-				stack = append(stack, c.CalleeID)
-			}
-		}
-	}
-	return seen
-}
-
 // PathTo returns one shortest module-local call path from the function to
 // a node satisfying direct — the explanation attached to reachability
 // diagnostics ("Tune → plan → Measurer.Measure"). The final element is
-// the direct node's ID; a nil return means no path exists.
+// the direct node's ID; a nil return means no path exists. Functions
+// for which skip holds are neither goals nor expanded.
 func (g *CallGraph) PathTo(from string, direct func(*FuncNode) bool, skip func(*FuncNode) bool) []string {
+	live := func(id string) *FuncNode {
+		if n := g.Nodes[id]; n != nil && (skip == nil || !skip(n)) {
+			return n
+		}
+		return nil
+	}
+	return bfsPath(from,
+		func(id string) bool { n := live(id); return n != nil && direct(n) },
+		func(id string) []string {
+			n := live(id)
+			if n == nil {
+				return nil
+			}
+			// Deterministic expansion order: call sites in source order.
+			next := make([]string, 0, len(n.Calls))
+			for _, c := range n.Calls {
+				if g.Nodes[c.CalleeID] != nil {
+					next = append(next, c.CalleeID)
+				}
+			}
+			return next
+		})
+}
+
+// bfsPath returns the shortest path from start to the first node, in
+// breadth-first order, that satisfies goal — start itself included — or
+// nil. It is the one search-with-witness behind every "A reaches B via
+// ..." explanation: call paths here, lock-order cycles in lockorder.
+func bfsPath(start string, goal func(string) bool, next func(string) []string) []string {
 	type item struct {
 		id   string
 		prev *item
 	}
-	start := g.Nodes[from]
-	if start == nil {
-		return nil
-	}
-	unwind := func(it *item) []string {
-		var path []string
-		for ; it != nil; it = it.prev {
-			path = append(path, it.id)
-		}
-		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-			path[i], path[j] = path[j], path[i]
-		}
-		return path
-	}
-	queue := []*item{{id: from}}
-	visited := map[string]bool{from: true}
+	queue := []*item{{id: start}}
+	visited := map[string]bool{start: true}
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		n := g.Nodes[it.id]
-		if n == nil || (skip != nil && skip(n)) {
-			continue
+		if goal(it.id) {
+			var path []string
+			for ; it != nil; it = it.prev {
+				path = append(path, it.id)
+			}
+			slices.Reverse(path)
+			return path
 		}
-		if direct(n) {
-			return unwind(it)
-		}
-		// Deterministic expansion order: call sites in source order.
-		for _, c := range n.Calls {
-			if !visited[c.CalleeID] && g.Nodes[c.CalleeID] != nil {
-				visited[c.CalleeID] = true
-				queue = append(queue, &item{id: c.CalleeID, prev: it})
+		for _, id := range next(it.id) {
+			if !visited[id] {
+				visited[id] = true
+				queue = append(queue, &item{id: id, prev: it})
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 package lint
 
-// ClockTaint machine-checks the PR 7 clock rule: wall-clock readings —
+// ClockTaint machine-checks the clock rule: wall-clock readings —
 // obs.Clock.Now, time.Now/Since/Until — exist so the daemon can meter
 // itself, and they may flow into obs instruments, spans, logs, and the
 // SSE round stamp at the serving boundary. They must never flow into a
@@ -20,18 +20,18 @@ import (
 )
 
 var ClockTaint = &Analyzer{
-	Name:      "clocktaint",
-	Doc:       "clock readings must not flow into results, records, curves, or fingerprinted values",
-	RunModule: runClockTaint,
+	Name: "clocktaint",
+	Doc:  "clock readings must not flow into results, records, curves, or fingerprinted values",
+	Run:  runClockTaint,
 }
 
-// clockSource classifies taint origins by callee ID: the stdlib clock
-// and any Clock.Now method (pruner/internal/obs.Clock and the fixture
-// clock alike).
+// clockSource classifies taint origins by callee ID: the stdlib
+// functions that return a clock reading (see wallClockFuncs) and any
+// Clock.Now method (pruner/internal/obs.Clock and the fixture clock
+// alike).
 func clockSource(id string) bool {
-	switch id {
-	case "time.Now", "time.Since", "time.Until":
-		return true
+	if name, ok := strings.CutPrefix(id, "time."); ok {
+		return wallClockFuncs[name]
 	}
 	return strings.HasSuffix(id, ".Clock.Now") || strings.HasSuffix(id, "obs.realClock.Now")
 }
@@ -54,11 +54,7 @@ func clockSinkType(t types.Type) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	full := namedID(t)
 	for _, s := range clockSinkTypes {
 		if full == s || strings.HasSuffix(full, "/"+s) {
 			return full
@@ -77,8 +73,8 @@ func clockExempt(pkg *LoadedPackage) bool {
 		strings.HasSuffix(pkg.ImportPath, "internal/lint")
 }
 
-func runClockTaint(pass *ModulePass) error {
-	g := pass.Graph
+func runClockTaint(pass *Pass) error {
+	g := pass.Graph()
 
 	// Interprocedural summaries over the whole module — exempt packages
 	// included, so a clock value laundered *through* them is still seen.
@@ -87,23 +83,9 @@ func runClockTaint(pass *ModulePass) error {
 
 	// Parameter-flow summaries: parameter i of f is a sink conduit when
 	// a value passed there may be stored into a sink-typed field.
-	flows := computeParamFlows(g, callTaints, func(ft *funcTaint, n *FuncNode, pf paramFlow) bool {
+	flows := computeParamFlows(g, callTaints, func(ft *funcTaint) bool {
 		hit := false
-		clockSinkWrites(ft, func(sink, field string, pos ast.Node) { hit = true })
-		if hit {
-			return true
-		}
-		ft.forEachCall(func(call *ast.CallExpr, calleeID string) {
-			if hit {
-				return
-			}
-			for i, arg := range call.Args {
-				if pf.flows(calleeID, i) && ft.exprTainted(arg) {
-					hit = true
-					return
-				}
-			}
-		})
+		clockSinkWrites(ft, func(string, string, ast.Node) { hit = true })
 		return hit
 	})
 
@@ -115,17 +97,13 @@ func runClockTaint(pass *ModulePass) error {
 		ft := newFuncTaint(n, nil, callTaints)
 		clockSinkWrites(ft, func(sink, field string, at ast.Node) {
 			pass.Reportf(at.Pos(),
-				"clock-derived value flows into %s.%s; clock readings may only feed obs instruments or serving-boundary stamps (DESIGN.md §13)",
+				"clock-derived value flows into %s.%s; clock readings may only feed obs instruments or serving-boundary stamps (DESIGN.md §10)",
 				sink, field)
 		})
-		ft.forEachCall(func(call *ast.CallExpr, calleeID string) {
-			for i, arg := range call.Args {
-				if flows.flows(calleeID, i) && ft.exprTainted(arg) {
-					pass.Reportf(arg.Pos(),
-						"clock-derived value reaches %s parameter %q, which stores it into a fingerprinted type; clock readings may only feed obs instruments or serving-boundary stamps",
-						calleeID, paramName(g, calleeID, i))
-				}
-			}
+		ft.taintedArgs(flows, func(arg ast.Expr, calleeID string, i int) {
+			pass.Reportf(arg.Pos(),
+				"clock-derived value reaches %s parameter %q, which stores it into a fingerprinted type; clock readings may only feed obs instruments or serving-boundary stamps",
+				calleeID, paramName(g, calleeID, i))
 		})
 	}
 	return nil
@@ -153,13 +131,7 @@ func clockSinkWrites(ft *funcTaint, found func(sink, field string, at ast.Node))
 				if sink == "" {
 					continue
 				}
-				var rhs ast.Expr
-				if len(v.Rhs) == 1 && len(v.Lhs) > 1 {
-					rhs = v.Rhs[0]
-				} else if i < len(v.Rhs) {
-					rhs = v.Rhs[i]
-				}
-				if rhs != nil && ft.exprTainted(rhs) {
+				if rhs := boundValue(v.Rhs, len(v.Lhs), i); rhs != nil && ft.exprTainted(rhs) {
 					found(sink, sel.Sel.Name, rhs)
 				}
 			}

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "go/ast"
 
 // CtxFlow enforces cancellation plumbing over the call graph. A tuning
 // session can spend minutes inside one batch measurement; the only
@@ -28,28 +24,18 @@ import (
 // internal/lint (build-time tooling) — are exempt and absorb
 // propagation.
 var CtxFlow = &Analyzer{
-	Name:      "ctxflow",
-	Doc:       "functions reaching a blocking operation must accept and forward a context.Context; no context.Background/TODO below cmd",
-	RunModule: runCtxFlow,
+	Name: "ctxflow",
+	Doc:  "functions reaching a blocking operation must accept and forward a context.Context; no context.Background/TODO below cmd",
+	Run:  runCtxFlow,
 }
 
-func runCtxFlow(pass *ModulePass) error {
-	g := pass.Graph
+func runCtxFlow(pass *Pass) error {
+	g := pass.Graph()
 	skip := func(n *FuncNode) bool {
 		return mainOrTestPkg(n.Pkg) || infraPkg(n.Pkg)
 	}
-	directlyBlocking := func(n *FuncNode) bool {
-		if len(n.ChanOps) > 0 {
-			return true
-		}
-		for _, c := range n.Calls {
-			if _, ok := blockingCall(c, blockingCallees); ok {
-				return true
-			}
-		}
-		return false
-	}
-	blocking := g.Transitive(directlyBlocking, skip)
+	blocks := directlyBlocking(false)
+	blocking := g.Transitive(blocks, skip)
 
 	for _, id := range g.sortedNodeIDs() {
 		n := g.Nodes[id]
@@ -59,10 +45,10 @@ func runCtxFlow(pass *ModulePass) error {
 		if name := n.Decl.Name.Name; name == "main" || name == "init" {
 			continue
 		}
-		path := g.PathTo(id, directlyBlocking, skip)
+		path := g.PathTo(id, blocks, skip)
 		pass.Reportf(n.Decl.Pos(),
 			"%s reaches a blocking operation (%s) but accepts no context.Context; plumb ctx through so cancellation can interrupt it",
-			n.Decl.Name.Name, describeBlockingPath(g, path))
+			n.Decl.Name.Name, describeBlockingPath(g, path, false))
 	}
 
 	// Rule 2: no fresh root contexts below the binary boundary.
@@ -70,65 +56,17 @@ func runCtxFlow(pass *ModulePass) error {
 		if mainOrTestPkg(pkg) || infraPkg(pkg) {
 			continue
 		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-					return true
-				}
-				if fn.Name() == "Background" || fn.Name() == "TODO" {
+		pkg.Inspect(func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok {
+				path, name, _ := pkgSelector(pkg.Info, call.Fun)
+				if path == "context" && (name == "Background" || name == "TODO") {
 					pass.Reportf(call.Pos(),
 						"context.%s mints a fresh root below the cmd boundary, disconnecting callees from cancellation; accept and forward the caller's ctx instead",
-						fn.Name())
+						name)
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-// describeBlockingPath renders a shortest call path ending in a blocking
-// operation as "f → g → Measurer.Measure" (truncated in the middle when
-// long). The final hop is the blocking leaf's own description when the
-// path ends at a leaf call; a path ending in a direct channel operation
-// names it instead.
-func describeBlockingPath(g *CallGraph, path []string) string {
-	if len(path) == 0 {
-		return "blocking operation"
-	}
-	var hops []string
-	for _, id := range path {
-		hops = append(hops, shortFuncID(id))
-	}
-	last := g.Nodes[path[len(path)-1]]
-	leaf := "channel operation"
-	if last != nil && len(last.ChanOps) == 0 {
-		for _, c := range last.Calls {
-			if desc, ok := blockingCall(c, blockingCallees); ok {
-				leaf = desc
-				break
-			}
-		}
-	}
-	hops = append(hops, leaf)
-	if len(hops) > 5 {
-		hops = append(hops[:2], append([]string{"…"}, hops[len(hops)-2:]...)...)
-	}
-	return strings.Join(hops, " → ")
-}
-
-// shortFuncID strips the package path from a function ID for display:
-// "pruner/internal/tuner.Tune" → "tuner.Tune".
-func shortFuncID(id string) string {
-	slash := strings.LastIndex(id, "/")
-	return id[slash+1:]
 }

@@ -1,13 +1,13 @@
 package lint
 
-// The def-use dataflow layer behind the third analyzer generation
-// (wireshape, clocktaint). The PR 8 call graph answers "who calls
-// whom"; the contracts added here need to know where *values* travel —
-// does a clock reading end up inside a Result, does a struct handed to
-// a helper end up inside json.Marshal. Both questions reduce to the
-// same machinery: an intraprocedural may-taint analysis over def-use
-// chains (go/types object identity, iterated to a fixed point over the
-// body's assignments), composed interprocedurally through two kinds of
+// The def-use dataflow layer behind the value-flow contracts (wireshape,
+// clocktaint). The call graph answers "who calls whom"; these contracts
+// need to know where *values* travel — does a clock reading end up
+// inside a Result, does a struct handed to a helper end up inside
+// json.Marshal. Both questions reduce to the same machinery: an
+// intraprocedural may-taint analysis over def-use chains (go/types
+// object identity, iterated to a fixed point over the body's
+// assignments), composed interprocedurally through two kinds of
 // per-function summaries on the call graph —
 //
 //   - return summaries: "a call to f yields a tainted value"
@@ -75,33 +75,15 @@ func (ft *funcTaint) solve() {
 		ast.Inspect(body, func(x ast.Node) bool {
 			switch s := x.(type) {
 			case *ast.AssignStmt:
-				if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-					// Multi-value form: one tainted producer taints
-					// every binding (v, ok := m[k] and friends).
-					if ft.exprTainted(s.Rhs[0]) {
-						for _, l := range s.Lhs {
-							mark(l)
-						}
-					}
-				} else {
-					for i := range s.Lhs {
-						if i < len(s.Rhs) && ft.exprTainted(s.Rhs[i]) {
-							mark(s.Lhs[i])
-						}
+				for i, l := range s.Lhs {
+					if v := boundValue(s.Rhs, len(s.Lhs), i); v != nil && ft.exprTainted(v) {
+						mark(l)
 					}
 				}
 			case *ast.ValueSpec:
-				if len(s.Values) == 1 && len(s.Names) > 1 {
-					if ft.exprTainted(s.Values[0]) {
-						for _, n := range s.Names {
-							mark(n)
-						}
-					}
-				} else {
-					for i := range s.Names {
-						if i < len(s.Values) && ft.exprTainted(s.Values[i]) {
-							mark(s.Names[i])
-						}
+				for i, n := range s.Names {
+					if v := boundValue(s.Values, len(s.Names), i); v != nil && ft.exprTainted(v) {
+						mark(n)
 					}
 				}
 			case *ast.RangeStmt:
@@ -117,6 +99,21 @@ func (ft *funcTaint) solve() {
 			return true
 		})
 	}
+}
+
+// boundValue returns the expression bound to the i-th of n left-hand
+// sides by an assignment or var spec: in the multi-value form (v, ok :=
+// m[k] and friends) the one producer feeds — and, tainted, taints —
+// every binding; otherwise the positional match, or nil when there is
+// none (var x T).
+func boundValue(values []ast.Expr, n, i int) ast.Expr {
+	switch {
+	case len(values) == 1 && n > 1:
+		return values[0]
+	case i < len(values):
+		return values[i]
+	}
+	return nil
 }
 
 // exprTainted reports whether evaluating e may yield a tainted value:
@@ -163,48 +160,33 @@ func (ft *funcTaint) returnsTainted() bool {
 		}
 	}
 	found := false
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			if found {
-				return false
+	ast.Inspect(ft.node.Decl.Body, func(x ast.Node) bool {
+		switch v := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range v.Results {
+				found = found || ft.exprTainted(r)
 			}
-			switch v := x.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.ReturnStmt:
-				for _, r := range v.Results {
-					if ft.exprTainted(r) {
-						found = true
-					}
-				}
-			}
-			return !found
-		})
-	}
-	walk(ft.node.Decl.Body)
+		}
+		return !found
+	})
 	return found
 }
 
 // forEachCall visits every call expression of the body (literal bodies
 // included; go and defer statements excluded — they do not run at the
 // call site's program point) with its resolved callee ID and arguments.
-func (ft *funcTaint) forEachCall(visit func(call *ast.CallExpr, calleeID string)) {
+func (n *FuncNode) forEachCall(visit func(call *ast.CallExpr, calleeID string)) {
 	skip := map[ast.Node]bool{}
-	ast.Inspect(ft.node.Decl.Body, func(x ast.Node) bool {
+	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 		switch v := x.(type) {
 		case *ast.GoStmt:
 			skip[v.Call] = true
 		case *ast.DeferStmt:
 			skip[v.Call] = true
 		case *ast.CallExpr:
-			if skip[v] {
-				return true
-			}
-			if tv, ok := ft.info.Types[v.Fun]; ok && tv.IsType() {
-				return true // conversion
-			}
-			if fn := calleeFunc(ft.info, v); fn != nil {
+			if fn := calleeFunc(n.Pkg.Info, v); fn != nil && !skip[v] {
 				visit(v, FuncID(fn))
 			}
 		}
@@ -262,11 +244,24 @@ func paramObjects(info *types.Info, fd *ast.FuncDecl) []types.Object {
 	return out
 }
 
+// taintedArgs visits every call argument of the solved function that
+// carries taint into a parameter pf records as flowing onward.
+func (ft *funcTaint) taintedArgs(pf paramFlow, visit func(arg ast.Expr, calleeID string, i int)) {
+	ft.node.forEachCall(func(call *ast.CallExpr, calleeID string) {
+		for i, arg := range call.Args {
+			if pf.flows(calleeID, i) && ft.exprTainted(arg) {
+				visit(arg, calleeID, i)
+			}
+		}
+	})
+}
+
 // computeParamFlows iterates parameter-flow summaries to a module-wide
 // fixed point: parameter i of f flows if, with that parameter seeded
-// tainted, sinkHit reports a hit inside f — where sinkHit consults the
-// summary table so far for taint handed onward to callees.
-func computeParamFlows(g *CallGraph, callTaints func(string) bool, sinkHit func(ft *funcTaint, n *FuncNode, pf paramFlow) bool) paramFlow {
+// tainted, sinkHit reports the analyzer's sink inside f, or the taint is
+// handed onward to a callee parameter the table so far records as
+// flowing.
+func computeParamFlows(g *CallGraph, callTaints func(string) bool, sinkHit func(*funcTaint) bool) paramFlow {
 	pf := paramFlow{}
 	ids := g.sortedNodeIDs()
 	for changed := true; changed; {
@@ -287,7 +282,9 @@ func computeParamFlows(g *CallGraph, callTaints func(string) bool, sinkHit func(
 					continue
 				}
 				ft := newFuncTaint(n, []types.Object{p}, callTaints)
-				if sinkHit(ft, n, pf) {
+				hit := sinkHit(ft)
+				ft.taintedArgs(pf, func(ast.Expr, string, int) { hit = true })
+				if hit {
 					cur[i] = true
 					changed = true
 				}

@@ -46,23 +46,21 @@ var errDropExempt = map[string]bool{
 }
 
 func runErrDrop(pass *Pass) error {
-	if !strings.Contains(pass.Pkg.Path(), "/internal/") {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(x ast.Node) bool {
+	for _, pkg := range pass.Pkgs {
+		if !strings.Contains(pkg.ImportPath, "/internal/") {
+			continue
+		}
+		pkg.Inspect(func(x ast.Node) bool {
 			switch s := x.(type) {
 			case *ast.ExprStmt:
-				call, ok := ast.Unparen(s.X).(*ast.CallExpr)
-				if !ok {
-					return true
+				if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+					checkDroppedErr(pass, pkg.Info, call, false)
 				}
-				checkDroppedErr(pass, call, false)
 			case *ast.DeferStmt:
-				checkDroppedErr(pass, s.Call, true)
+				checkDroppedErr(pass, pkg.Info, s.Call, true)
 				return false // the deferred call itself is the statement
 			case *ast.GoStmt:
-				checkDroppedErr(pass, s.Call, false)
+				checkDroppedErr(pass, pkg.Info, s.Call, false)
 				return false
 			}
 			return true
@@ -73,12 +71,12 @@ func runErrDrop(pass *Pass) error {
 
 // checkDroppedErr reports a statement-position call that returns an
 // error nobody looks at.
-func checkDroppedErr(pass *Pass, call *ast.CallExpr, deferred bool) {
-	tv, ok := pass.TypesInfo.Types[call]
+func checkDroppedErr(pass *Pass, info *types.Info, call *ast.CallExpr, deferred bool) {
+	tv, ok := info.Types[call]
 	if !ok || !returnsError(tv.Type) {
 		return
 	}
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := calleeFunc(info, call)
 	name := "function value"
 	if fn != nil {
 		id := FuncID(fn)

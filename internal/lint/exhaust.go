@@ -27,21 +27,19 @@ var Exhaust = &Analyzer{
 }
 
 func runExhaust(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(x ast.Node) bool {
-			sw, ok := x.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil {
-				return true
+	for _, pkg := range pass.Pkgs {
+		pkg.Inspect(func(x ast.Node) bool {
+			if sw, ok := x.(*ast.SwitchStmt); ok && sw.Tag != nil {
+				checkSwitchExhaustive(pass, pkg, sw)
 			}
-			checkSwitchExhaustive(pass, sw)
 			return true
 		})
 	}
 	return nil
 }
 
-func checkSwitchExhaustive(pass *Pass, sw *ast.SwitchStmt) {
-	tv, ok := pass.TypesInfo.Types[sw.Tag]
+func checkSwitchExhaustive(pass *Pass, pkg *LoadedPackage, sw *ast.SwitchStmt) {
+	tv, ok := pkg.Info.Types[sw.Tag]
 	if !ok {
 		return
 	}
@@ -50,14 +48,14 @@ func checkSwitchExhaustive(pass *Pass, sw *ast.SwitchStmt) {
 		return
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !sameModule(obj.Pkg().Path(), pass.Pkg.Path()) {
+	if obj.Pkg() == nil || !sameModule(obj.Pkg().Path(), pkg.ImportPath) {
 		return
 	}
 	basic, ok := named.Underlying().(*types.Basic)
 	if !ok || basic.Info()&types.IsBoolean != 0 {
 		return
 	}
-	consts := enumConsts(pass, obj.Pkg(), named)
+	consts := enumConsts(pkg, obj.Pkg(), named)
 	if len(consts) < 2 {
 		return // one constant is a sentinel, not an enum
 	}
@@ -72,7 +70,7 @@ func checkSwitchExhaustive(pass *Pass, sw *ast.SwitchStmt) {
 			return // explicit default: the author signed off on fallthrough
 		}
 		for _, e := range cc.List {
-			v, ok := pass.TypesInfo.Types[e]
+			v, ok := pkg.Info.Types[e]
 			if !ok || v.Value == nil {
 				return // non-constant case: coverage is dynamic, stay silent
 			}
@@ -106,10 +104,10 @@ func checkSwitchExhaustive(pass *Pass, sw *ast.SwitchStmt) {
 // used (unexported constants included); for sibling module packages the
 // exported surface from export data is what a foreign switch could name
 // anyway.
-func enumConsts(pass *Pass, declPkg *types.Package, named *types.Named) []*types.Const {
+func enumConsts(pkg *LoadedPackage, declPkg *types.Package, named *types.Named) []*types.Const {
 	scope := declPkg.Scope()
-	if declPkg.Path() == pass.Pkg.Path() {
-		scope = pass.Pkg.Scope()
+	if declPkg.Path() == pkg.ImportPath {
+		scope = pkg.Types.Scope()
 	}
 	var out []*types.Const
 	for _, name := range scope.Names() {

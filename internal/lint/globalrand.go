@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // GlobalRand forbids the package-level math/rand (and math/rand/v2)
 // convenience functions. Those draw from a process-global, lock-shared
@@ -36,28 +33,17 @@ var globalRandFuncs = map[string]bool{
 }
 
 func runGlobalRand(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, pkg := range pass.Pkgs {
+		pkg.Inspect(func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			path := pkgName.Imported().Path()
-			if path != "math/rand" && path != "math/rand/v2" {
-				return true
-			}
-			if globalRandFuncs[sel.Sel.Name] {
+			path, name, _ := pkgSelector(pkg.Info, sel)
+			if (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name] {
 				pass.Reportf(sel.Pos(),
 					"rand.%s draws from the process-global source and is nondeterministic under concurrency; draw from an owned *rand.Rand stream",
-					sel.Sel.Name)
+					name)
 			}
 			return true
 		})

@@ -5,7 +5,9 @@ package lint
 // real stdlib export data, same path as the driver), one analyzer runs,
 // and the resulting diagnostics are diffed against `// want "regexp"`
 // comments on the offending lines. A diagnostic without a want, or a
-// want without a diagnostic, fails the test.
+// want without a diagnostic, fails the test. Only the suppress fixture
+// carries //pruner:allow directives, and TestSuppressions drives those
+// by hand.
 
 import (
 	"go/token"
@@ -68,36 +70,25 @@ func loadFixture(t *testing.T, importPath, rel string) *LoadedPackage {
 	return pkg
 }
 
-// runFixture loads a fixture, runs one analyzer over it, and diffs the
-// raw diagnostics against the fixture's want comments.
-func runFixture(t *testing.T, a *Analyzer, importPath, rel string) {
+// fixtureDiags loads a fixture as a one-package module and runs one
+// analyzer over it through the driver's own path (analyze); opts is the
+// zero value except for the wireshape fixtures, which pin their
+// lock-file path through it.
+func fixtureDiags(t *testing.T, a *Analyzer, importPath, rel string, opts RunOptions) (*LoadedPackage, []Diagnostic) {
 	t.Helper()
 	pkg := loadFixture(t, importPath, rel)
-	diags, err := runAnalyzers(pkg, []*Analyzer{a})
+	diags, err := analyze([]*LoadedPackage{pkg}, []*Analyzer{a}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortDiagnostics(diags)
-	checkWants(t, pkg, diags)
+	return pkg, diags
 }
 
-// runModuleFixture loads a fixture as a one-package module, runs one
-// call-graph analyzer over it, and diffs against the want comments.
-func runModuleFixture(t *testing.T, a *Analyzer, importPath, rel string) {
+// runFixture diffs one analyzer's diagnostics over a fixture against
+// the fixture's want comments; a fixture without wants expects silence.
+func runFixture(t *testing.T, a *Analyzer, importPath, rel string, opts RunOptions) {
 	t.Helper()
-	runModuleFixtureOpts(t, a, importPath, rel, RunOptions{})
-}
-
-// runModuleFixtureOpts is runModuleFixture with driver options (the
-// wireshape fixtures pin their lock-file path through these).
-func runModuleFixtureOpts(t *testing.T, a *Analyzer, importPath, rel string, opts RunOptions) {
-	t.Helper()
-	pkg := loadFixture(t, importPath, rel)
-	diags, err := runModuleAnalyzers([]*LoadedPackage{pkg}, []*Analyzer{a}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortDiagnostics(diags)
+	pkg, diags := fixtureDiags(t, a, importPath, rel, opts)
 	checkWants(t, pkg, diags)
 }
 

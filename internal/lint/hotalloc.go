@@ -30,13 +30,13 @@ import (
 // The static gate is cross-checked dynamically by testing.AllocsPerRun
 // tests over the same kernels.
 var HotAlloc = &Analyzer{
-	Name:      "hotalloc",
-	Doc:       "no heap-allocating constructs in functions reachable from //pruner:hotpath roots",
-	RunModule: runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "no heap-allocating constructs in functions reachable from //pruner:hotpath roots",
+	Run:  runHotAlloc,
 }
 
-func runHotAlloc(pass *ModulePass) error {
-	g := pass.Graph
+func runHotAlloc(pass *Pass) error {
+	g := pass.Graph()
 
 	// BFS from the annotated roots, recording which root first reached
 	// each function so diagnostics can explain why a function is hot.
@@ -69,22 +69,16 @@ func runHotAlloc(pass *ModulePass) error {
 
 // checkHotFunc walks one hot function's body and reports every
 // allocating construct outside panic arguments.
-func checkHotFunc(pass *ModulePass, n *FuncNode, root string) {
+func checkHotFunc(pass *Pass, n *FuncNode, root string) {
 	info := n.Pkg.Info
 	fd := n.Decl
 
 	// Positions inside panic(...) arguments are exempt.
 	var panicArgs [][2]token.Pos
 	ast.Inspect(fd.Body, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if b, isB := info.Uses[id].(*types.Builtin); isB && b.Name() == "panic" {
-				for _, a := range call.Args {
-					panicArgs = append(panicArgs, [2]token.Pos{a.Pos(), a.End()})
-				}
+		if call, ok := x.(*ast.CallExpr); ok && builtinCall(info, call) == "panic" {
+			for _, a := range call.Args {
+				panicArgs = append(panicArgs, [2]token.Pos{a.Pos(), a.End()})
 			}
 		}
 		return true
@@ -138,10 +132,8 @@ func checkHotFunc(pass *ModulePass, n *FuncNode, root string) {
 				report(v.Pos(), "string concatenation allocates")
 			}
 		case *ast.CompositeLit:
-			if tv, ok := info.Types[v]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					report(v.Pos(), "map literal allocates")
-				}
+			if isMapExpr(info, v) {
+				report(v.Pos(), "map literal allocates")
 			}
 		case *ast.CallExpr:
 			checkHotCall(info, v, prealloc, report)
@@ -162,31 +154,29 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, prealloc map[types.Objec
 		return
 	}
 
-	// Builtins: make(map[...]) and append without preallocation.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := info.Uses[id].(*types.Builtin); isB {
-			switch b.Name() {
-			case "make":
-				if len(call.Args) > 0 {
-					if tv, ok := info.Types[call.Args[0]]; ok {
-						if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-							report(call.Pos(), "make(map) allocates")
-						}
-					}
-				}
-			case "append":
-				if len(call.Args) > 0 && !appendPreallocated(info, call.Args[0], prealloc) {
-					report(call.Pos(), "append without visible preallocation can reallocate; size the buffer with make(_, _, cap) or reuse a [:0] slice")
-				}
-			}
+	switch obj := callee(info, call).(type) {
+	case *types.Builtin:
+		// Builtins: make(map[...]) and append without preallocation.
+		if len(call.Args) == 0 {
 			return
 		}
-	}
-
-	// fmt anywhere on a hot path means formatting machinery and boxing.
-	if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-		report(call.Pos(), "fmt.%s allocates (formatting state and boxed operands)", fn.Name())
+		switch obj.Name() {
+		case "make":
+			if isMapExpr(info, call.Args[0]) {
+				report(call.Pos(), "make(map) allocates")
+			}
+		case "append":
+			if !appendPreallocated(info, call.Args[0], prealloc) {
+				report(call.Pos(), "append without visible preallocation can reallocate; size the buffer with make(_, _, cap) or reuse a [:0] slice")
+			}
+		}
 		return
+	case *types.Func:
+		// fmt anywhere on a hot path means formatting machinery and boxing.
+		if obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
+			report(call.Pos(), "fmt.%s allocates (formatting state and boxed operands)", obj.Name())
+			return
+		}
 	}
 
 	// Implicit boxing: non-interface arguments bound to interface params.
@@ -244,26 +234,11 @@ func isStringExpr(info *types.Info, e ast.Expr) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-func objFor(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
-
 // makeWithCap reports a make call with an explicit capacity argument:
 // make([]T, n, cap).
 func makeWithCap(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 3 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "make"
+	return ok && len(call.Args) == 3 && builtinCall(info, call) == "make"
 }
 
 // resliceToZero reports buf[:0] — reuse of an existing buffer's storage.

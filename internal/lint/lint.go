@@ -1,34 +1,27 @@
 // Package lint is a stdlib-only analysis framework in the style of
-// golang.org/x/tools/go/analysis, plus the analyzers that turn this
-// repo's determinism and concurrency conventions into machine-checked
-// contracts. The promise under test is the one PRs 1-5 built: results
-// are bitwise-identical at any parallelism, pipeline depth, and
-// measurement backend. That promise rests on invariants no compiler
-// enforces — every random draw comes from an owned per-task *rand.Rand,
-// map iteration is sorted before any order-sensitive effect, fan-out
-// goes through internal/parallel, and wall-clock time never leaks into
-// deterministic layers. The analyzers here encode them so CI fails the
-// moment new concurrent code (sharded control plane, fleet remediation,
-// speculative re-dispatch) breaks one.
+// golang.org/x/tools/go/analysis, plus the twelve analyzers that turn
+// this repo's determinism, concurrency and wire conventions into
+// machine-checked contracts. The promise under test is that results are
+// bitwise-identical at any parallelism, pipeline depth, and measurement
+// backend, and that stored records stay readable. That promise rests on
+// invariants no compiler enforces — every random draw comes from an
+// owned per-task *rand.Rand, map iteration is sorted before any
+// order-sensitive effect, fan-out goes through internal/parallel,
+// wall-clock time never reaches a fingerprinted value, context flows to
+// everything that can block, no mutex is held across a blocking call or
+// acquired out of order, hot paths do not allocate, and the wire schema
+// matches wire.lock. The analyzers encode them so CI fails the moment
+// new code breaks one.
 //
-// The suite has three generations. The per-package syntactic checks —
-// exhaust, globalrand, maprange, rawgo, walltime — inspect one
-// package's typed AST at a time. The call-graph generation — ctxflow,
-// errdrop, hotalloc, lockheld — builds a whole-module static call graph
-// (CallGraph) and checks cross-function contracts over it: context must
-// flow to everything that can block, mutexes must not be held across
-// blocking calls or calls into caller-supplied code, functions
-// reachable from a //pruner:hotpath root must contain no
-// heap-allocating constructs (cross-checked dynamically by the
-// TestAlloc* AllocsPerRun gates), and internal packages must not
-// silently drop error returns. The dataflow generation — clocktaint,
-// lockorder, wireshape — adds intraprocedural def-use chains composed
-// interprocedurally via per-function summaries on that call graph
-// (dataflow.go): clock readings must not taint results, records, or
-// fingerprinted values; mutex acquisitions must admit one global order;
-// and every type reaching a json/gob encoder must match the checked-in
-// wire.lock golden, regenerated deliberately with -write-wire. See
-// DESIGN.md §10, §12 and §13.
+// Every analyzer has the same shape: one Run over one Pass, which
+// carries every loaded package and builds the whole-module call graph
+// on first use. Checks that need only syntax range over Pass.Pkgs;
+// cross-function contracts (ctxflow, hotalloc, lockheld, lockorder)
+// read the graph; value-flow contracts (clocktaint, wireshape) add the
+// def-use summaries of dataflow.go on top of it. The pieces they share
+// exist once: resolve.go names what a call or selector refers to,
+// lockwalk.go walks critical sections, blocking.go says what blocks.
+// See DESIGN.md §10.
 //
 // The framework is deliberately dependency-free: packages are discovered
 // with `go list -deps -export -json`, parsed with go/parser, and
@@ -46,75 +39,43 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
 // An Analyzer describes one check: a name (used in diagnostics and in
-// //pruner:allow directives), a short doc string, and exactly one of
-// two run functions — Run for single-package syntactic checks (the PR 6
-// generation) or RunModule for whole-module contracts that need the
-// static call graph (ctxflow, lockheld, hotalloc).
+// //pruner:allow directives), a short doc string, and its Run function.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	RunModule func(*ModulePass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
-// A Pass carries one package's syntax and type information to an
-// analyzer's Run function, mirroring analysis.Pass.
+// A Pass hands an analyzer every loaded package, the call graph over
+// them, and the driver options. Diagnostics may land in any file.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	report func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// A ModulePass hands a whole-module analyzer every loaded package plus
-// the call graph built over them. Diagnostics may land in any file.
-type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkgs     []*LoadedPackage
-	Graph    *CallGraph
+	RunOptions
 
-	// WireLock is the path of the wireshape golden ("" resolves next to
-	// go.mod); WriteWire switches wireshape from checking to
-	// regenerating it.
-	WireLock  string
-	WriteWire bool
-
+	graph  func() *CallGraph
 	report func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos in the given package's file set.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
+// Graph returns the whole-module static call graph, built the first
+// time any analyzer of the run asks for it and shared by the rest.
+func (p *Pass) Graph() *CallGraph { return p.graph() }
+
+// Reportf records a diagnostic at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.reportAt(p.Fset.Position(pos), false, format, args...)
 }
 
 // reportAt records a diagnostic at an already-resolved position (which
 // may name a non-Go file, e.g. wire.lock itself). notice marks additive
 // findings that inform but do not fail the run.
-func (p *ModulePass) reportAt(pos token.Position, notice bool, format string, args ...any) {
+func (p *Pass) reportAt(pos token.Position, notice bool, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      pos,
@@ -123,14 +84,16 @@ func (p *ModulePass) reportAt(pos token.Position, notice bool, format string, ar
 	})
 }
 
-// A Diagnostic is one finding, resolved to a file position. Suppressed
-// findings (waived by a //pruner:allow directive) survive only through
-// RunAll, marked with the directive's reason, so machine consumers (the
-// -json driver output) can render the full picture; Run drops them.
+// A Diagnostic is one finding, resolved to a file position. Run returns
+// every one — waived and additive included, so machine consumers (the
+// -json driver output) can render the full picture; Failing says which
+// of them break the contract.
 type Diagnostic struct {
-	Analyzer   string
-	Pos        token.Position
-	Message    string
+	Analyzer string
+	Pos      token.Position
+	Message  string
+	// Suppressed marks a finding waived by a //pruner:allow directive,
+	// whose reason it carries.
 	Suppressed bool
 	Reason     string
 	// Notice marks additive, non-failing findings (wireshape's "new
@@ -142,9 +105,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
 }
 
-// All returns the full analyzer suite in stable order: the PR 6
-// single-package generation, the PR 8 call-graph generation, and the
-// dataflow generation (clocktaint, exhaust, lockorder, wireshape).
+// Failing reports whether the diagnostic breaks the contract: neither
+// waived nor a notice. It is the one predicate behind pruner-vet's exit
+// code and TestRepoCleanUnderPrunerVet, so `make lint` and `go test`
+// cannot disagree about a tree.
+func (d Diagnostic) Failing() bool { return !d.Suppressed && !d.Notice }
+
+// All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		ClockTaint, CtxFlow, ErrDrop, Exhaust, GlobalRand, HotAlloc,
@@ -159,61 +126,6 @@ func byName(analyzers []*Analyzer) map[string]*Analyzer {
 		m[a.Name] = a
 	}
 	return m
-}
-
-// runAnalyzers applies each per-package analyzer to a loaded package and
-// collects raw (pre-suppression) diagnostics. Module analyzers (Run ==
-// nil) are handled by runModuleAnalyzers over the full package set.
-func runAnalyzers(pkg *LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			report:    func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
-		}
-	}
-	return diags, nil
-}
-
-// runModuleAnalyzers builds the call graph once and applies every
-// whole-module analyzer over the full loaded package set.
-func runModuleAnalyzers(pkgs []*LoadedPackage, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
-	var moduleAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			moduleAnalyzers = append(moduleAnalyzers, a)
-		}
-	}
-	if len(moduleAnalyzers) == 0 || len(pkgs) == 0 {
-		return nil, nil
-	}
-	graph := BuildCallGraph(pkgs)
-	var diags []Diagnostic
-	for _, a := range moduleAnalyzers {
-		pass := &ModulePass{
-			Analyzer:  a,
-			Fset:      pkgs[0].Fset,
-			Pkgs:      pkgs,
-			Graph:     graph,
-			WireLock:  opts.WireLock,
-			WriteWire: opts.WriteWire,
-			report:    func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.RunModule(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-		}
-	}
-	return diags, nil
 }
 
 // sortDiagnostics orders findings by file, line, column, then analyzer,

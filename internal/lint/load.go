@@ -40,6 +40,13 @@ type LoadedPackage struct {
 	Info       *types.Info
 }
 
+// Inspect walks every file of the package in order (see ast.Inspect).
+func (p *LoadedPackage) Inspect(visit func(ast.Node) bool) {
+	for _, f := range p.Files {
+		ast.Inspect(f, visit)
+	}
+}
+
 // Load resolves patterns with `go list -deps -export -json`, then parses
 // and type-checks every matched (non-dependency) package from source.
 // Imports — stdlib and intra-module alike — are satisfied from the

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -18,235 +17,73 @@ import (
 // goroutine piles up on the mutex, including the ones that would have
 // drained the blockage.
 //
-// Critical sections are recognized syntactically — x.Lock() / x.RLock()
-// until the matching x.Unlock()/x.RUnlock() in the same statement list,
-// or to the end of the list after defer x.Unlock() — and the "may this
-// block" verdict for every call inside one is computed transitively
-// over the module call graph, so a lock-holding function cannot launder
-// a blocking operation through a helper. Calls of function-typed
-// parameters and fields are flagged too: the callee is unknown at
-// analysis time, which is precisely the hazard (it may well try to take
-// the same lock).
+// Critical sections come from the shared walk (lockwalk.go), and the
+// "may this block" verdict for every call inside one is computed
+// transitively over the module call graph, so a lock-holding function
+// cannot launder a blocking operation through a helper. Calls of
+// function-typed parameters and fields are flagged too: the callee is
+// unknown at analysis time, which is precisely the hazard (it may well
+// try to take the same lock).
 var LockHeld = &Analyzer{
-	Name:      "lockheld",
-	Doc:       "no blocking call, channel operation, or callback into caller-supplied code while a sync mutex is held",
-	RunModule: runLockHeld,
+	Name: "lockheld",
+	Doc:  "no blocking call, channel operation, or callback into caller-supplied code while a sync mutex is held",
+	Run:  runLockHeld,
 }
 
-// lockMethods classifies the sync lock/unlock methods by function ID.
-var lockMethods = map[string]string{
-	"sync.Mutex.Lock":      "lock",
-	"sync.RWMutex.Lock":    "lock",
-	"sync.RWMutex.RLock":   "lock",
-	"sync.Mutex.Unlock":    "unlock",
-	"sync.RWMutex.Unlock":  "unlock",
-	"sync.RWMutex.RUnlock": "unlock",
-}
-
-func runLockHeld(pass *ModulePass) error {
-	g := pass.Graph
+func runLockHeld(pass *Pass) error {
+	g := pass.Graph()
 
 	// mayBlock: the transitive "can park this goroutine" summary. Unlike
-	// ctxflow, nothing is exempt — parallel.ForEach joining its helpers
-	// or lint shelling out to `go list` under a lock would be exactly
-	// the bug this analyzer exists to catch.
-	directlyBlocking := func(n *FuncNode) bool {
-		if len(n.ChanOps) > 0 {
-			return true
-		}
-		for _, c := range n.Calls {
-			if _, ok := blockingCall(c, blockingCallees); ok {
-				return true
-			}
-			if _, ok := blockingCall(c, waitCallees); ok {
-				return true
-			}
-		}
-		return false
-	}
-	mayBlock := g.Transitive(directlyBlocking, nil)
+	// ctxflow, nothing is exempt and goroutine joins count —
+	// parallel.ForEach joining its helpers or lint shelling out to
+	// `go list` under a lock would be exactly the bug this analyzer
+	// exists to catch.
+	blocks := directlyBlocking(true)
+	mayBlock := g.Transitive(blocks, nil)
 
 	for _, id := range g.sortedNodeIDs() {
 		n := g.Nodes[id]
-		checkLockRegions(pass, g, n, mayBlock, directlyBlocking)
+		lockRegions(n, func(r lockRegion) {
+			locks := heldNames(r.Held)
+			if r.Acquires != nil {
+				if heldIndex(r.Held, r.Acquires) >= 0 {
+					pass.Reportf(r.Stmt.Pos(),
+						"%s is locked again while already held; self-deadlock", types.ExprString(r.Acquires))
+				}
+				return
+			}
+			for _, p := range n.ChanOps {
+				if r.Contains(p) {
+					pass.Reportf(p, "channel operation while %s is held; a full or empty channel freezes every goroutine contending for the lock", locks)
+				}
+			}
+			for _, c := range n.CallbackCalls {
+				if r.Contains(c.Pos) {
+					pass.Reportf(c.Pos, "call into caller-supplied function %s while %s is held; unknown code must not run under a lock (it may relock it)", c.CalleeID, locks)
+				}
+			}
+			for _, c := range n.Calls {
+				if !r.Contains(c.Pos) {
+					continue
+				}
+				if desc, ok := blockingLeaf(c, true); ok {
+					pass.Reportf(c.Pos, "blocking call %s while %s is held", desc, locks)
+				} else if mayBlock[c.CalleeID] {
+					path := g.PathTo(c.CalleeID, blocks, nil)
+					pass.Reportf(c.Pos, "call to %s while %s is held; it can block (%s)",
+						shortFuncID(c.CalleeID), locks, describeBlockingPath(g, path, true))
+				}
+			}
+		})
 	}
 	return nil
 }
 
-// lockCall resolves a statement-level call to (mutex-expression key,
-// "lock"|"unlock"); ok is false for anything else.
-func lockCall(info *types.Info, stmt ast.Stmt) (key, kind string, ok bool) {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(s.X).(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-		defer func() {
-			if ok && kind == "unlock" {
-				kind = "defer-unlock"
-			}
-		}()
-	}
-	if call == nil {
-		return "", "", false
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return "", "", false
-	}
-	kind, ok = lockMethods[FuncID(fn)]
-	if !ok {
-		return "", "", false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), kind, true
-}
-
-// checkLockRegions scans one function's statement lists for critical
-// sections and reports blocking constructs inside them.
-func checkLockRegions(pass *ModulePass, g *CallGraph, n *FuncNode, mayBlock map[string]bool, directlyBlocking func(*FuncNode) bool) {
-	info := n.Pkg.Info
-
-	var scanList func(stmts []ast.Stmt, inherited map[string]bool)
-	scanList = func(stmts []ast.Stmt, inherited map[string]bool) {
-		held := map[string]bool{}
-		for k := range inherited {
-			held[k] = true
-		}
-		for _, stmt := range stmts {
-			if key, kind, ok := lockCall(info, stmt); ok {
-				switch kind {
-				case "lock":
-					if held[key] {
-						pass.Reportf(stmt.Pos(),
-							"%s is locked again while already held; self-deadlock", key)
-					}
-					held[key] = true
-				case "unlock":
-					delete(held, key)
-				case "defer-unlock":
-					// Released only at return: the rest of this list runs
-					// under the lock, which is the idiomatic pattern this
-					// analyzer spends most of its time inside.
-				}
-				continue
-			}
-			if len(held) > 0 {
-				reportBlockingIn(pass, g, n, stmt, held, mayBlock, directlyBlocking)
-			}
-			// Descend into nested statement lists so a later sibling list
-			// (e.g. a case body) gets its own lock tracking, while the
-			// current held set carries in.
-			switch s := stmt.(type) {
-			case *ast.BlockStmt:
-				scanList(s.List, held)
-			case *ast.IfStmt:
-				scanList(s.Body.List, held)
-				if alt, ok := s.Else.(*ast.BlockStmt); ok {
-					scanList(alt.List, held)
-				}
-			case *ast.ForStmt:
-				scanList(s.Body.List, held)
-			case *ast.RangeStmt:
-				scanList(s.Body.List, held)
-			case *ast.SwitchStmt:
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						scanList(cc.Body, held)
-					}
-				}
-			case *ast.TypeSwitchStmt:
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						scanList(cc.Body, held)
-					}
-				}
-			}
-		}
-	}
-	scanList(n.Decl.Body.List, nil)
-}
-
-// reportBlockingIn flags the blocking constructs inside one statement
-// known to execute with locks held. To avoid double counting, it skips
-// nested statement lists (scanList descends into those itself) by
-// restricting to facts positioned within the statement but outside any
-// nested block — simpler: it only fires for facts inside this statement
-// when the statement is NOT a block-carrying statement, plus the
-// non-body parts (conditions, initializers) of block-carrying ones.
-func reportBlockingIn(pass *ModulePass, g *CallGraph, n *FuncNode, stmt ast.Stmt, held map[string]bool, mayBlock map[string]bool, directlyBlocking func(*FuncNode) bool) {
-	// Positions belonging to nested statement lists this scan must not
-	// claim (their own scanList invocation will).
-	var nested []ast.Node
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		return
-	case *ast.IfStmt:
-		nested = append(nested, s.Body)
-		if s.Else != nil {
-			nested = append(nested, s.Else)
-		}
-	case *ast.ForStmt:
-		nested = append(nested, s.Body)
-	case *ast.RangeStmt:
-		nested = append(nested, s.Body)
-	case *ast.SwitchStmt:
-		nested = append(nested, s.Body)
-	case *ast.TypeSwitchStmt:
-		nested = append(nested, s.Body)
-	}
-	inNested := func(pos token.Pos) bool {
-		for _, b := range nested {
-			if b.Pos() <= pos && pos < b.End() {
-				return true
-			}
-		}
-		return false
-	}
-
-	locks := heldNames(held)
-	within := func(pos token.Pos) bool {
-		return stmt.Pos() <= pos && pos < stmt.End() && !inNested(pos)
-	}
-	for _, p := range n.ChanOps {
-		if within(p) {
-			pass.Reportf(p, "channel operation while %s is held; a full or empty channel freezes every goroutine contending for the lock", locks)
-		}
-	}
-	for _, c := range n.CallbackCalls {
-		if within(c.Pos) {
-			pass.Reportf(c.Pos, "call into caller-supplied function %s while %s is held; unknown code must not run under a lock (it may relock it)", c.CalleeID, locks)
-		}
-	}
-	for _, c := range n.Calls {
-		if !within(c.Pos) {
-			continue
-		}
-		if desc, ok := blockingCall(c, blockingCallees); ok {
-			pass.Reportf(c.Pos, "blocking call %s while %s is held", desc, locks)
-			continue
-		}
-		if desc, ok := blockingCall(c, waitCallees); ok {
-			pass.Reportf(c.Pos, "blocking call %s while %s is held", desc, locks)
-			continue
-		}
-		if mayBlock[c.CalleeID] {
-			path := g.PathTo(c.CalleeID, directlyBlocking, nil)
-			pass.Reportf(c.Pos, "call to %s while %s is held; it can block (%s)",
-				shortFuncID(c.CalleeID), locks, describeBlockingPath(g, path))
-		}
-	}
-}
-
 // heldNames renders the held mutex set for messages.
-func heldNames(held map[string]bool) string {
-	var names []string
-	for k := range held {
-		names = append(names, k)
+func heldNames(held []ast.Expr) string {
+	names := make([]string, len(held))
+	for i, x := range held {
+		names[i] = types.ExprString(x)
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")

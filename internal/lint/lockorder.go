@@ -1,8 +1,9 @@
 package lint
 
 // LockOrder builds the whole-module lock-order graph and rejects
-// cycles. lockheld (PR 8) guards what happens *inside* one critical
-// section; this analyzer guards the relationship *between* them: if
+// cycles. lockheld guards what happens *inside* one critical section;
+// this analyzer guards the relationship *between* them, over the same
+// walk of critical sections (lockwalk.go): if
 // goroutine 1 acquires A then B while goroutine 2 acquires B then A,
 // each can park forever holding the other's next lock. The module's
 // mutex population (store index, job table, measurer registry, metrics
@@ -23,20 +24,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
 var LockOrder = &Analyzer{
-	Name:      "lockorder",
-	Doc:       "mutex acquisitions must admit one global order: no lock-order cycles across the module",
-	RunModule: runLockOrder,
+	Name: "lockorder",
+	Doc:  "mutex acquisitions must admit one global order: no lock-order cycles across the module",
+	Run:  runLockOrder,
 }
 
 // mutexKey derives the stable identity of a locked mutex expression:
 // the owning named type plus field name, or the package-level variable.
 // ok is false for identities the analysis cannot name (locals).
 func mutexKey(info *types.Info, x ast.Expr) (string, bool) {
+	var id *ast.Ident
 	switch e := ast.Unparen(x).(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[e]; ok {
@@ -48,19 +51,19 @@ func mutexKey(info *types.Info, x ast.Expr) (string, bool) {
 			if p, ok := recv.(*types.Pointer); ok {
 				recv = p.Elem()
 			}
-			if named, ok := recv.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + v.Name(), true
+			if owner := namedID(recv); owner != "" {
+				return owner + "." + v.Name(), true
 			}
 			return "", false
 		}
-		// Qualified package-level mutex: pkg.Mu.
-		if v, ok := info.Uses[e.Sel].(*types.Var); ok && !v.IsField() && v.Pkg() != nil {
-			return v.Pkg().Path() + "." + v.Name(), true
-		}
+		id = e.Sel // qualified package-level mutex: pkg.Mu
 	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name(), true
-		}
+		id = e
+	default:
+		return "", false
+	}
+	if v, ok := info.Uses[id].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		return v.Pkg().Path() + "." + v.Name(), true
 	}
 	return "", false
 }
@@ -75,60 +78,39 @@ type lockOrderEdge struct {
 	viaCall  string // callee ID when the acquisition is transitive
 }
 
-func runLockOrder(pass *ModulePass) error {
-	g := pass.Graph
+func edgeKey(from, to string) string { return from + "\x00" + to }
 
-	// Direct acquisitions per function, by identity key. Positions are
-	// kept for witness messages (first occurrence wins).
-	direct := map[string]map[string]token.Pos{}
-	for _, id := range g.sortedNodeIDs() {
+func runLockOrder(pass *Pass) error {
+	g := pass.Graph()
+	ids := g.sortedNodeIDs()
+
+	// Acquisition summaries by identity key: direct(f) is what f's own
+	// body locks (anywhere, not just at statement level); acq(f) =
+	// direct(f) ∪ acq(g) for every module-local callee g, to a fixed
+	// point.
+	direct := map[string]map[string]bool{}
+	acq := map[string]map[string]bool{}
+	for _, id := range ids {
 		n := g.Nodes[id]
-		acq := map[string]token.Pos{}
+		direct[id], acq[id] = map[string]bool{}, map[string]bool{}
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(n.Pkg.Info, call)
-			if fn == nil || lockMethods[FuncID(fn)] != "lock" {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if key, ok := mutexKey(n.Pkg.Info, sel.X); ok {
-				if _, seen := acq[key]; !seen {
-					acq[key] = call.Pos()
+			if call, ok := x.(*ast.CallExpr); ok {
+				if mutex, acquires, ok := lockCall(n.Pkg.Info, call); ok && acquires {
+					if key, ok := mutexKey(n.Pkg.Info, mutex); ok {
+						direct[id][key], acq[id][key] = true, true
+					}
 				}
 			}
 			return true
 		})
-		if len(acq) > 0 {
-			direct[id] = acq
-		}
-	}
-
-	// Transitive acquisition summaries: acq(f) = direct(f) ∪ acq(g) for
-	// every module-local callee g, to a fixed point.
-	trans := map[string]map[string]bool{}
-	ids := g.sortedNodeIDs()
-	for _, id := range ids {
-		set := map[string]bool{}
-		for k := range direct[id] {
-			set[k] = true
-		}
-		trans[id] = set
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, id := range ids {
-			n := g.Nodes[id]
-			set := trans[id]
-			for _, c := range n.Calls {
-				for k := range trans[c.CalleeID] {
-					if !set[k] {
-						set[k] = true
+			for _, c := range g.Nodes[id].Calls {
+				for k := range acq[c.CalleeID] {
+					if !acq[id][k] {
+						acq[id][k] = true
 						changed = true
 					}
 				}
@@ -136,23 +118,58 @@ func runLockOrder(pass *ModulePass) error {
 		}
 	}
 
-	// Edge collection: walk each function's critical sections (same
-	// syntactic recognition as lockheld) and record held→next pairs.
+	// Edge collection: inside every critical section, each acquisition —
+	// direct or through a call — under a held mutex is a held→next
+	// edge. The first witness found (functions by ID, statements in
+	// source order) is the one reported.
 	edges := map[string]*lockOrderEdge{}
-	edgeKey := func(from, to string) string { return from + "\x00" + to }
 	addEdge := func(e *lockOrderEdge) {
-		k := edgeKey(e.from, e.to)
-		if edges[k] == nil {
+		if k := edgeKey(e.from, e.to); edges[k] == nil {
 			edges[k] = e
 		}
 	}
 	for _, id := range ids {
 		n := g.Nodes[id]
-		collectLockOrderEdges(n, direct, trans, addEdge)
+		info := n.Pkg.Info
+		lockRegions(n, func(r lockRegion) {
+			var held []string
+			for _, x := range r.Held {
+				if h, ok := mutexKey(info, x); ok {
+					held = append(held, h)
+				}
+			}
+			if r.Acquires != nil {
+				if mk, ok := mutexKey(info, r.Acquires); ok {
+					for _, h := range held {
+						if h != mk {
+							addEdge(&lockOrderEdge{from: h, to: mk, pos: r.Stmt.Pos(), fn: n})
+						}
+					}
+				}
+				return
+			}
+			for _, call := range callsAt(r) {
+				fn := calleeFunc(info, call)
+				if fn == nil {
+					continue
+				}
+				calleeID := FuncID(fn)
+				acquired := make([]string, 0, len(acq[calleeID]))
+				for k := range acq[calleeID] {
+					acquired = append(acquired, k)
+				}
+				sort.Strings(acquired)
+				for _, h := range held {
+					for _, k := range acquired {
+						addEdge(&lockOrderEdge{from: h, to: k, pos: call.Pos(), fn: n, viaCall: calleeID})
+					}
+				}
+			}
+		})
 	}
 
 	// Cycle detection over the order graph: for each key (smallest
-	// first), BFS for the shortest path back to itself; a cycle is
+	// first), search for the shortest path back to itself; a cycle is
 	// reported once, anchored at its smallest key.
 	var edgeKeys []string
 	for k := range edges {
@@ -160,237 +177,54 @@ func runLockOrder(pass *ModulePass) error {
 	}
 	sort.Strings(edgeKeys)
 	adj := map[string][]string{}
-	keys := map[string]bool{}
+	var keys []string
 	for _, k := range edgeKeys {
 		e := edges[k]
 		adj[e.from] = append(adj[e.from], e.to)
-		keys[e.from] = true
-		keys[e.to] = true
+		keys = append(keys, e.from, e.to)
 	}
-	var sortedKeys []string
-	for k := range keys {
-		sortedKeys = append(sortedKeys, k)
-	}
-	sort.Strings(sortedKeys)
-
-	for _, start := range sortedKeys {
-		cycle := shortestCycle(adj, start)
-		if cycle == nil {
-			continue
+	sort.Strings(keys)
+	for _, start := range slices.Compact(keys) {
+		// The path start → … → k with an edge k → start is the cycle
+		// without its closing repeat; a self-edge yields just [start].
+		cycle := bfsPath(start,
+			func(k string) bool { return slices.Contains(adj[k], start) },
+			func(k string) []string { return adj[k] })
+		if cycle != nil && slices.Min(cycle) == start {
+			reportLockCycle(pass, edges, direct, cycle)
 		}
-		min := cycle[0]
-		for _, k := range cycle {
-			if k < min {
-				min = k
-			}
-		}
-		if min != start {
-			continue // reported when the walk reaches the smallest key
-		}
-		reportLockCycle(pass, g, edges, cycle)
 	}
 	return nil
 }
 
-// collectLockOrderEdges scans one function's statement lists with the
-// held-set tracking lockheld uses and records an order edge for every
-// acquisition — direct or through a call — under a held mutex.
-func collectLockOrderEdges(n *FuncNode, direct map[string]map[string]token.Pos, trans map[string]map[string]bool, addEdge func(*lockOrderEdge)) {
-	info := n.Pkg.Info
-
-	// Calls inside a statement, excluding nested statement lists (the
-	// scan descends into those itself) and go/defer (they do not run at
-	// this program point).
-	callsWithin := func(stmt ast.Stmt) []*ast.CallExpr {
-		var nested []ast.Node
-		switch s := stmt.(type) {
-		case *ast.BlockStmt:
-			return nil
-		case *ast.IfStmt:
-			nested = append(nested, s.Body)
-			if s.Else != nil {
-				nested = append(nested, s.Else)
-			}
-		case *ast.ForStmt:
-			nested = append(nested, s.Body)
-		case *ast.RangeStmt:
-			nested = append(nested, s.Body)
-		case *ast.SwitchStmt:
-			nested = append(nested, s.Body)
-		case *ast.TypeSwitchStmt:
-			nested = append(nested, s.Body)
-		}
-		inNested := func(pos token.Pos) bool {
-			for _, b := range nested {
-				if b.Pos() <= pos && pos < b.End() {
-					return true
-				}
-			}
+// callsAt returns the calls that run at the region's program point:
+// those in the statement proper, excluding function-literal bodies and
+// the calls of go and defer statements themselves (their arguments are
+// evaluated here; the call is not).
+func callsAt(r lockRegion) []*ast.CallExpr {
+	var calls []*ast.CallExpr
+	skip := map[ast.Node]bool{}
+	ast.Inspect(r.Stmt, func(x ast.Node) bool {
+		switch v := x.(type) {
+		case *ast.GoStmt:
+			skip[v.Call] = true
+		case *ast.DeferStmt:
+			skip[v.Call] = true
+		case *ast.FuncLit:
 			return false
-		}
-		var calls []*ast.CallExpr
-		skip := map[ast.Node]bool{}
-		ast.Inspect(stmt, func(x ast.Node) bool {
-			switch v := x.(type) {
-			case *ast.GoStmt:
-				skip[v.Call] = true
-			case *ast.DeferStmt:
-				skip[v.Call] = true
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if !skip[v] && !inNested(v.Pos()) {
-					calls = append(calls, v)
-				}
-			}
-			return true
-		})
-		return calls
-	}
-
-	var scanList func(stmts []ast.Stmt, inherited []string)
-	scanList = func(stmts []ast.Stmt, inherited []string) {
-		held := append([]string(nil), inherited...)
-		for _, stmt := range stmts {
-			if key, kind, ok := lockCall(info, stmt); ok {
-				mk, keyed := mutexKeyFromExprString(info, stmt, key)
-				switch kind {
-				case "lock":
-					if keyed {
-						for _, h := range held {
-							if h != mk {
-								addEdge(&lockOrderEdge{from: h, to: mk, pos: stmt.Pos(), fn: n})
-							}
-						}
-						held = append(held, mk)
-					}
-				case "unlock":
-					if keyed {
-						for i := len(held) - 1; i >= 0; i-- {
-							if held[i] == mk {
-								held = append(held[:i], held[i+1:]...)
-								break
-							}
-						}
-					}
-				case "defer-unlock":
-					// Released only at return: held through the rest.
-				}
-				continue
-			}
-			if len(held) > 0 {
-				for _, call := range callsWithin(stmt) {
-					fn := calleeFunc(info, call)
-					if fn == nil {
-						continue
-					}
-					calleeID := FuncID(fn)
-					acq := trans[calleeID]
-					if len(acq) == 0 {
-						continue
-					}
-					var acquired []string
-					for k := range acq {
-						acquired = append(acquired, k)
-					}
-					sort.Strings(acquired)
-					for _, h := range held {
-						for _, k := range acquired {
-							addEdge(&lockOrderEdge{from: h, to: k, pos: call.Pos(), fn: n, viaCall: calleeID})
-						}
-					}
-				}
-			}
-			switch s := stmt.(type) {
-			case *ast.BlockStmt:
-				scanList(s.List, held)
-			case *ast.IfStmt:
-				scanList(s.Body.List, held)
-				if alt, ok := s.Else.(*ast.BlockStmt); ok {
-					scanList(alt.List, held)
-				}
-			case *ast.ForStmt:
-				scanList(s.Body.List, held)
-			case *ast.RangeStmt:
-				scanList(s.Body.List, held)
-			case *ast.SwitchStmt:
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						scanList(cc.Body, held)
-					}
-				}
-			case *ast.TypeSwitchStmt:
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						scanList(cc.Body, held)
-					}
-				}
+		case *ast.CallExpr:
+			if !skip[v] && r.Contains(v.Pos()) {
+				calls = append(calls, v)
 			}
 		}
-	}
-	scanList(n.Decl.Body.List, nil)
-}
-
-// mutexKeyFromExprString re-resolves the mutex expression of a
-// statement-level lock call (lockCall returns only its printed form)
-// to an identity key.
-func mutexKeyFromExprString(info *types.Info, stmt ast.Stmt, printed string) (string, bool) {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(s.X).(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-	}
-	if call == nil {
-		return "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	return mutexKey(info, sel.X)
-}
-
-// shortestCycle BFSes the order graph for the shortest path start → …
-// → start and returns the node sequence without the closing repeat, or
-// nil. A self-edge yields the one-element cycle.
-func shortestCycle(adj map[string][]string, start string) []string {
-	type item struct {
-		key  string
-		prev *item
-	}
-	unwind := func(it *item) []string {
-		var path []string
-		for ; it != nil; it = it.prev {
-			path = append(path, it.key)
-		}
-		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-			path[i], path[j] = path[j], path[i]
-		}
-		return path
-	}
-	queue := []*item{{key: start}}
-	visited := map[string]bool{}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		for _, next := range adj[it.key] {
-			if next == start {
-				return unwind(it)
-			}
-			if !visited[next] {
-				visited[next] = true
-				queue = append(queue, &item{key: next, prev: it})
-			}
-		}
-	}
-	return nil
+		return true
+	})
+	return calls
 }
 
 // reportLockCycle renders one cycle with per-edge witnesses and the
 // shortest call chain for transitive acquisitions.
-func reportLockCycle(pass *ModulePass, g *CallGraph, edges map[string]*lockOrderEdge, cycle []string) {
+func reportLockCycle(pass *Pass, edges map[string]*lockOrderEdge, direct map[string]map[string]bool, cycle []string) {
 	describe := func(e *lockOrderEdge) string {
 		at := pass.Fset.Position(e.pos)
 		where := shortFuncID(e.fn.ID) + " at " + trimPathPrefix(at.String())
@@ -399,8 +233,8 @@ func reportLockCycle(pass *ModulePass, g *CallGraph, edges map[string]*lockOrder
 		}
 		// PathTo-style witness: the call chain from the callee to the
 		// function that locks the target directly.
-		path := g.PathTo(e.viaCall, func(n *FuncNode) bool {
-			return directLocks(g, n, e.to)
+		path := pass.Graph().PathTo(e.viaCall, func(n *FuncNode) bool {
+			return direct[n.ID][e.to]
 		}, nil)
 		var hops []string
 		for _, id := range path {
@@ -413,16 +247,16 @@ func reportLockCycle(pass *ModulePass, g *CallGraph, edges map[string]*lockOrder
 	}
 
 	var chain, wits []string
-	first := edges[cycle[0]+"\x00"+cycle[(1)%len(cycle)]]
+	first := edges[edgeKey(cycle[0], cycle[1%len(cycle)])]
 	if len(cycle) == 1 {
-		e := edges[cycle[0]+"\x00"+cycle[0]]
+		e := edges[edgeKey(cycle[0], cycle[0])]
 		pass.Reportf(e.pos, "potential deadlock: %s relocks %s already held (%s)",
 			shortFuncID(e.fn.ID), cycle[0], describe(e))
 		return
 	}
 	for i := range cycle {
 		from, to := cycle[i], cycle[(i+1)%len(cycle)]
-		e := edges[from+"\x00"+to]
+		e := edges[edgeKey(from, to)]
 		chain = append(chain, from)
 		wits = append(wits, from+" -> "+to+" in "+describe(e))
 	}
@@ -430,32 +264,6 @@ func reportLockCycle(pass *ModulePass, g *CallGraph, edges map[string]*lockOrder
 	pass.Reportf(first.pos,
 		"potential deadlock: lock-order cycle %s (%s); acquire these mutexes in one global order",
 		strings.Join(chain, " -> "), strings.Join(wits, "; "))
-}
-
-// directLocks reports whether n directly acquires the keyed mutex.
-func directLocks(g *CallGraph, n *FuncNode, key string) bool {
-	info := n.Pkg.Info
-	found := false
-	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || lockMethods[FuncID(fn)] != "lock" {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if k, ok := mutexKey(info, sel.X); ok && k == key {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // trimPathPrefix shortens an absolute position to its final two path

@@ -22,10 +22,10 @@ var MapRange = &Analyzer{
 }
 
 func runMapRange(pass *Pass) error {
-	for _, f := range pass.Files {
+	for _, pkg := range pass.Pkgs {
 		// Walk every statement list so each range-over-map can see the
 		// statements that follow it (where the sanctioned sort lives).
-		ast.Inspect(f, func(n ast.Node) bool {
+		pkg.Inspect(func(n ast.Node) bool {
 			var list []ast.Stmt
 			switch n := n.(type) {
 			case *ast.BlockStmt:
@@ -38,11 +38,9 @@ func runMapRange(pass *Pass) error {
 				return true
 			}
 			for i, stmt := range list {
-				rs, ok := stmt.(*ast.RangeStmt)
-				if !ok {
-					continue
+				if rs, ok := stmt.(*ast.RangeStmt); ok && isMapExpr(pkg.Info, rs.X) {
+					checkMapRange(pass, pkg.Info, rs, list[i+1:])
 				}
-				checkMapRange(pass, rs, list[i+1:])
 			}
 			return true
 		})
@@ -50,52 +48,42 @@ func runMapRange(pass *Pass) error {
 	return nil
 }
 
-// checkMapRange inspects one range statement; rest is the tail of the
-// enclosing statement list after it.
-func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
-	tv, ok := pass.TypesInfo.Types[rs.X]
-	if !ok {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
+// checkMapRange inspects one range-over-map statement; rest is the tail
+// of the enclosing statement list after it.
+func checkMapRange(pass *Pass, info *types.Info, rs *ast.RangeStmt, rest []ast.Stmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			// A nested range-over-map gets its own check (with its own
 			// trailing-sort window); don't double-report its body here.
-			if tv, ok := pass.TypesInfo.Types[n.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					return false
-				}
+			if isMapExpr(info, n.X) {
+				return false
 			}
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(),
 				"sends on a channel in map-iteration order; range over sorted keys instead (see methodsSorted)")
 		case *ast.AssignStmt:
-			if isFloatAccumulation(pass, n) {
+			if isFloatAccumulation(info, n) {
 				pass.Reportf(n.Pos(),
 					"accumulates floating-point values in map-iteration order (float addition is not associative); range over sorted keys instead (see methodsSorted)")
 			}
 		case *ast.CallExpr:
-			switch kind, obj := classifyCall(pass, n); kind {
-			case callAppend:
-				if target := rootObject(pass, n.Args[0]); target != nil && !sortedAfter(pass, rest, target) {
-					pass.Reportf(n.Pos(),
-						"appends to %s in map-iteration order and never sorts it; collect keys and sort first (see methodsSorted)", target.Name())
+			// Only appends and dynamic calls are order-sensitive at this
+			// level: compile-time-resolved calls, conversions and other
+			// builtins are order-independent, and what they mutate is
+			// caught by the cases above. An inline func literal's body is
+			// walked right here, so its effects are flagged on their own.
+			switch obj := callee(info, n).(type) {
+			case *types.Builtin:
+				if obj.Name() == "append" && len(n.Args) > 0 {
+					if target := rootObject(info, n.Args[0]); target != nil && !sortedAfter(info, rest, target) {
+						pass.Reportf(n.Pos(),
+							"appends to %s in map-iteration order and never sorts it; collect keys and sort first (see methodsSorted)", target.Name())
+					}
 				}
-			case callDynamic:
-				name := "a function value"
-				if obj != nil {
-					name = "callback " + obj.Name()
-				}
+			case *types.Var:
 				pass.Reportf(n.Pos(),
-					"calls %s in map-iteration order; range over sorted keys instead (see methodsSorted)", name)
-			case callStatic, callOther:
-				// Compile-time-resolved calls, conversions, and other
-				// builtins are order-independent at this level; what
-				// they mutate is caught by the cases above.
+					"calls callback %s in map-iteration order; range over sorted keys instead (see methodsSorted)", obj.Name())
 			}
 		}
 		return true
@@ -106,14 +94,14 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 // floating-point (or complex) accumulator: x += v, x -= v, x *= v,
 // x /= v with float-typed x. Integer accumulation commutes exactly and
 // is not flagged.
-func isFloatAccumulation(pass *Pass, as *ast.AssignStmt) bool {
+func isFloatAccumulation(info *types.Info, as *ast.AssignStmt) bool {
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 	default:
 		return false
 	}
 	for _, lhs := range as.Lhs {
-		tv, ok := pass.TypesInfo.Types[lhs]
+		tv, ok := info.Types[lhs]
 		if !ok {
 			continue
 		}
@@ -125,73 +113,16 @@ func isFloatAccumulation(pass *Pass, as *ast.AssignStmt) bool {
 	return false
 }
 
-type callKind int
-
-const (
-	callStatic  callKind = iota // named func or method: resolved at compile time
-	callAppend                  // the append builtin
-	callDynamic                 // through a function value (parameter, field, variable)
-	callOther                   // conversion, other builtin, inline func literal
-)
-
-// classifyCall decides whether a call is the append builtin, a static
-// call, or a dynamic call through a function value. Inline func-literal
-// calls are not "dynamic": their bodies are walked directly, so any
-// order-sensitive effect inside them is flagged on its own.
-func classifyCall(pass *Pass, call *ast.CallExpr) (callKind, types.Object) {
-	fun := ast.Unparen(call.Fun)
-	// Generic instantiation f[T](...) resolves through the index expr.
-	if ix, ok := fun.(*ast.IndexExpr); ok {
-		fun = ast.Unparen(ix.X)
-	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
-		fun = ast.Unparen(ix.X)
-	}
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		switch obj := pass.TypesInfo.Uses[fun].(type) {
-		case *types.Builtin:
-			if obj.Name() == "append" && len(call.Args) > 0 {
-				return callAppend, obj
-			}
-			return callOther, nil
-		case *types.Func:
-			return callStatic, obj
-		case *types.TypeName:
-			return callOther, nil // conversion
-		case *types.Var:
-			return callDynamic, obj
-		}
-	case *ast.SelectorExpr:
-		switch obj := pass.TypesInfo.Uses[fun.Sel].(type) {
-		case *types.Func:
-			return callStatic, obj // package func or method
-		case *types.Var:
-			if _, ok := obj.Type().Underlying().(*types.Signature); ok {
-				return callDynamic, obj // func-typed field
-			}
-		case *types.TypeName:
-			return callOther, nil
-		}
-	}
-	return callOther, nil
-}
-
 // rootObject resolves the variable (or field) an expression ultimately
 // names: x, s.field, xs[i] all reduce to a types.Object usable as an
 // identity for "the same slice" across the append and the later sort.
-func rootObject(pass *Pass, e ast.Expr) types.Object {
+func rootObject(info *types.Info, e ast.Expr) types.Object {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			if obj := pass.TypesInfo.Uses[x]; obj != nil {
-				return obj
-			}
-			return pass.TypesInfo.Defs[x]
+			return objFor(info, x)
 		case *ast.SelectorExpr:
-			if obj := pass.TypesInfo.Uses[x.Sel]; obj != nil {
-				return obj
-			}
-			return nil
+			return info.Uses[x.Sel]
 		case *ast.IndexExpr:
 			e = x.X
 		default:
@@ -204,51 +135,36 @@ func rootObject(pass *Pass, e ast.Expr) types.Object {
 // a call to sort.* or slices.* mentioning the appended-to variable.
 // That is the methodsSorted shape — collect in arbitrary order, sort,
 // then do the order-sensitive work over the sorted slice.
-func sortedAfter(pass *Pass, rest []ast.Stmt, target types.Object) bool {
+func sortedAfter(info *types.Info, rest []ast.Stmt, target types.Object) bool {
+	found := false
 	for _, stmt := range rest {
-		found := false
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || found {
 				return !found
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkgID, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[pkgID].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			if p := pkgName.Imported().Path(); p != "sort" && p != "slices" {
+			if p, _, _ := pkgSelector(info, call.Fun); p != "sort" && p != "slices" {
 				return true
 			}
 			for _, arg := range call.Args {
-				if mentionsObject(pass, arg, target) {
+				if mentionsObject(info, arg, target) {
 					found = true
 					return false
 				}
 			}
 			return true
 		})
-		if found {
-			return true
-		}
 	}
-	return false
+	return found
 }
 
 // mentionsObject reports whether the expression references the object
 // anywhere (covers sort.Strings(keys), sort.Slice(keys, ...), and
 // wrapper forms like sort.Sort(byLen(keys))).
-func mentionsObject(pass *Pass, e ast.Expr, target types.Object) bool {
+func mentionsObject(info *types.Info, e ast.Expr, target types.Object) bool {
 	var hit bool
 	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == target {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == target {
 			hit = true
 		}
 		return !hit

@@ -20,11 +20,11 @@ var RawGo = &Analyzer{
 }
 
 func runRawGo(pass *Pass) error {
-	if strings.HasSuffix(pass.Pkg.Path(), "internal/parallel") {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, pkg := range pass.Pkgs {
+		if strings.HasSuffix(pkg.ImportPath, "internal/parallel") {
+			continue
+		}
+		pkg.Inspect(func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
 					"bare go statement outside internal/parallel; route fan-out through the shared pool, or add //pruner:allow rawgo — <reason> if this site must own its goroutine")

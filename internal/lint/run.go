@@ -1,22 +1,9 @@
 package lint
 
-// Run loads the packages matched by patterns, applies every analyzer,
-// filters //pruner:allow suppressions, and returns the surviving
-// diagnostics (including malformed and unused suppressions) in stable
-// order. An empty result means the tree honors the contract.
-func Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	all, err := RunAll(patterns, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	kept := all[:0:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
+import (
+	"fmt"
+	"sync"
+)
 
 // RunOptions carries the driver knobs that only some analyzers read:
 // the wireshape golden's path (for fixtures; "" resolves next to
@@ -26,20 +13,41 @@ type RunOptions struct {
 	WriteWire bool
 }
 
-// RunAll is Run without the suppression filter: waived diagnostics are
-// returned too, marked Suppressed with the directive's reason, so the
-// -json driver output can show CI and editors the complete picture.
-// Exit-code decisions should still key on the unsuppressed findings.
-func RunAll(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAllOpts(patterns, analyzers, RunOptions{})
-}
-
-// RunAllOpts is RunAll with explicit driver options.
-func RunAllOpts(patterns []string, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
+// Run loads the packages matched by patterns, applies every analyzer
+// and the //pruner:allow suppressions, and returns all diagnostics in
+// stable order: surviving findings, malformed and unused suppressions,
+// and — marked as such — waived findings and notices. The tree honors
+// the contract when none of them is Failing.
+func Run(patterns []string, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
 	pkgs, err := Load(patterns)
 	if err != nil {
 		return nil, err
 	}
+	return analyze(pkgs, analyzers, opts)
+}
+
+// analyze is Run after loading — the path the driver and the fixture
+// harness share.
+func analyze(pkgs []*LoadedPackage, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	var diags []Diagnostic
+	graph := sync.OnceValue(func() *CallGraph { return BuildCallGraph(pkgs) })
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer:   a,
+			Fset:       pkgs[0].Fset,
+			Pkgs:       pkgs,
+			RunOptions: opts,
+			graph:      graph,
+			report:     func(d Diagnostic) { diags = append(diags, d) },
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
+		}
+	}
+
 	// Directive names validate against the full suite plus whatever was
 	// passed in, not just the selected subset: running `-checks
 	// walltime` must not misreport a legitimate rawgo suppression as an
@@ -50,17 +58,9 @@ func RunAllOpts(patterns []string, analyzers []*Analyzer, opts RunOptions) ([]Di
 	for name, a := range selected {
 		known[name] = a
 	}
-	// Per-package analyzers and suppressions first; module analyzers see
-	// the whole package set at once, so their diagnostics — which may
-	// land in any file — join the pool before suppressions apply.
-	var diags, bad []Diagnostic
+	var bad []Diagnostic
 	var supps []*Suppression
 	for _, pkg := range pkgs {
-		d, err := runAnalyzers(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, d...)
 		s, b := CollectSuppressions(pkg.Fset, pkg.Files, known)
 		for _, sup := range s {
 			if selected[sup.Check] != nil {
@@ -69,11 +69,6 @@ func RunAllOpts(patterns []string, analyzers []*Analyzer, opts RunOptions) ([]Di
 		}
 		bad = append(bad, b...)
 	}
-	md, err := runModuleAnalyzers(pkgs, analyzers, opts)
-	if err != nil {
-		return nil, err
-	}
-	diags = append(diags, md...)
 
 	kept, suppressed, unused := ApplySuppressions(diags, supps)
 	all := append(kept, suppressed...)

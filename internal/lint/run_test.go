@@ -12,12 +12,14 @@ func TestRepoCleanUnderPrunerVet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shelling out to go list; skipped in -short")
 	}
-	diags, err := Run([]string{"pruner/..."}, All())
+	diags, err := Run([]string{"pruner/..."}, All(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
-		t.Errorf("%s", d)
+		if d.Failing() {
+			t.Errorf("%s", d)
+		}
 	}
 }
 
@@ -31,7 +33,7 @@ func TestRunSubsetKeepsOtherSuppressionsInert(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shelling out to go list; skipped in -short")
 	}
-	diags, err := Run([]string{"pruner/internal/tuner"}, []*Analyzer{WallTime, MapRange})
+	diags, err := Run([]string{"pruner/internal/tuner"}, []*Analyzer{WallTime, MapRange}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestLoadRealPackage(t *testing.T) {
 		t.Fatalf("package %s loaded without types or syntax", pkg.ImportPath)
 	}
 	// The pool package spawns goroutines by design and is exempt.
-	diags, err := runAnalyzers(pkg, []*Analyzer{RawGo})
+	diags, err := analyze(pkgs, []*Analyzer{RawGo}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,30 +11,18 @@ import (
 // naming an unknown check are malformed (and do NOT suppress); a
 // directive with no matching diagnostic must surface as unused.
 func TestSuppressions(t *testing.T) {
-	pkg := loadFixture(t, "fixture/suppress", "suppress")
-	diags, err := runAnalyzers(pkg, []*Analyzer{RawGo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 4 {
-		t.Fatalf("rawgo found %d raw diagnostics, want 4 (one per go statement): %v", len(diags), diags)
-	}
-
-	supps, bad := CollectSuppressions(pkg.Fset, pkg.Files, byName(All()))
-	if len(supps) != 3 {
-		t.Fatalf("parsed %d valid suppressions, want 3: %+v", len(supps), supps)
-	}
-	if len(bad) != 2 {
-		t.Fatalf("got %d malformed-directive diagnostics, want 2: %v", len(bad), bad)
-	}
-	wantBad := []string{"has no reason", "unknown check"}
-	for i, d := range bad {
-		if !strings.Contains(d.Message, wantBad[i]) {
-			t.Errorf("malformed directive %d: got %q, want mention of %q", i, d.Message, wantBad[i])
+	_, diags := fixtureDiags(t, RawGo, "fixture/suppress", "suppress", RunOptions{})
+	var kept, suppressed, directive []Diagnostic
+	for _, d := range diags {
+		switch {
+		case d.Analyzer == "suppress":
+			directive = append(directive, d)
+		case d.Suppressed:
+			suppressed = append(suppressed, d)
+		default:
+			kept = append(kept, d)
 		}
 	}
-
-	kept, suppressed, unused := ApplySuppressions(diags, supps)
 	// The two go statements under malformed directives survive: a broken
 	// allowlist entry must not silently suppress.
 	if len(kept) != 2 {
@@ -46,15 +34,20 @@ func TestSuppressions(t *testing.T) {
 		t.Fatalf("%d diagnostics marked suppressed, want 2: %v", len(suppressed), suppressed)
 	}
 	for _, d := range suppressed {
-		if !d.Suppressed || d.Reason == "" {
-			t.Errorf("suppressed diagnostic lacks mark or reason: %+v", d)
+		if d.Reason == "" || d.Failing() {
+			t.Errorf("suppressed diagnostic lacks a reason or still fails: %+v", d)
 		}
 	}
-	if len(unused) != 1 {
-		t.Fatalf("%d unused suppressions, want 1: %v", len(unused), unused)
+	// In file order: the unused directive, then the two malformed ones.
+	// All three fail the run.
+	wantDirective := []string{"unused //pruner:allow rawgo", "has no reason", "unknown check"}
+	if len(directive) != len(wantDirective) {
+		t.Fatalf("got %d directive diagnostics, want %d: %v", len(directive), len(wantDirective), directive)
 	}
-	if !strings.Contains(unused[0].Message, "unused //pruner:allow rawgo") {
-		t.Errorf("unused suppression message = %q", unused[0].Message)
+	for i, d := range directive {
+		if !strings.Contains(d.Message, wantDirective[i]) || !d.Failing() {
+			t.Errorf("directive diagnostic %d: got %q (failing=%v), want a failing mention of %q", i, d.Message, d.Failing(), wantDirective[i])
+		}
 	}
 }
 

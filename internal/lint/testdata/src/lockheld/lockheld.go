@@ -61,6 +61,40 @@ func (s *server) nested(cond bool, ch chan int) {
 	s.mu.Unlock()
 }
 
+// ... and through every branch of an else-if chain, not just the first
+// body and a final else block.
+func (s *server) elseIf(a, b bool, ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a {
+		s.calls++
+	} else if b {
+		ch <- 1 // want `channel operation while s.mu is held`
+	}
+}
+
+// Labeled statements and select clauses carry statement lists like any
+// other: a release inside the labeled loop is seen, and a clause body
+// runs under whatever its select ran under.
+func (s *server) labeled(ch chan int) {
+	s.mu.Lock()
+drain:
+	for {
+		s.mu.Unlock()
+		ch <- 1
+		break drain
+	}
+}
+
+func (s *server) selects(done chan int) {
+	s.mu.Lock()
+	select { // want `channel operation while s.mu is held`
+	case <-done: // want `channel operation while s.mu is held`
+		time.Sleep(time.Millisecond) // want `blocking call time.Sleep while s.mu is held`
+	}
+	s.mu.Unlock()
+}
+
 // A select with a default under the lock is a poll: legal.
 func (s *server) poll(ch chan int) {
 	s.mu.Lock()

@@ -99,6 +99,32 @@ func nestedAgain() {
 	gv.mu.Unlock()
 }
 
+type P struct{ mu sync.Mutex }
+type Q struct{ mu sync.Mutex }
+
+var pv P
+var qv Q
+
+// pq acquires Q.mu under P.mu only inside an else-if branch; qp inverts
+// the order. The walk must descend the chain to see the P -> Q edge.
+func pq(first, second bool) {
+	pv.mu.Lock()
+	defer pv.mu.Unlock()
+	if first {
+		return
+	} else if second {
+		qv.mu.Lock() // want `potential deadlock: lock-order cycle fixture/lockorder\.P\.mu -> fixture/lockorder\.Q\.mu -> fixture/lockorder\.P\.mu`
+		qv.mu.Unlock()
+	}
+}
+
+func qp() {
+	qv.mu.Lock()
+	pv.mu.Lock()
+	pv.mu.Unlock()
+	qv.mu.Unlock()
+}
+
 // localOnly locks a local mutex: no stable identity, skipped.
 func localOnly() {
 	var mu sync.Mutex

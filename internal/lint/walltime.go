@@ -2,8 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
-	"strings"
+	"path"
 )
 
 // WallTime forbids reading the wall clock in the deterministic layers.
@@ -31,37 +30,31 @@ var deterministicPkgs = map[string]bool{
 	"obs": true,
 }
 
-// wallClockFuncs are the time functions that read or wait on the real
-// clock.
+// wallClockFuncs are the time functions that touch the real clock —
+// the one table walltime and clocktaint both read. True marks the ones
+// that return a reading (clocktaint's taint sources); the rest only
+// wait on the clock.
 var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
+	"Now": true, "Since": true, "Until": true,
+	"Sleep": false, "After": false, "AfterFunc": false, "Tick": false,
+	"NewTimer": false, "NewTicker": false,
 }
 
 func runWallTime(pass *Pass) error {
-	path := pass.Pkg.Path()
-	if !deterministicPkgs[path[strings.LastIndex(path, "/")+1:]] {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, pkg := range pass.Pkgs {
+		if !deterministicPkgs[path.Base(pkg.ImportPath)] {
+			continue
+		}
+		pkg.Inspect(func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-			if !ok || pkgName.Imported().Path() != "time" {
-				return true
-			}
-			if wallClockFuncs[sel.Sel.Name] {
+			from, name, _ := pkgSelector(pkg.Info, sel)
+			if _, clock := wallClockFuncs[name]; clock && from == "time" {
 				pass.Reportf(sel.Pos(),
 					"time.%s reads the wall clock inside deterministic package %q; use the session's simulated clock, or move timing to server/measure/cmd",
-					sel.Sel.Name, pass.Pkg.Name())
+					name, pkg.Types.Name())
 			}
 			return true
 		})

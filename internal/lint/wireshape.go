@@ -31,9 +31,9 @@ import (
 )
 
 var WireShape = &Analyzer{
-	Name:      "wireshape",
-	Doc:       "the schema of every type reaching a json/gob encoder must match the checked-in wire.lock",
-	RunModule: runWireShape,
+	Name: "wireshape",
+	Doc:  "the schema of every type reaching a json/gob encoder must match the checked-in wire.lock",
+	Run:  runWireShape,
 }
 
 // wireEncoders maps encoder entry points to the encoding they speak and
@@ -59,7 +59,7 @@ type liveWire struct {
 	fieldPos map[string]map[string]token.Position
 }
 
-func runWireShape(pass *ModulePass) error {
+func runWireShape(pass *Pass) error {
 	live := extractWireSchema(pass)
 
 	lockPath := pass.WireLock
@@ -118,8 +118,8 @@ func defaultWireLockPath() (string, error) {
 
 // extractWireSchema runs root discovery and transitive expansion over
 // the loaded module.
-func extractWireSchema(pass *ModulePass) *liveWire {
-	g := pass.Graph
+func extractWireSchema(pass *Pass) *liveWire {
+	g := pass.Graph()
 	byPath := map[string]*LoadedPackage{}
 	for _, p := range pass.Pkgs {
 		byPath[p.ImportPath] = p
@@ -128,23 +128,11 @@ func extractWireSchema(pass *ModulePass) *liveWire {
 	// Conduit summaries: parameter i of f is a wire conduit when a value
 	// passed there may reach an encoder argument, directly or through
 	// further conduits.
-	flows := computeParamFlows(g, nil, func(ft *funcTaint, n *FuncNode, pf paramFlow) bool {
+	flows := computeParamFlows(g, nil, func(ft *funcTaint) bool {
 		hit := false
-		ft.forEachCall(func(call *ast.CallExpr, calleeID string) {
-			if hit {
-				return
-			}
-			if spec, ok := wireEncoders[calleeID]; ok {
-				if spec.arg < len(call.Args) && ft.exprTainted(call.Args[spec.arg]) {
-					hit = true
-					return
-				}
-			}
-			for i, arg := range call.Args {
-				if pf.flows(calleeID, i) && ft.exprTainted(arg) {
-					hit = true
-					return
-				}
+		ft.node.forEachCall(func(call *ast.CallExpr, calleeID string) {
+			if spec, ok := wireEncoders[calleeID]; ok && spec.arg < len(call.Args) && ft.exprTainted(call.Args[spec.arg]) {
+				hit = true
 			}
 		})
 		return hit
@@ -238,8 +226,7 @@ func extractWireSchema(pass *ModulePass) *liveWire {
 
 	for _, id := range g.sortedNodeIDs() {
 		n := g.Nodes[id]
-		ft := &funcTaint{node: n, info: n.Pkg.Info, tainted: map[types.Object]bool{}}
-		ft.forEachCall(func(call *ast.CallExpr, calleeID string) {
+		n.forEachCall(func(call *ast.CallExpr, calleeID string) {
 			if spec, ok := wireEncoders[calleeID]; ok && spec.arg < len(call.Args) {
 				collectExpr(n, call.Args[spec.arg], spec.enc)
 			}
@@ -248,7 +235,7 @@ func extractWireSchema(pass *ModulePass) *liveWire {
 					// The conduit's own encoder calls determine the
 					// encoding; json is the module's conduit reality and
 					// the conservative default for view helpers.
-					collectExpr(n, arg, conduitEncoding(g, calleeID, i))
+					collectExpr(n, arg, conduitEncoding(g, calleeID))
 				}
 			}
 		})
@@ -302,14 +289,13 @@ func extractWireSchema(pass *ModulePass) *liveWire {
 // conduitEncoding picks the encoding a conduit parameter ultimately
 // reaches by inspecting the conduit body's own encoder calls; json when
 // ambiguous or laundered through further conduits.
-func conduitEncoding(g *CallGraph, calleeID string, arg int) string {
+func conduitEncoding(g *CallGraph, calleeID string) string {
 	n := g.Nodes[calleeID]
 	if n == nil {
 		return "json"
 	}
 	enc := ""
-	ft := &funcTaint{node: n, info: n.Pkg.Info, tainted: map[types.Object]bool{}}
-	ft.forEachCall(func(call *ast.CallExpr, id string) {
+	n.forEachCall(func(call *ast.CallExpr, id string) {
 		if spec, ok := wireEncoders[id]; ok {
 			if enc == "" {
 				enc = spec.enc

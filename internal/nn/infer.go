@@ -30,20 +30,6 @@ import (
 	"math"
 )
 
-// RowsView returns a zero-copy view of rows [lo, hi) of x, sharing its
-// backing array. It is an inference-path helper: x must not carry
-// gradients (a view cannot propagate them), so it panics on a
-// gradient-carrying tensor.
-func RowsView(x *Tensor, lo, hi int) *Tensor {
-	if x.requiresGrad {
-		panic("nn: RowsView of a gradient-carrying tensor")
-	}
-	if lo < 0 || hi > x.R || lo >= hi {
-		panic(fmt.Sprintf("nn: RowsView [%d,%d) of %d rows", lo, hi, x.R))
-	}
-	return &Tensor{R: hi - lo, C: x.C, Data: x.Data[lo*x.C : hi*x.C]}
-}
-
 // matmulFusedIn is the GEMM kernel: out = x @ w (+ bias) (then ReLU),
 // with the output and the nonzero-column index drawn from s when non-nil.
 // It keeps MatMul's outer-product loop order but blocks the contraction

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,6 +36,20 @@ func randConst(rng *rand.Rand, r, c int) *Tensor {
 	return x
 }
 
+// rowsView returns a zero-copy view of rows [lo, hi) of x, sharing its
+// backing array: the per-segment reference the segment kernels are
+// checked against. x must not carry gradients (a view cannot propagate
+// them), so it panics on a gradient-carrying tensor.
+func rowsView(x *Tensor, lo, hi int) *Tensor {
+	if x.requiresGrad {
+		panic("nn: rowsView of a gradient-carrying tensor")
+	}
+	if lo < 0 || hi > x.R || lo >= hi {
+		panic(fmt.Sprintf("nn: rowsView [%d,%d) of %d rows", lo, hi, x.R))
+	}
+	return &Tensor{R: hi - lo, C: x.C, Data: x.Data[lo*x.C : hi*x.C]}
+}
+
 func TestSegmentSumRowsMatchesPerSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	lens := []int{3, 1, 5, 2}
@@ -42,7 +57,7 @@ func TestSegmentSumRowsMatchesPerSegment(t *testing.T) {
 	got := SegmentSumRows(x, lens)
 	row := 0
 	for s, n := range lens {
-		seg := RowsView(x, row, row+n)
+		seg := rowsView(x, row, row+n)
 		want := SumRows(seg)
 		for j := 0; j < x.C; j++ {
 			if math.Float64bits(got.At(s, j)) != math.Float64bits(want.At(0, j)) {
@@ -60,7 +75,7 @@ func TestSegmentMeanRowsMatchesPerSegment(t *testing.T) {
 	got := SegmentMeanRows(x, lens)
 	row := 0
 	for s, n := range lens {
-		want := MeanRows(RowsView(x, row, row+n))
+		want := MeanRows(rowsView(x, row, row+n))
 		for j := 0; j < x.C; j++ {
 			if math.Float64bits(got.At(s, j)) != math.Float64bits(want.At(0, j)) {
 				t.Fatalf("segment %d col %d: %v want %v", s, j, got.At(s, j), want.At(0, j))
@@ -144,7 +159,7 @@ func TestMatMulFusedAllZeroRow(t *testing.T) {
 
 func TestRowsViewSharesData(t *testing.T) {
 	x := randConst(rand.New(rand.NewSource(26)), 6, 4)
-	v := RowsView(x, 2, 5)
+	v := rowsView(x, 2, 5)
 	if v.R != 3 || v.C != 4 {
 		t.Fatalf("view shape %dx%d", v.R, v.C)
 	}
@@ -156,10 +171,10 @@ func TestRowsViewSharesData(t *testing.T) {
 	p := Param(rng, 2, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RowsView of a parameter should panic")
+			t.Fatal("rowsView of a parameter should panic")
 		}
 	}()
-	RowsView(p, 0, 1)
+	rowsView(p, 0, 1)
 }
 
 // bothScratches runs check twice: with a nil Scratch (every output on the
@@ -192,7 +207,7 @@ func perSegment(attn *SelfAttention, x *Tensor, lens []int) *Tensor {
 	parts := make([]*Tensor, len(lens))
 	row := 0
 	for sg, n := range lens {
-		parts[sg] = attn.Forward(RowsView(x, row, row+n))
+		parts[sg] = attn.Forward(rowsView(x, row, row+n))
 		row += n
 	}
 	return ConcatRows(parts...)

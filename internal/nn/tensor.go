@@ -557,10 +557,9 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 }
 
 // SliceRows returns rows [lo, hi) of x as a fresh tensor, with gradients
-// scattered back to the sliced rows. It is the training-path counterpart
-// of the inference-only RowsView (which cannot propagate gradients): the
-// batched training forwards project a whole group in one GEMM and slice
-// per-segment views out for the row-mixing attention core.
+// scattered back to the sliced rows: the batched training forwards
+// project a whole group in one GEMM and slice per-segment copies out for
+// the row-mixing attention core.
 func SliceRows(x *Tensor, lo, hi int) *Tensor {
 	if lo < 0 || hi > x.R || lo >= hi {
 		panic(fmt.Sprintf("nn: SliceRows [%d,%d) of %d rows", lo, hi, x.R))

@@ -19,9 +19,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
 
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 
