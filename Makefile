@@ -94,16 +94,18 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=120m .
 
 # CI's benchmark smoke: every internal benchmark once (incl. the
-# verify-stage BenchmarkPredictBatched, the training-engine BenchmarkFit,
-# the BenchmarkTunePipeline depth sweep and the fixed-vs-adaptive
-# BenchmarkTuneAdaptive measured-candidate comparison) plus a bounded
-# root subset.
-# The first line is the zero-allocation gate (DESIGN.md §7): the
-# TestAlloc* tests pin the warmed *In inference kernels to 0 heap
-# allocations per run via testing.AllocsPerRun — the dynamic cross-check
-# of the static hotalloc analyzer.
+# draft-stage BenchmarkRunLSE, the verify-stage BenchmarkPredictBatched,
+# the training-engine BenchmarkFit, the BenchmarkTunePipeline depth sweep
+# and the fixed-vs-adaptive BenchmarkTuneAdaptive measured-candidate
+# comparison) plus a bounded root subset.
+# The first line is the allocation gate (DESIGN.md §7): the TestAlloc*
+# tests pin, via testing.AllocsPerRun, the warmed *In inference kernels
+# (internal/nn), the sampler's budget check Generator.Fits and the draft
+# model Analyzer.Score to 0 heap allocations per run, and schedule.Lower
+# to 1 — the dynamic cross-check of the static hotalloc analyzer over the
+# same //pruner:hotpath roots.
 bench-smoke:
-	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn
+	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/schedule ./internal/analyzer
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...
 	$(GO) test -run='^$$' -bench='BenchmarkTuneParallel|BenchmarkAblation_SAvsOracle' -benchtime=1x -timeout=20m .
 

@@ -217,7 +217,11 @@ func (a *Analyzer) overflowFactor(lw *schedule.Lowered) float64 {
 	return f
 }
 
-// Score is the hardware-fitness objective the LSE maximises.
+// Score is the hardware-fitness objective the LSE maximises. It runs once
+// per drafted candidate — thousands of times a round — and is pure
+// arithmetic over the lowered program.
+//
+//pruner:hotpath
 func (a *Analyzer) Score(lw *schedule.Lowered) float64 {
 	return -a.EstimateLatency(lw)
 }

@@ -182,3 +182,14 @@ func TestScoreOrdersWithLatency(t *testing.T) {
 		t.Fatal("Score must be the negated latency estimate")
 	}
 }
+
+// TestAllocAnalyzerScore pins the draft model itself to zero heap
+// allocations per candidate — the measured twin of the //pruner:hotpath
+// root on Score (`make bench-smoke` runs every TestAlloc*).
+func TestAllocAnalyzerScore(t *testing.T) {
+	a := New(device.A100)
+	lw := fig3Lowered()
+	if avg := testing.AllocsPerRun(100, func() { a.Score(lw) }); avg != 0 {
+		t.Errorf("Analyzer.Score: %v allocs per run, want 0", avg)
+	}
+}

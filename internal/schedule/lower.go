@@ -66,10 +66,12 @@ func (k StmtKind) String() string {
 // Statement is one data-movement block of the lowered program. Quantities
 // are totals across the whole kernel execution unless suffixed PerUnit.
 type Statement struct {
-	Kind   StmtKind
-	Buffer string
-	From   MemLevel
-	To     MemLevel
+	Kind StmtKind
+	// Operand is the buffer the statement moves or allocates: an index into
+	// Task.Inputs, or OutputOperand. BufferName renders it for display.
+	Operand int
+	From    MemLevel
+	To      MemLevel
 
 	// Flops attributed to this statement (compute/epilogue only).
 	Flops float64
@@ -92,6 +94,14 @@ type Statement struct {
 	TensorCore bool
 }
 
+// OutputOperand is Statement.Operand for the task's output buffer.
+const OutputOperand = -1
+
+// inlineStmts is the statement count of the multi-tiling pattern for the
+// two-input operators every workload is built from: init, one shared load
+// per input, compute, epilogue, store.
+const inlineStmts = 2 + 4
+
 // Lowered is the analyzable form of (task, schedule): the statement list
 // plus the schedule-level scalars the hardware-aware symbols are built
 // from.
@@ -109,6 +119,9 @@ type Lowered struct {
 	TotalFlops      float64 // S8 (L2CompCount)
 
 	Stmts []Statement
+	// inline is where Stmts lives, so a lowering is one allocation (stmtBuf
+	// falls back to the heap for operators with more inputs).
+	inline [inlineStmts]Statement
 
 	// featOnce / feat cache derived per-program feature matrices (one slot
 	// per family, indexed by the features package), so a memoized program
@@ -132,10 +145,48 @@ func (lw *Lowered) FeatureRows(slot int, compute func(*Lowered) [][]float64) [][
 	return lw.feat[slot]
 }
 
+// stmtBuf returns storage for n statements: the inline array when they
+// fit, one exact allocation otherwise.
+func (lw *Lowered) stmtBuf(n int) []Statement {
+	if n <= len(lw.inline) {
+		return lw.inline[:n]
+	}
+	return make([]Statement, n)
+}
+
+// BufferName is the statement's buffer as Figure 4 writes it: the operand
+// name scoped by where the statement puts it ("A.shared", "C.local", "C").
+// Nothing on the tuning path needs it; it is built on demand for display.
+func (lw *Lowered) BufferName(st *Statement) string {
+	name := lw.Task.Output.Name
+	if st.Operand != OutputOperand {
+		name = lw.Task.Inputs[st.Operand].Name
+	}
+	switch st.Kind {
+	case StmtLoadShared:
+		return name + scopeShared
+	case StmtInit, StmtEpilogue:
+		return name + scopeLocal
+	case StmtCompute:
+		if st.From == L1 { // the tiled sketch accumulates in registers
+			return name + scopeLocal
+		}
+	case StmtLoadGlobal, StmtStore: // global buffers go by the bare name
+	}
+	return name
+}
+
+const (
+	scopeShared = ".shared"
+	scopeLocal  = ".local"
+)
+
 // Lower materialises the statements of (task, schedule). It never fails:
 // resource overflows are left for the analyzer's penalties and the
 // simulator's launch check to punish, mirroring how Ansor lets the
 // hardware reject invalid programs.
+//
+//pruner:hotpath
 func Lower(t *ir.Task, s *Schedule) *Lowered {
 	lw := &Lowered{
 		Task:            t,
@@ -179,8 +230,7 @@ func (lw *Lowered) reduceOuterTrips() float64 {
 
 // operandSharedTile is the shared-memory tile (words) one block stages for
 // the operand during one reduction-outer trip.
-func (lw *Lowered) operandSharedTile(o *ir.Operand) float64 {
-	s := lw.Sched
+func operandSharedTile(s *Schedule, o *ir.Operand) float64 {
 	tile := 1.0
 	for _, d := range o.SpatialIdx {
 		sp := s.SpatialTiles[d]
@@ -191,6 +241,23 @@ func (lw *Lowered) operandSharedTile(o *ir.Operand) float64 {
 		tile *= float64(rt[RLvlMid] * rt[RLvlInner])
 	}
 	return tile * o.FootprintScale
+}
+
+// sharedPerBlock is S3 (L1MemAlloc) of a tiled schedule: the words of
+// shared memory one block stages, summed over the input operands in
+// declaration order. It is the one definition of that sum — lowerTiled
+// records it as Lowered.SharedPerBlock and the generator's budget check
+// reads it without lowering — because the two must agree to the bit: an
+// ulp of difference would flip Fits verdicts and with them every RNG
+// stream downstream.
+//
+//pruner:hotpath
+func sharedPerBlock(t *ir.Task, s *Schedule) float64 {
+	var shared float64
+	for i := range t.Inputs {
+		shared += operandSharedTile(s, &t.Inputs[i])
+	}
+	return shared
 }
 
 // operandRegTile is the per-thread register fragment of an input operand:
@@ -235,6 +302,7 @@ func (lw *Lowered) operandStride(t *ir.Task, o *ir.Operand) float64 {
 
 func (lw *Lowered) lowerTiled() {
 	t, s := lw.Task, lw.Sched
+	stmts := lw.stmtBuf(len(t.Inputs) + 4)[:0]
 	blocks := float64(lw.Blocks)
 	threads := lw.ThreadsPerBlock
 	trips := lw.reduceOuterTrips()
@@ -245,8 +313,8 @@ func (lw *Lowered) lowerTiled() {
 	}
 
 	// Accumulator init.
-	lw.Stmts = append(lw.Stmts, Statement{
-		Kind: StmtInit, Buffer: t.Output.Name + ".local",
+	stmts = append(stmts, Statement{
+		Kind: StmtInit, Operand: OutputOperand,
 		From: L0, To: L0,
 		AllocWords: outRegTile,
 		Threads:    threads, Trips: 1,
@@ -254,17 +322,16 @@ func (lw *Lowered) lowerTiled() {
 	regs := outRegTile
 
 	// Shared loads, one per input operand, in declaration order.
-	var shared float64
+	shared := sharedPerBlock(t, s)
 	var global float64
 	for i := range t.Inputs {
 		o := &t.Inputs[i]
-		tile := lw.operandSharedTile(o)
-		shared += tile
+		tile := operandSharedTile(s, o)
 		move := blocks * tile * trips
 		global += move
 		reuse := macsPerTrip / maxF(tile, 1)
-		lw.Stmts = append(lw.Stmts, Statement{
-			Kind: StmtLoadShared, Buffer: o.Name + ".shared",
+		stmts = append(stmts, Statement{
+			Kind: StmtLoadShared, Operand: i,
 			From: L2, To: L1,
 			MoveWords:   move,
 			AllocWords:  tile,
@@ -280,8 +347,8 @@ func (lw *Lowered) lowerTiled() {
 	// Compute block.
 	threadMacs := outRegTile * float64(t.ReducePoints())
 	computeFlops := float64(t.OutputPoints()) * float64(t.ReducePoints()) * t.FlopsPerPoint
-	lw.Stmts = append(lw.Stmts, Statement{
-		Kind: StmtCompute, Buffer: t.Output.Name + ".local",
+	stmts = append(stmts, Statement{
+		Kind: StmtCompute, Operand: OutputOperand,
 		From: L1, To: L0,
 		Flops:      computeFlops,
 		MoveWords:  computeFlops / maxF(t.FlopsPerPoint, 1), // shared reads
@@ -295,8 +362,8 @@ func (lw *Lowered) lowerTiled() {
 
 	// Fused epilogue.
 	if t.FusedElemwise > 0 {
-		lw.Stmts = append(lw.Stmts, Statement{
-			Kind: StmtEpilogue, Buffer: t.Output.Name + ".local",
+		stmts = append(stmts, Statement{
+			Kind: StmtEpilogue, Operand: OutputOperand,
 			From: L0, To: L0,
 			Flops:      float64(t.OutputPoints()) * float64(t.FusedElemwise),
 			AllocWords: outRegTile,
@@ -308,8 +375,8 @@ func (lw *Lowered) lowerTiled() {
 	// Write-back.
 	outWords := float64(t.OutputPoints())
 	global += outWords
-	lw.Stmts = append(lw.Stmts, Statement{
-		Kind: StmtStore, Buffer: t.Output.Name,
+	stmts = append(stmts, Statement{
+		Kind: StmtStore, Operand: OutputOperand,
 		From: L0, To: L2,
 		MoveWords:   outWords,
 		ContigRun:   lw.operandContigRun(&t.Output),
@@ -318,6 +385,7 @@ func (lw *Lowered) lowerTiled() {
 		Trips:       1,
 	})
 
+	lw.Stmts = stmts
 	lw.RegsPerThread = regs
 	lw.ThreadCompute = threadMacs
 	lw.SharedPerBlock = shared
@@ -329,6 +397,7 @@ func (lw *Lowered) lowerTiled() {
 // shared stage disabled): operands stream straight from global memory.
 func (lw *Lowered) lowerFlat() {
 	t := lw.Task
+	stmts := lw.stmtBuf(len(t.Inputs) + 2)[:0]
 	threads := lw.ThreadsPerBlock
 	serial := 1.0
 	for d := range lw.Sched.SpatialTiles {
@@ -347,8 +416,8 @@ func (lw *Lowered) lowerFlat() {
 			elems *= float64(t.Reduce[r])
 		}
 		global += elems
-		lw.Stmts = append(lw.Stmts, Statement{
-			Kind: StmtLoadGlobal, Buffer: o.Name,
+		stmts = append(stmts, Statement{
+			Kind: StmtLoadGlobal, Operand: i,
 			From: L2, To: L0,
 			MoveWords:   elems,
 			AllocWords:  serial,
@@ -362,8 +431,8 @@ func (lw *Lowered) lowerFlat() {
 
 	flops := t.FLOPs()
 	if flops > 0 {
-		lw.Stmts = append(lw.Stmts, Statement{
-			Kind: StmtCompute, Buffer: t.Output.Name,
+		stmts = append(stmts, Statement{
+			Kind: StmtCompute, Operand: OutputOperand,
 			From: L0, To: L0,
 			Flops:      flops,
 			AllocWords: serial,
@@ -374,8 +443,8 @@ func (lw *Lowered) lowerFlat() {
 
 	outWords := float64(t.OutputPoints())
 	global += outWords
-	lw.Stmts = append(lw.Stmts, Statement{
-		Kind: StmtStore, Buffer: t.Output.Name,
+	stmts = append(stmts, Statement{
+		Kind: StmtStore, Operand: OutputOperand,
 		From: L0, To: L2,
 		MoveWords:   outWords,
 		ContigRun:   lw.operandContigRun(&t.Output),
@@ -384,6 +453,7 @@ func (lw *Lowered) lowerFlat() {
 		Trips:       1,
 	})
 
+	lw.Stmts = stmts
 	lw.RegsPerThread = serial + 2
 	lw.ThreadCompute = serial * reducePts
 	lw.SharedPerBlock = 0

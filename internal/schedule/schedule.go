@@ -213,40 +213,51 @@ func (s *Schedule) ReduceInner(d int) int {
 // ---------------------------------------------------------------------------
 // Factorisation utilities.
 
-// primeFactors returns the prime factorisation of n as an ascending slice
-// with multiplicity.
-func primeFactors(n int) []int {
-	var fs []int
+// maxPrimeFactors bounds the prime factors (with multiplicity) of any int:
+// 2^63 overflows, so there are at most 62. Callers on the generation path
+// factor into a stack buffer of this size and never touch the heap.
+const maxPrimeFactors = 64
+
+// appendPrimeFactors appends the prime factorisation of n to dst,
+// ascending and with multiplicity.
+func appendPrimeFactors(dst []int, n int) []int {
 	for p := 2; p*p <= n; p++ {
 		for n%p == 0 {
-			fs = append(fs, p)
+			dst = append(dst, p)
 			n /= p
 		}
 	}
 	if n > 1 {
-		fs = append(fs, n)
+		dst = append(dst, n)
 	}
-	return fs
+	return dst
 }
 
-// randomFactorization splits extent into parts factors whose product is
-// extent, distributing prime factors uniformly at random.
-func randomFactorization(rng *rand.Rand, extent, parts int) []int {
-	out := make([]int, parts)
-	for i := range out {
-		out[i] = 1
+// largestPrimeFactor is the last entry of n's factorisation (n > 1).
+func largestPrimeFactor(n int) int {
+	var buf [maxPrimeFactors]int
+	fs := appendPrimeFactors(buf[:0], n)
+	return fs[len(fs)-1]
+}
+
+// randomFactorization fills tile with factors whose product is extent,
+// distributing the prime factors uniformly at random (one draw per
+// factor, in ascending order).
+func randomFactorization(rng *rand.Rand, extent int, tile []int) {
+	for i := range tile {
+		tile[i] = 1
 	}
-	for _, p := range primeFactors(extent) {
-		out[rng.Intn(parts)] *= p
+	var buf [maxPrimeFactors]int
+	for _, p := range appendPrimeFactors(buf[:0], extent) {
+		tile[rng.Intn(len(tile))] *= p
 	}
-	return out
 }
 
 // FactorizationCount returns the number of distinct ordered factorisations
 // of extent into parts factors — the per-axis schedule space size.
 func FactorizationCount(extent, parts int) int64 {
 	counts := map[int]int{}
-	for _, p := range primeFactors(extent) {
+	for _, p := range appendPrimeFactors(nil, extent) {
 		counts[p]++
 	}
 	total := int64(1)
@@ -312,23 +323,31 @@ func NewGenerator(t *ir.Task) *Generator {
 }
 
 // Fits reports whether a schedule satisfies the generator's resource
-// constraints (the sampler-side validity pre-filter).
+// constraints (the sampler-side validity pre-filter). The sampler calls it
+// on every draw, mutation and crossover, so it reads the shared footprint
+// straight off the tiles instead of lowering the candidate.
+//
+//pruner:hotpath
 func (g *Generator) Fits(s *Schedule) bool {
 	tp := s.ThreadsPerBlock()
 	if tp < 1 || tp > g.MaxThreads {
 		return false
 	}
-	if g.MaxSharedWords > 0 && g.Task.Tiled() && s.UseShared {
-		lw := Lower(g.Task, s)
-		words4 := lw.SharedPerBlock * float64(g.Task.Precision.Bytes()) / 4
-		// Ceil, not truncate: a fractional word still allocates a whole one,
-		// so truncation admitted schedules just past the budget (the same
-		// bug the search-side buildable filter had).
-		if int(math.Ceil(words4)) > g.MaxSharedWords {
-			return false
-		}
+	return g.sharedFits(s)
+}
+
+// sharedFits reports whether the schedule's shared-memory allocation is
+// within MaxSharedWords (always, when the budget is off or nothing is
+// staged).
+func (g *Generator) sharedFits(s *Schedule) bool {
+	if g.MaxSharedWords <= 0 || !g.Task.Tiled() || !s.UseShared {
+		return true
 	}
-	return true
+	words4 := sharedPerBlock(g.Task, s) * float64(g.Task.Precision.Bytes()) / 4
+	// Ceil, not truncate: a fractional word still allocates a whole one,
+	// so truncation admitted schedules just past the budget (the same
+	// bug the search-side buildable filter had).
+	return int(math.Ceil(words4)) <= g.MaxSharedWords
 }
 
 // Random samples one valid schedule.
@@ -338,19 +357,24 @@ func (g *Generator) Random(rng *rand.Rand) *Schedule {
 	for i := 0; i < attempts; i++ {
 		s := g.randomOnce(rng)
 		if g.Fits(s) {
-			if g.TensorCore && !g.tcAligned(s) {
+			if s.TensorCore && !g.tcAligned(s) {
 				continue
 			}
 			return s
 		}
 		best = s
 	}
-	// Fall back to clamping: force thread and shared-memory budgets.
+	// Fall back to clamping: force thread and shared-memory budgets. The
+	// clamps move factors without regard to the wmma fragment, so a
+	// schedule they leave misaligned runs on the CUDA cores instead.
 	if best == nil {
 		best = g.randomOnce(rng)
 	}
 	g.clampThreads(best)
 	g.clampShared(best)
+	if best.TensorCore && !g.tcAligned(best) {
+		best.TensorCore = false
+	}
 	return best
 }
 
@@ -358,15 +382,7 @@ func (g *Generator) Random(rng *rand.Rand) *Schedule {
 // the outer (refill) level, and spatial inner factors to the grid level,
 // until the shared allocation fits the budget.
 func (g *Generator) clampShared(s *Schedule) {
-	if g.MaxSharedWords <= 0 || !g.Task.Tiled() || !s.UseShared {
-		return
-	}
-	for iter := 0; iter < 64; iter++ {
-		lw := Lower(g.Task, s)
-		words4 := lw.SharedPerBlock * float64(g.Task.Precision.Bytes()) / 4
-		if int(math.Ceil(words4)) <= g.MaxSharedWords {
-			return
-		}
+	for iter := 0; iter < 64 && !g.sharedFits(s); iter++ {
 		// Prefer shrinking the shared-resident reduction extent.
 		bestD, bestV := -1, 1
 		for d := range s.ReduceTiles {
@@ -380,8 +396,7 @@ func (g *Generator) clampShared(s *Schedule) {
 			if tile[RLvlInner] > tile[RLvlMid] {
 				lvl = RLvlInner
 			}
-			fs := primeFactors(tile[lvl])
-			p := fs[len(fs)-1]
+			p := largestPrimeFactor(tile[lvl])
 			tile[lvl] /= p
 			tile[RLvlOuter] *= p
 			continue
@@ -407,8 +422,7 @@ func (g *Generator) clampShared(s *Schedule) {
 		if tile[lvl] == 1 {
 			return
 		}
-		fs := primeFactors(tile[lvl])
-		p := fs[len(fs)-1]
+		p := largestPrimeFactor(tile[lvl])
 		tile[lvl] /= p
 		tile[LvlGrid] *= p
 	}
@@ -422,15 +436,13 @@ func (g *Generator) randomOnce(rng *rand.Rand) *Schedule {
 		UnrollStep:   UnrollSteps[rng.Intn(len(UnrollSteps))],
 		VectorLen:    VectorLens[rng.Intn(len(VectorLens))],
 		UseShared:    t.Tiled(),
-		TensorCore:   g.TensorCore && t.TensorCoreEligible(),
+		TensorCore:   g.TensorCore && t.TensorCoreEligible() && g.tcAlignable(),
 	}
 	for d, e := range t.Spatial {
-		f := randomFactorization(rng, e, NumSpatialLevels)
-		copy(s.SpatialTiles[d][:], f)
+		randomFactorization(rng, e, s.SpatialTiles[d][:])
 	}
 	for d, e := range t.Reduce {
-		f := randomFactorization(rng, e, NumReduceLevels)
-		copy(s.ReduceTiles[d][:], f)
+		randomFactorization(rng, e, s.ReduceTiles[d][:])
 	}
 	if !t.Tiled() {
 		// Flat sketch: no vthread, no shared stage; fold everything beyond
@@ -442,6 +454,21 @@ func (g *Generator) randomOnce(rng *rand.Rand) *Schedule {
 		}
 	}
 	return s
+}
+
+// tcAlignable reports whether any schedule of the task can satisfy
+// tcAligned. The block tiles tcAligned tests divide the M, N and K
+// extents, so a task with an extent that is no multiple of the fragment
+// has no aligned schedule at all: the generator samples it for the CUDA
+// cores rather than rejecting 64 draws each time to learn the same thing.
+func (g *Generator) tcAlignable() bool {
+	t := g.Task
+	n := len(t.Spatial)
+	if n < 2 || len(t.Reduce) == 0 {
+		return false
+	}
+	w := g.WMMA
+	return t.Spatial[n-2]%w == 0 && t.Spatial[n-1]%w == 0 && t.ReducePoints()%int64(w) == 0
 }
 
 // tcAligned reports whether the two innermost spatial axes' thread-local
@@ -476,8 +503,7 @@ func (g *Generator) clampThreads(s *Schedule) {
 		if bestD < 0 {
 			return
 		}
-		fs := primeFactors(bestV)
-		p := fs[len(fs)-1]
+		p := largestPrimeFactor(bestV)
 		s.SpatialTiles[bestD][LvlThread] /= p
 		s.SpatialTiles[bestD][LvlGrid] *= p
 	}
@@ -522,7 +548,7 @@ func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
 				if g.Fits(c) && (!c.TensorCore || g.tcAligned(c)) {
 					return c
 				}
-				c = s.Clone()
+				c.SpatialTiles[d] = s.SpatialTiles[d] // undo: the only tile touched
 			}
 		case choice < 8 && nReduce > 0: // reduction tile move
 			d := rng.Intn(nReduce)
@@ -530,7 +556,7 @@ func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
 				if g.Fits(c) && (!c.TensorCore || g.tcAligned(c)) {
 					return c
 				}
-				c = s.Clone()
+				c.ReduceTiles[d] = s.ReduceTiles[d]
 			}
 		case choice == 8:
 			c.UnrollStep = UnrollSteps[rng.Intn(len(UnrollSteps))]
@@ -546,21 +572,24 @@ func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
 // moveFactor transfers one prime factor between two random levels of a
 // tile; returns false if the tile is all ones.
 func (g *Generator) moveFactor(rng *rand.Rand, tile []int) bool {
-	var srcLevels []int
+	var srcLevels [NumSpatialLevels]int
+	n := 0
 	for l, f := range tile {
 		if f > 1 {
-			srcLevels = append(srcLevels, l)
+			srcLevels[n] = l
+			n++
 		}
 	}
-	if len(srcLevels) == 0 {
+	if n == 0 {
 		return false
 	}
-	src := srcLevels[rng.Intn(len(srcLevels))]
+	src := srcLevels[rng.Intn(n)]
 	dst := rng.Intn(len(tile) - 1)
 	if dst >= src {
 		dst++
 	}
-	fs := primeFactors(tile[src])
+	var buf [maxPrimeFactors]int
+	fs := appendPrimeFactors(buf[:0], tile[src])
 	p := fs[rng.Intn(len(fs))]
 	tile[src] /= p
 	tile[dst] *= p

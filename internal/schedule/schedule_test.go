@@ -57,10 +57,8 @@ func TestFactorizationProperty(t *testing.T) {
 	f := func(extent16 uint16, parts8 uint8) bool {
 		extent := int(extent16%4096) + 1
 		parts := int(parts8%5) + 1
-		fs := randomFactorization(rng, extent, parts)
-		if len(fs) != parts {
-			return false
-		}
+		fs := make([]int, parts)
+		randomFactorization(rng, extent, fs)
 		p := 1
 		for _, v := range fs {
 			if v <= 0 {
@@ -155,7 +153,7 @@ func TestTensorCoreAlignment(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		s := g.Random(rng)
 		if !s.TensorCore {
-			continue // clamp fallback path may drop alignment
+			continue // the clamp fallback hands a misaligned schedule to the CUDA cores
 		}
 		n := len(s.SpatialTiles)
 		m := s.RegTile(n-2) * s.SpatialTiles[n-2][LvlThread]

@@ -1,10 +1,6 @@
 package search
 
-import (
-	"sort"
-
-	"pruner/internal/schedule"
-)
+import "pruner/internal/schedule"
 
 // LSEParams configure the Latent Schedule Explorer (Algorithm 2).
 type LSEParams struct {
@@ -103,16 +99,7 @@ func RunLSE(ctx *Context, p LSEParams) []*schedule.Schedule {
 		}, cands)
 	}
 
-	out := make([]scored, 0, len(spec))
-	for _, c := range spec {
-		out = append(out, c)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].sch.Fingerprint() < out[j].sch.Fingerprint()
-	})
+	out := drainRanked(spec)
 	if len(out) > p.SpecSize {
 		out = out[:p.SpecSize]
 	}
@@ -125,17 +112,7 @@ func RunLSE(ctx *Context, p LSEParams) []*schedule.Schedule {
 
 // pruneSpec trims the spec map to the k best entries in place.
 func pruneSpec(spec map[string]scored, k int) {
-	all := make([]scored, 0, len(spec))
-	for _, c := range spec {
-		all = append(all, c)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].sch.Fingerprint() < all[j].sch.Fingerprint()
-	})
-	for _, c := range all[k:] {
+	for _, c := range drainRanked(spec)[k:] {
 		delete(spec, c.sch.Fingerprint())
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"pruner/internal/analyzer"
 	"pruner/internal/costmodel"
@@ -124,9 +126,42 @@ type scored struct {
 	score float64
 }
 
+// byScore orders higher scores first and leaves ties to the stable sort:
+// it is negative exactly when the sort.SliceStable less it replaced was
+// true, so slices.SortStableFunc runs the same comparisons to the same
+// permutation, without reflection.
+func byScore(a, b scored) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case b.score > a.score:
+		return 1
+	}
+	return 0
+}
+
+// drainRanked returns a fingerprint-keyed candidate map's entries, best
+// first, ties broken by ascending fingerprint. That is a total order over
+// the map's distinct schedules — the only reason a ranking drained in map
+// iteration order is reproducible at all — so the result does not depend
+// on the sort's stability and the cheaper unstable sort yields it.
+func drainRanked(m map[string]scored) []scored {
+	out := make([]scored, 0, len(m))
+	for _, c := range m {
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b scored) int {
+		if c := byScore(a, b); c != 0 {
+			return c
+		}
+		return strings.Compare(a.sch.Fingerprint(), b.sch.Fingerprint())
+	})
+	return out
+}
+
 // topK returns the k highest-scoring entries (stable on ties).
 func topK(cands []scored, k int) []scored {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
+	slices.SortStableFunc(cands, byScore)
 	if len(cands) > k {
 		cands = cands[:k]
 	}
@@ -249,23 +284,13 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, scoreFn func([
 		}
 		pop = nextGeneration(ctx, p, cands)
 	}
-	out := make([]scored, 0, len(all))
-	for _, c := range all {
-		out = append(out, c)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].sch.Fingerprint() < out[j].sch.Fingerprint()
-	})
-	return out
+	return drainRanked(all)
 }
 
 // nextGeneration breeds a new population with fitness-proportional parent
 // selection (softmax over ranks) plus mutation and crossover.
 func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Schedule {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
+	slices.SortStableFunc(cands, byScore)
 	// Rank-based selection weights.
 	weights := make([]float64, len(cands))
 	var sum float64

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pruner/internal/analyzer"
@@ -11,6 +12,7 @@ import (
 	"pruner/internal/ir"
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
+	"pruner/internal/workloads"
 )
 
 func newCtx(t *ir.Task, dev *device.Device, seed int64) *Context {
@@ -190,4 +192,32 @@ func TestTopK(t *testing.T) {
 	if len(top) != 2 || top[0].score != 0.9 || top[1].score != 0.5 {
 		t.Fatalf("topK wrong: %+v", top)
 	}
+}
+
+// BenchmarkRunLSE times the draft stage alone: one Algorithm 2 pass
+// (paper defaults, 8 000 drafted candidates) on resnet50's heaviest
+// convolution under a100 budgets, with the fresh round memo and empty
+// history a session's first round has. ns/cand is the number the paper's
+// bet rests on — it has to stay far below a learned-model inference.
+func BenchmarkRunLSE(b *testing.B) {
+	net, err := workloads.ByName("resnet50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	task := net.Representative(1)[0]
+	p := DefaultLSEParams()
+	cands := float64(p.Population * p.Steps)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		ctx := newCtx(task, device.A100, int64(i))
+		ctx.Memo = schedule.NewMemo()
+		if spec := RunLSE(ctx, p); len(spec) != p.SpecSize {
+			b.Fatalf("|S_spec| = %d, want %d", len(spec), p.SpecSize)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cands, "ns/cand")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/cands, "B/cand")
 }
