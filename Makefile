@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke clean
 
 all: vet lint build test
 
@@ -56,6 +56,15 @@ lint-cover:
 test:
 	$(GO) test ./...
 
+# The Go GEMM micro-kernel (internal/nn/gemm.go) is the only one on arm64
+# or a pre-AVX2 host; an amd64 build takes the assembly, so the fallback
+# is tested by building it out: the nn and cost-model suites and the
+# pinned sessions (golden fingerprint cfe0bde7d409aa97, golden matrix)
+# must hold on it too.
+purego:
+	$(GO) test -tags purego ./internal/nn ./internal/costmodel
+	$(GO) test -tags purego -run 'TestTunePipelineDepth1MatchesPreRefactorGolden|TestTunePipelineGoldenMatrix' ./internal/tuner
+
 # Every internal package under the race detector (slow but the strongest
 # check that scoring/measurement fan-out stays data-race-free). The list
 # is the ./internal/... pattern itself, so a newly added package cannot
@@ -100,9 +109,9 @@ bench:
 # comparison) plus a bounded root subset.
 # The first line is the allocation gate (DESIGN.md §7): the TestAlloc*
 # tests pin, via testing.AllocsPerRun, the warmed *In inference kernels
-# (internal/nn), the sampler's budget check Generator.Fits and the draft
-# model Analyzer.Score to 0 heap allocations per run, and schedule.Lower
-# to 1 — the dynamic cross-check of the static hotalloc analyzer over the
+# and the fused training backward (internal/nn), the sampler's budget
+# check Generator.Fits and the draft model Analyzer.Score to 0 heap
+# allocations per run, and schedule.Lower to 1 — the dynamic cross-check of the static hotalloc analyzer over the
 # same //pruner:hotpath roots.
 bench-smoke:
 	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/schedule ./internal/analyzer
@@ -127,14 +136,15 @@ ledger-compare:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 # Short fuzz pass over the record codec (the store's segment format and
-# the fleet's wire format), the store's torn-tail segment replay, and
-# the hand-editable wire.lock parser. The seed corpora also run as
-# plain tests under `make test`.
+# the fleet's wire format), the store's torn-tail segment replay, the
+# hand-editable wire.lock parser, and the AVX2 GEMM micro-kernel against
+# the Go one. The seed corpora also run as plain tests under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSegmentIndexTornTail$$' -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzWireLockParse$$' -fuzztime 10s
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzGemmBlock$$' -fuzztime 10s
 
 clean:
 	$(GO) clean

@@ -233,7 +233,8 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 				rep := tr.checkout()
 				slot.Bind(rep.params)
 				loss := nn.LambdaRankLoss(rep.forward(lws), b.rel)
-				nn.Backward(loss)
+				rep.scratch.Reset()
+				nn.BackwardIn(&rep.scratch, loss)
 				tr.checkin(rep)
 				losses[j] = loss.Data[0]
 			})

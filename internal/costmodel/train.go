@@ -19,10 +19,12 @@ import (
 // replica is one worker-side copy of a model's forward program: its
 // parameters alias the live weights (nn.AliasParams) but bind private
 // gradient slots during backward, so concurrent group gradients never
-// touch shared memory.
+// touch shared memory. Its scratch holds the backward's temporaries,
+// rewound per group.
 type replica struct {
 	forward forwardFn
 	params  []*nn.Tensor
+	scratch nn.Scratch
 }
 
 // trainer caches a model's replicas and gradient slots across Fit calls

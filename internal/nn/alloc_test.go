@@ -6,8 +6,8 @@ import (
 )
 
 // The zero-allocation gates: once a Scratch has warmed to the call
-// pattern's steady-state shapes, the *In inference kernels must not touch
-// the heap at all. This is the dynamic cross-check of the static hotalloc
+// pattern's steady-state shapes, the *In inference kernels — and the
+// fused training backward — must not touch the heap at all. This is the dynamic cross-check of the static hotalloc
 // analyzer — the analyzer proves no allocating constructs are reachable
 // from the //pruner:hotpath roots, these tests prove the arena actually
 // absorbs every output buffer. A regression in either shows up as a
@@ -82,6 +82,21 @@ func TestAllocSegmentSumRowsIn(t *testing.T) {
 	mustZeroAllocs(t, "SegmentSumRowsIn", func() {
 		s.Reset()
 		SegmentSumRowsIn(&s, x, lens)
+	})
+}
+
+// TestAllocAffineBackward is the training-side gate: with its temporaries
+// (transposed weight panel, accumulators, index list, padding rows) on a
+// warmed arena, the fused backward allocates nothing. Odd shapes take
+// every padding path.
+func TestAllocAffineBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	x, w, b := randParam(rng, 7, 9), randParam(rng, 9, 5), randParam(rng, 1, 5)
+	out := Affine(x, w, b, true)
+	var s Scratch
+	mustZeroAllocs(t, "affineBackward", func() {
+		s.Reset()
+		affineBackward(&s, x, w, b, out, true)
 	})
 }
 

@@ -30,14 +30,13 @@ import (
 	"math"
 )
 
-// matmulFusedIn is the GEMM kernel: out = x @ w (+ bias) (then ReLU),
+// matmulFusedIn is the forward GEMM: out = x @ w (+ bias) (then ReLU),
 // with the output and the nonzero-column index drawn from s when non-nil.
-// It keeps MatMul's outer-product loop order but blocks the contraction
-// index four wide, so each output element is loaded and stored once per
-// four terms instead of once per term, with four independent streams of
-// b-rows. Per element the terms still add in ascending k — the chained
-// v += form — so the result is bitwise identical to
-// [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose four
+// It runs on the micro-kernel (gemm.go): two output rows by four
+// contraction steps per block, so each output element is loaded and
+// stored once per four terms. Per element the terms still add in
+// ascending k — the chained v += form — so the result is bitwise
+// identical to [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose
 // activations are all zero are skipped outright (feature rows carry long
 // zero tails), matching MatMul's per-term zero-skip.
 func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
@@ -55,13 +54,12 @@ func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor 
 // bitwise-safe (finite weights), so the result is identical to
 // matmulFusedIn on the same operands.
 func matmulFusedDenseIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
-	nz := scratchInts(s, x.C)
-	for k := range nz {
-		nz[k] = k
-	}
-	return matmulFusedNz(s, x, w, bias, relu, nz)
+	return matmulFusedNz(s, x, w, bias, relu, identityInts(s, x.C))
 }
 
+// matmulFusedNz is the forward entry both spellings share, contracting
+// over the columns nz lists. The engine counters tally forward GEMMs, so
+// they are bumped here and not in the micro-kernel the backward shares.
 func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int) *Tensor {
 	if x.C != w.R {
 		panic(fmt.Sprintf("nn: matmulFused %dx%d @ %dx%d", x.R, x.C, w.R, w.C))
@@ -74,88 +72,15 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	// Row pairs share each weight-row load and double the number of
 	// independent accumulator chains in flight.
 	for ; i+2 <= x.R; i += 2 {
-		a0Row := x.Data[i*K : i*K+K]
-		a1Row := x.Data[(i+1)*K : (i+1)*K+K]
 		o0 := out.Data[i*C : i*C+C]
 		o1 := out.Data[(i+1)*C : (i+1)*C+C]
-		n := 0
-		for ; n+4 <= len(nz); n += 4 {
-			k0, k1, k2, k3 := nz[n], nz[n+1], nz[n+2], nz[n+3]
-			p0, p1, p2, p3 := a0Row[k0], a0Row[k1], a0Row[k2], a0Row[k3]
-			q0, q1, q2, q3 := a1Row[k0], a1Row[k1], a1Row[k2], a1Row[k3]
-			if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 &&
-				q0 == 0 && q1 == 0 && q2 == 0 && q3 == 0 {
-				continue
-			}
-			b0 := w.Data[k0*C : k0*C+C]
-			b1 := w.Data[k1*C : k1*C+C]
-			b2 := w.Data[k2*C : k2*C+C]
-			b3 := w.Data[k3*C : k3*C+C]
-			for j := 0; j < C; j++ {
-				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-				v := o0[j]
-				v += p0 * bv0
-				v += p1 * bv1
-				v += p2 * bv2
-				v += p3 * bv3
-				o0[j] = v
-				u := o1[j]
-				u += q0 * bv0
-				u += q1 * bv1
-				u += q2 * bv2
-				u += q3 * bv3
-				o1[j] = u
-			}
-		}
-		for ; n < len(nz); n++ {
-			k := nz[n]
-			p, q := a0Row[k], a1Row[k]
-			if p == 0 && q == 0 {
-				continue
-			}
-			bRow := w.Data[k*C : k*C+C]
-			for j, bv := range bRow {
-				o0[j] += p * bv
-				o1[j] += q * bv
-			}
-		}
+		gemmPair(o0, o1, x.Data, i*K, (i+1)*K, w.Data, nz)
 		epilogue(o0, bias, relu)
 		epilogue(o1, bias, relu)
 	}
-	for ; i < x.R; i++ {
-		aRow := x.Data[i*K : i*K+K]
+	if i < x.R {
 		oRow := out.Data[i*C : i*C+C]
-		n := 0
-		for ; n+4 <= len(nz); n += 4 {
-			k0, k1, k2, k3 := nz[n], nz[n+1], nz[n+2], nz[n+3]
-			a0, a1, a2, a3 := aRow[k0], aRow[k1], aRow[k2], aRow[k3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := w.Data[k0*C : k0*C+C]
-			b1 := w.Data[k1*C : k1*C+C]
-			b2 := w.Data[k2*C : k2*C+C]
-			b3 := w.Data[k3*C : k3*C+C]
-			for j, ov := range oRow {
-				v := ov
-				v += a0 * b0[j]
-				v += a1 * b1[j]
-				v += a2 * b2[j]
-				v += a3 * b3[j]
-				oRow[j] = v
-			}
-		}
-		for ; n < len(nz); n++ {
-			k := nz[n]
-			av := aRow[k]
-			if av == 0 {
-				continue
-			}
-			bRow := w.Data[k*C : k*C+C]
-			for j, bv := range bRow {
-				oRow[j] += av * bv
-			}
-		}
+		gemmPair(oRow, scratchFloats(s, C), x.Data, i*K, i*K, w.Data, nz)
 		epilogue(oRow, bias, relu)
 	}
 	return out
@@ -303,7 +228,7 @@ func DedupRows(rows [][]float64) (uniq [][]float64, idx []int) {
 func GatherRows(src *Tensor, idx []int) *Tensor {
 	out := gatherRowsIn(nil, src, idx)
 	if needsGrad(src) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, j := range idx {
 				base, obase := j*src.C, i*src.C
 				for c := 0; c < src.C; c++ {

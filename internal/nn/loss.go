@@ -90,7 +90,7 @@ func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 	out := New(1, 1)
 	out.Data[0] = lossVal / pairs
 	if needsGrad(scores) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			g := out.Grad[0] / pairs
 			for i := 0; i < n; i++ {
 				addGrad(scores, i*scores.C, g*lambdas[i])

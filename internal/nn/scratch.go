@@ -118,3 +118,12 @@ func scratchInts(s *Scratch, n int) []int {
 	}
 	return s.ints(n)
 }
+
+// identityInts returns 0..n-1: the contraction list of a dense GEMM.
+func identityInts(s *Scratch, n int) []int {
+	ks := scratchInts(s, n)
+	for k := range ks {
+		ks[k] = k
+	}
+	return ks
+}

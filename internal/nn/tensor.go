@@ -32,7 +32,7 @@ type Tensor struct {
 	Grad []float64
 
 	requiresGrad bool
-	back         func()
+	back         func(*Scratch)
 	prev         []*Tensor
 }
 
@@ -136,7 +136,7 @@ func needsGrad(parents ...*Tensor) bool {
 // gradient-carrying parent, so inference forwards never allocate tape
 // state — the closure literal itself lives inside the caller's if-block
 // and is not even constructed.
-func (t *Tensor) enableGrad(back func(), parents ...*Tensor) {
+func (t *Tensor) enableGrad(back func(*Scratch), parents ...*Tensor) {
 	t.requiresGrad = true
 	t.Grad = make([]float64, t.R*t.C)
 	t.back = back
@@ -153,7 +153,12 @@ func addGrad(p *Tensor, idx int, v float64) {
 // Backward runs reverse-mode differentiation from t, which must be a
 // 1x1 loss tensor. Parameter gradients accumulate (call ZeroGrad between
 // steps).
-func Backward(t *Tensor) {
+func Backward(t *Tensor) { BackwardIn(nil, t) }
+
+// BackwardIn is Backward with every node's backward temporaries drawn
+// from s (nil = heap, as in the *In kernels). The caller Resets s between
+// passes; nothing a backward draws outlives the pass.
+func BackwardIn(s *Scratch, t *Tensor) {
 	if t.R != 1 || t.C != 1 {
 		panic("nn: Backward expects a scalar loss")
 	}
@@ -164,7 +169,7 @@ func Backward(t *Tensor) {
 	t.Grad[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		if order[i].back != nil {
-			order[i].back()
+			order[i].back(s)
 		}
 	}
 }
@@ -210,7 +215,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		}
 	}
 	if needsGrad(a, b) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			// dA = dOut @ B^T ; dB = A^T @ dOut — the training hot path
 			// (roughly two thirds of a fit's wall-clock), register-blocked
 			// four wide like the inference kernels. Each gradient element
@@ -312,7 +317,7 @@ func AddBias(x, b *Tensor) *Tensor {
 		}
 	}
 	if needsGrad(x, b) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i := 0; i < x.R; i++ {
 				for j := 0; j < x.C; j++ {
 					g := out.Grad[i*x.C+j]
@@ -333,7 +338,7 @@ func Add(a, b *Tensor) *Tensor {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	if needsGrad(a, b) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, g := range out.Grad {
 				addGrad(a, i, g)
 				addGrad(b, i, g)
@@ -351,7 +356,7 @@ func Sub(a, b *Tensor) *Tensor {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
 	if needsGrad(a, b) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, g := range out.Grad {
 				addGrad(a, i, g)
 				addGrad(b, i, -g)
@@ -369,7 +374,7 @@ func Mul(a, b *Tensor) *Tensor {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
 	if needsGrad(a, b) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, g := range out.Grad {
 				addGrad(a, i, g*b.Data[i])
 				addGrad(b, i, g*a.Data[i])
@@ -386,7 +391,7 @@ func Scale(x *Tensor, k float64) *Tensor {
 		out.Data[i] = x.Data[i] * k
 	}
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, g := range out.Grad {
 				addGrad(x, i, g*k)
 			}
@@ -404,7 +409,7 @@ func ReLU(x *Tensor) *Tensor {
 		}
 	}
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, g := range out.Grad {
 				if x.Data[i] > 0 {
 					addGrad(x, i, g)
@@ -419,27 +424,10 @@ func ReLU(x *Tensor) *Tensor {
 func Tanh(x *Tensor) *Tensor {
 	out := TanhIn(nil, x)
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i, g := range out.Grad {
 				y := out.Data[i]
 				addGrad(x, i, g*(1-y*y))
-			}
-		}, x)
-	}
-	return out
-}
-
-// Sigmoid applies the logistic function.
-func Sigmoid(x *Tensor) *Tensor {
-	out := New(x.R, x.C)
-	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	if needsGrad(x) {
-		out.enableGrad(func() {
-			for i, g := range out.Grad {
-				y := out.Data[i]
-				addGrad(x, i, g*y*(1-y))
 			}
 		}, x)
 	}
@@ -467,7 +455,7 @@ func SoftmaxRows(x *Tensor) *Tensor {
 		}
 	}
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i := 0; i < x.R; i++ {
 				row := out.Data[i*x.C : (i+1)*x.C]
 				grow := out.Grad[i*x.C : (i+1)*x.C]
@@ -493,7 +481,7 @@ func Transpose(x *Tensor) *Tensor {
 		}
 	}
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i := 0; i < x.R; i++ {
 				for j := 0; j < x.C; j++ {
 					addGrad(x, i*x.C+j, out.Grad[j*x.R+i])
@@ -509,7 +497,7 @@ func ConcatCols(a, b *Tensor) *Tensor {
 	out := ConcatColsIn(nil, a, b)
 	if needsGrad(a, b) {
 		cols := out.C
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i := 0; i < a.R; i++ {
 				for j := 0; j < a.C; j++ {
 					addGrad(a, i*a.C+j, out.Grad[i*cols+j])
@@ -543,7 +531,7 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 		off += t.R * t.C
 	}
 	if needsGrad(ts...) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			off := 0
 			for _, t := range ts {
 				for i := 0; i < t.R*t.C; i++ {
@@ -567,7 +555,7 @@ func SliceRows(x *Tensor, lo, hi int) *Tensor {
 	out := New(hi-lo, x.C)
 	copy(out.Data, x.Data[lo*x.C:hi*x.C])
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			base := lo * x.C
 			for i, g := range out.Grad {
 				addGrad(x, base+i, g)
@@ -586,7 +574,7 @@ func SumRows(x *Tensor) *Tensor {
 		}
 	}
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i := 0; i < x.R; i++ {
 				for j := 0; j < x.C; j++ {
 					addGrad(x, i*x.C+j, out.Grad[j])
@@ -607,7 +595,7 @@ func MeanRows(x *Tensor) *Tensor {
 func SegmentSumRows(x *Tensor, lens []int) *Tensor {
 	out := SegmentSumRowsIn(nil, x, lens)
 	if needsGrad(x) {
-		out.enableGrad(func() { segmentBackward(x, out, lens, false) }, x)
+		out.enableGrad(func(*Scratch) { segmentBackward(x, out, lens, false) }, x)
 	}
 	return out
 }
@@ -618,7 +606,7 @@ func SegmentSumRows(x *Tensor, lens []int) *Tensor {
 func SegmentMeanRows(x *Tensor, lens []int) *Tensor {
 	out := SegmentMeanRowsIn(nil, x, lens)
 	if needsGrad(x) {
-		out.enableGrad(func() { segmentBackward(x, out, lens, true) }, x)
+		out.enableGrad(func(*Scratch) { segmentBackward(x, out, lens, true) }, x)
 	}
 	return out
 }
@@ -653,7 +641,7 @@ func MeanAll(x *Tensor) *Tensor {
 	}
 	out.Data[0] = sum / n
 	if needsGrad(x) {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			g := out.Grad[0] / n
 			for i := range x.Data {
 				addGrad(x, i, g)
@@ -706,7 +694,7 @@ func LayerNormRows(x, g, b *Tensor) *Tensor {
 		}
 	}
 	if grad {
-		out.enableGrad(func() {
+		out.enableGrad(func(*Scratch) {
 			for i := 0; i < x.R; i++ {
 				// dxhat_j = dy_j * g_j
 				var sumDx, sumDxX float64

@@ -75,7 +75,6 @@ func TestGradActivations(t *testing.T) {
 	}{
 		{"relu", ReLU},
 		{"tanh", Tanh},
-		{"sigmoid", Sigmoid},
 	} {
 		x := randParam(rng, 4, 3)
 		// Shift away from the ReLU kink for stable numeric grads.

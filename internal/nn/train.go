@@ -14,34 +14,39 @@ import "fmt"
 // Affine is the fused training op out = x@W + b, optionally through
 // ReLU: one tape node where the operator chain ReLU(AddBias(MatMul))
 // builds three, so a Linear layer's forward allocates one output and one
-// gradient buffer instead of three of each. The forward is the
-// register-blocked GEMM kernel (matmulFusedIn, nil arena), which is
-// bitwise identical to the chain for the finite weights training
-// produces; the backward fuses the ReLU mask, the bias column-sum and
-// the two gradient GEMMs, each accumulating per element in the same
-// ascending order as the chain, so gradients are bitwise identical too.
+// gradient buffer instead of three of each. The forward is the GEMM
+// kernel (matmulFusedIn, nil arena), which is bitwise identical to the
+// chain for the finite weights training produces; the backward fuses the
+// ReLU mask, the bias column-sum and the two gradient GEMMs, each
+// accumulating per element in the same ascending order as the chain, so
+// gradients are bitwise identical too.
 func Affine(x, w, b *Tensor, relu bool) *Tensor {
 	if w.R != x.C || b.R != 1 || b.C != w.C {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
 	}
 	out := matmulFusedIn(nil, x, w, b.Data, relu)
 	if needsGrad(x, w, b) {
-		out.enableGrad(func() { affineBackward(x, w, b, out, relu) }, x, w, b)
+		out.enableGrad(func(s *Scratch) { affineBackward(s, x, w, b, out, relu) }, x, w, b)
 	}
 	return out
 }
 
-func affineBackward(x, w, b, out *Tensor, relu bool) {
+// affineBackward is Affine's backward. Both gradient GEMMs run on the
+// forward's micro-kernel (gemm.go); their temporaries come from s, so a
+// warmed pass allocates nothing.
+//
+//pruner:hotpath
+func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 	K, C := x.C, w.C
 	g := out.Grad
 	if relu {
 		// The chain's ReLU backward: gradient flows only where the
 		// pre-activation was positive — equivalently where the fused
-		// output is (max(pre, 0) > 0 iff pre > 0).
-		g = make([]float64, len(out.Grad))
+		// output is (max(pre, 0) > 0 iff pre > 0). Masked in place:
+		// out.Grad is dead once this backward has run.
 		for i, v := range out.Data {
-			if v > 0 {
-				g[i] = out.Grad[i]
+			if !(v > 0) {
+				g[i] = 0
 			}
 		}
 	}
@@ -54,81 +59,64 @@ func affineBackward(x, w, b, out *Tensor, relu bool) {
 		}
 	}
 	if x.requiresGrad {
-		// dX = g @ W^T, blocked four contraction rows wide; each element
-		// is one dot over j in ascending order.
-		for i := 0; i < x.R; i++ {
-			gRow := g[i*C : (i+1)*C]
-			xGrad := x.Grad[i*K : (i+1)*K]
-			k := 0
-			for ; k+4 <= K; k += 4 {
-				b0 := w.Data[k*C : k*C+C]
-				b1 := w.Data[(k+1)*C : (k+1)*C+C]
-				b2 := w.Data[(k+2)*C : (k+2)*C+C]
-				b3 := w.Data[(k+3)*C : (k+3)*C+C]
-				var s0, s1, s2, s3 float64
-				for j, gv := range gRow {
-					s0 += gv * b0[j]
-					s1 += gv * b1[j]
-					s2 += gv * b2[j]
-					s3 += gv * b3[j]
-				}
-				xGrad[k] += s0
-				xGrad[k+1] += s1
-				xGrad[k+2] += s2
-				xGrad[k+3] += s3
+		// dX = g @ Wᵀ: output columns are W's rows, so the kernel's
+		// operand is the transposed panel. Each element is one dot over j
+		// in ascending order into a fresh accumulator, then added to
+		// x.Grad — the chain's xGrad[k] += dot.
+		wT := scratchFloats(s, C*K)
+		for k := 0; k < K; k++ {
+			for j, wv := range w.Data[k*C : k*C+C] {
+				wT[j*K+k] = wv
 			}
-			for ; k < K; k++ {
-				bRow := w.Data[k*C : (k+1)*C]
-				var s float64
-				for j, gv := range gRow {
-					s += gv * bRow[j]
-				}
-				xGrad[k] += s
+		}
+		js := identityInts(s, C)
+		acc := scratchFloats(s, 2*K)
+		for i := 0; i < x.R; i += 2 {
+			i1 := min(i+1, x.R-1) // odd last row: twice, into the spare half
+			clear(acc)
+			gemmPair(acc[:K], acc[K:], g, i*C, i1*C, wT, js)
+			for k, v := range acc[:(i1-i+1)*K] {
+				x.Grad[i*K+k] += v
 			}
 		}
 	}
 	if w.requiresGrad {
-		// dW = x^T @ g, four activation rows per pass; per element the
-		// row terms still add in ascending order (chained v +=), and a
-		// blocked-in zero activation contributes an exact ±0.0.
-		i := 0
-		for ; i+4 <= x.R; i += 4 {
-			g0 := g[i*C : i*C+C]
-			g1 := g[(i+1)*C : (i+1)*C+C]
-			g2 := g[(i+2)*C : (i+2)*C+C]
-			g3 := g[(i+3)*C : (i+3)*C+C]
-			a0 := x.Data[i*K : i*K+K]
-			a1 := x.Data[(i+1)*K : (i+1)*K+K]
-			a2 := x.Data[(i+2)*K : (i+2)*K+K]
-			a3 := x.Data[(i+3)*K : (i+3)*K+K]
-			for k := 0; k < K; k++ {
-				p0, p1, p2, p3 := a0[k], a1[k], a2[k], a3[k]
-				if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 {
-					continue
-				}
-				wGrad := w.Grad[k*C : (k+1)*C]
-				for j := range wGrad {
-					v := wGrad[j]
-					v += p0 * g0[j]
-					v += p1 * g1[j]
-					v += p2 * g2[j]
-					v += p3 * g3[j]
-					wGrad[j] = v
+		// dW += xᵀ @ g, in place: output rows are W's rows, two per
+		// block; the contraction runs over batch rows, four per step, the
+		// eight scalars gathered from x with stride K. Per element the
+		// row terms add in ascending order. A short last step reads zero
+		// scalars against a repeated gradient row; an odd last W row runs
+		// twice, the second time into a spare.
+		var zeros, spare []float64
+		if x.R%4 != 0 {
+			zeros = scratchFloats(s, K)
+		}
+		if K%2 != 0 {
+			spare = scratchFloats(s, C)
+		}
+		var p [8]float64
+		for i := 0; i < x.R; i += 4 {
+			var gr, xr [4][]float64
+			for t := range gr {
+				r := min(i+t, x.R-1)
+				gr[t] = g[r*C : r*C+C]
+				xr[t] = zeros
+				if i+t < x.R {
+					xr[t] = x.Data[r*K : r*K+K]
 				}
 			}
-		}
-		for ; i < x.R; i++ {
-			gRow := g[i*C : (i+1)*C]
-			aRow := x.Data[i*K : (i+1)*K]
-			for k := 0; k < K; k++ {
-				av := aRow[k]
-				if av == 0 {
+			for k := 0; k < K; k += 2 {
+				k1 := min(k+1, K-1)
+				p[0], p[1], p[2], p[3] = xr[0][k], xr[1][k], xr[2][k], xr[3][k]
+				p[4], p[5], p[6], p[7] = xr[0][k1], xr[1][k1], xr[2][k1], xr[3][k1]
+				if p == [8]float64{} {
 					continue
 				}
-				wGrad := w.Grad[k*C : (k+1)*C]
-				for j, gv := range gRow {
-					wGrad[j] += av * gv
+				o1 := spare
+				if k1 != k {
+					o1 = w.Grad[k1*C : k1*C+C]
 				}
+				gemmBlock(w.Grad[k*C:k*C+C], o1, gr[0], gr[1], gr[2], gr[3], &p)
 			}
 		}
 	}
