@@ -109,12 +109,13 @@ bench:
 # comparison) plus a bounded root subset.
 # The first line is the allocation gate (DESIGN.md §7): the TestAlloc*
 # tests pin, via testing.AllocsPerRun, the warmed *In inference kernels
-# and the fused training backward (internal/nn), the sampler's budget
-# check Generator.Fits and the draft model Analyzer.Score to 0 heap
-# allocations per run, and schedule.Lower to 1 — the dynamic cross-check of the static hotalloc analyzer over the
-# same //pruner:hotpath roots.
+# and the fused training backward (internal/nn), one whole training step
+# on a warmed replica (internal/costmodel), the sampler's budget check
+# Generator.Fits and the draft model Analyzer.Score to 0 heap allocations
+# per run, and schedule.Lower to 1 — the dynamic cross-check of the
+# static hotalloc analyzer over the same //pruner:hotpath roots.
 bench-smoke:
-	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/schedule ./internal/analyzer
+	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/costmodel ./internal/schedule ./internal/analyzer
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...
 	$(GO) test -run='^$$' -bench='BenchmarkTuneParallel|BenchmarkAblation_SAvsOracle' -benchtime=1x -timeout=20m .
 

@@ -103,32 +103,35 @@ func putScratch(s *nn.Scratch) {
 
 // statementBatch concatenates every candidate's statement feature rows
 // (shared cache references, no copies) plus the per-candidate segment
-// lengths.
-func statementBatch(lws []*schedule.Lowered) ([][]float64, []int) {
-	lens := make([]int, len(lws))
-	rows := make([][]float64, 0, len(lws)*4)
+// lengths, both on s.
+func statementBatch(s *nn.Scratch, lws []*schedule.Lowered) ([][]float64, []int) {
+	lens := s.Ints(len(lws))
+	total := 0
 	for i, lw := range lws {
-		r := features.Statement(lw)
-		lens[i] = len(r)
-		rows = append(rows, r...)
+		lens[i] = len(features.Statement(lw))
+		total += lens[i]
+	}
+	rows := s.Rows(total)[:0]
+	for _, lw := range lws {
+		rows = append(rows, features.Statement(lw)...)
 	}
 	return rows, lens
 }
 
 // dataflowBatch concatenates every candidate's dataflow sequence in
-// deduplicated form (nn.DedupRows) plus the per-candidate segment
-// lengths. The sequences are zero-padded to a fixed length, so a large
-// share of rows across the batch are identical; the models project each
-// distinct row once and gather.
-func dataflowBatch(lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) {
-	lens = make([]int, len(lws))
-	rows := make([][]float64, 0, len(lws)*features.DataflowSeq)
+// deduplicated form (nn.DedupRowsIn) plus the per-candidate segment
+// lengths, all on s. The sequences are zero-padded to a fixed length, so a
+// large share of rows across the batch are identical; the models project
+// each distinct row once and gather.
+func dataflowBatch(s *nn.Scratch, lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) {
+	lens = s.Ints(len(lws))
+	rows := s.Rows(len(lws) * features.DataflowSeq)[:0]
 	for i, lw := range lws {
 		r := features.Dataflow(lw)
 		lens[i] = len(r)
 		rows = append(rows, r...)
 	}
-	uniq, idx = nn.DedupRows(rows)
+	uniq, idx = nn.DedupRowsIn(s, rows)
 	return uniq, idx, lens
 }
 
@@ -137,14 +140,14 @@ func dataflowBatch(lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) 
 // documented low feature diversity), so the same token rows recur across
 // the whole batch and the projection and the attention's Q/K/V run once
 // per distinct row.
-func primitiveBatch(lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) {
-	lens = make([]int, len(lws))
-	rows := make([][]float64, 0, len(lws)*features.PrimSeq)
+func primitiveBatch(s *nn.Scratch, lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) {
+	lens = s.Ints(len(lws))
+	rows := s.Rows(len(lws) * features.PrimSeq)[:0]
 	for i, lw := range lws {
 		r := features.Primitives(lw)
 		lens[i] = len(r)
 		rows = append(rows, r...)
 	}
-	uniq, idx = nn.DedupRows(rows)
+	uniq, idx = nn.DedupRowsIn(s, rows)
 	return uniq, idx, lens
 }

@@ -13,7 +13,7 @@ import (
 // gradient graph per record, concatenated — what the models ran before
 // the batched group forwards.
 func perRecordForward(one func(*schedule.Lowered) *nn.Tensor) forwardFn {
-	return func(lws []*schedule.Lowered) *nn.Tensor {
+	return func(_ *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 		outs := make([]*nn.Tensor, len(lws))
 		for i, lw := range lws {
 			outs[i] = one(lw)

@@ -14,16 +14,17 @@ import (
 // arch is what differs between the learned models: the parameters and the
 // two spellings of the forward over them. Both take one task's lowered
 // candidates and return their (N x 1) score column, bitwise identical to
-// each other under nn.FreezeParams (TestPredictBatchedMatchesReference).
+// each other under nn.FreezeParams (TestPredictBatchedMatchesReference),
+// and both build everything on s (nil = heap): the result aliases s and
+// dies at its next Reset.
 type arch interface {
 	Name() string
 	Params() []*nn.Tensor
 	// forward is the tape spelling, for training: nn operators that
-	// record a backward when the parameters carry gradients.
-	forward(lws []*schedule.Lowered) *nn.Tensor
+	// record their nodes on s when the parameters carry gradients.
+	forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
 	// score is the arena spelling, for inference: the same kernels with
-	// every output on s, so a warmed call allocates nothing but the batch
-	// headers. The result aliases s and dies at its next Reset.
+	// no tape, so a warmed call allocates nothing.
 	score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
 }
 
@@ -133,17 +134,19 @@ func (m *TenSetMLP) Costs() Costs { return Costs{FeatureX: 1, InferX: 1, TrainX:
 
 // forward embeds the whole group's statement rows in one fused pair of
 // GEMMs and pools them per candidate with a segmented sum.
-func (m *TenSetMLP) forward(lws []*schedule.Lowered) *nn.Tensor {
-	rows, lens := statementBatch(lws)
-	emb := m.embed.ForwardReLU(nn.FromRows(rows))
+//
+//pruner:hotpath
+func (m *TenSetMLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+	rows, lens := statementBatch(s, lws)
+	emb := m.embed.ForwardReLU(nn.FromRowsIn(s, rows))
 	return m.head.Forward(nn.SegmentSumRows(emb, lens))
 }
 
-// score is forward on the arena.
+// score is forward without the tape.
 //
 //pruner:hotpath
 func (m *TenSetMLP) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
-	rows, lens := statementBatch(lws)
+	rows, lens := statementBatch(s, lws)
 	emb := m.embed.ForwardReLURowsIn(s, rows)
 	return m.head.ForwardIn(s, nn.SegmentSumRowsIn(s, emb, lens))
 }
@@ -235,16 +238,18 @@ func (m *PaCM) Costs() Costs { return Costs{FeatureX: 1.1, InferX: 1.2, TrainX: 
 // sum; the dataflow branch projects each distinct row once and runs the
 // segment attention over the gathered tokens. Disabled branches are
 // skipped, which is why the head width follows the ablation flags.
-func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
+//
+//pruner:hotpath
+func (m *PaCM) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
-		rows, lens := statementBatch(lws)
-		emb := m.stmtEmbed.ForwardReLU(nn.FromRows(rows))
+		rows, lens := statementBatch(s, lws)
+		emb := m.stmtEmbed.ForwardReLU(nn.FromRowsIn(s, rows))
 		parts = nn.SegmentSumRows(emb, lens)
 	}
 	if m.UseDataflow {
-		uniq, idx, lens := dataflowBatch(lws)
-		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRows(uniq)))
+		uniq, idx, lens := dataflowBatch(s, lws)
+		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRowsIn(s, uniq)))
 		ctx := nn.SegmentMeanRows(m.dfAttn.ForwardSegmentsDedup(tokens, idx, lens), lens)
 		if parts == nil {
 			parts = ctx
@@ -255,17 +260,17 @@ func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
 	return m.head.Forward(parts)
 }
 
-// score is forward on the arena.
+// score is forward without the tape.
 //
 //pruner:hotpath
 func (m *PaCM) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
-		rows, lens := statementBatch(lws)
+		rows, lens := statementBatch(s, lws)
 		parts = nn.SegmentSumRowsIn(s, m.stmtEmbed.ForwardReLURowsIn(s, rows), lens)
 	}
 	if m.UseDataflow {
-		uniq, idx, lens := dataflowBatch(lws)
+		uniq, idx, lens := dataflowBatch(s, lws)
 		tokens := nn.TanhIn(s, m.dfProj.ForwardRowsIn(s, uniq))
 		ctx := nn.SegmentMeanRowsIn(s, m.dfAttn.ForwardSegmentsDedupIn(s, tokens, idx, lens), lens)
 		if parts == nil {
@@ -322,18 +327,20 @@ func (m *TLP) Costs() Costs { return Costs{FeatureX: 0.35, InferX: 3.5, TrainX: 
 
 // forward projects each distinct primitive token once, runs the segment
 // attention over the gathered sequence and takes per-candidate means.
-func (m *TLP) forward(lws []*schedule.Lowered) *nn.Tensor {
-	uniq, idx, lens := primitiveBatch(lws)
-	tokens := m.proj.Forward(nn.FromRows(uniq))
+//
+//pruner:hotpath
+func (m *TLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+	uniq, idx, lens := primitiveBatch(s, lws)
+	tokens := m.proj.Forward(nn.FromRowsIn(s, uniq))
 	x := m.attn.ForwardSegmentsDedup(tokens, idx, lens)
 	return m.head.Forward(nn.SegmentMeanRows(x, lens))
 }
 
-// score is forward on the arena.
+// score is forward without the tape.
 //
 //pruner:hotpath
 func (m *TLP) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
-	uniq, idx, lens := primitiveBatch(lws)
+	uniq, idx, lens := primitiveBatch(s, lws)
 	x := m.attn.ForwardSegmentsDedupIn(s, m.proj.ForwardRowsIn(s, uniq), idx, lens)
 	return m.head.ForwardIn(s, nn.SegmentMeanRowsIn(s, x, lens))
 }

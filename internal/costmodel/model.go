@@ -144,9 +144,9 @@ func groupByTask(recs []Record) []group {
 	return groups
 }
 
-// forwardFn scores a batch of lowered programs of one task, building a
-// gradient graph when the model is training.
-type forwardFn func(lws []*schedule.Lowered) *nn.Tensor
+// forwardFn scores a batch of lowered programs of one task on s (nil =
+// heap), building a gradient graph when the model is training.
+type forwardFn func(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
 
 // trainBatch is one group's ready-to-train slice of an epoch: the
 // (possibly subsampled) records plus their relevance labels. Batches are
@@ -222,21 +222,9 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 			}
 			chunk := batches[lo:hi]
 			pool.ForEach(len(chunk), func(j int) {
-				b := chunk[j]
-				memo := opt.Cache.memo(b.task)
-				lws := make([]*schedule.Lowered, len(b.recs))
-				for i, r := range b.recs {
-					lws[i] = memo.Lower(b.task, r.Sched)
-				}
-				slot := tr.slot(j)
-				slot.Zero()
 				rep := tr.checkout()
-				slot.Bind(rep.params)
-				loss := nn.LambdaRankLoss(rep.forward(lws), b.rel)
-				rep.scratch.Reset()
-				nn.BackwardIn(&rep.scratch, loss)
+				losses[j] = rep.step(chunk[j], opt.Cache.memo(chunk[j].task), tr.slot(j))
 				tr.checkin(rep)
-				losses[j] = loss.Data[0]
 			})
 			// Serial reduction in fixed group order, then one step over the
 			// averaged macro-batch gradient (averaging keeps the per-step

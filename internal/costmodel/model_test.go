@@ -121,7 +121,7 @@ func TestPredictParallelMatchesSerial(t *testing.T) {
 	for i, s := range schs {
 		lws[i] = schedule.Lower(task, s)
 	}
-	batched := m.forward(lws)
+	batched := m.forward(nil, lws)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("parallel vs serial predictions differ at %d: %g vs %g", i, a[i], b[i])

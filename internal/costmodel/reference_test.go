@@ -94,7 +94,7 @@ func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, forward forw
 				lws[i] = memo.Lower(b.task, r.Sched)
 			}
 			adam.ZeroGrad()
-			loss := nn.LambdaRankLoss(forward(lws), b.rel)
+			loss := nn.LambdaRankLoss(forward(nil, lws), b.rel)
 			nn.Backward(loss)
 			adam.Step()
 			epochLoss += loss.Data[0]

@@ -19,12 +19,35 @@ import (
 // replica is one worker-side copy of a model's forward program: its
 // parameters alias the live weights (nn.AliasParams) but bind private
 // gradient slots during backward, so concurrent group gradients never
-// touch shared memory. Its scratch holds the backward's temporaries,
-// rewound per group.
+// touch shared memory. Its scratch holds everything one group's pass
+// builds — batch rows, tape nodes, gradients, backward temporaries — and
+// lws the group's lowerings; both are reused group after group.
 type replica struct {
 	forward forwardFn
 	params  []*nn.Tensor
 	scratch nn.Scratch
+	lws     []*schedule.Lowered
+}
+
+// step is one group's training pass on the replica: lower the records
+// through memo, forward, LambdaRank loss and backward, with the parameter
+// gradients landing in grads. The arena is rewound before the forward, so
+// a warmed replica runs the whole pass without touching the heap
+// (TestAllocFitStep). It returns the group's loss.
+//
+//pruner:hotpath
+func (r *replica) step(b trainBatch, memo *schedule.Memo, grads nn.GradSet) float64 {
+	lws := r.lws[:0]
+	for _, rec := range b.recs {
+		lws = append(lws, memo.Lower(b.task, rec.Sched))
+	}
+	r.lws = lws
+	grads.Zero()
+	grads.Bind(r.params)
+	r.scratch.Reset()
+	loss := nn.LambdaRankLoss(r.forward(&r.scratch, lws), b.rel)
+	nn.Backward(loss)
+	return loss.Data[0]
 }
 
 // trainer caches a model's replicas and gradient slots across Fit calls

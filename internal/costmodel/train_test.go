@@ -1,6 +1,9 @@
 package costmodel
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,6 +101,36 @@ func TestFitMacroBatchOneMatchesReference(t *testing.T) {
 		t.Fatalf("fit reports differ: engine %+v vs reference %+v", repE, repR)
 	}
 	paramsEqual(t, "engine(MacroBatch=1) vs reference", engine, ref)
+}
+
+// TestFitParamsPinned pins whole fits bit for bit: each learned model's
+// parameters after a short multi-task fit hash to the digest captured
+// before the training tape moved onto the replicas' arenas. A session
+// fingerprint only sees which schedules a model ranks first, so it can
+// miss a last-bit change in a gradient; this cannot.
+func TestFitParamsPinned(t *testing.T) {
+	recs := multiTaskRecords(t, 3, 24, 51)
+	for _, tc := range []struct {
+		name   string
+		m      Model
+		golden string
+	}{
+		{"tensetmlp", NewTenSetMLP(21), "d6a892c558489bbf"},
+		{"pacm", NewPaCM(22), "a289a8c244564b0a"},
+		{"tlp", NewTLP(23), "4768461c3f451c29"},
+	} {
+		tc.m.(PoolUser).SetPool(parallel.New(2))
+		tc.m.Fit(recs, FitOptions{Epochs: 2, Seed: 3})
+		h := fnv.New64a()
+		for _, p := range tc.m.Params() {
+			for _, v := range p.Data {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.golden {
+			t.Errorf("%s: fitted-parameter digest %s, pinned %s", tc.name, got, tc.golden)
+		}
+	}
 }
 
 // TestFitAppliesLR is the FitOptions.LR regression test: the option used

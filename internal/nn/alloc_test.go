@@ -54,10 +54,11 @@ func TestAllocFrozenAttentionForwardSegmentsIn(t *testing.T) {
 	attn := NewSelfAttention(rng, 6)
 	x := randConst(rng, 12, 6)
 	lens := []int{4, 3, 5}
+	idx := identityInts(nil, x.R)
 	var s Scratch
-	mustZeroAllocs(t, "SelfAttention.ForwardSegmentsIn", func() {
+	mustZeroAllocs(t, "SelfAttention.ForwardSegmentsDedupIn (identity)", func() {
 		s.Reset()
-		attn.ForwardSegmentsIn(&s, x, lens)
+		attn.ForwardSegmentsDedupIn(&s, x, idx, lens)
 	})
 }
 
@@ -147,7 +148,10 @@ func TestScratchReuse(t *testing.T) {
 		// shared storage — the clear must have wiped it.
 		t.Error("reused float buffer not zeroed")
 	}
-	if t2.requiresGrad || t2.back != nil || t2.prev != nil || t2.Grad != nil {
+	if t2.requiresGrad || t2.node.op != opNone || t2.node.a != nil || t2.node.saved != nil || t2.Grad != nil {
 		t.Error("scratch tensor carries tape state")
+	}
+	if t2.arena != &s {
+		t.Error("scratch tensor does not name its arena")
 	}
 }

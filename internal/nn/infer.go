@@ -9,10 +9,9 @@
 // annotations declare, the hotalloc analyzer enforces statically and the
 // TestAlloc* gates pin dynamically. The training family is the tape
 // operators (Affine, Tanh, ConcatCols, GatherRows, SegmentSumRows,
-// SegmentMeanRows): each calls its kernel with a nil Scratch — a nil
-// arena allocates every output on the heap — and attaches only a backward
-// closure. The dependency points one way, tape to kernel, so no closure
-// is reachable from a hot-path root.
+// SegmentMeanRows, LayerNormRows and the attention core): each calls its
+// kernel on the arena its operands carry and links the output onto the
+// tape (tape.go). The dependency points one way, tape to kernel.
 //
 // Every kernel accumulates each output element in ascending contraction
 // order, exactly as the unfused operator chain (MatMul, AddBias, ReLU,
@@ -25,7 +24,6 @@
 package nn
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -67,7 +65,8 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	engineGEMMCalls.Add(1)
 	engineGEMMRows.Add(uint64(x.R))
 	K, C := x.C, w.C
-	out := newTensor(s, x.R, C)
+	out := s.tensor(x.R, C)
+	spare := s.floats(C) // an odd last row's second output; drawn always, so slot roles never shift
 	i := 0
 	// Row pairs share each weight-row load and double the number of
 	// independent accumulator chains in flight.
@@ -80,7 +79,7 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	}
 	if i < x.R {
 		oRow := out.Data[i*C : i*C+C]
-		gemmPair(oRow, scratchFloats(s, C), x.Data, i*K, i*K, w.Data, nz)
+		gemmPair(oRow, spare, x.Data, i*K, i*K, w.Data, nz)
 		epilogue(oRow, bias, relu)
 	}
 	return out
@@ -96,7 +95,7 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 // weight panel (gatherWeightRows) is bitwise identical to the full-width
 // forward.
 func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
-	used := scratchInts(s, width)
+	used := s.Ints(width)
 	cnt := 0
 	for _, r := range rows {
 		if len(r) != width {
@@ -112,7 +111,7 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 			}
 		}
 	}
-	cols := scratchInts(s, width)[:0]
+	cols := s.Ints(width)[:0]
 	for k, u := range used {
 		if u != 0 {
 			cols = append(cols, k)
@@ -122,7 +121,7 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 		// Degenerate all-zero batch: keep one column so shapes stay valid.
 		cols = append(cols, 0)
 	}
-	x := newTensor(s, len(rows), len(cols))
+	x := s.tensor(len(rows), len(cols))
 	for i, r := range rows {
 		dst := x.Data[i*len(cols) : (i+1)*len(cols)]
 		for n, k := range cols {
@@ -135,7 +134,7 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 // gatherWeightRows copies the weight rows selected by cols into one
 // contiguous panel matching a compactRowsIn input.
 func gatherWeightRows(s *Scratch, w *Tensor, cols []int) *Tensor {
-	out := newTensor(s, len(cols), w.C)
+	out := s.tensor(len(cols), w.C)
 	for n, k := range cols {
 		copy(out.Data[n*w.C:(n+1)*w.C], w.Data[k*w.C:(k+1)*w.C])
 	}
@@ -148,7 +147,7 @@ func gatherWeightRows(s *Scratch, w *Tensor, cols []int) *Tensor {
 // structurally sparse feature batches are detected exactly.
 func nonzeroColsIn(s *Scratch, x *Tensor) []int {
 	K := x.C
-	used := scratchInts(s, K)
+	used := s.Ints(K)
 	cnt := 0
 	for i := 0; i < x.R && cnt < K; i++ {
 		row := x.Data[i*K : i*K+K]
@@ -162,7 +161,7 @@ func nonzeroColsIn(s *Scratch, x *Tensor) []int {
 			}
 		}
 	}
-	nz := scratchInts(s, K)[:0]
+	nz := s.Ints(K)[:0]
 	for k, u := range used {
 		if u != 0 {
 			nz = append(nz, k)
@@ -193,29 +192,61 @@ func epilogue(oRow, bias []float64, relu bool) {
 	}
 }
 
-// DedupRows returns the distinct rows of a feature matrix in
+// DedupRowsIn returns the distinct rows of a feature matrix in
 // first-occurrence order plus the mapping from each original row to its
-// representative. Rows compare by exact bit pattern, so substituting a
-// representative's results for a duplicate's is always bitwise safe.
-func DedupRows(rows [][]float64) (uniq [][]float64, idx []int) {
-	idx = make([]int, len(rows))
-	uniq = make([][]float64, 0, len(rows))
-	seen := make(map[string]int, len(rows)) //pruner:allow hotalloc — the dedup hash is the point: one map per chunk buys back whole projection GEMMs over duplicate rows
-	var key []byte
+// representative, both on s. Rows compare by exact bit pattern, so
+// substituting a representative's results for a duplicate's is always
+// bitwise safe. The lookup is an open-addressing table of distinct-row
+// numbers on s, probed linearly from a hash of the row's bits: no map, no
+// keys, nothing on the heap once s is warm.
+func DedupRowsIn(s *Scratch, rows [][]float64) (uniq [][]float64, idx []int) {
+	idx = s.Ints(len(rows))
+	uniq = s.Rows(len(rows))[:0]
+	size := 1
+	for size < 2*len(rows) {
+		size <<= 1
+	}
+	table := s.Ints(size) // distinct-row number + 1; 0 = empty
+	mask := uint64(size - 1)
 	for i, r := range rows {
-		key = key[:0]
-		for _, v := range r {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		for h := rowHash(r) & mask; ; h = (h + 1) & mask {
+			j := table[h] - 1
+			if j < 0 {
+				table[h] = len(uniq) + 1
+				idx[i] = len(uniq)
+				uniq = append(uniq, r)
+				break
+			}
+			if sameBits(uniq[j], r) {
+				idx[i] = j
+				break
+			}
 		}
-		if j, ok := seen[string(key)]; ok {
-			idx[i] = j
-			continue
-		}
-		seen[string(key)] = len(uniq)
-		idx[i] = len(uniq)
-		uniq = append(uniq, r)
 	}
 	return uniq, idx
+}
+
+// rowHash is FNV-1a over a row's 64-bit words.
+func rowHash(r []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range r {
+		h ^= math.Float64bits(v)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// sameBits reports whether two rows are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // GatherRows expands a deduplicated tensor: row i of the result is src
@@ -226,24 +257,14 @@ func DedupRows(rows [][]float64) (uniq [][]float64, idx []int) {
 // a distinct row once and gathering is bitwise identical in the forward
 // and sums the duplicates' gradients in the backward.
 func GatherRows(src *Tensor, idx []int) *Tensor {
-	out := gatherRowsIn(nil, src, idx)
-	if needsGrad(src) {
-		out.enableGrad(func(*Scratch) {
-			for i, j := range idx {
-				base, obase := j*src.C, i*src.C
-				for c := 0; c < src.C; c++ {
-					addGrad(src, base+c, out.Grad[obase+c])
-				}
-			}
-		}, src)
-	}
-	return out
+	s, grad := opArena(src, nil, nil)
+	return gatherRowsIn(s, src, idx).link(grad, node{op: opGatherRows, a: src, ints: idx})
 }
 
 // gatherRowsIn is the row-gather kernel: row i of the result is src row
 // idx[i].
 func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
-	out := newTensor(s, len(idx), src.C)
+	out := s.tensor(len(idx), src.C)
 	for i, j := range idx {
 		copy(out.Data[i*src.C:(i+1)*src.C], src.Data[j*src.C:(j+1)*src.C])
 	}
@@ -301,81 +322,48 @@ func (m *MLP) ForwardReLURowsIn(s *Scratch, rows [][]float64) *Tensor {
 	return x
 }
 
-// ForwardSegmentsIn applies the attention block on the arena,
-// independently to contiguous row segments of x (lens summing to x.R):
-// the Q/K/V/O projections and the residual layer norm run batched across
-// all segments, while the score matmuls and softmax — the only parts that
-// mix rows — stay segment-local. Each segment's output is bitwise
-// identical to Forward over that segment alone, with zero heap
-// allocations once s is warm.
-//
-//pruner:hotpath
-func (a *SelfAttention) ForwardSegmentsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	return a.forwardFrom(s, x, a.Q.forwardDenseIn(s, x), a.K.forwardDenseIn(s, x), a.V.forwardDenseIn(s, x), lens)
-}
-
-// ForwardSegmentsDedupIn is ForwardSegmentsIn over a token sequence given
-// in deduplicated form: uniq holds the distinct token rows and idx maps
-// each expanded row to its distinct representative (see DedupRows). The
-// Q/K/V projections run once per distinct row and are gathered back, so
-// batches whose tokens repeat heavily — TLP's near-constant one-hots,
+// ForwardSegmentsDedupIn is ForwardSegmentsDedup on the arena: zero heap
+// allocations once s is warm. uniq holds the distinct token rows and idx
+// maps each expanded row to its distinct representative (see
+// DedupRowsIn); lens are the contiguous segments attention runs within.
+// The Q/K/V projections run once per distinct row and are gathered back,
+// so batches whose tokens repeat heavily — TLP's near-constant one-hots,
 // PaCM's zero-padded dataflow rows — skip most projection work. A
 // projection is row-wise, so projecting a representative and copying is
-// bitwise identical to projecting every duplicate.
+// bitwise identical to projecting every duplicate. Each segment's output
+// is bitwise identical to Forward over that segment alone.
 //
 //pruner:hotpath
 func (a *SelfAttention) ForwardSegmentsDedupIn(s *Scratch, uniq *Tensor, idx []int, lens []int) *Tensor {
+	engineAttnSegments.Add(uint64(len(lens)))
 	qu := a.Q.forwardDenseIn(s, uniq)
 	ku := a.K.forwardDenseIn(s, uniq)
 	vu := a.V.forwardDenseIn(s, uniq)
-	return a.forwardFrom(
-		s,
-		gatherRowsIn(s, uniq, idx),
-		gatherRowsIn(s, qu, idx),
-		gatherRowsIn(s, ku, idx),
-		gatherRowsIn(s, vu, idx),
-		lens,
-	)
+	ctx, _ := attendIn(s, gatherRowsIn(s, qu, idx), gatherRowsIn(s, ku, idx), gatherRowsIn(s, vu, idx), lens, a.scale())
+	return addLayerNormRowsIn(s, gatherRowsIn(s, uniq, idx), a.O.forwardDenseIn(s, ctx), a.Norm.G, a.Norm.B)
 }
 
-// forwardFrom is the arena attention core over precomputed projections.
-// Scores, softmax and the value mix run on one reused scratch row per
-// segment — no per-segment tensors — with each value accumulated in the
-// same order as the tape core's operator chain
-// (SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs).
-func (a *SelfAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) *Tensor {
-	engineAttnSegments.Add(uint64(len(lens)))
-	C := x.C
-	ctx := newTensor(s, x.R, C)
-	scale := 1 / math.Sqrt(float64(a.dim))
-	maxN := 0
+// attendIn is the attention core over precomputed projections, shared by
+// inference and the training node (attend): per segment, scaled scores,
+// softmax and the value mix, with each value accumulated in the order of
+// the per-segment operator chain SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs
+// that Forward composes. It also returns the softmax rows, one n×n block
+// per segment in segment order, on s: the training node's saved state.
+func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tensor, probs []float64) {
+	C := q.C
+	ctx = s.tensor(q.R, C)
+	n2 := 0
 	for _, n := range lens {
-		maxN = max(maxN, n)
+		n2 += n * n
 	}
-	scratch := scratchFloats(s, 2*maxN)
-	// softmaxRow replicates SoftmaxRows' operation order on one scratch
-	// row in place.
-	softmaxRow := func(row []float64) {
-		m := math.Inf(-1)
-		for _, sv := range row {
-			m = math.Max(m, sv)
-		}
-		var sum float64
-		for jj, sv := range row {
-			e := math.Exp(sv - m)
-			row[jj] = e
-			sum += e
-		}
-		for jj := range row {
-			row[jj] /= sum
-		}
-	}
-	off := 0
+	probs = s.floats(n2)
+	off, pOff := 0, 0
 	for _, n := range lens {
-		row0, row1 := scratch[:n], scratch[maxN:maxN+n]
 		// Query rows go in pairs sharing each key/value row load.
 		r := off
 		for ; r+2 <= off+n; r += 2 {
+			row0 := probs[pOff+(r-off)*n : pOff+(r-off+1)*n]
+			row1 := probs[pOff+(r-off+1)*n : pOff+(r-off+2)*n]
 			q0 := q.Data[r*C : r*C+C]
 			q1 := q.Data[(r+1)*C : (r+1)*C+C]
 			// Scaled scores against the segment's keys: the full dot in
@@ -407,7 +395,8 @@ func (a *SelfAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) 
 				}
 			}
 		}
-		for ; r < off+n; r++ {
+		if r < off+n {
+			row0 := probs[pOff+(r-off)*n : pOff+(r-off+1)*n]
 			qRow := q.Data[r*C : r*C+C]
 			for jj := 0; jj < n; jj++ {
 				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
@@ -419,7 +408,7 @@ func (a *SelfAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) 
 			}
 			softmaxRow(row0)
 			cRow := ctx.Data[r*C : r*C+C]
-			for jj, av := range row0[:n] {
+			for jj, av := range row0 {
 				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
 				for c2, vv := range vRow {
 					cRow[c2] += av * vv
@@ -427,45 +416,60 @@ func (a *SelfAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) 
 			}
 		}
 		off += n
+		pOff += n * n
 	}
-	if off != x.R {
-		panic(fmt.Sprintf("nn: ForwardSegments lengths sum to %d, tensor has %d rows", off, x.R))
+	if off != q.R {
+		panic(fmt.Sprintf("nn: attention segment lengths sum to %d, tensor has %d rows", off, q.R))
 	}
-	return addLayerNormRowsIn(s, x, a.O.forwardDenseIn(s, ctx), a.Norm.G, a.Norm.B)
+	return ctx, probs
 }
 
 // addLayerNormRowsIn computes LayerNormRows(Add(x, y), g, b) without the
 // tape: the elementwise sum materialises in ascending index order (Add's
-// order) and each row then normalises exactly as LayerNormRows does, so
-// the result is bitwise identical to the operator composition.
+// order) and then normalises exactly as LayerNormRows does, so the result
+// is bitwise identical to the operator composition.
 func addLayerNormRowsIn(s *Scratch, x, y, g, b *Tensor) *Tensor {
 	shapeCheck("add", x, y)
+	sum := s.tensor(x.R, x.C)
+	for i := range sum.Data {
+		sum.Data[i] = x.Data[i] + y.Data[i]
+	}
+	return layerNormRowsIn(s, sum, g, b, nil)
+}
+
+// layerNormRowsIn is the layer-norm kernel: each row of x normalised to
+// zero mean and unit variance, then scaled by g and shifted by b. When
+// saved is non-nil (x.R*x.C + x.R long) the normalised values and the
+// per-row inverse stds are kept there for the backward.
+func layerNormRowsIn(s *Scratch, x, g, b *Tensor, saved []float64) *Tensor {
 	const eps = 1e-5
 	if g.R != 1 || g.C != x.C || b.R != 1 || b.C != x.C {
 		panic("nn: layernorm parameter shape mismatch")
 	}
-	sum := newTensor(s, x.R, x.C)
-	for i := range sum.Data {
-		sum.Data[i] = x.Data[i] + y.Data[i]
-	}
 	n := float64(x.C)
-	out := newTensor(s, x.R, x.C)
+	out := s.tensor(x.R, x.C)
 	for i := 0; i < x.R; i++ {
 		var mu float64
 		for j := 0; j < x.C; j++ {
-			mu += sum.Data[i*x.C+j]
+			mu += x.Data[i*x.C+j]
 		}
 		mu /= n
 		var va float64
 		for j := 0; j < x.C; j++ {
-			d := sum.Data[i*x.C+j] - mu
+			d := x.Data[i*x.C+j] - mu
 			va += d * d
 		}
 		va /= n
 		inv := 1 / math.Sqrt(va+eps)
+		if saved != nil {
+			saved[x.R*x.C+i] = inv
+		}
 		for j := 0; j < x.C; j++ {
 			idx := i*x.C + j
-			nv := (sum.Data[idx] - mu) * inv
+			nv := (x.Data[idx] - mu) * inv
+			if saved != nil {
+				saved[idx] = nv
+			}
 			out.Data[idx] = nv*g.Data[j] + b.Data[j]
 		}
 	}
@@ -491,7 +495,7 @@ func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	if total != x.R {
 		panic(fmt.Sprintf("nn: SegmentSumRows lengths sum to %d, tensor has %d rows", total, x.R))
 	}
-	out := newTensor(s, len(lens), x.C)
+	out := s.tensor(len(lens), x.C)
 	row := 0
 	for sg, n := range lens {
 		oRow := out.Data[sg*x.C : (sg+1)*x.C]
@@ -512,7 +516,7 @@ func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 // over that segment in isolation.
 func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	sum := SegmentSumRowsIn(s, x, lens)
-	out := newTensor(s, sum.R, sum.C)
+	out := s.tensor(sum.R, sum.C)
 	for sg, n := range lens {
 		inv := 1 / float64(n)
 		for j := 0; j < sum.C; j++ {
@@ -524,7 +528,7 @@ func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 
 // TanhIn applies the hyperbolic tangent elementwise.
 func TanhIn(s *Scratch, x *Tensor) *Tensor {
-	out := newTensor(s, x.R, x.C)
+	out := s.tensor(x.R, x.C)
 	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
 	}
@@ -537,7 +541,7 @@ func ConcatColsIn(s *Scratch, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
 	}
 	cols := a.C + b.C
-	out := newTensor(s, a.R, cols)
+	out := s.tensor(a.R, cols)
 	for i := 0; i < a.R; i++ {
 		copy(out.Data[i*cols:i*cols+a.C], a.Data[i*a.C:(i+1)*a.C])
 		copy(out.Data[i*cols+a.C:(i+1)*cols], b.Data[i*b.C:(i+1)*b.C])

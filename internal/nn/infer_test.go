@@ -240,7 +240,7 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 		bitwiseEqual(t, name+": mlp", mlp.ForwardIn(s, x), mlp.Forward(x))
 		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURowsIn(s, rows), ReLU(mlp.Forward(x)))
 		bitwiseEqual(t, name+": attention segments",
-			attn.ForwardSegmentsIn(s, tokens, lens), perSegment(attn, tokens, lens))
+			attn.ForwardSegmentsDedupIn(s, tokens, identityInts(nil, tokens.R), lens), perSegment(attn, tokens, lens))
 		bitwiseEqual(t, name+": attention dedup",
 			attn.ForwardSegmentsDedupIn(s, uniq, idx, lens), perSegment(attn, GatherRows(uniq, idx), lens))
 	})
@@ -259,7 +259,7 @@ func TestInferenceForwardBuildsNoTape(t *testing.T) {
 		"module": SegmentSumRows(ReLU(mlp.Forward(x)), []int{1, 2}),
 		"kernel": mlp.ForwardIn(nil, x),
 	} {
-		if y.requiresGrad || y.back != nil || y.prev != nil || y.Grad != nil {
+		if y.requiresGrad || y.node.op != opNone || y.arena != nil || y.Grad != nil {
 			t.Fatalf("%s inference forward carries tape state", name)
 		}
 	}

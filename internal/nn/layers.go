@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -124,61 +123,36 @@ func (a *SelfAttention) Forward(x *Tensor) *Tensor {
 	q := a.Q.Forward(x)
 	k := a.K.Forward(x)
 	v := a.V.Forward(x)
-	scores := Scale(MatMul(q, Transpose(k)), 1/math.Sqrt(float64(a.dim)))
+	scores := Scale(MatMul(q, Transpose(k)), a.scale())
 	attn := SoftmaxRows(scores)
 	ctx := a.O.Forward(MatMul(attn, v))
 	return a.Norm.Forward(Add(x, ctx))
 }
 
-// ForwardSegments applies the block independently to contiguous row
-// segments of x (lens summing to x.R), with gradients: the Q/K/V/O
-// projections and the residual layer norm run batched across all
-// segments — one GEMM each instead of one per segment — while the score
-// matmuls and softmax, the only row-mixing parts, stay segment-local.
-// Projections and layer norm are row-wise, so each segment's output is
-// bitwise identical to Forward over that segment alone; this is the
-// tape counterpart of the arena ForwardSegmentsIn.
-func (a *SelfAttention) ForwardSegments(x *Tensor, lens []int) *Tensor {
-	return a.forwardSegments(x, a.Q.Forward(x), a.K.Forward(x), a.V.Forward(x), lens)
-}
-
-// ForwardSegmentsDedup is ForwardSegments over a token sequence in
-// deduplicated form (see DedupRows): uniq holds the projected-input
-// candidates' distinct token rows and idx maps each expanded row to its
-// representative. Q/K/V run once per distinct row and are gathered back
-// with gradient-aware GatherRows, so training on batches whose tokens
-// repeat heavily — TLP's near-constant one-hots, PaCM's zero-padded
-// dataflow rows — skips most projection work in the forward and the
-// backward both.
+// ForwardSegmentsDedup applies the block independently to contiguous
+// row segments (lens) of a token sequence given in deduplicated form (see
+// DedupRowsIn), with gradients: uniq holds the distinct token rows and idx
+// maps each expanded row to its representative. Q/K/V run once per
+// distinct row and are gathered back with gradient-aware GatherRows, so
+// training on batches whose tokens repeat heavily — TLP's near-constant
+// one-hots, PaCM's zero-padded dataflow rows — skips most projection work
+// in the forward and the backward both. The projections and the residual
+// layer norm are row-wise and run batched across all segments; the score
+// matmuls and softmax, the only row-mixing parts, are the attention core,
+// one tape node (attend) whose forward is the inference engine's loop.
+// Each segment's output is bitwise identical to Forward over that segment
+// alone.
 func (a *SelfAttention) ForwardSegmentsDedup(uniq *Tensor, idx []int, lens []int) *Tensor {
-	return a.forwardSegments(
-		GatherRows(uniq, idx),
-		GatherRows(a.Q.Forward(uniq), idx),
-		GatherRows(a.K.Forward(uniq), idx),
-		GatherRows(a.V.Forward(uniq), idx),
-		lens,
-	)
-}
-
-// forwardSegments is the shared segment-attention core over precomputed
-// projections.
-func (a *SelfAttention) forwardSegments(x, q, k, v *Tensor, lens []int) *Tensor {
-	parts := make([]*Tensor, len(lens))
-	off := 0
-	for s, n := range lens {
-		qs := SliceRows(q, off, off+n)
-		ks := SliceRows(k, off, off+n)
-		vs := SliceRows(v, off, off+n)
-		scores := Scale(MatMul(qs, Transpose(ks)), 1/math.Sqrt(float64(a.dim)))
-		parts[s] = MatMul(SoftmaxRows(scores), vs)
-		off += n
-	}
-	if off != x.R {
-		panic(fmt.Sprintf("nn: ForwardSegments lengths sum to %d, tensor has %d rows", off, x.R))
-	}
-	ctx := a.O.Forward(ConcatRows(parts...))
+	x := GatherRows(uniq, idx)
+	q := GatherRows(a.Q.Forward(uniq), idx)
+	k := GatherRows(a.K.Forward(uniq), idx)
+	v := GatherRows(a.V.Forward(uniq), idx)
+	ctx := a.O.Forward(attend(q, k, v, lens, a.scale()))
 	return a.Norm.Forward(Add(x, ctx))
 }
+
+// scale is the score scale 1/√dim.
+func (a *SelfAttention) scale() float64 { return 1 / math.Sqrt(float64(a.dim)) }
 
 // Params implements Module.
 func (a *SelfAttention) Params() []*Tensor {

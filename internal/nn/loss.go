@@ -2,7 +2,7 @@ package nn
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // MSELoss returns mean((pred - target)^2) as a scalar tensor; target is a
@@ -19,7 +19,8 @@ func MSELoss(pred, target *Tensor) *Tensor {
 // normalised throughput of the schedule).
 //
 // The returned scalar tensor carries an exact custom backward: the
-// standard lambda gradients are injected into scores.Grad.
+// standard lambda gradients are injected into scores.Grad. Its working
+// buffers live on the scores' arena.
 func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 	if scores.C != 1 || scores.R != len(rel) {
 		panic("nn: LambdaRankLoss shape mismatch")
@@ -28,21 +29,20 @@ func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 	if n < 2 {
 		return MeanAll(Mul(scores, Scale(scores, 0))) // zero loss, keeps graph
 	}
+	s, grad := opArena(scores, nil, nil)
 
 	// Ideal DCG from relevance-sorted order; gains are the (non-negative)
-	// relevances themselves.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return rel[idx[a]] > rel[idx[b]] })
+	// relevances themselves. Tied scores make the rank positions depend on
+	// how the sort breaks ties: slices.SortFunc is the pdqsort sort.Slice
+	// runs, and descending's comparator is negative exactly when the old
+	// less was true, so the permutation is the same
+	// (TestRankSortsMatchSortSlice).
+	idx := identityInts(s, n)
+	slices.SortFunc(idx, descending(rel).cmp)
 	// rank positions by current score order
-	rank := make([]int, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return scores.Data[order[a]] > scores.Data[order[b]] })
+	order := identityInts(s, n)
+	slices.SortFunc(order, descending(scores.Data).cmp)
+	rank := s.Ints(n)
 	for pos, item := range order {
 		rank[item] = pos
 	}
@@ -54,7 +54,7 @@ func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 		idcg = 1
 	}
 
-	lambdas := make([]float64, n)
+	lambdas := s.floats(n)
 	var lossVal float64
 	var pairs float64
 	for i := 0; i < n; i++ {
@@ -77,9 +77,9 @@ func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 				l = math.Log1p(math.Exp(-sdiff))
 			}
 			lossVal += deltaN * l
-			grad := -deltaN / (1 + math.Exp(sdiff))
-			lambdas[i] += grad
-			lambdas[j] -= grad
+			lambda := -deltaN / (1 + math.Exp(sdiff))
+			lambdas[i] += lambda
+			lambdas[j] -= lambda
 			pairs++
 		}
 	}
@@ -87,15 +87,23 @@ func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 		pairs = 1
 	}
 
-	out := New(1, 1)
+	out := s.tensor(1, 1)
 	out.Data[0] = lossVal / pairs
-	if needsGrad(scores) {
-		out.enableGrad(func(*Scratch) {
-			g := out.Grad[0] / pairs
-			for i := 0; i < n; i++ {
-				addGrad(scores, i*scores.C, g*lambdas[i])
-			}
-		}, scores)
+	return out.link(grad, node{op: opLambdaRank, a: scores, saved: lambdas, k: pairs})
+}
+
+// descending orders indices by key, largest first.
+type descending []float64
+
+// cmp is negative exactly when key[a] > key[b] — sort.Slice's less for a
+// descending sort — and zero on ties and NaNs, which that less leaves
+// unordered too.
+func (key descending) cmp(a, b int) int {
+	switch {
+	case key[a] > key[b]:
+		return -1
+	case key[a] < key[b]:
+		return 1
 	}
-	return out
+	return 0
 }

@@ -1,127 +1,143 @@
-// Scratch: the grow-only arena behind the zero-allocation inference
-// path. The batched cost-model engine calls the arena kernels once per
-// candidate chunk, thousands of times per tuning round; with a warmed
-// Scratch every *In kernel runs without touching the heap (pinned by the
-// TestAlloc* gates and the hotalloc analyzer), so the verify stage stops
-// feeding the garbage collector.
+// Scratch: the grow-only arena behind the zero-allocation cost-model
+// path, inference and training alike. The batched cost-model engine
+// calls the arena kernels once per candidate chunk, thousands of times per
+// tuning round, and the trainer runs one tape forward and backward per
+// task group; with a warmed Scratch neither touches the heap (pinned by
+// the TestAlloc* gates and the hotalloc analyzer), so neither stage feeds
+// the garbage collector.
 //
 // A Scratch hands out zeroed buffers and reset tensor headers in call
 // order and is rewound wholesale with Reset — allocation happens only
 // while a buffer sequence is still growing toward its steady-state
 // shape. Buffers alias memory owned by the Scratch: results needed
-// beyond the next Reset must be copied out (see scoresOut in
-// costmodel). A Scratch is single-goroutine state; concurrent engine
-// chunks draw distinct instances from a free list.
+// beyond the next Reset must be copied out. The header list doubles as
+// the tape (tape.go): a training forward's nodes are the headers it drew,
+// in creation order. A Scratch is single-goroutine state; concurrent
+// engine chunks and training replicas each own one.
+//
+// Every method accepts a nil *Scratch and then allocates on the heap: the
+// convention that lets one kernel serve the arena and the heap callers.
 
 package nn
 
-// Scratch is a grow-only arena of float64/int buffers and Tensor
-// headers, reused across arena-kernel calls. The zero value is ready to
-// use.
+// Scratch is a grow-only arena of float64, int and row-view buffers and
+// Tensor headers, reused across arena-kernel calls. The zero value is
+// ready to use.
 type Scratch struct {
-	floatBufs [][]float64
-	floatN    int
-	intBufs   [][]int
-	intN      int
-	tensors   []*Tensor
-	tensorN   int
+	floatSlots slots[float64]
+	intSlots   slots[int]
+	rowSlots   slots[[]float64]
+	tensors    []*Tensor
+	tensorN    int
+	// heap marks the private arena a heap-built graph records on (see
+	// opArena): never Reset, so its storage lives exactly as long as the
+	// graph.
+	heap bool
+}
+
+// slots is one grow-only list of reusable buffers: get hands out slot i
+// in call order, Reset rewinds to slot 0.
+type slots[T any] struct {
+	bufs [][]T
+	n    int
+}
+
+// get returns a zeroed buffer of length n. The slot grows when n exceeds
+// its previous capacity and is reused otherwise.
+func (l *slots[T]) get(n int) []T {
+	if l.n < len(l.bufs) && cap(l.bufs[l.n]) >= n {
+		buf := l.bufs[l.n][:n]
+		l.n++
+		clear(buf)
+		return buf
+	}
+	buf := make([]T, n)
+	if l.n < len(l.bufs) {
+		l.bufs[l.n] = buf
+	} else {
+		l.bufs = append(l.bufs, buf) //pruner:allow hotalloc — arena growth: amortized away once the buffer sequence reaches steady-state shape
+	}
+	l.n++
+	return buf
 }
 
 // Reset rewinds the arena: every buffer and tensor handed out since the
 // last Reset is reclaimed (and its memory retained for reuse).
 func (s *Scratch) Reset() {
-	s.floatN, s.intN, s.tensorN = 0, 0, 0
+	s.floatSlots.n, s.intSlots.n, s.rowSlots.n, s.tensorN = 0, 0, 0, 0
 }
 
-// floats returns a zeroed float buffer of length n. The slot grows when
-// n exceeds its previous capacity and is reused otherwise.
+// floats returns a zeroed float buffer of length n.
 func (s *Scratch) floats(n int) []float64 {
-	if s.floatN < len(s.floatBufs) && cap(s.floatBufs[s.floatN]) >= n {
-		buf := s.floatBufs[s.floatN][:n]
-		s.floatN++
-		clear(buf)
-		return buf
+	if s == nil {
+		return make([]float64, n)
 	}
-	buf := make([]float64, n)
-	if s.floatN < len(s.floatBufs) {
-		s.floatBufs[s.floatN] = buf
-	} else {
-		s.floatBufs = append(s.floatBufs, buf) //pruner:allow hotalloc — arena growth: amortized away once the buffer sequence reaches steady-state shape
-	}
-	s.floatN++
-	return buf
+	return s.floatSlots.get(n)
 }
 
-// ints returns a zeroed int buffer of length n (same reuse contract as
-// floats).
-func (s *Scratch) ints(n int) []int {
-	if s.intN < len(s.intBufs) && cap(s.intBufs[s.intN]) >= n {
-		buf := s.intBufs[s.intN][:n]
-		s.intN++
-		clear(buf)
-		return buf
+// Ints returns a zeroed int buffer of length n, valid until the next
+// Reset.
+func (s *Scratch) Ints(n int) []int {
+	if s == nil {
+		return make([]int, n)
 	}
-	buf := make([]int, n)
-	if s.intN < len(s.intBufs) {
-		s.intBufs[s.intN] = buf
-	} else {
-		s.intBufs = append(s.intBufs, buf) //pruner:allow hotalloc — arena growth: amortized away once the buffer sequence reaches steady-state shape
+	return s.intSlots.get(n)
+}
+
+// Rows returns n nil row views, valid until the next Reset: storage for
+// a batch's row list, whose rows themselves live elsewhere.
+func (s *Scratch) Rows(n int) [][]float64 {
+	if s == nil {
+		return make([][]float64, n)
 	}
-	s.intN++
-	return buf
+	return s.rowSlots.get(n)
 }
 
 // tensor returns a zeroed r x c tensor whose Data aliases arena memory.
-// The header itself is reused too, with no tape state: scratch tensors
-// never carry gradients.
+// The header itself is reused too, reset to carry no tape state.
 func (s *Scratch) tensor(r, c int) *Tensor {
+	if s == nil {
+		return New(r, c)
+	}
 	var t *Tensor
 	if s.tensorN < len(s.tensors) {
 		t = s.tensors[s.tensorN]
 	} else {
-		t = &Tensor{}
-		s.tensors = append(s.tensors, t) //pruner:allow hotalloc — arena growth: amortized away once the header sequence reaches steady-state shape
+		t = new(Tensor)
 	}
-	s.tensorN++
-	t.R, t.C = r, c
-	t.Data = s.floats(r * c)
-	t.Grad = nil
-	t.requiresGrad = false
-	t.back = nil
-	t.prev = nil
+	s.push(t)
+	*t = Tensor{R: r, C: c, Data: s.floats(r * c), arena: s}
 	return t
 }
 
-// newTensor is the allocation seam every kernel output goes through:
-// arena-backed when a Scratch is supplied, a fresh heap tensor when s is
-// nil (how the tape operators call the kernels).
-func newTensor(s *Scratch, r, c int) *Tensor {
-	if s == nil {
-		return New(r, c)
+// push puts header t at the end of the arena's header list.
+func (s *Scratch) push(t *Tensor) {
+	if s.tensorN < len(s.tensors) {
+		s.tensors[s.tensorN] = t
+	} else {
+		s.tensors = append(s.tensors, t) //pruner:allow hotalloc — arena growth: amortized away once the header sequence reaches steady-state shape
 	}
-	return s.tensor(r, c)
+	s.tensorN++
 }
 
-// scratchFloats is the nil-tolerant spelling of Scratch.floats for
-// kernels that accept an optional arena.
-func scratchFloats(s *Scratch, n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
+// absorb moves heap graph o's headers, in order, behind s's: two graphs
+// built from heap operands met at an operator. Neither used the other, so
+// the merged list is still topological. Arena graphs never merge: their
+// nodes die at the arena's Reset, a heap graph's live as long as it does.
+func (s *Scratch) absorb(o *Scratch) {
+	if !s.heap || !o.heap {
+		panic("nn: an operator's operands live on two arenas")
 	}
-	return s.floats(n)
-}
-
-// scratchInts is the nil-tolerant spelling of Scratch.ints.
-func scratchInts(s *Scratch, n int) []int {
-	if s == nil {
-		return make([]int, n)
+	for _, t := range o.tensors[:o.tensorN] {
+		t.arena = s
+		s.push(t)
 	}
-	return s.ints(n)
+	o.tensors, o.tensorN = nil, 0
 }
 
 // identityInts returns 0..n-1: the contraction list of a dense GEMM.
 func identityInts(s *Scratch, n int) []int {
-	ks := scratchInts(s, n)
+	ks := s.Ints(n)
 	for k := range ks {
 		ks[k] = k
 	}

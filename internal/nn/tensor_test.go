@@ -178,7 +178,7 @@ func TestFreezeParamsBuildsNoGraph(t *testing.T) {
 	x.Data[0], x.Data[1] = 1, 2
 	restore := FreezeParams([]*Tensor{w})
 	y := MatMul(x, w)
-	if y.requiresGrad || y.back != nil {
+	if y.requiresGrad || y.node.op != opNone {
 		t.Fatal("frozen-parameter output should not carry graph state")
 	}
 	restore()
@@ -233,4 +233,22 @@ func TestGradAccumulationAcrossUses(t *testing.T) {
 	if math.Abs(x.Grad[0]-want) > 1e-9 {
 		t.Fatalf("grad %g want %g", x.Grad[0], want)
 	}
+}
+
+// TestOperandsOnTwoArenasPanic pins the tape's one merge rule: graphs
+// built from heap operands concatenate when they meet, but an arena
+// graph never merges with another graph — its nodes die at the arena's
+// Reset, so an operator over both must fail loudly.
+func TestOperandsOnTwoArenasPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	w := randParam(rng, 3, 3)
+	var s Scratch
+	onArena := MatMul(FromRowsIn(&s, [][]float64{{1, 2, 3}}), w)
+	onHeap := MatMul(FromRows([][]float64{{3, 2, 1}}), w)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an operator over an arena node and a heap node must panic")
+		}
+	}()
+	Add(onArena, onHeap)
 }

@@ -13,27 +13,25 @@ import "fmt"
 
 // Affine is the fused training op out = x@W + b, optionally through
 // ReLU: one tape node where the operator chain ReLU(AddBias(MatMul))
-// builds three, so a Linear layer's forward allocates one output and one
+// builds three, so a Linear layer's forward draws one output and one
 // gradient buffer instead of three of each. The forward is the GEMM
-// kernel (matmulFusedIn, nil arena), which is bitwise identical to the
-// chain for the finite weights training produces; the backward fuses the
-// ReLU mask, the bias column-sum and the two gradient GEMMs, each
-// accumulating per element in the same ascending order as the chain, so
-// gradients are bitwise identical too.
+// kernel (matmulFusedIn), which is bitwise identical to the chain for the
+// finite weights training produces; the backward fuses the ReLU mask, the
+// bias column-sum and the two gradient GEMMs, each accumulating per
+// element in the same ascending order as the chain, so gradients are
+// bitwise identical too.
 func Affine(x, w, b *Tensor, relu bool) *Tensor {
 	if w.R != x.C || b.R != 1 || b.C != w.C {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
 	}
-	out := matmulFusedIn(nil, x, w, b.Data, relu)
-	if needsGrad(x, w, b) {
-		out.enableGrad(func(s *Scratch) { affineBackward(s, x, w, b, out, relu) }, x, w, b)
-	}
-	return out
+	s, grad := opArena(x, w, b)
+	return matmulFusedIn(s, x, w, b.Data, relu).link(grad, node{op: opAffine, a: x, b: w, c: b, flag: relu})
 }
 
 // affineBackward is Affine's backward. Both gradient GEMMs run on the
-// forward's micro-kernel (gemm.go); their temporaries come from s, so a
-// warmed pass allocates nothing.
+// forward's micro-kernel (gemm.go); their temporaries come from s, drawn
+// in the same sequence whatever the shapes, so a warmed pass allocates
+// nothing and keeps every arena slot in one role.
 //
 //pruner:hotpath
 func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
@@ -63,14 +61,14 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		// operand is the transposed panel. Each element is one dot over j
 		// in ascending order into a fresh accumulator, then added to
 		// x.Grad — the chain's xGrad[k] += dot.
-		wT := scratchFloats(s, C*K)
+		wT := s.floats(C * K)
 		for k := 0; k < K; k++ {
 			for j, wv := range w.Data[k*C : k*C+C] {
 				wT[j*K+k] = wv
 			}
 		}
 		js := identityInts(s, C)
-		acc := scratchFloats(s, 2*K)
+		acc := s.floats(2 * K)
 		for i := 0; i < x.R; i += 2 {
 			i1 := min(i+1, x.R-1) // odd last row: twice, into the spare half
 			clear(acc)
@@ -87,13 +85,7 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		// row terms add in ascending order. A short last step reads zero
 		// scalars against a repeated gradient row; an odd last W row runs
 		// twice, the second time into a spare.
-		var zeros, spare []float64
-		if x.R%4 != 0 {
-			zeros = scratchFloats(s, K)
-		}
-		if K%2 != 0 {
-			spare = scratchFloats(s, C)
-		}
+		zeros, spare := s.floats(K), s.floats(C)
 		var p [8]float64
 		for i := 0; i < x.R; i += 4 {
 			var gr, xr [4][]float64
@@ -119,6 +111,108 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 				gemmBlock(w.Grad[k*C:k*C+C], o1, gr[0], gr[1], gr[2], gr[3], &p)
 			}
 		}
+	}
+}
+
+// attend is the attention core on the tape: one node over the gathered
+// projections q, k, v, whatever the number of segments. Its forward is
+// attendIn, the inference loop, whose softmax blocks it keeps; its
+// backward (attendBackward) reproduces bit for bit the gradients of the
+// per-segment operator chain Forward composes (TestAttentionTapePinned).
+func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
+	s, grad := opArena(q, k, v)
+	out, probs := attendIn(s, q, k, v, lens, scale)
+	return out.link(grad, node{op: opAttention, a: q, b: k, c: v, ints: lens, saved: probs, k: scale})
+}
+
+// attendBackward is attend's backward, written to the accumulation order
+// of that chain over segments — per segment SliceRows of q, k and v,
+// Transpose, MatMul, Scale, SoftmaxRows, MatMul, then ConcatRows — whose
+// reverse walk visits the segments last to first and, within one, hands
+// the value, key and query slices their gradients in that order. Per
+// segment, with P the saved softmax block and G the output gradient rows:
+//
+//	dP = G Vᵀ            each element one dot over columns, ascending
+//	dV = Pᵀ G            each element summed over query rows, ascending
+//	dS = P ∘ (dP − rowsum(dP ∘ P)) · scale
+//	dK = dSᵀ Q, dQ = dS K  (as dV and dP)
+//
+// dV, dK and dQ are accumulated in scratch blocks and then added to the
+// operands' gradients, as the slices' backwards did. Temporaries come
+// from s.
+//
+//pruner:hotpath
+func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float64, scale float64) {
+	C := q.C
+	maxN := 0
+	for _, n := range lens {
+		maxN = max(maxN, n)
+	}
+	dP := s.floats(maxN * maxN)
+	dV, dK, dQ := s.floats(maxN*C), s.floats(maxN*C), s.floats(maxN*C)
+	off, pOff := out.R, len(probs)
+	for sg := len(lens) - 1; sg >= 0; sg-- {
+		n := lens[sg]
+		off -= n
+		pOff -= n * n
+		P := probs[pOff : pOff+n*n]
+		G := out.Grad[off*C : (off+n)*C]
+		dv, dk, dq, dp := dV[:n*C], dK[:n*C], dQ[:n*C], dP[:n*n]
+		clear(dv)
+		clear(dk)
+		clear(dq)
+		for i := 0; i < n; i++ {
+			gRow := G[i*C : i*C+C]
+			for j := 0; j < n; j++ {
+				vRow := v.Data[(off+j)*C : (off+j)*C+C]
+				var dot float64
+				for c, gv := range gRow {
+					dot += gv * vRow[c]
+				}
+				dp[i*n+j] = dot
+				p := P[i*n+j]
+				dvRow := dv[j*C : j*C+C]
+				for c, gv := range gRow {
+					dvRow[c] += p * gv
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			row, grow := P[i*n:i*n+n], dp[i*n:i*n+n]
+			var dot float64
+			for j := range row {
+				dot += grow[j] * row[j]
+			}
+			for j := range row {
+				grow[j] = row[j] * (grow[j] - dot) * scale
+			}
+		}
+		for i := 0; i < n; i++ {
+			qRow := q.Data[(off+i)*C : (off+i)*C+C]
+			dqRow := dq[i*C : i*C+C]
+			for j, sv := range dp[i*n : i*n+n] {
+				kRow := k.Data[(off+j)*C : (off+j)*C+C]
+				dkRow := dk[j*C : j*C+C]
+				for c, kv := range kRow {
+					dqRow[c] += sv * kv
+					dkRow[c] += qRow[c] * sv
+				}
+			}
+		}
+		addRows(v, off, dv)
+		addRows(k, off, dk)
+		addRows(q, off, dq)
+	}
+}
+
+// addRows adds a block of gradient rows into t's rows from off on.
+func addRows(t *Tensor, off int, block []float64) {
+	if !t.requiresGrad {
+		return
+	}
+	dst := t.Grad[off*t.C : off*t.C+len(block)]
+	for i, g := range block {
+		dst[i] += g
 	}
 }
 

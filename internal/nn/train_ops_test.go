@@ -148,6 +148,69 @@ func TestDelegatedTapeOpsPinned(t *testing.T) {
 	}
 }
 
+// digestFloats is the FNV-64a of the value bits, in order: the gradient
+// pins' fingerprint.
+func digestFloats(vals ...[]float64) string {
+	h := fnv.New64a()
+	for _, vs := range vals {
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestAttentionTapePinned pins the training attention block bit for bit:
+// the forward values, the token gradient (four consumers: the residual
+// gather and the Q/K/V projections) and every Q/K/V/O/Norm parameter
+// gradient through ForwardSegmentsDedup hash to the digest captured on the
+// per-segment operator chain. Segment lengths include 1, and the tokens
+// repeat.
+func TestAttentionTapePinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	attn := NewSelfAttention(rng, 5)
+	uniq := randParam(rng, 4, 5)
+	idx := []int{0, 1, 0, 2, 3, 3, 1, 0, 2, 1}
+	lens := []int{3, 1, 4, 1, 1}
+	out := attn.ForwardSegmentsDedup(uniq, idx, lens)
+	Backward(MeanAll(Mul(out, randConst(rng, out.R, out.C))))
+	vals := [][]float64{out.Data, uniq.Grad}
+	for _, p := range attn.Params() {
+		vals = append(vals, p.Grad)
+	}
+	if got, want := digestFloats(vals...), "b7bb16a3f749ceaa"; got != want {
+		t.Errorf("attention values+gradients digest %s, pinned %s", got, want)
+	}
+}
+
+// TestLambdaRankLossPinned pins the LambdaRank loss value and its score
+// gradient on tie-heavy inputs: tied scores make the rank positions — and
+// so the |ΔNDCG| weights — depend on how the sort breaks ties, so the
+// digest fixes the sort's permutation as well as the arithmetic.
+func TestLambdaRankLossPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for _, tc := range []struct {
+		n      int
+		golden string
+	}{
+		{9, "ae6898bd23a1b51a"},
+		{40, "d1b70c1164413d32"},
+		{128, "213552a257377acc"},
+	} {
+		scores := ZeroParam(tc.n, 1)
+		rel := make([]float64, tc.n)
+		for i := range rel {
+			scores.Data[i] = float64(rng.Intn(5)-2) / 2
+			rel[i] = float64(rng.Intn(4)) / 4
+		}
+		loss := LambdaRankLoss(scores, rel)
+		Backward(loss)
+		if got := digestFloats(loss.Data, scores.Grad); got != tc.golden {
+			t.Errorf("n=%d: loss+gradient digest %s, pinned %s", tc.n, got, tc.golden)
+		}
+	}
+}
+
 // TestForwardSegmentsMatchesPerSegment pins the training segment
 // attention to the per-segment Forward: forward values bitwise, summed
 // parameter gradients to close tolerance (the weight-gradient terms add
@@ -158,7 +221,8 @@ func TestForwardSegmentsMatchesPerSegment(t *testing.T) {
 	lens := []int{3, 2, 4}
 	x := randParam(rng, 9, 6)
 
-	seg := attn.ForwardSegments(x, lens)
+	ident := identityInts(nil, x.R)
+	seg := attn.ForwardSegmentsDedup(x, ident, lens)
 	off := 0
 	var parts []*Tensor
 	for _, n := range lens {
@@ -188,7 +252,7 @@ func TestForwardSegmentsMatchesPerSegment(t *testing.T) {
 		}
 		return flat
 	}
-	gs := grads(attn.ForwardSegments(x, lens))
+	gs := grads(attn.ForwardSegmentsDedup(x, ident, lens))
 	off = 0
 	parts = parts[:0]
 	for _, n := range lens {
@@ -215,7 +279,8 @@ func TestForwardSegmentsDedupMatches(t *testing.T) {
 	idx := []int{0, 1, 0, 2, 2, 0} // heavy duplication, as TLP tokens show
 
 	ded := attn.ForwardSegmentsDedup(uniq, idx, lens)
-	exp := attn.ForwardSegments(GatherRows(uniq, idx), lens)
+	ident := identityInts(nil, len(idx))
+	exp := attn.ForwardSegmentsDedup(GatherRows(uniq, idx), ident, lens)
 	for i := range ded.Data {
 		if ded.Data[i] != exp.Data[i] {
 			t.Fatalf("dedup forward value [%d] %g != expanded %g", i, ded.Data[i], exp.Data[i])
@@ -236,7 +301,7 @@ func TestForwardSegmentsDedupMatches(t *testing.T) {
 		return flat
 	}
 	gd := grads(attn.ForwardSegmentsDedup(uniq, idx, lens))
-	ge := grads(attn.ForwardSegments(GatherRows(uniq, idx), lens))
+	ge := grads(attn.ForwardSegmentsDedup(GatherRows(uniq, idx), ident, lens))
 	for i := range gd {
 		if math.Abs(gd[i]-ge[i]) > 1e-12*(1+math.Abs(ge[i])) {
 			t.Fatalf("dedup grad [%d] %g != expanded %g", i, gd[i], ge[i])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -111,6 +112,30 @@ func TestLambdaRankGradCheck(t *testing.T) {
 		want := (lp - lm) / (2 * h)
 		if math.Abs(scores.Grad[i]-want) > 1e-3*(1+math.Abs(want)) {
 			t.Fatalf("entry %d: grad %g want %g", i, scores.Grad[i], want)
+		}
+	}
+}
+
+// TestRankSortsMatchSortSlice compares LambdaRankLoss's orderings with the
+// sort.Slice calls they replaced, on random key vectors drawn from a
+// five-value alphabet (so nearly every comparison is a tie, and the tie
+// order is what the sort decides): the same permutation at every length,
+// from insertion-sort sizes through pdqsort's partitions.
+func TestRankSortsMatchSortSlice(t *testing.T) {
+	alphabet := []float64{-1, 0, 0.25, 0.5, 1}
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(300)
+		key := make([]float64, n)
+		for i := range key {
+			key[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		ref := identityInts(nil, n)
+		sort.Slice(ref, func(a, b int) bool { return key[ref[a]] > key[ref[b]] })
+		got := identityInts(nil, n)
+		slices.SortFunc(got, descending(key).cmp)
+		if !slices.Equal(got, ref) {
+			t.Fatalf("trial %d (n=%d): slices.SortFunc order differs from sort.Slice", trial, n)
 		}
 	}
 }

@@ -92,22 +92,23 @@ func (s *Schedule) Fingerprint() string {
 	// but byte-identical to the historical fmt-based format: the string
 	// also feeds the simulator's deterministic micro-jitter hash, so its
 	// exact bytes are part of the calibrated ground truth.
-	b := make([]byte, 0, 24*(len(s.SpatialTiles)+len(s.ReduceTiles))+32)
-	appendTile := func(prefix byte, tile []int) {
+	nS := len(s.SpatialTiles)
+	b := make([]byte, 0, 24*(nS+len(s.ReduceTiles))+32)
+	for i := 0; i < nS+len(s.ReduceTiles); i++ {
+		prefix, tile := byte('s'), []int(nil)
+		if i < nS {
+			tile = s.SpatialTiles[i][:]
+		} else {
+			prefix, tile = 'r', s.ReduceTiles[i-nS][:]
+		}
 		b = append(b, prefix, '[')
-		for i, v := range tile {
-			if i > 0 {
+		for j, v := range tile {
+			if j > 0 {
 				b = append(b, ' ')
 			}
 			b = strconv.AppendInt(b, int64(v), 10)
 		}
 		b = append(b, ']')
-	}
-	for i := range s.SpatialTiles {
-		appendTile('s', s.SpatialTiles[i][:])
-	}
-	for i := range s.ReduceTiles {
-		appendTile('r', s.ReduceTiles[i][:])
 	}
 	b = append(b, "|u"...)
 	b = strconv.AppendInt(b, int64(s.UnrollStep), 10)
