@@ -108,9 +108,10 @@ bench:
 # and the fixed-vs-adaptive BenchmarkTuneAdaptive measured-candidate
 # comparison) plus a bounded root subset.
 # The first line is the allocation gate (DESIGN.md §7): the TestAlloc*
-# tests pin, via testing.AllocsPerRun, the warmed *In inference kernels
-# and the fused training backward (internal/nn), one whole training step
-# on a warmed replica (internal/costmodel), the sampler's budget check
+# tests pin, via testing.AllocsPerRun, the warmed frozen forward's
+# operators and the fused training backward (internal/nn), each learned
+# model's frozen forward over one predict chunk and one whole training
+# step on a warmed replica (internal/costmodel), the sampler's budget check
 # Generator.Fits and the draft model Analyzer.Score to 0 heap allocations
 # per run, and schedule.Lower to 1 — the dynamic cross-check of the
 # static hotalloc analyzer over the same //pruner:hotpath roots.
@@ -138,14 +139,17 @@ ledger-compare:
 
 # Short fuzz pass over the record codec (the store's segment format and
 # the fleet's wire format), the store's torn-tail segment replay, the
-# hand-editable wire.lock parser, and the AVX2 GEMM micro-kernel against
-# the Go one. The seed corpora also run as plain tests under `make test`.
+# hand-editable wire.lock parser, the AVX2 GEMM micro-kernel against
+# the Go one, and the rows op (compacted input, gathered weight panel)
+# against Affine over the uncompacted rows, forward and W/b gradients
+# bit for bit. The seed corpora also run as plain tests under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSegmentIndexTornTail$$' -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzWireLockParse$$' -fuzztime 10s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzGemmBlock$$' -fuzztime 10s
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzAffineRows$$' -fuzztime 10s
 
 clean:
 	$(GO) clean

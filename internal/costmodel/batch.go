@@ -10,13 +10,15 @@ import (
 	"pruner/internal/schedule"
 )
 
-// The batched arena engine behind every learned model's Predict:
-// candidates are lowered once (through the round's memo when the tuner
-// injected one), their feature rows concatenate into a few large fused
-// GEMMs per chunk, and per-candidate scores fall out of segmented
-// reductions. The engine is bitwise identical to a per-candidate tape
-// forward — pinned by TestPredictBatchedMatchesReference — so it decides
-// verify-stage wall-clock only, never a score.
+// The batched engine behind every learned model's Predict: candidates are
+// lowered once (through the round's memo when the tuner injected one), and
+// the model's one forward — the training forward, recording no tape under
+// nn.FreezeParams — runs per fixed-size chunk on an arena, so their
+// feature rows concatenate into a few large fused GEMMs and per-candidate
+// scores fall out of segmented reductions. The engine is bitwise
+// identical to a per-candidate forward — pinned by
+// TestPredictBatchedMatchesReference — so it decides verify-stage
+// wall-clock only, never a score.
 
 // MemoUser is implemented by models whose Predict can reuse a
 // caller-provided lowering memo. The tuner injects a fresh memo each
@@ -36,8 +38,9 @@ const batchChunk = 64
 
 // predictBatched is the engine driver: it freezes the model's parameters
 // for the duration, then fans fixed-size candidate chunks across the
-// pool, each scored on an arena drawn for that chunk alone. score only
-// reads the frozen weights, so concurrent chunks are safe.
+// pool, each run through forward on an arena drawn for that chunk alone.
+// A frozen forward only reads the weights and records no tape, so
+// concurrent chunks are safe.
 func predictBatched(pool *parallel.Pool, m arch, memo *schedule.Memo, t *ir.Task, schs []*schedule.Schedule) []float64 {
 	if len(schs) == 0 {
 		return nil
@@ -56,7 +59,7 @@ func predictBatched(pool *parallel.Pool, m arch, memo *schedule.Memo, t *ir.Task
 			lws[i] = memo.Lower(t, schs[lo+i])
 		}
 		s := getScratch()
-		scores := m.score(s, lws)
+		scores := m.forward(s, lws)
 		for i := range lws {
 			out[lo+i] = scores.At(i, 0)
 		}

@@ -12,20 +12,17 @@ import (
 )
 
 // arch is what differs between the learned models: the parameters and the
-// two spellings of the forward over them. Both take one task's lowered
-// candidates and return their (N x 1) score column, bitwise identical to
-// each other under nn.FreezeParams (TestPredictBatchedMatchesReference),
-// and both build everything on s (nil = heap): the result aliases s and
-// dies at its next Reset.
+// one forward over them. forward takes one task's lowered candidates and
+// returns their (N x 1) score column, built on s (nil = heap): the result
+// aliases s and dies at its next Reset. It is nn operators throughout, so
+// it records its tape on s when the parameters carry gradients (training)
+// and records nothing under nn.FreezeParams (Predict), where a warmed call
+// allocates nothing (TestAllocPredictChunk) and scores bitwise as the
+// per-candidate reference does (TestPredictBatchedMatchesReference).
 type arch interface {
 	Name() string
 	Params() []*nn.Tensor
-	// forward is the tape spelling, for training: nn operators that
-	// record their nodes on s when the parameters carry gradients.
 	forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
-	// score is the arena spelling, for inference: the same kernels with
-	// no tape, so a warmed call allocates nothing.
-	score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
 }
 
 // learned is the core every learned model embeds: the session wiring
@@ -79,9 +76,8 @@ func (c *learned) trainer() *trainer {
 	return c.tr
 }
 
-// Predict implements Model: candidates run through the batched arena
-// engine (predictBatched), bitwise identical to a per-candidate tape
-// forward.
+// Predict implements Model: candidates run through the batched engine
+// (predictBatched), bitwise identical to a per-candidate forward.
 func (c *learned) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
 	return c.mo.predict(len(schs), func() []float64 {
 		return predictBatched(c.pool, c.self, c.memo, t, schs)
@@ -132,23 +128,15 @@ func (m *TenSetMLP) Params() []*nn.Tensor {
 // Costs implements Model.
 func (m *TenSetMLP) Costs() Costs { return Costs{FeatureX: 1, InferX: 1, TrainX: 1} }
 
-// forward embeds the whole group's statement rows in one fused pair of
-// GEMMs and pools them per candidate with a segmented sum.
+// forward embeds the whole batch's statement rows in one fused pair of
+// GEMMs, fed straight from the rows, and pools them per candidate with a
+// segmented sum.
 //
 //pruner:hotpath
 func (m *TenSetMLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	rows, lens := statementBatch(s, lws)
-	emb := m.embed.ForwardReLU(nn.FromRowsIn(s, rows))
+	emb := m.embed.ForwardReLURows(s, rows)
 	return m.head.Forward(nn.SegmentSumRows(emb, lens))
-}
-
-// score is forward without the tape.
-//
-//pruner:hotpath
-func (m *TenSetMLP) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
-	rows, lens := statementBatch(s, lws)
-	emb := m.embed.ForwardReLURowsIn(s, rows)
-	return m.head.ForwardIn(s, nn.SegmentSumRowsIn(s, emb, lens))
 }
 
 // PaCM is the paper's Pattern-aware Cost Model: a multi-branch network
@@ -244,12 +232,12 @@ func (m *PaCM) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
 		rows, lens := statementBatch(s, lws)
-		emb := m.stmtEmbed.ForwardReLU(nn.FromRowsIn(s, rows))
+		emb := m.stmtEmbed.ForwardReLURows(s, rows)
 		parts = nn.SegmentSumRows(emb, lens)
 	}
 	if m.UseDataflow {
 		uniq, idx, lens := dataflowBatch(s, lws)
-		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRowsIn(s, uniq)))
+		tokens := nn.Tanh(m.dfProj.ForwardRows(s, uniq))
 		ctx := nn.SegmentMeanRows(m.dfAttn.ForwardSegmentsDedup(tokens, idx, lens), lens)
 		if parts == nil {
 			parts = ctx
@@ -258,28 +246,6 @@ func (m *PaCM) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 		}
 	}
 	return m.head.Forward(parts)
-}
-
-// score is forward without the tape.
-//
-//pruner:hotpath
-func (m *PaCM) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
-	var parts *nn.Tensor
-	if m.UseStatement {
-		rows, lens := statementBatch(s, lws)
-		parts = nn.SegmentSumRowsIn(s, m.stmtEmbed.ForwardReLURowsIn(s, rows), lens)
-	}
-	if m.UseDataflow {
-		uniq, idx, lens := dataflowBatch(s, lws)
-		tokens := nn.TanhIn(s, m.dfProj.ForwardRowsIn(s, uniq))
-		ctx := nn.SegmentMeanRowsIn(s, m.dfAttn.ForwardSegmentsDedupIn(s, tokens, idx, lens), lens)
-		if parts == nil {
-			parts = ctx
-		} else {
-			parts = nn.ConcatColsIn(s, parts, ctx)
-		}
-	}
-	return m.head.ForwardIn(s, parts)
 }
 
 // TLP is the schedule-primitive transformer baseline. Its tokens are
@@ -331,16 +297,7 @@ func (m *TLP) Costs() Costs { return Costs{FeatureX: 0.35, InferX: 3.5, TrainX: 
 //pruner:hotpath
 func (m *TLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	uniq, idx, lens := primitiveBatch(s, lws)
-	tokens := m.proj.Forward(nn.FromRowsIn(s, uniq))
+	tokens := m.proj.ForwardRows(s, uniq)
 	x := m.attn.ForwardSegmentsDedup(tokens, idx, lens)
 	return m.head.Forward(nn.SegmentMeanRows(x, lens))
-}
-
-// score is forward without the tape.
-//
-//pruner:hotpath
-func (m *TLP) score(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
-	uniq, idx, lens := primitiveBatch(s, lws)
-	x := m.attn.ForwardSegmentsDedupIn(s, m.proj.ForwardRowsIn(s, uniq), idx, lens)
-	return m.head.ForwardIn(s, nn.SegmentMeanRowsIn(s, x, lens))
 }

@@ -9,9 +9,9 @@ import (
 
 // LockHeld forbids blocking while a sync.Mutex or RWMutex is held —
 // deadlock prevention by construction for the service layers. The repo's
-// locks guard in-memory state (the store index, the fleet's dispatch
-// stats, the job table, the metrics registry) and are meant to be held
-// for nanoseconds; a measurement dispatch, an HTTP round trip, a channel
+// locks guard in-memory state (the store index, the job table, the
+// metrics registry) and are meant to be held for nanoseconds; a
+// measurement dispatch, an HTTP round trip, a channel
 // operation, or a call into caller-supplied code inside such a critical
 // section turns a worker hiccup into a frozen daemon: every other
 // goroutine piles up on the mutex, including the ones that would have

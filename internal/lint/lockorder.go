@@ -7,8 +7,8 @@ package lint
 // goroutine 1 acquires A then B while goroutine 2 acquires B then A,
 // each can park forever holding the other's next lock. The module's
 // mutex population (store index, job table, measurer registry, metrics
-// registry, fleet dispatch stats) is exactly the shape where such
-// inversions creep in through helpers, so edges are interprocedural:
+// registry) is exactly the shape where such inversions creep in
+// through helpers, so edges are interprocedural:
 // locking A and then calling a function that transitively acquires B
 // is an A→B edge like a direct nested lock.
 //

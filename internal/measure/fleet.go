@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,14 +38,6 @@ type FleetOptions struct {
 	Metrics *obs.Registry
 }
 
-// WorkerStats is one worker's dispatch accounting.
-type WorkerStats struct {
-	URL       string `json:"url"`
-	Batches   int    `json:"batches"`
-	Schedules int    `json:"schedules"`
-	Failures  int    `json:"failures"`
-}
-
 // Fleet fans measurement batches out over remote worker daemons
 // (cmd/pruner-measure) via HTTP — the TVM-RPC-runner shape. Batches are
 // assigned round-robin; a failing worker is retried on the next one, so a
@@ -59,11 +49,8 @@ type Fleet struct {
 	noise   float64
 	next    atomic.Int64
 
-	mu    sync.Mutex
-	stats map[string]*WorkerStats
-
-	// Registry-backed mirrors of the dispatch accounting (nil without
-	// FleetOptions.Metrics; every use is then a no-op).
+	// The dispatch accounting, in the FleetOptions.Metrics registry (nil
+	// without one; every use is then a no-op).
 	mBatches   *obs.CounterVec
 	mSchedules *obs.CounterVec
 	mFailures  *obs.CounterVec
@@ -79,7 +66,7 @@ func NewFleet(urls []string, opts FleetOptions) *Fleet {
 	if opts.MeasureNoise == 0 {
 		opts.MeasureNoise = simulator.DefaultMeasureNoise
 	}
-	f := &Fleet{workers: append([]string(nil), urls...), client: opts.Client, noise: opts.MeasureNoise, stats: map[string]*WorkerStats{}}
+	f := &Fleet{workers: append([]string(nil), urls...), client: opts.Client, noise: opts.MeasureNoise}
 	reg := opts.Metrics
 	f.mBatches = reg.CounterVec(MetricFleetBatches,
 		"Measurement batches dispatched, by worker URL.", "worker")
@@ -90,7 +77,6 @@ func NewFleet(urls []string, opts FleetOptions) *Fleet {
 	f.mLatency = reg.HistogramVec(MetricFleetBatchSeconds,
 		"Successful batch round-trip latency, by worker URL.", nil, "worker")
 	for _, u := range f.workers {
-		f.stats[u] = &WorkerStats{URL: u}
 		// Pre-touch the counters so every worker appears in scrapes from
 		// the first one, failures included, at zero.
 		f.mBatches.With(u).Add(0)
@@ -106,35 +92,8 @@ func (f *Fleet) Info() Info {
 	return Info{Name: "fleet", Concurrency: len(f.workers), Remote: true, MeasureNoise: f.noise}
 }
 
-// Workers returns the fleet's worker URLs.
-func (f *Fleet) Workers() []string { return append([]string(nil), f.workers...) }
-
-// Stats snapshots per-worker dispatch counters, sorted by URL.
-func (f *Fleet) Stats() []WorkerStats {
-	f.mu.Lock()
-	out := make([]WorkerStats, 0, len(f.stats))
-	for _, s := range f.stats {
-		out = append(out, *s)
-	}
-	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
-
+// note accounts one dispatch attempt to its worker.
 func (f *Fleet) note(url string, schedules int, failed bool) {
-	f.mu.Lock()
-	s := f.stats[url]
-	if s == nil {
-		s = &WorkerStats{URL: url}
-		f.stats[url] = s
-	}
-	if failed {
-		s.Failures++
-	} else {
-		s.Batches++
-		s.Schedules += schedules
-	}
-	f.mu.Unlock()
 	if failed {
 		f.mFailures.With(url).Inc()
 	} else {

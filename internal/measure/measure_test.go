@@ -12,6 +12,7 @@ import (
 	"pruner/internal/costmodel"
 	"pruner/internal/device"
 	"pruner/internal/ir"
+	"pruner/internal/obs"
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
 )
@@ -104,7 +105,8 @@ func TestWorkerFleetMatchesSimulator(t *testing.T) {
 	ws := httptest.NewServer(worker.Handler())
 	defer ws.Close()
 
-	fleet := NewFleet([]string{ws.URL}, FleetOptions{})
+	reg := obs.NewRegistry()
+	fleet := NewFleet([]string{ws.URL}, FleetOptions{Metrics: reg})
 	if info := fleet.Info(); info.Name != "fleet" || !info.Remote || info.Concurrency != 1 {
 		t.Fatalf("fleet info: %+v", info)
 	}
@@ -142,9 +144,11 @@ func TestWorkerFleetMatchesSimulator(t *testing.T) {
 	if st := worker.Status(); st.Batches != 1 || st.Schedules != int64(len(schs)) {
 		t.Fatalf("worker status %+v", st)
 	}
-	stats := fleet.Stats()
-	if len(stats) != 1 || stats[0].Batches != 1 || stats[0].Schedules != len(schs) || stats[0].Failures != 0 {
-		t.Fatalf("fleet stats %+v", stats)
+	batches, _ := reg.Value(MetricFleetBatches, ws.URL)
+	scheduled, _ := reg.Value(MetricFleetSchedules, ws.URL)
+	failures, _ := reg.Value(MetricFleetFailures, ws.URL)
+	if batches != 1 || scheduled != float64(len(schs)) || failures != 0 {
+		t.Fatalf("fleet accounting: %v batches, %v schedules, %v failures", batches, scheduled, failures)
 	}
 }
 
@@ -159,23 +163,17 @@ func TestFleetFailover(t *testing.T) {
 	live := httptest.NewServer(NewWorker(WorkerOptions{}).Handler())
 	defer live.Close()
 
-	fleet := NewFleet([]string{dead.URL, live.URL}, FleetOptions{})
+	reg := obs.NewRegistry()
+	fleet := NewFleet([]string{dead.URL, live.URL}, FleetOptions{Metrics: reg})
 	for i := 0; i < 2; i++ { // rotation must find the live worker from any start
 		if _, err := fleet.Measure(context.Background(), Request{Device: "t4", Task: task, Batch: schs}); err != nil {
 			t.Fatalf("dispatch %d: %v", i, err)
 		}
 	}
-	var deadFailures, liveBatches int
-	for _, st := range fleet.Stats() {
-		switch st.URL {
-		case dead.URL:
-			deadFailures = st.Failures
-		case live.URL:
-			liveBatches = st.Batches
-		}
-	}
+	deadFailures, _ := reg.Value(MetricFleetFailures, dead.URL)
+	liveBatches, _ := reg.Value(MetricFleetBatches, live.URL)
 	if liveBatches != 2 {
-		t.Fatalf("live worker served %d batches, want 2", liveBatches)
+		t.Fatalf("live worker served %v batches, want 2", liveBatches)
 	}
 	if deadFailures == 0 {
 		t.Fatal("dead worker's failures were not accounted")

@@ -6,14 +6,18 @@ import (
 )
 
 // The zero-allocation gates: once a Scratch has warmed to the call
-// pattern's steady-state shapes, the *In inference kernels — and the
-// fused training backward — must not touch the heap at all. This is the dynamic cross-check of the static hotalloc
-// analyzer — the analyzer proves no allocating constructs are reachable
-// from the //pruner:hotpath roots, these tests prove the arena actually
-// absorbs every output buffer. A regression in either shows up as a
-// nonzero average from testing.AllocsPerRun. (The gates keep the
-// TestAllocFrozen* names CI's required-test list knows them by; the
-// kernels they pin are the methods on MLP and SelfAttention.)
+// pattern's steady-state shapes, the frozen forward — the rows op, the
+// MLP, the segment attention and the segment reductions: the tape
+// operators themselves, with no operand carrying gradients — and the
+// fused training backward must not touch the heap at all. This is the
+// dynamic cross-check of the static hotalloc analyzer — the analyzer
+// proves no allocating constructs are reachable from the
+// //pruner:hotpath roots, these tests prove the arena actually absorbs
+// every output buffer. A regression in either shows up as a nonzero
+// average from testing.AllocsPerRun. (The gates keep the TestAllocFrozen*
+// and TestAlloc*In names CI's required-test list knows them by; the
+// inference-only entry points those names once spelled are gone, and the
+// gates pin the one forward in their place.)
 
 // mustZeroAllocs pins f to zero steady-state heap allocations.
 func mustZeroAllocs(t *testing.T, name string, f func()) {
@@ -27,62 +31,65 @@ func mustZeroAllocs(t *testing.T, name string, f func()) {
 func TestAllocFrozenMLPForwardIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	mlp := NewMLP(rng, 9, 16, 16, 1)
-	x := randConst(rng, 24, 9)
+	defer FreezeParams(mlp.Params())()
+	_, x := randRows(rng, 24, 9)
 	var s Scratch
-	mustZeroAllocs(t, "MLP.ForwardIn", func() {
+	mustZeroAllocs(t, "frozen MLP.Forward", func() {
 		s.Reset()
-		mlp.ForwardIn(&s, x)
+		mlp.Forward(onArena(&s, x))
 	})
 }
 
 func TestAllocFrozenMLPForwardReLURowsIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	mlp := NewMLP(rng, 9, 16, 1)
-	rows := make([][]float64, 24)
-	for i := range rows {
-		rows[i] = randConst(rng, 1, 9).Data
-	}
+	defer FreezeParams(mlp.Params())()
+	rows, _ := randRows(rng, 24, 9)
 	var s Scratch
-	mustZeroAllocs(t, "MLP.ForwardReLURowsIn", func() {
+	mustZeroAllocs(t, "frozen MLP.ForwardReLURows", func() {
 		s.Reset()
-		mlp.ForwardReLURowsIn(&s, rows)
+		mlp.ForwardReLURows(&s, rows)
 	})
 }
 
 func TestAllocFrozenAttentionForwardSegmentsIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	attn := NewSelfAttention(rng, 6)
-	x := randConst(rng, 12, 6)
+	defer FreezeParams(attn.Params())()
+	_, x := randRows(rng, 12, 6)
 	lens := []int{4, 3, 5}
 	idx := identityInts(nil, x.R)
 	var s Scratch
-	mustZeroAllocs(t, "SelfAttention.ForwardSegmentsDedupIn (identity)", func() {
+	mustZeroAllocs(t, "frozen SelfAttention.ForwardSegmentsDedup (identity)", func() {
 		s.Reset()
-		attn.ForwardSegmentsDedupIn(&s, x, idx, lens)
+		attn.ForwardSegmentsDedup(onArena(&s, x), idx, lens)
 	})
 }
 
 func TestAllocFrozenAttentionForwardSegmentsDedupIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	attn := NewSelfAttention(rng, 6)
-	uniq := randConst(rng, 5, 6)
+	defer FreezeParams(attn.Params())()
+	_, uniq := randRows(rng, 5, 6)
 	idx := []int{0, 1, 0, 2, 3, 0, 4, 1, 2}
 	lens := []int{3, 2, 4}
 	var s Scratch
-	mustZeroAllocs(t, "SelfAttention.ForwardSegmentsDedupIn", func() {
+	mustZeroAllocs(t, "frozen SelfAttention.ForwardSegmentsDedup", func() {
 		s.Reset()
-		attn.ForwardSegmentsDedupIn(&s, uniq, idx, lens)
+		attn.ForwardSegmentsDedup(onArena(&s, uniq), idx, lens)
 	})
 }
 
 func TestAllocSegmentSumRowsIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
-	x := randConst(rng, 11, 7)
+	_, x := randRows(rng, 11, 7)
 	lens := []int{3, 1, 5, 2}
 	var s Scratch
-	mustZeroAllocs(t, "SegmentSumRowsIn", func() {
+	mustZeroAllocs(t, "SegmentSumRows / SegmentMeanRows on the arena", func() {
 		s.Reset()
-		SegmentSumRowsIn(&s, x, lens)
+		y := onArena(&s, x)
+		SegmentSumRows(y, lens)
+		SegmentMeanRows(y, lens)
 	})
 }
 
@@ -101,10 +108,11 @@ func TestAllocAffineBackward(t *testing.T) {
 	})
 }
 
-// TestScratchVariantsBitwiseIdentical pins the free-function kernels —
-// on a nil and on a warm Scratch — to the tape operator each one backs
-// (the reductions' per-segment meaning is pinned on the operators, in
-// infer_test.go).
+// TestScratchVariantsBitwiseIdentical pins the segment, tanh, concat and
+// gather operators on an arena input — a nil and a dirtied warm Scratch —
+// to their references: the per-segment SumRows and MeanRows, and the
+// same operator on heap operands (the reductions' per-segment meaning on
+// the heap is pinned in infer_test.go).
 func TestScratchVariantsBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	seg := randConst(rng, 11, 7)
@@ -113,11 +121,12 @@ func TestScratchVariantsBitwiseIdentical(t *testing.T) {
 	idx := []int{5, 0, 0, 3, 5, 1, 2}
 
 	bothScratches(rng, func(name string, s *Scratch) {
-		bitwiseEqual(t, name+": segment sum", SegmentSumRowsIn(s, seg, segLens), SegmentSumRows(seg, segLens))
-		bitwiseEqual(t, name+": segment mean", SegmentMeanRowsIn(s, seg, segLens), SegmentMeanRows(seg, segLens))
-		bitwiseEqual(t, name+": tanh", TanhIn(s, seg), Tanh(seg))
-		bitwiseEqual(t, name+": concat cols", ConcatColsIn(s, a, b), ConcatCols(a, b))
-		bitwiseEqual(t, name+": gather rows", gatherRowsIn(s, a, idx), GatherRows(a, idx))
+		x := onArena(s, seg)
+		bitwiseEqual(t, name+": segment sum", SegmentSumRows(x, segLens), perSegment(SumRows, seg, segLens))
+		bitwiseEqual(t, name+": segment mean", SegmentMeanRows(x, segLens), perSegment(MeanRows, seg, segLens))
+		bitwiseEqual(t, name+": tanh", Tanh(x), Tanh(seg))
+		bitwiseEqual(t, name+": concat cols", ConcatCols(onArena(s, a), onArena(s, b)), ConcatCols(a, b))
+		bitwiseEqual(t, name+": gather rows", GatherRows(onArena(s, a), idx), GatherRows(a, idx))
 	})
 }
 

@@ -2,7 +2,7 @@ package nn
 
 import "sync/atomic"
 
-// Engine counters: process-wide tallies of the inference engine's hot
+// Engine counters: process-wide tallies of the cost models' hot
 // kernels. They are plain atomics rather than obs instruments so nn
 // keeps zero observability dependencies — the daemons register them as
 // func-backed metrics sampled at scrape time. Counting is orthogonal to
@@ -15,13 +15,15 @@ var (
 
 // EngineCounters is a snapshot of the engine tallies since process start.
 type EngineCounters struct {
-	// GEMMCalls counts fused matmul kernel invocations.
+	// GEMMCalls counts forward GEMMs (matmulFused), training and
+	// inference alike.
 	GEMMCalls uint64
 	// GEMMRows counts output rows produced by those kernels — the
 	// engine's throughput proxy.
 	GEMMRows uint64
-	// AttnSegments counts attention segments run through the arena
-	// attention core.
+	// AttnSegments counts the attention segments of inference forwards:
+	// SelfAttention.ForwardSegmentsDedup with no gradient-carrying
+	// operand.
 	AttnSegments uint64
 }
 

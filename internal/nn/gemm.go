@@ -1,5 +1,5 @@
 // The GEMM micro-kernel: every dense contraction of the learned models —
-// the forward x@W (matmulFusedNz), dX = g@Wᵀ and dW += xᵀ@g
+// the forward x@W (matmulFused), dX = g@Wᵀ and dW += xᵀ@g
 // (affineBackward) — is a loop nest around one block,
 //
 //	o0[j] = (((o0[j] + p[0]·b0[j]) + p[1]·b1[j]) + p[2]·b2[j]) + p[3]·b3[j]
@@ -51,36 +51,34 @@ func gemmBlockGo(o0, o1, b0, b1, b2, b3 []float64, p *[8]float64) {
 
 // gemmPair accumulates two output rows of a product:
 //
-//	o0[j] += Σ_n a[off0+ks[n]] · b[ks[n]·C+j]
-//	o1[j] += Σ_n a[off1+ks[n]] · b[ks[n]·C+j]        C = len(o0)
+//	o0[j] += Σ_k a[off0+k] · b[k·C+j]
+//	o1[j] += Σ_k a[off1+k] · b[k·C+j]        k < K, C = len(o0)
 //
-// with n ascending per element. ks selects the contraction indices (the
-// nonzero-column list of a feature batch, or 0..K-1). An odd last row is
-// run by passing its offset twice and a spare o1.
-func gemmPair(o0, o1, a []float64, off0, off1 int, b []float64, ks []int) {
+// with k ascending per element. An odd last row is run by passing its
+// offset twice and a spare o1.
+func gemmPair(o0, o1, a []float64, off0, off1 int, b []float64, K int) {
 	C := len(o0)
 	var p [8]float64
-	n := 0
-	for ; n+4 <= len(ks); n += 4 {
-		k0, k1, k2, k3 := ks[n], ks[n+1], ks[n+2], ks[n+3]
-		p[0], p[1], p[2], p[3] = a[off0+k0], a[off0+k1], a[off0+k2], a[off0+k3]
-		p[4], p[5], p[6], p[7] = a[off1+k0], a[off1+k1], a[off1+k2], a[off1+k3]
+	k := 0
+	for ; k+4 <= K; k += 4 {
+		p[0], p[1], p[2], p[3] = a[off0+k], a[off0+k+1], a[off0+k+2], a[off0+k+3]
+		p[4], p[5], p[6], p[7] = a[off1+k], a[off1+k+1], a[off1+k+2], a[off1+k+3]
 		if p == [8]float64{} {
 			continue
 		}
-		gemmBlock(o0, o1, b[k0*C:k0*C+C], b[k1*C:k1*C+C], b[k2*C:k2*C+C], b[k3*C:k3*C+C], &p)
+		gemmBlock(o0, o1, b[k*C:k*C+C], b[(k+1)*C:(k+1)*C+C], b[(k+2)*C:(k+2)*C+C], b[(k+3)*C:(k+3)*C+C], &p)
 	}
-	if n == len(ks) {
+	if k == K {
 		return
 	}
 	// Short last step: zero scalars against a repeated row.
 	p = [8]float64{}
 	var rows [4][]float64
 	for t := range rows {
-		k := ks[min(n+t, len(ks)-1)]
-		rows[t] = b[k*C : k*C+C]
-		if n+t < len(ks) {
-			p[t], p[4+t] = a[off0+k], a[off1+k]
+		kt := min(k+t, K-1)
+		rows[t] = b[kt*C : kt*C+C]
+		if k+t < K {
+			p[t], p[4+t] = a[off0+kt], a[off1+kt]
 		}
 	}
 	if p != [8]float64{} {

@@ -27,13 +27,6 @@ func onGoKernel(f func()) {
 	f()
 }
 
-// edgeValues are the operands most likely to expose a kernel that rounds,
-// orders or flushes differently: both zeros, denormals, and magnitudes
-// whose products overflow and underflow.
-var edgeValues = []float64{
-	0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1, -1.5,
-}
-
 // edgeTensor mixes Gaussian entries with edgeValues.
 func edgeTensor(rng *rand.Rand, r, c int) *Tensor {
 	x := New(r, c)
@@ -77,7 +70,7 @@ func TestGemmBlockMatchesGo(t *testing.T) {
 							p.requiresGrad = true
 							p.Grad = make([]float64, len(p.Data))
 						}
-						out = matmulFusedIn(nil, x, w, b.Data, relu)
+						out = matmulFused(nil, x, w, b.Data, relu)
 						out.Grad = append([]float64(nil), outGrad...)
 						affineBackward(nil, x, w, b, out, relu)
 						return out, [3][]float64{x.Grad, w.Grad, b.Grad}
@@ -94,21 +87,6 @@ func TestGemmBlockMatchesGo(t *testing.T) {
 			}
 		}
 	}
-}
-
-// finiteFrom reads the n-th float64 of data (cyclically) and maps the
-// non-finite bit patterns onto finite ones: the kernels contract finite
-// operands only.
-func finiteFrom(data []byte, n int) float64 {
-	var raw [8]byte
-	for i := range raw {
-		raw[i] = data[(n*8+i)%len(data)]
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]) &^ (1 << 62))
-	}
-	return v
 }
 
 // FuzzGemmBlock feeds both micro-kernels the same arbitrary finite
@@ -161,7 +139,7 @@ func BenchmarkGemmBlock(b *testing.B) {
 		run := func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Reset()
-				matmulFusedDenseIn(&s, x, w, nil, false)
+				matmulFused(&s, x, w, nil, false)
 			}
 		}
 		b.Run(fmt.Sprintf("go/%dx%d", shape[0], shape[1]), func(b *testing.B) { onGoKernel(func() { run(b) }) })

@@ -1,26 +1,23 @@
 // Arena kernels: the forward loops of the cost-model path, each written
-// once. Two families are built on them. The inference family is the
-// kernels themselves: methods on the module types (MLP.ForwardIn,
-// Linear.ForwardRowsIn, SelfAttention.ForwardSegmentsDedupIn, ...) and the
-// free functions SegmentSumRowsIn, SegmentMeanRowsIn, TanhIn and
-// ConcatColsIn, which read a module's live weights under FreezeParams and
-// thread a *Scratch arena through the whole chain so a warmed call
-// performs zero heap allocations — the contract the //pruner:hotpath
-// annotations declare, the hotalloc analyzer enforces statically and the
-// TestAlloc* gates pin dynamically. The training family is the tape
-// operators (Affine, Tanh, ConcatCols, GatherRows, SegmentSumRows,
-// SegmentMeanRows, LayerNormRows and the attention core): each calls its
-// kernel on the arena its operands carry and links the output onto the
-// tape (tape.go). The dependency points one way, tape to kernel.
+// once, each the forward of the tape operator that calls it (Affine,
+// Tanh, ConcatCols, GatherRows, SegmentSumRows, SegmentMeanRows,
+// LayerNormRows and the attention core). An operator runs its kernel on
+// the arena its operands carry and links the output onto the tape
+// (tape.go) when an operand carries gradients. There is one forward: under
+// FreezeParams nothing carries gradients, the operators record nothing,
+// and the training forward is the inference forward — with a warmed
+// arena it performs zero heap allocations, the contract the
+// //pruner:hotpath annotations declare, the hotalloc analyzer enforces
+// statically and the TestAlloc* gates pin dynamically.
 //
 // Every kernel accumulates each output element in ascending contraction
 // order, exactly as the unfused operator chain (MatMul, AddBias, ReLU,
 // SoftmaxRows, LayerNormRows) does, so a batched arena forward is bitwise
-// identical to the per-candidate tape composition under FreezeParams (the
-// property the cost-model equivalence tests pin). The kernels assume
-// finite weights: a zero activation then contributes an exact ±0.0 term,
-// which cannot perturb any partial sum, letting the inner loops run
-// branchless where MatMul branches per term.
+// identical to the per-candidate composition (the property the cost-model
+// equivalence tests pin). The kernels assume finite weights: a zero
+// activation then contributes an exact ±0.0 term, which cannot perturb
+// any partial sum, letting the inner loops run branchless where MatMul
+// branches per term.
 package nn
 
 import (
@@ -28,37 +25,17 @@ import (
 	"math"
 )
 
-// matmulFusedIn is the forward GEMM: out = x @ w (+ bias) (then ReLU),
-// with the output and the nonzero-column index drawn from s when non-nil.
-// It runs on the micro-kernel (gemm.go): two output rows by four
-// contraction steps per block, so each output element is loaded and
-// stored once per four terms. Per element the terms still add in
-// ascending k — the chained v += form — so the result is bitwise
+// matmulFused is the forward GEMM: out = x @ w (+ bias) (then ReLU), with
+// the output drawn from s. It runs on the micro-kernel (gemm.go): two
+// output rows by four contraction steps per block, so each output element
+// is loaded and stored once per four terms. Per element the terms still
+// add in ascending k — the chained v += form — so the result is bitwise
 // identical to [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose
-// activations are all zero are skipped outright (feature rows carry long
-// zero tails), matching MatMul's per-term zero-skip.
-func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
-	// Contract only over columns that are nonzero somewhere in the batch.
-	// Feature matrices carry long structurally-zero column runs (padding
-	// tails, unused one-hot slots); those columns contribute an exact zero
-	// to every output element, so dropping them reproduces MatMul's
-	// per-term zero-skip at dense-kernel cost.
-	return matmulFusedNz(s, x, w, bias, relu, nonzeroColsIn(s, x))
-}
-
-// matmulFusedDenseIn is the kernel entry for activation matrices (post
-// projection or ReLU): no structurally-zero columns worth scanning for,
-// so it contracts over every column. Processing zero terms stays
-// bitwise-safe (finite weights), so the result is identical to
-// matmulFusedIn on the same operands.
-func matmulFusedDenseIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
-	return matmulFusedNz(s, x, w, bias, relu, identityInts(s, x.C))
-}
-
-// matmulFusedNz is the forward entry both spellings share, contracting
-// over the columns nz lists. The engine counters tally forward GEMMs, so
-// they are bumped here and not in the micro-kernel the backward shares.
-func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int) *Tensor {
+// activations are all zero are skipped outright, matching MatMul's
+// per-term zero-skip; feature rows' structurally-zero columns never reach
+// it (compactRowsIn). The engine counters tally forward GEMMs, so they are
+// bumped here and not in the micro-kernel the backward shares.
+func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	if x.C != w.R {
 		panic(fmt.Sprintf("nn: matmulFused %dx%d @ %dx%d", x.R, x.C, w.R, w.C))
 	}
@@ -73,13 +50,13 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	for ; i+2 <= x.R; i += 2 {
 		o0 := out.Data[i*C : i*C+C]
 		o1 := out.Data[(i+1)*C : (i+1)*C+C]
-		gemmPair(o0, o1, x.Data, i*K, (i+1)*K, w.Data, nz)
+		gemmPair(o0, o1, x.Data, i*K, (i+1)*K, w.Data, K)
 		epilogue(o0, bias, relu)
 		epilogue(o1, bias, relu)
 	}
 	if i < x.R {
 		oRow := out.Data[i*C : i*C+C]
-		gemmPair(oRow, spare, x.Data, i*K, i*K, w.Data, nz)
+		gemmPair(oRow, spare, x.Data, i*K, i*K, w.Data, K)
 		epilogue(oRow, bias, relu)
 	}
 	return out
@@ -92,7 +69,7 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 // column indices (ascending); both alias s and are valid until its next
 // Reset. Dropping an all-zero column removes only exact-zero terms from
 // every output sum, so a layer fed through the correspondingly gathered
-// weight panel (gatherWeightRows) is bitwise identical to the full-width
+// weight panel (affineRows) is bitwise identical to the full-width
 // forward.
 func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 	used := s.Ints(width)
@@ -129,45 +106,6 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 		}
 	}
 	return x, cols
-}
-
-// gatherWeightRows copies the weight rows selected by cols into one
-// contiguous panel matching a compactRowsIn input.
-func gatherWeightRows(s *Scratch, w *Tensor, cols []int) *Tensor {
-	out := s.tensor(len(cols), w.C)
-	for n, k := range cols {
-		copy(out.Data[n*w.C:(n+1)*w.C], w.Data[k*w.C:(k+1)*w.C])
-	}
-	return out
-}
-
-// nonzeroColsIn returns the ascending indices of columns with at least
-// one nonzero entry. The scan stops early once every column is known
-// used, so dense activations pay a few rows of scanning while
-// structurally sparse feature batches are detected exactly.
-func nonzeroColsIn(s *Scratch, x *Tensor) []int {
-	K := x.C
-	used := s.Ints(K)
-	cnt := 0
-	for i := 0; i < x.R && cnt < K; i++ {
-		row := x.Data[i*K : i*K+K]
-		for k, v := range row {
-			if v != 0 && used[k] == 0 {
-				used[k] = 1
-				cnt++
-				if cnt == K {
-					break
-				}
-			}
-		}
-	}
-	nz := s.Ints(K)[:0]
-	for k, u := range used {
-		if u != 0 {
-			nz = append(nz, k)
-		}
-	}
-	return nz
 }
 
 // epilogue applies the fused bias add and ReLU to one finished output
@@ -253,11 +191,16 @@ func sameBits(a, b []float64) bool {
 // row idx[i]. It is autograd-complete — the backward scatter-accumulates
 // each output row's gradient into its representative (in ascending output
 // row order, so gradients are deterministic) — which is what lets the
-// training forwards reuse the inference engine's dedup trick: projecting
-// a distinct row once and gathering is bitwise identical in the forward
-// and sums the duplicates' gradients in the backward.
-func GatherRows(src *Tensor, idx []int) *Tensor {
-	s, grad := opArena(src, nil, nil)
+// forwards project a distinct row once and gather: bitwise identical in
+// the forward, and the duplicates' gradients summed in the backward.
+func GatherRows(src *Tensor, idx []int) *Tensor { return gatherRowsOn(nil, src, idx) }
+
+// gatherRowsOn is GatherRows with its output on s when src carries no
+// arena of its own: how a parameter's rows are gathered into a forward's
+// arena (affineRows).
+func gatherRowsOn(s *Scratch, src *Tensor, idx []int) *Tensor {
+	grad := src.requiresGrad
+	s = tapeArena(join(s, src), grad)
 	return gatherRowsIn(s, src, idx).link(grad, node{op: opGatherRows, a: src, ints: idx})
 }
 
@@ -271,82 +214,10 @@ func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 	return out
 }
 
-// forwardDenseIn computes x@W + b on the arena without the nonzero-column
-// scan, for inputs known to be dense activations — bitwise identical to
-// Forward under FreezeParams.
-func (l *Linear) forwardDenseIn(s *Scratch, x *Tensor) *Tensor {
-	return matmulFusedDenseIn(s, x, l.W, l.B.Data, false)
-}
-
-// ForwardRowsIn runs the layer directly on feature rows: the input is
-// compacted at copy time (compactRowsIn) and contracted against the
-// matching weight panel — bitwise identical to Forward over FromRows,
-// with zero heap allocations once s is warm.
-//
-//pruner:hotpath
-func (l *Linear) ForwardRowsIn(s *Scratch, rows [][]float64) *Tensor {
-	x, cols := compactRowsIn(s, rows, l.W.R)
-	return matmulFusedDenseIn(s, x, gatherWeightRows(s, l.W, cols), l.B.Data, false)
-}
-
-// ForwardIn is Forward on the arena (ReLU between layers, none after the
-// last): zero heap allocations once s is warm. The first layer sees raw
-// feature rows and scans for structurally-zero columns; deeper layers see
-// dense activations and skip the scan.
-//
-//pruner:hotpath
-func (m *MLP) ForwardIn(s *Scratch, x *Tensor) *Tensor {
-	for i, l := range m.Layers {
-		relu := i+1 < len(m.Layers)
-		if i == 0 {
-			x = matmulFusedIn(s, x, l.W, l.B.Data, relu)
-		} else {
-			x = matmulFusedDenseIn(s, x, l.W, l.B.Data, relu)
-		}
-	}
-	return x
-}
-
-// ForwardReLURowsIn is ForwardReLU on the arena, fed directly from
-// feature rows with the first layer contracted over the compacted columns
-// (see Linear.ForwardRowsIn): zero heap allocations once s is warm.
-//
-//pruner:hotpath
-func (m *MLP) ForwardReLURowsIn(s *Scratch, rows [][]float64) *Tensor {
-	l0 := m.Layers[0]
-	x, cols := compactRowsIn(s, rows, l0.W.R)
-	x = matmulFusedDenseIn(s, x, gatherWeightRows(s, l0.W, cols), l0.B.Data, true)
-	for _, l := range m.Layers[1:] {
-		x = matmulFusedDenseIn(s, x, l.W, l.B.Data, true)
-	}
-	return x
-}
-
-// ForwardSegmentsDedupIn is ForwardSegmentsDedup on the arena: zero heap
-// allocations once s is warm. uniq holds the distinct token rows and idx
-// maps each expanded row to its distinct representative (see
-// DedupRowsIn); lens are the contiguous segments attention runs within.
-// The Q/K/V projections run once per distinct row and are gathered back,
-// so batches whose tokens repeat heavily — TLP's near-constant one-hots,
-// PaCM's zero-padded dataflow rows — skip most projection work. A
-// projection is row-wise, so projecting a representative and copying is
-// bitwise identical to projecting every duplicate. Each segment's output
-// is bitwise identical to Forward over that segment alone.
-//
-//pruner:hotpath
-func (a *SelfAttention) ForwardSegmentsDedupIn(s *Scratch, uniq *Tensor, idx []int, lens []int) *Tensor {
-	engineAttnSegments.Add(uint64(len(lens)))
-	qu := a.Q.forwardDenseIn(s, uniq)
-	ku := a.K.forwardDenseIn(s, uniq)
-	vu := a.V.forwardDenseIn(s, uniq)
-	ctx, _ := attendIn(s, gatherRowsIn(s, qu, idx), gatherRowsIn(s, ku, idx), gatherRowsIn(s, vu, idx), lens, a.scale())
-	return addLayerNormRowsIn(s, gatherRowsIn(s, uniq, idx), a.O.forwardDenseIn(s, ctx), a.Norm.G, a.Norm.B)
-}
-
-// attendIn is the attention core over precomputed projections, shared by
-// inference and the training node (attend): per segment, scaled scores,
-// softmax and the value mix, with each value accumulated in the order of
-// the per-segment operator chain SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs
+// attendIn is the attention core over precomputed projections, the
+// forward of the tape node attend: per segment, scaled scores, softmax
+// and the value mix, with each value accumulated in the order of the
+// per-segment operator chain SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs
 // that Forward composes. It also returns the softmax rows, one n×n block
 // per segment in segment order, on s: the training node's saved state.
 func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tensor, probs []float64) {
@@ -424,19 +295,6 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tens
 	return ctx, probs
 }
 
-// addLayerNormRowsIn computes LayerNormRows(Add(x, y), g, b) without the
-// tape: the elementwise sum materialises in ascending index order (Add's
-// order) and then normalises exactly as LayerNormRows does, so the result
-// is bitwise identical to the operator composition.
-func addLayerNormRowsIn(s *Scratch, x, y, g, b *Tensor) *Tensor {
-	shapeCheck("add", x, y)
-	sum := s.tensor(x.R, x.C)
-	for i := range sum.Data {
-		sum.Data[i] = x.Data[i] + y.Data[i]
-	}
-	return layerNormRowsIn(s, sum, g, b, nil)
-}
-
 // layerNormRowsIn is the layer-norm kernel: each row of x normalised to
 // zero mean and unit variance, then scaled by g and shifted by b. When
 // saved is non-nil (x.R*x.C + x.R long) the normalised values and the
@@ -476,15 +334,13 @@ func layerNormRowsIn(s *Scratch, x, g, b *Tensor, saved []float64) *Tensor {
 	return out
 }
 
-// SegmentSumRowsIn sums contiguous row segments of x: lens[sg] rows belong
+// segmentSumRowsIn sums contiguous row segments of x: lens[sg] rows belong
 // to segment sg (the lengths must sum to x.R) and row sg of the
 // len(lens) x C result is their sum. Rows accumulate in order, so each
 // output row is bitwise identical to SumRows over that segment in
 // isolation — the reduction that pools a whole candidate batch's
 // statement rows after one fused GEMM.
-//
-//pruner:hotpath
-func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
+func segmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	total := 0
 	for sg, n := range lens {
 		if n <= 0 {
@@ -510,12 +366,12 @@ func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	return out
 }
 
-// SegmentMeanRowsIn averages contiguous row segments of x (see
-// SegmentSumRowsIn): sum in row order, then one multiply by the
+// segmentMeanRowsIn averages contiguous row segments of x (see
+// segmentSumRowsIn): sum in row order, then one multiply by the
 // reciprocal length, so each output row is bitwise identical to MeanRows
 // over that segment in isolation.
-func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	sum := SegmentSumRowsIn(s, x, lens)
+func segmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
+	sum := segmentSumRowsIn(s, x, lens)
 	out := s.tensor(sum.R, sum.C)
 	for sg, n := range lens {
 		inv := 1 / float64(n)
@@ -526,8 +382,8 @@ func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	return out
 }
 
-// TanhIn applies the hyperbolic tangent elementwise.
-func TanhIn(s *Scratch, x *Tensor) *Tensor {
+// tanhIn applies the hyperbolic tangent elementwise.
+func tanhIn(s *Scratch, x *Tensor) *Tensor {
 	out := s.tensor(x.R, x.C)
 	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
@@ -535,8 +391,8 @@ func TanhIn(s *Scratch, x *Tensor) *Tensor {
 	return out
 }
 
-// ConcatColsIn concatenates equal-row tensors side by side.
-func ConcatColsIn(s *Scratch, a, b *Tensor) *Tensor {
+// concatColsIn concatenates equal-row tensors side by side.
+func concatColsIn(s *Scratch, a, b *Tensor) *Tensor {
 	if a.R != b.R {
 		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
 	}

@@ -140,10 +140,10 @@ func TestMatMulFusedMatchesOps(t *testing.T) {
 			bias[j] = rng.NormFloat64()
 		}
 		bt := FromVec(bias)
-		bitwiseEqual(t, "fused plain", matmulFusedIn(nil, a, w, nil, false), MatMul(a, w))
-		bitwiseEqual(t, "fused bias", matmulFusedIn(nil, a, w, bias, false), AddBias(MatMul(a, w), bt))
-		bitwiseEqual(t, "fused bias+relu", matmulFusedIn(nil, a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
-		bitwiseEqual(t, "fused relu", matmulFusedIn(nil, a, w, nil, true), ReLU(MatMul(a, w)))
+		bitwiseEqual(t, "fused plain", matmulFused(nil, a, w, nil, false), MatMul(a, w))
+		bitwiseEqual(t, "fused bias", matmulFused(nil, a, w, bias, false), AddBias(MatMul(a, w), bt))
+		bitwiseEqual(t, "fused bias+relu", matmulFused(nil, a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
+		bitwiseEqual(t, "fused relu", matmulFused(nil, a, w, nil, true), ReLU(MatMul(a, w)))
 	}
 }
 
@@ -154,7 +154,7 @@ func TestMatMulFusedAllZeroRow(t *testing.T) {
 	a := New(3, 8) // all zeros
 	a.Data[2*8+5] = rng.NormFloat64()
 	w := randConst(rng, 8, 6)
-	bitwiseEqual(t, "zero rows", matmulFusedIn(nil, a, w, nil, false), MatMul(a, w))
+	bitwiseEqual(t, "zero rows", matmulFused(nil, a, w, nil, false), MatMul(a, w))
 }
 
 func TestRowsViewSharesData(t *testing.T) {
@@ -178,16 +178,23 @@ func TestRowsViewSharesData(t *testing.T) {
 }
 
 // bothScratches runs check twice: with a nil Scratch (every output on the
-// heap — how the tape operators call the kernels) and with an arena that
-// an unrelated call has already dirtied, so a kernel that trusted stale
-// arena contents instead of its zeroed outputs would show up as a bit
-// difference.
+// heap) and with an arena that an unrelated training forward has already
+// dirtied, so a kernel that trusted stale arena contents instead of its
+// zeroed outputs would show up as a bit difference.
 func bothScratches(rng *rand.Rand, check func(name string, s *Scratch)) {
 	check("nil scratch", nil)
 	var s Scratch
-	NewMLP(rng, 9, 16, 16, 6).ForwardIn(&s, randConst(rng, 12, 9))
+	rows, _ := randRows(rng, 12, 9)
+	NewMLP(rng, 9, 16, 16, 6).ForwardReLURows(&s, rows)
 	s.Reset()
 	check("warm scratch", &s)
+}
+
+// onArena copies x onto s (nil = heap): the input of an arena forward.
+func onArena(s *Scratch, x *Tensor) *Tensor {
+	t := s.tensor(x.R, x.C)
+	copy(t.Data, x.Data)
+	return t
 }
 
 // randRows returns n feature rows of the given width plus the same
@@ -200,22 +207,36 @@ func randRows(rng *rand.Rand, n, width int) ([][]float64, *Tensor) {
 	return rows, FromRows(rows)
 }
 
-// perSegment applies attn.Forward to each contiguous row segment of x
-// alone and stacks the results: the tape composition the arena segment
-// kernels must match bit for bit.
-func perSegment(attn *SelfAttention, x *Tensor, lens []int) *Tensor {
+// perSegment applies f to each contiguous row segment of x alone and
+// stacks the results: the per-segment composition the segment operators
+// must match bit for bit.
+func perSegment(f func(*Tensor) *Tensor, x *Tensor, lens []int) *Tensor {
 	parts := make([]*Tensor, len(lens))
 	row := 0
 	for sg, n := range lens {
-		parts[sg] = attn.Forward(rowsView(x, row, row+n))
+		parts[sg] = f(rowsView(x, row, row+n))
 		row += n
 	}
 	return ConcatRows(parts...)
 }
 
-// TestFrozenModulesBitwiseIdentical pins the arena family's core
-// contract: under FreezeParams every module kernel — on a nil and on a
-// warm Scratch — is bitwise identical to the tape composition it mirrors.
+// mlpChain is MLP.Forward spelled as the unfused operator chain:
+// ReLU(AddBias(MatMul)) between layers, AddBias(MatMul) at the head.
+func mlpChain(m *MLP, x *Tensor) *Tensor {
+	for i, l := range m.Layers {
+		x = AddBias(MatMul(x, l.W), l.B)
+		if i+1 < len(m.Layers) {
+			x = ReLU(x)
+		}
+	}
+	return x
+}
+
+// TestFrozenModulesBitwiseIdentical pins the one forward's core contract:
+// under FreezeParams every module — the rows op, the MLP and the segment
+// attention, on a nil and on a dirtied warm Scratch — is bitwise
+// identical to the unfused operator chain or the per-segment composition
+// it batches.
 func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 
@@ -228,39 +249,57 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	params = append(params, attn.Params()...)
 	defer FreezeParams(params)()
 
-	rows, x := randRows(rng, 12, 9)
+	rows, _ := randRows(rng, 12, 9)
+	for _, r := range rows {
+		r[2], r[7] = 0, 0 // columns the rows op compacts away
+	}
+	x := FromRows(rows)
 	lens := []int{4, 3, 5}
 	tokens := randConst(rng, 12, 6)
 	uniq := randConst(rng, 5, 6)
 	idx := []int{0, 1, 0, 2, 3, 0, 4, 1, 2, 0, 3, 4}
+	linChain := mlpChain(&MLP{Layers: []*Linear{lin}}, x)
 
 	bothScratches(rng, func(name string, s *Scratch) {
-		bitwiseEqual(t, name+": linear rows", lin.ForwardRowsIn(s, rows), lin.Forward(x))
-		bitwiseEqual(t, name+": linear dense", lin.forwardDenseIn(s, x), lin.Forward(x))
-		bitwiseEqual(t, name+": mlp", mlp.ForwardIn(s, x), mlp.Forward(x))
-		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURowsIn(s, rows), ReLU(mlp.Forward(x)))
+		bitwiseEqual(t, name+": linear rows", lin.ForwardRows(s, rows), linChain)
+		bitwiseEqual(t, name+": linear", lin.Forward(onArena(s, x)), linChain)
+		bitwiseEqual(t, name+": mlp", mlp.Forward(onArena(s, x)), mlpChain(mlp, x))
+		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURows(s, rows), ReLU(mlpChain(mlp, x)))
 		bitwiseEqual(t, name+": attention segments",
-			attn.ForwardSegmentsDedupIn(s, tokens, identityInts(nil, tokens.R), lens), perSegment(attn, tokens, lens))
+			attn.ForwardSegmentsDedup(onArena(s, tokens), identityInts(nil, tokens.R), lens), perSegment(attn.Forward, tokens, lens))
 		bitwiseEqual(t, name+": attention dedup",
-			attn.ForwardSegmentsDedupIn(s, uniq, idx, lens), perSegment(attn, GatherRows(uniq, idx), lens))
+			attn.ForwardSegmentsDedup(onArena(s, uniq), idx, lens), perSegment(attn.Forward, GatherRows(uniq, idx), lens))
 	})
 }
 
 // TestInferenceForwardBuildsNoTape verifies the no-tape property end to
-// end: under FreezeParams an op-composed forward and the arena kernel
-// forward both come back without autograd state.
+// end: under FreezeParams the forward — an operator composition, the rows
+// op and the segment attention, on the heap and on an arena — comes back
+// without autograd state, and the arena records no node for Backward to
+// walk.
 func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	mlp := NewMLP(rng, 4, 8, 1)
-	restore := FreezeParams(mlp.Params())
+	attn := NewSelfAttention(rng, 4)
+	restore := FreezeParams(append(mlp.Params(), attn.Params()...))
 	defer restore()
-	x := randConst(rng, 3, 4)
+	rows, x := randRows(rng, 3, 4)
+	lens := []int{1, 2}
 	for name, y := range map[string]*Tensor{
-		"module": SegmentSumRows(ReLU(mlp.Forward(x)), []int{1, 2}),
-		"kernel": mlp.ForwardIn(nil, x),
+		"module":    SegmentSumRows(ReLU(mlp.Forward(x)), lens),
+		"rows":      mlp.ForwardReLURows(nil, rows),
+		"attention": attn.ForwardSegmentsDedup(x, []int{0, 1, 2}, lens),
 	} {
 		if y.requiresGrad || y.node.op != opNone || y.arena != nil || y.Grad != nil {
 			t.Fatalf("%s inference forward carries tape state", name)
+		}
+	}
+	var s Scratch
+	SegmentMeanRows(attn.ForwardSegmentsDedup(onArena(&s, x), []int{0, 1, 2}, lens), lens)
+	mlp.ForwardReLURows(&s, rows)
+	for i, h := range s.tensors[:s.tensorN] {
+		if h.requiresGrad || h.node.op != opNone || h.Grad != nil {
+			t.Fatalf("arena inference forward recorded a tape node at header %d", i)
 		}
 	}
 }

@@ -26,6 +26,13 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 	return Affine(x, l.W, l.B, false)
 }
 
+// ForwardRows applies the layer directly to feature rows, on s (nil =
+// heap), through the rows op (affineRows): bitwise identical to Forward
+// over FromRows, with the rows' all-zero columns never contracted.
+func (l *Linear) ForwardRows(s *Scratch, rows [][]float64) *Tensor {
+	return affineRows(s, rows, l.W, l.B, false)
+}
+
 // Params implements Module.
 func (l *Linear) Params() []*Tensor { return []*Tensor{l.W, l.B} }
 
@@ -87,6 +94,17 @@ func (m *MLP) ForwardReLU(x *Tensor) *Tensor {
 	return x
 }
 
+// ForwardReLURows is ForwardReLU fed directly from feature rows, on s
+// (nil = heap): the first layer is the rows op (see Linear.ForwardRows).
+func (m *MLP) ForwardReLURows(s *Scratch, rows [][]float64) *Tensor {
+	l0 := m.Layers[0]
+	x := affineRows(s, rows, l0.W, l0.B, true)
+	for _, l := range m.Layers[1:] {
+		x = Affine(x, l.W, l.B, true)
+	}
+	return x
+}
+
 // Params implements Module.
 func (m *MLP) Params() []*Tensor {
 	var ps []*Tensor
@@ -139,16 +157,19 @@ func (a *SelfAttention) Forward(x *Tensor) *Tensor {
 // in the forward and the backward both. The projections and the residual
 // layer norm are row-wise and run batched across all segments; the score
 // matmuls and softmax, the only row-mixing parts, are the attention core,
-// one tape node (attend) whose forward is the inference engine's loop.
-// Each segment's output is bitwise identical to Forward over that segment
-// alone.
+// one tape node (attend). Each segment's output is bitwise identical to
+// Forward over that segment alone. A forward with no gradient-carrying
+// operand (inference) adds its segment count to the engine counters.
 func (a *SelfAttention) ForwardSegmentsDedup(uniq *Tensor, idx []int, lens []int) *Tensor {
 	x := GatherRows(uniq, idx)
 	q := GatherRows(a.Q.Forward(uniq), idx)
 	k := GatherRows(a.K.Forward(uniq), idx)
 	v := GatherRows(a.V.Forward(uniq), idx)
-	ctx := a.O.Forward(attend(q, k, v, lens, a.scale()))
-	return a.Norm.Forward(Add(x, ctx))
+	core := attend(q, k, v, lens, a.scale())
+	if !core.requiresGrad {
+		engineAttnSegments.Add(uint64(len(lens)))
+	}
+	return a.Norm.Forward(Add(x, a.O.Forward(core)))
 }
 
 // scale is the score scale 1/√dim.

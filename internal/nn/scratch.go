@@ -1,10 +1,10 @@
 // Scratch: the grow-only arena behind the zero-allocation cost-model
 // path, inference and training alike. The batched cost-model engine
-// calls the arena kernels once per candidate chunk, thousands of times per
-// tuning round, and the trainer runs one tape forward and backward per
-// task group; with a warmed Scratch neither touches the heap (pinned by
-// the TestAlloc* gates and the hotalloc analyzer), so neither stage feeds
-// the garbage collector.
+// runs a model's one forward once per candidate chunk, thousands of times
+// per tuning round, and the trainer runs that forward and its backward
+// once per task group; with a warmed Scratch neither touches the heap
+// (pinned by the TestAlloc* gates and the hotalloc analyzer), so neither
+// stage feeds the garbage collector.
 //
 // A Scratch hands out zeroed buffers and reset tensor headers in call
 // order and is rewound wholesale with Reset — allocation happens only
@@ -135,7 +135,7 @@ func (s *Scratch) absorb(o *Scratch) {
 	o.tensors, o.tensorN = nil, 0
 }
 
-// identityInts returns 0..n-1: the contraction list of a dense GEMM.
+// identityInts returns 0..n-1: a permutation's starting order.
 func identityInts(s *Scratch, n int) []int {
 	ks := s.Ints(n)
 	for k := range ks {

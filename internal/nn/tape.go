@@ -212,10 +212,7 @@ func (out *Tensor) backward() {
 		// Duplicates scatter-accumulate into their representative in
 		// ascending output row order.
 		for i, j := range n.ints {
-			base, obase := j*a.C, i*a.C
-			for c := 0; c < a.C; c++ {
-				addGrad(a, base+c, g[obase+c])
-			}
+			addRows(a, j, g[i*a.C:(i+1)*a.C])
 		}
 	case opSumRows:
 		for i := 0; i < a.R; i++ {

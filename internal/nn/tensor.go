@@ -12,11 +12,12 @@
 // An operator's output becomes a tape node — gradient buffer and a record
 // of the op and its operands (tape.go) — only when some operand requires
 // gradients. Its storage comes from the operands' arena (a Scratch; nil
-// means heap), so a training forward built on FromRowsIn(s, ...) draws
-// every output, gradient and backward temporary from s, and Backward walks
-// the nodes s recorded in reverse. Under FreezeParams no operand requires
-// gradients, so an inference forward records nothing at all — the no-tape
-// forward the batched cost-model engine (infer.go) builds on.
+// means heap), so a forward whose input is built on s (the rows ops
+// Linear.ForwardRows and MLP.ForwardReLURows) draws every output,
+// gradient and backward temporary from s, and Backward walks the nodes s
+// recorded in reverse. Under FreezeParams no operand requires gradients,
+// so the same forward records nothing at all: the cost models' one
+// forward (infer.go) serves training and batched inference alike.
 package nn
 
 import (
@@ -53,15 +54,11 @@ func New(r, c int) *Tensor {
 }
 
 // FromRows builds a constant tensor from row slices (all equal length).
-func FromRows(rows [][]float64) *Tensor { return FromRowsIn(nil, rows) }
-
-// FromRowsIn is FromRows on the arena s: the input of a training forward,
-// whose arena every operator downstream of it then draws from.
-func FromRowsIn(s *Scratch, rows [][]float64) *Tensor {
+func FromRows(rows [][]float64) *Tensor {
 	if len(rows) == 0 {
 		panic("nn: FromRows with no rows")
 	}
-	t := s.tensor(len(rows), len(rows[0]))
+	t := New(len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != t.C {
 			panic(fmt.Sprintf("nn: ragged rows %d vs %d", len(r), t.C))
@@ -240,7 +237,7 @@ func ReLU(x *Tensor) *Tensor {
 // Tanh applies the hyperbolic tangent.
 func Tanh(x *Tensor) *Tensor {
 	s, grad := opArena(x, nil, nil)
-	return TanhIn(s, x).link(grad, node{op: opTanh, a: x})
+	return tanhIn(s, x).link(grad, node{op: opTanh, a: x})
 }
 
 // SoftmaxRows applies softmax independently to each row.
@@ -288,7 +285,7 @@ func Transpose(x *Tensor) *Tensor {
 // ConcatCols concatenates equal-row tensors side by side.
 func ConcatCols(a, b *Tensor) *Tensor {
 	s, grad := opArena(a, b, nil)
-	return ConcatColsIn(s, a, b).link(grad, node{op: opConcatCols, a: a, b: b})
+	return concatColsIn(s, a, b).link(grad, node{op: opConcatCols, a: a, b: b})
 }
 
 // ConcatRows stacks equal-width tensors vertically.
@@ -349,19 +346,20 @@ func MeanRows(x *Tensor) *Tensor {
 	return Scale(SumRows(x), 1/float64(x.R))
 }
 
-// SegmentSumRows is SegmentSumRowsIn on the tape: the backward hands each
-// segment's output-row gradient to every row of the segment.
+// SegmentSumRows sums contiguous row segments of x (segmentSumRowsIn):
+// lens[sg] rows form segment sg, and the backward hands each segment's
+// output-row gradient to every row of the segment.
 func SegmentSumRows(x *Tensor, lens []int) *Tensor {
 	s, grad := opArena(x, nil, nil)
-	return SegmentSumRowsIn(s, x, lens).link(grad, node{op: opSegmentRows, a: x, ints: lens})
+	return segmentSumRowsIn(s, x, lens).link(grad, node{op: opSegmentRows, a: x, ints: lens})
 }
 
-// SegmentMeanRows is SegmentMeanRowsIn on the tape: the backward hands
-// each segment's output-row gradient, times the reciprocal length, to
-// every row of the segment.
+// SegmentMeanRows averages contiguous row segments of x
+// (segmentMeanRowsIn): the backward hands each segment's output-row
+// gradient, times the reciprocal length, to every row of the segment.
 func SegmentMeanRows(x *Tensor, lens []int) *Tensor {
 	s, grad := opArena(x, nil, nil)
-	return SegmentMeanRowsIn(s, x, lens).link(grad, node{op: opSegmentRows, a: x, ints: lens, flag: true})
+	return segmentMeanRowsIn(s, x, lens).link(grad, node{op: opSegmentRows, a: x, ints: lens, flag: true})
 }
 
 // MeanAll reduces to the scalar mean of all entries.

@@ -243,12 +243,12 @@ func TestOperandsOnTwoArenasPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	w := randParam(rng, 3, 3)
 	var s Scratch
-	onArena := MatMul(FromRowsIn(&s, [][]float64{{1, 2, 3}}), w)
-	onHeap := MatMul(FromRows([][]float64{{3, 2, 1}}), w)
+	arenaNode := MatMul(onArena(&s, FromVec([]float64{1, 2, 3})), w)
+	heapNode := MatMul(FromRows([][]float64{{3, 2, 1}}), w)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an operator over an arena node and a heap node must panic")
 		}
 	}()
-	Add(onArena, onHeap)
+	Add(arenaNode, heapNode)
 }

@@ -15,7 +15,7 @@ import "fmt"
 // ReLU: one tape node where the operator chain ReLU(AddBias(MatMul))
 // builds three, so a Linear layer's forward draws one output and one
 // gradient buffer instead of three of each. The forward is the GEMM
-// kernel (matmulFusedIn), which is bitwise identical to the chain for the
+// kernel (matmulFused), which is bitwise identical to the chain for the
 // finite weights training produces; the backward fuses the ReLU mask, the
 // bias column-sum and the two gradient GEMMs, each accumulating per
 // element in the same ascending order as the chain, so gradients are
@@ -25,7 +25,22 @@ func Affine(x, w, b *Tensor, relu bool) *Tensor {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
 	}
 	s, grad := opArena(x, w, b)
-	return matmulFusedIn(s, x, w, b.Data, relu).link(grad, node{op: opAffine, a: x, b: w, c: b, flag: relu})
+	return matmulFused(s, x, w, b.Data, relu).link(grad, node{op: opAffine, a: x, b: w, c: b, flag: relu})
+}
+
+// affineRows is Affine fed directly from feature rows on s, the rows op
+// every model's input layer runs: the rows are compacted at copy time
+// (compactRowsIn) and contracted against the weight rows of the kept
+// columns, gathered by a GatherRows node. The backward therefore runs
+// affineBackward on that panel and the gather adds the panel's gradient
+// rows into W.Grad[cols[n]]. The forward is bitwise Affine(FromRows(rows),
+// w, b, relu), and so are the W and b gradients whenever W.Grad starts at
+// zero, as a training step's does: each used row's dW sum starts at +0.0
+// either way, and a column that is zero in every row only ever receives
+// exact zero terms. The rows carry no gradient.
+func affineRows(s *Scratch, rows [][]float64, w, b *Tensor, relu bool) *Tensor {
+	x, cols := compactRowsIn(s, rows, w.R)
+	return Affine(x, gatherRowsOn(s, w, cols), b, relu)
 }
 
 // affineBackward is Affine's backward. Both gradient GEMMs run on the
@@ -67,12 +82,11 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 				wT[j*K+k] = wv
 			}
 		}
-		js := identityInts(s, C)
 		acc := s.floats(2 * K)
 		for i := 0; i < x.R; i += 2 {
 			i1 := min(i+1, x.R-1) // odd last row: twice, into the spare half
 			clear(acc)
-			gemmPair(acc[:K], acc[K:], g, i*C, i1*C, wT, js)
+			gemmPair(acc[:K], acc[K:], g, i*C, i1*C, wT, C)
 			for k, v := range acc[:(i1-i+1)*K] {
 				x.Grad[i*K+k] += v
 			}
@@ -116,7 +130,7 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 
 // attend is the attention core on the tape: one node over the gathered
 // projections q, k, v, whatever the number of segments. Its forward is
-// attendIn, the inference loop, whose softmax blocks it keeps; its
+// attendIn, whose softmax blocks it keeps on the tape; its
 // backward (attendBackward) reproduces bit for bit the gradients of the
 // per-segment operator chain Forward composes (TestAttentionTapePinned).
 func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -88,6 +89,127 @@ func TestAffineMatchesChain(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGradAffineRows finite-difference-checks the rows op's weight and
+// bias gradients, with and without the fused ReLU, on rows whose columns
+// 1 and 4 are zero throughout, and pins its forward values and W and b
+// gradient bits to Affine over the uncompacted FromRows input.
+func TestGradAffineRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, relu := range []bool{false, true} {
+		rows := make([][]float64, 5)
+		for i := range rows {
+			rows[i] = randConst(rng, 1, 6).Data
+			rows[i][1], rows[i][4] = 0, 0
+		}
+		w, b := randParam(rng, 6, 3), randParam(rng, 1, 3)
+		// Shift pre-activations away from the ReLU kink.
+		for i := range b.Data {
+			b.Data[i] += 0.3
+		}
+		name := "affinerows"
+		if relu {
+			name += "+relu"
+		}
+		checkGrads(t, name, []*Tensor{w, b}, func() *Tensor {
+			y := affineRows(nil, rows, w, b, relu)
+			return MeanAll(Mul(y, y))
+		})
+		affineRowsMatchesAffine(t, name, rows, w, b, randConst(rng, len(rows), 3), relu)
+	}
+}
+
+// affineRowsMatchesAffine runs the rows op (on an arena) and Affine over
+// FromRows(rows) through the same loss, each from zeroed W and b
+// gradients as a training step starts, and demands identical forward
+// values and W and b gradients, bit for bit.
+func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, lossW *Tensor, relu bool) {
+	t.Helper()
+	pass := func(f func() *Tensor) [3][]float64 {
+		clear(w.Grad)
+		clear(b.Grad)
+		y := f()
+		Backward(MeanAll(Mul(y, lossW)))
+		return [3][]float64{slices.Clone(y.Data), slices.Clone(w.Grad), slices.Clone(b.Grad)}
+	}
+	var s Scratch
+	got := pass(func() *Tensor { return affineRows(&s, rows, w, b, relu) })
+	want := pass(func() *Tensor { return Affine(FromRows(rows), w, b, relu) })
+	for i, part := range []string{"forward", "dW", "db"} {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s: %s [%d] = %v (bits %x), Affine over FromRows %v (bits %x)",
+					name, part, j, got[i][j], math.Float64bits(got[i][j]), want[i][j], math.Float64bits(want[i][j]))
+			}
+		}
+	}
+}
+
+// edgeValues are the operands most likely to expose a kernel that rounds,
+// orders or flushes differently: both zeros, denormals, and magnitudes
+// whose products overflow and underflow.
+var edgeValues = []float64{
+	0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1, -1.5,
+}
+
+// finiteFrom reads the n-th float64 of data (cyclically) and maps the
+// non-finite bit patterns onto finite ones: the kernels contract finite
+// operands only.
+func finiteFrom(data []byte, n int) float64 {
+	var raw [8]byte
+	for i := range raw {
+		raw[i] = data[(n*8+i)%len(data)]
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]) &^ (1 << 62))
+	}
+	return v
+}
+
+// FuzzAffineRows feeds the rows op arbitrary finite rows — columns whose
+// zeroCols bit is set hold ±0.0 in every row — weights and loss weights,
+// and demands the forward and the W and b gradient bits of Affine over
+// the uncompacted FromRows input. The seeds cover all-zero columns, ±0.0,
+// denormals, a single row and odd widths.
+func FuzzAffineRows(f *testing.F) {
+	seed := make([]byte, 0, len(edgeValues)*8)
+	for _, v := range edgeValues {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(uint8(0), uint8(0), uint8(0), uint16(0), false, seed)           // one row, one column, one output
+	f.Add(uint8(4), uint8(6), uint8(2), uint16(0b0100101), true, seed)    // odd widths, three zero columns
+	f.Add(uint8(3), uint8(8), uint8(4), uint16(0x1ff), false, seed[3:])   // every column zero
+	f.Add(uint8(6), uint8(12), uint8(8), uint16(0b10010), true, seed[8:]) // widest shapes
+	f.Add(uint8(1), uint8(4), uint8(6), uint16(0), true, seed[16:32])     // denormals and 1e±300 only
+	f.Fuzz(func(t *testing.T, nRows, width, outW uint8, zeroCols uint16, relu bool, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n, K, C := int(nRows)%8+1, int(width)%13+1, int(outW)%9+1
+		i := 0
+		next := func() float64 { i++; return finiteFrom(data, i) }
+		rows := make([][]float64, n)
+		for r := range rows {
+			rows[r] = make([]float64, K)
+			for k := range rows[r] {
+				switch {
+				case zeroCols>>k&1 == 0:
+					rows[r][k] = next()
+				case (r+k)%2 == 1:
+					rows[r][k] = math.Copysign(0, -1)
+				}
+			}
+		}
+		w, b, lossW := ZeroParam(K, C), ZeroParam(1, C), New(n, C)
+		for _, p := range []*Tensor{w, b, lossW} {
+			for j := range p.Data {
+				p.Data[j] = next()
+			}
+		}
+		affineRowsMatchesAffine(t, "fuzz", rows, w, b, lossW, relu)
+	})
 }
 
 // TestGradSliceRows finite-difference-checks the slicing op used by the

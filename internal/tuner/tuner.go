@@ -52,10 +52,9 @@ type Options struct {
 	// Policy proposes candidates; Model verifies/guides it.
 	Policy search.Policy
 	Model  costmodel.Model
-	// OnlineTrain enables online cost-model updates from collected data.
+	// OnlineTrain enables online cost-model updates from collected data:
+	// every round, or every second round under MoA (trainEvery).
 	OnlineTrain bool
-	// TrainEvery spaces online updates (rounds); MoA uses 2 by default.
-	TrainEvery int
 	// Fit configures each online training call.
 	Fit costmodel.FitOptions
 	// Replay bounds each incremental online fit: the fit sees the records
@@ -117,8 +116,6 @@ type Options struct {
 	Adapt AdaptConfig
 	// Cost overrides the simulated-clock constants; zero uses defaults.
 	Cost simulator.CostParams
-	// DraftConfig tweaks the Symbol-based Analyzer (penalty ablations).
-	DraftConfig analyzer.Config
 	// Ctx optionally bounds the session: cancellation is observed inside
 	// the measurement stage (in-flight batches abort mid-batch) and
 	// between pipeline stages; the session stops cleanly and the partial
@@ -162,19 +159,12 @@ func (o Options) withDefaults(dev *device.Device) Options {
 	if o.BatchSize == 0 {
 		o.BatchSize = 10
 	}
-	if o.TrainEvery == 0 {
-		if o.Adaptation == AdaptMoA {
-			o.TrainEvery = 2
-		} else {
-			o.TrainEvery = 1
-		}
-	}
 	if o.Momentum == 0 {
 		// The paper's m = 0.99 assumes ~100 Siamese updates (200 rounds,
 		// update every 2). Shorter sessions scale the momentum so the
 		// Siamese absorbs a comparable total amount of target progress:
 		// m = 0.99^(100/updates).
-		updates := float64(o.Trials) / float64(o.BatchSize) / float64(o.TrainEvery)
+		updates := float64(o.Trials) / float64(o.BatchSize) / float64(o.trainEvery())
 		if updates < 1 {
 			updates = 1
 		}
@@ -209,6 +199,15 @@ func (o Options) withDefaults(dev *device.Device) Options {
 		o.Fit.Epochs *= 2
 	}
 	return o
+}
+
+// trainEvery spaces online updates in rounds: MoA updates every second
+// round, every other strategy every round.
+func (o Options) trainEvery() int {
+	if o.Adaptation == AdaptMoA {
+		return 2
+	}
+	return 1
 }
 
 // taskState tracks per-task tuning progress.
@@ -352,7 +351,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		ou.SetObserver(opt.Obs)
 	}
 	eo := newEngineObs(opt.Obs)
-	draft := &analyzer.Analyzer{Dev: dev, Cfg: opt.DraftConfig}
+	draft := &analyzer.Analyzer{Dev: dev}
 
 	// The adaptive controller (nil under fixed budgets — every use below
 	// is gated, so the fixed path is untouched down to the clock charge).
@@ -702,7 +701,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			}
 
 			// Online cost-model update (Algorithm 1 line 13).
-			if canTrain && (f.round+1)%opt.TrainEvery == 0 {
+			if canTrain && (f.round+1)%opt.trainEvery() == 0 {
 				trainOnline()
 			}
 		}
