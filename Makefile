@@ -85,10 +85,12 @@ serve-e2e:
 # result byte-identical to the simulator), plus the wire-fidelity and
 # pipeline determinism contracts, plus the mid-session /metrics scrape of
 # daemon AND worker (TestMetrics*: exposition validated with the strict
-# stdlib parser, failing on empty or malformed output).
+# stdlib parser, failing on empty or malformed output), plus the pool's
+# lend protocol and the online fit running beside the draft (TestPoolGo,
+# TestFitOverlapsDraft).
 measure-e2e:
-	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestTunePipeline|TestMetrics|TestObservability' \
-		./internal/server/... ./internal/measure/... ./internal/tuner/...
+	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestFitOverlap' \
+		./internal/server/... ./internal/measure/... ./internal/tuner/... ./internal/parallel/...
 	$(GO) test -race ./internal/obs/...
 
 # Profile a representative tuning session: CPU profile + span trace from

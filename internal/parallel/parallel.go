@@ -3,10 +3,12 @@
 // inference, simulated measurement, and the experiment/CLI fan-out over
 // independent tasks and networks.
 //
-// The pool only ever runs pure, index-addressed work (fn(i) writes out[i]);
-// all random draws stay on the serial caller path. That split is what makes
-// a session's Result bitwise identical at any worker count: parallelism
-// changes who computes a value, never which value is computed.
+// The pool only ever runs pure, index-addressed work (fn(i) writes out[i])
+// or, through Go, one task whose inputs the caller fixed before starting
+// it and whose outputs it reads only after the join; all random draws
+// stay on the serial caller path. That split is what makes a session's
+// Result bitwise identical at any worker count: parallelism changes who
+// computes a value, never which value is computed.
 package parallel
 
 import (
@@ -95,6 +97,41 @@ spawn:
 	}
 	run() // the caller is always a worker
 	wg.Wait()
+}
+
+// Go runs fn beside the caller on one of the pool's helper slots and
+// returns join, which blocks until fn has returned. The slot is lent, not
+// held: join hands it back before it blocks, because the caller stops
+// working there, so ForEach calls fn makes after the join starts can fan
+// out over the caller's share of the budget too; if fn finishes first it
+// hands the slot back itself. With no free slot — a nil or single-worker
+// pool, or a budget in use elsewhere — fn runs inline before Go returns
+// and join is a no-op, so a serial session stays serial and a shared
+// pool stays within its budget. Everything fn writes is visible to the
+// caller once join returns.
+func (p *Pool) Go(fn func()) (join func()) {
+	if p == nil || p.workers <= 1 {
+		fn()
+		return func() {}
+	}
+	select {
+	case p.sem <- struct{}{}:
+	default:
+		fn()
+		return func() {}
+	}
+	var once sync.Once
+	release := func() { once.Do(func() { <-p.sem }) }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer release()
+		fn()
+	}()
+	return func() {
+		release()
+		<-done
+	}
 }
 
 // Map runs fn over [0, n) on the pool and collects the results in index

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,6 +77,101 @@ func TestSplitSeedStreamsDiffer(t *testing.T) {
 	if SplitSeed(7, 3) != SplitSeed(7, 3) {
 		t.Fatal("SplitSeed must be deterministic")
 	}
+}
+
+// TestPoolGo pins the lend protocol: fn plus every ForEach helper on
+// either side of it stay within the pool's budget, join hands the slot
+// back so fn's later fan-out can use it, and fn runs inline when there
+// is no slot to lend.
+func TestPoolGo(t *testing.T) {
+	t.Run("budget", func(t *testing.T) {
+		const budget = 4
+		p := New(budget)
+		var cur, peak atomic.Int32
+		busy := func(int) {
+			c := cur.Add(1)
+			for {
+				pk := peak.Load()
+				if c <= pk || peak.CompareAndSwap(pk, c) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+		}
+		join := p.Go(func() {
+			for k := 0; k < 8; k++ {
+				p.ForEach(8, busy)
+			}
+		})
+		p.ForEach(32, busy)
+		join()
+		if got := peak.Load(); got > budget {
+			t.Fatalf("peak concurrency %d exceeds the pool budget %d", got, budget)
+		}
+		if len(p.sem) != 0 {
+			t.Fatalf("%d helper slots still held after join", len(p.sem))
+		}
+	})
+
+	t.Run("join lends the slot back", func(t *testing.T) {
+		p := New(2)
+		deadline := time.Now().Add(10 * time.Second)
+		waitFor := func(cond func() bool) bool {
+			for !cond() {
+				if time.Now().After(deadline) {
+					return false
+				}
+				runtime.Gosched()
+			}
+			return true
+		}
+		var arrived atomic.Int32
+		var paired atomic.Bool
+		join := p.Go(func() {
+			if !waitFor(func() bool { return len(p.sem) == 0 }) {
+				return // join never handed the slot back
+			}
+			// Two items that each wait for the other: only a helper
+			// running beside fn's own goroutine can finish them.
+			paired.Store(true)
+			p.ForEach(2, func(int) {
+				arrived.Add(1)
+				if !waitFor(func() bool { return arrived.Load() == 2 }) {
+					paired.Store(false)
+				}
+			})
+		})
+		join()
+		if !paired.Load() {
+			t.Fatal("fn's ForEach got no helper after join handed the slot back")
+		}
+	})
+
+	inline := func(t *testing.T, p *Pool) {
+		t.Helper()
+		ran := false
+		join := p.Go(func() { ran = true })
+		if !ran {
+			t.Fatal("fn must have run inline before Go returned")
+		}
+		join()
+	}
+	t.Run("workers=1 runs inline", func(t *testing.T) {
+		inline(t, New(1))
+		inline(t, nil)
+	})
+	t.Run("exhausted budget runs inline", func(t *testing.T) {
+		p := New(2)
+		hold := make(chan struct{})
+		join := p.Go(func() { <-hold }) // takes the only helper slot
+		inline(t, p)
+		close(hold)
+		join()
+		if len(p.sem) != 0 {
+			t.Fatal("the lent slot was not handed back")
+		}
+	})
 }
 
 // TestNestedForEachSharesBudget pins the anti-multiplication property:

@@ -23,11 +23,7 @@ func (p *AnsorPolicy) Name() string { return "ansor" }
 
 // NextBatch implements Policy.
 func (p *AnsorPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	seed := bestMeasured(ctx, p.Evo.Population/16)
-	ranked := evolve(ctx, p.Evo, seed, func(schs []*schedule.Schedule) []float64 {
-		ctx.chargeModel(len(schs))
-		return ctx.Model.Predict(ctx.Task, schs)
-	})
+	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/16))
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 
@@ -93,9 +89,7 @@ func (p *PrunerPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
 			}
 		}
 	}
-	// Verify.
-	ctx.chargeModel(len(draft))
-	scores := ctx.Model.Predict(ctx.Task, draft)
+	scores := ctx.verify(draft)
 	ranked := make([]scored, len(draft))
 	for i := range draft {
 		ranked[i] = scored{sch: draft[i], score: scores[i]}
@@ -126,11 +120,7 @@ func (p *MetaSchedulePolicy) Name() string { return "metaschedule" }
 
 // NextBatch implements Policy.
 func (p *MetaSchedulePolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	seed := bestMeasured(ctx, p.Evo.Population/32)
-	ranked := evolve(ctx, p.Evo, seed, func(schs []*schedule.Schedule) []float64 {
-		ctx.chargeModel(len(schs))
-		return ctx.Model.Predict(ctx.Task, schs)
-	})
+	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/32))
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 

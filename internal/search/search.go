@@ -44,6 +44,12 @@ type Context struct {
 	MeasuredSet map[string]bool
 	// Model is the learned (verify) cost model.
 	Model costmodel.Model
+	// AwaitModel, when non-nil, blocks until Model is ready to verify:
+	// the tuner runs the previous round's online fit beside this round's
+	// draft and joins it here. The draft stage never reads Model, so
+	// policies reach Model only through verify, which calls this first.
+	// nil means the model is ready.
+	AwaitModel func()
 	// Draft is the Symbol-based Analyzer used by draft-stage policies.
 	Draft *analyzer.Analyzer
 	// Clock and Cost account simulated exploration time. Clock may be nil
@@ -74,13 +80,17 @@ func (c *Context) cancelled() bool {
 	return c.Ctx != nil && c.Ctx.Err() != nil
 }
 
-// chargeModel accounts n learned-model candidate evaluations.
-func (c *Context) chargeModel(n int) {
-	if c.Clock == nil || c.Model == nil {
-		return
+// verify scores candidates with the learned cost model, once it is ready,
+// and charges them to the simulated clock: every policy's verify stage.
+func (c *Context) verify(schs []*schedule.Schedule) []float64 {
+	if c.AwaitModel != nil {
+		c.AwaitModel()
 	}
-	mc := c.Model.Costs()
-	c.Clock.Exploration += float64(n) * (c.Cost.FeatureExtract*mc.FeatureX + c.Cost.ModelInfer*mc.InferX)
+	if c.Clock != nil {
+		mc := c.Model.Costs()
+		c.Clock.Exploration += float64(len(schs)) * (c.Cost.FeatureExtract*mc.FeatureX + c.Cost.ModelInfer*mc.InferX)
+	}
+	return c.Model.Predict(c.Task, schs)
 }
 
 // chargeDraft accounts n Symbol-based-Analyzer evaluations.
@@ -253,10 +263,10 @@ func DefaultEvoParams() EvoParams {
 	return EvoParams{Population: 2000, Generations: 4, MutateProb: 0.85, CrossProb: 0.05}
 }
 
-// evolve runs a fitness-guided GA. scoreFn evaluates a generation and is
-// charged by the caller; evolve returns every scored candidate seen,
-// deduplicated, ranked descending.
-func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, scoreFn func([]*schedule.Schedule) []float64) []scored {
+// evolve runs a GA whose fitness is the learned cost model (every
+// generation goes through verify) and returns every scored candidate
+// seen, deduplicated, ranked descending.
+func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule) []scored {
 	pop := make([]*schedule.Schedule, 0, p.Population)
 	pop = append(pop, seed...)
 	if len(pop) > p.Population {
@@ -269,7 +279,7 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, scoreFn func([
 		if ctx.cancelled() {
 			break // the tuner discards rounds whose search was cut short
 		}
-		scores := scoreFn(pop)
+		scores := ctx.verify(pop)
 		cands := make([]scored, len(pop))
 		for i := range pop {
 			c := scored{sch: pop[i], score: scores[i]}

@@ -6,7 +6,10 @@ import "pruner/internal/obs"
 // the serving daemon's documentation.
 const (
 	// MetricStageSeconds is a histogram of per-stage engine latency,
-	// labelled stage=plan|measure|commit.
+	// labelled stage=plan|measure|commit|fit_wait. fit_wait is the time
+	// the session goroutine blocks joining an online fit that ran beside
+	// the next draft (inside plan, or before a commit or the session's
+	// end): near zero when the overlap hides the fit.
 	MetricStageSeconds = "pruner_tuner_stage_seconds"
 	// MetricRoundSeconds is a histogram of whole-round latency (plan
 	// dispatch to commit completion; overlapping under pipelining).
@@ -45,6 +48,7 @@ type engineObs struct {
 	planSeconds    *obs.Histogram
 	measureSeconds *obs.Histogram
 	commitSeconds  *obs.Histogram
+	fitWaitSeconds *obs.Histogram
 	roundSeconds   *obs.Histogram
 	verifyBatch    *obs.Histogram
 	rounds         *obs.Counter
@@ -59,13 +63,14 @@ type engineObs struct {
 func newEngineObs(o *obs.Observer) engineObs {
 	r := o.Reg()
 	stage := r.HistogramVec(MetricStageSeconds,
-		"Tuning engine stage latency by stage (plan, measure, commit).", nil, "stage")
+		"Tuning engine stage latency by stage (plan, measure, commit, fit_wait: blocked joining an online fit).", nil, "stage")
 	return engineObs{
 		clock:          o.Clock(),
 		tr:             o.Trace(),
 		planSeconds:    stage.With("plan"),
 		measureSeconds: stage.With("measure"),
 		commitSeconds:  stage.With("commit"),
+		fitWaitSeconds: stage.With("fit_wait"),
 		roundSeconds: r.Histogram(MetricRoundSeconds,
 			"Whole-round latency from plan dispatch to commit.", nil),
 		verifyBatch: r.Histogram(MetricVerifyBatch,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"pruner/internal/ir"
 	"pruner/internal/measure"
 	"pruner/internal/nn"
+	"pruner/internal/obs"
 	"pruner/internal/schedule"
 	"pruner/internal/search"
 	"pruner/internal/simulator"
@@ -294,6 +296,54 @@ func TestTuneCancelMidBatch(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("session did not return after mid-batch cancellation")
 	}
+
+	// Cancelled mid-draft while round 0's fit is still in flight (the fit
+	// waits until round 1's draft has cancelled the session): round 0 is
+	// committed, so its curve point and Progress event still arrive once
+	// the fit joins, the truncated round 1 is dropped with its plan span
+	// ended as cancelled, and no fit outlives the session.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	cancelled := make(chan struct{})
+	var sawCancel atomic.Bool
+	m := newProbeModel(func(k int) {
+		if k == 0 {
+			sawCancel.Store(waitGate(cancelled))
+		}
+	})
+	ob := obs.New(nil, 0)
+	var events []ProgressEvent
+	res := Tune(device.T4, twoTasks(), Options{
+		Trials:    30,
+		BatchSize: 10,
+		Policy: &probePolicy{Policy: smallPrunerPolicy(), onDraft: func(k int) {
+			if k == 1 {
+				cancel2()
+				close(cancelled)
+			}
+		}},
+		Model:       m,
+		OnlineTrain: true,
+		Seed:        9,
+		Parallelism: 2,
+		Ctx:         ctx2,
+		Progress:    func(ev ProgressEvent) { events = append(events, ev) },
+		Obs:         ob,
+	})
+	if !sawCancel.Load() {
+		t.Fatal("round 0's fit was not in flight when round 1's draft cancelled")
+	}
+	if !res.Interrupted || len(res.Records) != 10 {
+		t.Fatalf("interrupted=%v with %d records, want true and round 0's 10", res.Interrupted, len(res.Records))
+	}
+	gaplessRounds(t, res, events, 1)
+	if n := m.running.Load(); n != 0 {
+		t.Fatalf("%d fits still running after Tune returned", n)
+	}
+	plans := spansNamed(ob, "tuner.plan")
+	if len(plans) != 2 || spanAttr(plans[1], "cancelled") != true {
+		t.Fatalf("want round 1's plan span ended as cancelled, got %+v", plans)
+	}
 }
 
 // failAfterMeasurer serves batches through the in-process adapter until
@@ -324,6 +374,7 @@ func (f *failAfterMeasurer) Measure(ctx context.Context, req measure.Request) ([
 // builds, so transient fleet trouble can never be persisted as
 // permanent history and poison warm-started sessions.
 func TestTuneBackendFailureStopsWithoutPoisonedRecords(t *testing.T) {
+	ob := obs.New(nil, 0)
 	res := Tune(device.T4, twoTasks(), Options{
 		Trials:    40,
 		BatchSize: 10,
@@ -331,6 +382,7 @@ func TestTuneBackendFailureStopsWithoutPoisonedRecords(t *testing.T) {
 		Model:     costmodel.NewPaCM(3),
 		Seed:      9,
 		Measurer:  &failAfterMeasurer{allow: 2},
+		Obs:       ob,
 	})
 	if !res.Interrupted || res.MeasureErr == nil {
 		t.Fatalf("backend failure must interrupt with MeasureErr, got interrupted=%v err=%v",
@@ -345,6 +397,70 @@ func TestTuneBackendFailureStopsWithoutPoisonedRecords(t *testing.T) {
 			t.Fatal("a fabricated +Inf record leaked from the failed batch")
 		}
 	}
+	// The armed observer holds the span where the job stopped: the failed
+	// round's commit, ended with err.
+	commits := spansNamed(ob, "tuner.commit")
+	if len(commits) != 3 || spanAttr(commits[2], "round") != 2 || spanAttr(commits[2], "err") != true {
+		t.Fatalf("want the failed round 2's commit span ended with err, got %+v", commits)
+	}
+
+	// The backend fails while round 0's fit is in flight: at depth 2 both
+	// batches are out before round 0 commits; round 1's task fails, and
+	// the fit waits until it has. Round 0 still emits, gaplessly, once
+	// the fit joins; the failed batch is dropped and no fit outlives the
+	// session.
+	failing := &taskFailMeasurer{taskID: twoTasks()[1].ID, failed: make(chan struct{})}
+	var sawFailure atomic.Bool
+	m := newProbeModel(func(k int) {
+		if k == 0 {
+			sawFailure.Store(waitGate(failing.failed))
+		}
+	})
+	var events []ProgressEvent
+	res = Tune(device.T4, twoTasks(), Options{
+		Trials:        20,
+		BatchSize:     10,
+		Policy:        smallPrunerPolicy(),
+		Model:         m,
+		OnlineTrain:   true,
+		Seed:          9,
+		Parallelism:   2,
+		PipelineDepth: 2,
+		Measurer:      failing,
+		Progress:      func(ev ProgressEvent) { events = append(events, ev) },
+	})
+	if !sawFailure.Load() {
+		t.Fatal("round 0's fit was not in flight when the backend failed")
+	}
+	if res.MeasureErr == nil || len(res.Records) != 10 {
+		t.Fatalf("MeasureErr=%v with %d records, want an error and round 0's 10", res.MeasureErr, len(res.Records))
+	}
+	gaplessRounds(t, res, events, 1)
+	if n := m.running.Load(); n != 0 {
+		t.Fatalf("%d fits still running after Tune returned", n)
+	}
+}
+
+// taskFailMeasurer serves every batch through the in-process adapter
+// except those of one task, which fail (closing failed) — a backend fault
+// pinned to a round by its task rather than by dispatch order, which a
+// pipelined window does not fix.
+type taskFailMeasurer struct {
+	slowMeasurer
+	taskID string
+	failed chan struct{}
+}
+
+func (f *taskFailMeasurer) Info() measure.Info {
+	return measure.Info{Name: "task-fail", Concurrency: 1, MeasureNoise: f.adapter().Info().MeasureNoise}
+}
+
+func (f *taskFailMeasurer) Measure(ctx context.Context, req measure.Request) ([]measure.Result, error) {
+	if req.Task.ID == f.taskID {
+		close(f.failed)
+		return nil, fmt.Errorf("all workers down")
+	}
+	return f.adapter().Measure(ctx, req)
 }
 
 // emptyRoundPolicy proposes a normal random batch except on the rounds in

@@ -124,10 +124,13 @@ type Options struct {
 	// rounds computes, so the determinism contract is unaffected.
 	Ctx context.Context
 	// Progress, when non-nil, is invoked on the session goroutine after
-	// every measurement round (serially, in round order). Callbacks must
-	// not retain the event's schedule pointers past the call if they
-	// mutate them (they never should); blocking callbacks slow tuning but
-	// cannot reorder it.
+	// every measurement round (serially, in round order). A round that
+	// trains the model fires once its online fit has joined — the fit
+	// runs beside the next round's draft, so the event usually arrives
+	// during the next plan — and every other round fires at its commit.
+	// Callbacks must not retain the event's schedule pointers past the
+	// call if they mutate them (they never should); blocking callbacks
+	// slow tuning but cannot reorder it.
 	Progress func(ProgressEvent)
 	// Obs, when non-nil, receives the session's observability: plan /
 	// measure / commit spans into its tracer and round/stage latency,
@@ -441,60 +444,12 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		// The model trains from scratch online.
 	}
 
-	// Online training is incremental: each fit sees the records measured
-	// since the last fit plus a seeded replay sample of older history, so
-	// per-session training cost grows linearly with rounds instead of
-	// quadratically (the full-history refit this replaces). The training
-	// feature cache is session-scoped — records are append-only and
-	// features deterministic — so each record is lowered and featurized
-	// once per session, not once per epoch x round.
-	opt.Fit.Cache = costmodel.NewFitCache()
-	trainedTo := 0
-	trainRNG := rand.New(rand.NewSource(parallel.SplitSeed(opt.Seed, trainStream)))
-
-	// trainOnline is Algorithm 1 line 13 (and the warm-start priming fit):
-	// MoA re-initialises the target from the Siamese before fitting and
-	// feeds the result back with momentum; other adaptations fit in place.
-	trainOnline := func() {
-		fresh := allRecords[trainedTo:]
-		fitRecs := fresh
-		if history := allRecords[:trainedTo]; len(history) > 0 && opt.Replay > 0 {
-			k := opt.Replay
-			if k > len(history) {
-				k = len(history)
-			}
-			fitRecs = make([]costmodel.Record, 0, len(fresh)+k)
-			fitRecs = append(fitRecs, fresh...)
-			for _, i := range trainRNG.Perm(len(history))[:k] {
-				fitRecs = append(fitRecs, history[i])
-			}
-		}
-		trainedTo = len(allRecords)
-		var report costmodel.FitReport
-		if opt.Adaptation == AdaptMoA {
-			nn.CopyParams(opt.Model.Params(), siamese)
-			report = opt.Model.Fit(fitRecs, opt.Fit)
-			nn.MomentumUpdate(siamese, opt.Model.Params(), opt.Momentum)
-		} else {
-			report = opt.Model.Fit(fitRecs, opt.Fit)
-		}
-		res.Clock.Training += float64(report.SampleVisits) * opt.Cost.TrainPerSample * opt.Model.Costs().TrainX
-	}
-	canTrain := opt.OnlineTrain && opt.Model.Params() != nil
-
-	// Warm history primes the cost model before the first round, so the
-	// verify stage starts from the transferred fit instead of random
-	// weights — the cross-session analogue of MoA's cross-platform
-	// adaptation.
-	if canTrain && len(allRecords) > 0 {
-		trainOnline()
-	}
-
 	// ------------------------------------------------------------------
 	// Pipelined round engine. Rounds flow through three stages — plan
 	// (task selection + draft/verify search), measure (the pluggable
-	// backend, in a background goroutine), commit (noise, records, online
-	// fit, curve/progress) — with at most PipelineDepth rounds in flight.
+	// backend, in a background goroutine), commit (noise, records, curve/
+	// progress) — with at most PipelineDepth rounds in flight, and round
+	// r's online fit running beside the draft of the round planned next.
 	//
 	// Determinism: plan and commit both run on this goroutine in a fixed
 	// interleaving (commit the oldest round exactly when the window is
@@ -502,8 +457,11 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	// policy draws, measurement noise, replay sampling — happens in a
 	// deterministic order for a fixed depth, no matter how many workers
 	// the pool has or how long the backend takes. Background measurement
-	// is a pure function of the dispatched batch. Depth 1 interleaves
-	// plan(r), commit(r), plan(r+1): exactly the historical serial loop.
+	// is a pure function of the dispatched batch, and so is the online
+	// fit: its records are composed at commit, and nothing reads the model
+	// or the training charge before the fit joins (DESIGN.md §9). Depth 1
+	// interleaves plan(r), commit(r), plan(r+1): exactly the historical
+	// serial loop.
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background() //pruner:allow ctxflow — documented nil-Ctx default (Options.Ctx); the session then runs to completion
@@ -527,15 +485,130 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		planStart    int64
 		measureStart int64
 		msp          *obs.ActiveSpan
-		// pred holds the verifier's scores for the dispatched batch and
-		// verifyWant / draftWant / depthAt the controller's decisions in
-		// force at plan time; all zero under fixed budgets.
-		pred       []float64
-		verifyWant int
-		draftWant  int
-		depthAt    int
-		// calibErr is the task's smoothed rank error after this commit.
-		calibErr float64
+		// pred holds the verifier's scores for the dispatched batch (nil
+		// under fixed budgets).
+		pred []float64
+		// ev is the round's Progress event, filled at plan and commit;
+		// clock is the session clock at commit, which emit completes with
+		// the Training its fit charged.
+		ev    ProgressEvent
+		clock simulator.Clock
+	}
+
+	// emit publishes a committed round: its curve point, Progress event
+	// and round metrics. A round whose fit ran beside the next draft is
+	// emitted when that fit joins; its SimSeconds is Clock.Total() over
+	// the Exploration and Measurement of its commit and the Training its
+	// fit brought — exactly what a commit that fitted in place read.
+	emit := func(f *inflight) {
+		c := f.clock
+		c.Training = res.Clock.Training
+		f.ev.SimSeconds = c.Total()
+		res.Curve = append(res.Curve, CurvePoint{
+			Round:       f.round,
+			Trials:      f.ev.Trials,
+			SimSeconds:  f.ev.SimSeconds,
+			WorkloadLat: f.ev.WorkloadLat,
+		})
+		if opt.Progress != nil {
+			opt.Progress(f.ev)
+		}
+		if ctrl != nil {
+			eo.calibError.Observe(f.ev.CalibError)
+			eo.verifyBudget.Set(float64(f.ev.VerifyBudget))
+			eo.draftBudget.Set(float64(f.ev.DraftBudget))
+			eo.targetDepth.Set(float64(f.ev.TargetDepth))
+		}
+		eo.roundSeconds.Observe(obs.Seconds(eo.clock, f.planStart))
+		eo.rounds.Inc()
+		eo.trials.Add(float64(f.ev.Batch))
+		eo.inFlight.Set(float64(f.ev.InFlight))
+	}
+
+	// Online training is incremental: each fit sees the records measured
+	// since the last fit plus a seeded replay sample of older history, so
+	// per-session training cost grows linearly with rounds instead of
+	// quadratically (the full-history refit this replaces). The training
+	// feature cache is session-scoped — records are append-only and
+	// features deterministic — so each record is lowered and featurized
+	// once per session, not once per epoch x round.
+	opt.Fit.Cache = costmodel.NewFitCache()
+	trainedTo := 0
+	trainRNG := rand.New(rand.NewSource(parallel.SplitSeed(opt.Seed, trainStream)))
+
+	// fit is the online fit in flight, if any: join waits for it, report
+	// is what it returned, and committed — nil for the warm-start priming
+	// fit — is the round whose emission waits for its charge.
+	type onlineFit struct {
+		join      func()
+		report    costmodel.FitReport
+		committed *inflight
+	}
+	var fit *onlineFit
+
+	// trainOnline is Algorithm 1 line 13 (and the warm-start priming fit).
+	// The records are composed here, on the session goroutine, so the
+	// replay draws keep their order; the fit itself starts on a lent pool
+	// slot and runs beside the next draft, which never reads the model.
+	// MoA re-initialises the target from the Siamese before fitting and
+	// feeds the result back with momentum; other adaptations fit in place.
+	trainOnline := func(committed *inflight) {
+		fresh := allRecords[trainedTo:]
+		fitRecs := fresh
+		if history := allRecords[:trainedTo]; len(history) > 0 && opt.Replay > 0 {
+			k := opt.Replay
+			if k > len(history) {
+				k = len(history)
+			}
+			fitRecs = make([]costmodel.Record, 0, len(fresh)+k)
+			fitRecs = append(fitRecs, fresh...)
+			for _, i := range trainRNG.Perm(len(history))[:k] {
+				fitRecs = append(fitRecs, history[i])
+			}
+		}
+		trainedTo = len(allRecords)
+		f := &onlineFit{committed: committed}
+		f.join = pool.Go(func() {
+			if opt.Adaptation == AdaptMoA {
+				nn.CopyParams(opt.Model.Params(), siamese)
+				f.report = opt.Model.Fit(fitRecs, opt.Fit)
+				nn.MomentumUpdate(siamese, opt.Model.Params(), opt.Momentum)
+			} else {
+				f.report = opt.Model.Fit(fitRecs, opt.Fit)
+			}
+		})
+		fit = f
+	}
+	canTrain := opt.OnlineTrain && opt.Model.Params() != nil
+
+	// awaitFit joins the fit in flight, if any: the session goroutine
+	// blocks here (the tuner.fit_wait span) before anything reads the
+	// model — verify, the adaptive controller's scores, the next fit —
+	// and before the next commit or the session's return. The training
+	// charge lands here, in fit order, and the fit's round is emitted.
+	awaitFit := func() {
+		if fit == nil {
+			return
+		}
+		waitStart := eo.clock.Now()
+		wsp := eo.tr.Start("tuner.fit_wait")
+		fit.join()
+		wsp.End()
+		eo.fitWaitSeconds.Observe(obs.Seconds(eo.clock, waitStart))
+		res.Clock.Training += float64(fit.report.SampleVisits) * opt.Cost.TrainPerSample * opt.Model.Costs().TrainX
+		committed := fit.committed
+		fit = nil
+		if committed != nil {
+			emit(committed)
+		}
+	}
+
+	// Warm history primes the cost model before the first round, so the
+	// verify stage starts from the transferred fit instead of random
+	// weights — the cross-session analogue of MoA's cross-platform
+	// adaptation.
+	if canTrain && len(allRecords) > 0 {
+		trainOnline(nil)
 	}
 
 	rounds := (opt.Trials + opt.BatchSize - 1) / opt.BatchSize
@@ -573,6 +646,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			Measured:    st.records,
 			MeasuredSet: st.measuredSet,
 			Model:       opt.Model,
+			AwaitModel:  awaitFit,
 			Draft:       draft,
 			Clock:       &res.Clock,
 			Cost:        opt.Cost,
@@ -590,6 +664,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			sctx.DraftBudget = draftWant
 		}
 		batch := opt.Policy.NextBatch(sctx, want)
+		awaitFit() // a policy that never verified still leaves no fit behind
 		var pred []float64
 		if ctrl != nil && len(batch) > 1 {
 			// Capture the verifier's scores for exactly the dispatched
@@ -606,6 +681,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			mu.SetMemo(nil) // do not retain the round's programs
 		}
 		if ctx.Err() != nil {
+			psp.End(obs.Bool("cancelled", true))
 			return nil, false
 		}
 		for _, s := range batch {
@@ -615,8 +691,18 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		psp.End(obs.String("task", st.task.ID), obs.Int("batch", len(batch)))
 		eo.planSeconds.Observe(obs.Seconds(eo.clock, planStart))
 		eo.verifyBatch.Observe(float64(len(batch)))
-		f := &inflight{round: round, st: st, batch: batch, done: make(chan struct{}), planStart: planStart,
-			pred: pred, verifyWant: verifyWant, draftWant: draftWant, depthAt: depthAt}
+		f := &inflight{round: round, st: st, batch: batch, done: make(chan struct{}), planStart: planStart, pred: pred,
+			ev: ProgressEvent{
+				Round:        round,
+				Rounds:       rounds,
+				TaskID:       st.task.ID,
+				TaskName:     st.task.Name,
+				Batch:        len(batch),
+				Measurer:     minfo.Name,
+				VerifyBudget: verifyWant,
+				DraftBudget:  draftWant,
+				TargetDepth:  depthAt,
+			}}
 		if len(batch) == 0 {
 			close(f.done)
 			return f, true
@@ -645,20 +731,23 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	// commit folds one measured round into the session, in strict round
 	// order: measurement noise (drawn from the task stream, one per valid
 	// result in index order — the historical sequence), records, bests,
-	// the simulated clock, the online fit, and the curve/progress point.
-	// Empty-batch rounds still emit their curve point and Progress event
-	// (Batch=0) so round accounting is gapless for SSE consumers. Returns
-	// false when the session was cancelled before the batch finished.
+	// the simulated clock and the curve/progress point, and starts the
+	// round's online fit. Empty-batch rounds still emit their curve point
+	// and Progress event (Batch=0) so round accounting is gapless for SSE
+	// consumers. Returns false when the session was cancelled before the
+	// batch finished or the backend failed.
 	commit := func(f *inflight, inFlight int) bool {
 		select {
 		case <-f.done:
 		case <-ctx.Done():
+			f.msp.End(obs.Bool("cancelled", true))
 			return false
 		}
 		if len(f.batch) > 0 {
 			f.msp.End(obs.Bool("err", f.err != nil))
 			eo.measureSeconds.Observe(obs.Seconds(eo.clock, f.measureStart))
 		}
+		awaitFit() // rounds emit in order
 		commitStart := eo.clock.Now()
 		csp := eo.tr.Start("tuner.commit",
 			obs.Int("round", f.round), obs.Int("in_flight", inFlight))
@@ -666,6 +755,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		if len(f.batch) > 0 {
 			if f.err != nil {
 				if ctx.Err() != nil {
+					csp.End(obs.Bool("cancelled", true))
 					return false
 				}
 				// Backend failure (a fleet whose workers all refused the
@@ -675,6 +765,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				// infrastructure trouble would persist to the store and
 				// poison every warm-started session after it.
 				res.MeasureErr = f.err
+				csp.End(obs.Bool("err", true))
 				return false
 			}
 			measure.ApplyNoise(f.results, st.rng, minfo.MeasureNoise)
@@ -697,52 +788,24 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				// -applied) latencies — the only place results exist in
 				// round order, which is what keeps every later control
 				// decision reproducible.
-				f.calibErr = ctrl.observe(st.task.ID, f.pred, lats)
-			}
-
-			// Online cost-model update (Algorithm 1 line 13).
-			if canTrain && (f.round+1)%opt.trainEvery() == 0 {
-				trainOnline()
+				f.ev.CalibError = ctrl.observe(st.task.ID, f.pred, lats)
 			}
 		}
 
-		res.Curve = append(res.Curve, CurvePoint{
-			Round:       f.round,
-			Trials:      totalTrials(states),
-			SimSeconds:  res.Clock.Total(),
-			WorkloadLat: workloadLatency(states),
-		})
-		if opt.Progress != nil {
-			opt.Progress(ProgressEvent{
-				Round:        f.round,
-				Rounds:       rounds,
-				TaskID:       st.task.ID,
-				TaskName:     st.task.Name,
-				Batch:        len(f.batch),
-				Trials:       totalTrials(states),
-				TaskBest:     st.best,
-				SimSeconds:   res.Clock.Total(),
-				WorkloadLat:  workloadLatency(states),
-				Measurer:     minfo.Name,
-				InFlight:     inFlight,
-				CalibError:   f.calibErr,
-				VerifyBudget: f.verifyWant,
-				DraftBudget:  f.draftWant,
-				TargetDepth:  f.depthAt,
-			})
-		}
-		if ctrl != nil {
-			eo.calibError.Observe(f.calibErr)
-			eo.verifyBudget.Set(float64(f.verifyWant))
-			eo.draftBudget.Set(float64(f.draftWant))
-			eo.targetDepth.Set(float64(f.depthAt))
+		f.ev.Trials = totalTrials(states)
+		f.ev.TaskBest = st.best
+		f.ev.WorkloadLat = workloadLatency(states)
+		f.ev.InFlight = inFlight
+		f.clock = res.Clock
+		if canTrain && len(f.batch) > 0 && (f.round+1)%opt.trainEvery() == 0 {
+			// Online cost-model update (Algorithm 1 line 13): the round
+			// emits when the fit joins.
+			trainOnline(f)
+		} else {
+			emit(f)
 		}
 		csp.End(obs.Int("batch", len(f.batch)))
 		eo.commitSeconds.Observe(obs.Seconds(eo.clock, commitStart))
-		eo.roundSeconds.Observe(obs.Seconds(eo.clock, f.planStart))
-		eo.rounds.Inc()
-		eo.trials.Add(float64(len(f.batch)))
-		eo.inFlight.Set(float64(inFlight))
 		return true
 	}
 
@@ -783,6 +846,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		window = append(window, f)
 		planned++
 	}
+	awaitFit() // the last committed round, or an interrupted session's
 
 	for _, st := range states {
 		res.Best[st.task.ID] = BestEntry{Task: st.task, Sched: st.bestSched, Latency: st.best}

@@ -323,7 +323,9 @@ type Config struct {
 	// Result (Interrupted set) is still valid. nil never cancels.
 	Ctx context.Context
 	// Progress, when non-nil, receives one event per measurement round,
-	// serially and in order (the daemon's SSE feed).
+	// serially and in order (the daemon's SSE feed). A round that trains
+	// the cost model fires once its online fit has joined, which is
+	// usually during the next round's draft.
 	Progress func(ProgressEvent)
 	// WarmStart seeds the session with prior records (a -resume log or
 	// store history): they enter each task's measured set and best, and
