@@ -56,11 +56,11 @@ lint-cover:
 test:
 	$(GO) test ./...
 
-# The Go GEMM micro-kernel (internal/nn/gemm.go) is the only one on arm64
-# or a pre-AVX2 host; an amd64 build takes the assembly, so the fallback
-# is tested by building it out: the nn and cost-model suites and the
-# pinned sessions (golden fingerprint cfe0bde7d409aa97, golden matrix)
-# must hold on it too.
+# The Go GEMM strip (internal/nn/gemm.go) is the only kernel on arm64 or
+# a pre-AVX2 host; an amd64 build takes an assembly one (AVX-512 or
+# AVX2), so the fallback is tested by building it out: the nn and
+# cost-model suites and the pinned sessions (golden fingerprint
+# cfe0bde7d409aa97, golden matrix) must hold on it too.
 purego:
 	$(GO) test -tags purego ./internal/nn ./internal/costmodel
 	$(GO) test -tags purego -run 'TestTunePipelineDepth1MatchesPreRefactorGolden|TestTunePipelineGoldenMatrix' ./internal/tuner
@@ -141,10 +141,11 @@ ledger-compare:
 
 # Short fuzz pass over the record codec (the store's segment format and
 # the fleet's wire format), the store's torn-tail segment replay, the
-# hand-editable wire.lock parser, the AVX2 GEMM micro-kernel against
-# the Go one, and the rows op (compacted input, gathered weight panel)
-# against Affine over the uncompacted rows, forward and W/b gradients
-# bit for bit. The seed corpora also run as plain tests under `make test`.
+# hand-editable wire.lock parser, every SIMD GEMM strip the host runs
+# (AVX-512, AVX2) against the Go one, and the rows op (compacted input,
+# gathered weight panel) against Affine over the uncompacted rows,
+# forward and W/b gradients bit for bit. The seed corpora also run as
+# plain tests under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s

@@ -2,8 +2,7 @@
 
 package nn
 
-// gemmBlock runs the micro-kernel (gemm.go): without the assembly, the Go
-// one.
-func gemmBlock(o0, o1, b0, b1, b2, b3 []float64, p *[8]float64) {
-	gemmBlockGo(o0, o1, b0, b1, b2, b3, p)
+// gemmStrip runs the strip (gemm.go): without the assembly, the Go one.
+func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int) {
+	gemmStripGo(o0, o1, a, off0, off1, lda, b, ldb, K)
 }

@@ -26,15 +26,15 @@ import (
 )
 
 // matmulFused is the forward GEMM: out = x @ w (+ bias) (then ReLU), with
-// the output drawn from s. It runs on the micro-kernel (gemm.go): two
-// output rows by four contraction steps per block, so each output element
-// is loaded and stored once per four terms. Per element the terms still
-// add in ascending k — the chained v += form — so the result is bitwise
-// identical to [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose
-// activations are all zero are skipped outright, matching MatMul's
-// per-term zero-skip; feature rows' structurally-zero columns never reach
-// it (compactRowsIn). The engine counters tally forward GEMMs, so they are
-// bumped here and not in the micro-kernel the backward shares.
+// the output drawn from s. It runs on the strip (gemm.go), one call per
+// pair of output rows, each output element held in a register for the
+// whole contraction. Per element the terms still add in ascending k, so
+// the result is bitwise identical to [ReLU](AddBias)(MatMul(x, w)) for
+// finite w. A step whose two activations are both zero is skipped,
+// matching MatMul's per-term zero-skip; feature rows' structurally-zero
+// columns never reach it (compactRowsIn). The engine counters tally
+// forward GEMMs, so they are bumped here and not in the strip the
+// backward shares.
 func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	if x.C != w.R {
 		panic(fmt.Sprintf("nn: matmulFused %dx%d @ %dx%d", x.R, x.C, w.R, w.C))
@@ -43,21 +43,14 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	engineGEMMRows.Add(uint64(x.R))
 	K, C := x.C, w.C
 	out := s.tensor(x.R, C)
-	spare := s.floats(C) // an odd last row's second output; drawn always, so slot roles never shift
-	i := 0
-	// Row pairs share each weight-row load and double the number of
-	// independent accumulator chains in flight.
-	for ; i+2 <= x.R; i += 2 {
-		o0 := out.Data[i*C : i*C+C]
-		o1 := out.Data[(i+1)*C : (i+1)*C+C]
-		gemmPair(o0, o1, x.Data, i*K, (i+1)*K, w.Data, K)
+	for i := 0; i < x.R; i += 2 {
+		i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
+		o0, o1 := out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C]
+		gemmStrip(o0, o1, x.Data, i*K, i1*K, 1, w.Data, C, K)
 		epilogue(o0, bias, relu)
-		epilogue(o1, bias, relu)
-	}
-	if i < x.R {
-		oRow := out.Data[i*C : i*C+C]
-		gemmPair(oRow, spare, x.Data, i*K, i*K, w.Data, K)
-		epilogue(oRow, bias, relu)
+		if i1 != i {
+			epilogue(o1, bias, relu)
+		}
 	}
 	return out
 }
@@ -70,18 +63,16 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 // Reset. Dropping an all-zero column removes only exact-zero terms from
 // every output sum, so a layer fed through the correspondingly gathered
 // weight panel (affineRows) is bitwise identical to the full-width
-// forward.
+// forward. The scan for used columns stops once every column is used, so
+// each row's width is checked where every row is visited: in the copy.
 func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 	used := s.Ints(width)
 	cnt := 0
 	for _, r := range rows {
-		if len(r) != width {
-			panic(fmt.Sprintf("nn: compactRows ragged row %d vs %d", len(r), width))
-		}
 		if cnt == width {
 			break
 		}
-		for k, v := range r {
+		for k, v := range r[:min(len(r), width)] {
 			if v != 0 && used[k] == 0 {
 				used[k] = 1
 				cnt++
@@ -100,6 +91,9 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 	}
 	x := s.tensor(len(rows), len(cols))
 	for i, r := range rows {
+		if len(r) != width {
+			panic(fmt.Sprintf("nn: compactRows ragged row %d vs %d", len(r), width))
+		}
 		dst := x.Data[i*len(cols) : (i+1)*len(cols)]
 		for n, k := range cols {
 			dst[n] = r[k]

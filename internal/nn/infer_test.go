@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -126,11 +127,34 @@ func TestSegmentOpsPanicOnBadLengths(t *testing.T) {
 	}
 }
 
+// TestCompactRowsRaggedAfterFullScan puts a ragged row after the point
+// where every column is already used and the scan for used columns
+// stops: it must still be reported as ragged, longer or shorter.
+func TestCompactRowsRaggedAfterFullScan(t *testing.T) {
+	full := []float64{1, 2, 3}
+	for _, tc := range []struct {
+		name string
+		row  []float64
+	}{
+		{"longer", []float64{1, 2, 3, 4}},
+		{"shorter", []float64{1, 2}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "ragged row") {
+					t.Errorf("%s: got panic %q, want a ragged row panic", tc.name, msg)
+				}
+			}()
+			compactRowsIn(nil, [][]float64{full, full, tc.row}, len(full))
+		}()
+	}
+}
+
 func TestMatMulFusedMatchesOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	// Contraction widths around the 4-wide block edge exercise the tail
-	// loop; sprinkled zeros exercise the all-zero-block skip and the
-	// mixed-block ±0.0 path.
+	// Odd row counts run a row as both rows of its strip; sprinkled zeros
+	// exercise the per-step skip and the steps where only one row is zero.
 	for _, shape := range [][3]int{{5, 7, 9}, {1, 4, 4}, {3, 11, 2}, {8, 3, 13}, {6, 16, 8}} {
 		r, k, c := shape[0], shape[1], shape[2]
 		a := randConst(rng, r, k)

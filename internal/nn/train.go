@@ -44,9 +44,9 @@ func affineRows(s *Scratch, rows [][]float64, w, b *Tensor, relu bool) *Tensor {
 }
 
 // affineBackward is Affine's backward. Both gradient GEMMs run on the
-// forward's micro-kernel (gemm.go); their temporaries come from s, drawn
-// in the same sequence whatever the shapes, so a warmed pass allocates
-// nothing and keeps every arena slot in one role.
+// forward's strip (gemm.go); their temporaries come from s, drawn in the
+// same sequence whatever the shapes, so a warmed pass allocates nothing
+// and keeps every arena slot in one role.
 //
 //pruner:hotpath
 func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
@@ -72,7 +72,7 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		}
 	}
 	if x.requiresGrad {
-		// dX = g @ Wᵀ: output columns are W's rows, so the kernel's
+		// dX = g @ Wᵀ: output columns are W's rows, so the strip's
 		// operand is the transposed panel. Each element is one dot over j
 		// in ascending order into a fresh accumulator, then added to
 		// x.Grad — the chain's xGrad[k] += dot.
@@ -84,46 +84,24 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		}
 		acc := s.floats(2 * K)
 		for i := 0; i < x.R; i += 2 {
-			i1 := min(i+1, x.R-1) // odd last row: twice, into the spare half
-			clear(acc)
-			gemmPair(acc[:K], acc[K:], g, i*C, i1*C, wT, C)
-			for k, v := range acc[:(i1-i+1)*K] {
+			i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
+			n := i1 - i + 1
+			clear(acc[:n*K])
+			gemmStrip(acc[:K], acc[(n-1)*K:n*K], g, i*C, i1*C, 1, wT, K, C)
+			for k, v := range acc[:n*K] {
 				x.Grad[i*K+k] += v
 			}
 		}
 	}
 	if w.requiresGrad {
 		// dW += xᵀ @ g, in place: output rows are W's rows, two per
-		// block; the contraction runs over batch rows, four per step, the
-		// eight scalars gathered from x with stride K. Per element the
-		// row terms add in ascending order. A short last step reads zero
-		// scalars against a repeated gradient row; an odd last W row runs
-		// twice, the second time into a spare.
-		zeros, spare := s.floats(K), s.floats(C)
-		var p [8]float64
-		for i := 0; i < x.R; i += 4 {
-			var gr, xr [4][]float64
-			for t := range gr {
-				r := min(i+t, x.R-1)
-				gr[t] = g[r*C : r*C+C]
-				xr[t] = zeros
-				if i+t < x.R {
-					xr[t] = x.Data[r*K : r*K+K]
-				}
-			}
-			for k := 0; k < K; k += 2 {
-				k1 := min(k+1, K-1)
-				p[0], p[1], p[2], p[3] = xr[0][k], xr[1][k], xr[2][k], xr[3][k]
-				p[4], p[5], p[6], p[7] = xr[0][k1], xr[1][k1], xr[2][k1], xr[3][k1]
-				if p == [8]float64{} {
-					continue
-				}
-				o1 := spare
-				if k1 != k {
-					o1 = w.Grad[k1*C : k1*C+C]
-				}
-				gemmBlock(w.Grad[k*C:k*C+C], o1, gr[0], gr[1], gr[2], gr[3], &p)
-			}
+		// strip; the contraction runs over batch rows in ascending order,
+		// each step's two scalars read down columns k and k+1 of x (lda =
+		// K), so no transposed copy of x is made. An odd last W row is both
+		// rows of its strip.
+		for k := 0; k < K; k += 2 {
+			k1 := min(k+1, K-1)
+			gemmStrip(w.Grad[k*C:k*C+C], w.Grad[k1*C:k1*C+C], x.Data, k, k1, K, g, C, x.R)
 		}
 	}
 }
