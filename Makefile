@@ -86,10 +86,11 @@ serve-e2e:
 # pipeline determinism contracts, plus the mid-session /metrics scrape of
 # daemon AND worker (TestMetrics*: exposition validated with the strict
 # stdlib parser, failing on empty or malformed output), plus the pool's
-# lend protocol and the online fit running beside the draft (TestPoolGo,
+# lend protocol, its hand-back of a helper's panic to the caller and the
+# online fit running beside the draft (TestPoolGo, TestPoolPanic*,
 # TestFitOverlapsDraft).
 measure-e2e:
-	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestFitOverlap' \
+	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestPoolPanic|TestFitOverlap' \
 		./internal/server/... ./internal/measure/... ./internal/tuner/... ./internal/parallel/...
 	$(GO) test -race ./internal/obs/...
 

@@ -9,16 +9,27 @@ import (
 	"pruner/internal/schedule"
 )
 
-// perRecordForward composes the pre-engine training forward: one small
-// gradient graph per record, concatenated — what the models ran before
-// the batched group forwards.
-func perRecordForward(one func(*schedule.Lowered) *nn.Tensor) forwardFn {
-	return func(_ *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+// perRecordStep is the pre-engine training step: one small gradient graph
+// per record, the LambdaRank loss over their scores, and each record's
+// share of the score gradient sent back through its own graph, last
+// record first.
+func perRecordStep(one func(*schedule.Lowered) *nn.Tensor) stepFn {
+	return func(lws []*schedule.Lowered, rel []float64) float64 {
 		outs := make([]*nn.Tensor, len(lws))
+		scores := nn.ZeroParam(len(lws), 1)
 		for i, lw := range lws {
 			outs[i] = one(lw)
+			scores.Data[i] = outs[i].Data[0]
 		}
-		return nn.ConcatRows(outs...)
+		loss := nn.LambdaRankLoss(scores, rel)
+		nn.Backward(loss)
+		for i := len(outs) - 1; i >= 0; i-- {
+			// x·g over a 1x1 x is a scalar whose gradient into x is g.
+			g := nn.New(1, 1)
+			g.Data[0] = scores.Grad[i]
+			nn.Backward(nn.Affine(outs[i], g, nn.New(1, 1), false))
+		}
+		return loss.Data[0]
 	}
 }
 
@@ -49,9 +60,9 @@ func BenchmarkFit(b *testing.B) {
 				b.StartTimer()
 				switch m := m.(type) {
 				case *PaCM:
-					rankFitReference(recs, opt, m.adam, perRecordForward(m.forwardOne), m.seed)
+					rankFitReference(recs, opt, m.adam, perRecordStep(m.forwardOne), m.seed)
 				case *TLP:
-					rankFitReference(recs, opt, m.adam, perRecordForward(m.forwardOne), m.seed)
+					rankFitReference(recs, opt, m.adam, perRecordStep(m.forwardOne), m.seed)
 				}
 			}
 		})

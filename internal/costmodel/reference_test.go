@@ -16,27 +16,25 @@ import (
 // plain nn operators for each model, the per-candidate Predict loop over
 // it, and the serial one-step-per-group fit loop.
 
-// forwardOne scores one candidate with the unbatched operator
-// composition: whole-program SumRows/MeanRows, the unsegmented attention
-// Forward, no dedup.
+// forwardOne scores one candidate with the unbatched composition: every
+// layer an Affine over the uncompacted FromRows input (so the rows op's
+// column compaction is checked independently), whole-program one-segment
+// sums and means, and the attention block over one segment with no dedup.
 func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	rows := nn.FromRows(features.Statement(lw))
-	emb := m.embed.ForwardReLU(rows)
-	return m.head.Forward(nn.SumRows(emb))
+	emb := reluLayers(m.embed, nn.FromRows(features.Statement(lw)))
+	return m.head.Forward(nn.SegmentSumRows(emb, []int{emb.R}))
 }
 
 // forwardOne: see TenSetMLP.forwardOne.
 func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
-		rows := nn.FromRows(features.Statement(lw))
-		emb := m.stmtEmbed.ForwardReLU(rows)
-		parts = nn.SumRows(emb)
+		emb := reluLayers(m.stmtEmbed, nn.FromRows(features.Statement(lw)))
+		parts = nn.SegmentSumRows(emb, []int{emb.R})
 	}
 	if m.UseDataflow {
-		df := nn.FromRows(features.Dataflow(lw))
-		tokens := nn.Tanh(m.dfProj.Forward(df))
-		ctx := nn.MeanRows(m.dfAttn.Forward(tokens))
+		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRows(features.Dataflow(lw))))
+		ctx := nn.SegmentMeanRows(wholeAttention(m.dfAttn, tokens), []int{tokens.R})
 		if parts == nil {
 			parts = ctx
 		} else {
@@ -48,10 +46,27 @@ func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 
 // forwardOne: see TenSetMLP.forwardOne.
 func (m *TLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	tokens := nn.FromRows(features.Primitives(lw))
-	x := m.proj.Forward(tokens)
-	x = m.attn.Forward(x)
-	return m.head.Forward(nn.MeanRows(x))
+	x := wholeAttention(m.attn, m.proj.Forward(nn.FromRows(features.Primitives(lw))))
+	return m.head.Forward(nn.SegmentMeanRows(x, []int{x.R}))
+}
+
+// reluLayers applies each layer of m as an Affine through ReLU, the last
+// one included: MLP.ForwardReLURows without the rows op.
+func reluLayers(m *nn.MLP, x *nn.Tensor) *nn.Tensor {
+	for _, l := range m.Layers {
+		x = nn.Affine(x, l.W, l.B, true)
+	}
+	return x
+}
+
+// wholeAttention runs the attention block over all of x as one segment,
+// each row its own representative.
+func wholeAttention(a *nn.SelfAttention, x *nn.Tensor) *nn.Tensor {
+	idx := make([]int, x.R)
+	for i := range idx {
+		idx[i] = i
+	}
+	return a.ForwardSegmentsDedup(x, idx, []int{x.R})
 }
 
 // predictReference is the per-candidate Predict: one tape-free forward
@@ -69,10 +84,24 @@ func predictReference(pool *parallel.Pool, params []*nn.Tensor, t *ir.Task, schs
 	return out
 }
 
+// stepFn is one reference training step over a group's lowered programs:
+// forward, LambdaRank loss and backward on the live parameters. It
+// returns the loss.
+type stepFn func(lws []*schedule.Lowered, rel []float64) float64
+
+// groupStep is the step over one batched forward of the whole group.
+func groupStep(forward forwardFn) stepFn {
+	return func(lws []*schedule.Lowered, rel []float64) float64 {
+		loss := nn.LambdaRankLoss(forward(nil, lws), rel)
+		nn.Backward(loss)
+		return loss.Data[0]
+	}
+}
+
 // rankFitReference is the serial fit loop — one optimiser step per task
-// group, forward and backward on the live parameters — the ground truth
-// for the trainer's equivalence tests and BenchmarkFit's baseline arm.
-func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, forward forwardFn, seed int64) FitReport {
+// group — the ground truth for the trainer's equivalence tests and
+// BenchmarkFit's baseline arm.
+func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, step stepFn, seed int64) FitReport {
 	opt = opt.withDefaults()
 	groups := groupByTask(recs)
 	report := FitReport{Loss: math.NaN()}
@@ -94,10 +123,8 @@ func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, forward forw
 				lws[i] = memo.Lower(b.task, r.Sched)
 			}
 			adam.ZeroGrad()
-			loss := nn.LambdaRankLoss(forward(nil, lws), b.rel)
-			nn.Backward(loss)
+			epochLoss += step(lws, b.rel)
 			adam.Step()
-			epochLoss += loss.Data[0]
 			report.Batches++
 			report.SampleVisits += len(b.recs)
 		}

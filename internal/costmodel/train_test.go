@@ -95,7 +95,7 @@ func TestFitMacroBatchOneMatchesReference(t *testing.T) {
 	repE := engine.Fit(recs, opt)
 
 	ref := NewPaCM(9)
-	repR := rankFitReference(recs, opt, ref.adam, ref.forward, ref.seed)
+	repR := rankFitReference(recs, opt, ref.adam, groupStep(ref.forward), ref.seed)
 
 	if repE != repR {
 		t.Fatalf("fit reports differ: engine %+v vs reference %+v", repE, repR)

@@ -110,7 +110,7 @@ func TestAllocAffineBackward(t *testing.T) {
 
 // TestScratchVariantsBitwiseIdentical pins the segment, tanh, concat and
 // gather operators on an arena input — a nil and a dirtied warm Scratch —
-// to their references: the per-segment SumRows and MeanRows, and the
+// to their references: the per-segment column sums and means, and the
 // same operator on heap operands (the reductions' per-segment meaning on
 // the heap is pinned in infer_test.go).
 func TestScratchVariantsBitwiseIdentical(t *testing.T) {
@@ -122,8 +122,8 @@ func TestScratchVariantsBitwiseIdentical(t *testing.T) {
 
 	bothScratches(rng, func(name string, s *Scratch) {
 		x := onArena(s, seg)
-		bitwiseEqual(t, name+": segment sum", SegmentSumRows(x, segLens), perSegment(SumRows, seg, segLens))
-		bitwiseEqual(t, name+": segment mean", SegmentMeanRows(x, segLens), perSegment(MeanRows, seg, segLens))
+		bitwiseEqual(t, name+": segment sum", SegmentSumRows(x, segLens), perSegment(sumRowsRef, seg, segLens))
+		bitwiseEqual(t, name+": segment mean", SegmentMeanRows(x, segLens), perSegment(meanRowsRef, seg, segLens))
 		bitwiseEqual(t, name+": tanh", Tanh(x), Tanh(seg))
 		bitwiseEqual(t, name+": concat cols", ConcatCols(onArena(s, a), onArena(s, b)), ConcatCols(a, b))
 		bitwiseEqual(t, name+": gather rows", GatherRows(onArena(s, a), idx), GatherRows(a, idx))

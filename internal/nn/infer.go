@@ -11,13 +11,14 @@
 // statically and the TestAlloc* gates pin dynamically.
 //
 // Every kernel accumulates each output element in ascending contraction
-// order, exactly as the unfused operator chain (MatMul, AddBias, ReLU,
-// SoftmaxRows, LayerNormRows) does, so a batched arena forward is bitwise
-// identical to the per-candidate composition (the property the cost-model
-// equivalence tests pin). The kernels assume finite weights: a zero
-// activation then contributes an exact ±0.0 term, which cannot perturb
-// any partial sum, letting the inner loops run branchless where MatMul
-// branches per term.
+// order, exactly as the test suite's plain reference loops do (a matmul
+// that skips zero terms, then bias, ReLU, softmax and layer norm as
+// separate passes), so a batched arena forward is bitwise identical to
+// the per-candidate composition (the property the cost-model equivalence
+// tests pin). The kernels assume finite weights: a zero activation then
+// contributes an exact ±0.0 term, which cannot perturb any partial sum,
+// letting the inner loops run branchless where the reference branches per
+// term.
 package nn
 
 import (
@@ -29,12 +30,12 @@ import (
 // the output drawn from s. It runs on the strip (gemm.go), one call per
 // pair of output rows, each output element held in a register for the
 // whole contraction. Per element the terms still add in ascending k, so
-// the result is bitwise identical to [ReLU](AddBias)(MatMul(x, w)) for
-// finite w. A step whose two activations are both zero is skipped,
-// matching MatMul's per-term zero-skip; feature rows' structurally-zero
-// columns never reach it (compactRowsIn). The engine counters tally
-// forward GEMMs, so they are bumped here and not in the strip the
-// backward shares.
+// the result is bitwise identical to separate matmul, bias and ReLU
+// passes for finite w. A step whose two activations are both zero is
+// skipped, matching the reference's per-term zero-skip; feature rows'
+// structurally-zero columns never reach it (compactRowsIn). The engine
+// counters tally forward GEMMs, so they are bumped here and not in the
+// strip the backward shares.
 func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	if x.C != w.R {
 		panic(fmt.Sprintf("nn: matmulFused %dx%d @ %dx%d", x.R, x.C, w.R, w.C))
@@ -103,12 +104,12 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 }
 
 // epilogue applies the fused bias add and ReLU to one finished output
-// row — the same values AddBias and ReLU produce as separate passes.
+// row — the same values separate bias and ReLU passes produce.
 func epilogue(oRow, bias []float64, relu bool) {
 	switch {
 	case bias != nil && relu:
 		for j, bv := range bias {
-			// Branchless max: same bits as ReLU's conditional for the
+			// Branchless max: same bits as a v > 0 conditional for the
 			// finite values the engine contracts on (+0.0 on the zero and
 			// negative side either way).
 			oRow[j] = max(oRow[j]+bv, 0)
@@ -211,9 +212,9 @@ func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 // attendIn is the attention core over precomputed projections, the
 // forward of the tape node attend: per segment, scaled scores, softmax
 // and the value mix, with each value accumulated in the order of the
-// per-segment operator chain SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs
-// that Forward composes. It also returns the softmax rows, one n×n block
-// per segment in segment order, on s: the training node's saved state.
+// per-segment composition softmax(scale · qs ksᵀ) vs. It also returns the
+// softmax rows, one n×n block per segment in segment order, on s: the
+// training node's saved state.
 func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tensor, probs []float64) {
 	C := q.C
 	ctx = s.tensor(q.R, C)
@@ -232,8 +233,7 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tens
 			q0 := q.Data[r*C : r*C+C]
 			q1 := q.Data[(r+1)*C : (r+1)*C+C]
 			// Scaled scores against the segment's keys: the full dot in
-			// ascending order, then one multiply — exactly
-			// Scale(MatMul(qs, Transpose(ks))).
+			// ascending order, then one multiply by the scale.
 			for jj := 0; jj < n; jj++ {
 				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
 				var s0, s1 float64
@@ -289,6 +289,24 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tens
 	return ctx, probs
 }
 
+// softmaxRow replaces a row by its softmax in place: max-shifted
+// exponentials, summed in ascending order, then each divided by the sum.
+func softmaxRow(row []float64) {
+	m := math.Inf(-1)
+	for _, v := range row {
+		m = math.Max(m, v)
+	}
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(v - m)
+		row[j] = e
+		sum += e
+	}
+	for j := range row {
+		row[j] /= sum
+	}
+}
+
 // layerNormRowsIn is the layer-norm kernel: each row of x normalised to
 // zero mean and unit variance, then scaled by g and shifted by b. When
 // saved is non-nil (x.R*x.C + x.R long) the normalised values and the
@@ -331,9 +349,9 @@ func layerNormRowsIn(s *Scratch, x, g, b *Tensor, saved []float64) *Tensor {
 // segmentSumRowsIn sums contiguous row segments of x: lens[sg] rows belong
 // to segment sg (the lengths must sum to x.R) and row sg of the
 // len(lens) x C result is their sum. Rows accumulate in order, so each
-// output row is bitwise identical to SumRows over that segment in
-// isolation — the reduction that pools a whole candidate batch's
-// statement rows after one fused GEMM.
+// output row is bitwise identical to the column sum over that segment
+// alone — the reduction that pools a whole candidate batch's statement
+// rows after one fused GEMM.
 func segmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	total := 0
 	for sg, n := range lens {
@@ -362,8 +380,8 @@ func segmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 
 // segmentMeanRowsIn averages contiguous row segments of x (see
 // segmentSumRowsIn): sum in row order, then one multiply by the
-// reciprocal length, so each output row is bitwise identical to MeanRows
-// over that segment in isolation.
+// reciprocal length, so each output row is bitwise identical to that mean
+// over the segment alone.
 func segmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	sum := segmentSumRowsIn(s, x, lens)
 	out := s.tensor(sum.R, sum.C)

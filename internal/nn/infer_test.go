@@ -58,8 +58,7 @@ func TestSegmentSumRowsMatchesPerSegment(t *testing.T) {
 	got := SegmentSumRows(x, lens)
 	row := 0
 	for s, n := range lens {
-		seg := rowsView(x, row, row+n)
-		want := SumRows(seg)
+		want := sumRowsRef(rowsView(x, row, row+n))
 		for j := 0; j < x.C; j++ {
 			if math.Float64bits(got.At(s, j)) != math.Float64bits(want.At(0, j)) {
 				t.Fatalf("segment %d col %d: %v want %v", s, j, got.At(s, j), want.At(0, j))
@@ -76,7 +75,7 @@ func TestSegmentMeanRowsMatchesPerSegment(t *testing.T) {
 	got := SegmentMeanRows(x, lens)
 	row := 0
 	for s, n := range lens {
-		want := MeanRows(rowsView(x, row, row+n))
+		want := meanRowsRef(rowsView(x, row, row+n))
 		for j := 0; j < x.C; j++ {
 			if math.Float64bits(got.At(s, j)) != math.Float64bits(want.At(0, j)) {
 				t.Fatalf("segment %d col %d: %v want %v", s, j, got.At(s, j), want.At(0, j))
@@ -91,8 +90,7 @@ func TestGradSegmentSumRows(t *testing.T) {
 	x := randParam(rng, 6, 3)
 	w := randParam(rng, 3, 3)
 	checkGrads(t, "segmentsumrows", []*Tensor{x}, func() *Tensor {
-		s := SegmentSumRows(x, []int{2, 3, 1})
-		return MeanAll(Mul(s, w))
+		return weightedMean(SegmentSumRows(x, []int{2, 3, 1}), w.Data)
 	})
 }
 
@@ -101,8 +99,7 @@ func TestGradSegmentMeanRows(t *testing.T) {
 	x := randParam(rng, 5, 4)
 	w := randParam(rng, 2, 4)
 	checkGrads(t, "segmentmeanrows", []*Tensor{x}, func() *Tensor {
-		s := SegmentMeanRows(x, []int{4, 1})
-		return MeanAll(Mul(s, w))
+		return weightedMean(SegmentMeanRows(x, []int{4, 1}), w.Data)
 	})
 }
 
@@ -163,22 +160,21 @@ func TestMatMulFusedMatchesOps(t *testing.T) {
 		for j := range bias {
 			bias[j] = rng.NormFloat64()
 		}
-		bt := FromVec(bias)
-		bitwiseEqual(t, "fused plain", matmulFused(nil, a, w, nil, false), MatMul(a, w))
-		bitwiseEqual(t, "fused bias", matmulFused(nil, a, w, bias, false), AddBias(MatMul(a, w), bt))
-		bitwiseEqual(t, "fused bias+relu", matmulFused(nil, a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
-		bitwiseEqual(t, "fused relu", matmulFused(nil, a, w, nil, true), ReLU(MatMul(a, w)))
+		bitwiseEqual(t, "fused plain", matmulFused(nil, a, w, nil, false), affineRef(a, w, nil, false))
+		bitwiseEqual(t, "fused bias", matmulFused(nil, a, w, bias, false), affineRef(a, w, bias, false))
+		bitwiseEqual(t, "fused bias+relu", matmulFused(nil, a, w, bias, true), affineRef(a, w, bias, true))
+		bitwiseEqual(t, "fused relu", matmulFused(nil, a, w, nil, true), affineRef(a, w, nil, true))
 	}
 }
 
 // TestMatMulFusedAllZeroRow pins the sparse fast path: rows of exact
-// zeros (feature padding) must produce the same bits as the tape kernel.
+// zeros (feature padding) must produce the same bits as the reference.
 func TestMatMulFusedAllZeroRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	a := New(3, 8) // all zeros
 	a.Data[2*8+5] = rng.NormFloat64()
 	w := randConst(rng, 8, 6)
-	bitwiseEqual(t, "zero rows", matmulFused(nil, a, w, nil, false), MatMul(a, w))
+	bitwiseEqual(t, "zero rows", matmulFused(nil, a, w, nil, false), affineRef(a, w, nil, false))
 }
 
 func TestRowsViewSharesData(t *testing.T) {
@@ -235,31 +231,108 @@ func randRows(rng *rand.Rand, n, width int) ([][]float64, *Tensor) {
 // stacks the results: the per-segment composition the segment operators
 // must match bit for bit.
 func perSegment(f func(*Tensor) *Tensor, x *Tensor, lens []int) *Tensor {
-	parts := make([]*Tensor, len(lens))
+	out := &Tensor{}
 	row := 0
-	for sg, n := range lens {
-		parts[sg] = f(rowsView(x, row, row+n))
+	for _, n := range lens {
+		part := f(rowsView(x, row, row+n))
+		out.R, out.C = out.R+part.R, part.C
+		out.Data = append(out.Data, part.Data...)
 		row += n
 	}
-	return ConcatRows(parts...)
+	return out
 }
 
-// mlpChain is MLP.Forward spelled as the unfused operator chain:
-// ReLU(AddBias(MatMul)) between layers, AddBias(MatMul) at the head.
-func mlpChain(m *MLP, x *Tensor) *Tensor {
-	for i, l := range m.Layers {
-		x = AddBias(MatMul(x, l.W), l.B)
-		if i+1 < len(m.Layers) {
-			x = ReLU(x)
+// affineRef is x@w, then the bias row, then ReLU, as the separate plain
+// passes the fused kernels replace: the contraction in ascending k,
+// skipping zero activations term by term (so ±0 bits match), the bias
+// added to each finished sum, and ReLU as a v > 0 test (+0.0 otherwise).
+func affineRef(x, w *Tensor, bias []float64, relu bool) *Tensor {
+	out := New(x.R, w.C)
+	for i := 0; i < x.R; i++ {
+		oRow := out.Data[i*w.C : (i+1)*w.C]
+		for k, av := range x.Data[i*x.C : (i+1)*x.C] {
+			if av == 0 {
+				continue
+			}
+			for j, wv := range w.Data[k*w.C : (k+1)*w.C] {
+				oRow[j] += av * wv
+			}
+		}
+		for j := range oRow {
+			if bias != nil {
+				oRow[j] += bias[j]
+			}
+			if relu && !(oRow[j] > 0) {
+				oRow[j] = 0
+			}
 		}
 	}
+	return out
+}
+
+// mlpChain is MLP.Forward as plain loops, one affineRef per layer: ReLU
+// between layers and, with reluLast, after the last one too.
+func mlpChain(m *MLP, x *Tensor, reluLast bool) *Tensor {
+	for i, l := range m.Layers {
+		x = affineRef(x, l.W, l.B.Data, reluLast || i+1 < len(m.Layers))
+	}
 	return x
+}
+
+// forwardRef is the attention block over one segment as plain loops: the
+// Q/K/V projections, the scores (each a full dot over ascending columns,
+// zero query terms skipped, then one multiply by the scale), softmaxRow,
+// the value mix, the O projection, the residual and the layer norm.
+func (a *SelfAttention) forwardRef(x *Tensor) *Tensor {
+	q := affineRef(x, a.Q.W, a.Q.B.Data, false)
+	k := affineRef(x, a.K.W, a.K.B.Data, false)
+	v := affineRef(x, a.V.W, a.V.B.Data, false)
+	kT := New(x.C, x.R)
+	for i := 0; i < x.R; i++ {
+		for c := 0; c < x.C; c++ {
+			kT.Data[c*x.R+i] = k.Data[i*x.C+c]
+		}
+	}
+	probs := affineRef(q, kT, nil, false)
+	for i := 0; i < x.R; i++ {
+		row := probs.Data[i*x.R : (i+1)*x.R]
+		for j := range row {
+			row[j] *= a.scale()
+		}
+		softmaxRow(row)
+	}
+	h := affineRef(affineRef(probs, v, nil, false), a.O.W, a.O.B.Data, false)
+	for i, xv := range x.Data {
+		h.Data[i] = xv + h.Data[i]
+	}
+	return layerNormRowsIn(nil, h, a.Norm.G, a.Norm.B, nil)
+}
+
+// sumRowsRef is the column sum over x's rows, in row order.
+func sumRowsRef(x *Tensor) *Tensor {
+	out := New(1, x.C)
+	for i := 0; i < x.R; i++ {
+		for j, v := range x.Data[i*x.C : (i+1)*x.C] {
+			out.Data[j] += v
+		}
+	}
+	return out
+}
+
+// meanRowsRef is sumRowsRef times the reciprocal row count.
+func meanRowsRef(x *Tensor) *Tensor {
+	out := sumRowsRef(x)
+	inv := 1 / float64(x.R)
+	for j := range out.Data {
+		out.Data[j] *= inv
+	}
+	return out
 }
 
 // TestFrozenModulesBitwiseIdentical pins the one forward's core contract:
 // under FreezeParams every module — the rows op, the MLP and the segment
 // attention, on a nil and on a dirtied warm Scratch — is bitwise
-// identical to the unfused operator chain or the per-segment composition
+// identical to the plain reference loops or the per-segment composition
 // it batches.
 func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
@@ -282,17 +355,17 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	tokens := randConst(rng, 12, 6)
 	uniq := randConst(rng, 5, 6)
 	idx := []int{0, 1, 0, 2, 3, 0, 4, 1, 2, 0, 3, 4}
-	linChain := mlpChain(&MLP{Layers: []*Linear{lin}}, x)
+	linChain := mlpChain(&MLP{Layers: []*Linear{lin}}, x, false)
 
 	bothScratches(rng, func(name string, s *Scratch) {
 		bitwiseEqual(t, name+": linear rows", lin.ForwardRows(s, rows), linChain)
 		bitwiseEqual(t, name+": linear", lin.Forward(onArena(s, x)), linChain)
-		bitwiseEqual(t, name+": mlp", mlp.Forward(onArena(s, x)), mlpChain(mlp, x))
-		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURows(s, rows), ReLU(mlpChain(mlp, x)))
+		bitwiseEqual(t, name+": mlp", mlp.Forward(onArena(s, x)), mlpChain(mlp, x, false))
+		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURows(s, rows), mlpChain(mlp, x, true))
 		bitwiseEqual(t, name+": attention segments",
-			attn.ForwardSegmentsDedup(onArena(s, tokens), identityInts(nil, tokens.R), lens), perSegment(attn.Forward, tokens, lens))
+			attn.ForwardSegmentsDedup(onArena(s, tokens), identityInts(nil, tokens.R), lens), perSegment(attn.forwardRef, tokens, lens))
 		bitwiseEqual(t, name+": attention dedup",
-			attn.ForwardSegmentsDedup(onArena(s, uniq), idx, lens), perSegment(attn.Forward, GatherRows(uniq, idx), lens))
+			attn.ForwardSegmentsDedup(onArena(s, uniq), idx, lens), perSegment(attn.forwardRef, GatherRows(uniq, idx), lens))
 	})
 }
 
@@ -310,7 +383,7 @@ func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	rows, x := randRows(rng, 3, 4)
 	lens := []int{1, 2}
 	for name, y := range map[string]*Tensor{
-		"module":    SegmentSumRows(ReLU(mlp.Forward(x)), lens),
+		"module":    SegmentSumRows(Tanh(mlp.Forward(x)), lens),
 		"rows":      mlp.ForwardReLURows(nil, rows),
 		"attention": attn.ForwardSegmentsDedup(x, []int{0, 1, 2}, lens),
 	} {

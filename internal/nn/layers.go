@@ -21,7 +21,7 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 }
 
 // Forward applies the layer to an (N x in) batch through the fused
-// affine op — one tape node, bitwise identical to AddBias(MatMul(x, W)).
+// affine op: one tape node.
 func (l *Linear) Forward(x *Tensor) *Tensor {
 	return Affine(x, l.W, l.B, false)
 }
@@ -84,18 +84,9 @@ func (m *MLP) Forward(x *Tensor) *Tensor {
 	return x
 }
 
-// ForwardReLU applies ReLU after every layer including the last — the
-// ReLU(MLP.Forward(x)) composition the cost models use for embeddings,
-// with the final activation fused instead of a separate tape node.
-func (m *MLP) ForwardReLU(x *Tensor) *Tensor {
-	for _, l := range m.Layers {
-		x = Affine(x, l.W, l.B, true)
-	}
-	return x
-}
-
-// ForwardReLURows is ForwardReLU fed directly from feature rows, on s
-// (nil = heap): the first layer is the rows op (see Linear.ForwardRows).
+// ForwardReLURows applies ReLU after every layer including the last — the
+// cost models' embedding MLPs — fed directly from feature rows, on s (nil
+// = heap): the first layer is the rows op (see Linear.ForwardRows).
 func (m *MLP) ForwardReLURows(s *Scratch, rows [][]float64) *Tensor {
 	l0 := m.Layers[0]
 	x := affineRows(s, rows, l0.W, l0.B, true)
@@ -135,18 +126,6 @@ func NewSelfAttention(rng *rand.Rand, dim int) *SelfAttention {
 	}
 }
 
-// Forward consumes a (seq x dim) token matrix and returns the attended
-// (seq x dim) representation.
-func (a *SelfAttention) Forward(x *Tensor) *Tensor {
-	q := a.Q.Forward(x)
-	k := a.K.Forward(x)
-	v := a.V.Forward(x)
-	scores := Scale(MatMul(q, Transpose(k)), a.scale())
-	attn := SoftmaxRows(scores)
-	ctx := a.O.Forward(MatMul(attn, v))
-	return a.Norm.Forward(Add(x, ctx))
-}
-
 // ForwardSegmentsDedup applies the block independently to contiguous
 // row segments (lens) of a token sequence given in deduplicated form (see
 // DedupRowsIn), with gradients: uniq holds the distinct token rows and idx
@@ -156,10 +135,12 @@ func (a *SelfAttention) Forward(x *Tensor) *Tensor {
 // one-hots, PaCM's zero-padded dataflow rows — skips most projection work
 // in the forward and the backward both. The projections and the residual
 // layer norm are row-wise and run batched across all segments; the score
-// matmuls and softmax, the only row-mixing parts, are the attention core,
+// products and softmax, the only row-mixing parts, are the attention core,
 // one tape node (attend). Each segment's output is bitwise identical to
-// Forward over that segment alone. A forward with no gradient-carrying
-// operand (inference) adds its segment count to the engine counters.
+// the block over that segment alone: projections, scaled scores, softmax,
+// value mix, output projection, residual and layer norm, kept as plain
+// loops in the test suite. A forward with no gradient-carrying operand
+// (inference) adds its segment count to the engine counters.
 func (a *SelfAttention) ForwardSegmentsDedup(uniq *Tensor, idx []int, lens []int) *Tensor {
 	x := GatherRows(uniq, idx)
 	q := GatherRows(a.Q.Forward(uniq), idx)

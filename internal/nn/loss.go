@@ -5,13 +5,6 @@ import (
 	"slices"
 )
 
-// MSELoss returns mean((pred - target)^2) as a scalar tensor; target is a
-// constant.
-func MSELoss(pred, target *Tensor) *Tensor {
-	d := Sub(pred, target)
-	return MeanAll(Mul(d, d))
-}
-
 // LambdaRankLoss implements the listwise LambdaRank objective the paper
 // trains PaCM with: pairwise logistic loss between items of one task,
 // weighted by the |ΔNDCG| of swapping the pair. scores is (N x 1) and must
@@ -19,16 +12,14 @@ func MSELoss(pred, target *Tensor) *Tensor {
 // normalised throughput of the schedule).
 //
 // The returned scalar tensor carries an exact custom backward: the
-// standard lambda gradients are injected into scores.Grad. Its working
-// buffers live on the scores' arena.
+// standard lambda gradients are injected into scores.Grad. With no pair of
+// distinct relevances — a single item, say — the loss is +0 and every
+// gradient +0. Its working buffers live on the scores' arena.
 func LambdaRankLoss(scores *Tensor, rel []float64) *Tensor {
 	if scores.C != 1 || scores.R != len(rel) {
 		panic("nn: LambdaRankLoss shape mismatch")
 	}
 	n := len(rel)
-	if n < 2 {
-		return MeanAll(Mul(scores, Scale(scores, 0))) // zero loss, keeps graph
-	}
 	s, grad := opArena(scores, nil, nil)
 
 	// Ideal DCG from relevance-sorted order; gains are the (non-negative)

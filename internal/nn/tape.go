@@ -20,25 +20,16 @@ type op uint8
 
 const (
 	opNone op = iota // a leaf or a constant: nothing to propagate
-	opMatMul
-	opAddBias
 	opAdd
-	opSub
-	opMul
-	opScale
-	opReLU
 	opTanh
-	opSoftmaxRows
-	opTranspose
 	opConcatCols
-	opConcatRows
 	opGatherRows
-	opSumRows
 	opSegmentRows
-	opMeanAll
 	opLayerNorm
 	opAffine
 	opAttention
+	// opLambdaRank is a scalar whose gradient w.r.t. a is saved/k:
+	// LambdaRankLoss's lambdas over its pair count.
 	opLambdaRank
 )
 
@@ -47,10 +38,9 @@ const (
 type node struct {
 	op      op
 	a, b, c *Tensor
-	list    []*Tensor // ConcatRows' operands
 	ints    []int     // segment lengths or gather indices
 	saved   []float64 // forward state the backward reads
-	k       float64   // scale, or LambdaRank's pair count
+	k       float64   // attention's score scale, or LambdaRank's divisor
 	flag    bool      // ReLU fused (Affine), mean not sum (segment rows)
 }
 
@@ -133,63 +123,15 @@ func (out *Tensor) backward() {
 	g := out.Grad
 	switch n.op {
 	case opNone:
-	case opMatMul:
-		matMulBackward(a, b, out)
-	case opAddBias:
-		for i := 0; i < a.R; i++ {
-			for j := 0; j < a.C; j++ {
-				gv := g[i*a.C+j]
-				addGrad(a, i*a.C+j, gv)
-				addGrad(b, j, gv)
-			}
-		}
 	case opAdd:
 		for i, gv := range g {
 			addGrad(a, i, gv)
 			addGrad(b, i, gv)
 		}
-	case opSub:
-		for i, gv := range g {
-			addGrad(a, i, gv)
-			addGrad(b, i, -gv)
-		}
-	case opMul:
-		for i, gv := range g {
-			addGrad(a, i, gv*b.Data[i])
-			addGrad(b, i, gv*a.Data[i])
-		}
-	case opScale:
-		for i, gv := range g {
-			addGrad(a, i, gv*n.k)
-		}
-	case opReLU:
-		for i, gv := range g {
-			if a.Data[i] > 0 {
-				addGrad(a, i, gv)
-			}
-		}
 	case opTanh:
 		for i, gv := range g {
 			y := out.Data[i]
 			addGrad(a, i, gv*(1-y*y))
-		}
-	case opSoftmaxRows:
-		for i := 0; i < a.R; i++ {
-			row := out.Data[i*a.C : (i+1)*a.C]
-			grow := g[i*a.C : (i+1)*a.C]
-			var dot float64
-			for j := range row {
-				dot += grow[j] * row[j]
-			}
-			for j := range row {
-				addGrad(a, i*a.C+j, row[j]*(grow[j]-dot))
-			}
-		}
-	case opTranspose:
-		for i := 0; i < a.R; i++ {
-			for j := 0; j < a.C; j++ {
-				addGrad(a, i*a.C+j, g[j*a.R+i])
-			}
 		}
 	case opConcatCols:
 		for i := 0; i < a.R; i++ {
@@ -200,33 +142,14 @@ func (out *Tensor) backward() {
 				addGrad(b, i*b.C+j, g[i*out.C+a.C+j])
 			}
 		}
-	case opConcatRows:
-		off := 0
-		for _, t := range n.list {
-			for i := 0; i < t.R*t.C; i++ {
-				addGrad(t, i, g[off+i])
-			}
-			off += t.R * t.C
-		}
 	case opGatherRows:
 		// Duplicates scatter-accumulate into their representative in
 		// ascending output row order.
 		for i, j := range n.ints {
 			addRows(a, j, g[i*a.C:(i+1)*a.C])
 		}
-	case opSumRows:
-		for i := 0; i < a.R; i++ {
-			for j := 0; j < a.C; j++ {
-				addGrad(a, i*a.C+j, g[j])
-			}
-		}
 	case opSegmentRows:
 		segmentBackward(a, out, n.ints, n.flag)
-	case opMeanAll:
-		gv := g[0] / float64(a.R*a.C)
-		for i := range a.Data {
-			addGrad(a, i, gv)
-		}
 	case opLayerNorm:
 		layerNormBackward(a, b, n.c, out, n.saved)
 	case opAffine:
@@ -236,92 +159,7 @@ func (out *Tensor) backward() {
 	case opLambdaRank:
 		gv := g[0] / n.k
 		for i, l := range n.saved {
-			addGrad(a, i*a.C, gv*l)
-		}
-	}
-}
-
-// matMulBackward is MatMul's backward: dA = dOut @ Bᵀ, dB = Aᵀ @ dOut,
-// register-blocked four wide. Each gradient element accumulates its terms
-// in ascending contraction order (chained v += for dB's i-blocks, the
-// per-dot j loop for dA), so blocked results are bitwise identical to the
-// plain loops; a blocked-in zero term contributes an exact ±0.0 for the
-// finite values training produces, matching the per-term zero-skip it
-// replaces.
-func matMulBackward(a, b, out *Tensor) {
-	K, C := a.C, b.C
-	if a.requiresGrad {
-		for i := 0; i < a.R; i++ {
-			gRow := out.Grad[i*C : (i+1)*C]
-			aGrad := a.Grad[i*K : (i+1)*K]
-			k := 0
-			for ; k+4 <= K; k += 4 {
-				b0 := b.Data[k*C : k*C+C]
-				b1 := b.Data[(k+1)*C : (k+1)*C+C]
-				b2 := b.Data[(k+2)*C : (k+2)*C+C]
-				b3 := b.Data[(k+3)*C : (k+3)*C+C]
-				var s0, s1, s2, s3 float64
-				for j, g := range gRow {
-					s0 += g * b0[j]
-					s1 += g * b1[j]
-					s2 += g * b2[j]
-					s3 += g * b3[j]
-				}
-				aGrad[k] += s0
-				aGrad[k+1] += s1
-				aGrad[k+2] += s2
-				aGrad[k+3] += s3
-			}
-			for ; k < K; k++ {
-				bRow := b.Data[k*C : (k+1)*C]
-				var ga float64
-				for j, g := range gRow {
-					ga += g * bRow[j]
-				}
-				aGrad[k] += ga
-			}
-		}
-	}
-	if b.requiresGrad {
-		i := 0
-		for ; i+4 <= a.R; i += 4 {
-			g0 := out.Grad[i*C : i*C+C]
-			g1 := out.Grad[(i+1)*C : (i+1)*C+C]
-			g2 := out.Grad[(i+2)*C : (i+2)*C+C]
-			g3 := out.Grad[(i+3)*C : (i+3)*C+C]
-			a0 := a.Data[i*K : i*K+K]
-			a1 := a.Data[(i+1)*K : (i+1)*K+K]
-			a2 := a.Data[(i+2)*K : (i+2)*K+K]
-			a3 := a.Data[(i+3)*K : (i+3)*K+K]
-			for k := 0; k < K; k++ {
-				p0, p1, p2, p3 := a0[k], a1[k], a2[k], a3[k]
-				if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 {
-					continue
-				}
-				bGrad := b.Grad[k*C : (k+1)*C]
-				for j := range bGrad {
-					v := bGrad[j]
-					v += p0 * g0[j]
-					v += p1 * g1[j]
-					v += p2 * g2[j]
-					v += p3 * g3[j]
-					bGrad[j] = v
-				}
-			}
-		}
-		for ; i < a.R; i++ {
-			gRow := out.Grad[i*C : (i+1)*C]
-			aRow := a.Data[i*K : (i+1)*K]
-			for k := 0; k < K; k++ {
-				av := aRow[k]
-				if av == 0 {
-					continue
-				}
-				bGrad := b.Grad[k*C : (k+1)*C]
-				for j, g := range gRow {
-					bGrad[j] += av * g
-				}
-			}
+			addGrad(a, i, gv*l)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 // Package nn is a small, dependency-free neural-network stack: a
 // tape-based reverse-mode autograd over dense float64 matrices, the layers
 // needed by the paper's cost models (linear, layer-norm, self-attention),
-// the Adam optimiser, and the MSE and LambdaRank training losses.
+// the Adam optimiser, and the LambdaRank training loss.
 //
 // It exists because the paper's cost models are PyTorch modules and this
 // reproduction is stdlib-only. The stack is deliberately simple —
 // matrices not tensors, training single-goroutine, inference concurrent
-// over frozen parameters (FreezeParams) — but exact: every operator has
+// over frozen parameters (FreezeParams) — and carries only what the cost
+// models run. The tape has ten op kinds: the leaf, Affine, Add, Tanh,
+// ConcatCols, GatherRows, the segment sum/mean, LayerNormRows, the
+// attention core and the LambdaRank loss. It is exact: every operator has
 // an analytic backward verified by finite differences in the test suite.
 //
 // An operator's output becomes a tape node — gradient buffer and a record
@@ -65,13 +68,6 @@ func FromRows(rows [][]float64) *Tensor {
 		}
 		copy(t.Data[i*t.C:(i+1)*t.C], r)
 	}
-	return t
-}
-
-// FromVec builds a 1 x len(v) constant tensor.
-func FromVec(v []float64) *Tensor {
-	t := New(1, len(v))
-	copy(t.Data, v)
 	return t
 }
 
@@ -141,47 +137,11 @@ func addGrad(p *Tensor, idx int, v float64) {
 // computes the forward, and links the output onto the tape when an operand
 // carries gradients; the backwards live in tape.go.
 
-// MatMul returns a @ b.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.C != b.R {
-		panic(fmt.Sprintf("nn: matmul %dx%d @ %dx%d", a.R, a.C, b.R, b.C))
-	}
-	s, grad := opArena(a, b, nil)
-	out := s.tensor(a.R, b.C)
-	for i := 0; i < a.R; i++ {
-		oRow := out.Data[i*out.C : (i+1)*out.C]
-		for k := 0; k < a.C; k++ {
-			av := a.Data[i*a.C+k]
-			if av == 0 {
-				continue
-			}
-			bRow := b.Data[k*b.C : (k+1)*b.C]
-			for j, bv := range bRow {
-				oRow[j] += av * bv
-			}
-		}
-	}
-	return out.link(grad, node{op: opMatMul, a: a, b: b})
-}
-
-// AddBias adds a 1 x C bias row to every row of x.
-func AddBias(x, b *Tensor) *Tensor {
-	if b.R != 1 || b.C != x.C {
-		panic(fmt.Sprintf("nn: addbias %dx%d + %dx%d", x.R, x.C, b.R, b.C))
-	}
-	s, grad := opArena(x, b, nil)
-	out := s.tensor(x.R, x.C)
-	for i := 0; i < x.R; i++ {
-		for j := 0; j < x.C; j++ {
-			out.Data[i*x.C+j] = x.Data[i*x.C+j] + b.Data[j]
-		}
-	}
-	return out.link(grad, node{op: opAddBias, a: x, b: b})
-}
-
 // Add returns the elementwise sum of equal-shaped tensors.
 func Add(a, b *Tensor) *Tensor {
-	shapeCheck("add", a, b)
+	if a.R != b.R || a.C != b.C {
+		panic(fmt.Sprintf("nn: add shape mismatch %dx%d vs %dx%d", a.R, a.C, b.R, b.C))
+	}
 	s, grad := opArena(a, b, nil)
 	out := s.tensor(a.R, a.C)
 	for i := range out.Data {
@@ -190,160 +150,16 @@ func Add(a, b *Tensor) *Tensor {
 	return out.link(grad, node{op: opAdd, a: a, b: b})
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	shapeCheck("sub", a, b)
-	s, grad := opArena(a, b, nil)
-	out := s.tensor(a.R, a.C)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out.link(grad, node{op: opSub, a: a, b: b})
-}
-
-// Mul returns the elementwise product.
-func Mul(a, b *Tensor) *Tensor {
-	shapeCheck("mul", a, b)
-	s, grad := opArena(a, b, nil)
-	out := s.tensor(a.R, a.C)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out.link(grad, node{op: opMul, a: a, b: b})
-}
-
-// Scale multiplies by a constant.
-func Scale(x *Tensor, k float64) *Tensor {
-	s, grad := opArena(x, nil, nil)
-	out := s.tensor(x.R, x.C)
-	for i := range out.Data {
-		out.Data[i] = x.Data[i] * k
-	}
-	return out.link(grad, node{op: opScale, a: x, k: k})
-}
-
-// ReLU applies max(0, x).
-func ReLU(x *Tensor) *Tensor {
-	s, grad := opArena(x, nil, nil)
-	out := s.tensor(x.R, x.C)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return out.link(grad, node{op: opReLU, a: x})
-}
-
 // Tanh applies the hyperbolic tangent.
 func Tanh(x *Tensor) *Tensor {
 	s, grad := opArena(x, nil, nil)
 	return tanhIn(s, x).link(grad, node{op: opTanh, a: x})
 }
 
-// SoftmaxRows applies softmax independently to each row.
-func SoftmaxRows(x *Tensor) *Tensor {
-	s, grad := opArena(x, nil, nil)
-	out := s.tensor(x.R, x.C)
-	for i := 0; i < x.R; i++ {
-		orow := out.Data[i*x.C : (i+1)*x.C]
-		copy(orow, x.Data[i*x.C:(i+1)*x.C])
-		softmaxRow(orow)
-	}
-	return out.link(grad, node{op: opSoftmaxRows, a: x})
-}
-
-// softmaxRow replaces a row by its softmax in place: max-shifted
-// exponentials, summed in ascending order, then each divided by the sum.
-func softmaxRow(row []float64) {
-	m := math.Inf(-1)
-	for _, v := range row {
-		m = math.Max(m, v)
-	}
-	var sum float64
-	for j, v := range row {
-		e := math.Exp(v - m)
-		row[j] = e
-		sum += e
-	}
-	for j := range row {
-		row[j] /= sum
-	}
-}
-
-// Transpose returns x^T.
-func Transpose(x *Tensor) *Tensor {
-	s, grad := opArena(x, nil, nil)
-	out := s.tensor(x.C, x.R)
-	for i := 0; i < x.R; i++ {
-		for j := 0; j < x.C; j++ {
-			out.Data[j*x.R+i] = x.Data[i*x.C+j]
-		}
-	}
-	return out.link(grad, node{op: opTranspose, a: x})
-}
-
 // ConcatCols concatenates equal-row tensors side by side.
 func ConcatCols(a, b *Tensor) *Tensor {
 	s, grad := opArena(a, b, nil)
 	return concatColsIn(s, a, b).link(grad, node{op: opConcatCols, a: a, b: b})
-}
-
-// ConcatRows stacks equal-width tensors vertically.
-func ConcatRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("nn: ConcatRows of nothing")
-	}
-	cols := ts[0].C
-	rows := 0
-	var s *Scratch
-	grad := false
-	for _, t := range ts {
-		if t.C != cols {
-			panic(fmt.Sprintf("nn: ConcatRows width mismatch %d vs %d", t.C, cols))
-		}
-		rows += t.R
-		s = join(s, t)
-		grad = grad || t.requiresGrad
-	}
-	s = tapeArena(s, grad)
-	out := s.tensor(rows, cols)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:off+t.R*t.C], t.Data)
-		off += t.R * t.C
-	}
-	return out.link(grad, node{op: opConcatRows, list: ts})
-}
-
-// SliceRows returns rows [lo, hi) of x as a fresh tensor, with gradients
-// scattered back to the sliced rows: the gather of the contiguous index
-// range.
-func SliceRows(x *Tensor, lo, hi int) *Tensor {
-	if lo < 0 || hi > x.R || lo >= hi {
-		panic(fmt.Sprintf("nn: SliceRows [%d,%d) of %d rows", lo, hi, x.R))
-	}
-	idx := x.arena.Ints(hi - lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	return GatherRows(x, idx)
-}
-
-// SumRows sums over rows, producing a 1 x C tensor.
-func SumRows(x *Tensor) *Tensor {
-	s, grad := opArena(x, nil, nil)
-	out := s.tensor(1, x.C)
-	for i := 0; i < x.R; i++ {
-		for j := 0; j < x.C; j++ {
-			out.Data[j] += x.Data[i*x.C+j]
-		}
-	}
-	return out.link(grad, node{op: opSumRows, a: x})
-}
-
-// MeanRows averages over rows, producing a 1 x C tensor.
-func MeanRows(x *Tensor) *Tensor {
-	return Scale(SumRows(x), 1/float64(x.R))
 }
 
 // SegmentSumRows sums contiguous row segments of x (segmentSumRowsIn):
@@ -362,18 +178,6 @@ func SegmentMeanRows(x *Tensor, lens []int) *Tensor {
 	return segmentMeanRowsIn(s, x, lens).link(grad, node{op: opSegmentRows, a: x, ints: lens, flag: true})
 }
 
-// MeanAll reduces to the scalar mean of all entries.
-func MeanAll(x *Tensor) *Tensor {
-	s, grad := opArena(x, nil, nil)
-	out := s.tensor(1, 1)
-	var sum float64
-	for _, v := range x.Data {
-		sum += v
-	}
-	out.Data[0] = sum / float64(x.R*x.C)
-	return out.link(grad, node{op: opMeanAll, a: x})
-}
-
 // LayerNormRows normalises each row to zero mean / unit variance and
 // applies the learned gain g and bias b (both 1 x C). On the tape the
 // normalised values and inverse stds the backward reads are kept on the
@@ -385,10 +189,4 @@ func LayerNormRows(x, g, b *Tensor) *Tensor {
 		saved = s.floats(x.R*x.C + x.R)
 	}
 	return layerNormRowsIn(s, x, g, b, saved).link(grad, node{op: opLayerNorm, a: x, b: g, c: b, saved: saved})
-}
-
-func shapeCheck(op string, a, b *Tensor) {
-	if a.R != b.R || a.C != b.C {
-		panic(fmt.Sprintf("nn: %s shape mismatch %dx%d vs %dx%d", op, a.R, a.C, b.R, b.C))
-	}
 }

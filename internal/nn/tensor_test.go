@@ -49,75 +49,88 @@ func randParam(rng *rand.Rand, r, c int) *Tensor {
 	return p
 }
 
+// lossNode records value as a 1x1 scalar on y's tape: the node
+// LambdaRankLoss records, whose gradient w.r.t. y is saved/k, with k =
+// R·C. The test losses are built on it.
+func lossNode(y *Tensor, value float64, saved []float64) *Tensor {
+	s, grad := opArena(y, nil, nil)
+	out := s.tensor(1, 1)
+	out.Data[0] = value
+	return out.link(grad, node{op: opLambdaRank, a: y, saved: saved, k: float64(y.R * y.C)})
+}
+
+// weightedMean is the test loss mean(y ∘ w) for a constant w: its value
+// sums in ascending order and divides once, and its gradient into y is
+// (1/k)·w_i — the bits a mean-of-product operator chain gives.
+func weightedMean(y *Tensor, w []float64) *Tensor {
+	var sum float64
+	for i, v := range y.Data {
+		sum += v * w[i]
+	}
+	return lossNode(y, sum/float64(y.R*y.C), w)
+}
+
+// TestGradMatMul finite-difference-checks the contraction alone: Affine
+// with a constant zero bias, so only the two gradient GEMMs run.
 func TestGradMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randParam(rng, 3, 4)
 	b := randParam(rng, 4, 2)
+	w := randConst(rng, 3, 2).Data
 	checkGrads(t, "matmul", []*Tensor{a, b}, func() *Tensor {
-		return MeanAll(Mul(MatMul(a, b), MatMul(a, b)))
+		return weightedMean(Affine(a, b, New(1, 2), false), w)
 	})
 }
 
+// TestGradAddBias finite-difference-checks the bias column sum with the
+// weights held constant.
 func TestGradAddBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := randParam(rng, 3, 5)
 	b := randParam(rng, 1, 5)
+	eye := New(5, 5)
+	for i := 0; i < 5; i++ {
+		eye.Set(i, i, 1)
+	}
+	w := randConst(rng, 3, 5).Data
 	checkGrads(t, "addbias", []*Tensor{x, b}, func() *Tensor {
-		return MeanAll(Mul(AddBias(x, b), AddBias(x, b)))
+		return weightedMean(Affine(x, eye, b, false), w)
 	})
 }
 
+// TestGradActivations finite-difference-checks the one standalone
+// activation, Tanh; ReLU exists only fused into Affine (TestGradAffine).
 func TestGradActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct {
-		name string
-		f    func(*Tensor) *Tensor
-	}{
-		{"relu", ReLU},
-		{"tanh", Tanh},
-	} {
-		x := randParam(rng, 4, 3)
-		// Shift away from the ReLU kink for stable numeric grads.
-		for i := range x.Data {
-			if math.Abs(x.Data[i]) < 1e-2 {
-				x.Data[i] += 0.1
-			}
-		}
-		checkGrads(t, tc.name, []*Tensor{x}, func() *Tensor {
-			y := tc.f(x)
-			return MeanAll(Mul(y, y))
-		})
-	}
-}
-
-func TestGradSoftmaxRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := randParam(rng, 3, 5)
-	w := randParam(rng, 3, 5)
-	checkGrads(t, "softmax", []*Tensor{x}, func() *Tensor {
-		return MeanAll(Mul(SoftmaxRows(x), w))
+	x := randParam(rng, 4, 3)
+	w := randConst(rng, 4, 3).Data
+	checkGrads(t, "tanh", []*Tensor{x}, func() *Tensor {
+		return weightedMean(Tanh(x), w)
 	})
 }
 
-func TestGradTransposeConcatSum(t *testing.T) {
+// TestGradSoftmaxRows finite-difference-checks the softmax backward
+// inside the attention core: only the queries carry gradients, so every
+// gradient reaches them through the scores' softmax.
+func TestGradSoftmaxRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	q := randParam(rng, 5, 3)
+	k, v := randConst(rng, 5, 3), randConst(rng, 5, 3)
+	w := randConst(rng, 5, 3).Data
+	checkGrads(t, "softmax", []*Tensor{q}, func() *Tensor {
+		return weightedMean(attend(q, k, v, []int{3, 2}, 0.7), w)
+	})
+}
+
+// TestGradConcatColsSegmentSum finite-difference-checks ConcatCols
+// feeding a segment sum.
+func TestGradConcatColsSegmentSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randParam(rng, 3, 2)
 	b := randParam(rng, 3, 4)
-	checkGrads(t, "transpose+concat+sum", []*Tensor{a, b}, func() *Tensor {
-		c := ConcatCols(a, b) // 3x6
-		ct := Transpose(c)    // 6x3
-		s := SumRows(ct)      // 1x3
-		return MeanAll(Mul(s, s))
-	})
-}
-
-func TestGradConcatRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randParam(rng, 2, 3)
-	b := randParam(rng, 1, 3)
-	checkGrads(t, "concatrows", []*Tensor{a, b}, func() *Tensor {
-		c := ConcatRows(a, b)
-		return MeanAll(Mul(c, c))
+	w := randConst(rng, 2, 6).Data
+	checkGrads(t, "concat+segmentsum", []*Tensor{a, b}, func() *Tensor {
+		return weightedMean(SegmentSumRows(ConcatCols(a, b), []int{2, 1}), w)
 	})
 }
 
@@ -126,40 +139,36 @@ func TestGradLayerNorm(t *testing.T) {
 	x := randParam(rng, 3, 6)
 	g := randParam(rng, 1, 6)
 	b := randParam(rng, 1, 6)
+	w := randConst(rng, 3, 6).Data
 	checkGrads(t, "layernorm", []*Tensor{x, g, b}, func() *Tensor {
-		y := LayerNormRows(x, g, b)
-		return MeanAll(Mul(y, y))
+		return weightedMean(LayerNormRows(x, g, b), w)
 	})
 }
 
+// TestGradSelfAttention finite-difference-checks the whole attention
+// block — Q/K/V/O projections, the attention core, the residual and the
+// layer norm — over two segments.
 func TestGradSelfAttention(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	attn := NewSelfAttention(rng, 4)
-	x := randParam(rng, 3, 4)
+	x := randParam(rng, 5, 4)
+	w := randConst(rng, 5, 4).Data
 	params := append([]*Tensor{x}, attn.Params()...)
 	checkGrads(t, "selfattention", params, func() *Tensor {
-		y := attn.Forward(x)
-		return MeanAll(Mul(y, y))
+		return weightedMean(attn.ForwardSegmentsDedup(x, identityInts(nil, x.R), []int{3, 2}), w)
 	})
 }
 
-func TestGradScaleSubAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randParam(rng, 2, 2)
-	b := randParam(rng, 2, 2)
-	checkGrads(t, "scale/sub/add", []*Tensor{a, b}, func() *Tensor {
-		return MeanAll(Mul(Add(Scale(a, 1.7), Sub(a, b)), b))
-	})
-}
-
+// TestSoftmaxRowsSumToOne checks the softmax kernel: every row lands in
+// [0, 1] and sums to one.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	x := randParam(rng, 5, 7)
-	y := SoftmaxRows(x)
+	y := randParam(rng, 5, 7)
 	for i := 0; i < y.R; i++ {
+		row := y.Data[i*y.C : (i+1)*y.C]
+		softmaxRow(row)
 		var sum float64
-		for j := 0; j < y.C; j++ {
-			v := y.At(i, j)
+		for _, v := range row {
 			if v < 0 || v > 1 {
 				t.Fatalf("softmax out of range: %g", v)
 			}
@@ -177,12 +186,12 @@ func TestFreezeParamsBuildsNoGraph(t *testing.T) {
 	x := New(1, 2)
 	x.Data[0], x.Data[1] = 1, 2
 	restore := FreezeParams([]*Tensor{w})
-	y := MatMul(x, w)
+	y := Affine(x, w, New(1, 2), false)
 	if y.requiresGrad || y.node.op != opNone {
 		t.Fatal("frozen-parameter output should not carry graph state")
 	}
 	restore()
-	y = MatMul(x, w)
+	y = Affine(x, w, New(1, 2), false)
 	if !y.requiresGrad {
 		t.Fatal("restore must re-enable graph construction")
 	}
@@ -206,10 +215,10 @@ func TestShapePanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"matmul", func() { MatMul(a, b) }},
-		{"addbias", func() { AddBias(a, New(1, 2)) }},
-		{"mul", func() { Mul(a, New(3, 2)) }},
-		{"concatrows", func() { ConcatRows(a, New(2, 4)) }},
+		{"affine", func() { Affine(a, b, New(1, 3), false) }},
+		{"affine bias", func() { Affine(a, New(3, 2), New(1, 3), false) }},
+		{"add", func() { Add(a, New(3, 2)) }},
+		{"concatcols", func() { ConcatCols(a, New(3, 4)) }},
 		{"new", func() { New(0, 1) }},
 	} {
 		func() {
@@ -226,10 +235,11 @@ func TestShapePanics(t *testing.T) {
 func TestGradAccumulationAcrossUses(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x := randParam(rng, 1, 1)
-	// loss = (x + x)^2 => dloss/dx = 8x
-	loss := MeanAll(Mul(Add(x, x), Add(x, x)))
+	// loss = ((x + x) + x)·c => dloss/dx = 3c
+	c := 0.75
+	loss := weightedMean(Add(Add(x, x), x), []float64{c})
 	Backward(loss)
-	want := 8 * x.Data[0]
+	want := 3 * c
 	if math.Abs(x.Grad[0]-want) > 1e-9 {
 		t.Fatalf("grad %g want %g", x.Grad[0], want)
 	}
@@ -243,8 +253,8 @@ func TestOperandsOnTwoArenasPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	w := randParam(rng, 3, 3)
 	var s Scratch
-	arenaNode := MatMul(onArena(&s, FromVec([]float64{1, 2, 3})), w)
-	heapNode := MatMul(FromRows([][]float64{{3, 2, 1}}), w)
+	arenaNode := Affine(onArena(&s, FromRows([][]float64{{1, 2, 3}})), w, New(1, 3), false)
+	heapNode := Affine(FromRows([][]float64{{3, 2, 1}}), w, New(1, 3), false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an operator over an arena node and a heap node must panic")

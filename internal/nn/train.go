@@ -12,14 +12,13 @@ import "fmt"
 // weights bitwise independent of the worker count.
 
 // Affine is the fused training op out = x@W + b, optionally through
-// ReLU: one tape node where the operator chain ReLU(AddBias(MatMul))
-// builds three, so a Linear layer's forward draws one output and one
-// gradient buffer instead of three of each. The forward is the GEMM
-// kernel (matmulFused), which is bitwise identical to the chain for the
-// finite weights training produces; the backward fuses the ReLU mask, the
-// bias column-sum and the two gradient GEMMs, each accumulating per
-// element in the same ascending order as the chain, so gradients are
-// bitwise identical too.
+// ReLU: one tape node, so a Linear layer's forward draws one output and
+// one gradient buffer. The forward is the GEMM kernel (matmulFused),
+// bitwise identical for the finite weights training produces to separate
+// matmul, bias and ReLU passes (the test suite's reference loops); the
+// backward fuses the ReLU mask, the bias column-sum and the two gradient
+// GEMMs, each accumulating per element in ascending order, and is pinned
+// bit for bit by TestAffinePinned.
 func Affine(x, w, b *Tensor, relu bool) *Tensor {
 	if w.R != x.C || b.R != 1 || b.C != w.C {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
@@ -108,20 +107,19 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 
 // attend is the attention core on the tape: one node over the gathered
 // projections q, k, v, whatever the number of segments. Its forward is
-// attendIn, whose softmax blocks it keeps on the tape; its
-// backward (attendBackward) reproduces bit for bit the gradients of the
-// per-segment operator chain Forward composes (TestAttentionTapePinned).
+// attendIn, whose softmax blocks it keeps on the tape; its backward
+// (attendBackward) is pinned bit for bit by TestAttentionTapePinned.
 func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
 	s, grad := opArena(q, k, v)
 	out, probs := attendIn(s, q, k, v, lens, scale)
 	return out.link(grad, node{op: opAttention, a: q, b: k, c: v, ints: lens, saved: probs, k: scale})
 }
 
-// attendBackward is attend's backward, written to the accumulation order
-// of that chain over segments — per segment SliceRows of q, k and v,
-// Transpose, MatMul, Scale, SoftmaxRows, MatMul, then ConcatRows — whose
-// reverse walk visits the segments last to first and, within one, hands
-// the value, key and query slices their gradients in that order. Per
+// attendBackward is attend's backward. It visits the segments last to
+// first and, within one, hands the value, key and query rows their
+// gradients in that order: the accumulation order of the per-segment
+// operator chain (slice, transpose, scores, scale, softmax, value mix,
+// stack) it replaced, whose digest TestAttentionTapePinned keeps. Per
 // segment, with P the saved softmax block and G the output gradient rows:
 //
 //	dP = G Vᵀ            each element one dot over columns, ascending
@@ -130,8 +128,7 @@ func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
 //	dK = dSᵀ Q, dQ = dS K  (as dV and dP)
 //
 // dV, dK and dQ are accumulated in scratch blocks and then added to the
-// operands' gradients, as the slices' backwards did. Temporaries come
-// from s.
+// operands' gradients. Temporaries come from s.
 //
 //pruner:hotpath
 func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float64, scale float64) {

@@ -9,6 +9,19 @@ import (
 	"testing"
 )
 
+// mseLoss is mean((y − target)²) for a constant target, as a scalar node
+// whose gradient into y is 2(y − target)/k (lossNode).
+func mseLoss(y, target *Tensor) *Tensor {
+	var sum float64
+	saved := make([]float64, len(y.Data))
+	for i, v := range y.Data {
+		d := v - target.Data[i]
+		sum += d * d
+		saved[i] = 2 * d
+	}
+	return lossNode(y, sum/float64(len(y.Data)), saved)
+}
+
 // TestMLPRegression trains a small MLP on a smooth function and checks the
 // loss collapses — the full forward/backward/Adam loop.
 func TestMLPRegression(t *testing.T) {
@@ -31,7 +44,7 @@ func TestMLPRegression(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		x, y := sample()
 		adam.ZeroGrad()
-		loss := MSELoss(m.Forward(x), y)
+		loss := mseLoss(m.Forward(x), y)
 		Backward(loss)
 		adam.Step()
 		if step == 0 {
@@ -142,9 +155,21 @@ func TestRankSortsMatchSortSlice(t *testing.T) {
 
 func TestLambdaRankDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	one := Param(rng, 1, 1)
-	if l := LambdaRankLoss(one, []float64{1}); l.Data[0] != 0 {
-		t.Fatalf("single-item loss should be 0, got %g", l.Data[0])
+	// A single item: loss +0 and a +0 score gradient, whatever the
+	// score's sign — pinned by bits, so ±0 cannot drift.
+	var vals [][]float64
+	for _, sign := range []float64{1, -1} {
+		one := Param(rng, 1, 1)
+		one.Data[0] = sign * math.Abs(one.Data[0])
+		l := LambdaRankLoss(one, []float64{1})
+		if l.Data[0] != 0 {
+			t.Fatalf("single-item loss should be 0, got %g", l.Data[0])
+		}
+		Backward(l)
+		vals = append(vals, l.Data, one.Grad)
+	}
+	if got, want := digestFloats(vals...), "0c8210784d8af5a5"; got != want {
+		t.Errorf("single-item loss+gradient digest %s, pinned %s", got, want)
 	}
 	two := Param(rng, 2, 1)
 	if l := LambdaRankLoss(two, []float64{0.5, 0.5}); l.Data[0] != 0 {

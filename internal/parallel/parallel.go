@@ -57,6 +57,9 @@ func (p *Pool) Workers() int {
 // It blocks until all items complete. fn must be safe to call concurrently
 // and should only write state owned by its index. A nil or single-worker
 // pool, or an exhausted budget, runs inline on the caller's goroutine.
+// A panic in fn is the caller's: the first one is recovered on whichever
+// goroutine raised it, every helper still finishes and returns its slot,
+// and the panic is re-raised on the caller once they have.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if p == nil || p.workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -64,8 +67,12 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
+	var (
+		next  atomic.Int64
+		fault panicSlot
+	)
 	run := func() {
+		defer fault.catch()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -97,6 +104,7 @@ spawn:
 	}
 	run() // the caller is always a worker
 	wg.Wait()
+	fault.reraise()
 }
 
 // Go runs fn beside the caller on one of the pool's helper slots and
@@ -108,7 +116,8 @@ spawn:
 // pool, or a budget in use elsewhere — fn runs inline before Go returns
 // and join is a no-op, so a serial session stays serial and a shared
 // pool stays within its budget. Everything fn writes is visible to the
-// caller once join returns.
+// caller once join returns, and so is a panic in fn: re-raised at join,
+// after the slot went back.
 func (p *Pool) Go(fn func()) (join func()) {
 	if p == nil || p.workers <= 1 {
 		fn()
@@ -120,17 +129,44 @@ func (p *Pool) Go(fn func()) (join func()) {
 		fn()
 		return func() {}
 	}
-	var once sync.Once
+	var (
+		once  sync.Once
+		fault panicSlot
+	)
 	release := func() { once.Do(func() { <-p.sem }) }
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer release()
+		defer fault.catch()
 		fn()
 	}()
 	return func() {
 		release()
 		<-done
+		fault.reraise()
+	}
+}
+
+// panicSlot keeps the first panic any of a call's goroutines recovered,
+// for the caller to re-raise once they are all done.
+type panicSlot struct {
+	once sync.Once
+	val  any
+}
+
+// catch, deferred directly, stops a panic on its goroutine and keeps
+// it if it is the first.
+func (f *panicSlot) catch() {
+	if r := recover(); r != nil {
+		f.once.Do(func() { f.val = r })
+	}
+}
+
+// reraise panics with the kept value, if any.
+func (f *panicSlot) reraise() {
+	if f.val != nil {
+		panic(f.val)
 	}
 }
 

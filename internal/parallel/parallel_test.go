@@ -174,6 +174,58 @@ func TestPoolGo(t *testing.T) {
 	})
 }
 
+// TestPoolPanicReachesCaller pins the panic contract of both entry
+// points: a panic in fn on a helper goroutine — a ForEach worker, Go's
+// lent slot — comes back as a panic on the caller, when ForEach returns
+// or at join, and never kills the process; every helper slot is handed
+// back, so the budget is whole afterwards.
+func TestPoolPanicReachesCaller(t *testing.T) {
+	const budget = 4
+	p := New(budget)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("%s: caller recovered %v, want fn's panic", name, r)
+			}
+		}()
+		f()
+	}
+
+	t.Run("ForEach", func(t *testing.T) {
+		// Every item waits until all budget workers hold one, so helpers
+		// are certainly running fn when the items panic.
+		var arrived atomic.Int32
+		deadline := time.Now().Add(10 * time.Second)
+		mustPanic("ForEach", func() {
+			p.ForEach(budget, func(int) {
+				arrived.Add(1)
+				for arrived.Load() < budget && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+				panic("boom")
+			})
+		})
+		if arrived.Load() != budget {
+			t.Fatalf("%d of %d workers ran an item", arrived.Load(), budget)
+		}
+	})
+
+	t.Run("Go", func(t *testing.T) {
+		join := p.Go(func() { panic("boom") })
+		mustPanic("Go join", join)
+	})
+
+	if len(p.sem) != 0 {
+		t.Fatalf("%d helper slots still held after the panics", len(p.sem))
+	}
+	var visits atomic.Int32
+	p.ForEach(budget, func(int) { visits.Add(1) })
+	if visits.Load() != budget {
+		t.Fatalf("pool ran %d of %d items after the panics", visits.Load(), budget)
+	}
+}
+
 // TestNestedForEachSharesBudget pins the anti-multiplication property:
 // when ForEach calls nest (suite fan-out over sessions that fan out
 // scoring), total concurrency stays within one pool budget rather than

@@ -19,6 +19,8 @@ const (
 	MetricQueueWaitSeconds = "pruner_server_queue_wait_seconds"
 	// MetricJobs gauges jobs by lifecycle state (label: state).
 	MetricJobs = "pruner_server_jobs"
+	// MetricJobPanics counts jobs failed by a panic in their session.
+	MetricJobPanics = "pruner_server_job_panics_total"
 	// MetricRoundSeconds is a histogram of wall-clock round duration as
 	// seen at the commit boundary (the value RoundMillis reports).
 	MetricRoundSeconds = "pruner_server_round_seconds"
@@ -35,6 +37,7 @@ const (
 // serverObs is the daemon's prepared instrument set.
 type serverObs struct {
 	jobStates    *obs.GaugeVec
+	jobPanics    *obs.Counter
 	queueWait    *obs.Histogram
 	roundSeconds *obs.Histogram
 	sseStreams   *obs.Gauge
@@ -49,6 +52,7 @@ func (s *Server) initObs() {
 	reg := s.cfg.Obs.Reg()
 	s.obs = serverObs{
 		jobStates: reg.GaugeVec(MetricJobs, "Jobs by lifecycle state.", "state"),
+		jobPanics: reg.Counter(MetricJobPanics, "Jobs failed by a panic in their session."),
 		queueWait: reg.Histogram(MetricQueueWaitSeconds,
 			"Wait between job enqueue and tuning start.", nil),
 		roundSeconds: reg.Histogram(MetricRoundSeconds,

@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -583,6 +584,15 @@ func (s *Server) run(j *job) {
 		}
 		s.cfg.Log.Info("job finished", "job", j.id, "state", string(state))
 	}
+	// A panic in the session — a bug, or a pretrained bundle nn rejects
+	// by panicking — fails this job only; the worker goes on to the next.
+	defer func() {
+		if r := recover(); r != nil {
+			s.obs.jobPanics.Inc()
+			s.cfg.Log.Error("job panicked", "job", j.id, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			finish(StateFailed, nil, fmt.Sprintf("internal error: %v", r))
+		}
+	}()
 	if s.ctx.Err() != nil {
 		finish(StateCanceled, nil, "server shut down before the job started")
 		return

@@ -13,7 +13,10 @@ import (
 	"time"
 
 	"pruner"
+	"pruner/internal/costmodel"
+	"pruner/internal/nn"
 	"pruner/internal/store"
+	"pruner/internal/tuner"
 )
 
 // testServer builds a daemon over a fresh store with a small shared pool.
@@ -479,5 +482,56 @@ func TestPretrainedMethodGating(t *testing.T) {
 	}
 	if got := getJob(t, ts2, v.ID); got.Result == nil || got.Result.Source != "tuned" {
 		t.Fatalf("unexpected result: %+v", got.Result)
+	}
+}
+
+// TestJobPanicFailsOnlyThatJob pins the daemon's panic contract: a job
+// whose session panics — a MoA job against a bundle with one truncated
+// parameter, which nn.CopyParams rejects by panicking — ends failed with
+// the panic in its error and in the panics counter, and the next job on
+// the same worker runs to completion.
+func TestJobPanicFailsOnlyThatJob(t *testing.T) {
+	weights := tuner.SnapshotParams(costmodel.NewPaCM(1))
+	w := weights[0]
+	short := nn.New(w.R-1, w.C)
+	copy(short.Data, w.Data)
+	weights[0] = short
+
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv, err := New(context.Background(), Config{
+		Store:      st,
+		Pool:       pruner.NewPool(2),
+		Workers:    1,
+		QueueDepth: 4,
+		Pretrained: &pruner.Pretrained{Kind: "pacm", Weights: weights},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	v := postJob(t, ts, JobSpec{Device: "t4", Network: "dcgan", Method: "moa-pruner", Trials: 20, MaxTasks: 1, Seed: 5})
+	events := drainSSE(t, ts, v.ID)
+	if last := events[len(events)-1]; last.Type != string(StateFailed) || !strings.Contains(last.Error, "CopyParams") {
+		t.Fatalf("panicking job ended %q (%s), want failed with the panic", last.Type, last.Error)
+	}
+	if ln := expositionLine(scrapeMetrics(t, ts.URL), MetricJobPanics); !strings.HasSuffix(ln, " 1") {
+		t.Fatalf("%s = %q, want 1", MetricJobPanics, ln)
+	}
+
+	v = postJob(t, ts, JobSpec{Device: "t4", Network: "dcgan", Trials: 20, MaxTasks: 1, Seed: 5})
+	events = drainSSE(t, ts, v.ID)
+	if last := events[len(events)-1]; last.Type != string(StateDone) {
+		t.Fatalf("job after the panic ended %q (%s), want done", last.Type, last.Error)
 	}
 }
