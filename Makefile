@@ -82,15 +82,16 @@ serve-e2e:
 
 # The measurement-fleet end-to-end suite under -race: pruner-serve with a
 # loopback pruner-measure worker (register -> submit -> fleet-measured
-# result byte-identical to the simulator), plus the wire-fidelity and
-# pipeline determinism contracts, plus the mid-session /metrics scrape of
-# daemon AND worker (TestMetrics*: exposition validated with the strict
-# stdlib parser, failing on empty or malformed output), plus the pool's
+# result byte-identical to the simulator), plus the wire-fidelity,
+# worker-cancellation and pipeline determinism contracts, plus the
+# mid-session /metrics scrape of daemon AND worker (TestMetrics*:
+# exposition validated with the strict stdlib parser, failing on empty
+# or malformed output), plus the pool's
 # lend protocol, its hand-back of a helper's panic to the caller and the
 # online fit running beside the draft (TestPoolGo, TestPoolPanic*,
 # TestFitOverlapsDraft).
 measure-e2e:
-	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestPoolPanic|TestFitOverlap' \
+	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestWorkerCancelledRequest|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestPoolPanic|TestFitOverlap' \
 		./internal/server/... ./internal/measure/... ./internal/tuner/... ./internal/parallel/...
 	$(GO) test -race ./internal/obs/...
 

@@ -24,18 +24,16 @@ type Record struct {
 	Latency float64 // seconds; +Inf marks a failed measurement
 }
 
-// FitOptions configures one training call.
+// maxGroup bounds samples per task group per epoch: ranking lists get
+// quadratic in group size, so a larger group trains on a fresh subsample
+// each epoch.
+const maxGroup = 128
+
+// FitOptions configures one training call. Every fit runs at the
+// learning rate its model was built with (TLP's is deliberately higher).
 type FitOptions struct {
 	Epochs int
-	// LR overrides the model's constructed learning rate for the duration
-	// of this fit; 0 keeps the model's own rate (e.g. TLP's deliberately
-	// higher 1.2e-3).
-	LR   float64
-	Seed int64
-	// MaxGroup bounds samples per task group per epoch (ranking lists get
-	// quadratic in group size); 0 selects the default bound of 128,
-	// negative disables the bound entirely.
-	MaxGroup int
+	Seed   int64
 	// MacroBatch is the number of task groups whose gradients are averaged
 	// into one optimiser step by the parallel trainer; 0 selects the
 	// default of 8. Groups within a macro-batch shard across the session
@@ -54,9 +52,6 @@ type FitOptions struct {
 func (o FitOptions) withDefaults() FitOptions {
 	if o.Epochs == 0 {
 		o.Epochs = 15
-	}
-	if o.MaxGroup == 0 {
-		o.MaxGroup = 128
 	}
 	if o.MacroBatch <= 0 {
 		o.MacroBatch = 8
@@ -161,16 +156,16 @@ type trainBatch struct {
 // epochBatches composes one epoch's training batches in the shuffled
 // group order, consuming rng exactly like the serial reference loop:
 // one groups-shuffle, then one subsample-shuffle per over-size group.
-func epochBatches(groups []group, opt FitOptions, rng *rand.Rand) []trainBatch {
+func epochBatches(groups []group, rng *rand.Rand) []trainBatch {
 	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
 	var batches []trainBatch
 	for _, g := range groups {
 		recs := g.recs
-		if opt.MaxGroup > 0 && len(recs) > opt.MaxGroup {
+		if len(recs) > maxGroup {
 			sub := make([]Record, len(recs))
 			copy(sub, recs)
 			rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
-			recs = sub[:opt.MaxGroup]
+			recs = sub[:maxGroup]
 		}
 		if len(recs) < 2 {
 			continue
@@ -205,7 +200,6 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 		// (facade pretraining) still use the machine, not one goroutine.
 		pool = parallel.Default()
 	}
-	defer func(prev float64) { adam.LR = prev }(adam.SwapLR(opt.LR))
 	rng := rand.New(rand.NewSource(seed ^ opt.Seed))
 	for _, g := range groups {
 		report.Samples += len(g.recs)
@@ -213,7 +207,7 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 	tr.ensureSlots(opt.MacroBatch)
 	losses := make([]float64, opt.MacroBatch)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		batches := epochBatches(groups, opt, rng)
+		batches := epochBatches(groups, rng)
 		var epochLoss float64
 		for lo := 0; lo < len(batches); lo += opt.MacroBatch {
 			hi := lo + opt.MacroBatch

@@ -108,13 +108,12 @@ func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, step stepFn,
 	if len(groups) == 0 {
 		return report
 	}
-	defer func(prev float64) { adam.LR = prev }(adam.SwapLR(opt.LR))
 	rng := rand.New(rand.NewSource(seed ^ opt.Seed))
 	for _, g := range groups {
 		report.Samples += len(g.recs)
 	}
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		batches := epochBatches(groups, opt, rng)
+		batches := epochBatches(groups, rng)
 		var epochLoss float64
 		for _, b := range batches {
 			memo := opt.Cache.memo(b.task)

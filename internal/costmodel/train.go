@@ -150,18 +150,3 @@ func (c *FitCache) Len() int {
 	}
 	return n
 }
-
-// Lowerings reports how many programs were actually lowered through the
-// cache — the test hook pinning "once per record per session".
-func (c *FitCache) Lowerings() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, m := range c.memos {
-		n += m.Misses()
-	}
-	return n
-}

@@ -41,7 +41,7 @@ func TestCalibrationModelOrdering(t *testing.T) {
 	train := Generate(context.Background(), dev, trainTasks, GenOptions{SchedulesPerTask: 400, Seed: 11})
 	test := Generate(context.Background(), dev, testTasks, GenOptions{SchedulesPerTask: 400, Seed: 12})
 
-	fit := costmodel.FitOptions{Epochs: 40, Seed: 5, MaxGroup: 128}
+	fit := costmodel.FitOptions{Epochs: 40, Seed: 5}
 	top1 := func(m costmodel.Model) float64 {
 		m.Fit(train.Records(), fit)
 		return test.TopK(1, func(s *TaskSet) []float64 { return predictSet(m, s) })

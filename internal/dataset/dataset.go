@@ -39,37 +39,31 @@ type Dataset struct {
 	Sets   []*TaskSet
 }
 
+// mutationFrac is the share of each task's samples grown by mutating
+// earlier samples, giving the latency distribution TenSet-like structure.
+// It is typed so 1-mutationFrac rounds like float64 arithmetic.
+const mutationFrac float64 = 0.3
+
 // GenOptions configure dataset generation.
 type GenOptions struct {
 	// SchedulesPerTask is the exploration size per subgraph (TenSet: 4,000).
 	SchedulesPerTask int
 	// Seed drives sampling and measurement noise.
 	Seed int64
-	// MutationFrac grows part of the samples by mutating earlier samples,
-	// giving the latency distribution TenSet-like structure.
-	MutationFrac float64
-	// Parallelism is the worker count for the measurement fan-out; <= 0
-	// selects runtime.NumCPU(). Schedule sampling and noise stay on one
-	// sequential stream, so the dataset is bitwise identical at any worker
-	// count (and to the historical serial generator).
-	Parallelism int
-	// Pool optionally shares a caller-owned worker budget (overriding
-	// Parallelism) so dataset generation inside a concurrent suite does
-	// not multiply the suite's concurrency.
+	// Pool bounds the measurement fan-out; nil sizes one to the machine.
+	// Sharing a caller-owned pool keeps dataset generation inside a
+	// concurrent suite from multiplying the suite's concurrency. Schedule
+	// sampling and noise stay on one sequential stream, so the dataset is
+	// bitwise identical at any worker count.
 	Pool *parallel.Pool
-	// Measurer overrides the measurement backend (a remote fleet, a test
-	// fake); nil wraps the device's default simulator in the in-process
-	// adapter — bitwise identical to the historical direct simulator
-	// call, since the noise draws stay on the generator's stream.
-	Measurer measure.Measurer
 }
 
 func (o GenOptions) withDefaults() GenOptions {
 	if o.SchedulesPerTask == 0 {
 		o.SchedulesPerTask = 4000
 	}
-	if o.MutationFrac == 0 {
-		o.MutationFrac = 0.3
+	if o.Pool == nil {
+		o.Pool = parallel.New(0)
 	}
 	return o
 }
@@ -81,45 +75,35 @@ func (o GenOptions) withDefaults() GenOptions {
 // which dominate the cost, run on the worker pool.
 func Generate(ctx context.Context, dev *device.Device, tasks []*ir.Task, opt GenOptions) *Dataset {
 	opt = opt.withDefaults()
-	meas := opt.Measurer
-	if meas == nil {
-		meas = measure.NewSim(simulator.New(dev))
-	}
-	noise := meas.Info().MeasureNoise
-	pool := opt.Pool
-	if pool == nil {
-		pool = parallel.New(opt.Parallelism)
-	}
+	sim := simulator.New(dev)
+	meas := measure.NewSim(sim)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	ds := &Dataset{Device: dev.Name}
 	for _, t := range tasks {
 		gen := schedule.NewGenerator(t)
 		gen.MaxThreads = dev.MaxThreads
 		gen.MaxSharedWords = dev.SharedPerBlock
-		nRandom := int(float64(opt.SchedulesPerTask) * (1 - opt.MutationFrac))
+		nRandom := int(float64(opt.SchedulesPerTask) * (1 - mutationFrac))
 		schs := gen.InitPopulation(rng, nRandom)
 		for len(schs) < opt.SchedulesPerTask {
 			parent := schs[rng.Intn(len(schs))]
 			schs = append(schs, gen.Mutate(rng, parent))
 		}
 		// Only successfully built programs enter the dataset, as in TenSet:
-		// failed builds never produce a latency record. The backend
+		// failed builds never produce a latency record. The adapter
 		// returns true latencies; the noise draws stay here on the
-		// generator's sequential stream, so the dataset is bitwise
-		// identical to the historical in-process path for any backend
-		// that computes the same latencies.
+		// generator's sequential stream.
 		set := &TaskSet{Task: t, Best: math.Inf(1)}
 		results, err := meas.Measure(ctx, measure.Request{
-			Device: dev.Name, Task: t, Batch: schs, Pool: pool,
+			Device: dev.Name, Task: t, Batch: schs, Pool: opt.Pool,
 		})
 		if err != nil {
-			// Backend failure (a fleet with no reachable workers): the
-			// task contributes no entries, like a task whose builds all
-			// failed.
+			// Cancelled: the task contributes no entries, like a task
+			// whose builds all failed.
 			ds.Sets = append(ds.Sets, set)
 			continue
 		}
-		measure.ApplyNoise(results, rng, noise)
+		simulator.ApplyNoise(results, rng, sim.MeasureNoise())
 		for i, r := range results {
 			if !r.Valid {
 				continue

@@ -14,7 +14,7 @@ import "pruner/internal/device"
 // offline-pretrained rows are the "well-modeled" candidates: where the
 // pretrained verifier ranks near-perfectly the controller cuts
 // measurements, and where it is merely decent (rank error above the
-// strict LowErr threshold) it holds the full fixed budget rather than
+// controller's strict threshold) it holds the full fixed budget rather than
 // trade away solution quality.
 func Adaptive(cfg Config) error {
 	fixedCfg, adaptCfg := cfg, cfg

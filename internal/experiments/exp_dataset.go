@@ -177,7 +177,7 @@ func Fig15(cfg Config) error {
 			if pu, ok := m.(costmodel.PoolUser); ok {
 				pu.SetPool(h.pool)
 			}
-			m.Fit(sub.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed, MaxGroup: 128, Cache: costmodel.NewFitCache()})
+			m.Fit(sub.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed, Cache: costmodel.NewFitCache()})
 			h.printf(" %10.3f", test.TopK(1, func(s *dataset.TaskSet) []float64 { return predictSet(m, s) }))
 		}
 		h.printf("\n")
@@ -201,7 +201,7 @@ func Table11(cfg Config) error {
 			if pu, ok := m.(costmodel.PoolUser); ok {
 				pu.SetPool(h.pool)
 			}
-			m.Fit(train.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed, MaxGroup: 128, Cache: costmodel.NewFitCache()})
+			m.Fit(train.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed, Cache: costmodel.NewFitCache()})
 			score := func(s *dataset.TaskSet) []float64 { return predictSet(m, s) }
 			r := rows[kind]
 			if dev == device.T4 {

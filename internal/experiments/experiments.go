@@ -53,20 +53,11 @@ type Config struct {
 	// multiplying. Sessions are seeded independently, so reported rows
 	// are identical at any setting.
 	Parallelism int
-	// PipelineDepth is forwarded to every tuning session (measurement
-	// rounds in flight; see tuner.Options.PipelineDepth). 0/1 is the
-	// serial loop. Reported rows are deterministic for a fixed depth but
-	// differ between depths (deeper sessions search against slightly
-	// staler history).
-	PipelineDepth int
 	// AdaptBudget forwards tuner.Options.AdaptBudget to every tuning
 	// session: calibration-driven verify/draft/depth control. The
 	// "adaptive" experiment compares fixed vs adaptive explicitly and
 	// ignores this field; setting it here adapts the whole suite.
 	AdaptBudget bool
-	// Adapt bounds the controller when AdaptBudget is set (zero value =
-	// tuner.AdaptConfig defaults).
-	Adapt tuner.AdaptConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -299,7 +290,7 @@ func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 		pu.SetPool(h.pool)
 	}
 	m.Fit(ds.Records(), costmodel.FitOptions{
-		Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed, MaxGroup: 128,
+		Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed,
 		Cache: costmodel.NewFitCache(), // once-per-record features across epochs
 	})
 	w = h.insertPretrained(key, tuner.SnapshotParams(m))
@@ -335,14 +326,12 @@ var (
 func (h *harness) tune(dev *device.Device, tasks []*ir.Task, method string, seed int64) *tuner.Result {
 	sc := h.sc
 	opt := tuner.Options{
-		Ctx:           h.ctx,
-		Trials:        sc.trials,
-		Seed:          seed,
-		Pool:          h.pool, // one budget across the suite, not one per session
-		PipelineDepth: h.cfg.PipelineDepth,
-		AdaptBudget:   h.cfg.AdaptBudget,
-		Adapt:         h.cfg.Adapt,
-		Fit:           costmodel.FitOptions{Epochs: sc.onlineEpochs, Seed: seed},
+		Ctx:         h.ctx,
+		Trials:      sc.trials,
+		Seed:        seed,
+		Pool:        h.pool, // one budget across the suite, not one per session
+		AdaptBudget: h.cfg.AdaptBudget,
+		Fit:         costmodel.FitOptions{Epochs: sc.onlineEpochs, Seed: seed},
 	}
 	evo := search.EvoParams{Population: sc.evoPop, Generations: sc.evoGens, MutateProb: 0.85, CrossProb: 0.05}
 	lse := search.LSEParams{SpecSize: sc.specSize, Population: sc.evoPop, Steps: sc.evoGens, MutateProb: 0.85, CrossProb: 0.05}

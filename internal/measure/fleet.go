@@ -23,14 +23,6 @@ var ErrWorkerBuild = fmt.Errorf("measure: worker reported failed build")
 
 // FleetOptions configure a Fleet.
 type FleetOptions struct {
-	// Client issues the HTTP requests; nil builds one with a 2-minute
-	// timeout (batches are small; workers answer in milliseconds).
-	Client *http.Client
-	// MeasureNoise is the noise scale the session applies to fleet
-	// results; 0 selects the simulator default, which is what makes a
-	// default fleet bitwise-interchangeable with the default in-process
-	// simulator.
-	MeasureNoise float64
 	// Metrics, when non-nil, receives live per-worker dispatch counters
 	// and batch-latency histograms (pruner_fleet_* — see metrics.go).
 	// Hand a fleet the daemon's long-lived registry and per-worker
@@ -46,7 +38,6 @@ type FleetOptions struct {
 type Fleet struct {
 	workers []string
 	client  *http.Client
-	noise   float64
 	next    atomic.Int64
 
 	// The dispatch accounting, in the FleetOptions.Metrics registry (nil
@@ -58,15 +49,10 @@ type Fleet struct {
 }
 
 // NewFleet builds a fleet over the given worker base URLs
-// ("http://host:port", no trailing slash).
+// ("http://host:port", no trailing slash). Batches are small and workers
+// answer in milliseconds, so a request gives up after two minutes.
 func NewFleet(urls []string, opts FleetOptions) *Fleet {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 2 * time.Minute}
-	}
-	if opts.MeasureNoise == 0 {
-		opts.MeasureNoise = simulator.DefaultMeasureNoise
-	}
-	f := &Fleet{workers: append([]string(nil), urls...), client: opts.Client, noise: opts.MeasureNoise}
+	f := &Fleet{workers: append([]string(nil), urls...), client: &http.Client{Timeout: 2 * time.Minute}}
 	reg := opts.Metrics
 	f.mBatches = reg.CounterVec(MetricFleetBatches,
 		"Measurement batches dispatched, by worker URL.", "worker")
@@ -86,10 +72,12 @@ func NewFleet(urls []string, opts FleetOptions) *Fleet {
 	return f
 }
 
-// Info reports the fleet's metadata; Concurrency is its worker count, the
-// natural pipeline depth.
+// Info reports the fleet's metadata. Workers measure on default
+// simulators, so the session applies the default simulator's noise: that
+// is what makes a fleet bitwise-interchangeable with the default
+// in-process simulator.
 func (f *Fleet) Info() Info {
-	return Info{Name: "fleet", Concurrency: len(f.workers), Remote: true, MeasureNoise: f.noise}
+	return Info{Name: "fleet", MeasureNoise: simulator.DefaultMeasureNoise}
 }
 
 // note accounts one dispatch attempt to its worker.

@@ -14,21 +14,22 @@
 //     style of TVM's RPC runner, using the store's record codec as the
 //     wire format (codec.go).
 //   - Worker is the serving half of the fleet: the HTTP handler that
-//     cmd/pruner-measure exposes and registers with pruner-serve.
+//     cmd/pruner-measure exposes and registers with pruner-serve. It
+//     measures every batch through a Sim over the device's default
+//     simulator, so there is one batch-measurement loop.
 //
 // Determinism contract: a Measurer returns the *true* (noise-free) latency
 // of every schedule; the session applies measurement noise itself, at
-// commit time, from the task's own random stream (ApplyNoise). Splitting
-// the noise out of the backend is what makes simulator-backed and
-// fleet-backed sessions bitwise identical for the same seed: both paths
-// feed the same deterministic latencies into the same noise draws.
+// commit time, from the task's own random stream (simulator.ApplyNoise).
+// Splitting the noise out of the backend is what makes simulator-backed
+// and fleet-backed sessions bitwise identical for the same seed: both
+// paths feed the same deterministic latencies into the same noise draws.
 package measure
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 
 	"pruner/internal/ir"
@@ -41,22 +42,14 @@ import (
 // type so the in-process adapter is a zero-copy wrapper.
 type Result = simulator.Result
 
-// Info is a Measurer's capability and cost metadata, consulted by the
-// tuning engine when it assembles the pipeline.
+// Info is a Measurer's metadata, consulted by the tuning engine when it
+// assembles the pipeline.
 type Info struct {
 	// Name identifies the backend in progress events and job results
 	// ("simulator", "fleet").
 	Name string
-	// Concurrency is how many batches the backend can usefully execute at
-	// once — a pipeline-depth hint (a fleet reports its worker count; the
-	// in-process simulator reports 1, though pipelining still overlaps its
-	// measurement with search on multi-core hosts).
-	Concurrency int
-	// Remote reports that batches leave the process: dispatch has wire
-	// latency and cancellation depends on the remote honouring it.
-	Remote bool
 	// MeasureNoise is the multiplicative noise stddev the session applies
-	// per valid result at commit time (see ApplyNoise).
+	// per valid result at commit time (simulator.ApplyNoise).
 	MeasureNoise float64
 }
 
@@ -88,21 +81,11 @@ type Measurer interface {
 	Measure(ctx context.Context, req Request) ([]Result, error)
 }
 
-// ApplyNoise applies one multiplicative measurement-noise draw per valid
-// result, in index order — the exact sequence the pre-interface simulator
-// consumed, which keeps refactored sessions bitwise identical to
-// historical ones. It delegates to the simulator's canonical
-// implementation so the formula cannot drift between packages.
-func ApplyNoise(rs []Result, rng *rand.Rand, scale float64) {
-	simulator.ApplyNoise(rs, rng, scale)
-}
-
 // Sim is the in-process adapter: a Measurer over *simulator.Simulator.
 // Zero behaviour change from the tuner calling the simulator directly,
 // except that cancellation is now observed between schedules mid-batch.
 type Sim struct {
-	sim     *simulator.Simulator
-	batches atomic.Int64
+	sim *simulator.Simulator
 }
 
 // NewSim wraps a simulator in the Measurer interface.
@@ -111,7 +94,7 @@ func NewSim(s *simulator.Simulator) *Sim { return &Sim{sim: s} }
 // Info reports the adapter's metadata; the noise scale is the wrapped
 // simulator's, so sessions keep their configured measurement noise.
 func (m *Sim) Info() Info {
-	return Info{Name: "simulator", Concurrency: 1, MeasureNoise: m.sim.MeasureNoise()}
+	return Info{Name: "simulator", MeasureNoise: m.sim.MeasureNoise()}
 }
 
 // Measure evaluates the batch's true latencies on the request pool,
@@ -139,12 +122,8 @@ func (m *Sim) Measure(ctx context.Context, req Request) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m.batches.Add(1)
 	return out, nil
 }
-
-// Batches reports how many batches the adapter has executed (stats).
-func (m *Sim) Batches() int64 { return m.batches.Load() }
 
 // lengthError is the shared "backend returned the wrong shape" failure.
 func lengthError(name string, got, want int) error {

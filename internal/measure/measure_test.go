@@ -107,7 +107,7 @@ func TestWorkerFleetMatchesSimulator(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	fleet := NewFleet([]string{ws.URL}, FleetOptions{Metrics: reg})
-	if info := fleet.Info(); info.Name != "fleet" || !info.Remote || info.Concurrency != 1 {
+	if info := fleet.Info(); info.Name != "fleet" || info.MeasureNoise != simulator.DefaultMeasureNoise {
 		t.Fatalf("fleet info: %+v", info)
 	}
 	results, err := fleet.Measure(context.Background(), Request{
@@ -204,8 +204,27 @@ func TestSimAdapterCancellation(t *testing.T) {
 	if _, err := m.Measure(ctx, Request{Task: task, Batch: schs}); err != context.Canceled {
 		t.Fatalf("cancelled adapter returned %v, want context.Canceled", err)
 	}
-	if m.Batches() != 0 {
-		t.Fatal("cancelled batch was counted as executed")
+}
+
+// TestWorkerCancelledRequest pins the worker's cancel branch: a batch
+// whose request context is already cancelled (the session abandoned the
+// round) writes no record lines and is not counted as executed.
+func TestWorkerCancelledRequest(t *testing.T) {
+	task, schs := testBatch(t, 16)
+	body, err := encodeRequest(Request{Device: device.T4.Name, Task: task, Batch: schs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	worker := NewWorker(WorkerOptions{})
+	rec := httptest.NewRecorder()
+	worker.Handler().ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodPost, "/measure", bytes.NewReader(body)))
+	if rec.Body.Len() != 0 {
+		t.Fatalf("cancelled request wrote %q", rec.Body.String())
+	}
+	if st := worker.Status(); st.Batches != 0 || st.Schedules != 0 {
+		t.Fatalf("cancelled batch was counted as executed: %+v", st)
 	}
 }
 
@@ -221,7 +240,7 @@ func TestSimAdapterMatchesMeasureMemoPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ApplyNoise(results, rand.New(rand.NewSource(3)), m.Info().MeasureNoise)
+	simulator.ApplyNoise(results, rand.New(rand.NewSource(3)), m.Info().MeasureNoise)
 	want := sim.MeasureMemoPool(task, schs, rand.New(rand.NewSource(3)), nil, nil)
 	for i := range want {
 		if results[i].Valid != want[i].Valid ||

@@ -33,10 +33,6 @@ type WorkerOptions struct {
 	// Pool bounds the worker's measurement fan-out; nil sizes one to the
 	// machine.
 	Pool *parallel.Pool
-	// SimConfig overrides the hidden-model settings of the worker's
-	// simulators (tests); the zero value selects the calibrated defaults,
-	// matching in-process sessions.
-	SimConfig simulator.Config
 	// Metrics, when non-nil, exposes the worker's counters as
 	// func-backed metrics (pruner_worker_* — see metrics.go) and mounts
 	// GET /metrics on the worker's handler.
@@ -45,14 +41,15 @@ type WorkerOptions struct {
 
 // Worker executes measurement batches on behalf of remote tuning
 // sessions: the serving half of a Fleet, exposed over HTTP by
-// cmd/pruner-measure. It returns true (noise-free) latencies — the
+// cmd/pruner-measure. It measures through a Sim over each device's
+// default simulator and returns true (noise-free) latencies — the
 // session applies measurement noise at commit, which is what keeps
 // fleet-measured sessions bitwise identical to simulator-backed ones.
 type Worker struct {
 	opts WorkerOptions
 
 	mu   sync.Mutex
-	sims map[string]*simulator.Simulator
+	sims map[string]*Sim
 
 	batches   atomic.Int64
 	schedules atomic.Int64
@@ -66,7 +63,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Pool == nil {
 		opts.Pool = parallel.New(0)
 	}
-	w := &Worker{opts: opts, sims: map[string]*simulator.Simulator{}}
+	w := &Worker{opts: opts, sims: map[string]*Sim{}}
 	if reg := opts.Metrics; reg != nil {
 		// Func-backed counters sample the same atomics /healthz reports,
 		// so a scrape and a health check can never disagree.
@@ -82,10 +79,10 @@ func NewWorker(opts WorkerOptions) *Worker {
 	return w
 }
 
-// sim returns the worker's simulator for a device, building it on first
+// sim returns the worker's adapter for a device, building it on first
 // use. One worker serves any preset device: the fleet routes by batch,
 // not by worker identity.
-func (w *Worker) sim(name string) (*simulator.Simulator, error) {
+func (w *Worker) sim(name string) (*Sim, error) {
 	dev, err := device.ByName(name)
 	if err != nil {
 		return nil, err
@@ -94,7 +91,7 @@ func (w *Worker) sim(name string) (*simulator.Simulator, error) {
 	defer w.mu.Unlock()
 	s := w.sims[dev.Name]
 	if s == nil {
-		s = simulator.NewWithConfig(dev, w.opts.SimConfig)
+		s = NewSim(simulator.New(dev))
 		w.sims[dev.Name] = s
 	}
 	return s, nil
@@ -178,30 +175,23 @@ func (w *Worker) handleMeasure(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Evaluate true latencies on the worker pool; one round memo shares
-	// lowerings across the batch. Cancellation (the session aborting the
-	// round) is observed between schedules.
-	ctx := r.Context()
-	memo := schedule.NewMemo()
+	// Measure true latencies on the worker pool, one round memo sharing
+	// lowerings across the batch. A cancelled request (the session
+	// aborting the round) stops between schedules and writes nothing.
+	batch := make([]*schedule.Schedule, len(recs))
+	for i, rec := range recs {
+		batch[i] = rec.Sched
+	}
 	execStart := time.Now()
-	var canceled atomic.Bool
-	w.opts.Pool.ForEach(len(recs), func(i int) {
-		if canceled.Load() {
-			return
-		}
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		lat, err := sim.LatencyLowered(memo.Lower(hdr.Task, recs[i].Sched))
-		if err != nil {
-			recs[i].Latency = math.Inf(1)
-			return
-		}
-		recs[i].Latency = lat
-	})
-	if ctx.Err() != nil {
+	results, err := sim.Measure(r.Context(), Request{Task: hdr.Task, Batch: batch, Memo: schedule.NewMemo(), Pool: w.opts.Pool})
+	if err != nil {
 		return // client gone; nothing useful to write
+	}
+	for i, res := range results {
+		if !res.Valid {
+			res.Latency = math.Inf(1) // the codec's failed-build sentinel
+		}
+		recs[i].Latency = res.Latency
 	}
 	w.batches.Add(1)
 	w.schedules.Add(int64(len(recs)))

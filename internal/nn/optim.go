@@ -31,17 +31,6 @@ func NewAdam(params []*Tensor, lr float64) *Adam {
 	return a
 }
 
-// SwapLR sets the learning rate (when lr > 0) and returns the previous
-// value, so a training call can honour a caller-supplied rate for its
-// duration and restore the model's constructed rate afterwards.
-func (a *Adam) SwapLR(lr float64) (prev float64) {
-	prev = a.LR
-	if lr > 0 {
-		a.LR = lr
-	}
-	return prev
-}
-
 // ZeroGrad clears accumulated gradients.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {

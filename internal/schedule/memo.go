@@ -17,10 +17,9 @@ import (
 // measurement round, which both bounds memory and keeps cache entries
 // from outliving the round's candidate pool.
 type Memo struct {
-	mu     sync.Mutex
-	task   *ir.Task
-	m      map[string]*Lowered
-	misses int
+	mu   sync.Mutex
+	task *ir.Task
+	m    map[string]*Lowered
 }
 
 // NewMemo returns an empty memo.
@@ -58,25 +57,15 @@ func (m *Memo) Lower(t *ir.Task, s *Schedule) *Lowered {
 		lw = prev
 	} else {
 		m.m[fp] = lw
-		m.misses++
 	}
 	m.mu.Unlock()
 	return lw
 }
 
-// Misses reports how many distinct programs this memo actually lowered
-// (cache misses that stored an entry). The training-engine tests use it
-// to pin "each record is lowered and featurized once per session".
-func (m *Memo) Misses() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.misses
-}
-
-// Len reports the number of cached programs (tests, introspection).
+// Len reports the number of cached programs. Entries are never deleted,
+// so it is also how many lowerings the memo stored — what the
+// training-engine tests use to pin "each record is lowered and
+// featurized once per session".
 func (m *Memo) Len() int {
 	if m == nil {
 		return 0

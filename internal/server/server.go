@@ -46,6 +46,10 @@ import (
 	"pruner/internal/store"
 )
 
+// maxPipelineDepth caps a job's pipeline_depth request; a deeper one is
+// rejected at submit.
+const maxPipelineDepth = 16
+
 // Config assembles a Server.
 type Config struct {
 	// Store persists and answers from tuning history. Required.
@@ -73,9 +77,6 @@ type Config struct {
 	// /v1/measurers) is older than this; expired workers stay listed but
 	// are not dispatched to. 0 selects 2 minutes; negative never expires.
 	MeasurerTTL time.Duration
-	// MaxPipelineDepth caps the per-job pipeline_depth request
-	// (default 16).
-	MaxPipelineDepth int
 	// Obs is the daemon's observability spine: every job tunes armed
 	// with it, /metrics scrapes its registry, /v1/trace serves its span
 	// ring and /v1/healthz is assembled from registry reads. nil builds
@@ -108,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MeasurerTTL == 0 {
 		c.MeasurerTTL = 2 * time.Minute
-	}
-	if c.MaxPipelineDepth <= 0 {
-		c.MaxPipelineDepth = 16
 	}
 	if c.Obs == nil {
 		c.Obs = pruner.NewObserver(0)
@@ -269,8 +267,8 @@ func (s *Server) resolve(spec *JobSpec) (*pruner.Device, *pruner.Network, []*ir.
 	default:
 		return nil, nil, nil, fmt.Errorf("measurer %q is not one of auto, simulator, fleet", spec.Measurer)
 	}
-	if spec.PipelineDepth < 0 || spec.PipelineDepth > s.cfg.MaxPipelineDepth {
-		return nil, nil, nil, fmt.Errorf("pipeline_depth %d out of range [0, %d]", spec.PipelineDepth, s.cfg.MaxPipelineDepth)
+	if spec.PipelineDepth < 0 || spec.PipelineDepth > maxPipelineDepth {
+		return nil, nil, nil, fmt.Errorf("pipeline_depth %d out of range [0, %d]", spec.PipelineDepth, maxPipelineDepth)
 	}
 	if spec.Method == "" {
 		spec.Method = string(pruner.MethodPruner)

@@ -21,73 +21,35 @@ package tuner
 
 import "math"
 
-// AdaptConfig bounds the budget controller enabled by
-// Options.AdaptBudget. The zero value selects defaults for every field.
-type AdaptConfig struct {
-	// MinBatch is the smallest per-round measured batch the controller
-	// may shrink to (default BatchSize/2, floor 2). A fully-calibrated
-	// task still measures MinBatch candidates per round, so calibration
-	// keeps being re-checked and drift is caught.
-	MinBatch int
-	// MaxDepth is the deepest pipeline window the controller may grow to
-	// (default 2). Depth rises with session-level confidence: staleness
-	// from in-flight rounds only costs quality when the model's ranking
-	// is moving, which is exactly when calibration error is high.
-	MaxDepth int
-	// MaxSpec is the largest LSE draft budget (|S_spec|) handed to the
-	// policy (default four times the policy's own budget). Drafting is the
-	// cheap half of draft-then-verify, so the controller spends
-	// confidence in the opposite direction from the verify batch: a
-	// calibrated verifier earns a *wider* speculation set for the model
-	// to rank, which is what keeps quality flat while the measured batch
-	// shrinks. Only meaningful for policies that expose a draft budget
-	// via search.SpecBudgeter.
-	MaxSpec int
-	// LowErr / HighErr map smoothed rank error onto confidence: error at
-	// or below LowErr (default 0.08) is full confidence, at or above
-	// HighErr (default LowErr+0.25) is none, linear in between. A random
-	// ranker sits at 0.5, a perfect one at 0. The LowErr default is
-	// deliberately strict — a batch of ten has 45 pairs, so 0.08 allows
-	// only a handful of discordant pairs: budgets shrink only for tasks
-	// whose verifier ranks near-perfectly, and a merely-decent model
-	// keeps the full fixed budget (see the bert_tiny row of the
-	// "adaptive" experiment for what the strictness buys).
-	LowErr  float64
-	HighErr float64
-	// Alpha is the EWMA weight of the newest round's error (default 0.3).
-	Alpha float64
-}
-
-func (c AdaptConfig) withDefaults(batch, specBase int) AdaptConfig {
-	if c.MinBatch <= 0 {
-		c.MinBatch = batch / 2
-		if c.MinBatch < 2 {
-			c.MinBatch = 2
-		}
-	}
-	if c.MinBatch > batch {
-		c.MinBatch = batch
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 2
-	}
-	if c.MaxSpec <= 0 && specBase > 0 {
-		c.MaxSpec = 4 * specBase
-	}
-	if specBase > 0 && c.MaxSpec < specBase {
-		c.MaxSpec = specBase
-	}
-	if c.LowErr <= 0 {
-		c.LowErr = 0.08
-	}
-	if c.HighErr <= c.LowErr {
-		c.HighErr = c.LowErr + 0.25
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	return c
-}
+// The controller's bounds. The float ones are typed so that every
+// constant expression built from them rounds like float64 arithmetic.
+const (
+	// adaptMaxDepth is the deepest pipeline window the controller may
+	// grow to. Depth rises with session-level confidence: staleness from
+	// in-flight rounds only costs quality when the model's ranking is
+	// moving, which is exactly when calibration error is high.
+	adaptMaxDepth = 2
+	// adaptSpecScale caps the LSE draft budget (|S_spec|) handed to the
+	// policy at this multiple of the policy's own budget. Drafting is the
+	// cheap half of draft-then-verify, so the controller spends confidence
+	// in the opposite direction from the verify batch: a calibrated
+	// verifier earns a *wider* speculation set for the model to rank,
+	// which is what keeps quality flat while the measured batch shrinks.
+	adaptSpecScale = 4
+	// adaptLowErr / adaptHighErr map smoothed rank error onto confidence:
+	// error at or below adaptLowErr is full confidence, at or above
+	// adaptHighErr none, linear in between. A random ranker sits at 0.5, a
+	// perfect one at 0. adaptLowErr is deliberately strict — a batch of
+	// ten has 45 pairs, so 0.08 allows only a handful of discordant pairs:
+	// budgets shrink only for tasks whose verifier ranks near-perfectly,
+	// and a merely-decent model keeps the full fixed budget (see the
+	// bert_tiny row of the "adaptive" experiment for what the strictness
+	// buys).
+	adaptLowErr  float64 = 0.08
+	adaptHighErr float64 = adaptLowErr + 0.25
+	// adaptAlpha is the EWMA weight of the newest round's error.
+	adaptAlpha float64 = 0.3
+)
 
 // calibState is one EWMA rank-error tracker. Until the first observed
 // round (seen == false) confidence is defined as zero, so sessions start
@@ -97,12 +59,12 @@ type calibState struct {
 	seen bool
 }
 
-func (s *calibState) fold(e, alpha float64) {
+func (s *calibState) fold(e float64) {
 	if !s.seen {
 		s.err, s.seen = e, true
 		return
 	}
-	s.err = (1-alpha)*s.err + alpha*e
+	s.err = (1-adaptAlpha)*s.err + adaptAlpha*e
 }
 
 // adaptController owns the three budget laws. It lives on the session
@@ -110,17 +72,21 @@ func (s *calibState) fold(e, alpha float64) {
 // order) and the budget methods only from plan, so no locking is needed
 // and every decision is reproducible from the committed prefix.
 type adaptController struct {
-	cfg      AdaptConfig
 	batch    int // nominal verify budget per round (Options.BatchSize)
+	minBatch int // the floor law (a) shrinks the batch toward
 	specBase int // the policy's own draft budget; 0 when it has none
 	session  calibState
 	tasks    map[string]*calibState // keyed access only, never ranged
 }
 
-func newAdaptController(cfg AdaptConfig, batch, specBase int) *adaptController {
+// newAdaptController sizes the laws for one session. A fully-calibrated
+// task still measures half its batch per round (at least 2, at most the
+// batch itself), so calibration keeps being re-checked and drift is
+// caught.
+func newAdaptController(batch, specBase int) *adaptController {
 	return &adaptController{
-		cfg:      cfg.withDefaults(batch, specBase),
 		batch:    batch,
+		minBatch: min(batch, max(2, batch/2)),
 		specBase: specBase,
 		tasks:    map[string]*calibState{},
 	}
@@ -132,7 +98,7 @@ func (a *adaptController) confidence(s calibState) float64 {
 	if !s.seen {
 		return 0
 	}
-	c := (a.cfg.HighErr - s.err) / (a.cfg.HighErr - a.cfg.LowErr)
+	c := (adaptHighErr - s.err) / (adaptHighErr - adaptLowErr)
 	return math.Min(1, math.Max(0, c))
 }
 
@@ -144,31 +110,32 @@ func (a *adaptController) taskCalib(id string) calibState {
 }
 
 // verifyBudget is control law (a): the measured-batch bound for the
-// task's next round, from BatchSize (no confidence) down to MinBatch.
+// task's next round, from BatchSize (no confidence) down to minBatch.
 func (a *adaptController) verifyBudget(taskID string) int {
 	c := a.confidence(a.taskCalib(taskID))
-	return a.cfg.MinBatch + int(math.Round((1-c)*float64(a.batch-a.cfg.MinBatch)))
+	return a.minBatch + int(math.Round((1-c)*float64(a.batch-a.minBatch)))
 }
 
 // draftBudget is control law (b): the LSE |S_spec| handed to the policy,
-// from the policy's own budget up to MaxSpec; 0 (no override) when the
-// policy exposes no draft budget. Confidence widens the draft set — the
-// cheap half of the loop — so the fewer candidates law (a) lets through
-// to measurement are picked from a larger model-ranked pool.
+// from the policy's own budget up to adaptSpecScale times it; 0 (no
+// override) when the policy exposes no draft budget. Confidence widens
+// the draft set — the cheap half of the loop — so the fewer candidates
+// law (a) lets through to measurement are picked from a larger
+// model-ranked pool.
 func (a *adaptController) draftBudget(taskID string) int {
 	if a.specBase <= 0 {
 		return 0
 	}
 	c := a.confidence(a.taskCalib(taskID))
-	return a.specBase + int(math.Round(c*float64(a.cfg.MaxSpec-a.specBase)))
+	return a.specBase + int(math.Round(c*float64(adaptSpecScale*a.specBase-a.specBase)))
 }
 
 // targetDepth is control law (c): the pipeline-window bound, from 1 (no
-// session-level confidence) up to MaxDepth. Driven by the session
+// session-level confidence) up to adaptMaxDepth. Driven by the session
 // tracker, not a per-task one, because the window is shared.
 func (a *adaptController) targetDepth() int {
 	c := a.confidence(a.session)
-	return 1 + int(math.Round(c*float64(a.cfg.MaxDepth-1)))
+	return 1 + int(math.Round(c*float64(adaptMaxDepth-1)))
 }
 
 // observe folds one committed round's predicted-vs-measured ranking into
@@ -182,8 +149,8 @@ func (a *adaptController) observe(taskID string, scores, lats []float64) float64
 		a.tasks[taskID] = st
 	}
 	if e := rankError(scores, lats); e >= 0 {
-		st.fold(e, a.cfg.Alpha)
-		a.session.fold(e, a.cfg.Alpha)
+		st.fold(e)
+		a.session.fold(e)
 	}
 	return st.err
 }

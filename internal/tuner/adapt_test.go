@@ -46,39 +46,20 @@ func TestRankError(t *testing.T) {
 	}
 }
 
-func TestAdaptConfigDefaults(t *testing.T) {
-	c := AdaptConfig{}.withDefaults(10, 512)
-	if c.MinBatch != 5 || c.MaxDepth != 2 || c.MaxSpec != 2048 {
-		t.Fatalf("defaults for batch=10 spec=512: %+v", c)
-	}
-	if c.LowErr != 0.08 || c.HighErr != 0.33 || c.Alpha != 0.3 {
-		t.Fatalf("threshold defaults: %+v", c)
-	}
-	// Tiny batches floor MinBatch at 2.
-	if c := (AdaptConfig{}).withDefaults(3, 0); c.MinBatch != 2 {
-		t.Fatalf("MinBatch floor: %+v", c)
-	}
-	// An explicit MaxSpec below the policy's own budget is raised to it:
-	// confidence must never narrow the draft set.
-	if c := (AdaptConfig{MaxSpec: 8}).withDefaults(10, 40); c.MaxSpec != 40 {
-		t.Fatalf("MaxSpec must not undercut the policy budget: %+v", c)
-	}
-	// No draft budget -> no spec ceiling to invent.
-	if c := (AdaptConfig{}).withDefaults(10, 0); c.MaxSpec != 0 {
-		t.Fatalf("MaxSpec without a SpecBudgeter policy: %+v", c)
-	}
-	// Explicit bounds are clamped into the valid range.
-	if c := (AdaptConfig{MinBatch: 99}).withDefaults(10, 0); c.MinBatch != 10 {
-		t.Fatalf("MinBatch clamp: %+v", c)
-	}
-	if c := (AdaptConfig{LowErr: 0.3, HighErr: 0.1}).withDefaults(10, 0); c.HighErr <= c.LowErr {
-		t.Fatalf("HighErr must stay above LowErr: %+v", c)
-	}
-}
-
+// TestAdaptControllerLaws pins the three laws on the controller's
+// constants: budgets start full; perfectly-ranked rounds earn the floor
+// batch, four times the policy's draft budget and a window of 2; a
+// sibling task keeps its own budget; drift recovers the full batch.
 func TestAdaptControllerLaws(t *testing.T) {
-	ctrl := newAdaptController(AdaptConfig{MinBatch: 2, MaxDepth: 4}, 10, 512)
+	calibrated := func(batch, specBase int) *adaptController {
+		ctrl := newAdaptController(batch, specBase)
+		for i := 0; i < 12; i++ {
+			ctrl.observe("t0", []float64{3, 2, 1}, []float64{0.1, 0.2, 0.3})
+		}
+		return ctrl
+	}
 	// Before any observation: zero confidence, full budgets, serial depth.
+	ctrl := newAdaptController(10, 512)
 	if got := ctrl.verifyBudget("t0"); got != 10 {
 		t.Fatalf("unseen verify budget %d, want the full batch 10", got)
 	}
@@ -88,18 +69,16 @@ func TestAdaptControllerLaws(t *testing.T) {
 	if got := ctrl.targetDepth(); got != 1 {
 		t.Fatalf("unseen target depth %d, want 1", got)
 	}
-	// Perfectly-ranked rounds earn the floors and the full window.
-	for i := 0; i < 12; i++ {
-		ctrl.observe("t0", []float64{3, 2, 1}, []float64{0.1, 0.2, 0.3})
-	}
-	if got := ctrl.verifyBudget("t0"); got != 2 {
-		t.Fatalf("calibrated verify budget %d, want MinBatch 2", got)
+	// Perfectly-ranked rounds earn the floor and the full window.
+	ctrl = calibrated(10, 512)
+	if got := ctrl.verifyBudget("t0"); got != 5 {
+		t.Fatalf("calibrated verify budget %d, want the floor 5", got)
 	}
 	if got := ctrl.draftBudget("t0"); got != 2048 {
-		t.Fatalf("calibrated draft budget %d, want MaxSpec 2048", got)
+		t.Fatalf("calibrated draft budget %d, want 4x512", got)
 	}
-	if got := ctrl.targetDepth(); got != 4 {
-		t.Fatalf("calibrated target depth %d, want MaxDepth 4", got)
+	if got := ctrl.targetDepth(); got != 2 {
+		t.Fatalf("calibrated target depth %d, want 2", got)
 	}
 	// An uncalibrated sibling task keeps its own full budget.
 	if got := ctrl.verifyBudget("t1"); got != 10 {
@@ -117,6 +96,22 @@ func TestAdaptControllerLaws(t *testing.T) {
 	ctrl.observe("t0", []float64{1}, []float64{0.1})
 	if ctrl.taskCalib("t0") != before {
 		t.Fatal("a signal-free round must not move the tracker")
+	}
+	// The floor is half the batch, at least 2 and at most the batch
+	// itself; a policy with no draft budget gets no override.
+	for _, tc := range []struct{ batch, specBase, floor, draft int }{
+		{1, 0, 1, 0},
+		{3, 0, 2, 0},
+		{10, 0, 5, 0},
+		{3, 512, 2, 2048},
+	} {
+		c := calibrated(tc.batch, tc.specBase)
+		if got := c.verifyBudget("t0"); got != tc.floor {
+			t.Errorf("batch %d: calibrated verify budget %d, want %d", tc.batch, got, tc.floor)
+		}
+		if got := c.draftBudget("t0"); got != tc.draft {
+			t.Errorf("spec base %d: calibrated draft budget %d, want %d", tc.specBase, got, tc.draft)
+		}
 	}
 }
 
@@ -167,9 +162,8 @@ func tuneAdaptive(depth, parallelism int, m measure.Measurer) *Result {
 }
 
 // TestAdaptBudgetOffMatchesGolden pins that the controller is inert when
-// disabled: an Options literal that spells AdaptBudget: false (and an
-// explicit zero Adapt bounds struct) reproduces the pre-refactor golden
-// fingerprint bit for bit.
+// disabled: an Options literal that spells AdaptBudget: false reproduces
+// the pre-refactor golden fingerprint bit for bit.
 func TestAdaptBudgetOffMatchesGolden(t *testing.T) {
 	res := Tune(device.T4, twoTasks(), Options{
 		Trials:        60,
@@ -181,7 +175,6 @@ func TestAdaptBudgetOffMatchesGolden(t *testing.T) {
 		Parallelism:   1,
 		PipelineDepth: 1,
 		AdaptBudget:   false,
-		Adapt:         AdaptConfig{},
 	})
 	if got := resultFingerprint(res); got != preRefactorGolden {
 		t.Fatalf("AdaptBudget=false fingerprint %s, pre-refactor golden %s", got, preRefactorGolden)

@@ -249,7 +249,7 @@ type blockingMeasurer struct {
 }
 
 func (b *blockingMeasurer) Info() measure.Info {
-	return measure.Info{Name: "blocking", Concurrency: 1}
+	return measure.Info{Name: "blocking"}
 }
 
 func (b *blockingMeasurer) Measure(ctx context.Context, req measure.Request) ([]measure.Result, error) {
@@ -356,7 +356,7 @@ type failAfterMeasurer struct {
 }
 
 func (f *failAfterMeasurer) Info() measure.Info {
-	return measure.Info{Name: "fail-after", Concurrency: 1, MeasureNoise: f.adapter().Info().MeasureNoise}
+	return measure.Info{Name: "fail-after", MeasureNoise: f.adapter().Info().MeasureNoise}
 }
 
 func (f *failAfterMeasurer) Measure(ctx context.Context, req measure.Request) ([]measure.Result, error) {
@@ -452,7 +452,7 @@ type taskFailMeasurer struct {
 }
 
 func (f *taskFailMeasurer) Info() measure.Info {
-	return measure.Info{Name: "task-fail", Concurrency: 1, MeasureNoise: f.adapter().Info().MeasureNoise}
+	return measure.Info{Name: "task-fail", MeasureNoise: f.adapter().Info().MeasureNoise}
 }
 
 func (f *taskFailMeasurer) Measure(ctx context.Context, req measure.Request) ([]measure.Result, error) {

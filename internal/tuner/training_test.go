@@ -47,7 +47,7 @@ func TestTuneTrainingCostLinearInRounds(t *testing.T) {
 	if len(spy.reports) < trials/batch/2 {
 		t.Fatalf("too few online fits recorded: %d", len(spy.reports))
 	}
-	replay := 4 * batch // the Replay default
+	replay := 4 * batch // a non-MoA session's replay sample
 	perFit := batch + replay
 	var total int
 	for i, rep := range spy.reports {
@@ -62,24 +62,5 @@ func TestTuneTrainingCostLinearInRounds(t *testing.T) {
 	// rounds (round r visited r*batch samples per epoch).
 	if bound := len(spy.reports) * perFit * epochs; total > bound {
 		t.Fatalf("session SampleVisits %d exceeds the linear bound %d", total, bound)
-	}
-
-	// Replay < 0 disables the history sample entirely: fresh records only.
-	spy = &spyModel{Model: costmodel.NewPaCM(3)}
-	Tune(device.T4, twoTasks(), Options{
-		Trials:      60,
-		BatchSize:   batch,
-		Policy:      search.NewPrunerPolicy(),
-		Model:       spy,
-		OnlineTrain: true,
-		Fit:         costmodel.FitOptions{Epochs: epochs},
-		Replay:      -1,
-		Seed:        9,
-		Parallelism: 1,
-	})
-	for i, rep := range spy.reports {
-		if rep.Samples > batch {
-			t.Fatalf("Replay<0 fit %d saw %d samples, want <= %d", i, rep.Samples, batch)
-		}
 	}
 }

@@ -57,17 +57,6 @@ type Options struct {
 	OnlineTrain bool
 	// Fit configures each online training call.
 	Fit costmodel.FitOptions
-	// Replay bounds each incremental online fit: the fit sees the records
-	// measured since the last fit plus Replay records sampled from earlier
-	// rounds (so per-session training cost grows linearly with rounds, not
-	// quadratically). 0 selects 4*BatchSize — 12*BatchSize under MoA,
-	// whose every update re-initialises the target from the Siamese and
-	// therefore leans harder on the sample — and negative disables
-	// replay. Set it very large (it is capped at the history size) to
-	// recover the old full-history refit. The sample comes from a
-	// dedicated deterministic stream, so sessions stay bitwise
-	// reproducible at any Parallelism.
-	Replay int
 	// Adaptation + Pretrained select the cross-platform strategy.
 	Adaptation Adaptation
 	Pretrained []*nn.Tensor
@@ -99,7 +88,7 @@ type Options struct {
 	// round-r online fit, committing results in strict round order so a
 	// fixed depth is still bitwise reproducible at any Parallelism and
 	// across measurement backends. Ignored when AdaptBudget is set: the
-	// controller then owns the window (1..Adapt.MaxDepth), which makes
+	// controller then owns the window (1..2), which makes
 	// adaptive sessions bitwise identical at any requested depth.
 	PipelineDepth int
 	// AdaptBudget enables the calibration-driven budget controller
@@ -111,9 +100,6 @@ type Options struct {
 	// calibrated. Off (the default), the engine is bitwise identical to
 	// the fixed-budget loop.
 	AdaptBudget bool
-	// Adapt bounds the controller; zero fields select defaults. Only
-	// read when AdaptBudget is set.
-	Adapt AdaptConfig
 	// Cost overrides the simulated-clock constants; zero uses defaults.
 	Cost simulator.CostParams
 	// Ctx optionally bounds the session: cancellation is observed inside
@@ -185,13 +171,6 @@ func (o Options) withDefaults(dev *device.Device) Options {
 	if o.Fit.Epochs == 0 {
 		o.Fit.Epochs = 8
 	}
-	if o.Replay == 0 {
-		if o.Adaptation == AdaptMoA {
-			o.Replay = 12 * o.BatchSize
-		} else {
-			o.Replay = 4 * o.BatchSize
-		}
-	}
 	if o.Adaptation == AdaptMoA {
 		// Each MoA update re-initialises the target from the Siamese, so
 		// the fine-tune must re-absorb its training slice — the fresh
@@ -211,6 +190,18 @@ func (o Options) trainEvery() int {
 		return 2
 	}
 	return 1
+}
+
+// replay is how many older records each incremental online fit samples
+// beside the records measured since the last fit, which keeps a
+// session's training cost linear in rounds: four batches, or twelve
+// under MoA, whose every update re-initialises the target from the
+// Siamese and therefore leans harder on the sample.
+func (o Options) replay() int {
+	if o.Adaptation == AdaptMoA {
+		return 12 * o.BatchSize
+	}
+	return 4 * o.BatchSize
 }
 
 // taskState tracks per-task tuning progress.
@@ -364,7 +355,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		if sb, ok := opt.Policy.(search.SpecBudgeter); ok {
 			specBase = sb.SpecBudget()
 		}
-		ctrl = newAdaptController(opt.Adapt, opt.BatchSize, specBase)
+		ctrl = newAdaptController(opt.BatchSize, specBase)
 	}
 
 	states := make([]*taskState, len(tasks))
@@ -555,11 +546,8 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	trainOnline := func(committed *inflight) {
 		fresh := allRecords[trainedTo:]
 		fitRecs := fresh
-		if history := allRecords[:trainedTo]; len(history) > 0 && opt.Replay > 0 {
-			k := opt.Replay
-			if k > len(history) {
-				k = len(history)
-			}
+		if history := allRecords[:trainedTo]; len(history) > 0 {
+			k := min(opt.replay(), len(history))
 			fitRecs = make([]costmodel.Record, 0, len(fresh)+k)
 			fitRecs = append(fitRecs, fresh...)
 			for _, i := range trainRNG.Perm(len(history))[:k] {
@@ -768,7 +756,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				csp.End(obs.Bool("err", true))
 				return false
 			}
-			measure.ApplyNoise(f.results, st.rng, minfo.MeasureNoise)
+			simulator.ApplyNoise(f.results, st.rng, minfo.MeasureNoise)
 			lats := make([]float64, len(f.results))
 			for i, r := range f.results {
 				lats[i] = r.Latency
@@ -817,7 +805,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	// identical at any Parallelism, requested depth, or backend.
 	maxDepth := opt.PipelineDepth
 	if ctrl != nil {
-		maxDepth = ctrl.cfg.MaxDepth
+		maxDepth = adaptMaxDepth
 	}
 	window := make([]*inflight, 0, maxDepth)
 	for planned := 0; planned < rounds || len(window) > 0; {

@@ -44,8 +44,6 @@ type (
 	Model = costmodel.Model
 	// ProgressEvent is one round of live session progress (Config.Progress).
 	ProgressEvent = tuner.ProgressEvent
-	// AdaptBounds bounds the adaptive budget controller (Config.Adapt).
-	AdaptBounds = tuner.AdaptConfig
 	// Pool is a shared worker budget; sessions handed the same Pool never
 	// exceed its concurrency in total (the tuning daemon relies on this).
 	Pool = parallel.Pool
@@ -316,9 +314,6 @@ type Config struct {
 	// budget on well-modeled tasks. Off (the default), sessions are
 	// bitwise identical to fixed-budget tuning. See DESIGN.md §14.
 	AdaptBudget bool
-	// Adapt bounds the adaptive controller (zero fields use defaults);
-	// only read when AdaptBudget is set.
-	Adapt AdaptBounds
 	// Ctx cancels the session between measurement rounds; the partial
 	// Result (Interrupted set) is still valid. nil never cancels.
 	Ctx context.Context
@@ -354,7 +349,6 @@ func Tune(dev *Device, net *Network, cfg Config) (*Result, error) {
 		Measurer:      cfg.Measurer,
 		PipelineDepth: cfg.PipelineDepth,
 		AdaptBudget:   cfg.AdaptBudget,
-		Adapt:         cfg.Adapt,
 		Ctx:           cfg.Ctx,
 		Progress:      cfg.Progress,
 		WarmStart:     cfg.WarmStart,
