@@ -1,16 +1,22 @@
-// The GEMM strip: every dense contraction of the learned models — the
-// forward x@W (matmulFused), dX = g@Wᵀ and dW += xᵀ@g (affineBackward) —
-// is a loop over pairs of output rows, each pair one call of
+// The GEMM strip: every contraction of the learned models — the forward
+// x@W (matmulFused), dX = g@Wᵀ and dW += xᵀ@g (affineBackward), and the
+// attention core's scores Q·Kᵀ and value mix P·V (attendIn) and its
+// gradients dP = G·Vᵀ, dV = Pᵀ·G, dQ = dS·K and dK = dSᵀ·Q
+// (attendBackward) — is a loop over pairs of output rows, each pair one
+// call of
 //
 //	o0[j] += Σ_k a[off0 + k·lda] · b[k·ldb + j]
 //	o1[j] += Σ_k a[off1 + k·lda] · b[k·ldb + j]        k < K, j < len(o0)
 //
 // with k ascending per element and a step k skipped when both of its
-// scalars are zero. The forward and dX read their scalars along a row
-// (lda = 1); dW reads them down a column of x (lda = K), so no transposed
-// copy of the activations is made. An odd last row runs as both rows of
-// its strip (o1 = o0, off1 = off0): the two halves compute the same
-// values and store them to the same place.
+// scalars are zero. The forward, dX, the scores, the value mix, dP and dQ
+// read their scalars along a row (lda = 1); dW, dV and dK read them down
+// a column (lda = K for x, n for a segment's P or dS), so no transposed
+// copy of the scalars is made. Where the output columns are another
+// matrix's rows — dX's Wᵀ, the scores' Kᵀ, dP's Vᵀ — b is a transposed
+// panel of it on the arena. An odd last row runs as both rows of its
+// strip (o1 = o0, off1 = off0): the two halves compute the same values and
+// store them to the same place (stripRows).
 //
 // The strip exists three times, picked once at init from what the
 // processor and the operating system report, never by an option: an

@@ -106,7 +106,8 @@ var zeroPatterns = [][2]bool{{true, true}, {true, false}, {false, true}, {false,
 // contiguous (lda = 1) and strided (lda = K) scalars, an odd row run as
 // both rows of its strip, ±0.0, denormal and 1e±300 operands and every
 // zeroPatterns step; then through the forward and both gradient GEMMs
-// over odd row counts, dense and ReLU-sparse.
+// over odd row counts, dense and ReLU-sparse; then through the attention
+// core's forward and backward (attendMatchesGo).
 func TestGemmBlockMatchesGo(t *testing.T) {
 	for _, kernel := range simdKernels {
 		t.Run(kernelNames[kernel], func(t *testing.T) {
@@ -130,6 +131,11 @@ func TestGemmBlockMatchesGo(t *testing.T) {
 							affineMatchesGo(t, rng, kernel, name, r, k, c, relu)
 						}
 					}
+				}
+			}
+			for _, n := range []int{1, 2, 3, 10, 24} {
+				for _, c := range []int{5, 48, 64} {
+					attendMatchesGo(t, rng, kernel, n, c)
 				}
 			}
 		})
@@ -202,6 +208,220 @@ func affineMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, r, k
 	bitsEqual(t, name+" forward", got.Data, want.Data)
 	for i, pn := range []string{" dX", " dW", " db"} {
 		bitsEqual(t, name+pn, gotGrads[i], wantGrads[i])
+	}
+}
+
+// attendMatchesGo runs the attention core's forward and backward, from
+// zeroed gradients, on kernel, on the Go strip and as the scalar loops it
+// replaced (attendRef, attendBackwardRef), over segments of n, 2 and n
+// rows, c wide, with about half the operands ±0.0; it compares the
+// values, the softmax blocks and the q, k and v gradients bit for bit.
+// The first query row is all zero, a uniform softmax whose every score
+// step is skipped when it runs alone (n = 1); the last row's scores fall
+// 1e4·scale apart, so its softmax underflows to exact zeros (n ≥ 2).
+func attendMatchesGo(t *testing.T, rng *rand.Rand, kernel, n, c int) {
+	t.Helper()
+	name := fmt.Sprintf("attend n=%d C=%d", n, c)
+	lens := []int{n, 2, n}
+	r := 2*n + 2
+	q, k, v := randParam(rng, r, c), randParam(rng, r, c), randParam(rng, r, c)
+	outGrad := randParam(rng, r, c)
+	for _, x := range []*Tensor{q, k, v, outGrad} {
+		reluSparse(rng, x)
+	}
+	clear(q.Data[:c])
+	last := q.Data[(r-1)*c:]
+	clear(last)
+	last[0] = 1e4
+	for j := 0; j < n; j++ {
+		k.Data[(r-n+j)*c] = -float64(j)
+	}
+	scale := 1 / math.Sqrt(float64(c))
+	maxN := checkSegments("attention", lens, r)
+	pass := func(ref bool) [5][]float64 {
+		for _, p := range []*Tensor{q, k, v} {
+			p.requiresGrad = true
+			p.Grad = make([]float64, len(p.Data))
+		}
+		var out *Tensor
+		var probs []float64
+		if ref {
+			out, probs = attendRef(q, k, v, lens, scale)
+		} else {
+			out, probs = attendIn(nil, q, k, v, lens, maxN, scale)
+		}
+		out.Grad = outGrad.Data
+		if ref {
+			attendBackwardRef(nil, q, k, v, out, lens, probs, scale)
+		} else {
+			attendBackward(nil, q, k, v, out, lens, probs, scale)
+		}
+		return [5][]float64{out.Data, probs, q.Grad, k.Grad, v.Grad}
+	}
+	var got, goStrip [5][]float64
+	onKernel(kernel, func() { got = pass(false) })
+	onGoKernel(func() { goStrip = pass(false) })
+	ref := pass(true)
+	if lastRow := ref[1][len(ref[1])-n:]; n >= 2 && lastRow[n-1] != 0 {
+		t.Fatalf("%s: the last row's softmax did not underflow: %v", name, lastRow)
+	}
+	for i, part := range []string{" forward", " softmax", " dQ", " dK", " dV"} {
+		bitsEqual(t, name+part+" against Go", got[i], goStrip[i])
+		bitsEqual(t, name+part+" Go against the scalar loops", goStrip[i], ref[i])
+	}
+}
+
+// attendRef is the attention core's forward as the scalar loops that ran
+// it before the strip: per segment, the scaled scores, each row's
+// softmax and the value mix.
+func attendRef(q, k, v *Tensor, lens []int, scale float64) (ctx *Tensor, probs []float64) {
+	ctx = New(q.R, q.C)
+	n2 := 0
+	for _, n := range lens {
+		n2 += n * n
+	}
+	probs = make([]float64, n2)
+	off, pOff := 0, 0
+	for _, n := range lens {
+		P := probs[pOff : pOff+n*n]
+		scoresRef(P, q, k, off, n, scale)
+		for i := 0; i < n; i++ {
+			softmaxRow(P[i*n : i*n+n])
+		}
+		mixRef(ctx, P, v, off, n)
+		off += n
+		pOff += n * n
+	}
+	return ctx, probs
+}
+
+// scoresRef writes one segment's scaled scores into its n×n block P: the
+// full dot against each of the segment's keys in ascending order, then
+// one multiply by the scale. Query rows go in pairs sharing each key row
+// load.
+func scoresRef(P []float64, q, k *Tensor, off, n int, scale float64) {
+	C := q.C
+	r := 0
+	for ; r+2 <= n; r += 2 {
+		row0, row1 := P[r*n:r*n+n], P[(r+1)*n:(r+2)*n]
+		q0 := q.Data[(off+r)*C : (off+r)*C+C]
+		q1 := q.Data[(off+r+1)*C : (off+r+1)*C+C]
+		for jj := 0; jj < n; jj++ {
+			kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
+			var s0, s1 float64
+			for kk, kv := range kRow {
+				s0 += q0[kk] * kv
+				s1 += q1[kk] * kv
+			}
+			row0[jj] = s0 * scale
+			row1[jj] = s1 * scale
+		}
+	}
+	if r < n {
+		row0 := P[r*n : r*n+n]
+		qRow := q.Data[(off+r)*C : (off+r)*C+C]
+		for jj := 0; jj < n; jj++ {
+			kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
+			var sc float64
+			for kk, kv := range kRow {
+				sc += qRow[kk] * kv
+			}
+			row0[jj] = sc * scale
+		}
+	}
+}
+
+// mixRef adds one segment's value mix P·V to its rows of ctx, ascending
+// over the segment's value rows, query rows in pairs.
+func mixRef(ctx *Tensor, P []float64, v *Tensor, off, n int) {
+	C := ctx.C
+	r := 0
+	for ; r+2 <= n; r += 2 {
+		row0, row1 := P[r*n:r*n+n], P[(r+1)*n:(r+2)*n]
+		c0 := ctx.Data[(off+r)*C : (off+r)*C+C]
+		c1 := ctx.Data[(off+r+1)*C : (off+r+1)*C+C]
+		for jj := 0; jj < n; jj++ {
+			a0, a1 := row0[jj], row1[jj]
+			vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
+			for c2, vv := range vRow {
+				c0[c2] += a0 * vv
+				c1[c2] += a1 * vv
+			}
+		}
+	}
+	if r < n {
+		cRow := ctx.Data[(off+r)*C : (off+r)*C+C]
+		for jj, av := range P[r*n : r*n+n] {
+			vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
+			for c2, vv := range vRow {
+				cRow[c2] += av * vv
+			}
+		}
+	}
+}
+
+// attendBackwardRef is attendBackward as the scalar loops that ran it
+// before the strip.
+func attendBackwardRef(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float64, scale float64) {
+	C := q.C
+	maxN := 0
+	for _, n := range lens {
+		maxN = max(maxN, n)
+	}
+	dP := s.floats(maxN * maxN)
+	dV, dK, dQ := s.floats(maxN*C), s.floats(maxN*C), s.floats(maxN*C)
+	off, pOff := out.R, len(probs)
+	for sg := len(lens) - 1; sg >= 0; sg-- {
+		n := lens[sg]
+		off -= n
+		pOff -= n * n
+		P := probs[pOff : pOff+n*n]
+		G := out.Grad[off*C : (off+n)*C]
+		dv, dk, dq, dp := dV[:n*C], dK[:n*C], dQ[:n*C], dP[:n*n]
+		clear(dv)
+		clear(dk)
+		clear(dq)
+		for i := 0; i < n; i++ {
+			gRow := G[i*C : i*C+C]
+			for j := 0; j < n; j++ {
+				vRow := v.Data[(off+j)*C : (off+j)*C+C]
+				var dot float64
+				for c, gv := range gRow {
+					dot += gv * vRow[c]
+				}
+				dp[i*n+j] = dot
+				p := P[i*n+j]
+				dvRow := dv[j*C : j*C+C]
+				for c, gv := range gRow {
+					dvRow[c] += p * gv
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			row, grow := P[i*n:i*n+n], dp[i*n:i*n+n]
+			var dot float64
+			for j := range row {
+				dot += grow[j] * row[j]
+			}
+			for j := range row {
+				grow[j] = row[j] * (grow[j] - dot) * scale
+			}
+		}
+		for i := 0; i < n; i++ {
+			qRow := q.Data[(off+i)*C : (off+i)*C+C]
+			dqRow := dq[i*C : i*C+C]
+			for j, sv := range dp[i*n : i*n+n] {
+				kRow := k.Data[(off+j)*C : (off+j)*C+C]
+				dkRow := dk[j*C : j*C+C]
+				for c, kv := range kRow {
+					dqRow[c] += sv * kv
+					dkRow[c] += qRow[c] * sv
+				}
+			}
+		}
+		addRows(v, off, dv)
+		addRows(k, off, dk)
+		addRows(q, off, dq)
 	}
 }
 
@@ -295,6 +515,81 @@ func BenchmarkGemmBlock(b *testing.B) {
 					}
 				})
 			})
+		}
+	}
+}
+
+// BenchmarkAttend times the attention core's products over 32 segments
+// at PaCM's shape (10 rows, 48 wide) and TLP's (24 rows, 64 wide), on
+// each kernel and as the scalar loops the strip replaced ("scalar"):
+// scores is Q·Kᵀ times the scale (the keys' transposed panel included,
+// the softmax not), mix is P·V, backward is the whole attendBackward.
+func BenchmarkAttend(b *testing.B) {
+	rng := rand.New(rand.NewSource(162))
+	const segs = 32
+	for _, sh := range []struct{ n, c int }{{10, 48}, {24, 64}} {
+		n, C := sh.n, sh.c
+		q, k, v := randParam(rng, segs*n, C), randParam(rng, segs*n, C), randParam(rng, segs*n, C)
+		lens := make([]int, segs)
+		for i := range lens {
+			lens[i] = n
+		}
+		scale := 1 / math.Sqrt(float64(C))
+		out, probs := attendIn(nil, q, k, v, lens, n, scale)
+		out.Grad = randParam(rng, segs*n, C).Data
+		kT, P, ctx := make([]float64, C*n), make([]float64, segs*n*n), New(segs*n, C)
+		halves := []struct {
+			name         string
+			strip, loops func(s *Scratch)
+		}{
+			{"scores", func(*Scratch) {
+				for off := 0; off < segs*n; off += n {
+					Pb := P[off*n : (off+n)*n]
+					clear(Pb)
+					transposeInto(kT, k.Data[off*C:(off+n)*C], n, C)
+					stripRows(Pb, n, q.Data, off*C, C, 1, kT, n, C)
+					for j := range Pb {
+						Pb[j] *= scale
+					}
+				}
+			}, func(*Scratch) {
+				for off := 0; off < segs*n; off += n {
+					scoresRef(P[off*n:(off+n)*n], q, k, off, n, scale)
+				}
+			}},
+			{"mix", func(*Scratch) {
+				clear(ctx.Data)
+				for off := 0; off < segs*n; off += n {
+					stripRows(ctx.Data[off*C:(off+n)*C], C, probs, off*n, n, 1, v.Data[off*C:], C, n)
+				}
+			}, func(*Scratch) {
+				clear(ctx.Data)
+				for off := 0; off < segs*n; off += n {
+					mixRef(ctx, probs[off*n:(off+n)*n], v, off, n)
+				}
+			}},
+			{"backward", func(s *Scratch) {
+				attendBackward(s, q, k, v, out, lens, probs, scale)
+			}, func(s *Scratch) {
+				attendBackwardRef(s, q, k, v, out, lens, probs, scale)
+			}},
+		}
+		shape := fmt.Sprintf("n%dc%d", n, C)
+		for _, h := range halves {
+			run := func(b *testing.B, f func(*Scratch)) {
+				var s Scratch
+				for i := 0; i < b.N; i++ {
+					s.Reset()
+					f(&s)
+				}
+			}
+			b.Run("scalar/"+shape+"/"+h.name, func(b *testing.B) { run(b, h.loops) })
+			for _, kernel := range []int{kernelGo, kernelAVX2, kernelAVX512} {
+				b.Run(kernelNames[kernel]+"/"+shape+"/"+h.name, func(b *testing.B) {
+					needKernel(b, kernel)
+					onKernel(kernel, func() { run(b, h.strip) })
+				})
+			}
 		}
 	}
 }

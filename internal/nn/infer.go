@@ -35,7 +35,7 @@ import (
 // skipped, matching the reference's per-term zero-skip; feature rows'
 // structurally-zero columns never reach it (compactRowsIn). The engine
 // counters tally forward GEMMs, so they are bumped here and not in the
-// strip the backward shares.
+// strip the backward and the attention core share.
 func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	if x.C != w.R {
 		panic(fmt.Sprintf("nn: matmulFused %dx%d @ %dx%d", x.R, x.C, w.R, w.C))
@@ -210,12 +210,15 @@ func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 }
 
 // attendIn is the attention core over precomputed projections, the
-// forward of the tape node attend: per segment, scaled scores, softmax
-// and the value mix, with each value accumulated in the order of the
+// forward of the tape node attend, for segment lengths attend has
+// checked (maxN the longest). Per segment it runs the scores Q·Kᵀ on the
+// strip over a transposed panel of the segment's keys, multiplies each
+// finished dot by scale, takes each row's softmax, and runs the value mix
+// P·V on the strip: every value accumulated in the order of the
 // per-segment composition softmax(scale · qs ksᵀ) vs. It also returns the
 // softmax rows, one n×n block per segment in segment order, on s: the
 // training node's saved state.
-func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tensor, probs []float64) {
+func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) (ctx *Tensor, probs []float64) {
 	C := q.C
 	ctx = s.tensor(q.R, C)
 	n2 := 0
@@ -223,70 +226,47 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, scale float64) (ctx *Tens
 		n2 += n * n
 	}
 	probs = s.floats(n2)
+	kT := s.floats(C * maxN)
 	off, pOff := 0, 0
 	for _, n := range lens {
-		// Query rows go in pairs sharing each key/value row load.
-		r := off
-		for ; r+2 <= off+n; r += 2 {
-			row0 := probs[pOff+(r-off)*n : pOff+(r-off+1)*n]
-			row1 := probs[pOff+(r-off+1)*n : pOff+(r-off+2)*n]
-			q0 := q.Data[r*C : r*C+C]
-			q1 := q.Data[(r+1)*C : (r+1)*C+C]
-			// Scaled scores against the segment's keys: the full dot in
-			// ascending order, then one multiply by the scale.
-			for jj := 0; jj < n; jj++ {
-				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
-				var s0, s1 float64
-				for kk, kv := range kRow {
-					s0 += q0[kk] * kv
-					s1 += q1[kk] * kv
-				}
-				row0[jj] = s0 * scale
-				row1[jj] = s1 * scale
+		P := probs[pOff : pOff+n*n]
+		transposeInto(kT, k.Data[off*C:(off+n)*C], n, C)
+		stripRows(P, n, q.Data, off*C, C, 1, kT, n, C)
+		for i := 0; i < n; i++ {
+			row := P[i*n : i*n+n]
+			for j := range row {
+				row[j] *= scale
 			}
-			softmaxRow(row0)
-			softmaxRow(row1)
-			// ctx rows = attn @ values, ascending over the segment. A
-			// softmax weight is only zero on deep underflow; the exact
-			// ±0.0 term it then contributes is harmless (finite values).
-			c0 := ctx.Data[r*C : r*C+C]
-			c1 := ctx.Data[(r+1)*C : (r+1)*C+C]
-			for jj := 0; jj < n; jj++ {
-				a0, a1 := row0[jj], row1[jj]
-				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
-				for c2, vv := range vRow {
-					c0[c2] += a0 * vv
-					c1[c2] += a1 * vv
-				}
-			}
+			softmaxRow(row)
 		}
-		if r < off+n {
-			row0 := probs[pOff+(r-off)*n : pOff+(r-off+1)*n]
-			qRow := q.Data[r*C : r*C+C]
-			for jj := 0; jj < n; jj++ {
-				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
-				var sc float64
-				for kk, kv := range kRow {
-					sc += qRow[kk] * kv
-				}
-				row0[jj] = sc * scale
-			}
-			softmaxRow(row0)
-			cRow := ctx.Data[r*C : r*C+C]
-			for jj, av := range row0 {
-				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
-				for c2, vv := range vRow {
-					cRow[c2] += av * vv
-				}
-			}
-		}
+		// A softmax weight is only zero on deep underflow; the exact ±0.0
+		// term it contributes, or the step the strip skips, is harmless.
+		stripRows(ctx.Data[off*C:(off+n)*C], C, P, 0, n, 1, v.Data[off*C:], C, n)
 		off += n
 		pOff += n * n
 	}
-	if off != q.R {
-		panic(fmt.Sprintf("nn: attention segment lengths sum to %d, tensor has %d rows", off, q.R))
-	}
 	return ctx, probs
+}
+
+// stripRows runs the strip over every row of the c-wide output block o,
+// two rows a call: row i's K scalars start at a[aOff + i·aStep], lda
+// apart. An odd last row is both rows of its strip.
+func stripRows(o []float64, c int, a []float64, aOff, aStep, lda int, b []float64, ldb, K int) {
+	r := len(o) / c
+	for i := 0; i < r; i += 2 {
+		i1 := min(i+1, r-1)
+		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K)
+	}
+}
+
+// transposeInto writes the r×c matrix src transposed, c×r, into dst: the
+// panel a strip runs over when its output columns are src's rows.
+func transposeInto(dst, src []float64, r, c int) {
+	for i := 0; i < r; i++ {
+		for j, x := range src[i*c : i*c+c] {
+			dst[j*r+i] = x
+		}
+	}
 }
 
 // softmaxRow replaces a row by its softmax in place: max-shifted
@@ -353,16 +333,7 @@ func layerNormRowsIn(s *Scratch, x, g, b *Tensor, saved []float64) *Tensor {
 // alone — the reduction that pools a whole candidate batch's statement
 // rows after one fused GEMM.
 func segmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	total := 0
-	for sg, n := range lens {
-		if n <= 0 {
-			panic(fmt.Sprintf("nn: SegmentSumRows segment %d has length %d", sg, n))
-		}
-		total += n
-	}
-	if total != x.R {
-		panic(fmt.Sprintf("nn: SegmentSumRows lengths sum to %d, tensor has %d rows", total, x.R))
-	}
+	checkSegments("SegmentSumRows", lens, x.R)
 	out := s.tensor(len(lens), x.C)
 	row := 0
 	for sg, n := range lens {
@@ -376,6 +347,23 @@ func segmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 		}
 	}
 	return out
+}
+
+// checkSegments panics, naming op, unless every segment length is at
+// least 1 and they sum to rows, and returns the longest.
+func checkSegments(op string, lens []int, rows int) (maxN int) {
+	total := 0
+	for sg, n := range lens {
+		if n <= 0 {
+			panic(fmt.Sprintf("nn: %s segment %d has length %d", op, sg, n))
+		}
+		total += n
+		maxN = max(maxN, n)
+	}
+	if total != rows {
+		panic(fmt.Sprintf("nn: %s lengths sum to %d, tensor has %d rows", op, total, rows))
+	}
+	return maxN
 }
 
 // segmentMeanRowsIn averages contiguous row segments of x (see

@@ -124,6 +124,32 @@ func TestSegmentOpsPanicOnBadLengths(t *testing.T) {
 	}
 }
 
+// TestAttentionPanicsOnBadLengths checks the attention core's segment
+// lengths before it uses any: lengths that fall short of the rows, run
+// past them, or include an empty segment each panic with the named
+// message, not a slice-bounds one.
+func TestAttentionPanicsOnBadLengths(t *testing.T) {
+	q, k, v := New(4, 3), New(4, 3), New(4, 3)
+	for _, tc := range []struct {
+		name string
+		lens []int
+		want string
+	}{
+		{"short", []int{1, 2}, "nn: attention lengths sum to 3, tensor has 4 rows"},
+		{"long", []int{3, 3}, "nn: attention lengths sum to 6, tensor has 4 rows"},
+		{"zero", []int{4, 0}, "nn: attention segment 1 has length 0"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			attend(q, k, v, tc.lens, 1)
+		}()
+	}
+}
+
 // TestCompactRowsRaggedAfterFullScan puts a ragged row after the point
 // where every column is already used and the scan for used columns
 // stops: it must still be reported as ragged, longer or shorter.

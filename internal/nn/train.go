@@ -76,11 +76,7 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		// in ascending order into a fresh accumulator, then added to
 		// x.Grad — the chain's xGrad[k] += dot.
 		wT := s.floats(C * K)
-		for k := 0; k < K; k++ {
-			for j, wv := range w.Data[k*C : k*C+C] {
-				wT[j*K+k] = wv
-			}
-		}
+		transposeInto(wT, w.Data, K, C)
 		acc := s.floats(2 * K)
 		for i := 0; i < x.R; i += 2 {
 			i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
@@ -98,20 +94,19 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		// each step's two scalars read down columns k and k+1 of x (lda =
 		// K), so no transposed copy of x is made. An odd last W row is both
 		// rows of its strip.
-		for k := 0; k < K; k += 2 {
-			k1 := min(k+1, K-1)
-			gemmStrip(w.Grad[k*C:k*C+C], w.Grad[k1*C:k1*C+C], x.Data, k, k1, K, g, C, x.R)
-		}
+		stripRows(w.Grad, C, x.Data, 0, 1, K, g, C, x.R)
 	}
 }
 
 // attend is the attention core on the tape: one node over the gathered
-// projections q, k, v, whatever the number of segments. Its forward is
-// attendIn, whose softmax blocks it keeps on the tape; its backward
-// (attendBackward) is pinned bit for bit by TestAttentionTapePinned.
+// projections q, k, v, whatever the number of segments. The segment
+// lengths are checked before any is used. Its forward is attendIn, whose
+// softmax blocks it keeps on the tape; its backward (attendBackward) is
+// pinned bit for bit by TestAttentionTapePinned.
 func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
+	maxN := checkSegments("attention", lens, q.R)
 	s, grad := opArena(q, k, v)
-	out, probs := attendIn(s, q, k, v, lens, scale)
+	out, probs := attendIn(s, q, k, v, lens, maxN, scale)
 	return out.link(grad, node{op: opAttention, a: q, b: k, c: v, ints: lens, saved: probs, k: scale})
 }
 
@@ -120,52 +115,39 @@ func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
 // gradients in that order: the accumulation order of the per-segment
 // operator chain (slice, transpose, scores, scale, softmax, value mix,
 // stack) it replaced, whose digest TestAttentionTapePinned keeps. Per
-// segment, with P the saved softmax block and G the output gradient rows:
+// segment, with P the saved softmax block and G the output gradient rows,
+// every product but dS runs on the strip, each element summed in
+// ascending order from zero:
 //
-//	dP = G Vᵀ            each element one dot over columns, ascending
-//	dV = Pᵀ G            each element summed over query rows, ascending
+//	dP = G Vᵀ   over a transposed panel of the segment's values
+//	dV = Pᵀ G   P's scalars read down its columns (lda = n)
 //	dS = P ∘ (dP − rowsum(dP ∘ P)) · scale
-//	dK = dSᵀ Q, dQ = dS K  (as dV and dP)
+//	dQ = dS K
+//	dK = dSᵀ Q  dS read down its columns; q·s for s·q commutes exactly
 //
 // dV, dK and dQ are accumulated in scratch blocks and then added to the
 // operands' gradients. Temporaries come from s.
 //
 //pruner:hotpath
 func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float64, scale float64) {
-	C := q.C
-	maxN := 0
-	for _, n := range lens {
-		maxN = max(maxN, n)
-	}
+	C, maxN := q.C, checkSegments("attention", lens, out.R)
 	dP := s.floats(maxN * maxN)
 	dV, dK, dQ := s.floats(maxN*C), s.floats(maxN*C), s.floats(maxN*C)
+	vT := s.floats(C * maxN)
 	off, pOff := out.R, len(probs)
 	for sg := len(lens) - 1; sg >= 0; sg-- {
 		n := lens[sg]
 		off -= n
 		pOff -= n * n
-		P := probs[pOff : pOff+n*n]
-		G := out.Grad[off*C : (off+n)*C]
+		P, at := probs[pOff:pOff+n*n], off*C // at: the segment's first element
 		dv, dk, dq, dp := dV[:n*C], dK[:n*C], dQ[:n*C], dP[:n*n]
 		clear(dv)
 		clear(dk)
 		clear(dq)
-		for i := 0; i < n; i++ {
-			gRow := G[i*C : i*C+C]
-			for j := 0; j < n; j++ {
-				vRow := v.Data[(off+j)*C : (off+j)*C+C]
-				var dot float64
-				for c, gv := range gRow {
-					dot += gv * vRow[c]
-				}
-				dp[i*n+j] = dot
-				p := P[i*n+j]
-				dvRow := dv[j*C : j*C+C]
-				for c, gv := range gRow {
-					dvRow[c] += p * gv
-				}
-			}
-		}
+		clear(dp)
+		transposeInto(vT, v.Data[at:at+n*C], n, C)
+		stripRows(dp, n, out.Grad, at, C, 1, vT, n, C)
+		stripRows(dv, C, P, 0, 1, n, out.Grad[at:], C, n)
 		for i := 0; i < n; i++ {
 			row, grow := P[i*n:i*n+n], dp[i*n:i*n+n]
 			var dot float64
@@ -176,18 +158,8 @@ func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float6
 				grow[j] = row[j] * (grow[j] - dot) * scale
 			}
 		}
-		for i := 0; i < n; i++ {
-			qRow := q.Data[(off+i)*C : (off+i)*C+C]
-			dqRow := dq[i*C : i*C+C]
-			for j, sv := range dp[i*n : i*n+n] {
-				kRow := k.Data[(off+j)*C : (off+j)*C+C]
-				dkRow := dk[j*C : j*C+C]
-				for c, kv := range kRow {
-					dqRow[c] += sv * kv
-					dkRow[c] += qRow[c] * sv
-				}
-			}
-		}
+		stripRows(dq, C, dp, 0, n, 1, k.Data[at:], C, n)
+		stripRows(dk, C, dp, 0, 1, n, q.Data[at:], C, n)
 		addRows(v, off, dv)
 		addRows(k, off, dk)
 		addRows(q, off, dq)
