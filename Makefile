@@ -117,10 +117,11 @@ bench:
 # model's frozen forward over one predict chunk and one whole training
 # step on a warmed replica (internal/costmodel), the sampler's budget check
 # Generator.Fits and the draft model Analyzer.Score to 0 heap allocations
-# per run, and schedule.Lower to 1 — the dynamic cross-check of the
-# static hotalloc analyzer over the same //pruner:hotpath roots.
+# per run, schedule.Lower to 1 and each feature family's first touch to
+# 2 (internal/features) — the dynamic cross-check of the static hotalloc
+# analyzer over the same //pruner:hotpath roots.
 bench-smoke:
-	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/costmodel ./internal/schedule ./internal/analyzer
+	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/costmodel ./internal/schedule ./internal/features ./internal/analyzer
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...
 	$(GO) test -run='^$$' -bench='BenchmarkTuneParallel|BenchmarkAblation_SAvsOracle' -benchtime=1x -timeout=20m .
 

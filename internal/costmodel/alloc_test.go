@@ -10,8 +10,9 @@ import (
 
 // TestAllocFitStep is the trainer's allocation gate, beside the nn
 // package's TestAlloc* gates and the measured twin of the hotalloc
-// analyzer over the //pruner:hotpath replica.step: once a replica's arena
-// has warmed to a group's shapes, one training pass — lowering through
+// analyzer over the //pruner:hotpath replica.step: once the arena a step
+// draws has warmed to a group's shapes (the pool hands back the arena
+// the last step parked), one training pass — lowering through
 // the session cache, batch assembly and dedup, the tape forward, the
 // LambdaRank loss and the backward into the gradient slot — allocates
 // nothing, for every learned model.

@@ -58,49 +58,59 @@ func predictBatched(pool *parallel.Pool, m arch, memo *schedule.Memo, t *ir.Task
 		for i := range lws {
 			lws[i] = memo.Lower(t, schs[lo+i])
 		}
-		s := getScratch()
-		scores := m.forward(s, lws)
+		a := getScratch()
+		scores := m.forward(&a.Scratch, lws)
 		for i := range lws {
 			out[lo+i] = scores.At(i, 0)
 		}
-		putScratch(s)
+		putScratch(a)
 	})
 	return out
 }
 
-// scratchPool is a typed free list of inference arenas, one drawn per
-// chunk. A plain mutex-guarded slice rather than sync.Pool:
-// Put/Get on a sync.Pool box the pointer through an interface (an
-// allocation per chunk — exactly what the arena exists to avoid), and
-// the GC may drop pooled arenas between rounds, refuting the warm-state
-// guarantee the AllocsPerRun gates measure.
+// arena is a pooled nn.Scratch, linked into the free list through next
+// while parked, so parking one never allocates.
+type arena struct {
+	nn.Scratch
+	next *arena
+}
+
+// scratchPool is the process's free list of arenas, shared by verify
+// (one drawn per predict chunk) and fit (one per replica step), so a new
+// session's first fit draws arenas its predicts already grew. A
+// mutex-guarded intrusive stack rather than sync.Pool: Put/Get on a
+// sync.Pool box the pointer through an interface (an allocation per
+// chunk — exactly what the arena exists to avoid), and the GC may drop
+// pooled arenas between rounds, refuting the warm-state guarantee the
+// AllocsPerRun gates measure. It has no cap: its length converges to the
+// peak number of chunks and steps in flight across every session's pool,
+// which nothing in the process bounds, and the last arena parked is the
+// first drawn.
 var scratchPool struct {
 	mu   sync.Mutex
-	free []*nn.Scratch
+	free *arena
 }
 
-// getScratch pops a warmed arena or builds a fresh one (cold path only:
-// the list converges to the pool's worker count).
-func getScratch() *nn.Scratch {
+// getScratch pops a warmed arena, or builds a fresh one when none is
+// parked (cold path only).
+func getScratch() *arena {
 	scratchPool.mu.Lock()
-	n := len(scratchPool.free)
-	if n == 0 {
-		scratchPool.mu.Unlock()
-		return &nn.Scratch{}
+	a := scratchPool.free
+	if a != nil {
+		scratchPool.free, a.next = a.next, nil
 	}
-	s := scratchPool.free[n-1]
-	scratchPool.free[n-1] = nil
-	scratchPool.free = scratchPool.free[:n-1]
 	scratchPool.mu.Unlock()
-	return s
+	if a == nil {
+		a = &arena{}
+	}
+	return a
 }
 
-// putScratch rewinds and parks an arena for the next chunk. The free
-// list's growth is bounded by peak chunk concurrency.
-func putScratch(s *nn.Scratch) {
-	s.Reset()
+// putScratch rewinds and parks an arena for the next chunk or step.
+func putScratch(a *arena) {
+	a.Reset()
 	scratchPool.mu.Lock()
-	scratchPool.free = append(scratchPool.free, s)
+	a.next, scratchPool.free = scratchPool.free, a
 	scratchPool.mu.Unlock()
 }
 

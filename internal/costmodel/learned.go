@@ -94,8 +94,9 @@ func (c *learned) Fit(recs []Record, opt FitOptions) FitReport {
 
 // TenSetMLP is the statement-feature MLP baseline (TenSet's cost model and
 // the stand-in for Ansor's learned model): every innermost statement's
-// 164-dim feature row is embedded, per-program embeddings are summed, and
-// a linear head emits the score.
+// feature row (164-dim as the model reads it, stored 50 wide) is
+// embedded, per-program embeddings are summed, and a linear head emits
+// the score.
 type TenSetMLP struct {
 	learned
 	embed *nn.MLP
@@ -135,7 +136,7 @@ func (m *TenSetMLP) Costs() Costs { return Costs{FeatureX: 1, InferX: 1, TrainX:
 //pruner:hotpath
 func (m *TenSetMLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	rows, lens := statementBatch(s, lws)
-	emb := m.embed.ForwardReLURows(s, rows)
+	emb := m.embed.ForwardReLURows(s, rows, features.StmtSignal)
 	return m.head.Forward(nn.SegmentSumRows(emb, lens))
 }
 
@@ -232,12 +233,12 @@ func (m *PaCM) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
 		rows, lens := statementBatch(s, lws)
-		emb := m.stmtEmbed.ForwardReLURows(s, rows)
+		emb := m.stmtEmbed.ForwardReLURows(s, rows, features.StmtSignal)
 		parts = nn.SegmentSumRows(emb, lens)
 	}
 	if m.UseDataflow {
 		uniq, idx, lens := dataflowBatch(s, lws)
-		tokens := nn.Tanh(m.dfProj.ForwardRows(s, uniq))
+		tokens := nn.Tanh(m.dfProj.ForwardRows(s, uniq, features.DataflowDim))
 		ctx := nn.SegmentMeanRows(m.dfAttn.ForwardSegmentsDedup(tokens, idx, lens), lens)
 		if parts == nil {
 			parts = ctx
@@ -297,7 +298,7 @@ func (m *TLP) Costs() Costs { return Costs{FeatureX: 0.35, InferX: 3.5, TrainX: 
 //pruner:hotpath
 func (m *TLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 	uniq, idx, lens := primitiveBatch(s, lws)
-	tokens := m.proj.ForwardRows(s, uniq)
+	tokens := m.proj.ForwardRows(s, uniq, features.PrimSignal)
 	x := m.attn.ForwardSegmentsDedup(tokens, idx, lens)
 	return m.head.Forward(nn.SegmentMeanRows(x, lens))
 }

@@ -17,11 +17,12 @@ import (
 // it, and the serial one-step-per-group fit loop.
 
 // forwardOne scores one candidate with the unbatched composition: every
-// layer an Affine over the uncompacted FromRows input (so the rows op's
-// column compaction is checked independently), whole-program one-segment
+// layer an Affine over the uncompacted input, the feature rows
+// zero-extended to the model width (so the rows op's narrow rows and
+// column compaction are checked independently), whole-program one-segment
 // sums and means, and the attention block over one segment with no dedup.
 func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	emb := reluLayers(m.embed, nn.FromRows(features.Statement(lw)))
+	emb := reluLayers(m.embed, padded(features.Statement(lw), features.StmtDim))
 	return m.head.Forward(nn.SegmentSumRows(emb, []int{emb.R}))
 }
 
@@ -29,11 +30,11 @@ func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
-		emb := reluLayers(m.stmtEmbed, nn.FromRows(features.Statement(lw)))
+		emb := reluLayers(m.stmtEmbed, padded(features.Statement(lw), features.StmtDim))
 		parts = nn.SegmentSumRows(emb, []int{emb.R})
 	}
 	if m.UseDataflow {
-		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRows(features.Dataflow(lw))))
+		tokens := nn.Tanh(m.dfProj.Forward(padded(features.Dataflow(lw), features.DataflowDim)))
 		ctx := nn.SegmentMeanRows(wholeAttention(m.dfAttn, tokens), []int{tokens.R})
 		if parts == nil {
 			parts = ctx
@@ -46,8 +47,18 @@ func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 
 // forwardOne: see TenSetMLP.forwardOne.
 func (m *TLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	x := wholeAttention(m.attn, m.proj.Forward(nn.FromRows(features.Primitives(lw))))
+	x := wholeAttention(m.attn, m.proj.Forward(padded(features.Primitives(lw), features.PrimDim)))
 	return m.head.Forward(nn.SegmentMeanRows(x, []int{x.R}))
+}
+
+// padded is FromRows over the rows zero-extended to width: the input a
+// model's first layer would read if features stored every column.
+func padded(rows [][]float64, width int) *nn.Tensor {
+	x := nn.New(len(rows), width)
+	for i, r := range rows {
+		copy(x.Data[i*width:(i+1)*width], r)
+	}
+	return x
 }
 
 // reluLayers applies each layer of m as an Affine through ReLU, the last

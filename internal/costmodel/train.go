@@ -19,21 +19,22 @@ import (
 // replica is one worker-side copy of a model's forward program: its
 // parameters alias the live weights (nn.AliasParams) but bind private
 // gradient slots during backward, so concurrent group gradients never
-// touch shared memory. Its scratch holds everything one group's pass
-// builds — batch rows, tape nodes, gradients, backward temporaries — and
-// lws the group's lowerings; both are reused group after group.
+// touch shared memory. lws holds the group's lowerings, reused group
+// after group; the arena a pass builds on — batch rows, tape nodes,
+// gradients, backward temporaries — is drawn per step from the pool
+// verify's predict chunks share (scratchPool).
 type replica struct {
 	forward forwardFn
 	params  []*nn.Tensor
-	scratch nn.Scratch
 	lws     []*schedule.Lowered
 }
 
 // step is one group's training pass on the replica: lower the records
 // through memo, forward, LambdaRank loss and backward, with the parameter
-// gradients landing in grads. The arena is rewound before the forward, so
-// a warmed replica runs the whole pass without touching the heap
-// (TestAllocFitStep). It returns the group's loss.
+// gradients landing in grads. The arena comes from the shared pool and
+// goes back once the loss is read, so with warmed arenas the whole pass
+// runs without touching the heap (TestAllocFitStep). It returns the
+// group's loss.
 //
 //pruner:hotpath
 func (r *replica) step(b trainBatch, memo *schedule.Memo, grads nn.GradSet) float64 {
@@ -44,10 +45,12 @@ func (r *replica) step(b trainBatch, memo *schedule.Memo, grads nn.GradSet) floa
 	r.lws = lws
 	grads.Zero()
 	grads.Bind(r.params)
-	r.scratch.Reset()
-	loss := nn.LambdaRankLoss(r.forward(&r.scratch, lws), b.rel)
+	a := getScratch()
+	loss := nn.LambdaRankLoss(r.forward(&a.Scratch, lws), b.rel)
 	nn.Backward(loss)
-	return loss.Data[0]
+	l := loss.Data[0]
+	putScratch(a)
+	return l
 }
 
 // trainer caches a model's replicas and gradient slots across Fit calls

@@ -2,14 +2,20 @@
 // families the paper's cost models consume:
 //
 //   - Statement features: per-innermost-statement vectors in the style of
-//     Ansor/TenSet (164 dims per statement).
+//     Ansor/TenSet, whose 164-dim rows a model reads (StmtDim); only the
+//     leading StmtSignal dims can be nonzero, and only those are stored.
 //   - Temporal dataflow features: the PaCM multi-tiling pattern — one
 //     23-dim embedding per data-block movement, a fixed-length sequence
 //     (Figure 4). Pure elementwise subgraphs are zero-padded, as in the
 //     paper.
 //   - Primitive features: TLP-style one-hot encodings of the schedule
 //     primitive sequence, where only split factors vary between programs
-//     of a task.
+//     of a task. Tokens are stored PrimSignal wide of the model's PrimDim.
+//
+// Each family's matrix is one zeroed slab plus one row-header slice. A
+// row narrower than its model width stands for the row zero-extended to
+// it: the models' rows op (nn's affineRows) contracts only the stored
+// columns, which is bitwise the full-width product.
 package features
 
 import (
@@ -30,7 +36,19 @@ const (
 	PrimDim = 64
 	// PrimSeq is the primitive sequence length.
 	PrimSeq = 24
+
+	// StmtSignal is the stored width of a statement row: 25 statement
+	// slots, then the schedule context. Columns StmtSignal..StmtDim-1 are
+	// zero in every row and are not stored.
+	StmtSignal = 25 + ctxLen
+	// PrimSignal is the stored width of a primitive token: 16 one-hot
+	// slots, then one factor per spatial tile level (reduction splits use
+	// the first NumReduceLevels of them).
+	PrimSignal = 16 + schedule.NumSpatialLevels
 )
+
+// ctxLen is the number of schedule-context scalars (contextFeatures).
+const ctxLen = 25
 
 // Feature-cache slots on schedule.Lowered, one per family. The public
 // extractors route through Lowered.FeatureRows, so a program shared via a
@@ -51,20 +69,34 @@ func lg(x float64) float64 {
 	return math.Log2(1 + x)
 }
 
-// Statement returns one StmtDim-wide row per statement of the lowered
-// program. The leading entries carry real signal; the tail is zero padding
-// up to the Ansor-compatible width. The result is cached on lw and shared
+// slab returns n zeroed rows of width w in one allocation, plus the row
+// headers: row i is buf[i*w:(i+1)*w], so rows[0][:n*w] is the whole
+// matrix, row-major (FlatDataflow). Each row's capacity therefore runs
+// to the end of the slab: a row must never be appended to, which would
+// overwrite the rows after it.
+func slab(n, w int) [][]float64 {
+	buf := make([]float64, n*w)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = buf[i*w : (i+1)*w]
+	}
+	return rows
+}
+
+// Statement returns one StmtSignal-wide row per statement of the lowered
+// program: the leading StmtSignal dims of the Ansor-compatible StmtDim,
+// whose tail is always zero. The result is cached on lw and shared
 // between callers — read-only.
 func Statement(lw *schedule.Lowered) [][]float64 {
 	return lw.FeatureRows(slotStatement, statementRows)
 }
 
 func statementRows(lw *schedule.Lowered) [][]float64 {
-	rows := make([][]float64, 0, len(lw.Stmts))
+	rows := slab(len(lw.Stmts), StmtSignal)
 	ctx := contextFeatures(lw)
 	for i := range lw.Stmts {
 		st := &lw.Stmts[i]
-		row := make([]float64, StmtDim)
+		row := rows[i]
 		// Kind one-hot (6 slots).
 		row[int(st.Kind)] = 1
 		// Level one-hots.
@@ -88,44 +120,47 @@ func statementRows(lw *schedule.Lowered) [][]float64 {
 		// Transaction-efficiency proxy of the From-side access.
 		put(quantEff(st.ContigRun, 32))
 		// Schedule context (shared across statements).
-		copy(row[j:], ctx)
-		rows = append(rows, row)
+		copy(row[j:], ctx[:])
 	}
 	return rows
 }
 
 // contextFeatures are schedule-level scalars appended to every statement
 // row and every dataflow row.
-func contextFeatures(lw *schedule.Lowered) []float64 {
+func contextFeatures(lw *schedule.Lowered) [ctxLen]float64 {
 	s := lw.Sched
-	ctx := []float64{
-		lg(float64(lw.Blocks)),
-		lg(float64(lw.ThreadsPerBlock)),
-		lg(float64(lw.VThreads)),
-		lg(lw.RegsPerThread),
-		lg(lw.SharedPerBlock),
-		lg(lw.ThreadCompute),
-		lg(lw.GlobalWords),
-		lg(lw.TotalFlops),
-		float64(s.VectorLen),
-		lg(float64(s.UnrollStep)),
-		boolF(s.UseShared),
-		boolF(s.TensorCore),
-		float64(lw.ThreadsPerBlock%32) / 32,
-	}
-	// Per-axis inner tiles (up to 4 spatial, 2 reduce axes).
-	for d := 0; d < 4; d++ {
+	var ctx [ctxLen]float64
+	j := 0
+	put := func(v float64) { ctx[j] = v; j++ }
+	put(lg(float64(lw.Blocks)))
+	put(lg(float64(lw.ThreadsPerBlock)))
+	put(lg(float64(lw.VThreads)))
+	put(lg(lw.RegsPerThread))
+	put(lg(lw.SharedPerBlock))
+	put(lg(lw.ThreadCompute))
+	put(lg(lw.GlobalWords))
+	put(lg(lw.TotalFlops))
+	put(float64(s.VectorLen))
+	put(lg(float64(s.UnrollStep)))
+	put(boolF(s.UseShared))
+	put(boolF(s.TensorCore))
+	put(float64(lw.ThreadsPerBlock%32) / 32)
+	// Per-axis inner tiles (up to 4 spatial, 2 reduce axes), two slots
+	// each, left zero where the task has fewer axes.
+	for d := range 4 {
 		if d < len(s.SpatialTiles) {
-			ctx = append(ctx, lg(float64(s.RegTile(d))), lg(float64(s.SpatialTiles[d][schedule.LvlThread])))
+			put(lg(float64(s.RegTile(d))))
+			put(lg(float64(s.SpatialTiles[d][schedule.LvlThread])))
 		} else {
-			ctx = append(ctx, 0, 0)
+			j += 2
 		}
 	}
-	for d := 0; d < 2; d++ {
+	for d := range 2 {
 		if d < len(s.ReduceTiles) {
-			ctx = append(ctx, lg(float64(s.ReduceInner(d))), lg(float64(s.ReduceTiles[d][schedule.RLvlOuter])))
+			put(lg(float64(s.ReduceInner(d))))
+			put(lg(float64(s.ReduceTiles[d][schedule.RLvlOuter])))
 		} else {
-			ctx = append(ctx, 0, 0)
+			j += 2
 		}
 	}
 	return ctx
@@ -157,10 +192,7 @@ func Dataflow(lw *schedule.Lowered) [][]float64 {
 }
 
 func dataflowRows(lw *schedule.Lowered) [][]float64 {
-	out := make([][]float64, DataflowSeq)
-	for i := range out {
-		out[i] = make([]float64, DataflowDim)
-	}
+	out := slab(DataflowSeq, DataflowDim)
 	if !lw.Task.Tiled() || !lw.Sched.UseShared {
 		return out
 	}
@@ -208,33 +240,26 @@ func dataflowRows(lw *schedule.Lowered) [][]float64 {
 	return out
 }
 
-// FlatDataflow flattens the dataflow matrix to a single vector of
-// DataflowSeq*DataflowDim values (row-major).
+// FlatDataflow returns the dataflow matrix as one row-major vector of
+// DataflowSeq*DataflowDim values: the slab behind Dataflow's rows, not a
+// copy, so it is cached and shared the same way — read-only.
 func FlatDataflow(lw *schedule.Lowered) []float64 {
-	m := Dataflow(lw)
-	out := make([]float64, 0, DataflowSeq*DataflowDim)
-	for _, r := range m {
-		out = append(out, r...)
-	}
-	return out
+	return Dataflow(lw)[0][:DataflowSeq*DataflowDim]
 }
 
 // Primitives returns the TLP-style schedule-primitive sequence: PrimSeq
-// tokens of PrimDim values. Token layout: [0..15] primitive-type and axis
-// one-hots (structural, near-constant across schedules of one task),
-// [16..] factor values. The sparsity of varying entries reproduces TLP's
-// low feature diversity. The result is cached on lw and shared between
-// callers — read-only.
+// tokens of PrimSignal values, the stored part of PrimDim. Token layout:
+// [0..15] primitive-type and axis one-hots (structural, near-constant
+// across schedules of one task), [16..] factor values. The sparsity of
+// varying entries reproduces TLP's low feature diversity. The result is
+// cached on lw and shared between callers — read-only.
 func Primitives(lw *schedule.Lowered) [][]float64 {
 	return lw.FeatureRows(slotPrimitives, primitiveRows)
 }
 
 func primitiveRows(lw *schedule.Lowered) [][]float64 {
 	s := lw.Sched
-	out := make([][]float64, PrimSeq)
-	for i := range out {
-		out[i] = make([]float64, PrimDim)
-	}
+	out := slab(PrimSeq, PrimSignal)
 	tok := 0
 	emit := func(fill func(r []float64)) {
 		if tok < PrimSeq {
@@ -279,16 +304,6 @@ func primitiveRows(lw *schedule.Lowered) [][]float64 {
 	})
 	if s.TensorCore {
 		emit(func(r []float64) { r[14] = 1 })
-	}
-	return out
-}
-
-// FlatPrimitives flattens the primitive sequence row-major.
-func FlatPrimitives(lw *schedule.Lowered) []float64 {
-	m := Primitives(lw)
-	out := make([]float64, 0, PrimSeq*PrimDim)
-	for _, r := range m {
-		out = append(out, r...)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package features
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,20 +17,36 @@ func lowered(t *ir.Task, seed int64) *schedule.Lowered {
 	return schedule.Lower(t, g.Random(rand.New(rand.NewSource(seed))))
 }
 
+// TestStatementDimensions: every family stores rows of exactly its stored
+// width — statements StmtSignal, dataflow DataflowDim, primitive tokens
+// PrimSignal — each no wider than the model input it feeds, with finite
+// values throughout.
 func TestStatementDimensions(t *testing.T) {
+	if StmtSignal != 50 || PrimSignal != 21 || StmtSignal > StmtDim || PrimSignal > PrimDim {
+		t.Fatalf("stored widths %d/%d of model widths %d/%d", StmtSignal, PrimSignal, StmtDim, PrimDim)
+	}
 	task := ir.NewMatMul(256, 256, 256, ir.FP32, 1)
 	lw := lowered(task, 1)
-	rows := Statement(lw)
-	if len(rows) != len(lw.Stmts) {
-		t.Fatalf("%d rows for %d statements", len(rows), len(lw.Stmts))
+	if n := len(Statement(lw)); n != len(lw.Stmts) {
+		t.Fatalf("%d rows for %d statements", n, len(lw.Stmts))
 	}
-	for i, r := range rows {
-		if len(r) != StmtDim {
-			t.Fatalf("row %d has %d dims, want %d", i, len(r), StmtDim)
-		}
-		for j, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("row %d dim %d is %g", i, j, v)
+	for _, fam := range []struct {
+		name  string
+		rows  [][]float64
+		width int
+	}{
+		{"statement", Statement(lw), StmtSignal},
+		{"dataflow", Dataflow(lw), DataflowDim},
+		{"primitives", Primitives(lw), PrimSignal},
+	} {
+		for i, r := range fam.rows {
+			if len(r) != fam.width {
+				t.Fatalf("%s row %d has %d dims, want %d", fam.name, i, len(r), fam.width)
+			}
+			for j, v := range r {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s row %d dim %d is %g", fam.name, i, j, v)
+				}
 			}
 		}
 	}
@@ -75,23 +94,30 @@ func TestElementwiseZeroPadding(t *testing.T) {
 
 // TestPrimitivesLowDiversity reproduces the paper's observation that TLP
 // features barely differ between schedules of one task: structural
-// (one-hot) entries are identical, only split factors vary.
+// (one-hot) entries are identical, only split factors vary. The share is
+// of all PrimSeq*PrimDim entries the model reads; the unstored tail of
+// every token is zero in both programs, so it never differs.
 func TestPrimitivesLowDiversity(t *testing.T) {
 	task := ir.NewMatMul(512, 512, 512, ir.FP32, 1)
 	g := schedule.NewGenerator(task)
 	rng := rand.New(rand.NewSource(4))
-	a := FlatPrimitives(schedule.Lower(task, g.Random(rng)))
-	b := FlatPrimitives(schedule.Lower(task, g.Random(rng)))
-	if len(a) != PrimSeq*PrimDim || len(b) != len(a) {
+	a := Primitives(schedule.Lower(task, g.Random(rng)))
+	b := Primitives(schedule.Lower(task, g.Random(rng)))
+	if len(a) != PrimSeq || len(b) != len(a) {
 		t.Fatal("bad primitive dims")
 	}
 	differing := 0
 	for i := range a {
-		if a[i] != b[i] {
-			differing++
+		if len(a[i]) != PrimSignal || len(b[i]) != PrimSignal {
+			t.Fatal("bad primitive dims")
+		}
+		for k := range a[i] {
+			if a[i][k] != b[i][k] {
+				differing++
+			}
 		}
 	}
-	frac := float64(differing) / float64(len(a))
+	frac := float64(differing) / float64(PrimSeq*PrimDim)
 	if frac > 0.05 {
 		t.Fatalf("%.2f%% of primitive features differ; the paper reports ~1.4%% for GEMM", frac*100)
 	}
@@ -156,5 +182,106 @@ func TestQuantEff(t *testing.T) {
 	}
 	if quantEff(0, 32) != 0 {
 		t.Fatal("empty run should be 0")
+	}
+}
+
+// pinCases are the lowerings TestFeatureRowsPinned and TestAllocFeatures
+// featurize: tiled GEMM with the shared-memory stage on and off, an FP16
+// GEMM on TensorCores, a convolution, a reduction and a flat elementwise
+// task, several random schedules each.
+func pinCases(t *testing.T) []*schedule.Lowered {
+	t.Helper()
+	conv := ir.NewConv2D(ir.Conv2DShape{N: 1, H: 28, W: 28, CI: 128, CO: 128, KH: 3, KW: 3, Stride: 1, Pad: 1}, ir.FP32, 1)
+	var out []*schedule.Lowered
+	for ci, c := range []struct {
+		task            *ir.Task
+		tensorCore, off bool
+	}{
+		{task: ir.NewMatMul(256, 256, 256, ir.FP32, 1)},
+		{task: ir.NewMatMul(256, 256, 256, ir.FP32, 1), off: true},
+		{task: ir.NewMatMul(512, 512, 512, ir.FP16, 0), tensorCore: true},
+		{task: conv},
+		{task: ir.NewReduction(1024, 768, ir.FP32, 3)},
+		{task: ir.NewElementwise(65536, 2, ir.FP32)},
+	} {
+		g := schedule.NewGenerator(c.task)
+		g.TensorCore = c.tensorCore
+		rng := rand.New(rand.NewSource(int64(100 + ci)))
+		for i := 0; i < 6; i++ {
+			s := g.Random(rng)
+			if c.tensorCore && !s.TensorCore {
+				t.Fatalf("case %d: no TensorCore schedule drawn", ci)
+			}
+			if c.off {
+				s = s.Clone()
+				s.UseShared = false
+			}
+			out = append(out, schedule.Lower(c.task, s))
+		}
+	}
+	return out
+}
+
+// TestFeatureRowsPinned pins every family's values, bit for bit, with each
+// row zero-extended to the model input width it feeds (StmtDim,
+// DataflowDim, PrimDim): an FNV-1a digest per family over pinCases. The
+// stored widths may change; what a model sees may not.
+func TestFeatureRowsPinned(t *testing.T) {
+	lws := pinCases(t)
+	for _, fam := range []struct {
+		name  string
+		rows  func(*schedule.Lowered) [][]float64
+		width int
+		want  string
+	}{
+		{"statement", Statement, StmtDim, "aa0ed563eda7515f"},
+		{"dataflow", Dataflow, DataflowDim, "20fc254d2f635485"},
+		{"primitives", Primitives, PrimDim, "145ba4d863649fbe"},
+	} {
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, lw := range lws {
+			rows := fam.rows(lw)
+			binary.LittleEndian.PutUint64(buf[:], uint64(len(rows)))
+			h.Write(buf[:])
+			for _, r := range rows {
+				if len(r) > fam.width {
+					t.Fatalf("%s: row %d wide, model width %d", fam.name, len(r), fam.width)
+				}
+				for k := 0; k < fam.width; k++ {
+					v := 0.0
+					if k < len(r) {
+						v = r[k]
+					}
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != fam.want {
+			t.Errorf("%s rows digest %s, want %s", fam.name, got, fam.want)
+		}
+	}
+}
+
+// TestAllocFeatures is the featurizer's allocation gate, beside
+// schedule's TestAllocLower: computing a family's rows for a lowered
+// program — the first touch, a Lowered caches the result — costs one
+// slab and one row-header slice, on tiled and flat programs alike.
+func TestAllocFeatures(t *testing.T) {
+	lws := pinCases(t)
+	for _, lw := range []*schedule.Lowered{lws[0], lws[len(lws)-1]} {
+		for _, fam := range []struct {
+			name string
+			rows func(*schedule.Lowered) [][]float64
+		}{
+			{"statement", statementRows},
+			{"dataflow", dataflowRows},
+			{"primitives", primitiveRows},
+		} {
+			if avg := testing.AllocsPerRun(100, func() { fam.rows(lw) }); avg > 2 {
+				t.Errorf("%s rows of %s: %v allocs per run, want <= 2", fam.name, lw.Task.Name, avg)
+			}
+		}
 	}
 }

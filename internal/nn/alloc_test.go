@@ -48,7 +48,7 @@ func TestAllocFrozenMLPForwardReLURowsIn(t *testing.T) {
 	var s Scratch
 	mustZeroAllocs(t, "frozen MLP.ForwardReLURows", func() {
 		s.Reset()
-		mlp.ForwardReLURows(&s, rows)
+		mlp.ForwardReLURows(&s, rows, 9)
 	})
 }
 

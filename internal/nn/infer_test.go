@@ -231,7 +231,7 @@ func bothScratches(rng *rand.Rand, check func(name string, s *Scratch)) {
 	check("nil scratch", nil)
 	var s Scratch
 	rows, _ := randRows(rng, 12, 9)
-	NewMLP(rng, 9, 16, 16, 6).ForwardReLURows(&s, rows)
+	NewMLP(rng, 9, 16, 16, 6).ForwardReLURows(&s, rows, 9)
 	s.Reset()
 	check("warm scratch", &s)
 }
@@ -384,10 +384,10 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	linChain := mlpChain(&MLP{Layers: []*Linear{lin}}, x, false)
 
 	bothScratches(rng, func(name string, s *Scratch) {
-		bitwiseEqual(t, name+": linear rows", lin.ForwardRows(s, rows), linChain)
+		bitwiseEqual(t, name+": linear rows", lin.ForwardRows(s, rows, 9), linChain)
 		bitwiseEqual(t, name+": linear", lin.Forward(onArena(s, x)), linChain)
 		bitwiseEqual(t, name+": mlp", mlp.Forward(onArena(s, x)), mlpChain(mlp, x, false))
-		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURows(s, rows), mlpChain(mlp, x, true))
+		bitwiseEqual(t, name+": mlp+relu rows", mlp.ForwardReLURows(s, rows, 9), mlpChain(mlp, x, true))
 		bitwiseEqual(t, name+": attention segments",
 			attn.ForwardSegmentsDedup(onArena(s, tokens), identityInts(nil, tokens.R), lens), perSegment(attn.forwardRef, tokens, lens))
 		bitwiseEqual(t, name+": attention dedup",
@@ -410,7 +410,7 @@ func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	lens := []int{1, 2}
 	for name, y := range map[string]*Tensor{
 		"module":    SegmentSumRows(Tanh(mlp.Forward(x)), lens),
-		"rows":      mlp.ForwardReLURows(nil, rows),
+		"rows":      mlp.ForwardReLURows(nil, rows, 4),
 		"attention": attn.ForwardSegmentsDedup(x, []int{0, 1, 2}, lens),
 	} {
 		if y.requiresGrad || y.node.op != opNone || y.arena != nil || y.Grad != nil {
@@ -419,7 +419,7 @@ func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	}
 	var s Scratch
 	SegmentMeanRows(attn.ForwardSegmentsDedup(onArena(&s, x), []int{0, 1, 2}, lens), lens)
-	mlp.ForwardReLURows(&s, rows)
+	mlp.ForwardReLURows(&s, rows, 4)
 	for i, h := range s.tensors[:s.tensorN] {
 		if h.requiresGrad || h.node.op != opNone || h.Grad != nil {
 			t.Fatalf("arena inference forward recorded a tape node at header %d", i)

@@ -26,11 +26,12 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 	return Affine(x, l.W, l.B, false)
 }
 
-// ForwardRows applies the layer directly to feature rows, on s (nil =
-// heap), through the rows op (affineRows): bitwise identical to Forward
-// over FromRows, with the rows' all-zero columns never contracted.
-func (l *Linear) ForwardRows(s *Scratch, rows [][]float64) *Tensor {
-	return affineRows(s, rows, l.W, l.B, false)
+// ForwardRows applies the layer directly to feature rows exactly k <= in
+// wide, on s (nil = heap), through the rows op (affineRows): bitwise
+// identical to Forward over FromRows of the rows zero-extended to in, with
+// the rows' all-zero columns never contracted.
+func (l *Linear) ForwardRows(s *Scratch, rows [][]float64, k int) *Tensor {
+	return affineRows(s, rows, k, l.W, l.B, false)
 }
 
 // Params implements Module.
@@ -86,10 +87,11 @@ func (m *MLP) Forward(x *Tensor) *Tensor {
 
 // ForwardReLURows applies ReLU after every layer including the last — the
 // cost models' embedding MLPs — fed directly from feature rows, on s (nil
-// = heap): the first layer is the rows op (see Linear.ForwardRows).
-func (m *MLP) ForwardReLURows(s *Scratch, rows [][]float64) *Tensor {
+// = heap): the first layer is the rows op over rows exactly k wide (see
+// Linear.ForwardRows).
+func (m *MLP) ForwardReLURows(s *Scratch, rows [][]float64, k int) *Tensor {
 	l0 := m.Layers[0]
-	x := affineRows(s, rows, l0.W, l0.B, true)
+	x := affineRows(s, rows, k, l0.W, l0.B, true)
 	for _, l := range m.Layers[1:] {
 		x = Affine(x, l.W, l.B, true)
 	}

@@ -28,17 +28,26 @@ func Affine(x, w, b *Tensor, relu bool) *Tensor {
 }
 
 // affineRows is Affine fed directly from feature rows on s, the rows op
-// every model's input layer runs: the rows are compacted at copy time
+// every model's input layer runs. The caller states the rows' stored
+// width k <= W.R, and every row must be exactly k wide, so a row family
+// fed to the wrong layer panics instead of passing as zero-extended; a
+// row stands for itself zero-extended to W.R (features stores only the
+// columns that can be nonzero). The rows are compacted at copy time
 // (compactRowsIn) and contracted against the weight rows of the kept
-// columns, gathered by a GatherRows node. The backward therefore runs
-// affineBackward on that panel and the gather adds the panel's gradient
-// rows into W.Grad[cols[n]]. The forward is bitwise Affine(FromRows(rows),
-// w, b, relu), and so are the W and b gradients whenever W.Grad starts at
-// zero, as a training step's does: each used row's dW sum starts at +0.0
-// either way, and a column that is zero in every row only ever receives
-// exact zero terms. The rows carry no gradient.
-func affineRows(s *Scratch, rows [][]float64, w, b *Tensor, relu bool) *Tensor {
-	x, cols := compactRowsIn(s, rows, w.R)
+// columns, gathered by a GatherRows node; a column past k is zero in
+// every row, so it would have been dropped anyway. The backward
+// therefore runs affineBackward on that panel and the gather adds the
+// panel's gradient rows into W.Grad[cols[n]]. The forward is bitwise
+// Affine(FromRows(rows), w, b, relu) over the zero-extended rows, and so
+// are the W and b gradients whenever W.Grad starts at zero, as a training
+// step's does: each used row's dW sum starts at +0.0 either way, and a
+// column that is zero in every row only ever receives exact zero terms.
+// The rows carry no gradient.
+func affineRows(s *Scratch, rows [][]float64, k int, w, b *Tensor, relu bool) *Tensor {
+	if k > w.R {
+		panic(fmt.Sprintf("nn: affineRows rows %d wide for a %dx%d weight", k, w.R, w.C))
+	}
+	x, cols := compactRowsIn(s, rows, k)
 	return Affine(x, gatherRowsOn(s, w, cols), b, relu)
 }
 

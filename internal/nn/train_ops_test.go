@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -100,16 +101,18 @@ func TestGradAffineRows(t *testing.T) {
 		}
 		lossW := randConst(rng, len(rows), 3)
 		checkGrads(t, name, []*Tensor{w, b}, func() *Tensor {
-			return weightedMean(affineRows(nil, rows, w, b, relu), lossW.Data)
+			return weightedMean(affineRows(nil, rows, 6, w, b, relu), lossW.Data)
 		})
 		affineRowsMatchesAffine(t, name, rows, w, b, lossW, relu)
 	}
 }
 
-// affineRowsMatchesAffine runs the rows op (on an arena) and Affine over
-// FromRows(rows) through the same loss, each from zeroed W and b
-// gradients as a training step starts, and demands identical forward
-// values and W and b gradients, bit for bit.
+// affineRowsMatchesAffine runs the rows op over rows stated as wide as the
+// first (on an arena) and Affine over FromRows(rows) — the rows
+// zero-extended to W's height — through the
+// same loss, each from zeroed W and b gradients as a training step
+// starts, and demands identical forward values and W and b gradients,
+// bit for bit.
 func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, lossW *Tensor, relu bool) {
 	t.Helper()
 	pass := func(f func() *Tensor) [3][]float64 {
@@ -120,8 +123,8 @@ func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, 
 		return [3][]float64{slices.Clone(y.Data), slices.Clone(w.Grad), slices.Clone(b.Grad)}
 	}
 	var s Scratch
-	got := pass(func() *Tensor { return affineRows(&s, rows, w, b, relu) })
-	want := pass(func() *Tensor { return Affine(FromRows(rows), w, b, relu) })
+	got := pass(func() *Tensor { return affineRows(&s, rows, len(rows[0]), w, b, relu) })
+	want := pass(func() *Tensor { return Affine(FromRows(zeroExtend(rows, w.R)), w, b, relu) })
 	for i, part := range []string{"forward", "dW", "db"} {
 		for j := range want[i] {
 			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
@@ -129,6 +132,45 @@ func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, 
 					name, part, j, got[i][j], math.Float64bits(got[i][j]), want[i][j], math.Float64bits(want[i][j]))
 			}
 		}
+	}
+}
+
+// zeroExtend copies rows, each zero-extended to width.
+func zeroExtend(rows [][]float64, width int) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = make([]float64, width)
+		copy(out[i], r)
+	}
+	return out
+}
+
+// TestAffineRowsPanics: the rows op names its two width faults — a
+// stated width wider than W, and a row whose width differs from the
+// stated one, wider or narrower, the first row included (a row family
+// fed to the wrong layer).
+func TestAffineRowsPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	w, b := randParam(rng, 4, 3), randParam(rng, 1, 3)
+	for _, tc := range []struct {
+		name, want string
+		k          int
+		rows       [][]float64
+	}{
+		{"wider than W", "rows 5 wide for a 4x3 weight", 5, [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}}},
+		{"longer row", "ragged row 4 vs 3", 3, [][]float64{{1, 2, 3}, {1, 2, 3, 4}}},
+		{"shorter row", "ragged row 2 vs 3", 3, [][]float64{{1, 2, 3}, {1, 2}}},
+		{"wrong family", "ragged row 2 vs 3", 3, [][]float64{{1, 2}, {1, 2}}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: got panic %q, want %q", tc.name, msg, tc.want)
+				}
+			}()
+			affineRows(nil, tc.rows, tc.k, w, b, false)
+		}()
 	}
 }
 
@@ -154,26 +196,29 @@ func finiteFrom(data []byte, n int) float64 {
 	return v
 }
 
-// FuzzAffineRows feeds the rows op arbitrary finite rows — columns whose
-// zeroCols bit is set hold ±0.0 in every row — weights and loss weights,
-// and demands the forward and the W and b gradient bits of Affine over
-// the uncompacted FromRows input. The seeds cover all-zero columns, ±0.0,
-// denormals, a single row and odd widths.
+// FuzzAffineRows feeds the rows op arbitrary finite rows K wide — columns
+// whose zeroCols bit is set hold ±0.0 in every row — weights K+extra
+// rows high and loss weights, and demands the forward and the W and b
+// gradient bits of Affine over the uncompacted FromRows input, the rows
+// zero-extended to W's height. The seeds cover all-zero columns, ±0.0,
+// denormals, a single row, odd widths and rows narrower than W.
 func FuzzAffineRows(f *testing.F) {
 	seed := make([]byte, 0, len(edgeValues)*8)
 	for _, v := range edgeValues {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
 	}
-	f.Add(uint8(0), uint8(0), uint8(0), uint16(0), false, seed)           // one row, one column, one output
-	f.Add(uint8(4), uint8(6), uint8(2), uint16(0b0100101), true, seed)    // odd widths, three zero columns
-	f.Add(uint8(3), uint8(8), uint8(4), uint16(0x1ff), false, seed[3:])   // every column zero
-	f.Add(uint8(6), uint8(12), uint8(8), uint16(0b10010), true, seed[8:]) // widest shapes
-	f.Add(uint8(1), uint8(4), uint8(6), uint16(0), true, seed[16:32])     // denormals and 1e±300 only
-	f.Fuzz(func(t *testing.T, nRows, width, outW uint8, zeroCols uint16, relu bool, data []byte) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), false, seed)           // one row, one column, one output
+	f.Add(uint8(4), uint8(6), uint8(2), uint8(0), uint16(0b0100101), true, seed)    // odd widths, three zero columns
+	f.Add(uint8(3), uint8(8), uint8(4), uint8(0), uint16(0x1ff), false, seed[3:])   // every column zero
+	f.Add(uint8(6), uint8(12), uint8(8), uint8(0), uint16(0b10010), true, seed[8:]) // widest shapes
+	f.Add(uint8(1), uint8(4), uint8(6), uint8(0), uint16(0), true, seed[16:32])     // denormals and 1e±300 only
+	f.Add(uint8(5), uint8(4), uint8(3), uint8(3), uint16(0b10), true, seed[5:])     // rows narrower than W
+	f.Fuzz(func(t *testing.T, nRows, width, outW, extra uint8, zeroCols uint16, relu bool, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		n, K, C := int(nRows)%8+1, int(width)%13+1, int(outW)%9+1
+		R := K + int(extra)%5 // W's height: the rows are K <= R wide
 		i := 0
 		next := func() float64 { i++; return finiteFrom(data, i) }
 		rows := make([][]float64, n)
@@ -188,7 +233,7 @@ func FuzzAffineRows(f *testing.F) {
 				}
 			}
 		}
-		w, b, lossW := ZeroParam(K, C), ZeroParam(1, C), New(n, C)
+		w, b, lossW := ZeroParam(R, C), ZeroParam(1, C), New(n, C)
 		for _, p := range []*Tensor{w, b, lossW} {
 			for j := range p.Data {
 				p.Data[j] = next()
