@@ -60,10 +60,12 @@ test:
 # a pre-AVX2 host; an amd64 build takes an assembly one (AVX-512 or
 # AVX2), so the fallback is tested by building it out: the nn and
 # cost-model suites and the pinned sessions (golden fingerprint
-# cfe0bde7d409aa97, golden matrix) must hold on it too.
+# cfe0bde7d409aa97, golden matrix, and every facade method's session,
+# the three offline ones included) must hold on it too.
 purego:
 	$(GO) test -tags purego ./internal/nn ./internal/costmodel
 	$(GO) test -tags purego -run 'TestTunePipelineDepth1MatchesPreRefactorGolden|TestTunePipelineGoldenMatrix' ./internal/tuner
+	$(GO) test -tags purego -run '^TestMethodSessionsPinned$$' .
 
 # Every internal package under the race detector (slow but the strongest
 # check that scoring/measurement fan-out stays data-race-free). The list

@@ -120,7 +120,7 @@ func main() {
 		// Saved weights replace -pretrain entirely: the expensive offline
 		// phase runs once per fleet, not once per process.
 		if pruner.PretrainedKind(cfg.Method) == "" {
-			fatalIf(fmt.Errorf("-model-in is unused by method %q (pretrained-weight methods: moa-pruner, pruner-offline, tensetmlp, tlp)", cfg.Method))
+			fatalIf(fmt.Errorf("-model-in is unused by method %q, which takes no pretrained weights", cfg.Method))
 		}
 		f, err := os.Open(*modelIn)
 		fatalIf(err)

@@ -254,49 +254,6 @@ func randomFactorization(rng *rand.Rand, extent int, tile []int) {
 	}
 }
 
-// FactorizationCount returns the number of distinct ordered factorisations
-// of extent into parts factors — the per-axis schedule space size.
-func FactorizationCount(extent, parts int) int64 {
-	counts := map[int]int{}
-	for _, p := range appendPrimeFactors(nil, extent) {
-		counts[p]++
-	}
-	total := int64(1)
-	for _, m := range counts {
-		// stars and bars: C(m+parts-1, parts-1)
-		total *= binom(int64(m+parts-1), int64(parts-1))
-	}
-	return total
-}
-
-func binom(n, k int64) int64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := int64(1)
-	for i := int64(0); i < k; i++ {
-		r = r * (n - i) / (i + 1)
-	}
-	return r
-}
-
-// SpaceSize estimates the total number of tile assignments for a task
-// (annotations excluded), matching the paper's observation that GPU spaces
-// reach billions of candidates.
-func SpaceSize(t *ir.Task) float64 {
-	total := 1.0
-	for _, e := range t.Spatial {
-		total *= float64(FactorizationCount(e, NumSpatialLevels))
-	}
-	for _, e := range t.Reduce {
-		total *= float64(FactorizationCount(e, NumReduceLevels))
-	}
-	return total
-}
-
 // ---------------------------------------------------------------------------
 // Generation.
 

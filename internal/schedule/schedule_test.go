@@ -73,30 +73,6 @@ func TestFactorizationProperty(t *testing.T) {
 	}
 }
 
-func TestFactorizationCount(t *testing.T) {
-	// 12 = 2^2 * 3 into 2 parts: C(3,1)*C(2,1) = 6 ordered factorisations.
-	if got := FactorizationCount(12, 2); got != 6 {
-		t.Fatalf("FactorizationCount(12,2) = %d, want 6", got)
-	}
-	// A prime into k parts has k placements.
-	if got := FactorizationCount(7, 5); got != 5 {
-		t.Fatalf("FactorizationCount(7,5) = %d, want 5", got)
-	}
-	if got := FactorizationCount(1, 3); got != 1 {
-		t.Fatalf("FactorizationCount(1,3) = %d, want 1", got)
-	}
-}
-
-func TestSpaceSizeIsLarge(t *testing.T) {
-	// The paper: GPU spaces reach billions of candidates.
-	task := ir.NewConv2D(ir.Conv2DShape{
-		N: 1, H: 56, W: 56, CI: 256, CO: 512, KH: 3, KW: 3, Stride: 1, Pad: 1,
-	}, ir.FP32, 1)
-	if s := SpaceSize(task); s < 1e9 {
-		t.Fatalf("space size %.3g; want >= 1e9", s)
-	}
-}
-
 func TestFingerprintIdentity(t *testing.T) {
 	task := testTask()
 	g := NewGenerator(task)

@@ -62,57 +62,13 @@ func RunLSE(ctx *Context, p LSEParams) []*schedule.Schedule {
 		panic("search: RunLSE requires a draft analyzer")
 	}
 	p = p.withDefaults()
-	// Draft fitness runs on the session pool; breeding stays serial on the
-	// task-owned RNG.
-	scoreFn := ctx.scoreDraft
-
-	// S_x <- best measured ∪ RandomInitSch(theta_x)
-	pop := bestMeasured(ctx, p.Population/8)
-	pop = append(pop, ctx.Gen.InitPopulation(ctx.RNG, p.Population-len(pop))...)
-	// S_spec accumulates across steps (PriorFilter keeps the global top).
-	spec := map[string]scored{}
-	for step := 0; step < p.Steps; step++ {
-		if ctx.cancelled() {
-			break // the tuner discards rounds whose search was cut short
-		}
-		scores := scoreFn(pop)
-		cands := make([]scored, len(pop))
-		for i := range pop {
-			c := scored{sch: pop[i], score: scores[i]}
-			cands[i] = c
-			fp := pop[i].Fingerprint()
-			if prev, ok := spec[fp]; !ok || c.score > prev.score {
-				spec[fp] = c
-			}
-		}
-		// PriorFilter: retain only the SpecSize best in S_spec.
-		if len(spec) > p.SpecSize {
-			pruneSpec(spec, p.SpecSize)
-		}
-		if step == p.Steps-1 {
-			break
-		}
-		// SchMutation: breed the next S_x guided by the draft fitness.
-		pop = nextGeneration(ctx, EvoParams{
-			Population: p.Population, Generations: 1,
-			MutateProb: p.MutateProb, CrossProb: p.CrossProb,
-		}, cands)
-	}
-
-	out := drainRanked(spec)
-	if len(out) > p.SpecSize {
-		out = out[:p.SpecSize]
-	}
-	schs := make([]*schedule.Schedule, len(out))
-	for i, c := range out {
+	// S_x starts from the best measured schedules; S_spec is the set
+	// evolve keeps under the PriorFilter bound.
+	evo := EvoParams{Population: p.Population, Generations: p.Steps, MutateProb: p.MutateProb, CrossProb: p.CrossProb}
+	spec := evolve(ctx, evo, bestMeasured(ctx, p.Population/8), ctx.scoreDraft, p.SpecSize)
+	schs := make([]*schedule.Schedule, len(spec))
+	for i, c := range spec {
 		schs[i] = c.sch
 	}
 	return schs
-}
-
-// pruneSpec trims the spec map to the k best entries in place.
-func pruneSpec(spec map[string]scored, k int) {
-	for _, c := range drainRanked(spec)[k:] {
-		delete(spec, c.sch.Fingerprint())
-	}
 }

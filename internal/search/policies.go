@@ -23,7 +23,7 @@ func (p *AnsorPolicy) Name() string { return "ansor" }
 
 // NextBatch implements Policy.
 func (p *AnsorPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/16))
+	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/16), ctx.verify, 0)
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 
@@ -120,7 +120,7 @@ func (p *MetaSchedulePolicy) Name() string { return "metaschedule" }
 
 // NextBatch implements Policy.
 func (p *MetaSchedulePolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/32))
+	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/32), ctx.verify, 0)
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 

@@ -263,10 +263,12 @@ func DefaultEvoParams() EvoParams {
 	return EvoParams{Population: 2000, Generations: 4, MutateProb: 0.85, CrossProb: 0.05}
 }
 
-// evolve runs a GA whose fitness is the learned cost model (every
-// generation goes through verify) and returns every scored candidate
-// seen, deduplicated, ranked descending.
-func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule) []scored {
+// evolve runs a GA under the given fitness — the learned cost model's
+// verify, or the draft analyzer's scoreDraft for the LSE — and returns
+// every scored candidate seen, deduplicated, ranked descending. A positive
+// bound is PriorFilter: after every generation only the bound best
+// candidates are kept.
+func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, fitness func([]*schedule.Schedule) []float64, bound int) []scored {
 	pop := make([]*schedule.Schedule, 0, p.Population)
 	pop = append(pop, seed...)
 	if len(pop) > p.Population {
@@ -279,7 +281,7 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule) []scored {
 		if ctx.cancelled() {
 			break // the tuner discards rounds whose search was cut short
 		}
-		scores := ctx.verify(pop)
+		scores := fitness(pop)
 		cands := make([]scored, len(pop))
 		for i := range pop {
 			c := scored{sch: pop[i], score: scores[i]}
@@ -289,12 +291,23 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule) []scored {
 				all[fp] = c
 			}
 		}
+		if bound > 0 && len(all) > bound {
+			pruneSpec(all, bound)
+		}
 		if gen == p.Generations-1 {
 			break
 		}
 		pop = nextGeneration(ctx, p, cands)
 	}
 	return drainRanked(all)
+}
+
+// pruneSpec is PriorFilter: it trims a candidate map to its k best
+// entries in place.
+func pruneSpec(spec map[string]scored, k int) {
+	for _, c := range drainRanked(spec)[k:] {
+		delete(spec, c.sch.Fingerprint())
+	}
 }
 
 // nextGeneration breeds a new population with fitness-proportional parent

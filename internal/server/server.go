@@ -273,45 +273,12 @@ func (s *Server) resolve(spec *JobSpec) (*pruner.Device, *pruner.Network, []*ir.
 	if spec.Method == "" {
 		spec.Method = string(pruner.MethodPruner)
 	}
-	switch method := pruner.Method(spec.Method); method {
-	case pruner.MethodPruner, pruner.MethodAnsor, pruner.MethodMetaSchedule, pruner.MethodRoller:
-	default:
-		// Everything else is either a pretrained-weight method — servable
-		// only when the daemon was started with a matching -model-in
-		// bundle (consulting the canonical pruner.PretrainedKind map, so a
-		// new pretrained method needs no server change) — or unknown.
-		// Reject either up front instead of failing mid-queue.
-		kind := pruner.PretrainedKind(method)
-		if kind == "" {
-			return nil, nil, nil, fmt.Errorf("method %q is not servable (supported: pruner, ansor, metaschedule, roller%s)", spec.Method, servablePretrained(s.cfg.Pretrained))
-		}
-		if s.cfg.Pretrained == nil {
-			return nil, nil, nil, fmt.Errorf("method %q needs pretrained weights; start the daemon with -model-in", spec.Method)
-		}
-		if s.cfg.Pretrained.Kind != kind {
-			return nil, nil, nil, fmt.Errorf("method %q needs %q weights, daemon loaded %q", spec.Method, kind, s.cfg.Pretrained.Kind)
-		}
+	// Reject an unknown method, or a pretrained-weight method the loaded
+	// bundle cannot serve, up front instead of failing mid-queue.
+	if err := pruner.CheckMethod(pruner.Method(spec.Method), s.cfg.Pretrained); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w (the daemon serves the pretrained-weight methods its -model-in bundle matches)", err)
 	}
 	return dev, net, net.Representative(spec.MaxTasks), nil
-}
-
-// servablePretrained names the extra methods a loaded bundle enables,
-// for the submit-time error message (derived from the canonical
-// pruner.PretrainedKind map so the list cannot drift).
-func servablePretrained(p *pruner.Pretrained) string {
-	if p == nil {
-		return ""
-	}
-	var extra string
-	for _, m := range []pruner.Method{
-		pruner.MethodMoAPruner, pruner.MethodPrunerOffline,
-		pruner.MethodTenSetMLP, pruner.MethodTLP,
-	} {
-		if pruner.PretrainedKind(m) == p.Kind {
-			extra += ", " + string(m)
-		}
-	}
-	return extra
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -295,6 +295,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		"unknown device":    {Device: "h100", Network: "dcgan"},
 		"unknown network":   {Device: "a100", Network: "nope"},
 		"pretrained method": {Device: "a100", Network: "dcgan", Method: "moa-pruner"},
+		"unknown method":    {Device: "a100", Network: "dcgan", Method: "magic"},
 		"excessive trials":  {Device: "a100", Network: "dcgan", Trials: 1 << 30},
 		"negative batch":    {Device: "a100", Network: "dcgan", BatchSize: -5},
 		"batch over trials": {Device: "a100", Network: "dcgan", Trials: 10, BatchSize: 500},
@@ -429,6 +430,14 @@ func TestPretrainedMethodGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("moa-pruner without a bundle: status %d, want 400", resp.StatusCode)
+	}
+	// Methods that take no weights need no bundle: the method's definition
+	// decides that, not a list kept by the server.
+	for _, m := range []string{"metaschedule", "roller"} {
+		v := postJob(t, ts, JobSpec{Device: "t4", Network: "dcgan", Method: m, Trials: 10, MaxTasks: 1})
+		if events := drainSSE(t, ts, v.ID); events[len(events)-1].Type != string(StateDone) {
+			t.Fatalf("%s job without a bundle ended %q", m, events[len(events)-1].Type)
+		}
 	}
 
 	// A matching bundle makes the method servable.

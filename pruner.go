@@ -199,22 +199,77 @@ type Pretrained struct {
 	Weights []*nn.Tensor
 }
 
-// PretrainedKind is the canonical method -> weight-architecture map: the
-// model kind a method's Config.Pretrained must carry, or "" for methods
-// that need no pretrained weights. Tune and the daemon's submit-time
-// gating both consult it, so the mapping cannot drift between them.
-func PretrainedKind(m Method) string {
+// methodDef is one row of the paper's method comparison: the search that
+// drafts, the cost model that verifies, and how that model learns.
+type methodDef struct {
+	policy func() search.Policy
+	// kind is the cost model, as newModelKind builds it; "" is Roller's
+	// random ranker, the one model that does not learn.
+	kind   string
+	online bool // trains on the session's own measurements
+	// adapt is how pretrained weights enter the session. Every adaptation
+	// but AdaptNone needs Config.Pretrained of the model's kind.
+	adapt tuner.Adaptation
+}
+
+// definition is the one place a Method is defined: Tune, PretrainedKind
+// and CheckMethod all read it. The switch has no default clause, so the
+// exhaust analyzer fails the lint when a Method constant has no case. The
+// empty Method selects MethodPruner; ok is false for any other name that
+// is not a Method.
+func definition(m Method) (d methodDef, ok bool) {
+	lse := func() search.Policy { return search.NewPrunerPolicy() }
+	evo := func() search.Policy { return search.NewAnsorPolicy() }
+	if m == "" {
+		m = MethodPruner
+	}
 	switch m {
-	case MethodMoAPruner, MethodPrunerOffline:
-		return "pacm"
+	case MethodPruner:
+		return methodDef{lse, "pacm", true, tuner.AdaptNone}, true
+	case MethodMoAPruner:
+		return methodDef{lse, "pacm", true, tuner.AdaptMoA}, true
+	case MethodAnsor:
+		return methodDef{evo, "tensetmlp", true, tuner.AdaptNone}, true
 	case MethodTenSetMLP:
-		return "tensetmlp"
+		return methodDef{evo, "tensetmlp", false, tuner.AdaptFineTune}, true
 	case MethodTLP:
-		return "tlp"
-	case MethodPruner, MethodAnsor, MethodMetaSchedule, MethodRoller:
-		return ""
+		return methodDef{evo, "tlp", false, tuner.AdaptFineTune}, true
+	case MethodPrunerOffline:
+		return methodDef{lse, "pacm", false, tuner.AdaptFineTune}, true
+	case MethodMetaSchedule:
+		return methodDef{func() search.Policy { return search.NewMetaSchedulePolicy() }, "tensetmlp", true, tuner.AdaptNone}, true
+	case MethodRoller:
+		return methodDef{func() search.Policy { return search.NewRollerPolicy() }, "", false, tuner.AdaptNone}, true
+	}
+	return methodDef{}, false
+}
+
+// PretrainedKind is the model kind a method's Config.Pretrained must
+// carry, or "" for a method that takes no pretrained weights.
+func PretrainedKind(m Method) string {
+	if d, ok := definition(m); ok && d.adapt != tuner.AdaptNone {
+		return d.kind
 	}
 	return ""
+}
+
+// CheckMethod reports whether Tune can run method m with the bundle p: m
+// must be a Method, and a method that adapts pretrained weights needs p
+// of its model's kind (the other methods ignore p). The tuning daemon
+// calls it at submit time with the bundle it loaded.
+func CheckMethod(m Method, p *Pretrained) error {
+	d, ok := definition(m)
+	switch {
+	case !ok:
+		return fmt.Errorf("pruner: unknown method %q", m)
+	case d.adapt == tuner.AdaptNone:
+		return nil
+	case p == nil:
+		return fmt.Errorf("pruner: method %q needs %q pretrained weights (Config.Pretrained)", m, d.kind)
+	case p.Kind != d.kind:
+		return fmt.Errorf("pruner: method %q needs %q weights, got %q", m, d.kind, p.Kind)
+	}
+	return nil
 }
 
 // SaveModel writes a pretrained weight bundle (kind + parameters) to w,
@@ -338,10 +393,24 @@ type Config struct {
 
 // Tune runs a full tuning session of the network on the device.
 func Tune(dev *Device, net *Network, cfg Config) (*Result, error) {
+	if err := CheckMethod(cfg.Method, cfg.Pretrained); err != nil {
+		return nil, err
+	}
+	d, _ := definition(cfg.Method)
+	var model costmodel.Model
+	if d.kind == "" {
+		model = costmodel.NewRandom(cfg.Seed + 1)
+	} else {
+		model, _ = newModelKind(d.kind, cfg.Seed+1) // every kind in definition is known
+	}
 	tasks := net.Representative(cfg.MaxTasks)
 	opt := tuner.Options{
 		Trials:        cfg.Trials,
 		BatchSize:     cfg.BatchSize,
+		Policy:        d.policy(),
+		Model:         model,
+		OnlineTrain:   d.online,
+		Adaptation:    d.adapt,
 		Seed:          cfg.Seed,
 		TensorCore:    cfg.TensorCore,
 		Parallelism:   cfg.Parallelism,
@@ -354,74 +423,12 @@ func Tune(dev *Device, net *Network, cfg Config) (*Result, error) {
 		WarmStart:     cfg.WarmStart,
 		Obs:           cfg.Obs,
 	}
-	needPretrained := func() ([]*nn.Tensor, error) {
-		kind := PretrainedKind(cfg.Method)
-		if cfg.Pretrained == nil {
-			return nil, fmt.Errorf("pruner: method %q requires Config.Pretrained", cfg.Method)
-		}
-		if cfg.Pretrained.Kind != kind {
-			return nil, fmt.Errorf("pruner: method %q needs %q weights, got %q", cfg.Method, kind, cfg.Pretrained.Kind)
-		}
-		return cfg.Pretrained.Weights, nil
+	if d.adapt != tuner.AdaptNone {
+		opt.Pretrained = cfg.Pretrained.Weights
 	}
-	switch cfg.Method {
-	case MethodPruner, "":
-		opt.Policy = search.NewPrunerPolicy()
-		opt.Model = costmodel.NewPaCM(cfg.Seed + 1)
-		opt.OnlineTrain = true
-	case MethodMoAPruner:
-		w, err := needPretrained()
-		if err != nil {
-			return nil, err
-		}
-		opt.Policy = search.NewPrunerPolicy()
-		opt.Model = costmodel.NewPaCM(cfg.Seed + 1)
-		opt.OnlineTrain = true
-		opt.Adaptation = tuner.AdaptMoA
-		opt.Pretrained = w
-	case MethodAnsor:
-		opt.Policy = search.NewAnsorPolicy()
-		opt.Model = costmodel.NewTenSetMLP(cfg.Seed + 1)
-		opt.OnlineTrain = true
-	case MethodTenSetMLP:
-		w, err := needPretrained()
-		if err != nil {
-			return nil, err
-		}
-		opt.Policy = search.NewAnsorPolicy()
-		opt.Model = costmodel.NewTenSetMLP(cfg.Seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = w
-	case MethodTLP:
-		w, err := needPretrained()
-		if err != nil {
-			return nil, err
-		}
-		opt.Policy = search.NewAnsorPolicy()
-		opt.Model = costmodel.NewTLP(cfg.Seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = w
-	case MethodPrunerOffline:
-		w, err := needPretrained()
-		if err != nil {
-			return nil, err
-		}
-		opt.Policy = search.NewPrunerPolicy()
-		opt.Model = costmodel.NewPaCM(cfg.Seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = w
-	case MethodMetaSchedule:
-		opt.Policy = search.NewMetaSchedulePolicy()
-		opt.Model = costmodel.NewTenSetMLP(cfg.Seed + 1)
-		opt.OnlineTrain = true
-	case MethodRoller:
-		opt.Policy = search.NewRollerPolicy()
-		opt.Model = costmodel.NewRandom(cfg.Seed + 1)
-		if cfg.Trials == 0 {
-			opt.Trials = 50 * len(tasks)
-		}
-	default:
-		return nil, fmt.Errorf("pruner: unknown method %q", cfg.Method)
+	// Roller's default budget is 50 measurements per task.
+	if cfg.Method == MethodRoller && cfg.Trials == 0 {
+		opt.Trials = 50 * len(tasks)
 	}
 	return tuner.Tune(dev, tasks, opt), nil
 }
