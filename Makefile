@@ -60,12 +60,14 @@ test:
 # a pre-AVX2 host; an amd64 build takes an assembly one (AVX-512 or
 # AVX2), so the fallback is tested by building it out: the nn and
 # cost-model suites and the pinned sessions (golden fingerprint
-# cfe0bde7d409aa97, golden matrix, and every facade method's session,
-# the three offline ones included) must hold on it too.
+# cfe0bde7d409aa97, golden matrix, every facade method's session, the
+# three offline ones included, and every experiment-harness method's
+# session, TestHarnessSessionsPinned) must hold on it too.
 purego:
 	$(GO) test -tags purego ./internal/nn ./internal/costmodel
 	$(GO) test -tags purego -run 'TestTunePipelineDepth1MatchesPreRefactorGolden|TestTunePipelineGoldenMatrix' ./internal/tuner
 	$(GO) test -tags purego -run '^TestMethodSessionsPinned$$' .
+	$(GO) test -tags purego -run '^TestHarnessSessionsPinned$$' ./internal/experiments
 
 # Every internal package under the race detector (slow but the strongest
 # check that scoring/measurement fan-out stays data-race-free). The list

@@ -32,7 +32,7 @@ import (
 // every run takes seconds to minutes.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	runner, ok := experiments.Registry[id]
+	runner, ok := experiments.Lookup(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}

@@ -34,14 +34,14 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+		for _, e := range experiments.All {
+			fmt.Println(e.ID)
 		}
 		return
 	}
 
 	run := func(id string, cfg experiments.Config) error {
-		r, ok := experiments.Registry[id]
+		r, ok := experiments.Lookup(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", id)
 			os.Exit(2)
@@ -63,17 +63,17 @@ func main() {
 		if perJob < 1 {
 			perJob = 1
 		}
-		ids := experiments.IDs()
-		bufs := make([]bytes.Buffer, len(ids))
-		errs := parallel.Map(parallel.New(*jobs), len(ids), func(i int) error {
+		all := experiments.All
+		bufs := make([]bytes.Buffer, len(all))
+		errs := parallel.Map(parallel.New(*jobs), len(all), func(i int) error {
 			cfg := experiments.Config{
 				Full: *full, Seed: *seed, Out: &bufs[i],
 				CacheDir: *cache, Parallelism: perJob,
 			}
-			return run(ids[i], cfg)
+			return run(all[i].ID, cfg)
 		})
 		failed := false
-		for i := range ids {
+		for i := range all {
 			os.Stdout.Write(bufs[i].Bytes())
 			if errs[i] != nil {
 				failed = true

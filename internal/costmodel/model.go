@@ -95,6 +95,21 @@ type Model interface {
 	Costs() Costs
 }
 
+// New builds a fresh learned model of the named kind ("pacm",
+// "tensetmlp", "tlp") with the given init seed; ok is false for any other
+// name.
+func New(kind string, seed int64) (m Model, ok bool) {
+	switch kind {
+	case "pacm":
+		return NewPaCM(seed), true
+	case "tensetmlp":
+		return NewTenSetMLP(seed), true
+	case "tlp":
+		return NewTLP(seed), true
+	}
+	return nil, false
+}
+
 // Relevances converts a group's latencies into ranking labels: the
 // normalised throughput min_latency / latency in (0, 1], with failed
 // measurements at 0.

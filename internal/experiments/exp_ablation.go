@@ -6,15 +6,16 @@ import (
 
 // table12Methods are the online-ablation rows of Table 12.
 var table12Methods = []struct {
-	label, method string
+	label  string
+	method method
 }{
-	{"Ansor", "ansor"},
-	{"w/o LSE", "pruner-no-lse"},
-	{"w/o S.F.", "pruner-no-sf"},
-	{"w/o T.D.F", "pruner-no-tdf"},
-	{"w/o MoA", "pruner"},
-	{"w/ O-F", "pruner-of"},
-	{"MoA-Pruner", "moa-pruner"},
+	{"Ansor", mAnsor},
+	{"w/o LSE", mNoLSE},
+	{"w/o S.F.", mNoSF},
+	{"w/o T.D.F", mNoTDF},
+	{"w/o MoA", mPruner},
+	{"w/ O-F", mOF},
+	{"MoA-Pruner", mMoA},
 }
 
 // Table12 ablates the online tuning mode: removing LSE, either PaCM
@@ -55,8 +56,8 @@ func Table13(cfg Config) error {
 	h.printf("%-14s | %12s %9s | %12s %9s\n", "model", "w/oLSE-ms", "cost-min", "offline-ms", "cost-min")
 	for _, n := range nets {
 		tasks := h.tasksOf(mustNet(n))
-		noLSE := h.tune(device.A100, tasks, "pruner-offline-no-lse", cfg.Seed)
-		off := h.tune(device.A100, tasks, "pruner-offline", cfg.Seed)
+		noLSE := h.tune(device.A100, tasks, mOfflineNoLSE, cfg.Seed)
+		off := h.tune(device.A100, tasks, mPrunerOffline, cfg.Seed)
 		h.printf("%-14s | %12.3f %9.0f | %12.3f %9.0f\n", n,
 			noLSE.FinalLatency*1e3, minutes(noLSE.Clock.Total()*f),
 			off.FinalLatency*1e3, minutes(off.Clock.Total()*f))
@@ -68,13 +69,16 @@ func Table13(cfg Config) error {
 func Fig16(cfg Config) error {
 	h := newHarness(cfg)
 	tasks := h.tasksOf(mustNet("resnet50"))
-	methods := []struct{ label, method string }{
-		{"Ansor", "ansor"},
-		{"w/o LSE", "pruner-no-lse"},
-		{"w/o S.F.", "pruner-no-sf"},
-		{"w/o T.D.F.", "pruner-no-tdf"},
-		{"w/o MoA", "pruner"},
-		{"MoA-Pruner", "moa-pruner"},
+	methods := []struct {
+		label  string
+		method method
+	}{
+		{"Ansor", mAnsor},
+		{"w/o LSE", mNoLSE},
+		{"w/o S.F.", mNoSF},
+		{"w/o T.D.F.", mNoTDF},
+		{"w/o MoA", mPruner},
+		{"MoA-Pruner", mMoA},
 	}
 	h.printf("Figure 16: ResNet-50 ablation tuning curves on TITAN V [%s]\n", h.sc.tag)
 	for _, m := range methods {

@@ -17,17 +17,18 @@ import "pruner/internal/device"
 // controller's strict threshold) it holds the full fixed budget rather than
 // trade away solution quality.
 func Adaptive(cfg Config) error {
-	fixedCfg, adaptCfg := cfg, cfg
-	fixedCfg.AdaptBudget, adaptCfg.AdaptBudget = false, true
-	hf, ha := newHarness(fixedCfg), newHarness(adaptCfg)
+	hf := newHarness(cfg)
+	ha := *hf
+	ha.adaptBudget = true
 	seed := hf.cfg.Seed
 
 	rows := []struct {
-		label, net, method string
+		label, net string
+		method     method
 	}{
-		{"resnet50/online", "resnet50", "pruner"},
-		{"resnet50/offline", "resnet50", "pruner-offline"},
-		{"bert_tiny/offline", "bert_tiny", "pruner-offline"},
+		{"resnet50/online", "resnet50", mPruner},
+		{"resnet50/offline", "resnet50", mPrunerOffline},
+		{"bert_tiny/offline", "bert_tiny", mPrunerOffline},
 	}
 	hf.printf("Adaptive speculation: fixed vs calibrated budgets at equal trials, A100 [%s]\n", hf.sc.tag)
 	for _, row := range rows {

@@ -173,7 +173,7 @@ func Fig15(cfg Config) error {
 		sub := train.Subsample(per, cfg.Seed+int64(per))
 		h.printf("%-10d", sub.Size())
 		for _, kind := range []string{"tensetmlp", "tlp", "pacm"} {
-			m := newModel(kind, cfg.Seed+int64(per)+7)
+			m, _ := costmodel.New(kind, cfg.Seed+int64(per)+7)
 			if pu, ok := m.(costmodel.PoolUser); ok {
 				pu.SetPool(h.pool)
 			}
@@ -197,7 +197,7 @@ func Table11(cfg Config) error {
 		train := h.offlineDataset(dev)
 		test := h.testDataset(dev)
 		for _, kind := range []string{"tensetmlp", "tlp", "pacm"} {
-			m := newModel(kind, cfg.Seed+13)
+			m, _ := costmodel.New(kind, cfg.Seed+13)
 			if pu, ok := m.(costmodel.PoolUser); ok {
 				pu.SetPool(h.pool)
 			}

@@ -6,11 +6,9 @@ import (
 	"sort"
 
 	"pruner/internal/analyzer"
-	"pruner/internal/costmodel"
 	"pruner/internal/device"
 	"pruner/internal/ir"
 	"pruner/internal/schedule"
-	"pruner/internal/search"
 	"pruner/internal/simulator"
 	"pruner/internal/tuner"
 )
@@ -76,24 +74,20 @@ func AblationSAvsOracle(cfg Config) error {
 func AblationMomentum(cfg Config) error {
 	h := newHarness(cfg)
 	tasks := h.tasksOf(mustNet("bert_tiny"))
-	pre := h.pretrained("pacm", device.K80)
 	h.printf("Ablation: MoA momentum sweep on bert_tiny (A100) [%s]\n", h.sc.tag)
 	h.printf("%-12s %12s\n", "momentum", "final-ms")
-	for _, m := range []float64{0.9, 0.99, 0.999} {
-		res := tuner.Tune(device.A100, tasks, tuner.Options{
-			Trials:      h.sc.trials,
-			Policy:      &search.PrunerPolicy{LSE: search.LSEParams{SpecSize: h.sc.specSize, Population: h.sc.specSize, Steps: 4, MutateProb: 0.85, CrossProb: 0.05}, RandomDraft: h.sc.randomDraft, Eps: 0.05},
-			Model:       costmodel.NewPaCM(cfg.Seed + 1),
-			OnlineTrain: true,
-			Adaptation:  tuner.AdaptMoA,
-			Pretrained:  pre,
-			Momentum:    m,
-			Seed:        cfg.Seed,
-			Fit:         costmodel.FitOptions{Epochs: h.sc.onlineEpochs, Seed: cfg.Seed},
-		})
-		h.printf("%-12.3f %12.4f\n", m, res.FinalLatency*1e3)
+	ms := []float64{0.9, 0.99, 0.999}
+	ss := make([]session, 0, len(ms)+1)
+	for _, m := range ms {
+		sweep := mMoA
+		sweep.deviate = func(o *tuner.Options, _ *device.Device) { o.Momentum = m }
+		ss = append(ss, session{device.A100, tasks, sweep, cfg.Seed})
 	}
-	of := h.tune(device.A100, tasks, "pruner-of", cfg.Seed)
-	h.printf("%-12s %12.4f\n", "O-F (none)", of.FinalLatency*1e3)
+	ss = append(ss, session{device.A100, tasks, mOF, cfg.Seed})
+	res := h.tuneAll(ss)
+	for i, m := range ms {
+		h.printf("%-12.3f %12.4f\n", m, res[i].FinalLatency*1e3)
+	}
+	h.printf("%-12s %12.4f\n", "O-F (none)", res[len(ms)].FinalLatency*1e3)
 	return nil
 }

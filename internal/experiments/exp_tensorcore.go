@@ -42,9 +42,9 @@ func Fig12(cfg Config) error {
 				"pytorch": vendorlib.NetworkLatency(vendorlib.PyTorch, device.A100, net),
 				"triton":  vendorlib.NetworkLatency(vendorlib.Triton, device.A100, net),
 			}
-			for _, m := range []string{"metaschedule", "pruner-tc"} {
+			for _, m := range []method{mMetaSchedule, mPrunerTC} {
 				res := h.tune(device.A100, tasks, m, cfg.Seed)
-				lat[m] = res.FinalLatency + rest
+				lat[m.name] = res.FinalLatency + rest
 			}
 			best := math.Inf(1)
 			for _, l := range lat {
@@ -85,7 +85,7 @@ func Table8(cfg Config) error {
 	h.printf("%-4s %-22s %10s %7s %10s\n", "id", "shape", "cudaLib", "splitK", "pruner")
 	for i, op := range table8Ops() {
 		lib, algo := vendorlib.OpLatency(device.A100, op)
-		res := h.tune(device.A100, []*ir.Task{op}, "pruner-tc", cfg.Seed)
+		res := h.tune(device.A100, []*ir.Task{op}, mPrunerTC, cfg.Seed)
 		split := "w/o"
 		if algo == "splitK" {
 			split = "w"
@@ -118,8 +118,8 @@ func Table9(cfg Config) error {
 		h.printf("(%d, 128)   ", bs)
 		for _, name := range names {
 			tasks := h.tasksOf(tcNet(name, bs))
-			ms := h.tune(device.A100, tasks, "metaschedule", cfg.Seed)
-			pr := h.tune(device.A100, tasks, "pruner-tc", cfg.Seed)
+			ms := h.tune(device.A100, tasks, mMetaSchedule, cfg.Seed)
+			pr := h.tune(device.A100, tasks, mPrunerTC, cfg.Seed)
 			sp := speedupToReach(ms.Clock.Total(), pr, ms.FinalLatency)
 			all = append(all, sp)
 			h.printf(" %9.2fx", sp)
@@ -173,8 +173,8 @@ func Fig13(cfg Config) error {
 	for _, op := range ops {
 		lib, _ := vendorlib.OpLatency(device.A100, op.task)
 		tri := vendorlib.TaskLatency(vendorlib.Triton, device.A100, op.task)
-		ms := h.tune(device.A100, []*ir.Task{op.task}, "metaschedule", cfg.Seed).FinalLatency
-		pr := h.tune(device.A100, []*ir.Task{op.task}, "pruner-tc", cfg.Seed).FinalLatency
+		ms := h.tune(device.A100, []*ir.Task{op.task}, mMetaSchedule, cfg.Seed).FinalLatency
+		pr := h.tune(device.A100, []*ir.Task{op.task}, mPrunerTC, cfg.Seed).FinalLatency
 		best := math.Min(math.Min(lib, tri), math.Min(ms, pr))
 		h.printf("%-14s %9.3f %8.3f %14.3f %8.3f\n", op.label, best/lib, best/tri, best/ms, best/pr)
 	}

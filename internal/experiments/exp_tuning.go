@@ -10,9 +10,6 @@ import (
 	"pruner/internal/workloads"
 )
 
-// tunerCurve aliases the tuner's curve point for local brevity.
-type tunerCurve = tuner.CurvePoint
-
 // Table1 reproduces the Ansor tuning-cost breakdown on Orin (exploration /
 // training / measurement minutes for 2,000 trials).
 func Table1(cfg Config) error {
@@ -23,7 +20,7 @@ func Table1(cfg Config) error {
 	nets := []string{"resnet50", "detr", "inception_v3"}
 	ss := make([]session, len(nets))
 	for i, name := range nets {
-		ss[i] = session{device.Orin, h.tasksOf(mustNet(name)), "ansor", cfg.Seed}
+		ss[i] = session{device.Orin, h.tasksOf(mustNet(name)), mAnsor, cfg.Seed}
 	}
 	for i, res := range h.tuneAll(ss) {
 		c := res.Clock
@@ -33,9 +30,9 @@ func Table1(cfg Config) error {
 	return nil
 }
 
-// fig6Methods are the tuning-curve series of Figure 6.
-var fig6Online = []string{"ansor", "pruner", "moa-pruner"}
-var fig6Offline = []string{"tensetmlp", "tlp", "pruner-offline"}
+// fig6Online and fig6Offline are the tuning-curve series of Figure 6.
+var fig6Online = []method{mAnsor, mPruner, mMoA}
+var fig6Offline = []method{mTenSetMLP, mTLP, mPrunerOffline}
 
 // Fig6 reproduces the workload tuning curves in online and offline
 // cost-model tuning modes across the three platforms.
@@ -50,8 +47,9 @@ func Fig6(cfg Config) error {
 	// Every (network, device, mode, method) series is an independent
 	// session: enumerate them, fan them out, print in enumeration order.
 	type combo struct {
-		netName, mode, method string
-		dev                   *device.Device
+		netName, mode string
+		method        method
+		dev           *device.Device
 	}
 	var combos []combo
 	var ss []session
@@ -60,7 +58,7 @@ func Fig6(cfg Config) error {
 		for _, dev := range devs {
 			for _, mode := range []struct {
 				label   string
-				methods []string
+				methods []method
 			}{{"online", fig6Online}, {"offline", fig6Offline}} {
 				// Scaled mode runs the offline methods on the A100 only.
 				if !cfg.Full && mode.label == "offline" && dev != device.A100 {
@@ -75,7 +73,7 @@ func Fig6(cfg Config) error {
 	}
 	results := h.tuneAll(ss)
 	for i, c := range combos {
-		h.printf("%s %s %s %s:", c.netName, c.dev.Name, c.mode, c.method)
+		h.printf("%s %s %s %s:", c.netName, c.dev.Name, c.mode, c.method.name)
 		for _, p := range sampleCurve(results[i].Curve, 8) {
 			h.printf(" (%.0fs,%.3fms)", p.SimSeconds, p.WorkloadLat*1e3)
 		}
@@ -96,7 +94,7 @@ func Fig7(cfg Config) error {
 	h.printf("Figure 7: search-time speedup to reach baseline best (A100) [%s]\n", h.sc.tag)
 	h.printf("%-16s %10s %14s %12s %10s\n", "network", "vs-ansor", "vs-moa(ansor)", "vs-tensetmlp", "vs-tlp")
 	var sAnsor, sMoA, sTen, sTLP []float64
-	methods := []string{"ansor", "pruner", "moa-pruner", "tensetmlp", "tlp", "pruner-offline"}
+	methods := []method{mAnsor, mPruner, mMoA, mTenSetMLP, mTLP, mPrunerOffline}
 	var ss []session
 	for _, name := range nets {
 		tasks := h.tasksOf(mustNet(name))
@@ -156,12 +154,12 @@ func Table5(cfg Config) error {
 		tasks := h.tasksOf(mustNet(r.net))
 		saved := h.sc.trials
 		h.sc.trials = saved * r.ansorScale
-		ansor := h.tune(device.A100, tasks, "ansor", cfg.Seed)
+		ansor := h.tune(device.A100, tasks, mAnsor, cfg.Seed)
 		h.sc.trials = saved
-		tenset := h.tune(device.A100, tasks, "tensetmlp", cfg.Seed)
-		moa := h.tune(device.A100, tasks, "moa-pruner", cfg.Seed)
-		h.printf("%-14s %7d | %9.3f %9.0f | %9.3f %9.0f | %9.3f %9.0f\n",
-			r.net, h.sc.trials*r.ansorScale*int(f),
+		tenset := h.tune(device.A100, tasks, mTenSetMLP, cfg.Seed)
+		moa := h.tune(device.A100, tasks, mMoA, cfg.Seed)
+		h.printf("%-14s %7.0f | %9.3f %9.0f | %9.3f %9.0f | %9.3f %9.0f\n",
+			r.net, math.Round(float64(h.sc.trials*r.ansorScale)*f),
 			ansor.FinalLatency*1e3, minutes(ansor.Clock.Total()*f),
 			tenset.FinalLatency*1e3, minutes(tenset.Clock.Total()*f),
 			moa.FinalLatency*1e3, minutes(moa.Clock.Total()*f))
@@ -186,11 +184,11 @@ func Fig8(cfg Config) error {
 		nets = []string{"resnet50", "inception_v3", "mobilenet_v2", "densenet121",
 			"vit", "detr", "bert_tiny", "dcgan", "llama"}
 	}
-	methods := []string{"adatune", "felix", "tlm", "moa-pruner"}
+	methods := []method{mAdatune, mFelix, mTLM, mMoA}
 	h.printf("Figure 8: normalized performance vs more tensor compilers (A100) [%s]\n", h.sc.tag)
 	h.printf("%-16s", "network")
 	for _, m := range methods {
-		h.printf(" %12s", m)
+		h.printf(" %12s", m.name)
 	}
 	h.printf("\n")
 	speedups := map[string][]float64{}
@@ -199,25 +197,25 @@ func Fig8(cfg Config) error {
 		lat := map[string]float64{}
 		best := math.Inf(1)
 		for _, m := range methods {
-			if fig8Failures[m][name] || (m != "moa-pruner" && hasKind(tasks, ir.ConvTranspose2D) && m == "adatune") {
-				lat[m] = math.Inf(1)
+			if fig8Failures[m.name][name] || (m.name == "adatune" && hasKind(tasks, ir.ConvTranspose2D)) {
+				lat[m.name] = math.Inf(1)
 				continue
 			}
 			res := h.tune(device.A100, tasks, m, cfg.Seed)
-			lat[m] = res.FinalLatency
+			lat[m.name] = res.FinalLatency
 			if res.FinalLatency < best {
 				best = res.FinalLatency
 			}
 		}
 		h.printf("%-16s", name)
 		for _, m := range methods {
-			if math.IsInf(lat[m], 1) {
+			if math.IsInf(lat[m.name], 1) {
 				h.printf(" %12s", "x")
 				continue
 			}
-			h.printf(" %12.3f", best/lat[m])
-			if m != "moa-pruner" {
-				speedups[m] = append(speedups[m], lat[m]/lat["moa-pruner"])
+			h.printf(" %12.3f", best/lat[m.name])
+			if m.name != "moa-pruner" {
+				speedups[m.name] = append(speedups[m.name], lat[m.name]/lat["moa-pruner"])
 			}
 		}
 		h.printf("\n")
@@ -247,9 +245,9 @@ func Table6(cfg Config) error {
 		net := mustNet(name)
 		tasks := h.tasksOf(net)
 		pt := vendorlib.NetworkLatency(vendorlib.PyTorch, device.TitanV, net)
-		roller := h.tune(device.TitanV, tasks, "roller", cfg.Seed)
-		ansor := h.tune(device.TitanV, tasks, "ansor", cfg.Seed)
-		moa := h.tune(device.TitanV, tasks, "moa-pruner", cfg.Seed)
+		roller := h.tune(device.TitanV, tasks, mRoller, cfg.Seed)
+		ansor := h.tune(device.TitanV, tasks, mAnsor, cfg.Seed)
+		moa := h.tune(device.TitanV, tasks, mMoA, cfg.Seed)
 		h.printf("%-14s %10.3f %10.3f %10.3f %12.3f\n",
 			name, pt*1e3, roller.FinalLatency*1e3, ansor.FinalLatency*1e3, moa.FinalLatency*1e3)
 	}
@@ -274,7 +272,7 @@ func Fig9(cfg Config) error {
 			"triton":   vendorlib.NetworkLatency(vendorlib.Triton, device.A100, net),
 			"tensorrt": vendorlib.NetworkLatency(vendorlib.TensorRT, device.A100, net),
 		}
-		res := h.tune(device.A100, h.tasksOf(net), "moa-pruner", cfg.Seed)
+		res := h.tune(device.A100, h.tasksOf(net), mMoA, cfg.Seed)
 		// Scaled runs tune only the representative tasks; account for the
 		// untuned remainder at framework-kernel latency so network totals
 		// stay comparable.
@@ -299,8 +297,8 @@ func Fig9(cfg Config) error {
 
 // sampleCurve downsamples a tuning curve to at most n points (always
 // keeping the last), skipping the pre-coverage +Inf prefix.
-func sampleCurve(curve []tunerCurve, n int) []tunerCurve {
-	var valid []tunerCurve
+func sampleCurve(curve []tuner.CurvePoint, n int) []tuner.CurvePoint {
+	var valid []tuner.CurvePoint
 	for _, p := range curve {
 		if !math.IsInf(p.WorkloadLat, 1) {
 			valid = append(valid, p)
@@ -309,7 +307,7 @@ func sampleCurve(curve []tunerCurve, n int) []tunerCurve {
 	if len(valid) <= n {
 		return valid
 	}
-	out := make([]tunerCurve, 0, n)
+	out := make([]tuner.CurvePoint, 0, n)
 	step := float64(len(valid)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
 		out = append(out, valid[int(float64(i)*step)])
@@ -337,9 +335,9 @@ func Fig10(cfg Config) error {
 			"tensorrt": vendorlib.NetworkLatency(vendorlib.TensorRT, device.A100, net),
 		}
 		rest := untunedRemainder(net, tasks, device.A100)
-		for _, m := range []string{"ansor", "felix", "moa-pruner"} {
+		for _, m := range []method{mAnsor, mFelix, mMoA} {
 			res := h.tune(device.A100, tasks, m, cfg.Seed)
-			lat[m] = res.FinalLatency + rest
+			lat[m.name] = res.FinalLatency + rest
 		}
 		best := math.Inf(1)
 		for _, l := range lat {
@@ -354,9 +352,9 @@ func Fig10(cfg Config) error {
 	// Tuning curve, Ansor vs MoA-Pruner on the 1K decode.
 	net := mustNet("llama_decode1k")
 	tasks := h.tasksOf(net)
-	for _, m := range []string{"ansor", "moa-pruner"} {
+	for _, m := range []method{mAnsor, mMoA} {
 		res := h.tune(device.A100, tasks, m, cfg.Seed+5)
-		h.printf("curve llama-1k %s:", m)
+		h.printf("curve llama-1k %s:", m.name)
 		for _, p := range sampleCurve(res.Curve, 8) {
 			h.printf(" (%.0fs,%.3fms)", p.SimSeconds, p.WorkloadLat*1e3)
 		}
@@ -405,8 +403,8 @@ func Fig11(cfg Config) error {
 	ss := make([]session, 0, 2*len(ops))
 	for _, op := range ops {
 		ss = append(ss,
-			session{device.A100, []*ir.Task{op}, "ansor", cfg.Seed},
-			session{device.A100, []*ir.Task{op}, "pruner", cfg.Seed})
+			session{device.A100, []*ir.Task{op}, mAnsor, cfg.Seed},
+			session{device.A100, []*ir.Task{op}, mPruner, cfg.Seed})
 	}
 	results := h.tuneAll(ss)
 	for i, op := range ops {
@@ -435,7 +433,7 @@ func Table7(cfg Config) error {
 	}
 	h.printf("\n")
 	totals := map[string][]float64{}
-	methods := []string{"ansor", "pruner", "moa-pruner"}
+	methods := []method{mAnsor, mPruner, mMoA}
 	var ss []session
 	for _, m := range methods {
 		for _, n := range nets {
@@ -444,10 +442,10 @@ func Table7(cfg Config) error {
 	}
 	results := h.tuneAll(ss)
 	for mi, m := range methods {
-		h.printf("%-12s", m)
+		h.printf("%-12s", m.name)
 		for ni := range nets {
 			mins := minutes(results[mi*len(nets)+ni].Clock.Total() * f)
-			totals[m] = append(totals[m], mins)
+			totals[m.name] = append(totals[m.name], mins)
 			h.printf(" %12.1f", mins)
 		}
 		h.printf("\n")

@@ -17,7 +17,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"pruner/internal/analyzer"
@@ -53,11 +52,6 @@ type Config struct {
 	// multiplying. Sessions are seeded independently, so reported rows
 	// are identical at any setting.
 	Parallelism int
-	// AdaptBudget forwards tuner.Options.AdaptBudget to every tuning
-	// session: calibration-driven verify/draft/depth control. The
-	// "adaptive" experiment compares fixed vs adaptive explicitly and
-	// ignores this field; setting it here adapts the whole suite.
-	AdaptBudget bool
 }
 
 func (c Config) withDefaults() Config {
@@ -81,43 +75,33 @@ func (c Config) withDefaults() Config {
 // Runner executes one experiment.
 type Runner func(cfg Config) error
 
-// Registry maps experiment IDs (DESIGN.md §3) to runners.
-var Registry = map[string]Runner{
-	"table1":  Table1,
-	"fig6":    Fig6,
-	"fig7":    Fig7,
-	"table5":  Table5,
-	"fig8":    Fig8,
-	"table6":  Table6,
-	"fig9":    Fig9,
-	"fig10":   Fig10,
-	"fig11":   Fig11,
-	"table7":  Table7,
-	"fig12":   Fig12,
-	"table8":  Table8,
-	"table9":  Table9,
-	"fig13":   Fig13,
-	"fig14":   Fig14,
-	"table10": Table10,
-	"fig15":   Fig15,
-	"table11": Table11,
-	"table12": Table12,
-	"table13": Table13,
-	"fig16":   Fig16,
-	// Beyond the paper: fixed vs adaptive budget control at equal trials
-	// (ROADMAP "Adaptive verify budget"; DESIGN.md §14).
-	"adaptive": Adaptive,
+// An Experiment is one table or figure of the evaluation.
+type Experiment struct {
+	ID  string
+	Run Runner
 }
 
-// IDs lists experiment IDs in evaluation order.
-func IDs() []string {
-	ids := []string{
-		"table1", "fig6", "fig7", "table5", "fig8", "table6", "fig9",
-		"fig10", "fig11", "table7", "fig12", "table8", "table9", "fig13",
-		"fig14", "table10", "fig15", "table11", "table12", "table13", "fig16",
-		"adaptive",
+// All lists every experiment (DESIGN.md §3) in evaluation order.
+var All = []Experiment{
+	{"table1", Table1}, {"fig6", Fig6}, {"fig7", Fig7}, {"table5", Table5},
+	{"fig8", Fig8}, {"table6", Table6}, {"fig9", Fig9}, {"fig10", Fig10},
+	{"fig11", Fig11}, {"table7", Table7}, {"fig12", Fig12}, {"table8", Table8},
+	{"table9", Table9}, {"fig13", Fig13}, {"fig14", Fig14}, {"table10", Table10},
+	{"fig15", Fig15}, {"table11", Table11}, {"table12", Table12},
+	{"table13", Table13}, {"fig16", Fig16},
+	// Beyond the paper: fixed vs adaptive budget control at equal trials
+	// (ROADMAP "Adaptive verify budget"; DESIGN.md §14).
+	{"adaptive", Adaptive},
+}
+
+// Lookup returns the runner of an experiment ID.
+func Lookup(id string) (Runner, bool) {
+	for _, e := range All {
+		if e.ID == id {
+			return e.Run, true
+		}
 	}
-	return ids
+	return nil, false
 }
 
 // scale bundles all size parameters of a run.
@@ -160,6 +144,9 @@ type harness struct {
 	ctx  context.Context // == cfg.Ctx; a receiver-level field so every harness method can forward it
 	sc   scale
 	pool *parallel.Pool
+	// adaptBudget sets tuner.Options.AdaptBudget on every session (the
+	// "adaptive" experiment's second arm).
+	adaptBudget bool
 }
 
 func newHarness(cfg Config) *harness {
@@ -225,6 +212,9 @@ func (h *harness) offlineDataset(dev *device.Device) *dataset.Dataset {
 		Seed:             h.cfg.Seed + int64(len(key)),
 		Pool:             h.pool,
 	})
+	if h.ctx.Err() != nil {
+		return ds // cancelled part-way: never cache a partial dataset
+	}
 	dsMu.Lock()
 	if cached, ok := dsCache[key]; ok {
 		ds = cached
@@ -239,24 +229,6 @@ var (
 	dsMu    sync.Mutex
 	dsCache = map[string]*dataset.Dataset{}
 )
-
-// newModel constructs a fresh cost model by kind.
-func newModel(kind string, seed int64) costmodel.Model {
-	switch kind {
-	case "pacm":
-		return costmodel.NewPaCM(seed)
-	case "pacm-no-sf":
-		return costmodel.NewPaCMAblated(seed, false, true)
-	case "pacm-no-tdf":
-		return costmodel.NewPaCMAblated(seed, true, false)
-	case "tensetmlp":
-		return costmodel.NewTenSetMLP(seed)
-	case "tlp":
-		return costmodel.NewTLP(seed)
-	default:
-		panic("experiments: unknown model kind " + kind)
-	}
-}
 
 // pretrained returns cached cross-platform weights for (kind, device),
 // training and persisting them on first use. preMu serializes concurrent
@@ -274,7 +246,7 @@ func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 	// outside the lock: it dispatches measurements and can take minutes.
 	// Fitting is deterministic for a fixed seed, so a racing duplicate
 	// yields identical weights; the cache insert arbitrates below.
-	m := newModel(kind, h.cfg.Seed+77)
+	m, _ := costmodel.New(kind, h.cfg.Seed+77)
 	path := filepath.Join(h.cfg.CacheDir, key+".gob")
 	if f, err := os.Open(path); err == nil {
 		err = nn.LoadParams(f, m.Params())
@@ -293,6 +265,9 @@ func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 		Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed,
 		Cache: costmodel.NewFitCache(), // once-per-record features across epochs
 	})
+	if h.ctx.Err() != nil {
+		return tuner.SnapshotParams(m) // fitted on a partial dataset: never cache it
+	}
 	w = h.insertPretrained(key, tuner.SnapshotParams(m))
 	if err := os.MkdirAll(h.cfg.CacheDir, 0o755); err == nil {
 		if f, err := os.Create(path); err == nil {
@@ -320,133 +295,116 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// Tuning method dispatch.
+// Tuning methods.
 
-// tune runs one tuning session of the given method over tasks.
-func (h *harness) tune(dev *device.Device, tasks []*ir.Task, method string, seed int64) *tuner.Result {
+// A method is what one session of an experiment runs: a product method
+// (tuner.Define) sized to the run's scale, plus at most one named
+// deviation from it. name is what the experiments print.
+type method struct {
+	name string
+	def  tuner.Method
+	// policy, when set, drafts with that product method's policy in place
+	// of def's (the "w/o LSE" ablations).
+	policy tuner.Method
+	// deviate makes the method's one change to the sized session.
+	deviate func(o *tuner.Options, dev *device.Device)
+}
+
+// The product's methods as the experiments run them, then the named
+// deviations of the comparison and ablation rows.
+var (
+	mAnsor         = method{name: "ansor", def: tuner.MethodAnsor}
+	mPruner        = method{name: "pruner", def: tuner.MethodPruner} // the paper's "Pruner" / "w/o MoA"
+	mMoA           = method{name: "moa-pruner", def: tuner.MethodMoAPruner}
+	mTenSetMLP     = method{name: "tensetmlp", def: tuner.MethodTenSetMLP}
+	mTLP           = method{name: "tlp", def: tuner.MethodTLP}
+	mPrunerOffline = method{name: "pruner-offline", def: tuner.MethodPrunerOffline}
+	mRoller        = method{name: "roller", def: tuner.MethodRoller}
+
+	// Tables 12/13 "w/o LSE": PaCM verifies all Ansor's evolution explores.
+	mNoLSE        = method{name: "pruner-no-lse", def: tuner.MethodPruner, policy: tuner.MethodAnsor}
+	mOfflineNoLSE = method{name: "pruner-offline-no-lse", def: tuner.MethodPrunerOffline, policy: tuner.MethodAnsor}
+	// Table 12 "w/o S.F." and "w/o T.D.F.": PaCM without one feature branch.
+	mNoSF  = method{"pruner-no-sf", tuner.MethodPruner, "", ablatedPaCM(false, true)}
+	mNoTDF = method{"pruner-no-tdf", tuner.MethodPruner, "", ablatedPaCM(true, false)}
+	// Table 12 "w/ O-F": plain online fine-tuning in place of MoA.
+	mOF = method{"pruner-of", tuner.MethodMoAPruner, "", func(o *tuner.Options, _ *device.Device) {
+		o.Adaptation = tuner.AdaptFineTune
+	}}
+	// TLM: language-model-assisted, offline-pretrained guidance kept
+	// training online.
+	mTLM = method{"tlm", tuner.MethodTenSetMLP, "", func(o *tuner.Options, _ *device.Device) { o.OnlineTrain = true }}
+	// The TensorCore rows of §6.4.
+	mMetaSchedule = method{"metaschedule", tuner.MethodMetaSchedule, "", tensorCore}
+	mPrunerTC     = method{"pruner-tc", tuner.MethodPruner, "", tensorCore}
+	// Adatune: early-terminated measurements, cheaper but noisier.
+	mAdatune = method{"adatune", tuner.MethodAnsor, "", func(o *tuner.Options, dev *device.Device) {
+		o.Trials = o.Trials * 85 / 100
+		o.Measurer = measure.NewSim(simulator.NewWithConfig(dev, simulator.Config{MeasureNoise: 0.09}))
+	}}
+	// Felix: gradient-descent-style local search, a third of Ansor's
+	// population under mutation alone.
+	mFelix = method{"felix", tuner.MethodAnsor, "", func(o *tuner.Options, _ *device.Device) {
+		p := o.Policy.(*search.AnsorPolicy)
+		p.Evo.Population /= 3
+		p.Evo.MutateProb, p.Evo.CrossProb, p.Eps = 1, 0, 0
+	}}
+)
+
+func ablatedPaCM(useStatement, useDataflow bool) func(*tuner.Options, *device.Device) {
+	return func(o *tuner.Options, _ *device.Device) {
+		o.Model = costmodel.NewPaCMAblated(o.Seed+1, useStatement, useDataflow)
+	}
+}
+
+func tensorCore(o *tuner.Options, _ *device.Device) { o.TensorCore = true }
+
+// tune runs one tuning session of method m over tasks.
+func (h *harness) tune(dev *device.Device, tasks []*ir.Task, m method, seed int64) *tuner.Result {
 	sc := h.sc
-	opt := tuner.Options{
-		Ctx:         h.ctx,
-		Trials:      sc.trials,
-		Seed:        seed,
-		Pool:        h.pool, // one budget across the suite, not one per session
-		AdaptBudget: h.cfg.AdaptBudget,
-		Fit:         costmodel.FitOptions{Epochs: sc.onlineEpochs, Seed: seed},
+	d, _ := tuner.Define(m.def) // every method names a product method
+	if m.policy != "" {
+		p, _ := tuner.Define(m.policy)
+		d.Policy = p.Policy
 	}
+	opt := d.Options(seed)
+	opt.Ctx, opt.Pool, opt.Trials, opt.AdaptBudget = h.ctx, h.pool, sc.trials, h.adaptBudget
+	opt.Fit = costmodel.FitOptions{Epochs: sc.onlineEpochs, Seed: seed}
+	if d.Adapt == tuner.AdaptMoA {
+		opt.Pretrained = h.pretrained(d.Kind, device.K80) // MoA adapts across platforms
+	} else if d.Adapt != tuner.AdaptNone {
+		opt.Pretrained = h.pretrained(d.Kind, dev)
+	}
+	// Size the policy to the run. Scaled runs shrink per-round candidate
+	// budgets, so they charge the simulated exploration clock at
+	// paper-scale rates (xf) and timing comparisons (curves, Tables
+	// 1/5/7, Figure 7) stay meaningful. Both evolutionary baselines evolve
+	// with Ansor's operators; the product's MetaSchedule mutates at 0.80.
 	evo := search.EvoParams{Population: sc.evoPop, Generations: sc.evoGens, MutateProb: 0.85, CrossProb: 0.05}
-	lse := search.LSEParams{SpecSize: sc.specSize, Population: sc.evoPop, Steps: sc.evoGens, MutateProb: 0.85, CrossProb: 0.05}
-	prunerPolicy := func() *search.PrunerPolicy {
-		return &search.PrunerPolicy{LSE: lse, RandomDraft: sc.randomDraft, ExploitDraft: sc.randomDraft, Eps: 0.10}
-	}
-	ansorPolicy := func() *search.AnsorPolicy {
-		return &search.AnsorPolicy{Evo: evo, Eps: 0.10}
-	}
-
-	switch method {
-	case "ansor":
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewTenSetMLP(seed + 1)
-		opt.OnlineTrain = true
-	case "pruner": // online, no pretrain (paper's "Pruner" / "w/o MoA")
-		opt.Policy = prunerPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.OnlineTrain = true
-	case "moa-pruner":
-		opt.Policy = prunerPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.OnlineTrain = true
-		opt.Adaptation = tuner.AdaptMoA
-		opt.Pretrained = h.pretrained("pacm", device.K80)
-	case "pruner-of": // online fine-tuning ablation (Table 12 "w/ O-F")
-		opt.Policy = prunerPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.OnlineTrain = true
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = h.pretrained("pacm", device.K80)
-	case "pruner-no-lse": // Table 12/13 "w/o LSE": PaCM over all explored
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.OnlineTrain = true
-	case "pruner-no-sf", "pruner-no-tdf":
-		opt.Policy = prunerPolicy()
-		kind := "pacm-no-sf"
-		if method == "pruner-no-tdf" {
-			kind = "pacm-no-tdf"
-		}
-		opt.Model = newModel(kind, seed+1)
-		opt.OnlineTrain = true
-	case "tensetmlp": // offline mode
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewTenSetMLP(seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = h.pretrained("tensetmlp", dev)
-	case "tlp": // offline mode
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewTLP(seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = h.pretrained("tlp", dev)
-	case "pruner-offline":
-		opt.Policy = prunerPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = h.pretrained("pacm", dev)
-	case "pruner-offline-no-lse": // Table 13 "w/o LSE" offline
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = h.pretrained("pacm", dev)
-	case "metaschedule":
-		opt.Policy = &search.MetaSchedulePolicy{Evo: evo, Eps: 0.15}
-		opt.Model = costmodel.NewTenSetMLP(seed + 1)
-		opt.OnlineTrain = true
-		opt.TensorCore = true
-	case "pruner-tc":
-		opt.Policy = prunerPolicy()
-		opt.Model = costmodel.NewPaCM(seed + 1)
-		opt.OnlineTrain = true
-		opt.TensorCore = true
-	case "roller":
-		opt.Policy = &search.RollerPolicy{CandidatePool: 2000}
-		opt.Model = costmodel.NewRandom(seed + 1)
+	xf := 8000.0 / float64(sc.evoPop*sc.evoGens)
+	switch p := opt.Policy.(type) {
+	case *search.PrunerPolicy:
+		p.LSE.SpecSize, p.LSE.Population, p.LSE.Steps = sc.specSize, sc.evoPop, sc.evoGens
+		p.RandomDraft, p.ExploitDraft = sc.randomDraft, sc.randomDraft
+		xf = 512.0 / float64(sc.specSize)
+	case *search.AnsorPolicy:
+		p.Evo = evo
+	case *search.MetaSchedulePolicy:
+		p.Evo = evo
+	case *search.RollerPolicy:
+		p.CandidatePool = 2000
 		opt.Trials = sc.rollerPerTask * len(tasks)
-	case "adatune": // early-terminated measurements: cheaper but noisier
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewTenSetMLP(seed + 1)
-		opt.OnlineTrain = true
-		opt.Trials = sc.trials * 85 / 100
-		opt.Measurer = measure.NewSim(simulator.NewWithConfig(dev, simulator.Config{MeasureNoise: 0.09}))
-	case "felix": // gradient-descent-style local search
-		opt.Policy = &search.AnsorPolicy{
-			Evo: search.EvoParams{Population: sc.evoPop / 3, Generations: sc.evoGens, MutateProb: 1.0, CrossProb: 0},
-			Eps: 0,
-		}
-		opt.Model = costmodel.NewTenSetMLP(seed + 1)
-		opt.OnlineTrain = true
-	case "tlm": // language-model-assisted: offline-pretrained guidance
-		opt.Policy = ansorPolicy()
-		opt.Model = costmodel.NewTenSetMLP(seed + 1)
-		opt.OnlineTrain = true
-		opt.Adaptation = tuner.AdaptFineTune
-		opt.Pretrained = h.pretrained("tensetmlp", dev)
-	default:
-		panic("experiments: unknown method " + method)
+		xf = 1
 	}
 	if !h.cfg.Full {
-		// Scaled runs shrink per-round candidate budgets; charge the
-		// simulated exploration clock at paper-scale rates so timing
-		// comparisons (curves, Tables 1/5/7, Figure 7) stay meaningful.
 		cost := simulator.DefaultCostParams(dev)
-		xf := 1.0
-		switch opt.Policy.(type) {
-		case *search.PrunerPolicy:
-			xf = 512.0 / float64(sc.specSize)
-		case *search.AnsorPolicy, *search.MetaSchedulePolicy:
-			xf = 8000.0 / float64(sc.evoPop*sc.evoGens)
-		}
 		cost.FeatureExtract *= xf
 		cost.ModelInfer *= xf
 		cost.DraftEval *= xf
 		opt.Cost = cost
+	}
+	if m.deviate != nil {
+		m.deviate(&opt, dev)
 	}
 	return tuner.Tune(dev, tasks, opt)
 }
@@ -455,7 +413,7 @@ func (h *harness) tune(dev *device.Device, tasks []*ir.Task, method string, seed
 type session struct {
 	dev    *device.Device
 	tasks  []*ir.Task
-	method string
+	method method
 	seed   int64
 }
 
@@ -475,7 +433,7 @@ func (h *harness) tasksOf(net *workloads.Network) []*ir.Task {
 	return net.Representative(h.sc.maxTasks)
 }
 
-// net fetches a workload or panics (experiment definitions are static).
+// mustNet fetches a workload or panics (experiment definitions are static).
 func mustNet(name string) *workloads.Network {
 	n, err := workloads.ByName(name)
 	if err != nil {
@@ -510,16 +468,6 @@ func geomean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// methodsSorted returns map keys in stable order.
-func methodsSorted[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // saBest evaluates the draft analyzer's score for all entries of a task

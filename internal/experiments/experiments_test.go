@@ -1,25 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
 	"pruner/internal/device"
 	"pruner/internal/tuner"
 )
-
-func TestRegistryMatchesIDs(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Fatalf("IDs() has %d entries, Registry %d", len(ids), len(Registry))
-	}
-	for _, id := range ids {
-		if Registry[id] == nil {
-			t.Fatalf("experiment %q missing from registry", id)
-		}
-	}
-}
 
 func TestScaleParameters(t *testing.T) {
 	full := scaleOf(true)
@@ -53,7 +43,8 @@ func TestFastExperimentsRun(t *testing.T) {
 	} {
 		var sb strings.Builder
 		cfg := Config{Seed: 7, Out: &sb, CacheDir: t.TempDir()}
-		if err := Registry[tc.id](cfg); err != nil {
+		run, _ := Lookup(tc.id)
+		if err := run(cfg); err != nil {
 			t.Fatalf("%s: %v", tc.id, err)
 		}
 		if !strings.Contains(sb.String(), tc.want) {
@@ -117,10 +108,10 @@ func TestTuneAllMatchesSerial(t *testing.T) {
 		h.sc.maxTasks = 1
 		tasks := h.tasksOf(mustNet("bert_tiny"))
 		return h.tuneAll([]session{
-			{device.A100, tasks, "ansor", 7},
-			{device.A100, tasks, "pruner", 7},
-			{device.T4, tasks, "pruner", 8},
-			{device.A100, tasks, "roller", 9},
+			{device.A100, tasks, mAnsor, 7},
+			{device.A100, tasks, mPruner, 7},
+			{device.T4, tasks, mPruner, 8},
+			{device.A100, tasks, mRoller, 9},
 		})
 	}
 	serial := run(1)
@@ -132,6 +123,55 @@ func TestTuneAllMatchesSerial(t *testing.T) {
 		}
 		if serial[i].Clock != wide[i].Clock {
 			t.Fatalf("session %d clock differs: %+v vs %+v", i, serial[i].Clock, wide[i].Clock)
+		}
+	}
+}
+
+// cancelled returns a context that is already done: sessions run under it
+// stop at their first round, so a runner's printed frame costs nothing.
+func cancelled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// TestTable5TrialsColumn checks the Ansor trials column is the paper's
+// budget, 2,000 trials times the row's multiplier, in scaled mode too:
+// the extrapolation factor 2000/120 must not be truncated before it
+// multiplies. Its weights, pretrained on a dataset the cancellation cut
+// short, must not reach the cache.
+func TestTable5TrialsColumn(t *testing.T) {
+	var sb strings.Builder
+	dir := t.TempDir()
+	if err := Table5(Config{Seed: 7, Out: &sb, CacheDir: dir, Ctx: cancelled()}); err != nil {
+		t.Fatal(err)
+	}
+	if cached, _ := os.ReadDir(dir); len(cached) != 0 {
+		t.Errorf("a cancelled run cached pretrained weights: %v", cached)
+	}
+	for _, want := range []string{"resnet50          6000 |", "bert_tiny         4000 |"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("Table 5 lacks row %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestAblationMomentumRunsThroughHarness checks every row of the momentum
+// sweep is a harness session: each honours Config.Ctx, so under a
+// cancelled context no row measures anything and all of them, the O-F row
+// included, report no latency.
+func TestAblationMomentumRunsThroughHarness(t *testing.T) {
+	var sb strings.Builder
+	if err := AblationMomentum(Config{Seed: 7, Out: &sb, CacheDir: t.TempDir(), Ctx: cancelled()}); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(sb.String()), "\n")[2:]
+	if len(rows) != 4 {
+		t.Fatalf("want 3 sweep rows and the O-F row, got:\n%s", sb.String())
+	}
+	for _, r := range rows {
+		if !strings.HasSuffix(r, "+Inf") {
+			t.Errorf("row %q measured under a cancelled context", r)
 		}
 	}
 }

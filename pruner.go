@@ -15,7 +15,6 @@ import (
 	"pruner/internal/obs"
 	"pruner/internal/parallel"
 	"pruner/internal/schedule"
-	"pruner/internal/search"
 	"pruner/internal/simulator"
 	"pruner/internal/tuner"
 	"pruner/internal/workloads"
@@ -163,33 +162,35 @@ func LoadNetwork(name string) (*Network, error) { return workloads.ByName(name) 
 // NetworkNames lists the available workloads.
 func NetworkNames() []string { return workloads.Names() }
 
-// Method selects a tuning approach.
-type Method string
+// Method selects a tuning approach by name: "pruner", "moa-pruner",
+// "ansor", "tensetmlp", "tlp", "pruner-offline", "metaschedule" or
+// "roller". tuner.Define defines each one.
+type Method = tuner.Method
 
 // Supported tuning methods.
 const (
 	// MethodPruner is the paper's Draft-then-Verify mechanism with PaCM
 	// trained online.
-	MethodPruner Method = "pruner"
+	MethodPruner = tuner.MethodPruner
 	// MethodMoAPruner adds Momentum online Adaptation from pretrained
 	// cross-platform weights (requires Config.Pretrained).
-	MethodMoAPruner Method = "moa-pruner"
+	MethodMoAPruner = tuner.MethodMoAPruner
 	// MethodAnsor is evolutionary search with an online statement-feature
 	// MLP over all explored candidates.
-	MethodAnsor Method = "ansor"
+	MethodAnsor = tuner.MethodAnsor
 	// MethodTenSetMLP is Ansor-style search guided by an offline
 	// pretrained MLP (requires Config.Pretrained).
-	MethodTenSetMLP Method = "tensetmlp"
+	MethodTenSetMLP = tuner.MethodTenSetMLP
 	// MethodTLP is Ansor-style search guided by the offline TLP
 	// transformer (requires Config.Pretrained).
-	MethodTLP Method = "tlp"
+	MethodTLP = tuner.MethodTLP
 	// MethodPrunerOffline drafts with LSE and verifies with an offline
 	// pretrained PaCM (requires Config.Pretrained).
-	MethodPrunerOffline Method = "pruner-offline"
+	MethodPrunerOffline = tuner.MethodPrunerOffline
 	// MethodMetaSchedule is the TensorCore-capable evolutionary baseline.
-	MethodMetaSchedule Method = "metaschedule"
+	MethodMetaSchedule = tuner.MethodMetaSchedule
 	// MethodRoller is the rule-based aligned-tile baseline.
-	MethodRoller Method = "roller"
+	MethodRoller = tuner.MethodRoller
 )
 
 // Pretrained carries cost-model weights from offline pretraining, keyed to
@@ -199,56 +200,11 @@ type Pretrained struct {
 	Weights []*nn.Tensor
 }
 
-// methodDef is one row of the paper's method comparison: the search that
-// drafts, the cost model that verifies, and how that model learns.
-type methodDef struct {
-	policy func() search.Policy
-	// kind is the cost model, as newModelKind builds it; "" is Roller's
-	// random ranker, the one model that does not learn.
-	kind   string
-	online bool // trains on the session's own measurements
-	// adapt is how pretrained weights enter the session. Every adaptation
-	// but AdaptNone needs Config.Pretrained of the model's kind.
-	adapt tuner.Adaptation
-}
-
-// definition is the one place a Method is defined: Tune, PretrainedKind
-// and CheckMethod all read it. The switch has no default clause, so the
-// exhaust analyzer fails the lint when a Method constant has no case. The
-// empty Method selects MethodPruner; ok is false for any other name that
-// is not a Method.
-func definition(m Method) (d methodDef, ok bool) {
-	lse := func() search.Policy { return search.NewPrunerPolicy() }
-	evo := func() search.Policy { return search.NewAnsorPolicy() }
-	if m == "" {
-		m = MethodPruner
-	}
-	switch m {
-	case MethodPruner:
-		return methodDef{lse, "pacm", true, tuner.AdaptNone}, true
-	case MethodMoAPruner:
-		return methodDef{lse, "pacm", true, tuner.AdaptMoA}, true
-	case MethodAnsor:
-		return methodDef{evo, "tensetmlp", true, tuner.AdaptNone}, true
-	case MethodTenSetMLP:
-		return methodDef{evo, "tensetmlp", false, tuner.AdaptFineTune}, true
-	case MethodTLP:
-		return methodDef{evo, "tlp", false, tuner.AdaptFineTune}, true
-	case MethodPrunerOffline:
-		return methodDef{lse, "pacm", false, tuner.AdaptFineTune}, true
-	case MethodMetaSchedule:
-		return methodDef{func() search.Policy { return search.NewMetaSchedulePolicy() }, "tensetmlp", true, tuner.AdaptNone}, true
-	case MethodRoller:
-		return methodDef{func() search.Policy { return search.NewRollerPolicy() }, "", false, tuner.AdaptNone}, true
-	}
-	return methodDef{}, false
-}
-
 // PretrainedKind is the model kind a method's Config.Pretrained must
 // carry, or "" for a method that takes no pretrained weights.
 func PretrainedKind(m Method) string {
-	if d, ok := definition(m); ok && d.adapt != tuner.AdaptNone {
-		return d.kind
+	if d, ok := tuner.Define(m); ok && d.Adapt != tuner.AdaptNone {
+		return d.Kind
 	}
 	return ""
 }
@@ -258,16 +214,16 @@ func PretrainedKind(m Method) string {
 // of its model's kind (the other methods ignore p). The tuning daemon
 // calls it at submit time with the bundle it loaded.
 func CheckMethod(m Method, p *Pretrained) error {
-	d, ok := definition(m)
+	d, ok := tuner.Define(m)
 	switch {
 	case !ok:
 		return fmt.Errorf("pruner: unknown method %q", m)
-	case d.adapt == tuner.AdaptNone:
+	case d.Adapt == tuner.AdaptNone:
 		return nil
 	case p == nil:
-		return fmt.Errorf("pruner: method %q needs %q pretrained weights (Config.Pretrained)", m, d.kind)
-	case p.Kind != d.kind:
-		return fmt.Errorf("pruner: method %q needs %q weights, got %q", m, d.kind, p.Kind)
+		return fmt.Errorf("pruner: method %q needs %q pretrained weights (Config.Pretrained)", m, d.Kind)
+	case p.Kind != d.Kind:
+		return fmt.Errorf("pruner: method %q needs %q weights, got %q", m, d.Kind, p.Kind)
 	}
 	return nil
 }
@@ -314,16 +270,10 @@ func LoadModel(r io.Reader) (*Pretrained, error) {
 
 // newModelKind builds a fresh learned cost model of the named kind.
 func newModelKind(kind string, seed int64) (costmodel.Model, error) {
-	switch kind {
-	case "pacm":
-		return costmodel.NewPaCM(seed), nil
-	case "tensetmlp":
-		return costmodel.NewTenSetMLP(seed), nil
-	case "tlp":
-		return costmodel.NewTLP(seed), nil
-	default:
-		return nil, fmt.Errorf("pruner: unknown model kind %q", kind)
+	if m, ok := costmodel.New(kind, seed); ok {
+		return m, nil
 	}
+	return nil, fmt.Errorf("pruner: unknown model kind %q", kind)
 }
 
 // Config tunes a session.
@@ -396,34 +346,22 @@ func Tune(dev *Device, net *Network, cfg Config) (*Result, error) {
 	if err := CheckMethod(cfg.Method, cfg.Pretrained); err != nil {
 		return nil, err
 	}
-	d, _ := definition(cfg.Method)
-	var model costmodel.Model
-	if d.kind == "" {
-		model = costmodel.NewRandom(cfg.Seed + 1)
-	} else {
-		model, _ = newModelKind(d.kind, cfg.Seed+1) // every kind in definition is known
-	}
+	d, _ := tuner.Define(cfg.Method)
 	tasks := net.Representative(cfg.MaxTasks)
-	opt := tuner.Options{
-		Trials:        cfg.Trials,
-		BatchSize:     cfg.BatchSize,
-		Policy:        d.policy(),
-		Model:         model,
-		OnlineTrain:   d.online,
-		Adaptation:    d.adapt,
-		Seed:          cfg.Seed,
-		TensorCore:    cfg.TensorCore,
-		Parallelism:   cfg.Parallelism,
-		Pool:          cfg.Pool,
-		Measurer:      cfg.Measurer,
-		PipelineDepth: cfg.PipelineDepth,
-		AdaptBudget:   cfg.AdaptBudget,
-		Ctx:           cfg.Ctx,
-		Progress:      cfg.Progress,
-		WarmStart:     cfg.WarmStart,
-		Obs:           cfg.Obs,
-	}
-	if d.adapt != tuner.AdaptNone {
+	opt := d.Options(cfg.Seed)
+	opt.Trials = cfg.Trials
+	opt.BatchSize = cfg.BatchSize
+	opt.TensorCore = cfg.TensorCore
+	opt.Parallelism = cfg.Parallelism
+	opt.Pool = cfg.Pool
+	opt.Measurer = cfg.Measurer
+	opt.PipelineDepth = cfg.PipelineDepth
+	opt.AdaptBudget = cfg.AdaptBudget
+	opt.Ctx = cfg.Ctx
+	opt.Progress = cfg.Progress
+	opt.WarmStart = cfg.WarmStart
+	opt.Obs = cfg.Obs
+	if d.Adapt != tuner.AdaptNone {
 		opt.Pretrained = cfg.Pretrained.Weights
 	}
 	// Roller's default budget is 50 measurements per task.
