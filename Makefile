@@ -120,10 +120,12 @@ bench:
 # operators and the fused training backward (internal/nn), each learned
 # model's frozen forward over one predict chunk and one whole training
 # step on a warmed replica (internal/costmodel), the sampler's budget check
-# Generator.Fits and the draft model Analyzer.Score to 0 heap allocations
-# per run, schedule.Lower to 1 and each feature family's first touch to
-# 2 (internal/features) — the dynamic cross-check of the static hotalloc
-# analyzer over the same //pruner:hotpath roots.
+# Generator.Fits, the draft's schedule identity (Schedule.Key, Same and
+# CompareFingerprints), a Memo hit by a structurally equal clone and the
+# draft model Analyzer.Score to 0 heap allocations per run, schedule.Lower
+# to 1 and each feature family's first touch to 2 (internal/features) —
+# the dynamic cross-check of the static hotalloc analyzer over the same
+# //pruner:hotpath roots.
 bench-smoke:
 	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/costmodel ./internal/schedule ./internal/features ./internal/analyzer
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...
@@ -149,10 +151,12 @@ ledger-compare:
 # Short fuzz pass over the record codec (the store's segment format and
 # the fleet's wire format), the store's torn-tail segment replay, the
 # hand-editable wire.lock parser, every SIMD GEMM strip the host runs
-# (AVX-512, AVX2) against the Go one, and the rows op (compacted input,
+# (AVX-512, AVX2) against the Go one, the rows op (compacted input,
 # gathered weight panel) against Affine over the uncompacted rows,
-# forward and W/b gradients bit for bit. The seed corpora also run as
-# plain tests under `make test`.
+# forward and W/b gradients bit for bit, and the schedule identity (Same
+# is fingerprint equality, equal schedules share a Key, and
+# CompareFingerprints orders as strings.Compare over the fingerprints).
+# The seed corpora also run as plain tests under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s
@@ -160,6 +164,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzWireLockParse$$' -fuzztime 10s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzGemmBlock$$' -fuzztime 10s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzAffineRows$$' -fuzztime 10s
+	$(GO) test ./internal/schedule -run '^$$' -fuzz '^FuzzScheduleKey$$' -fuzztime 10s
 
 clean:
 	$(GO) clean

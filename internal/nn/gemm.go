@@ -29,8 +29,13 @@
 // assembly multiplies and adds with separate instructions (no FMA), so
 // each output element still rounds after every product and every sum, in
 // ascending k: the three agree bit for bit (TestGemmBlockMatchesGo), and
-// a build without the assembly — any other architecture, a pre-AVX2
-// host, or -tags purego — computes the same sessions.
+// on one host a build without the assembly (-tags purego) computes the
+// same sessions. Across hosts the pinned sessions hold only on amd64
+// with AVX and FMA: without FMA, math.Exp takes another path with other
+// bits, and compilers for other architectures may fuse x*y + z —
+// gemmStripGo's included — so the bits are pinned on amd64 until the
+// deterministic layers own their transcendentals and round every product
+// explicitly (ROADMAP.md).
 //
 // The skip leans on one IEEE fact: for finite operands a zero scalar
 // contributes an exact ±0.0 term, which leaves a partial sum unchanged

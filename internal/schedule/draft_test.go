@@ -11,10 +11,12 @@ import (
 	"pruner/internal/workloads"
 )
 
-// The draft loop's contract, measured: the sampler's budget check never
-// touches the heap and a lowering is one object. These are the dynamic
-// twins of the //pruner:hotpath roots on Fits, sharedPerBlock and Lower
-// (the static hotalloc gate); `make bench-smoke` runs every TestAlloc*.
+// The draft loop's contract, measured: the sampler's budget check, a
+// schedule's key, equality and ordering, and a memo hit never touch the
+// heap, and a lowering is one object. These are the dynamic twins of the
+// //pruner:hotpath roots on Fits, sharedPerBlock, Key, Memo.Lower and
+// Lower (the static hotalloc gate); `make bench-smoke` runs every
+// TestAlloc*.
 
 func a100Generator(task *ir.Task) *Generator {
 	g := NewGenerator(task)
@@ -40,6 +42,63 @@ func TestAllocLower(t *testing.T) {
 	fs := NewGenerator(flat).Random(rand.New(rand.NewSource(1)))
 	if avg := testing.AllocsPerRun(100, func() { Lower(flat, fs) }); avg > 1 {
 		t.Errorf("Lower (flat): %v allocs per run, want <= 1", avg)
+	}
+}
+
+// allocRuns is the run count of the identity alloc gates. Each run takes
+// fresh clones (AllocsPerRun adds one warm-up run): a fingerprint built
+// by one call would be cached for the next and hide its allocation.
+const allocRuns = 100
+
+// freshClones returns allocRuns+1 clones of s, none fingerprinted.
+func freshClones(s *Schedule) []*Schedule {
+	out := make([]*Schedule, allocRuns+1)
+	for i := range out {
+		out[i] = s.Clone()
+	}
+	return out
+}
+
+// TestAllocScheduleKey: the draft's identity — hashing, equality and
+// ordering — reads the structure in place and builds no fingerprint.
+func TestAllocScheduleKey(t *testing.T) {
+	_, s := fig3()
+	other := s.Clone()
+	other.SpatialTiles[0][LvlThread] = 16 // "8 " against "16 ": decided by digits
+	firsts, twins, others := freshClones(s), freshClones(s), freshClones(other)
+	for _, c := range []struct {
+		name string
+		run  func(i int)
+	}{
+		{"Key", func(i int) { firsts[i].Key() }},
+		{"Same", func(i int) { firsts[i].Same(twins[i]) }},
+		{"CompareFingerprints", func(i int) { CompareFingerprints(firsts[i], others[i]) }},
+	} {
+		i := 0
+		if avg := testing.AllocsPerRun(allocRuns, func() { c.run(i); i++ }); avg != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", c.name, avg)
+		}
+	}
+}
+
+// TestAllocMemoHit: a lookup by a structurally equal clone — a schedule
+// whose fingerprint was never built — finds the cached program without
+// touching the heap.
+func TestAllocMemoHit(t *testing.T) {
+	task, s := fig3()
+	memo := NewMemo()
+	lw := memo.Lower(task, s)
+	twins := freshClones(s)
+	i, hit := 0, true
+	lookup := func() {
+		hit = hit && memo.Lower(task, twins[i]) == lw
+		i++
+	}
+	if avg := testing.AllocsPerRun(allocRuns, lookup); avg != 0 {
+		t.Errorf("Memo.Lower hit: %v allocs per run, want 0", avg)
+	}
+	if !hit {
+		t.Fatal("a structurally equal clone missed the memo")
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // TestMemoSharesOneLoweringPerFingerprint: the memo must hand every
-// caller the same *Lowered for a fingerprint (so feature caches are
-// shared) and be safe under concurrent access from pool workers.
+// caller the same *Lowered for one schedule structure — one fingerprint —
+// (so feature caches are shared) and be safe under concurrent access
+// from pool workers.
 func TestMemoSharesOneLoweringPerFingerprint(t *testing.T) {
 	task := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
 	gen := NewGenerator(task)
@@ -40,16 +41,17 @@ func TestMemoSharesOneLoweringPerFingerprint(t *testing.T) {
 		t.Fatalf("memo holds %d entries for %d schedules", memo.Len(), len(schs))
 	}
 
-	// Clones share fingerprints, so they must share the memoized program.
+	// Clones are structurally equal, so they must share the memoized
+	// program.
 	c := schs[0].Clone()
 	if memo.Lower(task, c) != first[0] {
-		t.Fatal("clone with equal fingerprint missed the memo")
+		t.Fatal("structurally equal clone missed the memo")
 	}
 }
 
-// TestMemoRejectsCrossTaskUse: the cache keys by fingerprint alone, so
-// sharing a memo across tasks must fail loudly instead of serving
-// another task's lowering.
+// TestMemoRejectsCrossTaskUse: the cache keys by schedule structure
+// alone, so sharing a memo across tasks must fail loudly instead of
+// serving another task's lowering.
 func TestMemoRejectsCrossTaskUse(t *testing.T) {
 	a := ir.NewMatMul(64, 64, 64, ir.FP32, 0)
 	b := ir.NewMatMul(32, 32, 32, ir.FP32, 0)

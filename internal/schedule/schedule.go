@@ -62,8 +62,10 @@ type Schedule struct {
 
 	// fp caches Fingerprint. Schedules are immutable once the generator
 	// returns them; the cache is atomic because measurement workers may
-	// fingerprint concurrently. The profile showed fingerprinting inside
-	// sort comparators dominating the serial portion of a tuning round.
+	// fingerprint concurrently. The draft never builds the string: it
+	// deduplicates and orders through Key, Same and CompareFingerprints
+	// (key.go), so fp is filled only for schedules that reach a record,
+	// the store, the wire or the simulator.
 	fp atomic.Pointer[string]
 }
 
@@ -83,7 +85,10 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// Fingerprint is a canonical string identity for deduplication.
+// Fingerprint is the schedule's canonical string identity: what records,
+// the store and the wire carry, and what the simulator's jitter hash
+// reads. In memory, Same and Key give the same identity without building
+// it.
 func (s *Schedule) Fingerprint() string {
 	if p := s.fp.Load(); p != nil {
 		return *p
@@ -470,16 +475,13 @@ func (g *Generator) clampThreads(s *Schedule) {
 // InitPopulation samples n distinct schedules (best effort on
 // distinctness).
 func (g *Generator) InitPopulation(rng *rand.Rand, n int) []*Schedule {
-	seen := make(map[string]bool, n)
+	seen := NewSet(n)
 	out := make([]*Schedule, 0, n)
 	for tries := 0; len(out) < n && tries < n*8; tries++ {
 		s := g.Random(rng)
-		fp := s.Fingerprint()
-		if seen[fp] {
-			continue
+		if _, added := seen.Add(s); added {
+			out = append(out, s)
 		}
-		seen[fp] = true
-		out = append(out, s)
 	}
 	for len(out) < n { // tiny spaces: allow duplicates rather than starve
 		out = append(out, g.Random(rng))

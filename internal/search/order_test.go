@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -64,15 +65,15 @@ func TestTopKOrderPinned(t *testing.T) {
 
 func TestPruneSpecSurvivorsPinned(t *testing.T) {
 	cands, index := orderCands()
-	spec := map[string]scored{}
+	spec := newSpecSet(len(cands))
 	for _, c := range cands {
-		spec[c.sch.Fingerprint()] = c
+		spec.add(c)
 	}
 	// k = 7 cuts through the three-way tie at score 1: the survivors of a
-	// tie are the smallest fingerprints, whatever the map's iteration order.
+	// tie are the smallest fingerprints, whatever order they were added in.
 	pruneSpec(spec, 7)
 	var got []int
-	for _, c := range spec {
+	for _, c := range spec.list {
 		got = append(got, index[c.sch])
 	}
 	sort.Ints(got)
@@ -152,9 +153,9 @@ func TestOrderingsMatchSliceStable(t *testing.T) {
 			}
 			return ref[i].sch.Fingerprint() < ref[j].sch.Fingerprint()
 		})
-		spec := map[string]scored{}
+		spec := newSpecSet(n)
 		for _, c := range cands {
-			spec[c.sch.Fingerprint()] = c
+			spec.add(c)
 		}
 		// The full ranking RunLSE and evolve return ...
 		for i, c := range drainRanked(spec) {
@@ -164,11 +165,11 @@ func TestOrderingsMatchSliceStable(t *testing.T) {
 		}
 		// ... and the PriorFilter cut of it.
 		pruneSpec(spec, k)
-		if len(spec) != k {
-			t.Fatalf("trial %d: pruneSpec left %d of %d, want %d", trial, len(spec), n, k)
+		if len(spec.list) != k {
+			t.Fatalf("trial %d: pruneSpec left %d of %d, want %d", trial, len(spec.list), n, k)
 		}
 		for _, c := range ref[:k] {
-			if spec[c.sch.Fingerprint()].sch != c.sch {
+			if !slices.ContainsFunc(spec.list, func(e scored) bool { return e.sch == c.sch }) {
 				t.Fatalf("trial %d: pruneSpec dropped a top-%d entry (score %g)", trial, k, c.score)
 			}
 		}

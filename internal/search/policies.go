@@ -68,14 +68,13 @@ func (p *PrunerPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
 	}
 	spec := RunLSE(ctx, lse)
 	draft := make([]*schedule.Schedule, 0, len(spec)+p.RandomDraft+p.ExploitDraft)
-	seen := map[string]bool{}
+	seen := schedule.NewSet(cap(draft))
 	for _, s := range spec {
-		seen[s.Fingerprint()] = true
+		seen.Add(s)
 		draft = append(draft, s)
 	}
 	for _, s := range ctx.Gen.InitPopulation(ctx.RNG, p.RandomDraft) {
-		if fp := s.Fingerprint(); !seen[fp] {
-			seen[fp] = true
+		if _, added := seen.Add(s); added {
 			draft = append(draft, s)
 		}
 	}
@@ -83,8 +82,7 @@ func (p *PrunerPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
 		elites := bestMeasured(ctx, 8)
 		for i := 0; len(elites) > 0 && i < p.ExploitDraft; i++ {
 			s := ctx.Gen.Mutate(ctx.RNG, elites[i%len(elites)])
-			if fp := s.Fingerprint(); !seen[fp] {
-				seen[fp] = true
+			if _, added := seen.Add(s); added {
 				draft = append(draft, s)
 			}
 		}

@@ -5,12 +5,12 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 
 	"pruner/internal/analyzer"
 	"pruner/internal/costmodel"
@@ -150,23 +150,43 @@ func byScore(a, b scored) int {
 	return 0
 }
 
-// drainRanked returns a fingerprint-keyed candidate map's entries, best
-// first, ties broken by ascending fingerprint. That is a total order over
-// the map's distinct schedules — the only reason a ranking drained in map
-// iteration order is reproducible at all — so the result does not depend
-// on the sort's stability and the cheaper unstable sort yields it.
-func drainRanked(m map[string]scored) []scored {
-	out := make([]scored, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
+// specSet is a set of distinct scored candidates: each schedule appears
+// once, up to structural equality, holding the best score it was seen
+// with. ids numbers the members in the order of list.
+type specSet struct {
+	ids  *schedule.Set
+	list []scored
+}
+
+func newSpecSet(n int) *specSet {
+	return &specSet{ids: schedule.NewSet(n), list: make([]scored, 0, n)}
+}
+
+// add inserts c, or replaces its structural twin when c scores higher.
+func (t *specSet) add(c scored) {
+	i, added := t.ids.Add(c.sch)
+	switch {
+	case added:
+		t.list = append(t.list, c)
+	case c.score > t.list[i].score:
+		t.list[i] = c
 	}
-	slices.SortFunc(out, func(a, b scored) int {
+}
+
+// drainRanked ranks a candidate set's entries in place and returns them,
+// best first, ties broken by ascending fingerprint (compared without
+// building the strings). That is a total order over the set's distinct
+// schedules, so the result depends on neither the order entries were
+// added in nor the sort's stability, and the cheaper unstable sort
+// yields it.
+func drainRanked(t *specSet) []scored {
+	slices.SortFunc(t.list, func(a, b scored) int {
 		if c := byScore(a, b); c != 0 {
 			return c
 		}
-		return strings.Compare(a.sch.Fingerprint(), b.sch.Fingerprint())
+		return schedule.CompareFingerprints(a.sch, b.sch)
 	})
-	return out
+	return t.list
 }
 
 // topK returns the k highest-scoring entries (stable on ties).
@@ -204,27 +224,23 @@ func (c *Context) buildable(s *schedule.Schedule) bool {
 // ε-greedy step all policies end with.
 func pickBatch(ctx *Context, ranked []scored, n int, epsFrac float64) []*schedule.Schedule {
 	out := make([]*schedule.Schedule, 0, n)
-	seen := map[string]bool{}
+	seen := schedule.NewSet(n)
 	nRandom := int(math.Round(float64(n) * epsFrac))
+	admit := func(s *schedule.Schedule) {
+		if seen.Has(s) || ctx.MeasuredSet[s.Fingerprint()] || !ctx.buildable(s) {
+			return
+		}
+		seen.Add(s)
+		out = append(out, s)
+	}
 	for _, c := range ranked {
 		if len(out) >= n-nRandom {
 			break
 		}
-		fp := c.sch.Fingerprint()
-		if seen[fp] || ctx.MeasuredSet[fp] || !ctx.buildable(c.sch) {
-			continue
-		}
-		seen[fp] = true
-		out = append(out, c.sch)
+		admit(c.sch)
 	}
 	for tries := 0; len(out) < n && tries < n*16; tries++ {
-		s := ctx.Gen.Random(ctx.RNG)
-		fp := s.Fingerprint()
-		if seen[fp] || ctx.MeasuredSet[fp] || !ctx.buildable(s) {
-			continue
-		}
-		seen[fp] = true
-		out = append(out, s)
+		admit(ctx.Gen.Random(ctx.RNG))
 	}
 	return out
 }
@@ -276,7 +292,7 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, fitness func([
 	}
 	pop = append(pop, ctx.Gen.InitPopulation(ctx.RNG, p.Population-len(pop))...)
 
-	all := map[string]scored{}
+	all := newSpecSet(p.Population)
 	for gen := 0; gen < p.Generations; gen++ {
 		if ctx.cancelled() {
 			break // the tuner discards rounds whose search was cut short
@@ -284,14 +300,10 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, fitness func([
 		scores := fitness(pop)
 		cands := make([]scored, len(pop))
 		for i := range pop {
-			c := scored{sch: pop[i], score: scores[i]}
-			cands[i] = c
-			fp := pop[i].Fingerprint()
-			if prev, ok := all[fp]; !ok || c.score > prev.score {
-				all[fp] = c
-			}
+			cands[i] = scored{sch: pop[i], score: scores[i]}
+			all.add(cands[i])
 		}
-		if bound > 0 && len(all) > bound {
+		if bound > 0 && len(all.list) > bound {
 			pruneSpec(all, bound)
 		}
 		if gen == p.Generations-1 {
@@ -302,35 +314,24 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, fitness func([
 	return drainRanked(all)
 }
 
-// pruneSpec is PriorFilter: it trims a candidate map to its k best
+// pruneSpec is PriorFilter: it trims a candidate set to its k best
 // entries in place.
-func pruneSpec(spec map[string]scored, k int) {
-	for _, c := range drainRanked(spec)[k:] {
-		delete(spec, c.sch.Fingerprint())
+func pruneSpec(spec *specSet, k int) {
+	kept := drainRanked(spec)[:k]
+	spec.ids.Reset()
+	for _, c := range kept {
+		spec.ids.Add(c.sch)
 	}
+	spec.list = kept
 }
 
 // nextGeneration breeds a new population with fitness-proportional parent
 // selection (softmax over ranks) plus mutation and crossover.
 func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Schedule {
-	slices.SortStableFunc(cands, byScore)
-	// Rank-based selection weights.
-	weights := make([]float64, len(cands))
-	var sum float64
-	for i := range cands {
-		w := 1 / math.Sqrt(float64(i+1))
-		weights[i] = w
-		sum += w
-	}
+	rankStable(cands)
+	ranks := newRankSampler(len(cands))
 	sample := func() *schedule.Schedule {
-		r := ctx.RNG.Float64() * sum
-		for i, w := range weights {
-			r -= w
-			if r <= 0 {
-				return cands[i].sch
-			}
-		}
-		return cands[len(cands)-1].sch
+		return cands[ranks.pick(ctx.RNG.Float64()*ranks.sum())].sch
 	}
 	next := make([]*schedule.Schedule, 0, p.Population)
 	// Elitism: carry the top 5%.
@@ -349,4 +350,100 @@ func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Sched
 		}
 	}
 	return next
+}
+
+// rankStable sorts cands best first, ties in input order: the stable
+// sort's permutation, from the cheaper unstable sort over (score, input
+// index), a total order.
+func rankStable(cands []scored) {
+	type indexed struct {
+		scored
+		at int
+	}
+	tmp := make([]indexed, len(cands))
+	for i, c := range cands {
+		tmp[i] = indexed{c, i}
+	}
+	slices.SortFunc(tmp, func(a, b indexed) int {
+		if c := byScore(a.scored, b.scored); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	for i := range tmp {
+		cands[i] = tmp[i].scored
+	}
+}
+
+// rankSampler draws rank i of n with probability proportional to
+// wᵢ = 1/√(i+1). prefix[i] is w₀ + … + wᵢ summed left to right, so
+// prefix[n-1] is the total a draw r is scaled by.
+//
+// The reference draw is a sequential walk — subtract w₀, w₁, … from r and
+// stop at the first i where the remainder is ≤ 0 (the last rank if none
+// is) — and every later RNG draw of a session depends on its pick, so
+// pick must return the same index, not merely one equally likely. A
+// binary search for the first prefix[i] ≥ r is exact wherever the
+// rounding of both procedures cannot reach the decision, and pick falls
+// back to the walk where it can. With u = 2⁻⁵³, S = prefix[n-1] and Pᵢ
+// the exact sum w₀ + … + wᵢ:
+//
+//   - prefix[i] is i rounded additions of positive terms, each erring by
+//     at most u times a partial sum ≤ S, so |prefix[i] − Pᵢ| ≤ i·u·S;
+//   - the walk's remainder after wᵢ is i+1 rounded subtractions, each
+//     erring by at most u times a remainder of magnitude ≤ S, so it is
+//     within (i+1)·u·S of r − Pᵢ.
+//
+// Both tests therefore agree with the exact r ≤ Pᵢ whenever |r − Pᵢ| >
+// (n+1)·u·S, which holds when |r − prefix[i]| > (2n+1)·u·S. The band
+// 4·(n+2)·2⁻⁵²·S = 8·(n+2)·u·S covers that with room for the (second
+// order) growth of the partial sums past S and the rounding of r −
+// prefix[i] itself. Rounded addition of a positive weight never
+// decreases a sum, so prefix is non-decreasing: a draw that clears the
+// band at both neighbours prefix[i−1] < r ≤ prefix[i] clears it at every
+// prefix, and the walk stops at i too. TestSampleMatchesSequentialScan
+// checks the picks against the walk at and around every boundary.
+type rankSampler struct {
+	prefix []float64
+}
+
+func newRankSampler(n int) rankSampler {
+	prefix := make([]float64, n)
+	var sum float64
+	for i := range prefix {
+		sum += 1 / math.Sqrt(float64(i+1))
+		prefix[i] = sum
+	}
+	return rankSampler{prefix: prefix}
+}
+
+// sum is the total weight, the scale of a draw.
+func (s rankSampler) sum() float64 { return s.prefix[len(s.prefix)-1] }
+
+// pick returns the rank the sequential walk picks for r in [0, sum()].
+func (s rankSampler) pick(r float64) int {
+	p := s.prefix
+	n := len(p)
+	i, _ := slices.BinarySearch(p, r)
+	band := float64(4*(n+2)) * 0x1p-52 * p[n-1]
+	below := 0.0
+	if i > 0 {
+		below = p[i-1]
+	}
+	if i == n || p[i]-r <= band || r-below <= band {
+		return walkRanks(r, n)
+	}
+	return i
+}
+
+// walkRanks is the sequential draw pick answers for: it subtracts the
+// weights from r in rank order and stops where the remainder reaches 0.
+func walkRanks(r float64, n int) int {
+	for i := 0; i < n; i++ {
+		r -= 1 / math.Sqrt(float64(i+1))
+		if r <= 0 {
+			return i
+		}
+	}
+	return n - 1
 }
