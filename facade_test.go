@@ -97,6 +97,21 @@ func TestTuneRequiresPretrained(t *testing.T) {
 	}
 }
 
+// TestTuneRejectsNegativeBudgets pins Tune's budget check: a negative
+// trials budget or batch size errors instead of tuning nothing.
+func TestTuneRejectsNegativeBudgets(t *testing.T) {
+	net, _ := LoadNetwork("bert_tiny")
+	for _, cfg := range []Config{
+		{Method: MethodPruner, MaxTasks: 1, Trials: -5},
+		{Method: MethodPruner, MaxTasks: 1, Trials: 10, BatchSize: -1},
+	} {
+		if res, err := Tune(A100, net, cfg); err == nil {
+			t.Errorf("trials %d, batch size %d: want an error, got a result at %g s",
+				cfg.Trials, cfg.BatchSize, res.FinalLatency)
+		}
+	}
+}
+
 func TestEndToEndFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end tuning")

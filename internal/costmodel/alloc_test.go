@@ -14,7 +14,7 @@ import (
 // draws has warmed to a group's shapes (the pool hands back the arena
 // the last step parked), one training pass — lowering through
 // the session cache, batch assembly and dedup, the tape forward, the
-// LambdaRank loss and the backward into the gradient slot — allocates
+// LambdaRank loss and the backward into the replica's gradients — allocates
 // nothing, for every learned model.
 func TestAllocFitStep(t *testing.T) {
 	recs := multiTaskRecords(t, 1, 40, 43)
@@ -32,9 +32,9 @@ func TestAllocFitStep(t *testing.T) {
 		{"pacm", NewPaCM(2).trainer()},
 		{"tlp", NewTLP(3).trainer()},
 	} {
-		tc.tr.ensureSlots(1)
-		rep := tc.tr.checkout()
-		step := func() { rep.step(b, memo, tc.tr.slot(0)) }
+		tc.tr.grow(1)
+		rep := tc.tr.reps[0]
+		step := func() { rep.step(b, memo) }
 		step() // warm the arena and the lowering cache
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
 			t.Errorf("%s: %v allocs per warmed fit step, want 0", tc.name, avg)

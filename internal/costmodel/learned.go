@@ -62,16 +62,17 @@ func (c *learned) SetMemo(m *schedule.Memo) { c.memo = m }
 // SetObserver implements ObsUser.
 func (c *learned) SetObserver(o *obs.Observer) { c.mo = newModelObs(o, c.self.Name()) }
 
-// trainer lazily builds the model's parallel training state: replicas of
-// the same architecture whose weights alias the live model.
+// trainer lazily builds the model's parallel training state; its
+// replicas are architectures of the same shape whose weights alias the
+// live model.
 func (c *learned) trainer() *trainer {
 	if c.tr == nil {
 		live := c.self.Params()
-		c.tr = newTrainer(live, func() *replica {
+		c.tr = &trainer{params: live, build: func() *replica {
 			r := c.replica()
 			nn.AliasParams(r.Params(), live)
 			return &replica{forward: r.forward, params: r.Params()}
-		})
+		}}
 	}
 	return c.tr
 }
@@ -88,7 +89,7 @@ func (c *learned) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
 // the session pool (rankFit, model.go).
 func (c *learned) Fit(recs []Record, opt FitOptions) FitReport {
 	return c.mo.fit(len(recs), func() FitReport {
-		return rankFit(recs, opt, c.adam, c.pool, c.seed, c.trainer())
+		return rankFit(recs, opt, c.adam, c.pool, c.seed, c.trainer(), macroBatch)
 	})
 }
 

@@ -29,17 +29,17 @@ type Record struct {
 // each epoch.
 const maxGroup = 128
 
+// macroBatch is the number of task groups whose gradients the parallel
+// trainer averages into one optimiser step. Groups within a macro-batch
+// shard across the session pool; a fixed size keeps the stepping schedule
+// — and the fitted parameters — independent of the worker count.
+const macroBatch = 8
+
 // FitOptions configures one training call. Every fit runs at the
 // learning rate its model was built with (TLP's is deliberately higher).
 type FitOptions struct {
 	Epochs int
 	Seed   int64
-	// MacroBatch is the number of task groups whose gradients are averaged
-	// into one optimiser step by the parallel trainer; 0 selects the
-	// default of 8. Groups within a macro-batch shard across the session
-	// pool; a fixed size keeps the stepping schedule — and the fitted
-	// parameters — independent of the worker count.
-	MacroBatch int
 	// Cache, when non-nil, memoizes the lowering (and, through Lowered's
 	// feature cache, the featurization) of training records across epochs
 	// and Fit calls. The tuner passes one session-scoped cache: records
@@ -52,9 +52,6 @@ type FitOptions struct {
 func (o FitOptions) withDefaults() FitOptions {
 	if o.Epochs == 0 {
 		o.Epochs = 15
-	}
-	if o.MacroBatch <= 0 {
-		o.MacroBatch = 8
 	}
 	return o
 }
@@ -195,15 +192,16 @@ func epochBatches(groups []group, rng *rand.Rand) []trainBatch {
 }
 
 // rankFit is the shared LambdaRank training engine: each epoch's task
-// groups are sharded across the session pool in fixed-size macro-batches.
-// Workers run one forward/backward per group on an architecture replica
-// (weights aliased to the live model, gradients into the group's private
-// slot buffer); the slot gradients are then averaged in fixed group order
-// and applied with one Adam step per macro-batch. Because every random
-// draw stays on the serial path and the reduction order is fixed, the
-// fitted parameters are bitwise identical at any worker count — the same
-// bar the batched inference engine holds (TestFitDeterministicAcrossWorkers).
-func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, seed int64, tr *trainer) FitReport {
+// groups are sharded across the session pool in macro-batches of size
+// task groups (macroBatch in every product fit). Group j of a macro-batch runs
+// its forward/backward on the trainer's replica j (weights aliased to the
+// live model, gradients in the replica's own buffers); the replicas'
+// gradients are then averaged in fixed group order and applied with one
+// Adam step per macro-batch. Because every random draw stays on the serial
+// path and the reduction order is fixed, the fitted parameters are bitwise
+// identical at any worker count — the same bar the batched inference
+// engine holds (TestFitDeterministicAcrossWorkers).
+func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, seed int64, tr *trainer, size int) FitReport {
 	opt = opt.withDefaults()
 	groups := groupByTask(recs)
 	report := FitReport{Loss: math.NaN()}
@@ -219,30 +217,24 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 	for _, g := range groups {
 		report.Samples += len(g.recs)
 	}
-	tr.ensureSlots(opt.MacroBatch)
-	losses := make([]float64, opt.MacroBatch)
+	losses := make([]float64, size)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		batches := epochBatches(groups, rng)
 		var epochLoss float64
-		for lo := 0; lo < len(batches); lo += opt.MacroBatch {
-			hi := lo + opt.MacroBatch
-			if hi > len(batches) {
-				hi = len(batches)
-			}
-			chunk := batches[lo:hi]
+		for lo := 0; lo < len(batches); lo += size {
+			chunk := batches[lo:min(lo+size, len(batches))]
+			tr.grow(len(chunk))
 			pool.ForEach(len(chunk), func(j int) {
-				rep := tr.checkout()
-				losses[j] = rep.step(chunk[j], opt.Cache.memo(chunk[j].task), tr.slot(j))
-				tr.checkin(rep)
+				losses[j] = tr.reps[j].step(chunk[j], opt.Cache.memo(chunk[j].task))
 			})
 			// Serial reduction in fixed group order, then one step over the
 			// averaged macro-batch gradient (averaging keeps the per-step
-			// magnitude comparable to a single-group step, so MacroBatch=1
-			// reproduces the per-group reference bitwise).
+			// magnitude comparable to a single-group step, so a macro-batch
+			// of one reproduces the per-group reference bitwise).
 			adam.ZeroGrad()
 			scale := 1 / float64(len(chunk))
 			for j := range chunk {
-				tr.slot(j).AddInto(tr.params, scale)
+				nn.AddGrads(tr.params, tr.reps[j].params, scale)
 				epochLoss += losses[j]
 				report.SampleVisits += len(chunk[j].recs)
 			}

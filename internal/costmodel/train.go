@@ -9,20 +9,20 @@ import (
 )
 
 // The data-parallel training engine's per-model state. rankFit (model.go)
-// shards each epoch's task groups across the session pool; the structures
-// here supply what the workers need without sharing mutable state: an
-// architecture replica per concurrent group (weights aliased to the live
-// model, so replicas always read current parameters) and one gradient
-// slot per macro-batch position, reduced serially in group order after
-// the fan-out. DESIGN.md §8 describes the full pipeline.
+// shards each epoch's task groups across the session pool; the trainer
+// here supplies what the workers need without sharing mutable state: one
+// architecture replica per macro-batch position (weights aliased to the
+// live model, so replicas always read current parameters; gradients in
+// the replica's own buffers), reduced serially in group order after the
+// fan-out. DESIGN.md §8 describes the full pipeline.
 
-// replica is one worker-side copy of a model's forward program: its
-// parameters alias the live weights (nn.AliasParams) but bind private
-// gradient slots during backward, so concurrent group gradients never
-// touch shared memory. lws holds the group's lowerings, reused group
-// after group; the arena a pass builds on — batch rows, tape nodes,
-// gradients, backward temporaries — is drawn per step from the pool
-// verify's predict chunks share (scratchPool).
+// replica is one macro-batch position's copy of a model's forward
+// program: its parameters alias the live weights (nn.AliasParams) but
+// keep their own Grad buffers, so concurrent group gradients never touch
+// shared memory. lws holds the group's lowerings, reused group after
+// group; the arena a pass builds on — batch rows, tape nodes, gradients,
+// backward temporaries — is drawn per step from the pool verify's predict
+// chunks share (scratchPool).
 type replica struct {
 	forward forwardFn
 	params  []*nn.Tensor
@@ -30,21 +30,22 @@ type replica struct {
 }
 
 // step is one group's training pass on the replica: lower the records
-// through memo, forward, LambdaRank loss and backward, with the parameter
-// gradients landing in grads. The arena comes from the shared pool and
-// goes back once the loss is read, so with warmed arenas the whole pass
-// runs without touching the heap (TestAllocFitStep). It returns the
-// group's loss.
+// through memo, zero the replica's gradients, forward, LambdaRank loss and
+// backward, leaving the group's parameter gradients in r.params' Grad. The
+// arena comes from the shared pool and goes back once the loss is read, so
+// with warmed arenas the whole pass runs without touching the heap
+// (TestAllocFitStep). It returns the group's loss.
 //
 //pruner:hotpath
-func (r *replica) step(b trainBatch, memo *schedule.Memo, grads nn.GradSet) float64 {
+func (r *replica) step(b trainBatch, memo *schedule.Memo) float64 {
 	lws := r.lws[:0]
 	for _, rec := range b.recs {
 		lws = append(lws, memo.Lower(b.task, rec.Sched))
 	}
 	r.lws = lws
-	grads.Zero()
-	grads.Bind(r.params)
+	for _, p := range r.params {
+		clear(p.Grad)
+	}
 	a := getScratch()
 	loss := nn.LambdaRankLoss(r.forward(&a.Scratch, lws), b.rel)
 	nn.Backward(loss)
@@ -53,51 +54,22 @@ func (r *replica) step(b trainBatch, memo *schedule.Memo, grads nn.GradSet) floa
 	return l
 }
 
-// trainer caches a model's replicas and gradient slots across Fit calls
-// (model construction is not free, and online tuning fits every round).
-// Fit calls on one model are serial — the tuner trains between rounds —
-// but the replica pool is still a channel because one fit's workers
-// check replicas out concurrently.
+// trainer keeps a model's replicas across Fit calls (model construction is
+// not free, and online tuning fits every round): reps[j] computes group j
+// of every macro-batch. Fit calls on one model are serial — the tuner
+// trains between rounds — and within one fit each worker touches only its
+// own position's replica.
 type trainer struct {
 	params []*nn.Tensor // live parameters: the reduction target
 	build  func() *replica
-	free   chan *replica
-	slots  []nn.GradSet
+	reps   []*replica
 }
 
-func newTrainer(params []*nn.Tensor, build func() *replica) *trainer {
-	return &trainer{params: params, build: build, free: make(chan *replica, 64)}
-}
-
-// ensureSlots grows the per-macro-batch-position gradient buffers to n.
-// Called on the serial path before each fit's fan-out.
-func (tr *trainer) ensureSlots(n int) {
-	for len(tr.slots) < n {
-		tr.slots = append(tr.slots, nn.NewGradSet(tr.params))
-	}
-}
-
-// slot returns macro-batch position j's gradient buffers.
-func (tr *trainer) slot(j int) nn.GradSet { return tr.slots[j] }
-
-// checkout hands the caller a free replica, building one when all are in
-// use. Which replica serves which group cannot affect results: replicas
-// are pure functions of the shared live weights.
-func (tr *trainer) checkout() *replica {
-	select {
-	case r := <-tr.free:
-		return r
-	default:
-		return tr.build()
-	}
-}
-
-// checkin returns a replica to the pool (dropping it if the pool is
-// somehow full — correctness never depends on reuse).
-func (tr *trainer) checkin(r *replica) {
-	select {
-	case tr.free <- r:
-	default:
+// grow builds replicas up to n positions; a fit builds only the positions
+// it uses. Called on the serial path before each macro-batch's fan-out.
+func (tr *trainer) grow(n int) {
+	for len(tr.reps) < n {
+		tr.reps = append(tr.reps, tr.build())
 	}
 }
 

@@ -83,16 +83,15 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestFitMacroBatchOneMatchesReference pins the engine to the pre-engine
-// serial loop: with MacroBatch=1 the averaged-gradient step degenerates
-// to one step per group, and the parallel trainer must reproduce the
-// reference's parameters bitwise even on a wide pool.
+// serial loop: with macro-batches of one group the averaged-gradient step
+// degenerates to one step per group, and the parallel trainer must
+// reproduce the reference's parameters bitwise even on a wide pool.
 func TestFitMacroBatchOneMatchesReference(t *testing.T) {
 	recs := multiTaskRecords(t, 4, 20, 3)
-	opt := FitOptions{Epochs: 3, Seed: 4, MacroBatch: 1}
+	opt := FitOptions{Epochs: 3, Seed: 4}
 
 	engine := NewPaCM(9)
-	engine.SetPool(parallel.New(8))
-	repE := engine.Fit(recs, opt)
+	repE := rankFit(recs, opt, engine.adam, parallel.New(8), engine.seed, engine.trainer(), 1)
 
 	ref := NewPaCM(9)
 	repR := rankFitReference(recs, opt, ref.adam, groupStep(ref.forward), ref.seed)
@@ -100,7 +99,7 @@ func TestFitMacroBatchOneMatchesReference(t *testing.T) {
 	if repE != repR {
 		t.Fatalf("fit reports differ: engine %+v vs reference %+v", repE, repR)
 	}
-	paramsEqual(t, "engine(MacroBatch=1) vs reference", engine, ref)
+	paramsEqual(t, "engine(macro-batch 1) vs reference", engine, ref)
 }
 
 // TestFitParamsPinned pins whole fits bit for bit: each learned model's

@@ -228,11 +228,11 @@ func TestWorkerCancelledRequest(t *testing.T) {
 	}
 }
 
-// TestSimAdapterMatchesMeasureMemoPool pins the adapter against the
-// historical simulator entry point: true latencies identical, and after
-// session-side ApplyNoise the full results match MeasureMemoPool bitwise
-// (same noise stream, same draw order).
-func TestSimAdapterMatchesMeasureMemoPool(t *testing.T) {
+// TestSimAdapterMatchesMeasure pins the adapter against the historical
+// simulator entry point: true latencies identical, and after session-side
+// ApplyNoise the full results match Simulator.Measure bitwise (same noise
+// stream, same draw order).
+func TestSimAdapterMatchesMeasure(t *testing.T) {
 	task, schs := testBatch(t, 16)
 	sim := simulator.New(device.T4)
 	m := NewSim(sim)
@@ -241,11 +241,11 @@ func TestSimAdapterMatchesMeasureMemoPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	simulator.ApplyNoise(results, rand.New(rand.NewSource(3)), m.Info().MeasureNoise)
-	want := sim.MeasureMemoPool(task, schs, rand.New(rand.NewSource(3)), nil, nil)
+	want := sim.Measure(task, schs, rand.New(rand.NewSource(3)))
 	for i := range want {
 		if results[i].Valid != want[i].Valid ||
 			math.Float64bits(results[i].Latency) != math.Float64bits(want[i].Latency) {
-			t.Fatalf("result %d diverges from MeasureMemoPool: %+v vs %+v", i, results[i], want[i])
+			t.Fatalf("result %d diverges from Measure: %+v vs %+v", i, results[i], want[i])
 		}
 	}
 }

@@ -3,13 +3,13 @@ package nn
 import "fmt"
 
 // This file is the data-parallel training substrate: parameter aliasing
-// and detachable gradient storage. The parallel LambdaRank trainer
+// and gradient reduction. The parallel LambdaRank trainer
 // (internal/costmodel) runs one forward/backward per task group on an
 // architecture replica whose parameters share the live model's weight
-// memory but accumulate gradients into a private GradSet, so concurrent
-// backwards never write shared state. Reducing the per-group GradSets
-// into the live parameters in a fixed group order keeps the fitted
-// weights bitwise independent of the worker count.
+// memory but accumulate gradients into the replica's own Grad buffers, so
+// concurrent backwards never write shared state. Reducing the replicas'
+// gradients into the live parameters in a fixed group order (AddGrads)
+// keeps the fitted weights bitwise independent of the worker count.
 
 // Affine is the fused training op out = x@W + b, optionally through
 // ReLU: one tape node, so a Linear layer's forward draws one output and
@@ -203,57 +203,22 @@ func AliasParams(replica, master []*Tensor) {
 	}
 }
 
-// GradSet is gradient storage matching a parameter list, detachable from
-// the parameters that fill it: one zero-initialised buffer per parameter.
-// A trainer keeps one GradSet per macro-batch slot and rebinds a replica
-// to the slot it is currently computing.
-type GradSet [][]float64
-
-// NewGradSet allocates zeroed buffers shaped like params.
-func NewGradSet(params []*Tensor) GradSet {
-	g := make(GradSet, len(params))
-	for i, p := range params {
-		g[i] = make([]float64, len(p.Data))
+// AddGrads accumulates scale * src's gradients into dst's: dst[i].Grad
+// += src[i].Grad * scale, element by element. The trainer reduces its
+// replicas in a fixed order, which is what makes the summed gradient —
+// and everything downstream of it — independent of which worker computed
+// each replica's pass. Shapes must match.
+func AddGrads(dst, src []*Tensor, scale float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("nn: AddGrads count mismatch %d vs %d", len(dst), len(src)))
 	}
-	return g
-}
-
-// Zero clears every buffer.
-func (g GradSet) Zero() {
-	for _, b := range g {
-		for i := range b {
-			b[i] = 0
+	for i, d := range dst {
+		g := src[i].Grad
+		if len(g) != len(d.Grad) {
+			panic(fmt.Sprintf("nn: AddGrads shape mismatch at %d", i))
 		}
-	}
-}
-
-// Bind points each parameter's Grad at the set's buffers, so the next
-// Backward accumulates here. The caller owns the sequencing: bind, run
-// one forward/backward, then the set holds that pass's leaf gradients.
-func (g GradSet) Bind(params []*Tensor) {
-	if len(g) != len(params) {
-		panic(fmt.Sprintf("nn: GradSet.Bind count mismatch %d vs %d", len(g), len(params)))
-	}
-	for i, p := range params {
-		if len(g[i]) != len(p.Data) {
-			panic(fmt.Sprintf("nn: GradSet.Bind shape mismatch at %d", i))
-		}
-		p.Grad = g[i]
-	}
-}
-
-// AddInto accumulates scale * g into the parameters' Grad buffers. The
-// caller reduces slots in a fixed order, which is what makes the summed
-// gradient — and everything downstream of it — independent of which
-// worker produced each slot.
-func (g GradSet) AddInto(params []*Tensor, scale float64) {
-	if len(g) != len(params) {
-		panic(fmt.Sprintf("nn: GradSet.AddInto count mismatch %d vs %d", len(g), len(params)))
-	}
-	for i, p := range params {
-		b := g[i]
-		for j := range b {
-			p.Grad[j] += b[j] * scale
+		for j, v := range g {
+			d.Grad[j] += v * scale
 		}
 	}
 }

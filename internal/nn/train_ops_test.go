@@ -444,14 +444,14 @@ func TestForwardSegmentsDedupMatches(t *testing.T) {
 	}
 }
 
-// TestGradSetBindAddInto covers the trainer's gradient plumbing: slot
-// buffers capture a backward, and AddInto reduces them into the live
-// parameters with scaling.
-func TestGradSetBindAddInto(t *testing.T) {
+// TestAddGrads covers the trainer's gradient plumbing: a replica aliased
+// to the live parameters shares their values, its own Grad buffers
+// capture a backward, and AddGrads reduces them into the live parameters
+// with scaling.
+func TestAddGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	w := randParam(rng, 2, 2)
 	live := []*Tensor{w}
-	slot := NewGradSet(live)
 
 	rep := randParam(rng, 2, 2)
 	AliasParams([]*Tensor{rep}, live)
@@ -460,26 +460,25 @@ func TestGradSetBindAddInto(t *testing.T) {
 			t.Fatal("AliasParams must share values")
 		}
 	}
-	slot.Zero()
-	slot.Bind([]*Tensor{rep})
+	clear(rep.Grad)
 	x := FromRows([][]float64{{1, 2}})
 	Backward(weightedMean(Affine(x, rep, New(1, 2), false), []float64{1, 1}))
 	if rep.Grad[0] == 0 {
-		t.Fatal("bound slot did not capture the backward")
+		t.Fatal("the replica's Grad did not capture the backward")
 	}
 
 	for i := range w.Grad {
 		w.Grad[i] = 0
 	}
-	slot.AddInto(live, 0.5)
+	AddGrads(live, []*Tensor{rep}, 0.5)
 	for i := range w.Grad {
 		if w.Grad[i] != rep.Grad[i]*0.5 {
-			t.Fatalf("AddInto wrong at %d: %g want %g", i, w.Grad[i], rep.Grad[i]*0.5)
+			t.Fatalf("AddGrads wrong at %d: %g want %g", i, w.Grad[i], rep.Grad[i]*0.5)
 		}
 	}
 	// The live parameter's own Grad buffer must be distinct storage.
 	if &w.Grad[0] == &rep.Grad[0] {
-		t.Fatal("slot buffer aliases the live gradient")
+		t.Fatal("the replica's Grad aliases the live gradient")
 	}
 }
 

@@ -279,9 +279,11 @@ func newModelKind(kind string, seed int64) (costmodel.Model, error) {
 // Config tunes a session.
 type Config struct {
 	Method Method
-	// Trials is the measurement budget (default 2,000).
+	// Trials is the measurement budget (0 selects 2,000; negative is an
+	// error).
 	Trials int
-	// BatchSize is measurements per round (default 10).
+	// BatchSize is measurements per round (0 selects 10; negative is an
+	// error).
 	BatchSize int
 	// Seed fixes all randomness.
 	Seed int64
@@ -345,6 +347,11 @@ type Config struct {
 func Tune(dev *Device, net *Network, cfg Config) (*Result, error) {
 	if err := CheckMethod(cfg.Method, cfg.Pretrained); err != nil {
 		return nil, err
+	}
+	// A negative budget makes the round count negative: the session would
+	// end at once with nothing tuned instead of failing.
+	if cfg.Trials < 0 || cfg.BatchSize < 0 {
+		return nil, fmt.Errorf("pruner: negative budget (trials %d, batch size %d)", cfg.Trials, cfg.BatchSize)
 	}
 	d, _ := tuner.Define(cfg.Method)
 	tasks := net.Representative(cfg.MaxTasks)
