@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
 
 all: vet lint build test
 
@@ -165,6 +165,13 @@ fuzz-smoke:
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzGemmBlock$$' -fuzztime 10s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzAffineRows$$' -fuzztime 10s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz '^FuzzScheduleKey$$' -fuzztime 10s
+
+# Non-test Go lines outside bench/ and testdata, per package directory
+# and in total: the size the simplicity changes are measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; all += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", all }'
 
 clean:
 	$(GO) clean

@@ -23,7 +23,7 @@ import (
 // MemoUser is implemented by models whose Predict can reuse a
 // caller-provided lowering memo. The tuner injects a fresh memo each
 // measurement round, so verification shares lowered programs (and their
-// cached features) with draft scoring and the buildability pre-filter.
+// cached features) with draft scoring.
 type MemoUser interface {
 	SetMemo(m *schedule.Memo)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pruner/internal/analyzer"
 	"pruner/internal/device"
 	"pruner/internal/ir"
 	"pruner/internal/parallel"
@@ -129,28 +128,6 @@ func TestPredictParallelMatchesSerial(t *testing.T) {
 		if math.Abs(a[i]-batched.At(i, 0)) > 1e-12 {
 			t.Fatalf("pooled vs batched forward differ at %d: %g vs %g", i, a[i], batched.At(i, 0))
 		}
-	}
-}
-
-func TestSAModelRanksByAnalyzer(t *testing.T) {
-	task := ir.NewMatMul(256, 256, 256, ir.FP32, 0)
-	g := schedule.NewGenerator(task)
-	rng := rand.New(rand.NewSource(10))
-	schs := g.InitPopulation(rng, 20)
-	a := analyzer.New(device.A100)
-	m := NewSA(a)
-	scores := m.Predict(task, schs)
-	for i, s := range schs {
-		want := a.Score(schedule.Lower(task, s))
-		if scores[i] != want {
-			t.Fatalf("SA score %g want %g", scores[i], want)
-		}
-	}
-	if m.Params() != nil {
-		t.Fatal("SA has no trainable params")
-	}
-	if c := m.Costs(); c.FeatureX != 0 || c.InferX <= 0 {
-		t.Fatalf("SA costs wrong: %+v", c)
 	}
 }
 

@@ -3,47 +3,10 @@ package costmodel
 import (
 	"math/rand"
 
-	"pruner/internal/analyzer"
 	"pruner/internal/ir"
 	"pruner/internal/nn"
 	"pruner/internal/schedule"
 )
-
-// SA wraps the Symbol-based Analyzer as a cost model: scores are the
-// negated Eq. 1 latency estimates. It is the draft model of the
-// Draft-then-Verify mechanism and the cheapest model in the suite.
-type SA struct {
-	A    *analyzer.Analyzer
-	memo *schedule.Memo
-}
-
-// NewSA wraps an analyzer.
-func NewSA(a *analyzer.Analyzer) *SA { return &SA{A: a} }
-
-// Name implements Model.
-func (s *SA) Name() string { return "sa" }
-
-// SetMemo implements MemoUser.
-func (s *SA) SetMemo(m *schedule.Memo) { s.memo = m }
-
-// Predict implements Model.
-func (s *SA) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
-	out := make([]float64, len(schs))
-	for i, sch := range schs {
-		out[i] = s.A.Score(s.memo.Lower(t, sch))
-	}
-	return out
-}
-
-// Fit implements Model (no-op: the analyzer has no trainable state).
-func (s *SA) Fit([]Record, FitOptions) FitReport { return FitReport{} }
-
-// Params implements Model.
-func (s *SA) Params() []*nn.Tensor { return nil }
-
-// Costs implements Model: no feature pipeline, and inference at the cost
-// ratio Table 1 implies for an empirical formula (~1/12 of MLP inference).
-func (s *SA) Costs() Costs { return Costs{FeatureX: 0, InferX: 0.085, TrainX: 0} }
 
 // Random scores candidates uniformly at random: the no-cost-model control
 // used by the Best-k experiments' random GA.

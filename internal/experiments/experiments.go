@@ -345,7 +345,7 @@ var (
 	// Felix: gradient-descent-style local search, a third of Ansor's
 	// population under mutation alone.
 	mFelix = method{"felix", tuner.MethodAnsor, "", func(o *tuner.Options, _ *device.Device) {
-		p := o.Policy.(*search.AnsorPolicy)
+		p := o.Policy.(*search.EvoPolicy)
 		p.Evo.Population /= 3
 		p.Evo.MutateProb, p.Evo.CrossProb, p.Eps = 1, 0, 0
 	}}
@@ -387,9 +387,7 @@ func (h *harness) tune(dev *device.Device, tasks []*ir.Task, m method, seed int6
 		p.LSE.SpecSize, p.LSE.Population, p.LSE.Steps = sc.specSize, sc.evoPop, sc.evoGens
 		p.RandomDraft, p.ExploitDraft = sc.randomDraft, sc.randomDraft
 		xf = 512.0 / float64(sc.specSize)
-	case *search.AnsorPolicy:
-		p.Evo = evo
-	case *search.MetaSchedulePolicy:
+	case *search.EvoPolicy:
 		p.Evo = evo
 	case *search.RollerPolicy:
 		p.CandidatePool = 2000
@@ -473,8 +471,11 @@ func geomean(xs []float64) float64 {
 // saBest evaluates the draft analyzer's score for all entries of a task
 // set (used by the Best-k experiments).
 func saBest(a *analyzer.Analyzer, s *dataset.TaskSet) []float64 {
-	sa := costmodel.NewSA(a)
-	return predictSet(sa, s)
+	out := make([]float64, len(s.Entries))
+	for i, e := range s.Entries {
+		out[i] = a.Score(schedule.Lower(s.Task, e.Sched))
+	}
+	return out
 }
 
 // entrySchedules extracts the schedule list of a task set.

@@ -308,8 +308,9 @@ func (g *Generator) sharedFits(s *Schedule) bool {
 	}
 	words4 := sharedPerBlock(g.Task, s) * float64(g.Task.Precision.Bytes()) / 4
 	// Ceil, not truncate: a fractional word still allocates a whole one,
-	// so truncation admitted schedules just past the budget (the same
-	// bug the search-side buildable filter had).
+	// so truncation admitted schedules just past the budget to
+	// measurement — the exact class of invalid program the draft stage
+	// exists to prune.
 	return int(math.Ceil(words4)) <= g.MaxSharedWords
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pruner/internal/analyzer"
 	"pruner/internal/costmodel"
 	"pruner/internal/device"
 	"pruner/internal/ir"
@@ -41,32 +40,10 @@ func fractionalSharedSetup(t *testing.T) (*ir.Task, *schedule.Schedule, float64)
 	return nil, nil, 0
 }
 
-// TestBuildableRejectsFractionallyOverBudget is the regression test for
-// the truncation bug: a schedule needing budget+0.5 words must not pass a
-// budget-word validity filter.
-func TestBuildableRejectsFractionallyOverBudget(t *testing.T) {
-	task, s, words4 := fractionalSharedSetup(t)
-	frac := words4 - math.Floor(words4)
-	if frac <= 0 {
-		t.Fatalf("demand %v has no fractional part", words4)
-	}
-
-	dev := *device.A100
-	// Budget exactly floor(words4): the schedule is frac words over.
-	dev.SharedPerBlock = int(math.Floor(words4))
-	ctx := &Context{Task: task, Draft: analyzer.New(&dev)}
-	if ctx.buildable(s) {
-		t.Fatalf("schedule needing %v words passed a %d-word budget (truncation bug)", words4, dev.SharedPerBlock)
-	}
-	// One word more of budget and it fits.
-	dev.SharedPerBlock = int(math.Ceil(words4))
-	if !ctx.buildable(s) {
-		t.Fatalf("schedule needing %v words rejected by a %d-word budget", words4, dev.SharedPerBlock)
-	}
-}
-
-// TestGeneratorFitsRejectsFractionallyOverBudget pins the same boundary
-// in the sampler's validity filter.
+// TestGeneratorFitsRejectsFractionallyOverBudget is the regression test
+// for the truncation bug: a schedule needing budget+0.5 words must not
+// pass a budget-word validity filter. Generator.Fits is the one such
+// filter; the sampler and pickBatch both admit through it.
 func TestGeneratorFitsRejectsFractionallyOverBudget(t *testing.T) {
 	task, s, words4 := fractionalSharedSetup(t)
 	gen := schedule.NewGenerator(task)
@@ -77,6 +54,42 @@ func TestGeneratorFitsRejectsFractionallyOverBudget(t *testing.T) {
 	gen.MaxSharedWords = int(math.Ceil(words4))
 	if !gen.Fits(s) {
 		t.Fatalf("generator rejected %v words against a %d-word budget", words4, gen.MaxSharedWords)
+	}
+}
+
+// launchFits recomputes a schedule's launch budget from its lowering,
+// independently of Generator.Fits: threads per block within the device's
+// cap, and the shared words, rounded up, within its per-block budget.
+func launchFits(task *ir.Task, dev *device.Device, s *schedule.Schedule) bool {
+	lw := schedule.Lower(task, s)
+	words4 := lw.SharedPerBlock * float64(task.Precision.Bytes()) / 4
+	return lw.ThreadsPerBlock <= dev.MaxThreads && int(math.Ceil(words4)) <= dev.SharedPerBlock
+}
+
+// TestPickBatchDropsOverBudget: a top-ranked candidate the device cannot
+// launch — fractionally over the shared budget, or over the thread cap —
+// never reaches the batch. The generator's own draws already fit, so only
+// candidates from elsewhere (a measured history, a hand-built seed) test
+// the filter.
+func TestPickBatchDropsOverBudget(t *testing.T) {
+	task, shared, words4 := fractionalSharedSetup(t)
+	dev := *device.A100
+	dev.SharedPerBlock = int(math.Floor(words4))
+	threads := shared.Clone()
+	threads.SpatialTiles[0][schedule.LvlThread] = 2 * dev.MaxThreads
+	ctx := newCtx(task, &dev, 5)
+	ranked := []scored{{sch: shared, score: 2}, {sch: threads, score: 1}}
+	batch := pickBatch(ctx, ranked, 4, 0)
+	if len(batch) == 0 {
+		t.Fatal("empty batch")
+	}
+	for _, s := range batch {
+		if s.Same(shared) || s.Same(threads) {
+			t.Fatalf("over-budget candidate %s admitted", s.Fingerprint())
+		}
+		if !launchFits(task, &dev, s) {
+			t.Fatalf("batch schedule %s exceeds the launch budget", s.Fingerprint())
+		}
 	}
 }
 
@@ -146,8 +159,9 @@ func TestRunLSEFieldwiseDefaults(t *testing.T) {
 }
 
 // TestPolicyContractProperty is the policy contract across seeds and
-// devices: every schedule a policy proposes is buildable (including the
-// ceil-checked shared budget), unmeasured, valid and deduplicated.
+// devices: every schedule a policy proposes fits the device's launch
+// budget (including the ceil-checked shared budget, recomputed by
+// launchFits), unmeasured, valid and deduplicated.
 func TestPolicyContractProperty(t *testing.T) {
 	tasks := []*ir.Task{
 		ir.NewMatMul(256, 384, 512, ir.FP32, 1),
@@ -194,7 +208,7 @@ func TestPolicyContractProperty(t *testing.T) {
 						if ctx.MeasuredSet[fp] {
 							t.Fatalf("%s/%s seed %d: re-proposed a measured schedule", p.Name(), dev.Name, seed)
 						}
-						if !ctx.buildable(s) {
+						if !launchFits(task, dev, s) {
 							t.Fatalf("%s/%s seed %d: unbuildable schedule proposed", p.Name(), dev.Name, seed)
 						}
 						seen[fp] = true

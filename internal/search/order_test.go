@@ -56,10 +56,11 @@ func indices(cands []scored, index map[*schedule.Schedule]int) []int {
 
 func TestTopKOrderPinned(t *testing.T) {
 	cands, index := orderCands()
-	got := indices(topK(cands, 9), index)
+	rankStable(cands)
+	got := indices(cands[:9], index)
 	want := []int{1, 6, 4, 8, 11, 0, 2, 5, 9} // recorded at 3b542ba
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("topK order %v, want %v", got, want)
+		t.Fatalf("rankStable order %v, want %v", got, want)
 	}
 }
 
@@ -136,13 +137,14 @@ func TestOrderingsMatchSliceStable(t *testing.T) {
 		}
 		k := 1 + rng.Intn(n)
 
-		// topK: stable by score alone.
+		// rankStable: stable by score alone.
 		ref := append([]scored(nil), cands...)
 		sort.SliceStable(ref, func(i, j int) bool { return ref[i].score > ref[j].score })
-		got := topK(append([]scored(nil), cands...), k)
+		got := append([]scored(nil), cands...)
+		rankStable(got)
 		for i := range got {
 			if got[i].sch != ref[i].sch {
-				t.Fatalf("trial %d: topK[%d] differs from sort.SliceStable", trial, i)
+				t.Fatalf("trial %d: rankStable[%d] differs from sort.SliceStable", trial, i)
 			}
 		}
 

@@ -5,25 +5,45 @@ import (
 	"pruner/internal/schedule"
 )
 
-// AnsorPolicy is the baseline exploration mechanism: evolutionary search
-// whose fitness is the learned cost model, applied to every explored
-// candidate — the expensive pattern Table 1 quantifies.
-type AnsorPolicy struct {
-	Evo EvoParams
-	Eps float64 // ε-greedy random share of each measured batch
+// EvoPolicy is the evolutionary baseline exploration mechanism:
+// evolutionary search whose fitness is the learned cost model, applied
+// to every explored candidate — the expensive pattern Table 1
+// quantifies. Ansor and MetaSchedule are this one policy under their own
+// settings: build it with NewAnsorPolicy or NewMetaSchedulePolicy, which
+// set its name and seed share.
+type EvoPolicy struct {
+	name string
+	// seedShare seeds each round's population with the task's
+	// Evo.Population/seedShare best measured schedules.
+	seedShare int
+	Evo       EvoParams
+	Eps       float64 // ε-greedy random share of each measured batch
 }
 
 // NewAnsorPolicy returns the policy with Ansor defaults.
-func NewAnsorPolicy() *AnsorPolicy {
-	return &AnsorPolicy{Evo: DefaultEvoParams(), Eps: 0.10}
+func NewAnsorPolicy() *EvoPolicy {
+	return &EvoPolicy{name: "ansor", Evo: DefaultEvoParams(), Eps: 0.10, seedShare: 16}
+}
+
+// NewMetaSchedulePolicy returns the policy modelling TVM MetaSchedule:
+// evolutionary search with a learned model over TensorCore-capable
+// sketches, with a larger random exploration share and a smaller
+// measured seed than Ansor.
+func NewMetaSchedulePolicy() *EvoPolicy {
+	return &EvoPolicy{
+		name:      "metaschedule",
+		Evo:       EvoParams{Population: 2048, Generations: 4, MutateProb: 0.80, CrossProb: 0.05},
+		Eps:       0.15,
+		seedShare: 32,
+	}
 }
 
 // Name implements Policy.
-func (p *AnsorPolicy) Name() string { return "ansor" }
+func (p *EvoPolicy) Name() string { return p.name }
 
 // NextBatch implements Policy.
-func (p *AnsorPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/16), ctx.verify, 0)
+func (p *EvoPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
+	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/p.seedShare), ctx.Verify, 0)
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 
@@ -87,38 +107,12 @@ func (p *PrunerPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
 			}
 		}
 	}
-	scores := ctx.verify(draft)
+	scores := ctx.Verify(draft)
 	ranked := make([]scored, len(draft))
 	for i := range draft {
 		ranked[i] = scored{sch: draft[i], score: scores[i]}
 	}
-	ranked = topK(ranked, len(ranked))
-	return pickBatch(ctx, ranked, n, p.Eps)
-}
-
-// MetaSchedulePolicy models TVM MetaSchedule: evolutionary search with a
-// learned model over TensorCore-capable sketches, with a larger random
-// exploration share than Ansor.
-type MetaSchedulePolicy struct {
-	Evo EvoParams
-	Eps float64
-}
-
-// NewMetaSchedulePolicy returns the policy with MetaSchedule-like
-// defaults.
-func NewMetaSchedulePolicy() *MetaSchedulePolicy {
-	return &MetaSchedulePolicy{
-		Evo: EvoParams{Population: 2048, Generations: 4, MutateProb: 0.80, CrossProb: 0.05},
-		Eps: 0.15,
-	}
-}
-
-// Name implements Policy.
-func (p *MetaSchedulePolicy) Name() string { return "metaschedule" }
-
-// NextBatch implements Policy.
-func (p *MetaSchedulePolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/32), ctx.verify, 0)
+	rankStable(ranked)
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 
@@ -154,7 +148,7 @@ func (p *RollerPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
 		}
 		ranked = append(ranked, scored{sch: s, score: scores[i]})
 	}
-	ranked = topK(ranked, len(ranked))
+	rankStable(ranked)
 	return pickBatch(ctx, ranked, n, 0)
 }
 

@@ -57,9 +57,8 @@ type Context struct {
 	Clock *simulator.Clock
 	Cost  simulator.CostParams
 	// Memo caches this round's lowered programs so a candidate is lowered
-	// (and featurized) exactly once across draft scoring, the buildability
-	// pre-filter and cost-model verification. nil falls back to lowering
-	// on every use.
+	// (and featurized) exactly once across draft scoring and cost-model
+	// verification. nil falls back to lowering on every use.
 	Memo *schedule.Memo
 	// DraftBudget, when positive, overrides the policy's own draft-stage
 	// candidate budget (|S_spec| for the Pruner policy) for this round —
@@ -69,20 +68,17 @@ type Context struct {
 	DraftBudget int
 }
 
-// lower resolves a schedule through the round memo (plain lowering when
-// no memo is installed).
-func (c *Context) lower(s *schedule.Schedule) *schedule.Lowered {
-	return c.Memo.Lower(c.Task, s)
-}
-
 // cancelled reports whether the search's context has been cancelled.
 func (c *Context) cancelled() bool {
 	return c.Ctx != nil && c.Ctx.Err() != nil
 }
 
-// verify scores candidates with the learned cost model, once it is ready,
-// and charges them to the simulated clock: every policy's verify stage.
-func (c *Context) verify(schs []*schedule.Schedule) []float64 {
+// Verify scores candidates with the learned cost model, once it is ready,
+// and charges them to the simulated clock: every policy's verify stage,
+// and the only call a tuning session makes to the model's Predict (the
+// tuner's adaptive controller captures the dispatched batch's scores
+// through it too).
+func (c *Context) Verify(schs []*schedule.Schedule) []float64 {
 	if c.AwaitModel != nil {
 		c.AwaitModel()
 	}
@@ -93,23 +89,17 @@ func (c *Context) verify(schs []*schedule.Schedule) []float64 {
 	return c.Model.Predict(c.Task, schs)
 }
 
-// chargeDraft accounts n Symbol-based-Analyzer evaluations.
-func (c *Context) chargeDraft(n int) {
-	if c.Clock == nil {
-		return
-	}
-	c.Clock.Exploration += float64(n) * c.Cost.DraftEval
-}
-
 // scoreDraft evaluates the Symbol-based Analyzer over a candidate set,
 // fanned across the session pool (the analyzer is a pure function of the
 // lowered program), and charges the batch to the simulated clock on the
 // serial path.
 func (c *Context) scoreDraft(schs []*schedule.Schedule) []float64 {
-	c.chargeDraft(len(schs))
+	if c.Clock != nil {
+		c.Clock.Exploration += float64(len(schs)) * c.Cost.DraftEval
+	}
 	out := make([]float64, len(schs))
 	c.Pool.ForEach(len(schs), func(i int) {
-		out[i] = c.Draft.Score(c.lower(schs[i]))
+		out[i] = c.Draft.Score(c.Memo.Lower(c.Task, schs[i]))
 	})
 	return out
 }
@@ -136,10 +126,10 @@ type scored struct {
 	score float64
 }
 
-// byScore orders higher scores first and leaves ties to the stable sort:
-// it is negative exactly when the sort.SliceStable less it replaced was
-// true, so slices.SortStableFunc runs the same comparisons to the same
-// permutation, without reflection.
+// byScore orders higher scores first and leaves ties to the caller's
+// tie-break: it is negative exactly when the sort.SliceStable less the
+// rankings replaced was true, so rankStable (ties in input order) yields
+// that sort's permutation.
 func byScore(a, b scored) int {
 	switch {
 	case a.score > b.score:
@@ -189,45 +179,18 @@ func drainRanked(t *specSet) []scored {
 	return t.list
 }
 
-// topK returns the k highest-scoring entries (stable on ties).
-func topK(cands []scored, k int) []scored {
-	slices.SortStableFunc(cands, byScore)
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
-}
-
-// buildable statically rejects schedules the device cannot launch (the
-// validity pre-filter Ansor applies before handing candidates to the cost
-// model or the builder). It needs the draft analyzer's device; without
-// one, everything passes.
-func (c *Context) buildable(s *schedule.Schedule) bool {
-	if c.Draft == nil {
-		return true
-	}
-	dev := c.Draft.Dev
-	if s.ThreadsPerBlock() > dev.MaxThreads {
-		return false
-	}
-	lw := c.lower(s)
-	sharedWords4 := lw.SharedPerBlock * float64(c.Task.Precision.Bytes()) / 4
-	// Round the demand up: a schedule needing a fraction of a word beyond
-	// the budget still allocates the extra word. Truncation here let
-	// fractionally over-budget schedules through to measurement — the
-	// exact class of invalid program the draft stage exists to prune.
-	return int(math.Ceil(sharedWords4)) <= dev.SharedPerBlock
-}
-
-// pickBatch selects n unmeasured, deduplicated, buildable schedules from
-// ranked candidates, filling an epsFrac share with random exploration, the
-// ε-greedy step all policies end with.
+// pickBatch selects n unmeasured, deduplicated schedules that fit the
+// generator's launch budget (Generator.Fits: threads per block and the
+// ceil-rounded shared words, the validity pre-filter Ansor applies before
+// handing candidates to the builder) from ranked candidates, filling an
+// epsFrac share with random exploration, the ε-greedy step all policies
+// end with.
 func pickBatch(ctx *Context, ranked []scored, n int, epsFrac float64) []*schedule.Schedule {
 	out := make([]*schedule.Schedule, 0, n)
 	seen := schedule.NewSet(n)
 	nRandom := int(math.Round(float64(n) * epsFrac))
 	admit := func(s *schedule.Schedule) {
-		if seen.Has(s) || ctx.MeasuredSet[s.Fingerprint()] || !ctx.buildable(s) {
+		if seen.Has(s) || ctx.MeasuredSet[s.Fingerprint()] || !ctx.Gen.Fits(s) {
 			return
 		}
 		seen.Add(s)

@@ -99,9 +99,7 @@ func TestPoliciesReturnFreshBuildableBatches(t *testing.T) {
 		}
 		// Shrink budgets for speed.
 		switch pp := p.(type) {
-		case *AnsorPolicy:
-			pp.Evo = EvoParams{Population: 96, Generations: 2, MutateProb: 0.8, CrossProb: 0.1}
-		case *MetaSchedulePolicy:
+		case *EvoPolicy:
 			pp.Evo = EvoParams{Population: 96, Generations: 2, MutateProb: 0.8, CrossProb: 0.1}
 		case *PrunerPolicy:
 			pp.LSE = LSEParams{SpecSize: 48, Population: 64, Steps: 2, MutateProb: 0.8, CrossProb: 0.1}
@@ -125,7 +123,7 @@ func TestPoliciesReturnFreshBuildableBatches(t *testing.T) {
 			if ctx.MeasuredSet[fp] {
 				t.Fatalf("%s: proposed an already-measured schedule", p.Name())
 			}
-			if !ctx.buildable(s) {
+			if !launchFits(task, device.T4, s) {
 				t.Fatalf("%s: proposed an unbuildable schedule", p.Name())
 			}
 			seen[fp] = true
@@ -179,18 +177,6 @@ func TestRollerAlignment(t *testing.T) {
 	odd2.SpatialTiles[0][schedule.LvlInner0] = 3
 	if rollerAligned(device.A100, odd2) {
 		t.Fatal("non-power-of-two register tile should be rejected")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	g := schedule.NewGenerator(ir.NewMatMul(64, 64, 64, ir.FP32, 0))
-	rng := rand.New(rand.NewSource(6))
-	cands := []scored{
-		{g.Random(rng), 0.1}, {g.Random(rng), 0.9}, {g.Random(rng), 0.5},
-	}
-	top := topK(cands, 2)
-	if len(top) != 2 || top[0].score != 0.9 || top[1].score != 0.5 {
-		t.Fatalf("topK wrong: %+v", top)
 	}
 }
 

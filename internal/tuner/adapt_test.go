@@ -196,6 +196,21 @@ func TestTuneAdaptiveDeterministicMatrix(t *testing.T) {
 	equalResults(t, "adaptive simulator vs fleet", base, tuneAdaptive(8, 4, fleet))
 }
 
+// adaptiveGolden is resultFingerprint(tuneAdaptive(1, 1, nil)), captured
+// at d0183bb, before the adaptive score capture moved onto
+// search.Context.Verify.
+const adaptiveGolden = "041474667a81fd80"
+
+// TestTuneAdaptivePinned pins the adaptive session whole: the matrix
+// above only compares it with itself, so a change to the verifier's
+// score capture or its clock charge would move every run of it at once
+// unseen.
+func TestTuneAdaptivePinned(t *testing.T) {
+	if got := resultFingerprint(tuneAdaptive(1, 1, nil)); got != adaptiveGolden {
+		t.Fatalf("adaptive session fingerprint %s, golden %s", got, adaptiveGolden)
+	}
+}
+
 // adaptComparison runs the fixed/adaptive pair over the oracle verifier —
 // the well-modeled case the controller is built for.
 func adaptComparison(adaptive bool, m measure.Measurer) *Result {

@@ -130,11 +130,10 @@ var goldenMatrix = []struct {
 
 // smallAnsorPolicy is Ansor's evolutionary search at a test-sized
 // population (the default scores 8000 candidates a round).
-func smallAnsorPolicy() *search.AnsorPolicy {
-	return &search.AnsorPolicy{
-		Evo: search.EvoParams{Population: 192, Generations: 2, MutateProb: 0.85, CrossProb: 0.05},
-		Eps: 0.10,
-	}
+func smallAnsorPolicy() *search.EvoPolicy {
+	p := search.NewAnsorPolicy()
+	p.Evo = search.EvoParams{Population: 192, Generations: 2, MutateProb: 0.85, CrossProb: 0.05}
+	return p
 }
 
 // tinyPretrainedPaCM is MoA's source-platform snapshot at test scale: a

@@ -616,11 +616,11 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		psp := eo.tr.Start("tuner.plan", obs.Int("round", round))
 		st := sched.next(round)
 
-		// One lowering memo per round: draft scoring, the buildability
-		// pre-filter, cost-model verification and in-process measurement
-		// all resolve candidates through it, so each is lowered and
-		// featurized exactly once. Scoped to the round so entries die with
-		// the round's candidate pool.
+		// One lowering memo per round: draft scoring, cost-model
+		// verification and in-process measurement all resolve candidates
+		// through it, so each is lowered and featurized exactly once.
+		// Scoped to the round so entries die with the round's candidate
+		// pool.
 		memo := schedule.NewMemo()
 		if mu, ok := opt.Model.(costmodel.MemoUser); ok {
 			mu.SetMemo(memo)
@@ -657,13 +657,10 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		if ctrl != nil && len(batch) > 1 {
 			// Capture the verifier's scores for exactly the dispatched
 			// batch while the round memo still holds its features; the
-			// commit folds them against measured latencies. Charged like
-			// any verify-stage inference (adaptive sessions only, so the
-			// fixed clock is untouched).
-			pred = opt.Model.Predict(st.task, batch)
-			mc := opt.Model.Costs()
-			res.Clock.Exploration += float64(len(batch)) *
-				(opt.Cost.FeatureExtract*mc.FeatureX + opt.Cost.ModelInfer*mc.InferX)
+			// commit folds them against measured latencies. Verify charges
+			// them like any verify-stage inference (adaptive sessions
+			// only, so the fixed clock is untouched).
+			pred = sctx.Verify(batch)
 		}
 		if mu, ok := opt.Model.(costmodel.MemoUser); ok {
 			mu.SetMemo(nil) // do not retain the round's programs
