@@ -120,6 +120,23 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("registry never absorbed fleet stats: %+v", listing.Measurers[0])
 	}
 
+	// Auto (an empty Measurer) picks the fleet while a worker is live.
+	auto := e2eSpec
+	auto.Fresh = true
+	autoMeasurer := func() string {
+		t.Helper()
+		v := postJob(t, ts, auto)
+		drainSSE(t, ts, v.ID)
+		res := getJob(t, ts, v.ID).Result
+		if res == nil {
+			t.Fatalf("auto job %s has no result", v.ID)
+		}
+		return res.Measurer
+	}
+	if got := autoMeasurer(); got != "fleet" {
+		t.Fatalf("auto job with a live worker measured on %q, want fleet", got)
+	}
+
 	// Deregistration: a forced-fleet job now fails, auto falls back to the
 	// simulator.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/measurers?url="+ws.URL, nil)
@@ -138,6 +155,9 @@ func TestFleetEndToEnd(t *testing.T) {
 	ev3 := drainSSE(t, ts, v3.ID)
 	if last := ev3[len(ev3)-1]; last.Type != string(StateFailed) {
 		t.Fatalf("forced-fleet job without workers ended %q, want failed", last.Type)
+	}
+	if got := autoMeasurer(); got != "simulator" {
+		t.Fatalf("auto job without workers measured on %q, want simulator", got)
 	}
 }
 

@@ -367,6 +367,180 @@ func TestServerCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// deleteJob sends DELETE /v1/jobs/{id} and requires 202.
+func deleteJob(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE /v1/jobs/%s: status %d, want 202", id, resp.StatusCode)
+	}
+}
+
+// TestServerCancelRunningJob pins DELETE on a job that is tuning: the
+// session stops at a round boundary, the job ends canceled with its
+// partial result, and exactly the measurements it reports are persisted.
+func TestServerCancelRunningJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end tuning")
+	}
+	dir := t.TempDir()
+	_, ts := testServer(t, dir)
+
+	long := e2eSpec
+	long.Trials = 1000 // ~100 rounds: far longer than the cancel takes
+	v := postJob(t, ts, long)
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last Event
+	deleted := false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, "data: ") {
+			continue
+		}
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
+			t.Fatalf("bad SSE payload %q: %v", line, err)
+		}
+		if last.Type == "round" && !deleted {
+			deleteJob(t, ts, v.ID)
+			deleted = true
+		}
+		if terminal(JobState(last.Type)) {
+			break
+		}
+	}
+	if !deleted {
+		t.Fatal("job never published a round")
+	}
+	if last.Type != string(StateCanceled) {
+		t.Fatalf("running job ended %q (%s), want canceled", last.Type, last.Error)
+	}
+	final := getJob(t, ts, v.ID)
+	if final.State != StateCanceled || final.Result == nil || !final.Result.Interrupted {
+		t.Fatalf("canceled running job should carry its partial result, got %q %+v", final.State, final.Result)
+	}
+	if final.Result.NewMeasurements >= long.Trials {
+		t.Fatalf("canceled job measured its whole budget (%d)", final.Result.NewMeasurements)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Stats().Records != final.Result.NewMeasurements {
+		t.Fatalf("store has %d records, job measured %d", st.Stats().Records, final.Result.NewMeasurements)
+	}
+}
+
+// TestServerAdmission pins the admission edges on a one-worker,
+// one-slot daemon: with a job running, a second queues and a third is
+// rejected with 503 without consuming an ID or moving the jobs gauge;
+// after Shutdown, a submission the store cannot answer is refused too.
+func TestServerAdmission(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end tuning")
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv, err := New(context.Background(), Config{Store: st, Pool: pruner.NewPool(1), Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	post := func(spec JobSpec) *http.Response {
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	long := e2eSpec
+	long.Trials = 1000
+	v1 := postJob(t, ts, long)
+	deadline := time.Now().Add(60 * time.Second)
+	for getJob(t, ts, v1.ID).State == StateQueued {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	second := long
+	second.Seed = 99
+	v2 := postJob(t, ts, second)
+	if v2.State != StateQueued {
+		t.Fatalf("second job state %q, want queued", v2.State)
+	}
+	third := long
+	third.Seed = 100
+	if resp := post(third); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("third job on a full queue: status %d, want 503", resp.StatusCode)
+	}
+
+	var list struct {
+		Jobs []jobView `json:"jobs"`
+	}
+	getJSON(t, ts, "/v1/jobs", &list)
+	if len(list.Jobs) != 2 || list.Jobs[0].ID != v1.ID || list.Jobs[1].ID != v2.ID {
+		t.Fatalf("job list after a rejection: %+v", list.Jobs)
+	}
+	queued := MetricJobs + `{state="queued"}`
+	if ln := expositionLine(scrapeMetrics(t, ts.URL), queued); ln != queued+" 1" {
+		t.Fatalf("%s after a rejection: %q, want 1", queued, ln)
+	}
+
+	// Free the queue: the queued job is discarded at dequeue, the running
+	// one stops at its next round.
+	deleteJob(t, ts, v2.ID)
+	deleteJob(t, ts, v1.ID)
+	if events := drainSSE(t, ts, v2.ID); events[len(events)-1].Type != string(StateCanceled) {
+		t.Fatalf("queued job ended %q, want canceled", events[len(events)-1].Type)
+	}
+	v4 := postJob(t, ts, third)
+	var n2, n4 int
+	if _, err := fmt.Sscanf(v2.ID, "j-%d", &n2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(v4.ID, "j-%d", &n4); err != nil {
+		t.Fatal(err)
+	}
+	if n4 != n2+1 {
+		t.Fatalf("job after a rejection got %s, want the ID after %s", v4.ID, v2.ID)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	uncovered := JobSpec{Device: "a100", Network: "resnet50", Trials: 20, MaxTasks: 1}
+	if resp := post(uncovered); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submission after shutdown: status %d, want 503", resp.StatusCode)
+	}
+}
+
 // TestServerShutdownCancelsRunningJob pins graceful shutdown: a long job
 // is interrupted at a round boundary, lands in a terminal state, and its
 // partial measurements are persisted to the store.
