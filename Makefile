@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e serve-lifecycle measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
 
 all: vet lint build test
 
@@ -83,6 +83,13 @@ serve:
 # The daemon's end-to-end suite (submit -> SSE -> cache hit) under -race.
 serve-e2e:
 	$(GO) test -race -v ./internal/server/... ./internal/store/...
+
+# The daemon's job lifecycle under -race, three times over: DELETE of a
+# queued and of a running job, shutdown mid-session, the admission edges
+# (full queue, drained daemon) and a panicking job, so a cancellation
+# race shows as its own failure.
+serve-lifecycle:
+	$(GO) test -race -count=3 -v -run 'TestServerCancel|TestServerShutdown|TestServerAdmission|TestJobPanic' ./internal/server/...
 
 # The measurement-fleet end-to-end suite under -race: pruner-serve with a
 # loopback pruner-measure worker (register -> submit -> fleet-measured

@@ -195,6 +195,28 @@ func TestMeasurerRegistrationValidation(t *testing.T) {
 	}
 }
 
+// TestMeasurerRegistrationOversizedBody pins the bound on POST
+// /v1/measurers bodies: one over maxBodyBytes answers 413 and registers
+// no worker.
+func TestMeasurerRegistrationOversizedBody(t *testing.T) {
+	_, ts := testServer(t, t.TempDir())
+	resp, err := http.Post(ts.URL+"/v1/measurers", "application/json", oversizedBody("url"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized measurer body: status %d, want 413", resp.StatusCode)
+	}
+	var listing struct {
+		Measurers []MeasurerView `json:"measurers"`
+	}
+	getJSON(t, ts, "/v1/measurers", &listing)
+	if len(listing.Measurers) != 0 {
+		t.Fatalf("oversized body registered workers: %+v", listing.Measurers)
+	}
+}
+
 func getJSON(t *testing.T, ts *httptest.Server, path string, out any) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)

@@ -157,60 +157,56 @@ type job struct {
 	id   string
 	spec JobSpec
 	// states mirrors the job's lifecycle into the daemon's jobs-by-state
-	// gauge (nil-safe); enqueuedAt feeds the queue-wait histogram (zero
-	// for store-answered jobs, which never queue).
+	// gauge (nil-safe); enqueuedAt, the admission time, feeds the
+	// queue-wait histogram.
 	states     *obs.GaugeVec
 	enqueuedAt time.Time
+	// ctx is the job's lifetime, a child of the daemon's: DELETE cancels
+	// it, the session tunes under it, and the terminal transition
+	// releases it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	state    JobState
-	events   []Event
-	notify   chan struct{}
-	result   *JobResult
-	errMsg   string
-	canceled bool // cancellation requested, possibly before run() started
-	cancel   context.CancelFunc
+	mu     sync.Mutex
+	state  JobState
+	events []Event
+	notify chan struct{}
+	result *JobResult
+	errMsg string
 }
 
-func newJob(id string, spec JobSpec, states *obs.GaugeVec) *job {
-	j := &job{id: id, spec: spec, states: states, state: StateQueued, notify: make(chan struct{})}
+func newJob(parent context.Context, id string, spec JobSpec, states *obs.GaugeVec) *job {
+	j := &job{id: id, spec: spec, states: states, enqueuedAt: time.Now(), state: StateQueued, notify: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancel(parent)
 	j.events = append(j.events, Event{Type: string(StateQueued)})
 	j.states.With(string(StateQueued)).Add(1)
 	return j
-}
-
-// shiftState moves the job's gauge contribution between lifecycle states;
-// call with j.mu held (the caller just changed j.state).
-func (j *job) shiftState(from, to JobState) {
-	if from == to {
-		return
-	}
-	j.states.With(string(from)).Add(-1)
-	j.states.With(string(to)).Add(1)
 }
 
 // publish appends an event (optionally moving the job to a new state) and
 // wakes all SSE subscribers.
 func (j *job) publish(state JobState, ev Event) {
 	j.mu.Lock()
-	if state != "" {
-		j.shiftState(j.state, state)
+	defer j.mu.Unlock()
+	j.publishLocked(state, ev)
+}
+
+// publishLocked is publish with j.mu held; it also moves the job's gauge
+// contribution between lifecycle states.
+func (j *job) publishLocked(state JobState, ev Event) {
+	if state != "" && state != j.state {
+		j.states.With(string(j.state)).Add(-1)
+		j.states.With(string(state)).Add(1)
 		j.state = state
 	}
 	j.events = append(j.events, ev)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state with its result and emits the
-// terminal event.
+// finish moves the job to a terminal state with its result, emits the
+// terminal event and releases the job's context.
 func (j *job) finish(state JobState, res *JobResult, errMsg string) {
-	j.mu.Lock()
-	j.shiftState(j.state, state)
-	j.state = state
-	j.result = res
-	j.errMsg = errMsg
 	ev := Event{Type: string(state), Error: errMsg}
 	if res != nil {
 		ev.Source = res.Source
@@ -218,10 +214,12 @@ func (j *job) finish(state JobState, res *JobResult, errMsg string) {
 		ev.WorkloadMS = res.FinalWorkloadMS
 		ev.SimSeconds = res.SimCompileSeconds
 	}
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.mu.Lock()
+	j.result = res
+	j.errMsg = errMsg
+	j.publishLocked(state, ev)
 	j.mu.Unlock()
+	j.cancel()
 }
 
 // terminal reports whether the state accepts no further events. The
@@ -247,37 +245,6 @@ func (j *job) snapshot(i int) (evs []Event, changed <-chan struct{}, done bool) 
 		evs = append(evs, j.events[i:]...)
 	}
 	return evs, j.notify, terminal(j.state)
-}
-
-// setCancel installs the running session's CancelFunc; if cancellation
-// was already requested while the job sat in the queue, it fires at once.
-func (j *job) setCancel(c context.CancelFunc) {
-	j.mu.Lock()
-	j.cancel = c
-	fire := j.canceled
-	j.mu.Unlock()
-	if fire {
-		c()
-	}
-}
-
-// requestCancel marks the job canceled and cancels its session context if
-// one is running. A queued job is caught by run()'s cancelRequested check
-// before any tuning starts.
-func (j *job) requestCancel() {
-	j.mu.Lock()
-	j.canceled = true
-	c := j.cancel
-	j.mu.Unlock()
-	if c != nil {
-		c()
-	}
-}
-
-func (j *job) cancelRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.canceled
 }
 
 func (j *job) view() jobView {

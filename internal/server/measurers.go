@@ -1,10 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -43,18 +43,24 @@ type MeasurerView struct {
 	Failures  int `json:"failures"`
 }
 
+// measurerLocked returns the index of the worker registered at rawURL,
+// -1 if none; call with s.mmu held.
+func (s *Server) measurerLocked(rawURL string) int {
+	return slices.IndexFunc(s.measurers, func(e *measurerEntry) bool { return e.url == rawURL })
+}
+
 // registerMeasurer adds (or heartbeats) a worker.
 func (s *Server) registerMeasurer(rawURL string) MeasurerView {
 	now := time.Now()
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
-	e := s.measurers[rawURL]
-	if e == nil {
-		e = &measurerEntry{url: rawURL, registeredAt: now}
-		s.measurers[rawURL] = e
-		s.measurerOrder = append(s.measurerOrder, rawURL)
+	i := s.measurerLocked(rawURL)
+	if i < 0 {
+		i = len(s.measurers)
+		s.measurers = append(s.measurers, &measurerEntry{url: rawURL, registeredAt: now})
 		s.cfg.Log.Info("measurer registered", "measurer", rawURL)
 	}
+	e := s.measurers[i]
 	e.lastSeen = now
 	return s.viewLocked(e, now)
 }
@@ -63,16 +69,11 @@ func (s *Server) registerMeasurer(rawURL string) MeasurerView {
 func (s *Server) deregisterMeasurer(rawURL string) bool {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
-	if _, ok := s.measurers[rawURL]; !ok {
+	i := s.measurerLocked(rawURL)
+	if i < 0 {
 		return false
 	}
-	delete(s.measurers, rawURL)
-	for i, u := range s.measurerOrder {
-		if u == rawURL {
-			s.measurerOrder = append(s.measurerOrder[:i], s.measurerOrder[i+1:]...)
-			break
-		}
-	}
+	s.measurers = slices.Delete(s.measurers, i, i+1)
 	s.cfg.Log.Info("measurer deregistered", "measurer", rawURL)
 	return true
 }
@@ -84,35 +85,27 @@ func (s *Server) liveMeasurerURLs() []string {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
 	var out []string
-	for _, u := range s.measurerOrder {
-		if s.liveLocked(s.measurers[u], now) {
-			out = append(out, u)
+	for _, e := range s.measurers {
+		if s.liveLocked(e, now) {
+			out = append(out, e.url)
 		}
 	}
 	return out
 }
 
 func (s *Server) liveLocked(e *measurerEntry, now time.Time) bool {
-	if e == nil {
-		return false
-	}
 	return s.cfg.MeasurerTTL <= 0 || now.Sub(e.lastSeen) <= s.cfg.MeasurerTTL
 }
 
 func (s *Server) viewLocked(e *measurerEntry, now time.Time) MeasurerView {
-	reg := s.cfg.Obs.Reg()
-	regCount := func(name string) int {
-		v, _ := reg.Value(name, e.url)
-		return int(v)
-	}
 	return MeasurerView{
 		URL:              e.url,
 		Live:             s.liveLocked(e, now),
 		RegisteredAtUnix: e.registeredAt.Unix(),
 		LastSeenUnix:     e.lastSeen.Unix(),
-		Batches:          regCount(pruner.MetricFleetBatches),
-		Schedules:        regCount(pruner.MetricFleetSchedules),
-		Failures:         regCount(pruner.MetricFleetFailures),
+		Batches:          s.regInt(pruner.MetricFleetBatches, e.url),
+		Schedules:        s.regInt(pruner.MetricFleetSchedules, e.url),
+		Failures:         s.regInt(pruner.MetricFleetFailures, e.url),
 	}
 }
 
@@ -129,19 +122,22 @@ func (s *Server) measurerViews() []MeasurerView {
 	return out
 }
 
+// regInt reads a registry gauge or counter child as an int (0 when
+// absent), so healthz and the measurer views report what /metrics scrapes.
+func (s *Server) regInt(name string, labelValues ...string) int {
+	v, _ := s.cfg.Obs.Reg().Value(name, labelValues...)
+	return int(v)
+}
+
 // measurerStats summarises the measurer registry for /v1/healthz, read
 // back from the metrics registry so healthz and /metrics agree. Batch
 // and failure totals are registry-lifetime sums over every worker a
 // fleet ever dispatched to, deregistered ones included.
 func (s *Server) measurerStats() map[string]any {
 	reg := s.cfg.Obs.Reg()
-	regGauge := func(name string) int {
-		v, _ := reg.Value(name)
-		return int(v)
-	}
 	return map[string]any{
-		"registered": regGauge(MetricMeasurersRegistered),
-		"live":       regGauge(MetricMeasurersLive),
+		"registered": s.regInt(MetricMeasurersRegistered),
+		"live":       s.regInt(MetricMeasurersLive),
 		"batches":    int(reg.Sum(pruner.MetricFleetBatches)),
 		"failures":   int(reg.Sum(pruner.MetricFleetFailures)),
 	}
@@ -186,8 +182,7 @@ func (s *Server) handleRegisterMeasurer(w http.ResponseWriter, r *http.Request) 
 	var body struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	base, err := normalizeWorkerURL(body.URL)
@@ -196,7 +191,7 @@ func (s *Server) handleRegisterMeasurer(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	s.mmu.Lock()
-	known := s.measurers[base] != nil
+	known := s.measurerLocked(base) >= 0
 	s.mmu.Unlock()
 	if !known {
 		if err := s.pingMeasurer(base); err != nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"time"
 
 	"pruner"
 	"pruner/internal/obs"
@@ -69,18 +68,7 @@ func (s *Server) initObs() {
 			return float64(len(s.measurers))
 		})
 	reg.GaugeFunc(MetricMeasurersLive, "Measurement workers within their heartbeat TTL.",
-		func() float64 {
-			now := time.Now()
-			s.mmu.Lock()
-			defer s.mmu.Unlock()
-			n := 0
-			for _, e := range s.measurers {
-				if s.liveLocked(e, now) {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(len(s.liveMeasurerURLs())) })
 	s.cfg.Store.EnableMetrics(reg)
 	pruner.RegisterEngineMetrics(s.cfg.Obs)
 }

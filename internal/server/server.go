@@ -33,6 +33,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -134,11 +135,11 @@ type Server struct {
 	nextID int
 	closed bool
 
-	// Measurer registry (measurers.go); guarded by its own mutex so fleet
-	// bookkeeping never contends with job bookkeeping.
-	mmu           sync.Mutex
-	measurers     map[string]*measurerEntry
-	measurerOrder []string
+	// Measurer registry (measurers.go), in registration order; guarded by
+	// its own mutex so fleet bookkeeping never contends with job
+	// bookkeeping.
+	mmu       sync.Mutex
+	measurers []*measurerEntry
 
 	// Prepared instruments on cfg.Obs's registry (obs.go).
 	obs serverObs
@@ -154,12 +155,11 @@ func New(parent context.Context, cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(parent)
 	s := &Server{
-		cfg:       cfg,
-		ctx:       ctx,
-		cancel:    cancel,
-		queue:     make(chan *job, cfg.QueueDepth),
-		jobs:      map[string]*job{},
-		measurers: map[string]*measurerEntry{},
+		cfg:    cfg,
+		ctx:    ctx,
+		cancel: cancel,
+		queue:  make(chan *job, cfg.QueueDepth),
+		jobs:   map[string]*job{},
 	}
 	s.initObs()
 	for i := 0; i < cfg.Workers; i++ {
@@ -237,6 +237,26 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds the JSON request bodies the daemon decodes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, answering 413 for a body over
+// maxBodyBytes and 400 for a malformed one; it reports whether v holds
+// the body.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	default:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // resolve validates a spec against the registries, fills its defaults in
 // place, and returns the device, network and the job's task set. The spec
 // is fully normalised at submit time; afterwards it is immutable.
@@ -283,8 +303,7 @@ func (s *Server) resolve(spec *JobSpec) (*pruner.Device, *pruner.Network, []*ir.
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	_, _, tasks, err := s.resolve(&spec)
@@ -297,55 +316,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// (device, network) at least as deeply as the requested budget —
 	// answer from the store, no search, no queue slot. Shallower
 	// history warm-starts a real search below instead.
+	var res *JobResult
 	if !spec.Fresh && s.cfg.Store.Covered(spec.Device, tasks, spec.Trials) {
-		j := s.register(spec)
-		j.finish(StateDone, s.storeResult(spec, tasks), "")
-		s.cfg.Log.Info("job answered from store", "job", j.id,
-			"device", spec.Device, "network", spec.Network)
-		writeJSON(w, http.StatusOK, j.view())
-		return
+		res = s.storeResult(spec, tasks)
 	}
-
-	j, err := s.enqueue(spec)
+	j, err := s.admit(spec, res)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.view())
+	code := http.StatusAccepted
+	if res != nil {
+		code = http.StatusOK
+		s.cfg.Log.Info("job answered from store", "job", j.id,
+			"device", spec.Device, "network", spec.Network)
+	}
+	writeJSON(w, code, j.view())
 }
 
-// enqueue registers a job and places it on the bounded queue, atomically
-// with the shutdown check so a submission can never race the queue close.
-func (s *Server) enqueue(spec JobSpec) (*job, error) {
+// admit tracks a new job under the next ID. A store-answered job (res
+// non-nil) is born done, skipping the queue and the drain check; any
+// other joins the bounded queue, atomically with the drain check so a
+// submission can never race the queue close. A refused job is never
+// built, so it takes no ID and leaves the jobs gauge alone.
+func (s *Server) admit(spec JobSpec, res *JobResult) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if res == nil && s.closed {
 		return nil, fmt.Errorf("server is shutting down")
 	}
-	s.nextID++
-	j := newJob(fmt.Sprintf("j-%06d", s.nextID), spec, s.obs.jobStates)
-	j.enqueuedAt = time.Now()
-	select {
-	case s.queue <- j:
-	default:
-		s.nextID--
-		j.states.With(string(StateQueued)).Add(-1) // never entered the queue
+	if res == nil && len(s.queue) == cap(s.queue) {
 		return nil, fmt.Errorf("job queue is full (depth %d)", s.cfg.QueueDepth)
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	return j, nil
-}
-
-// register allocates an ID and tracks the job.
-func (s *Server) register(spec JobSpec) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.nextID++
-	j := newJob(fmt.Sprintf("j-%06d", s.nextID), spec, s.obs.jobStates)
+	j := newJob(s.ctx, fmt.Sprintf("j-%06d", s.nextID), spec, s.obs.jobStates)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	return j
+	if res != nil {
+		j.finish(StateDone, res, "")
+		return j, nil
+	}
+	select {
+	case s.queue <- j:
+	default: // never taken: only admit sends, under s.mu, so the slot checked above is still free
+	}
+	return j, nil
 }
 
 func (s *Server) lookup(id string) *job {
@@ -383,7 +398,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.requestCancel()
+	j.cancel()
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
@@ -463,23 +478,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
-	reg := s.cfg.Obs.Reg()
 	counts := map[string]int{}
 	for _, state := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		if v, ok := reg.Value(MetricJobs, string(state)); ok && v != 0 {
-			counts[string(state)] = int(v)
+		if n := s.regInt(MetricJobs, string(state)); n != 0 {
+			counts[string(state)] = n
 		}
-	}
-	regGauge := func(name string) int {
-		v, _ := reg.Value(name)
-		return int(v)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": map[bool]string{false: "ok", true: "shutting-down"}[closed],
 		"store": map[string]any{
-			"devices":            regGauge(store.MetricDevices),
-			"records":            regGauge(store.MetricRecords),
-			"dropped_tail_lines": regGauge(store.MetricDropped),
+			"devices":            s.regInt(store.MetricDevices),
+			"records":            s.regInt(store.MetricRecords),
+			"dropped_tail_lines": s.regInt(store.MetricDropped),
 		},
 		"jobs":        counts,
 		"workers":     s.cfg.Workers,
@@ -558,20 +568,15 @@ func (s *Server) run(j *job) {
 			finish(StateFailed, nil, fmt.Sprintf("internal error: %v", r))
 		}
 	}()
-	if s.ctx.Err() != nil {
-		finish(StateCanceled, nil, "server shut down before the job started")
+	if j.ctx.Err() != nil {
+		if s.ctx.Err() != nil {
+			finish(StateCanceled, nil, "server shut down before the job started")
+		} else {
+			finish(StateCanceled, nil, "canceled while queued")
+		}
 		return
 	}
-	if j.cancelRequested() {
-		finish(StateCanceled, nil, "canceled while queued")
-		return
-	}
-	if !j.enqueuedAt.IsZero() {
-		s.obs.queueWait.Observe(time.Since(j.enqueuedAt).Seconds())
-	}
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	j.setCancel(cancel)
+	s.obs.queueWait.Observe(time.Since(j.enqueuedAt).Seconds())
 
 	// The spec was normalised at submit time; work on a copy so nothing
 	// here races a concurrent view().
@@ -591,30 +596,23 @@ func (s *Server) run(j *job) {
 		}
 	}
 
-	// Measurement backend: the registered worker fleet when requested (or
-	// on "auto" with live workers), the in-process simulator otherwise.
-	// Both produce bitwise-identical results for the same seed, so the
-	// choice is purely about where the measurement wall-clock is spent.
-	// Fleets are handed the daemon's long-lived registry, so per-worker
-	// dispatch totals accumulate across jobs and are scrapeable (and
-	// served by /v1/measurers) mid-session.
-	var fleet *pruner.Fleet
+	// Measurement backend: unless the spec asks for the simulator, the
+	// live worker fleet if there is one ("fleet" with none fails), the
+	// in-process simulator otherwise. Both produce bitwise-identical
+	// results for the same seed, so the choice is purely about where the
+	// measurement wall-clock is spent. Fleets are handed the daemon's
+	// long-lived registry, so per-worker dispatch totals accumulate across
+	// jobs and are scrapeable (and served by /v1/measurers) mid-session.
+	var measurer pruner.Measurer
 	measName := "simulator"
-	switch spec.Measurer {
-	case "", "auto":
+	if spec.Measurer != "simulator" {
 		if urls := s.liveMeasurerURLs(); len(urls) > 0 {
-			fleet = pruner.NewObservedFleet(urls, s.cfg.Obs)
+			measurer = pruner.NewObservedFleet(urls, s.cfg.Obs)
 			measName = "fleet"
-		}
-	case "simulator":
-	case "fleet":
-		urls := s.liveMeasurerURLs()
-		if len(urls) == 0 {
+		} else if spec.Measurer == "fleet" {
 			finish(StateFailed, nil, "measurer \"fleet\" requested but no live measurement workers are registered (POST /v1/measurers)")
 			return
 		}
-		fleet = pruner.NewObservedFleet(urls, s.cfg.Obs)
-		measName = "fleet"
 	}
 
 	j.publish(StateRunning, Event{Type: "started", Trials: spec.Trials, WarmRecords: len(warm), Measurer: measName})
@@ -638,7 +636,8 @@ func (s *Server) run(j *job) {
 		AdaptBudget:   spec.AdaptBudget,
 		Pretrained:    s.cfg.Pretrained,
 		Pool:          s.cfg.Pool,
-		Ctx:           ctx,
+		Measurer:      measurer,
+		Ctx:           j.ctx,
 		WarmStart:     warm,
 		Obs:           s.cfg.Obs,
 		Progress: func(ev pruner.ProgressEvent) {
@@ -667,9 +666,6 @@ func (s *Server) run(j *job) {
 				TargetDepth:  ev.TargetDepth,
 			})
 		},
-	}
-	if fleet != nil {
-		cfg.Measurer = fleet
 	}
 	res, err := pruner.Tune(dev, net, cfg)
 	if err != nil {

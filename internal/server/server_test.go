@@ -315,6 +315,33 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// oversizedBody is a JSON object whose one string field carries it past
+// maxBodyBytes.
+func oversizedBody(field string) *bytes.Reader {
+	return bytes.NewReader([]byte(`{"` + field + `":"` + strings.Repeat("x", maxBodyBytes) + `"}`))
+}
+
+// TestServerRejectsOversizedJob pins the bound on POST /v1/jobs bodies:
+// one over maxBodyBytes answers 413 and admits no job.
+func TestServerRejectsOversizedJob(t *testing.T) {
+	_, ts := testServer(t, t.TempDir())
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", oversizedBody("device"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized job body: status %d, want 413", resp.StatusCode)
+	}
+	var list struct {
+		Jobs []jobView `json:"jobs"`
+	}
+	getJSON(t, ts, "/v1/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("oversized body admitted jobs: %+v", list.Jobs)
+	}
+}
+
 // TestServerCancelQueuedJob pins that DELETE works before a job ever
 // starts: the cancellation is remembered and the worker discards the job
 // at dequeue instead of tuning its full budget.

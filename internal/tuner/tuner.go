@@ -248,12 +248,6 @@ type ProgressEvent struct {
 	// that were in flight when the round committed — the pipeline window's
 	// utilisation; 1 on the serial path.
 	InFlight int
-	// RoundMillis is the wall-clock duration of the round in
-	// milliseconds. The deterministic engine never reads the wall clock
-	// and always leaves it zero; the serving layer stamps it at the
-	// commit boundary (between successive Progress callbacks) before
-	// forwarding events to SSE consumers.
-	RoundMillis int64
 	// CalibError is the controller's smoothed predicted-vs-measured rank
 	// error for this round's task after the commit (0 perfect ranking,
 	// 0.5 random). Only meaningful when Options.AdaptBudget is set;
