@@ -24,7 +24,7 @@ vet:
 # wireshape) over the whole module and fails on any unwaived
 # diagnostic, malformed directive, or unused //pruner:allow
 # suppression; additive wire.lock drift is printed as a notice and does
-# not fail. See DESIGN.md §10; `pruner-vet -json` emits the same
+# not fail. See DESIGN.md §12; `pruner-vet -json` emits the same
 # diagnostics (suppressed included) machine-readably.
 lint:
 	$(GO) build ./cmd/pruner-vet ./internal/lint
@@ -122,7 +122,7 @@ bench:
 # the training-engine BenchmarkFit, the BenchmarkTunePipeline depth sweep
 # and the fixed-vs-adaptive BenchmarkTuneAdaptive measured-candidate
 # comparison) plus a bounded root subset.
-# The first line is the allocation gate (DESIGN.md §7): the TestAlloc*
+# The first line is the allocation gate (DESIGN.md §3, §6): the TestAlloc*
 # tests pin, via testing.AllocsPerRun, the warmed frozen forward's
 # operators and the fused training backward (internal/nn), each learned
 # model's frozen forward over one predict chunk and one whole training

@@ -5,15 +5,15 @@
 // the whole evaluation. Paper-scale parameters are available through
 // `go run ./cmd/pruner-bench -exp <id> -full`.
 //
-// DESIGN.md §3 maps benchmark names to experiment IDs, workloads and
+// DESIGN.md §13 maps benchmark names to experiment IDs, workloads and
 // modules; EXPERIMENTS.md records paper-vs-measured values.
 //
 // The session hot paths have their own harnesses next to the code they
 // measure: BenchmarkPredictBatched (internal/costmodel) compares the
-// batched no-tape inference engine against the per-candidate baseline
-// it replaced (DESIGN.md §7), and BenchmarkFit (internal/costmodel)
+// batched inference engine against the per-candidate baseline
+// it replaced (DESIGN.md §6), and BenchmarkFit (internal/costmodel)
 // compares the data-parallel incremental training engine against the
-// retained serial per-group reference (DESIGN.md §8). CI runs every
+// retained serial per-group reference (DESIGN.md §6). CI runs every
 // internal benchmark once per push (`make bench-smoke`) so bench code
 // cannot bit-rot.
 package pruner
@@ -133,7 +133,7 @@ func BenchmarkFig16_AblationCurve(b *testing.B) { runExperiment(b, "fig16") }
 // fixed-seed tuning session, so BENCH_*.json snapshots capture the
 // parallel runtime's speedup curve alongside the paper tables. The
 // session is identical at every worker count (the determinism contract,
-// DESIGN.md §5); only wall-clock should move.
+// DESIGN.md §11); only wall-clock should move.
 func BenchmarkTuneParallel(b *testing.B) {
 	net, err := LoadNetwork("bert_tiny")
 	if err != nil {
@@ -165,7 +165,7 @@ func BenchmarkTuneParallel(b *testing.B) {
 }
 
 // BenchmarkAblation_SAvsOracle quantifies the draft model's ranking gap to
-// the simulator ground truth (DESIGN.md §4): the sum-based Eq. 1 against
+// the simulator ground truth (DESIGN.md §13): the sum-based Eq. 1 against
 // the overlap-based execution model.
 func BenchmarkAblation_SAvsOracle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -176,7 +176,7 @@ func BenchmarkAblation_SAvsOracle(b *testing.B) {
 }
 
 // BenchmarkAblation_Momentum sweeps MoA's momentum coefficient (DESIGN.md
-// §4).
+// §13).
 func BenchmarkAblation_Momentum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := experiments.AblationMomentum(experiments.Config{Seed: 42, Out: os.Stdout, CacheDir: ".cache"}); err != nil {

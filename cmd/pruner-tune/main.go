@@ -41,7 +41,7 @@ func main() {
 		modelIn  = flag.String("model-in", "", "load pretrained cost-model weights from a file written by -model-out (skips -pretrain)")
 		modelOut = flag.String("model-out", "", "save the -pretrain weights to the file for reuse by later runs, pruner-serve -model-in, or examples")
 		depth    = flag.Int("pipeline-depth", 0, "measurement rounds in flight (0/1 = serial loop; higher overlaps measurement with search, deterministic per depth; ignored with -adapt-budget)")
-		adapt    = flag.Bool("adapt-budget", false, "calibration-driven budget control: shrink the verify batch, widen the LSE draft set and deepen the pipeline as the cost model proves calibrated (deterministic; see DESIGN.md §14)")
+		adapt    = flag.Bool("adapt-budget", false, "calibration-driven budget control: shrink the verify batch, widen the LSE draft set and deepen the pipeline as the cost model proves calibrated (deterministic; see DESIGN.md §8)")
 		fleet    = flag.String("measurers", "", "comma-separated pruner-measure worker base URLs; batches are measured by the fleet instead of in-process (bitwise-identical results)")
 		traceOut = flag.String("trace-out", "", "write the session's pipeline spans (plan/measure/commit, cost-model fit/predict) to the file as JSON; also enables wall-clock stage metrics internally")
 	)

@@ -25,7 +25,7 @@
 // the wire.lock golden from the live wire schema (the deliberate path
 // for a reviewed wire change; see API.md "Wire compatibility"). A
 // clean run is part of the bitwise-reproducibility contract
-// (DESIGN.md §10).
+// (DESIGN.md §12).
 package main
 
 import (

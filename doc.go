@@ -61,12 +61,13 @@
 // value; contexts reach everything that blocks, mutexes are never held
 // across a blocking call nor acquired out of order, hot paths do not
 // allocate, errors are not silently dropped, enum switches are
-// exhaustive, and every wire type matches wire.lock; see DESIGN.md §10.
+// exhaustive, and every wire type matches wire.lock; see DESIGN.md §12.
 //
-// See DESIGN.md for the system inventory, the simulator-substitution
-// rationale, the store/daemon architecture (§6), the batched inference
-// (§7) and training (§8) engines, the measurement subsystem +
-// pipelined round engine (§9), the enforced determinism contract
-// (§10), and EXPERIMENTS.md for the experiment map and the
+// See DESIGN.md for the design, one section per package: the simulator
+// substitution and the measurement subsystem (DESIGN.md §7), the nn
+// engine and the batched inference and training engines (DESIGN.md §5,
+// §6), the pipelined round engine (DESIGN.md §8), the store and daemon
+// (DESIGN.md §9), the enforced determinism contract (DESIGN.md §12) and
+// the experiment map (DESIGN.md §13); EXPERIMENTS.md holds the
 // paper-vs-measured record.
 package pruner

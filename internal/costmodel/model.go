@@ -1,9 +1,9 @@
-// Package costmodel defines the learned and analytical cost models that
-// guide schedule search: the paper's Pattern-aware Cost Model (PaCM), the
-// TenSetMLP and TLP baselines, a wrapper over the Symbol-based Analyzer,
-// and a random-score control. All learned models share the ranking
-// trainer: records are grouped per task, labelled with normalised
-// throughput and optimised with the LambdaRank loss, as in the paper.
+// Package costmodel defines the cost models that rank candidate
+// schedules: the paper's Pattern-aware Cost Model (PaCM), the TenSetMLP
+// and TLP baselines, and a random-score control. All learned models share
+// the ranking trainer: records are grouped per task, labelled with
+// normalised throughput and optimised with the LambdaRank loss, as in the
+// paper.
 package costmodel
 
 import (

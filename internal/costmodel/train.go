@@ -14,7 +14,7 @@ import (
 // architecture replica per macro-batch position (weights aliased to the
 // live model, so replicas always read current parameters; gradients in
 // the replica's own buffers), reduced serially in group order after the
-// fan-out. DESIGN.md §8 describes the full pipeline.
+// fan-out. DESIGN.md §6 describes the full pipeline.
 
 // replica is one macro-batch position's copy of a model's forward
 // program: its parameters alias the live weights (nn.AliasParams) but

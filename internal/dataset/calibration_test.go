@@ -20,7 +20,7 @@ func predictSet(m costmodel.Model, s *TaskSet) []float64 {
 }
 
 // TestCalibrationModelOrdering checks the core substitution claim of
-// DESIGN.md §2: on a held-out task split, PaCM (dataflow features) must
+// DESIGN.md §7: on a held-out task split, PaCM (dataflow features) must
 // rank better than the statement-feature MLP, and both far better than
 // random — the paper's Table 11 ordering.
 func TestCalibrationModelOrdering(t *testing.T) {

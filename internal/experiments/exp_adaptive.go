@@ -3,7 +3,7 @@ package experiments
 import "pruner/internal/device"
 
 // Adaptive is the fixed-vs-adaptive budget comparison behind the
-// ROADMAP's "Adaptive verify budget" item (DESIGN.md §14): the same
+// ROADMAP's "Adaptive verify budget" item (DESIGN.md §8): the same
 // Pruner sessions run twice at an equal Trials budget, once with the
 // fixed per-round verify/measure batch and once with the
 // calibration-driven controller (tuner.Options.AdaptBudget), which

@@ -122,7 +122,7 @@ func Fig7(cfg Config) error {
 	return nil
 }
 
-// speedupToReach is baselineTime / (time for res to reach target); capped
+// speedupToReach is baselineSeconds / (time for res to reach target); capped
 // when the target is never reached.
 func speedupToReach(baselineSeconds float64, res interface {
 	WorkloadLatencyAt(float64) float64

@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§6). Each experiment is a named runner printing the paper's
-// rows/series; DESIGN.md §3 maps experiment IDs to modules and bench
+// rows/series; DESIGN.md §13 maps experiment IDs to modules and bench
 // targets, EXPERIMENTS.md records paper-vs-measured values.
 //
 // Runners execute in one of two scales: the default "scaled" mode keeps
@@ -81,7 +81,7 @@ type Experiment struct {
 	Run Runner
 }
 
-// All lists every experiment (DESIGN.md §3) in evaluation order.
+// All lists every experiment (DESIGN.md §13) in evaluation order.
 var All = []Experiment{
 	{"table1", Table1}, {"fig6", Fig6}, {"fig7", Fig7}, {"table5", Table5},
 	{"fig8", Fig8}, {"table6", Table6}, {"fig9", Fig9}, {"fig10", Fig10},
@@ -90,7 +90,7 @@ var All = []Experiment{
 	{"fig15", Fig15}, {"table11", Table11}, {"table12", Table12},
 	{"table13", Table13}, {"fig16", Fig16},
 	// Beyond the paper: fixed vs adaptive budget control at equal trials
-	// (ROADMAP "Adaptive verify budget"; DESIGN.md §14).
+	// (ROADMAP "Adaptive verify budget"; DESIGN.md §8).
 	{"adaptive", Adaptive},
 }
 

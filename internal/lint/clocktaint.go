@@ -97,7 +97,7 @@ func runClockTaint(pass *Pass) error {
 		ft := newFuncTaint(n, nil, callTaints)
 		clockSinkWrites(ft, func(sink, field string, at ast.Node) {
 			pass.Reportf(at.Pos(),
-				"clock-derived value flows into %s.%s; clock readings may only feed obs instruments or serving-boundary stamps (DESIGN.md §10)",
+				"clock-derived value flows into %s.%s; clock readings may only feed obs instruments or serving-boundary stamps (DESIGN.md §12)",
 				sink, field)
 		})
 		ft.taintedArgs(flows, func(arg ast.Expr, calleeID string, i int) {

@@ -21,7 +21,7 @@
 // def-use summaries of dataflow.go on top of it. The pieces they share
 // exist once: resolve.go names what a call or selector refers to,
 // lockwalk.go walks critical sections, blocking.go says what blocks.
-// See DESIGN.md §10.
+// See DESIGN.md §12.
 //
 // The framework is deliberately dependency-free: packages are discovered
 // with `go list -deps -export -json`, parsed with go/parser, and

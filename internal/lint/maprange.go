@@ -11,13 +11,12 @@ import (
 // (float addition is not associative — iteration order changes the
 // bits), sending on a channel, or invoking a callback value. Go
 // randomizes map iteration order on purpose, so any of these makes the
-// result depend on the run. The sanctioned idiom is the one
-// internal/experiments' methodsSorted uses: collect the keys, sort
-// them, then loop over the sorted slice — an append whose target is
+// result depend on the run. The sanctioned idiom is to collect the keys,
+// sort them, then loop over the sorted slice — an append whose target is
 // sorted later in the same block is therefore not flagged.
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc:  "flag order-sensitive effects inside range-over-map bodies; sort keys first (see methodsSorted)",
+	Doc:  "flag order-sensitive effects inside range-over-map bodies; collect the keys, sort them, and range over the sorted slice",
 	Run:  runMapRange,
 }
 
@@ -61,11 +60,11 @@ func checkMapRange(pass *Pass, info *types.Info, rs *ast.RangeStmt, rest []ast.S
 			}
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(),
-				"sends on a channel in map-iteration order; range over sorted keys instead (see methodsSorted)")
+				"sends on a channel in map-iteration order; range over sorted keys instead")
 		case *ast.AssignStmt:
 			if isFloatAccumulation(info, n) {
 				pass.Reportf(n.Pos(),
-					"accumulates floating-point values in map-iteration order (float addition is not associative); range over sorted keys instead (see methodsSorted)")
+					"accumulates floating-point values in map-iteration order (float addition is not associative); range over sorted keys instead")
 			}
 		case *ast.CallExpr:
 			// Only appends and dynamic calls are order-sensitive at this
@@ -78,12 +77,12 @@ func checkMapRange(pass *Pass, info *types.Info, rs *ast.RangeStmt, rest []ast.S
 				if obj.Name() == "append" && len(n.Args) > 0 {
 					if target := rootObject(info, n.Args[0]); target != nil && !sortedAfter(info, rest, target) {
 						pass.Reportf(n.Pos(),
-							"appends to %s in map-iteration order and never sorts it; collect keys and sort first (see methodsSorted)", target.Name())
+							"appends to %s in map-iteration order and never sorts it; collect keys and sort first", target.Name())
 					}
 				}
 			case *types.Var:
 				pass.Reportf(n.Pos(),
-					"calls callback %s in map-iteration order; range over sorted keys instead (see methodsSorted)", obj.Name())
+					"calls callback %s in map-iteration order; range over sorted keys instead", obj.Name())
 			}
 		}
 		return true
@@ -133,8 +132,8 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 
 // sortedAfter reports whether any statement in rest sorts the target:
 // a call to sort.* or slices.* mentioning the appended-to variable.
-// That is the methodsSorted shape — collect in arbitrary order, sort,
-// then do the order-sensitive work over the sorted slice.
+// That is the sanctioned shape — collect in arbitrary order, sort, then
+// do the order-sensitive work over the sorted slice.
 func sortedAfter(info *types.Info, rest []ast.Stmt, target types.Object) bool {
 	found := false
 	for _, stmt := range rest {

@@ -107,10 +107,9 @@ func (t *Tensor) Clone() *Tensor {
 
 // FreezeParams disables gradient-graph construction through the given
 // parameters — inference mode — and returns a restore function for their
-// previous state. It replaces the earlier process-global NoGrad counter:
-// that gate let one tuning session's inference silently suppress another
-// session's concurrent training forward, whereas freezing is scoped to
-// one model's own parameters. Toggle and restore must happen on the
+// previous state. Freezing is scoped to one model's own parameters, so
+// one tuning session's inference cannot suppress another session's
+// concurrent training forward. Toggle and restore must happen on the
 // serial path; concurrent readers between the two calls are safe.
 func FreezeParams(params []*Tensor) (restore func()) {
 	prev := make([]bool, len(params))

@@ -274,7 +274,8 @@ func TestDeterministicForward(t *testing.T) {
 	}
 }
 
-// TestRankStability: LambdaRank gradients push higher-relevance items up.
+// TestRankGradientDirection: LambdaRank gradients push higher-relevance
+// items up.
 func TestRankGradientDirection(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	scores := Param(rng, 3, 1)

@@ -64,7 +64,8 @@ func (k StmtKind) String() string {
 }
 
 // Statement is one data-movement block of the lowered program. Quantities
-// are totals across the whole kernel execution unless suffixed PerUnit.
+// are totals across the whole kernel execution unless a field says
+// otherwise.
 type Statement struct {
 	Kind StmtKind
 	// Operand is the buffer the statement moves or allocates: an index into

@@ -11,7 +11,7 @@ import (
 	"pruner/internal/schedule"
 )
 
-// fractionalSharedTask returns an FP16 task and a schedule whose shared
+// fractionalSharedSetup returns an FP16 task and a schedule whose shared
 // demand lands a fraction of a word over the given budget: FP16 halves
 // the per-element word count, so odd tile extents produce x.5 word
 // demands — the case the truncating filter admitted.

@@ -153,7 +153,7 @@ func (s *Store) loadShard(device string) (*shard, error) {
 		}
 		if i == len(names)-1 {
 			var seq int
-			_, _ = fmt.Sscanf(filepath.Base(name), "seg-%06d.jsonl", &seq) // names are listSegments-filtered
+			_, _ = fmt.Sscanf(filepath.Base(name), "seg-%06d.jsonl", &seq) // names match the seg-*.jsonl glob
 			sh.seq = seq
 			sh.size = int64(valid)
 		}

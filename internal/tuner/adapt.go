@@ -1,4 +1,4 @@
-// Calibration-driven budget control (DESIGN.md §14). The paper's
+// Calibration-driven budget control (DESIGN.md §8). The paper's
 // draft-then-verify split spends a fixed verify/measure budget per round
 // regardless of how well the cost model is actually ranking candidates.
 // The adaptive controller closes that loop: a per-task calibration

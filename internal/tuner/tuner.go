@@ -5,7 +5,7 @@
 // round loop is a pipelined engine: up to Options.PipelineDepth
 // measurement batches are in flight while search and online fits proceed,
 // with results committed in strict round order so sessions stay
-// deterministic at any worker count (DESIGN.md §9).
+// deterministic at any worker count (DESIGN.md §8).
 package tuner
 
 import (
@@ -92,7 +92,7 @@ type Options struct {
 	// adaptive sessions bitwise identical at any requested depth.
 	PipelineDepth int
 	// AdaptBudget enables the calibration-driven budget controller
-	// (adapt.go, DESIGN.md §14): per-task predicted-vs-measured rank
+	// (adapt.go, DESIGN.md §8): per-task predicted-vs-measured rank
 	// error — tracked from commit-ordered results only — shrinks or
 	// grows the verify/measure batch, the LSE draft budget handed to the
 	// policy, and the effective pipeline depth, spending trials where
@@ -444,7 +444,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	// the pool has or how long the backend takes. Background measurement
 	// is a pure function of the dispatched batch, and so is the online
 	// fit: its records are composed at commit, and nothing reads the model
-	// or the training charge before the fit joins (DESIGN.md §9). Depth 1
+	// or the training charge before the fit joins (DESIGN.md §8). Depth 1
 	// interleaves plan(r), commit(r), plan(r+1): exactly the historical
 	// serial loop.
 	ctx := opt.Ctx

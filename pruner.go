@@ -319,7 +319,7 @@ type Config struct {
 	// the LSE draft set and deepens the pipeline where the model has
 	// earned trust — measuring fewer candidates for the same Trials
 	// budget on well-modeled tasks. Off (the default), sessions are
-	// bitwise identical to fixed-budget tuning. See DESIGN.md §14.
+	// bitwise identical to fixed-budget tuning. See DESIGN.md §8.
 	AdaptBudget bool
 	// Ctx cancels the session between measurement rounds; the partial
 	// Result (Interrupted set) is still valid. nil never cancels.
