@@ -51,10 +51,11 @@ import "math"
 // registers, so it gathers the steps that are not skipped four at a time
 // and adds their terms in one pass over the two rows — each output
 // element loaded and stored once per four terms, the four still added in
-// ascending k — and a last one to three a step at a time. It is one
-// function on purpose: a call inside the gather loop makes the compiler
-// keep the loop's counters on the stack.
-func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int) {
+// ascending k — and a last one to three a step at a time, then finishes
+// each distinct row with epilogue. It is one function on purpose: a call
+// inside the gather loop makes the compiler keep the loop's counters on
+// the stack.
+func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu bool) {
 	c := len(o0)
 	o1 = o1[:c]
 	var p, q [4]float64
@@ -73,6 +74,10 @@ func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K i
 		if n < 4 {
 			for t := range n {
 				stripStepGo(o0, o1, p[t], q[t], b[rows[t]:][:c])
+			}
+			epilogue(o0, bias, relu)
+			if &o1[0] != &o0[0] {
+				epilogue(o1, bias, relu)
 			}
 			return
 		}
@@ -101,5 +106,26 @@ func stripStepGo(o0, o1 []float64, p, q float64, bk []float64) {
 	for j, bv := range bk {
 		v, u := o0[j]+p*bv, o1[j]+q*bv
 		o0[j], o1[j] = v, u
+	}
+}
+
+// epilogue applies the bias add and ReLU to one finished output row, as
+// separate bias and ReLU passes would: max(v+bias, 0), +0.0 for every
+// v+bias ≤ 0 (−0.0 included), NaN kept. The assembly strips do the same
+// in registers.
+func epilogue(oRow, bias []float64, relu bool) {
+	switch {
+	case bias != nil && relu:
+		for j, bv := range bias {
+			oRow[j] = max(oRow[j]+bv, 0)
+		}
+	case bias != nil:
+		for j, bv := range bias {
+			oRow[j] += bv
+		}
+	case relu:
+		for j, v := range oRow {
+			oRow[j] = max(v, 0)
+		}
 	}
 }

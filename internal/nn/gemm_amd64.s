@@ -10,11 +10,12 @@
 //	R10     lda in bytes     R12  ldb in bytes
 //	R11     b at the current column block, step 0
 //	R13     K·lda in bytes: DX's end
-//	CX      columns left     BX   b at the current step
+//	CX      columns left     BX   b at the current step, then the bias
 //	AX      scratch
 //
 // Each column block loads its outputs into registers, runs every step of
-// the contraction on them, and stores them once.
+// the contraction on them, finishes them (the bias, then the ReLU) and
+// stores them once.
 
 // START rewinds to step 0 of the column block: BX = b there, DX = 0.
 #define START \
@@ -59,6 +60,50 @@
 	IMULQ R10, R13      \
 	MOVQ c+64(FP), CX
 
+// BIASAT points BX at the bias for the current column block, c − CX
+// columns in, and jumps to none when there is no bias (a nil pointer).
+#define BIASAT(none) \
+	MOVQ  bias+72(FP), BX \
+	TESTQ BX, BX          \
+	JEQ   none            \
+	MOVQ  c+64(FP), AX    \
+	SUBQ  CX, AX          \
+	LEAQ  (BX)(AX*8), BX
+
+// ADDBIAS adds one bias vector to both rows' outputs after the last
+// term. The bias is the first source, as in the compiled epilogue's
+// ADDSD: where both are NaN, the bias's payload is the one kept.
+#define ADDBIAS(bv, acc0, acc1) \
+	VADDPD acc0, bv, acc0 \
+	VADDPD acc1, bv, acc1
+
+// RELUON jumps to none unless the ReLU is on.
+#define RELUON(none) \
+	CMPB relu+80(FP), $0 \
+	JEQ  none
+
+// RELU is Go's max(v, 0) on amd64, bit for bit: VMAXPD with +0.0 as its
+// first source returns v, its second, where v is greater, NaN or either
+// zero, and +0.0 where v is negative; clearing the sign bit then turns
+// −0.0 into +0.0, as max does, and leaves NaN as max leaves it on amd64:
+// its payload kept, its sign cleared. zero holds +0.0 and abs holds
+// 0x7fff…f in every lane; PAND is VPANDQ on zmm (AVX-512F has no
+// VANDPD), VANDPD on ymm.
+#define RELU(acc, zero, abs, PAND) \
+	VMAXPD acc, zero, acc \
+	PAND   abs, acc, acc
+
+// RELUCONST512 and RELUCONST256 set zero to +0.0 and abs to 0x7fff…f.
+#define RELUCONST512(zero, abs) \
+	VPXORQ     zero, zero, zero \
+	VPTERNLOGQ $0xff, abs, abs, abs \
+	VPSRLQ     $1, abs, abs
+
+#define RELUCONST256(zero, abs) \
+	VXORPD   zero, zero, zero \
+	VPCMPEQQ abs, abs, abs \
+	VPSRLQ   $1, abs, abs
+
 // ADVANCE moves the outputs and b past a finished column block of n
 // columns (bytes = 8n).
 #define ADVANCE(n, bytes) \
@@ -67,8 +112,8 @@
 	ADDQ $bytes, R11 \
 	SUBQ $n, CX
 
-// func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int)
-TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-72
+// func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
+TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-81
 	ARGS
 
 z32:
@@ -99,6 +144,29 @@ z32step:
 
 z32next:
 	NEXT(z32step)
+	BIASAT(z32relu)
+	VMOVUPD 0(BX), Z10
+	VMOVUPD 64(BX), Z11
+	VMOVUPD 128(BX), Z12
+	VMOVUPD 192(BX), Z13
+	ADDBIAS(Z10, Z0, Z4)
+	ADDBIAS(Z11, Z1, Z5)
+	ADDBIAS(Z12, Z2, Z6)
+	ADDBIAS(Z13, Z3, Z7)
+
+z32relu:
+	RELUON(z32store)
+	RELUCONST512(Z8, Z9)
+	RELU(Z0, Z8, Z9, VPANDQ)
+	RELU(Z1, Z8, Z9, VPANDQ)
+	RELU(Z2, Z8, Z9, VPANDQ)
+	RELU(Z3, Z8, Z9, VPANDQ)
+	RELU(Z4, Z8, Z9, VPANDQ)
+	RELU(Z5, Z8, Z9, VPANDQ)
+	RELU(Z6, Z8, Z9, VPANDQ)
+	RELU(Z7, Z8, Z9, VPANDQ)
+
+z32store:
 	VMOVUPD Z0, 0(DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, 128(DI)
@@ -130,6 +198,21 @@ z16step:
 
 z16next:
 	NEXT(z16step)
+	BIASAT(z16relu)
+	VMOVUPD 0(BX), Z10
+	VMOVUPD 64(BX), Z11
+	ADDBIAS(Z10, Z0, Z4)
+	ADDBIAS(Z11, Z1, Z5)
+
+z16relu:
+	RELUON(z16store)
+	RELUCONST512(Z8, Z9)
+	RELU(Z0, Z8, Z9, VPANDQ)
+	RELU(Z1, Z8, Z9, VPANDQ)
+	RELU(Z4, Z8, Z9, VPANDQ)
+	RELU(Z5, Z8, Z9, VPANDQ)
+
+z16store:
 	VMOVUPD Z0, 0(DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z4, 0(SI)
@@ -152,6 +235,17 @@ z8step:
 
 z8next:
 	NEXT(z8step)
+	BIASAT(z8relu)
+	VMOVUPD 0(BX), Z10
+	ADDBIAS(Z10, Z0, Z4)
+
+z8relu:
+	RELUON(z8store)
+	RELUCONST512(Z8, Z9)
+	RELU(Z0, Z8, Z9, VPANDQ)
+	RELU(Z4, Z8, Z9, VPANDQ)
+
+z8store:
 	VMOVUPD Z0, 0(DI)
 	VMOVUPD Z4, 0(SI)
 	ADVANCE(8, 64)
@@ -178,6 +272,17 @@ zmstep:
 
 zmnext:
 	NEXT(zmstep)
+	BIASAT(zmrelu)
+	VMOVUPD.Z 0(BX), K1, Z10
+	ADDBIAS(Z10, Z0, Z4)
+
+zmrelu:
+	RELUON(zmstore)
+	RELUCONST512(Z8, Z9)
+	RELU(Z0, Z8, Z9, VPANDQ)
+	RELU(Z4, Z8, Z9, VPANDQ)
+
+zmstore:
 	VMOVUPD Z0, K1, 0(DI)
 	VMOVUPD Z4, K1, 0(SI)
 
@@ -196,8 +301,8 @@ DATA laneMask<>+48(SB)/8, $0
 DATA laneMask<>+56(SB)/8, $0
 GLOBL laneMask<>(SB), RODATA|NOPTR, $64
 
-// func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int)
-TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-72
+// func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
+TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-81
 	ARGS
 
 y16:
@@ -228,6 +333,29 @@ y16step:
 
 y16next:
 	NEXT(y16step)
+	BIASAT(y16relu)
+	VMOVUPD 0(BX), Y10
+	VMOVUPD 32(BX), Y11
+	VMOVUPD 64(BX), Y12
+	VMOVUPD 96(BX), Y13
+	ADDBIAS(Y10, Y0, Y4)
+	ADDBIAS(Y11, Y1, Y5)
+	ADDBIAS(Y12, Y2, Y6)
+	ADDBIAS(Y13, Y3, Y7)
+
+y16relu:
+	RELUON(y16store)
+	RELUCONST256(Y8, Y9)
+	RELU(Y0, Y8, Y9, VANDPD)
+	RELU(Y1, Y8, Y9, VANDPD)
+	RELU(Y2, Y8, Y9, VANDPD)
+	RELU(Y3, Y8, Y9, VANDPD)
+	RELU(Y4, Y8, Y9, VANDPD)
+	RELU(Y5, Y8, Y9, VANDPD)
+	RELU(Y6, Y8, Y9, VANDPD)
+	RELU(Y7, Y8, Y9, VANDPD)
+
+y16store:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -259,6 +387,21 @@ y8step:
 
 y8next:
 	NEXT(y8step)
+	BIASAT(y8relu)
+	VMOVUPD 0(BX), Y10
+	VMOVUPD 32(BX), Y11
+	ADDBIAS(Y10, Y0, Y4)
+	ADDBIAS(Y11, Y1, Y5)
+
+y8relu:
+	RELUON(y8store)
+	RELUCONST256(Y8, Y9)
+	RELU(Y0, Y8, Y9, VANDPD)
+	RELU(Y1, Y8, Y9, VANDPD)
+	RELU(Y4, Y8, Y9, VANDPD)
+	RELU(Y5, Y8, Y9, VANDPD)
+
+y8store:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y4, 0(SI)
@@ -281,6 +424,17 @@ y4step:
 
 y4next:
 	NEXT(y4step)
+	BIASAT(y4relu)
+	VMOVUPD 0(BX), Y10
+	ADDBIAS(Y10, Y0, Y4)
+
+y4relu:
+	RELUON(y4store)
+	RELUCONST256(Y8, Y9)
+	RELU(Y0, Y8, Y9, VANDPD)
+	RELU(Y4, Y8, Y9, VANDPD)
+
+y4store:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y4, 0(SI)
 	ADVANCE(4, 32)
@@ -307,6 +461,17 @@ ymstep:
 
 ymnext:
 	NEXT(ymstep)
+	BIASAT(ymrelu)
+	VMASKMOVPD 0(BX), Y13, Y10
+	ADDBIAS(Y10, Y0, Y4)
+
+ymrelu:
+	RELUON(ymstore)
+	RELUCONST256(Y8, Y9)
+	RELU(Y0, Y8, Y9, VANDPD)
+	RELU(Y4, Y8, Y9, VANDPD)
+
+ymstore:
 	VMASKMOVPD Y0, Y13, 0(DI)
 	VMASKMOVPD Y4, Y13, 0(SI)
 

@@ -96,18 +96,54 @@ var stripWidths = func() []int {
 	return ws
 }()
 
+// finishValues are the values the strip's finish meets as pre-activations
+// and biases: signed zeros, subnormals, infinities and NaNs — Go's
+// math.NaN, the default NaN arithmetic makes and a signalling one.
+var finishValues = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000001),
+	1, -1.5,
+}
+
+// finishVector returns n values, about half from finishValues and the
+// rest Gaussian.
+func finishVector(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		if rng.Intn(2) == 0 {
+			v[i] = finishValues[rng.Intn(len(finishValues))]
+		} else {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// A finish is what the strip does after the last term: add a bias or
+// not, then take the ReLU or not.
+type finish struct {
+	bias, relu bool
+}
+
+var finishes = []finish{{false, false}, {false, true}, {true, false}, {true, true}}
+
+func (f finish) String() string { return fmt.Sprintf("bias=%v relu=%v", f.bias, f.relu) }
+
 // zeroPatterns are the per-step scalar pairs that decide a skip: both
 // rows zero (the step is skipped), exactly one zero (it must not be), and
 // neither.
 var zeroPatterns = [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}}
 
 // TestGemmBlockMatchesGo checks each SIMD kernel the host runs against
-// the Go strip, bit for bit: directly, at every width in stripWidths,
-// contiguous (lda = 1) and strided (lda = K) scalars, an odd row run as
-// both rows of its strip, ±0.0, denormal and 1e±300 operands and every
-// zeroPatterns step; then through the forward and both gradient GEMMs
-// over odd row counts, dense and ReLU-sparse; then through the attention
-// core's forward and backward (attendMatchesGo).
+// the Go strip and its epilogue, bit for bit: directly, at every width in
+// stripWidths, contiguous (lda = 1) and strided (lda = K) scalars, an odd
+// row run as both rows of its strip, ±0.0, denormal and 1e±300 operands,
+// every zeroPatterns step and every finish, with biases drawn from
+// finishValues; then with every step skipped, so that the pre-activations
+// are finishValues themselves; then through the forward and both
+// gradient GEMMs over odd row counts, dense and ReLU-sparse; then through
+// the attention core's forward and backward (attendMatchesGo).
 func TestGemmBlockMatchesGo(t *testing.T) {
 	for _, kernel := range simdKernels {
 		t.Run(kernelNames[kernel], func(t *testing.T) {
@@ -117,9 +153,17 @@ func TestGemmBlockMatchesGo(t *testing.T) {
 				for _, k := range []int{1, 2, 3, 4, 5, 8, 13} {
 					for _, lda := range []int{1, k} {
 						for _, alias := range []bool{false, true} {
-							name := fmt.Sprintf("strip c=%d K=%d lda=%d alias=%v", c, k, lda, alias)
-							stripMatchesGo(t, rng, kernel, name, c, k, lda, alias)
+							for _, fin := range finishes {
+								name := fmt.Sprintf("strip c=%d K=%d lda=%d alias=%v %v", c, k, lda, alias, fin)
+								stripMatchesGo(t, rng, kernel, name, c, k, lda, alias, fin)
+							}
 						}
+					}
+				}
+				for _, alias := range []bool{false, true} {
+					for _, fin := range finishes {
+						name := fmt.Sprintf("forced c=%d alias=%v %v", c, alias, fin)
+						finishMatchesGo(t, rng, kernel, name, c, alias, fin)
 					}
 				}
 			}
@@ -146,7 +190,7 @@ func TestGemmBlockMatchesGo(t *testing.T) {
 // 0's scalars sit at a[k·lda], row 1's at a[1 + k·lda] (strided) or
 // a[K + k] (contiguous); step k follows zeroPatterns[k mod 4], rotated by
 // the call so every pattern meets every step position.
-func stripMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c, K, lda int, alias bool) {
+func stripMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c, K, lda int, alias bool, fin finish) {
 	t.Helper()
 	off1 := K
 	if lda > 1 {
@@ -166,19 +210,42 @@ func stripMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c, K,
 	b := edgeTensor(rng, K, c).Data
 	init := edgeTensor(rng, 2, c).Data
 	init[0] = math.Copysign(0, -1) // a −0.0 accumulator: only an identical skip keeps it
-	bitsEqual(t, name, runStrip(kernel, init, a, off1, lda, b, c, K, alias),
-		runStrip(kernelGo, init, a, off1, lda, b, c, K, alias))
+	var bias []float64
+	if fin.bias {
+		bias = finishVector(rng, c)
+	}
+	bitsEqual(t, name, runStrip(kernel, init, a, off1, lda, b, c, K, alias, bias, fin.relu),
+		runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, fin.relu))
+}
+
+// finishMatchesGo runs one strip call whose every step is skipped (all
+// scalars ±0.0), so each output's pre-activation is its initial value,
+// drawn from finishValues, and compares kernel's finish with the Go
+// strip's epilogue.
+func finishMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c int, alias bool, fin finish) {
+	t.Helper()
+	const K = 3
+	a := make([]float64, 2*K)
+	a[1], a[K+2] = math.Copysign(0, -1), math.Copysign(0, -1)
+	b := edgeTensor(rng, K, c).Data
+	init := finishVector(rng, 2*c)
+	var bias []float64
+	if fin.bias {
+		bias = finishVector(rng, c)
+	}
+	bitsEqual(t, name, runStrip(kernel, init, a, K, 1, b, c, K, alias, bias, fin.relu),
+		runStrip(kernelGo, init, a, K, 1, b, c, K, alias, bias, fin.relu))
 }
 
 // runStrip runs one strip call on kernel over a copy of init (two c-wide
 // output rows; alias runs row 0 as both rows) and returns the copy.
-func runStrip(kernel int, init, a []float64, off1, lda int, b []float64, c, K int, alias bool) []float64 {
+func runStrip(kernel int, init, a []float64, off1, lda int, b []float64, c, K int, alias bool, bias []float64, relu bool) []float64 {
 	o := append([]float64(nil), init...)
 	o0, o1 := o[:c], o[c:]
 	if alias {
 		o1, off1 = o0, 0
 	}
-	onKernel(kernel, func() { gemmStrip(o0, o1, a, 0, off1, lda, b, c, K) })
+	onKernel(kernel, func() { gemmStrip(o0, o1, a, 0, off1, lda, b, c, K, bias, relu) })
 	return o
 }
 
@@ -427,8 +494,9 @@ func attendBackwardRef(s *Scratch, q, k, v, out *Tensor, lens []int, probs []flo
 
 // FuzzGemmBlock feeds every SIMD kernel the host runs and the Go strip
 // the same arbitrary finite operands — width, contraction length, scalar
-// stride, aliased rows and initial outputs included — and demands
-// identical bits.
+// stride, aliased rows and initial outputs included — and the same
+// finish: mode's bit 2 takes the ReLU, and bit 3 adds a bias of any bits,
+// NaN and ±Inf included. It demands identical bits.
 func FuzzGemmBlock(f *testing.F) {
 	var kernels []int
 	for _, kernel := range simdKernels {
@@ -448,6 +516,8 @@ func FuzzGemmBlock(f *testing.F) {
 	f.Add(uint8(2), uint8(95), uint8(7), seed[3:])
 	f.Add(uint8(3), uint8(6), uint8(2), []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x7f, 0xff})
 	f.Add(uint8(1), uint8(128), uint8(11), append(make([]byte, 16), seed...)) // zero pairs among the scalars
+	f.Add(uint8(12), uint8(40), uint8(3), seed)
+	f.Add(uint8(14), uint8(9), uint8(1), []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0xff, 0x80})
 	f.Fuzz(func(t *testing.T, mode, width, steps uint8, data []byte) {
 		if len(data) == 0 {
 			return
@@ -468,9 +538,18 @@ func FuzzGemmBlock(f *testing.F) {
 			return v
 		}
 		a, b, init := fill(off1+(K-1)*lda+1), fill(K*c), fill(2*c)
-		want := runStrip(kernelGo, init, a, off1, lda, b, c, K, alias)
+		relu := mode&4 != 0
+		var bias []float64
+		if mode&8 != 0 {
+			bias = make([]float64, c)
+			for i := range bias {
+				n++
+				bias[i] = floatFrom(data, n)
+			}
+		}
+		want := runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, relu)
 		for _, kernel := range kernels {
-			bitsEqual(t, kernelNames[kernel], runStrip(kernel, init, a, off1, lda, b, c, K, alias), want)
+			bitsEqual(t, kernelNames[kernel], runStrip(kernel, init, a, off1, lda, b, c, K, alias, bias, relu), want)
 		}
 	})
 }

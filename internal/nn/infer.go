@@ -46,12 +46,7 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	out := s.tensor(x.R, C)
 	for i := 0; i < x.R; i += 2 {
 		i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
-		o0, o1 := out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C]
-		gemmStrip(o0, o1, x.Data, i*K, i1*K, 1, w.Data, C, K)
-		epilogue(o0, bias, relu)
-		if i1 != i {
-			epilogue(o1, bias, relu)
-		}
+		gemmStrip(out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C], x.Data, i*K, i1*K, 1, w.Data, C, K, bias, relu)
 	}
 	return out
 }
@@ -101,28 +96,6 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 		}
 	}
 	return x, cols
-}
-
-// epilogue applies the fused bias add and ReLU to one finished output
-// row — the same values separate bias and ReLU passes produce.
-func epilogue(oRow, bias []float64, relu bool) {
-	switch {
-	case bias != nil && relu:
-		for j, bv := range bias {
-			// Branchless max: same bits as a v > 0 conditional for the
-			// finite values the engine contracts on (+0.0 on the zero and
-			// negative side either way).
-			oRow[j] = max(oRow[j]+bv, 0)
-		}
-	case bias != nil:
-		for j, bv := range bias {
-			oRow[j] += bv
-		}
-	case relu:
-		for j, v := range oRow {
-			oRow[j] = max(v, 0)
-		}
-	}
 }
 
 // DedupRowsIn returns the distinct rows of a feature matrix in
@@ -255,7 +228,7 @@ func stripRows(o []float64, c int, a []float64, aOff, aStep, lda int, b []float6
 	r := len(o) / c
 	for i := 0; i < r; i += 2 {
 		i1 := min(i+1, r-1)
-		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K)
+		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false)
 	}
 }
 

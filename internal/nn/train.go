@@ -91,7 +91,7 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 			i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
 			n := i1 - i + 1
 			clear(acc[:n*K])
-			gemmStrip(acc[:K], acc[(n-1)*K:n*K], g, i*C, i1*C, 1, wT, K, C)
+			gemmStrip(acc[:K], acc[(n-1)*K:n*K], g, i*C, i1*C, 1, wT, K, C, nil, false)
 			for k, v := range acc[:n*K] {
 				x.Grad[i*K+k] += v
 			}

@@ -181,17 +181,22 @@ var edgeValues = []float64{
 	0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1, -1.5,
 }
 
-// finiteFrom reads the n-th float64 of data (cyclically) and maps the
-// non-finite bit patterns onto finite ones: the kernels contract finite
-// operands only.
-func finiteFrom(data []byte, n int) float64 {
+// floatFrom reads the n-th float64 of data (cyclically), any bit pattern.
+func floatFrom(data []byte, n int) float64 {
 	var raw [8]byte
 	for i := range raw {
 		raw[i] = data[(n*8+i)%len(data)]
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+}
+
+// finiteFrom reads the n-th float64 of data (cyclically) and maps the
+// non-finite bit patterns onto finite ones: the kernels contract finite
+// operands only.
+func finiteFrom(data []byte, n int) float64 {
+	v := floatFrom(data, n)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]) &^ (1 << 62))
+		return math.Float64frombits(math.Float64bits(v) &^ (1 << 62))
 	}
 	return v
 }

@@ -65,7 +65,7 @@ func RunLSE(ctx *Context, p LSEParams) []*schedule.Schedule {
 	// S_x starts from the best measured schedules; S_spec is the set
 	// evolve keeps under the PriorFilter bound.
 	evo := EvoParams{Population: p.Population, Generations: p.Steps, MutateProb: p.MutateProb, CrossProb: p.CrossProb}
-	spec := evolve(ctx, evo, bestMeasured(ctx, p.Population/8), ctx.scoreDraft, p.SpecSize)
+	spec := evolve(ctx, evo, bestMeasured(ctx, p.Population/8), ctx.draftFitness(), p.SpecSize)
 	schs := make([]*schedule.Schedule, len(spec))
 	for i, c := range spec {
 		schs[i] = c.sch

@@ -43,7 +43,7 @@ func (p *EvoPolicy) Name() string { return p.name }
 
 // NextBatch implements Policy.
 func (p *EvoPolicy) NextBatch(ctx *Context, n int) []*schedule.Schedule {
-	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/p.seedShare), ctx.Verify, 0)
+	ranked := evolve(ctx, p.Evo, bestMeasured(ctx, p.Evo.Population/p.seedShare), ctx.verifyFitness(), 0)
 	return pickBatch(ctx, ranked, n, p.Eps)
 }
 

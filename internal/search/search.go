@@ -74,35 +74,72 @@ func (c *Context) cancelled() bool {
 }
 
 // Verify scores candidates with the learned cost model, once it is ready,
-// and charges them to the simulated clock: every policy's verify stage,
-// and the only call a tuning session makes to the model's Predict (the
-// tuner's adaptive controller captures the dispatched batch's scores
+// and charges them to the simulated clock: every policy's verify stage
+// (the tuner's adaptive controller captures the dispatched batch's scores
 // through it too).
 func (c *Context) Verify(schs []*schedule.Schedule) []float64 {
+	out := c.predict(schs)
+	c.chargeVerify(len(schs))
+	return out
+}
+
+// predict scores candidates with the learned cost model once it is ready,
+// without charging them: the only call a tuning session makes to the
+// model's Predict.
+func (c *Context) predict(schs []*schedule.Schedule) []float64 {
 	if c.AwaitModel != nil {
 		c.AwaitModel()
-	}
-	if c.Clock != nil {
-		mc := c.Model.Costs()
-		c.Clock.Exploration += float64(len(schs)) * (c.Cost.FeatureExtract*mc.FeatureX + c.Cost.ModelInfer*mc.InferX)
 	}
 	return c.Model.Predict(c.Task, schs)
 }
 
-// scoreDraft evaluates the Symbol-based Analyzer over a candidate set,
-// fanned across the session pool (the analyzer is a pure function of the
-// lowered program), and charges the batch to the simulated clock on the
-// serial path.
-func (c *Context) scoreDraft(schs []*schedule.Schedule) []float64 {
+// chargeVerify charges n learned-model evaluations to the simulated clock.
+func (c *Context) chargeVerify(n int) {
 	if c.Clock != nil {
-		c.Clock.Exploration += float64(len(schs)) * c.Cost.DraftEval
+		mc := c.Model.Costs()
+		c.Clock.Exploration += float64(n) * (c.Cost.FeatureExtract*mc.FeatureX + c.Cost.ModelInfer*mc.InferX)
 	}
+}
+
+// scoreDraft evaluates the Symbol-based Analyzer over a candidate set and
+// charges the batch to the simulated clock.
+func (c *Context) scoreDraft(schs []*schedule.Schedule) []float64 {
+	c.chargeDraft(len(schs))
+	return c.draftScores(schs)
+}
+
+// draftScores evaluates the Symbol-based Analyzer over a candidate set,
+// fanned across the session pool (the analyzer is a pure function of the
+// lowered program), without charging it.
+func (c *Context) draftScores(schs []*schedule.Schedule) []float64 {
 	out := make([]float64, len(schs))
 	c.Pool.ForEach(len(schs), func(i int) {
 		out[i] = c.Draft.Score(c.Memo.Lower(c.Task, schs[i]))
 	})
 	return out
 }
+
+// chargeDraft charges n draft evaluations to the simulated clock.
+func (c *Context) chargeDraft(n int) {
+	if c.Clock != nil {
+		c.Clock.Exploration += float64(n) * c.Cost.DraftEval
+	}
+}
+
+// fitness is how evolve scores a generation: score evaluates candidates
+// without charging them, and charge accounts n evaluations to the
+// simulated clock, so evolve can charge every member while scoring each
+// distinct candidate once.
+type fitness struct {
+	score  func([]*schedule.Schedule) []float64
+	charge func(n int)
+}
+
+// verifyFitness is the learned cost model's verify as evolve's fitness.
+func (c *Context) verifyFitness() fitness { return fitness{c.predict, c.chargeVerify} }
+
+// draftFitness is the Symbol-based Analyzer as evolve's fitness.
+func (c *Context) draftFitness() fitness { return fitness{c.draftScores, c.chargeDraft} }
 
 // Policy proposes schedules to measure.
 type Policy interface {
@@ -141,8 +178,8 @@ func byScore(a, b scored) int {
 }
 
 // specSet is a set of distinct scored candidates: each schedule appears
-// once, up to structural equality, holding the best score it was seen
-// with. ids numbers the members in the order of list.
+// once, up to structural equality, with the score it was first seen with.
+// ids numbers the members in the order of list.
 type specSet struct {
 	ids  *schedule.Set
 	list []scored
@@ -152,15 +189,16 @@ func newSpecSet(n int) *specSet {
 	return &specSet{ids: schedule.NewSet(n), list: make([]scored, 0, n)}
 }
 
-// add inserts c, or replaces its structural twin when c scores higher.
-func (t *specSet) add(c scored) {
+// add inserts c unless its structural twin is a member, and returns the
+// member's index and whether c was inserted. A twin keeps its score:
+// every fitness evolve runs is a pure function of the candidate, so the
+// twin's score is c's.
+func (t *specSet) add(c scored) (int, bool) {
 	i, added := t.ids.Add(c.sch)
-	switch {
-	case added:
+	if added {
 		t.list = append(t.list, c)
-	case c.score > t.list[i].score:
-		t.list[i] = c
 	}
+	return i, added
 }
 
 // drainRanked ranks a candidate set's entries in place and returns them,
@@ -243,11 +281,19 @@ func DefaultEvoParams() EvoParams {
 }
 
 // evolve runs a GA under the given fitness — the learned cost model's
-// verify, or the draft analyzer's scoreDraft for the LSE — and returns
-// every scored candidate seen, deduplicated, ranked descending. A positive
-// bound is PriorFilter: after every generation only the bound best
-// candidates are kept.
-func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, fitness func([]*schedule.Schedule) []float64, bound int) []scored {
+// verify, or the draft analyzer for the LSE — and returns every scored
+// candidate seen, deduplicated, ranked descending. A positive bound is
+// PriorFilter: after every generation only the bound best candidates are
+// kept.
+//
+// The candidate set is also the fitness's memo: a member already in it
+// (or earlier in its own generation) takes the stored score, and only the
+// new members, deduplicated, are scored. The fitness is a pure function
+// of the candidate within one call, so that changes no score, and every
+// member is still charged to the simulated clock, in one add per
+// generation as before. Under PriorFilter a dropped candidate that comes
+// back is scored again.
+func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, f fitness, bound int) []scored {
 	pop := make([]*schedule.Schedule, 0, p.Population)
 	pop = append(pop, seed...)
 	if len(pop) > p.Population {
@@ -256,15 +302,30 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, fitness func([
 	pop = append(pop, ctx.Gen.InitPopulation(ctx.RNG, p.Population-len(pop))...)
 
 	all := newSpecSet(p.Population)
+	at := make([]int, 0, p.Population)                   // each member's index in all
+	fresh := make([]*schedule.Schedule, 0, p.Population) // the members new to all
+	cands := make([]scored, 0, p.Population)
 	for gen := 0; gen < p.Generations; gen++ {
 		if ctx.cancelled() {
 			break // the tuner discards rounds whose search was cut short
 		}
-		scores := fitness(pop)
-		cands := make([]scored, len(pop))
-		for i := range pop {
-			cands[i] = scored{sch: pop[i], score: scores[i]}
-			all.add(cands[i])
+		at, fresh, cands = at[:0], fresh[:0], cands[:0]
+		base := len(all.list)
+		for _, s := range pop {
+			i, added := all.add(scored{sch: s})
+			if added {
+				fresh = append(fresh, s)
+			}
+			at = append(at, i)
+		}
+		if len(fresh) > 0 {
+			for k, sc := range f.score(fresh) {
+				all.list[base+k].score = sc
+			}
+		}
+		f.charge(len(pop))
+		for i, s := range pop {
+			cands = append(cands, scored{sch: s, score: all.list[at[i]].score})
 		}
 		if bound > 0 && len(all.list) > bound {
 			pruneSpec(all, bound)
