@@ -9,33 +9,37 @@
 //	o1[j] += Σ_k a[off1 + k·lda] · b[k·ldb + j]        k < K, j < len(o0)
 //
 // with k ascending per element and a step k skipped when both of its
-// scalars are zero. The forward, dX, the scores, the value mix, dP and dQ
-// read their scalars along a row (lda = 1); dW, dV and dK read them down
-// a column (lda = K for x, n for a segment's P or dS), so no transposed
-// copy of the scalars is made. Where the output columns are another
-// matrix's rows — dX's Wᵀ, the scores' Kᵀ, dP's Vᵀ — b is a transposed
-// panel of it on the arena. An odd last row runs as both rows of its
-// strip (o1 = o0, off1 = off0): the two halves compute the same values and
-// store them to the same place (stripRows).
+// scalars are zero; then each output row is finished: o[j] += bias[j]
+// when a bias is given, then o[j] = max(o[j], 0) when the ReLU is on.
+// Only the forward passes a bias or the ReLU. The forward, dX, the
+// scores, the value mix, dP and dQ read their scalars along a row
+// (lda = 1); dW, dV and dK read them down a column (lda = K for x, n for
+// a segment's P or dS), so no transposed copy of the scalars is made.
+// Where the output columns are another matrix's rows — dX's Wᵀ, the
+// scores' Kᵀ, dP's Vᵀ — b is a transposed panel of it on the arena. An
+// odd last row runs as both rows of its strip (o1 = o0, off1 = off0): the
+// two halves compute the same values and store them to the same place
+// (stripRows).
 //
 // The strip exists three times, picked once at init from what the
 // processor and the operating system report, never by an option: an
 // AVX-512 kernel that keeps a 2-row × 32-column block of outputs in eight
 // zmm registers for the whole contraction, an AVX2 kernel that keeps a
 // 2 × 16 block in eight ymm registers (both in gemm_amd64.s; ragged
-// widths narrow to smaller blocks and one masked vector), and
-// gemmStripGo below, the fallback and the reference both are tested
-// against. Lanes are output columns, never contraction steps, and the
-// assembly multiplies and adds with separate instructions (no FMA), so
-// each output element still rounds after every product and every sum, in
-// ascending k: the three agree bit for bit (TestGemmBlockMatchesGo), and
-// on one host a build without the assembly (-tags purego) computes the
-// same sessions. Across hosts the pinned sessions hold only on amd64
-// with AVX and FMA: without FMA, math.Exp takes another path with other
-// bits, and compilers for other architectures may fuse x*y + z —
-// gemmStripGo's included — so the bits are pinned on amd64 until the
-// deterministic layers own their transcendentals and round every product
-// explicitly (ROADMAP.md).
+// widths narrow to smaller blocks and one masked vector; each block adds
+// the bias and takes the ReLU while its outputs are still in registers),
+// and gemmStripGo below, which finishes its rows with epilogue: the
+// fallback and the reference both are tested against. Lanes are output
+// columns, never contraction steps, and the assembly multiplies and adds
+// with separate instructions (no FMA), so each output element still
+// rounds after every product and every sum, in ascending k: the three
+// agree bit for bit (TestGemmBlockMatchesGo), and on one host a build
+// without the assembly (-tags purego) computes the same sessions. Across
+// hosts the pinned sessions hold only on amd64 with AVX and FMA: without
+// FMA, math.Exp takes another path with other bits, and compilers for
+// other architectures may fuse x*y + z — gemmStripGo's included — so the
+// bits are pinned on amd64 until the deterministic layers own their
+// transcendentals and round every product explicitly (ROADMAP.md).
 //
 // The skip leans on one IEEE fact: for finite operands a zero scalar
 // contributes an exact ±0.0 term, which leaves a partial sum unchanged
@@ -110,9 +114,10 @@ func stripStepGo(o0, o1 []float64, p, q float64, bk []float64) {
 }
 
 // epilogue applies the bias add and ReLU to one finished output row, as
-// separate bias and ReLU passes would: max(v+bias, 0), +0.0 for every
-// v+bias ≤ 0 (−0.0 included), NaN kept. The assembly strips do the same
-// in registers.
+// separate bias and ReLU passes would: max(v+bias, 0), which is +0.0 for
+// every v+bias ≤ 0, −0.0 included, and NaN for NaN (on amd64, the NaN's
+// payload with its sign cleared). The assembly strips compute the same
+// bits in registers.
 func epilogue(oRow, bias []float64, relu bool) {
 	switch {
 	case bias != nil && relu:

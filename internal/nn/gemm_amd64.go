@@ -27,7 +27,8 @@ func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int
 	_, _, _, _ = o1[c-1], a[off0+last], a[off1+last], b[(K-1)*ldb+c-1]
 	var bp *float64
 	if bias != nil {
-		bp = &bias[:c][0]
+		_ = bias[c-1]
+		bp = &bias[0]
 	}
 	if gemmKernel == kernelAVX512 {
 		gemmStripAVX512(&o0[0], &o1[0], &a[off0], &a[off1], lda, &b[0], ldb, K, c, bp, relu)

@@ -83,11 +83,11 @@
 	JEQ  none
 
 // RELU is Go's max(v, 0) on amd64, bit for bit: VMAXPD with +0.0 as its
-// first source returns v, its second, where v is greater, NaN or either
+// first source returns v, its second, where v is above +0.0, a NaN or a
 // zero, and +0.0 where v is negative; clearing the sign bit then turns
-// −0.0 into +0.0, as max does, and leaves NaN as max leaves it on amd64:
-// its payload kept, its sign cleared. zero holds +0.0 and abs holds
-// 0x7fff…f in every lane; PAND is VPANDQ on zmm (AVX-512F has no
+// −0.0 into +0.0, as max does, and leaves a NaN as max leaves it on
+// amd64: its payload kept, its sign cleared. zero holds +0.0 and abs
+// holds 0x7fff…f in every lane; PAND is VPANDQ on zmm (AVX-512F has no
 // VANDPD), VANDPD on ymm.
 #define RELU(acc, zero, abs, PAND) \
 	VMAXPD acc, zero, acc \

@@ -29,9 +29,9 @@ import (
 // matmulFused is the forward GEMM: out = x @ w (+ bias) (then ReLU), with
 // the output drawn from s. It runs on the strip (gemm.go), one call per
 // pair of output rows, each output element held in a register for the
-// whole contraction. Per element the terms still add in ascending k, so
-// the result is bitwise identical to separate matmul, bias and ReLU
-// passes for finite w. A step whose two activations are both zero is
+// whole contraction and finished there with the bias and the ReLU. Per
+// element the terms still add in ascending k, so the result is bitwise
+// identical to separate matmul, bias and ReLU passes for finite w. A step whose two activations are both zero is
 // skipped, matching the reference's per-term zero-skip; feature rows'
 // structurally-zero columns never reach it (compactRowsIn). The engine
 // counters tally forward GEMMs, so they are bumped here and not in the

@@ -164,18 +164,12 @@ type scored struct {
 }
 
 // byScore orders higher scores first and leaves ties to the caller's
-// tie-break: it is negative exactly when the sort.SliceStable less the
-// rankings replaced was true, so rankStable (ties in input order) yields
-// that sort's permutation.
-func byScore(a, b scored) int {
-	switch {
-	case a.score > b.score:
-		return -1
-	case b.score > a.score:
-		return 1
-	}
-	return 0
-}
+// tie-break. NaN ranks after every other score, −Inf included, and NaNs
+// tie with each other, so it is a strict weak order on any scores; on
+// scores without NaN it is negative exactly when the sort.SliceStable
+// less the rankings replaced was true, so rankStable (ties in input
+// order) yields that sort's permutation.
+func byScore(a, b scored) int { return cmp.Compare(b.score, a.score) }
 
 // specSet is a set of distinct scored candidates: each schedule appears
 // once, up to structural equality, with the score it was first seen with.

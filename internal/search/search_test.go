@@ -12,7 +12,6 @@ import (
 	"pruner/internal/ir"
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
-	"pruner/internal/workloads"
 )
 
 func newCtx(t *ir.Task, dev *device.Device, seed int64) *Context {
@@ -143,8 +142,9 @@ func TestExplorationClockCharged(t *testing.T) {
 	if ctx.Clock.Exploration <= 0 {
 		t.Fatal("Pruner policy must charge exploration time")
 	}
-	// Ansor over the same budget must charge much more: it runs the
-	// learned model over the whole population every generation.
+	// Ansor over the same budget must charge much more: it is charged for
+	// the learned model over the whole population every generation, even
+	// where evolve reuses a score.
 	ansorCtx := newCtx(task, device.Orin, 4)
 	ansorCtx.Model = costmodel.NewTenSetMLP(5)
 	ansorCtx.Clock = &simulator.Clock{}
@@ -186,11 +186,7 @@ func TestRollerAlignment(t *testing.T) {
 // history a session's first round has. ns/cand is the number the paper's
 // bet rests on — it has to stay far below a learned-model inference.
 func BenchmarkRunLSE(b *testing.B) {
-	net, err := workloads.ByName("resnet50")
-	if err != nil {
-		b.Fatal(err)
-	}
-	task := net.Representative(1)[0]
+	task := resnetConv(b)
 	p := DefaultLSEParams()
 	cands := float64(p.Population * p.Steps)
 	b.ReportAllocs()
