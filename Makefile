@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e serve-lifecycle measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e serve-lifecycle memo-lifecycle measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
 
 all: vet lint build test
 
@@ -91,6 +91,16 @@ serve-e2e:
 serve-lifecycle:
 	$(GO) test -race -count=3 -v -run 'TestServerCancel|TestServerShutdown|TestServerAdmission|TestJobPanic' ./internal/server/...
 
+# The round memo's life cycle under -race, three times over: a round on
+# a released memo against heap lowerings, release twice and lowering
+# after release, another task on a released memo, concurrent Lower and
+# Rows, and whole sessions (golden, golden matrix, adaptive, cancelled
+# mid-measurement) with parked memos poisoned, so the release-versus-
+# measurement interleavings get more than one schedule.
+memo-lifecycle:
+	$(GO) test -race -count=3 -v -run '^TestMemo' ./internal/schedule
+	$(GO) test -race -count=3 -v -run '^TestRoundMemoPoisonedSessions$$' ./internal/tuner
+
 # The measurement-fleet end-to-end suite under -race: pruner-serve with a
 # loopback pruner-measure worker (register -> submit -> fleet-measured
 # result byte-identical to the simulator), plus the wire-fidelity,
@@ -128,8 +138,9 @@ bench:
 # model's frozen forward over one predict chunk and one whole training
 # step on a warmed replica (internal/costmodel), the sampler's budget check
 # Generator.Fits, the draft's schedule identity (Schedule.Key, Same and
-# CompareFingerprints), a Memo hit by a structurally equal clone and the
-# draft model Analyzer.Score to 0 heap allocations per run, schedule.Lower
+# CompareFingerprints), a Memo hit by a structurally equal clone, a
+# warmed memo's whole round of lowering and featurizing and the draft
+# model Analyzer.Score to 0 heap allocations per run, schedule.Lower
 # to 1 and each feature family's first touch to 2 (internal/features) —
 # the dynamic cross-check of the static hotalloc analyzer over the same
 # //pruner:hotpath roots.

@@ -21,9 +21,11 @@ import (
 // wall-clock only, never a score.
 
 // MemoUser is implemented by models whose Predict can reuse a
-// caller-provided lowering memo. The tuner injects a fresh memo each
+// caller-provided lowering memo. The tuner injects its round memo each
 // measurement round, so verification shares lowered programs (and their
-// cached features) with draft scoring.
+// cached features) with draft scoring, and unsets it before the round's
+// measurement, whose return releases it: the memo, and every *Lowered
+// and feature row drawn from it, must not be used past that point.
 type MemoUser interface {
 	SetMemo(m *schedule.Memo)
 }

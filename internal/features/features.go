@@ -12,10 +12,12 @@
 //     primitive sequence, where only split factors vary between programs
 //     of a task. Tokens are stored PrimSignal wide of the model's PrimDim.
 //
-// Each family's matrix is one zeroed slab plus one row-header slice. A
-// row narrower than its model width stands for the row zero-extended to
-// it: the models' rows op (nn's affineRows) contracts only the stored
-// columns, which is bitwise the full-width product.
+// Each family's matrix is one zeroed slab plus one row-header slice,
+// both from Lowered.Rows: carved from the round memo's chunks for a
+// memoized lowering (valid until the memo's Release), from the heap for
+// a plain one. A row narrower than its model width stands for the row
+// zero-extended to it: the models' rows op (nn's affineRows) contracts
+// only the stored columns, which is bitwise the full-width product.
 package features
 
 import (
@@ -69,20 +71,6 @@ func lg(x float64) float64 {
 	return math.Log2(1 + x)
 }
 
-// slab returns n zeroed rows of width w in one allocation, plus the row
-// headers: row i is buf[i*w:(i+1)*w], so rows[0][:n*w] is the whole
-// matrix, row-major (FlatDataflow). Each row's capacity therefore runs
-// to the end of the slab: a row must never be appended to, which would
-// overwrite the rows after it.
-func slab(n, w int) [][]float64 {
-	buf := make([]float64, n*w)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = buf[i*w : (i+1)*w]
-	}
-	return rows
-}
-
 // Statement returns one StmtSignal-wide row per statement of the lowered
 // program: the leading StmtSignal dims of the Ansor-compatible StmtDim,
 // whose tail is always zero. The result is cached on lw and shared
@@ -92,7 +80,7 @@ func Statement(lw *schedule.Lowered) [][]float64 {
 }
 
 func statementRows(lw *schedule.Lowered) [][]float64 {
-	rows := slab(len(lw.Stmts), StmtSignal)
+	rows := lw.Rows(len(lw.Stmts), StmtSignal)
 	ctx := contextFeatures(lw)
 	for i := range lw.Stmts {
 		st := &lw.Stmts[i]
@@ -192,7 +180,7 @@ func Dataflow(lw *schedule.Lowered) [][]float64 {
 }
 
 func dataflowRows(lw *schedule.Lowered) [][]float64 {
-	out := slab(DataflowSeq, DataflowDim)
+	out := lw.Rows(DataflowSeq, DataflowDim)
 	if !lw.Task.Tiled() || !lw.Sched.UseShared {
 		return out
 	}
@@ -259,7 +247,7 @@ func Primitives(lw *schedule.Lowered) [][]float64 {
 
 func primitiveRows(lw *schedule.Lowered) [][]float64 {
 	s := lw.Sched
-	out := slab(PrimSeq, PrimSignal)
+	out := lw.Rows(PrimSeq, PrimSignal)
 	tok := 0
 	emit := func(fill func(r []float64)) {
 		if tok < PrimSeq {

@@ -64,7 +64,9 @@ type Request struct {
 	// Batch is the schedules to measure, one Result each, in order.
 	Batch []*schedule.Schedule
 	// Memo optionally carries the round's lowering cache so in-process
-	// measurers reuse the search stages' lowerings.
+	// measurers reuse the search stages' lowerings. The memo, and every
+	// *Lowered and feature row drawn from it, is valid only until
+	// Measure returns: the caller then releases it for the next round.
 	Memo *schedule.Memo
 	// Pool optionally bounds an in-process measurer's fan-out.
 	Pool *parallel.Pool

@@ -176,14 +176,17 @@ func (w *Worker) handleMeasure(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	// Measure true latencies on the worker pool, one round memo sharing
-	// lowerings across the batch. A cancelled request (the session
-	// aborting the round) stops between schedules and writes nothing.
+	// lowerings across the batch and released for the next request once
+	// Measure returns. A cancelled request (the session aborting the
+	// round) stops between schedules and writes nothing.
 	batch := make([]*schedule.Schedule, len(recs))
 	for i, rec := range recs {
 		batch[i] = rec.Sched
 	}
 	execStart := time.Now()
-	results, err := sim.Measure(r.Context(), Request{Task: hdr.Task, Batch: batch, Memo: schedule.NewMemo(), Pool: w.opts.Pool})
+	memo := schedule.NewMemo()
+	results, err := sim.Measure(r.Context(), Request{Task: hdr.Task, Batch: batch, Memo: memo, Pool: w.opts.Pool})
+	memo.Release()
 	if err != nil {
 		return // client gone; nothing useful to write
 	}

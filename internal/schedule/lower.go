@@ -131,6 +131,12 @@ type Lowered struct {
 	// be copied by value once shared.
 	featOnce [NumFeatureSlots]sync.Once
 	feat     [NumFeatureSlots][][]float64
+
+	// memo is the memo whose chunks hold this lowering and its feature
+	// rows (nil for a heap lowering); next chains the memo's lowerings
+	// that share a Key.
+	memo *Memo
+	next *Lowered
 }
 
 // NumFeatureSlots is the number of cached feature families on a Lowered
@@ -144,6 +150,30 @@ const NumFeatureSlots = 3
 func (lw *Lowered) FeatureRows(slot int, compute func(*Lowered) [][]float64) [][]float64 {
 	lw.featOnce[slot].Do(func() { lw.feat[slot] = compute(lw) }) //pruner:allow hotalloc — one closure per (lowered, slot) miss; round-memoed Lowereds make steady-state calls cache hits that never reach Do's slow path
 	return lw.feat[slot]
+}
+
+// Rows returns n zeroed rows of width w in one slab: row i is
+// buf[i*w:(i+1)*w], so rows[0][:n*w] is the whole matrix, row-major.
+// Each row's capacity therefore runs to the end of the slab: a row must
+// never be appended to, which would overwrite the rows after it. The
+// slab and its row headers come from the owning memo's chunks, valid
+// until the memo's Release, or from the heap for a lowering of plain
+// Lower or a slab larger than a chunk.
+func (lw *Lowered) Rows(n, w int) [][]float64 {
+	var buf []float64
+	var rows [][]float64
+	if lw.memo != nil {
+		buf, rows = lw.memo.slab(n, w)
+	}
+	if buf == nil {
+		buf, rows = make([]float64, n*w), make([][]float64, n)
+	} else {
+		clear(buf)
+	}
+	for i := range rows {
+		rows[i] = buf[i*w : (i+1)*w]
+	}
+	return rows
 }
 
 // stmtBuf returns storage for n statements: the inline array when they
@@ -189,19 +219,22 @@ const (
 //
 //pruner:hotpath
 func Lower(t *ir.Task, s *Schedule) *Lowered {
-	lw := &Lowered{
-		Task:            t,
-		Sched:           s,
-		Blocks:          s.Blocks(),
-		ThreadsPerBlock: s.ThreadsPerBlock(),
-		VThreads:        s.VThreads(),
-	}
+	lw := &Lowered{}
+	lw.lower(t, s)
+	return lw
+}
+
+// lower fills lw, a zeroed Lowered, with the lowering of (t, s).
+func (lw *Lowered) lower(t *ir.Task, s *Schedule) {
+	lw.Task, lw.Sched = t, s
+	lw.Blocks = s.Blocks()
+	lw.ThreadsPerBlock = s.ThreadsPerBlock()
+	lw.VThreads = s.VThreads()
 	if t.Tiled() && s.UseShared {
 		lw.lowerTiled()
 	} else {
 		lw.lowerFlat()
 	}
-	return lw
 }
 
 // macsPerBlockTrip is the multiply-adds executed by one block during one

@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"pruner/internal/ir"
 )
@@ -12,23 +14,111 @@ import (
 // verification — instead of once for each.
 // It is safe for concurrent use by pool workers; Lower is a pure function
 // of (task, schedule), so memoization cannot change any computed value.
-// Entries are bucketed by Schedule.Key and matched with Schedule.Same
+// Entries are chained by Schedule.Key and matched with Schedule.Same
 // against each entry's Lowered.Sched: the draft never builds a
 // fingerprint to look a candidate up.
 //
-// A Memo is scoped to one task: the tuner creates a fresh one per
-// measurement round, which both bounds memory and keeps cache entries
-// from outliving the round's candidate pool.
+// A Memo owns its round's storage: the Lowered programs it stores and
+// the feature rows computed for them (Lowered.Rows) are carved from
+// chunks the memo holds. A Memo is scoped to one task; the tuner draws
+// one per measurement round with NewMemo and its last user — the
+// round's measurement — hands it back with Release, which rewinds the
+// chunks for the next round to reuse. Every *Lowered and feature row
+// drawn from a memo is valid only until Release. A memo that is never
+// released is an ordinary heap object that dies with its last reference.
 type Memo struct {
 	mu   sync.Mutex
 	task *ir.Task
-	m    map[uint64][]*Lowered
+	m    map[uint64]*Lowered // chained through Lowered.next
 	n    int
+
+	slots  chunked[Lowered]
+	floats chunked[float64]
+	rows   chunked[[]float64]
+
+	parked   bool
+	nextFree *Memo // the free-list link while parked
 }
 
-// NewMemo returns an empty memo.
+// Chunk sizes, in elements. Chunks start small — tests, experiments and
+// FitCache's per-task memos lower a handful of programs — and double up
+// to the cap, so a round of thousands of candidates needs a few dozen.
+// A slab of more than maxFloatChunk values (or more than maxRowChunk
+// rows) goes to the heap.
+const (
+	firstSlotChunk  = 8
+	maxSlotChunk    = 256
+	firstFloatChunk = 1 << 10
+	maxFloatChunk   = 1 << 16
+	firstRowChunk   = 64
+	maxRowChunk     = 1 << 12
+)
+
+// memoPool is the process's free list of released memos. A
+// mutex-guarded intrusive stack like costmodel's scratchPool: parking
+// never allocates, and the GC cannot drop a parked memo's storage
+// between rounds. It has no cap — its length converges to the peak
+// number of memos in use at once across every session — and the last
+// memo parked is the first drawn.
+var memoPool struct {
+	mu   sync.Mutex
+	free *Memo
+}
+
+// poisonOnRelease, when set, makes Release fill a memo's float chunks
+// with NaN before parking it (the used slots are zeroed either way, so
+// their Sched and Task are nil), so a read of a feature row or lowering
+// after Release shows in every value computed from it. A test hook;
+// SetPoisonOnRelease sets it.
+var poisonOnRelease atomic.Bool
+
+// SetPoisonOnRelease turns the release poisoning on or off for the
+// process and reports the previous setting. It exists for tests that
+// check no memo is read after its Release.
+func SetPoisonOnRelease(on bool) (was bool) {
+	return poisonOnRelease.Swap(on)
+}
+
+// NewMemo returns an empty memo: a parked one from the free list when
+// there is one, so its chunks are reused, or a fresh one.
 func NewMemo() *Memo {
-	return &Memo{m: make(map[uint64][]*Lowered)}
+	memoPool.mu.Lock()
+	m := memoPool.free
+	if m != nil {
+		memoPool.free, m.nextFree = m.nextFree, nil
+	}
+	memoPool.mu.Unlock()
+	if m == nil {
+		return &Memo{m: make(map[uint64]*Lowered)}
+	}
+	m.parked = false
+	return m
+}
+
+// Release rewinds the memo and parks it for the next NewMemo. Every
+// *Lowered and feature row drawn from it becomes invalid: the slots it
+// used are zeroed, so a parked memo keeps no round's schedules or tasks
+// reachable. Releasing twice panics, and so does Lower on a released
+// memo.
+func (m *Memo) Release() {
+	m.mu.Lock()
+	if m.parked {
+		m.mu.Unlock()
+		panic("schedule: Memo released twice")
+	}
+	if poisonOnRelease.Load() {
+		m.floats.fill(math.NaN())
+	}
+	m.slots.rewind(true)
+	m.rows.rewind(true)
+	m.floats.rewind(false) // Rows zeroes each slab it hands out
+	clear(m.m)
+	m.task, m.n = nil, 0
+	m.parked = true
+	m.mu.Unlock()
+	memoPool.mu.Lock()
+	m.nextFree, memoPool.free = memoPool.free, m
+	memoPool.mu.Unlock()
 }
 
 // Lower returns the memoized lowering of (t, s), computing and caching it
@@ -44,6 +134,10 @@ func (m *Memo) Lower(t *ir.Task, s *Schedule) *Lowered {
 	}
 	k := s.Key()
 	m.mu.Lock()
+	if m.parked {
+		m.mu.Unlock()
+		panic("schedule: Memo used after Release")
+	}
 	// The cache keys by schedule structure alone, so one memo must only
 	// ever see one task; fail loudly on misuse rather than serve another
 	// task's lowering.
@@ -53,21 +147,19 @@ func (m *Memo) Lower(t *ir.Task, s *Schedule) *Lowered {
 		m.mu.Unlock()
 		panic("schedule: Memo shared across tasks (it is scoped to one task per round)")
 	}
-	lw := m.find(k, s)
-	m.mu.Unlock()
-	if lw != nil {
+	if lw := m.find(k, s); lw != nil {
+		m.mu.Unlock()
 		return lw
 	}
-	lw = Lower(t, s)
+	lw := &m.slots.take(1, firstSlotChunk, maxSlotChunk)[0]
+	m.mu.Unlock()
+	lw.memo = m
+	lw.lower(t, s)
 	m.mu.Lock()
 	if prev := m.find(k, s); prev != nil {
-		lw = prev
+		lw = prev // the slot stays unused until Release zeroes it
 	} else {
-		bucket := m.m[k]
-		if bucket == nil {
-			bucket = make([]*Lowered, 0, 1)
-		}
-		m.m[k] = append(bucket, lw)
+		lw.next, m.m[k] = m.m[k], lw
 		m.n++
 	}
 	m.mu.Unlock()
@@ -77,7 +169,7 @@ func (m *Memo) Lower(t *ir.Task, s *Schedule) *Lowered {
 // find returns the cached lowering of the schedule structurally equal to
 // s, whose key is k, or nil. The caller holds mu.
 func (m *Memo) find(k uint64, s *Schedule) *Lowered {
-	for _, lw := range m.m[k] {
+	for lw := m.m[k]; lw != nil; lw = lw.next {
 		if lw.Sched.Same(s) {
 			return lw
 		}
@@ -85,10 +177,22 @@ func (m *Memo) find(k uint64, s *Schedule) *Lowered {
 	return nil
 }
 
-// Len reports the number of cached programs, one per distinct schedule.
-// Entries are never deleted, so it is also how many lowerings the memo
-// stored — what the training-engine tests use to pin "each record is
-// lowered and featurized once per session".
+// slab returns storage for n rows of width w from the memo's chunks, or
+// nils when it is larger than a chunk. The values are not zeroed.
+func (m *Memo) slab(n, w int) ([]float64, [][]float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n*w > maxFloatChunk || n > maxRowChunk {
+		return nil, nil
+	}
+	return m.floats.take(n*w, firstFloatChunk, maxFloatChunk), m.rows.take(n, firstRowChunk, maxRowChunk)
+}
+
+// Len reports the number of cached programs, one per distinct schedule,
+// since the memo was drawn. Entries are deleted only by Release, so
+// within a round it is also how many lowerings the memo stored — what
+// the training-engine tests use to pin "each record is lowered and
+// featurized once per session".
 func (m *Memo) Len() int {
 	if m == nil {
 		return 0
@@ -96,4 +200,56 @@ func (m *Memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.n
+}
+
+// chunked hands out runs of T carved from chunks that grow
+// geometrically, so a carved run never moves; rewind makes every chunk
+// available again. The owner serialises access.
+type chunked[T any] struct {
+	chunks [][]T
+	cur    int // the chunk being carved
+	off    int // elements of chunks[cur] handed out
+}
+
+// take returns n elements (n ≤ max) whose capacity ends at the run. A
+// new chunk doubles the last one, from first up to max.
+func (c *chunked[T]) take(n, first, max int) []T {
+	for {
+		if c.cur < len(c.chunks) {
+			if ch := c.chunks[c.cur]; c.off+n <= len(ch) {
+				c.off += n
+				return ch[c.off-n : c.off : c.off]
+			}
+			c.cur, c.off = c.cur+1, 0
+			continue
+		}
+		size := first
+		if k := len(c.chunks); k > 0 {
+			size = min(2*len(c.chunks[k-1]), max)
+		}
+		c.chunks = append(c.chunks, make([]T, size)) //pruner:allow hotalloc — chunk growth, amortised over every round the memo serves
+	}
+}
+
+// rewind makes every chunk available again, zeroing the elements handed
+// out first when zero is set.
+func (c *chunked[T]) rewind(zero bool) {
+	if zero {
+		for i := 0; i < c.cur && i < len(c.chunks); i++ {
+			clear(c.chunks[i])
+		}
+		if c.cur < len(c.chunks) {
+			clear(c.chunks[c.cur][:c.off])
+		}
+	}
+	c.cur, c.off = 0, 0
+}
+
+// fill sets every element of every chunk to v.
+func (c *chunked[T]) fill(v T) {
+	for _, ch := range c.chunks {
+		for i := range ch {
+			ch[i] = v
+		}
+	}
 }

@@ -1,0 +1,223 @@
+package schedule_test
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"pruner/internal/features"
+	"pruner/internal/ir"
+	"pruner/internal/schedule"
+)
+
+// The round memo's life cycle: drawn with NewMemo, filled by a round's
+// lowerings and feature rows, handed back with Release and reused by the
+// next round. `make memo-lifecycle` runs these under -race.
+
+// families are the feature extractors whose rows a memo's chunks hold.
+var families = []struct {
+	name string
+	rows func(*schedule.Lowered) [][]float64
+}{
+	{"statement", features.Statement},
+	{"dataflow", features.Dataflow},
+	{"primitives", features.Primitives},
+}
+
+// population is n seeded schedules of a task.
+func population(task *ir.Task, seed int64, n int) []*schedule.Schedule {
+	return schedule.NewGenerator(task).InitPopulation(rand.New(rand.NewSource(seed)), n)
+}
+
+// lowerRound lowers and featurizes every schedule through memo, the way
+// a tuning round's draft and verify do.
+func lowerRound(memo *schedule.Memo, task *ir.Task, schs []*schedule.Schedule) []*schedule.Lowered {
+	lws := make([]*schedule.Lowered, len(schs))
+	for i, s := range schs {
+		lws[i] = memo.Lower(task, s)
+		for _, f := range families {
+			f.rows(lws[i])
+		}
+	}
+	return lws
+}
+
+// sameAsHeap fails t unless lw is, field by field and bit by bit, the
+// heap lowering of (task, s), and its feature rows are the heap
+// lowering's.
+func sameAsHeap(t *testing.T, task *ir.Task, s *schedule.Schedule, lw *schedule.Lowered) {
+	t.Helper()
+	want := schedule.Lower(task, s)
+	if lw.Task != task || lw.Sched != s && !lw.Sched.Same(s) {
+		t.Fatalf("%s: lowering of another program", s.Fingerprint())
+	}
+	scalars := func(l *schedule.Lowered) [8]uint64 {
+		return [8]uint64{uint64(l.Blocks), uint64(l.ThreadsPerBlock), uint64(l.VThreads),
+			math.Float64bits(l.RegsPerThread), math.Float64bits(l.ThreadCompute),
+			math.Float64bits(l.SharedPerBlock), math.Float64bits(l.GlobalWords), math.Float64bits(l.TotalFlops)}
+	}
+	if scalars(lw) != scalars(want) || len(lw.Stmts) != len(want.Stmts) {
+		t.Fatalf("%s: lowering differs from the heap one", s.Fingerprint())
+	}
+	for i := range want.Stmts {
+		if lw.Stmts[i] != want.Stmts[i] {
+			t.Fatalf("%s: statement %d differs from the heap lowering's", s.Fingerprint(), i)
+		}
+	}
+	for _, f := range families {
+		got, ref := f.rows(lw), f.rows(want)
+		if len(got) != len(ref) {
+			t.Fatalf("%s %s: %d rows, heap %d", s.Fingerprint(), f.name, len(got), len(ref))
+		}
+		for i := range ref {
+			if len(got[i]) != len(ref[i]) {
+				t.Fatalf("%s %s row %d: width %d, heap %d", s.Fingerprint(), f.name, i, len(got[i]), len(ref[i]))
+			}
+			for j := range ref[i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(ref[i][j]) {
+					t.Fatalf("%s %s [%d][%d]: %v, heap %v", s.Fingerprint(), f.name, i, j, got[i][j], ref[i][j])
+				}
+			}
+		}
+	}
+}
+
+// TestMemoReleasedRoundMatchesHeap: a round run on a released memo — its
+// chunks NaN-poisoned at release — gives lowerings and feature rows
+// bitwise equal to heap Lower plus features, and the memo drawn is the
+// one just parked.
+func TestMemoReleasedRoundMatchesHeap(t *testing.T) {
+	defer schedule.SetPoisonOnRelease(schedule.SetPoisonOnRelease(true))
+	task := convTask()
+	memo := schedule.NewMemo()
+	lowerRound(memo, task, population(task, 1, 300))
+	memo.Release()
+
+	again := schedule.NewMemo()
+	if again != memo {
+		t.Fatal("NewMemo did not draw the memo parked last")
+	}
+	schs := population(task, 2, 300)
+	lws := lowerRound(again, task, schs)
+	for i, s := range schs {
+		sameAsHeap(t, task, s, lws[i])
+	}
+	again.Release()
+}
+
+// TestMemoReleasedServesAnotherTask: Release forgets the round's task,
+// so the next round may lower another one, and Len counts from zero.
+func TestMemoReleasedServesAnotherTask(t *testing.T) {
+	a := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
+	b := ir.NewElementwise(1<<14, 2, ir.FP32)
+	memo := schedule.NewMemo()
+	lowerRound(memo, a, population(a, 3, 40))
+	memo.Release()
+
+	memo = schedule.NewMemo()
+	schs := population(b, 4, 40)
+	lws := lowerRound(memo, b, schs)
+	if memo.Len() > len(schs) || memo.Len() == 0 {
+		t.Fatalf("Len %d after a round of %d schedules", memo.Len(), len(schs))
+	}
+	for i, s := range schs {
+		sameAsHeap(t, b, s, lws[i])
+	}
+	memo.Release()
+}
+
+// TestMemoReleaseTwicePanics: a second Release, or a Lower after
+// Release, panics rather than corrupting the next round's memo.
+func TestMemoReleaseTwicePanics(t *testing.T) {
+	task := ir.NewMatMul(64, 64, 64, ir.FP32, 0)
+	s := population(task, 5, 1)[0]
+	for _, c := range []struct {
+		name string
+		use  func(*schedule.Memo)
+	}{
+		{"Release", func(m *schedule.Memo) { m.Release() }},
+		{"Lower", func(m *schedule.Memo) { m.Lower(task, s) }},
+	} {
+		memo := schedule.NewMemo()
+		memo.Lower(task, s)
+		memo.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", c.name)
+				}
+			}()
+			c.use(memo)
+		}()
+		schedule.NewMemo() // draw it back off the free list
+	}
+}
+
+// TestMemoConcurrentLowerAndRows: pool workers lowering overlapping
+// candidates and featurizing them through one memo — its chunks carved
+// under the lock, each slab zeroed outside it — are race-free and get
+// the heap's bits.
+func TestMemoConcurrentLowerAndRows(t *testing.T) {
+	task := ir.NewMatMul(256, 256, 256, ir.FP32, 1)
+	schs := population(task, 6, 200)
+	for round := range 2 {
+		memo := schedule.NewMemo()
+		got := make([][]*schedule.Lowered, 4)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w] = make([]*schedule.Lowered, len(schs))
+				for k := range schs {
+					i := (k + w*len(schs)/len(got)) % len(schs)
+					lw := memo.Lower(task, schs[i])
+					for _, f := range families {
+						f.rows(lw)
+					}
+					rows := lw.Rows(3, 5)
+					rows[2][4] = float64(w) // private to this caller
+					got[w][i] = lw
+				}
+			}()
+		}
+		wg.Wait()
+		for i, s := range schs {
+			for w := range got {
+				if got[w][i] != got[0][i] {
+					t.Fatalf("round %d, schedule %d: workers got different lowerings", round, i)
+				}
+			}
+			sameAsHeap(t, task, s, got[0][i])
+		}
+		memo.Release()
+	}
+}
+
+// TestAllocMemoRound: from the second round on, a memo lowers and
+// featurizes without touching the heap — its Lowered slots, feature
+// slabs and row headers all come from the chunks the first round grew.
+func TestAllocMemoRound(t *testing.T) {
+	task := convTask()
+	schs := population(task, 7, 256)
+	round := func() {
+		memo := schedule.NewMemo()
+		for _, s := range schs {
+			lw := memo.Lower(task, s)
+			for _, f := range families {
+				f.rows(lw)
+			}
+		}
+		memo.Release()
+	}
+	round() // grow the chunks and the map
+	if avg := testing.AllocsPerRun(20, round); avg != 0 {
+		t.Errorf("a warmed round of %d schedules: %v allocs per run, want 0", len(schs), avg)
+	}
+}
+
+// convTask is a ResNet-50 3×3 convolution with a fused ReLU.
+func convTask() *ir.Task {
+	return ir.NewConv2D(ir.Conv2DShape{N: 1, H: 56, W: 56, CI: 64, CO: 64, KH: 3, KW: 3, Stride: 1, Pad: 1}, ir.FP32, 1)
+}

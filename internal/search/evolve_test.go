@@ -259,7 +259,9 @@ func (m countingModel) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 
 
 // BenchmarkEvoNextBatch times one Ansor round, the verify-bound search:
 // NextBatch at the default 2000 × 4 on resnet50's heaviest convolution
-// with TenSetMLP verifying, from a fresh round memo and an empty history.
+// with TenSetMLP verifying, from an empty history. As in the tuner, the
+// round memo is drawn per round, set on the model so verify reads the
+// draft's lowerings, and released when the round is done.
 // predicted_rows/op is how many candidates the model scored of the 8000
 // members charged.
 func BenchmarkEvoNextBatch(b *testing.B) {
@@ -270,10 +272,13 @@ func BenchmarkEvoNextBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := newCtx(task, device.A100, int64(i))
 		ctx.Memo = schedule.NewMemo()
+		model.SetMemo(ctx.Memo)
 		ctx.Model = countingModel{model, &rows}
 		if batch := NewAnsorPolicy().NextBatch(ctx, 10); len(batch) != 10 {
 			b.Fatalf("batch of %d, want 10", len(batch))
 		}
+		model.SetMemo(nil)
+		ctx.Memo.Release()
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "predicted_rows/op")
 }

@@ -613,8 +613,9 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		// One lowering memo per round: draft scoring, cost-model
 		// verification and in-process measurement all resolve candidates
 		// through it, so each is lowered and featurized exactly once.
-		// Scoped to the round so entries die with the round's candidate
-		// pool.
+		// Its last user releases it — the round's measurement once
+		// Measure returns, or plan itself when it dispatches nothing —
+		// so the next round lowers into the same storage.
 		memo := schedule.NewMemo()
 		if mu, ok := opt.Model.(costmodel.MemoUser); ok {
 			mu.SetMemo(memo)
@@ -660,6 +661,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			mu.SetMemo(nil) // do not retain the round's programs
 		}
 		if ctx.Err() != nil {
+			memo.Release()
 			psp.End(obs.Bool("cancelled", true))
 			return nil, false
 		}
@@ -683,6 +685,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				TargetDepth:  depthAt,
 			}}
 		if len(batch) == 0 {
+			memo.Release()
 			close(f.done)
 			return f, true
 		}
@@ -698,6 +701,9 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				Memo:   memo,
 				Pool:   pool,
 			})
+			// Not in commit: a cancelled commit returns without waiting
+			// for this goroutine, whose Measure may still read the memo.
+			memo.Release()
 			if f.err == nil && len(f.results) != len(f.batch) {
 				f.err = fmt.Errorf("tuner: measurer %q returned %d results for a batch of %d",
 					minfo.Name, len(f.results), len(f.batch))
