@@ -94,11 +94,13 @@ serve-lifecycle:
 # The round memo's life cycle under -race, three times over: a round on
 # a released memo against heap lowerings, release twice and lowering
 # after release, another task on a released memo, concurrent Lower and
-# Rows, and whole sessions (golden, golden matrix, adaptive, cancelled
+# Rows, the session fit memo that replicas of every task share, and
+# whole sessions (golden, golden matrix, adaptive, cancelled
 # mid-measurement) with parked memos poisoned, so the release-versus-
 # measurement interleavings get more than one schedule.
 memo-lifecycle:
 	$(GO) test -race -count=3 -v -run '^TestMemo' ./internal/schedule
+	$(GO) test -race -count=3 -v -run '^TestFitFeatureCacheLowersOnce$$' ./internal/costmodel
 	$(GO) test -race -count=3 -v -run '^TestRoundMemoPoisonedSessions$$' ./internal/tuner
 
 # The measurement-fleet end-to-end suite under -race: pruner-serve with a
@@ -138,7 +140,7 @@ bench:
 # model's frozen forward over one predict chunk and one whole training
 # step on a warmed replica (internal/costmodel), the sampler's budget check
 # Generator.Fits, the draft's schedule identity (Schedule.Key, Same and
-# CompareFingerprints), a Memo hit by a structurally equal clone, a
+# CompareFingerprints), a Memo hit on a schedule it already lowered, a
 # warmed memo's whole round of lowering and featurizing and the draft
 # model Analyzer.Score to 0 heap allocations per run, schedule.Lower
 # to 1 and each feature family's first touch to 2 (internal/features) —

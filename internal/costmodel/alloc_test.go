@@ -13,7 +13,7 @@ import (
 // analyzer over the //pruner:hotpath replica.step: once the arena a step
 // draws has warmed to a group's shapes (the pool hands back the arena
 // the last step parked), one training pass — lowering through
-// the session cache, batch assembly and dedup, the tape forward, the
+// the session's fit memo, batch assembly and dedup, the tape forward, the
 // LambdaRank loss and the backward into the replica's gradients — allocates
 // nothing, for every learned model.
 func TestAllocFitStep(t *testing.T) {
@@ -23,7 +23,7 @@ func TestAllocFitStep(t *testing.T) {
 		lats[i] = r.Latency
 	}
 	b := trainBatch{task: recs[0].Task, recs: recs, rel: Relevances(lats)}
-	memo := NewFitCache().memo(b.task)
+	memo := schedule.NewMemo()
 	for _, tc := range []struct {
 		name string
 		tr   *trainer

@@ -80,14 +80,12 @@ type arena struct {
 // scratchPool is the process's free list of arenas, shared by verify
 // (one drawn per predict chunk) and fit (one per replica step), so a new
 // session's first fit draws arenas its predicts already grew. A
-// mutex-guarded intrusive stack rather than sync.Pool: Put/Get on a
-// sync.Pool box the pointer through an interface (an allocation per
-// chunk — exactly what the arena exists to avoid), and the GC may drop
-// pooled arenas between rounds, refuting the warm-state guarantee the
-// AllocsPerRun gates measure. It has no cap: its length converges to the
-// peak number of chunks and steps in flight across every session's pool,
-// which nothing in the process bounds, and the last arena parked is the
-// first drawn.
+// mutex-guarded intrusive stack rather than sync.Pool: the GC may empty
+// a sync.Pool between rounds, dropping warmed arenas and refuting the
+// warm-state guarantee the AllocsPerRun gates measure. It has no cap:
+// its length converges to the peak number of chunks and steps in flight
+// across every session's pool, which nothing in the process bounds, and
+// the last arena parked is the first drawn.
 var scratchPool struct {
 	mu   sync.Mutex
 	free *arena

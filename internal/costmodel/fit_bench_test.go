@@ -73,7 +73,7 @@ func BenchmarkFit(b *testing.B) {
 					m := build()
 					m.(PoolUser).SetPool(parallel.New(workers))
 					sessionOpt := opt
-					sessionOpt.Cache = NewFitCache()
+					sessionOpt.Cache = schedule.NewMemo()
 					b.StartTimer()
 					m.Fit(recs, sessionOpt)
 				}

@@ -42,11 +42,11 @@ type FitOptions struct {
 	Seed   int64
 	// Cache, when non-nil, memoizes the lowering (and, through Lowered's
 	// feature cache, the featurization) of training records across epochs
-	// and Fit calls. The tuner passes one session-scoped cache: records
-	// are append-only and features deterministic, so each record is
-	// lowered and featurized once per session instead of once per
-	// epoch x round.
-	Cache *FitCache
+	// and Fit calls. The tuner passes one memo per session, shared by
+	// every task: records are append-only and features deterministic, so
+	// each record is lowered and featurized once per session instead of
+	// once per epoch x round.
+	Cache *schedule.Memo
 }
 
 func (o FitOptions) withDefaults() FitOptions {
@@ -225,7 +225,7 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 			chunk := batches[lo:min(lo+size, len(batches))]
 			tr.grow(len(chunk))
 			pool.ForEach(len(chunk), func(j int) {
-				losses[j] = tr.reps[j].step(chunk[j], opt.Cache.memo(chunk[j].task))
+				losses[j] = tr.reps[j].step(chunk[j], opt.Cache)
 			})
 			// Serial reduction in fixed group order, then one step over the
 			// averaged macro-batch gradient (averaging keeps the per-step

@@ -127,10 +127,9 @@ func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, step stepFn,
 		batches := epochBatches(groups, rng)
 		var epochLoss float64
 		for _, b := range batches {
-			memo := opt.Cache.memo(b.task)
 			lws := make([]*schedule.Lowered, len(b.recs))
 			for i, r := range b.recs {
-				lws[i] = memo.Lower(b.task, r.Sched)
+				lws[i] = opt.Cache.Lower(b.task, r.Sched)
 			}
 			adam.ZeroGrad()
 			epochLoss += step(lws, b.rel)

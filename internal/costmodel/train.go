@@ -1,9 +1,6 @@
 package costmodel
 
 import (
-	"sync"
-
-	"pruner/internal/ir"
 	"pruner/internal/nn"
 	"pruner/internal/schedule"
 )
@@ -71,57 +68,4 @@ func (tr *trainer) grow(n int) {
 	for len(tr.reps) < n {
 		tr.reps = append(tr.reps, tr.build())
 	}
-}
-
-// FitCache memoizes the lowering — and, through Lowered's feature cache,
-// the featurization — of training records across epochs and Fit calls.
-// The tuner creates one per session and threads it through
-// FitOptions.Cache: measurement records are append-only and lowering is
-// a pure function, so caching cannot change a fitted value, only how
-// often the feature pipeline runs. Safe for concurrent use by the
-// trainer's workers. A nil *FitCache degrades to uncached lowering, so
-// call sites never special-case "no cache".
-type FitCache struct {
-	mu    sync.Mutex
-	memos map[*ir.Task]*schedule.Memo
-}
-
-// NewFitCache returns an empty session-scoped training cache.
-func NewFitCache() *FitCache {
-	return &FitCache{memos: make(map[*ir.Task]*schedule.Memo)}
-}
-
-// memo returns the task's lowering memo, creating it on first sight.
-// Memos key by task *pointer*, matching schedule.Memo's own identity
-// check: two task instances sharing an ID (records merged from separate
-// network builds) get separate memos instead of tripping Memo's
-// shared-across-tasks panic. The tuner rebinds records to its session
-// task instances, so within a session each task still gets one memo.
-// A nil cache returns a nil memo, which lowers without caching.
-func (c *FitCache) memo(t *ir.Task) *schedule.Memo {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.memos[t]
-	if m == nil {
-		m = schedule.NewMemo()
-		c.memos[t] = m
-	}
-	return m
-}
-
-// Len reports the number of cached lowered programs across all tasks.
-func (c *FitCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, m := range c.memos {
-		n += m.Len()
-	}
-	return n
 }

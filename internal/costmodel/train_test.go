@@ -184,25 +184,26 @@ func TestFitReportBatches(t *testing.T) {
 	}
 }
 
-// TestFitFeatureCacheLowersOnce pins the session feature cache: across
-// epochs and repeated Fit calls (the tuner's rounds), each distinct
-// record is lowered — and therefore featurized — exactly once.
+// TestFitFeatureCacheLowersOnce pins the session's fit memo: one memo
+// serves every task's records, and across epochs and repeated Fit calls
+// (the tuner's rounds) each distinct record schedule is lowered — and
+// therefore featurized — exactly once.
 func TestFitFeatureCacheLowersOnce(t *testing.T) {
 	recs := multiTaskRecords(t, 3, 16, 11)
-	distinct := map[string]bool{}
+	distinct := map[*schedule.Schedule]bool{}
 	for _, r := range recs {
-		distinct[r.Task.ID+"|"+r.Sched.Fingerprint()] = true
+		distinct[r.Sched] = true
 	}
 
-	cache := NewFitCache()
+	memo := schedule.NewMemo()
 	m := NewPaCM(17)
 	m.SetPool(parallel.New(4))
-	opt := FitOptions{Epochs: 4, Seed: 12, Cache: cache}
+	opt := FitOptions{Epochs: 4, Seed: 12, Cache: memo}
 	m.Fit(recs, opt)      // round 1
 	m.Fit(recs, opt)      // round 2: everything already cached
 	m.Fit(recs[:10], opt) // round 3: subset, still cached
 
-	if got := cache.Len(); got != len(distinct) {
+	if got := memo.Len(); got != len(distinct) {
 		t.Fatalf("lowered %d programs across 3 fits x 4 epochs, want one per distinct record (%d)",
 			got, len(distinct))
 	}

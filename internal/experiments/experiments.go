@@ -263,7 +263,7 @@ func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 	}
 	m.Fit(ds.Records(), costmodel.FitOptions{
 		Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed,
-		Cache: costmodel.NewFitCache(), // once-per-record features across epochs
+		Cache: schedule.NewMemo(), // once-per-record features across epochs
 	})
 	if h.ctx.Err() != nil {
 		return tuner.SnapshotParams(m) // fitted on a partial dataset: never cache it

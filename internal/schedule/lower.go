@@ -133,10 +133,8 @@ type Lowered struct {
 	feat     [NumFeatureSlots][][]float64
 
 	// memo is the memo whose chunks hold this lowering and its feature
-	// rows (nil for a heap lowering); next chains the memo's lowerings
-	// that share a Key.
+	// rows (nil for a heap lowering).
 	memo *Memo
-	next *Lowered
 }
 
 // NumFeatureSlots is the number of cached feature families on a Lowered

@@ -8,29 +8,28 @@ import (
 	"pruner/internal/ir"
 )
 
-// Memo caches lowered programs by schedule structure, so one tuning
-// round lowers (and, through Lowered's feature cache, featurizes) each
-// candidate exactly once across draft scoring and cost-model
-// verification — instead of once for each.
-// It is safe for concurrent use by pool workers; Lower is a pure function
-// of (task, schedule), so memoization cannot change any computed value.
-// Entries are chained by Schedule.Key and matched with Schedule.Same
-// against each entry's Lowered.Sched: the draft never builds a
-// fingerprint to look a candidate up.
+// Memo caches lowered programs by schedule pointer, so one tuning round
+// lowers (and, through Lowered's feature cache, featurizes) each
+// candidate exactly once across draft scoring, cost-model verification
+// and measurement — the stages hand each other the same *Schedule —
+// instead of once for each. Structural twins are the search's business
+// (evolve's specSet, the seen sets): the memo lowers each pointer it is
+// given. It is safe for concurrent use by pool workers; Lower is a pure
+// function of (task, schedule), so memoization cannot change any
+// computed value. One memo may serve several tasks, but a *Schedule
+// belongs to one: lowering it under a second task panics.
 //
-// A Memo owns its round's storage: the Lowered programs it stores and
-// the feature rows computed for them (Lowered.Rows) are carved from
-// chunks the memo holds. A Memo is scoped to one task; the tuner draws
-// one per measurement round with NewMemo and its last user — the
-// round's measurement — hands it back with Release, which rewinds the
-// chunks for the next round to reuse. Every *Lowered and feature row
-// drawn from a memo is valid only until Release. A memo that is never
-// released is an ordinary heap object that dies with its last reference.
+// A Memo owns its storage: the Lowered programs it stores and the
+// feature rows computed for them (Lowered.Rows) are carved from chunks
+// the memo holds. The tuner draws one per measurement round, and one per
+// session for its online fits, with NewMemo; the last user hands it back
+// with Release, which rewinds the chunks for the next memo drawn to
+// reuse. Every *Lowered and feature row drawn from a memo is valid only
+// until Release. A memo that is never released is an ordinary heap
+// object that dies with its last reference.
 type Memo struct {
-	mu   sync.Mutex
-	task *ir.Task
-	m    map[uint64]*Lowered // chained through Lowered.next
-	n    int
+	mu sync.Mutex
+	m  map[*Schedule]*Lowered
 
 	slots  chunked[Lowered]
 	floats chunked[float64]
@@ -40,11 +39,10 @@ type Memo struct {
 	nextFree *Memo // the free-list link while parked
 }
 
-// Chunk sizes, in elements. Chunks start small — tests, experiments and
-// FitCache's per-task memos lower a handful of programs — and double up
-// to the cap, so a round of thousands of candidates needs a few dozen.
-// A slab of more than maxFloatChunk values (or more than maxRowChunk
-// rows) goes to the heap.
+// Chunk sizes, in elements. Chunks start small — tests and experiments
+// lower a handful of programs — and double up to the cap, so a round of
+// thousands of candidates needs a few dozen. A slab of more than
+// maxFloatChunk values (or more than maxRowChunk rows) goes to the heap.
 const (
 	firstSlotChunk  = 8
 	maxSlotChunk    = 256
@@ -55,11 +53,11 @@ const (
 )
 
 // memoPool is the process's free list of released memos. A
-// mutex-guarded intrusive stack like costmodel's scratchPool: parking
-// never allocates, and the GC cannot drop a parked memo's storage
-// between rounds. It has no cap — its length converges to the peak
-// number of memos in use at once across every session — and the last
-// memo parked is the first drawn.
+// mutex-guarded intrusive stack rather than sync.Pool, as costmodel's
+// scratchPool is: the GC may empty a sync.Pool between rounds, and a
+// parked memo must keep its grown chunks for the next round. It has no
+// cap — its length converges to the peak number of memos in use at once
+// across every session — and the last memo parked is the first drawn.
 var memoPool struct {
 	mu   sync.Mutex
 	free *Memo
@@ -89,7 +87,7 @@ func NewMemo() *Memo {
 	}
 	memoPool.mu.Unlock()
 	if m == nil {
-		return &Memo{m: make(map[uint64]*Lowered)}
+		return &Memo{m: make(map[*Schedule]*Lowered)}
 	}
 	m.parked = false
 	return m
@@ -113,7 +111,6 @@ func (m *Memo) Release() {
 	m.rows.rewind(true)
 	m.floats.rewind(false) // Rows zeroes each slab it hands out
 	clear(m.m)
-	m.task, m.n = nil, 0
 	m.parked = true
 	m.mu.Unlock()
 	memoPool.mu.Lock()
@@ -122,59 +119,40 @@ func (m *Memo) Release() {
 }
 
 // Lower returns the memoized lowering of (t, s), computing and caching it
-// on first sight. A nil memo degrades to plain Lower, so call sites never
-// special-case "no memo". When two workers race on structurally equal
-// schedules the first stored instance wins, keeping feature caches
-// shared.
+// on first sight of s. A nil memo degrades to plain Lower, so call sites
+// never special-case "no memo". When two workers race on one schedule
+// the first stored lowering wins, keeping feature caches shared.
 //
 //pruner:hotpath
 func (m *Memo) Lower(t *ir.Task, s *Schedule) *Lowered {
 	if m == nil {
 		return Lower(t, s)
 	}
-	k := s.Key()
 	m.mu.Lock()
 	if m.parked {
 		m.mu.Unlock()
 		panic("schedule: Memo used after Release")
 	}
-	// The cache keys by schedule structure alone, so one memo must only
-	// ever see one task; fail loudly on misuse rather than serve another
-	// task's lowering.
-	if m.task == nil {
-		m.task = t
-	} else if m.task != t {
+	lw := m.m[s]
+	if lw == nil {
+		lw = &m.slots.take(1, firstSlotChunk, maxSlotChunk)[0]
 		m.mu.Unlock()
-		panic("schedule: Memo shared across tasks (it is scoped to one task per round)")
-	}
-	if lw := m.find(k, s); lw != nil {
-		m.mu.Unlock()
-		return lw
-	}
-	lw := &m.slots.take(1, firstSlotChunk, maxSlotChunk)[0]
-	m.mu.Unlock()
-	lw.memo = m
-	lw.lower(t, s)
-	m.mu.Lock()
-	if prev := m.find(k, s); prev != nil {
-		lw = prev // the slot stays unused until Release zeroes it
-	} else {
-		lw.next, m.m[k] = m.m[k], lw
-		m.n++
-	}
-	m.mu.Unlock()
-	return lw
-}
-
-// find returns the cached lowering of the schedule structurally equal to
-// s, whose key is k, or nil. The caller holds mu.
-func (m *Memo) find(k uint64, s *Schedule) *Lowered {
-	for lw := m.m[k]; lw != nil; lw = lw.next {
-		if lw.Sched.Same(s) {
-			return lw
+		lw.memo = m
+		lw.lower(t, s)
+		m.mu.Lock()
+		if prev := m.m[s]; prev != nil {
+			lw = prev // the slot stays unused until Release zeroes it
+		} else {
+			m.m[s] = lw
 		}
 	}
-	return nil
+	m.mu.Unlock()
+	// The memo keys by schedule alone, so fail loudly rather than serve
+	// one task's lowering for another.
+	if lw.Task != t {
+		panic("schedule: Memo lowered one schedule for two tasks")
+	}
+	return lw
 }
 
 // slab returns storage for n rows of width w from the memo's chunks, or
@@ -188,18 +166,16 @@ func (m *Memo) slab(n, w int) ([]float64, [][]float64) {
 	return m.floats.take(n*w, firstFloatChunk, maxFloatChunk), m.rows.take(n, firstRowChunk, maxRowChunk)
 }
 
-// Len reports the number of cached programs, one per distinct schedule,
-// since the memo was drawn. Entries are deleted only by Release, so
-// within a round it is also how many lowerings the memo stored — what
-// the training-engine tests use to pin "each record is lowered and
-// featurized once per session".
+// Len reports the number of cached programs, one per schedule pointer,
+// since the memo was drawn — what the training-engine tests use to pin
+// "each record is lowered and featurized once per session".
 func (m *Memo) Len() int {
 	if m == nil {
 		return 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.n
+	return len(m.m)
 }
 
 // chunked hands out runs of T carved from chunks that grow

@@ -43,15 +43,21 @@ func lowerRound(memo *schedule.Memo, task *ir.Task, schs []*schedule.Schedule) [
 	return lws
 }
 
-// sameAsHeap fails t unless lw is, field by field and bit by bit, the
-// heap lowering of (task, s), and its feature rows are the heap
-// lowering's.
+// sameAsHeap fails t unless lw is the lowering of (task, s) and, field
+// by field and bit by bit, the heap one, feature rows included.
 func sameAsHeap(t *testing.T, task *ir.Task, s *schedule.Schedule, lw *schedule.Lowered) {
 	t.Helper()
-	want := schedule.Lower(task, s)
-	if lw.Task != task || lw.Sched != s && !lw.Sched.Same(s) {
+	if lw.Task != task || lw.Sched != s {
 		t.Fatalf("%s: lowering of another program", s.Fingerprint())
 	}
+	sameBits(t, lw, schedule.Lower(task, s))
+}
+
+// sameBits fails t unless lw and want agree field by field and bit by
+// bit, and so do their rows of every feature family.
+func sameBits(t *testing.T, lw, want *schedule.Lowered) {
+	t.Helper()
+	s := want.Sched
 	scalars := func(l *schedule.Lowered) [8]uint64 {
 		return [8]uint64{uint64(l.Blocks), uint64(l.ThreadsPerBlock), uint64(l.VThreads),
 			math.Float64bits(l.RegsPerThread), math.Float64bits(l.ThreadCompute),
@@ -83,6 +89,42 @@ func sameAsHeap(t *testing.T, task *ir.Task, s *schedule.Schedule, lw *schedule.
 	}
 }
 
+// TestMemoSharesOneLoweringPerFingerprint: the memo hands every caller
+// of one *Schedule the same *Lowered (so feature caches are shared),
+// under concurrent access from pool workers. It keys by pointer: a
+// structurally equal clone — one fingerprint, another schedule — misses
+// and is lowered again, to the original's bits.
+func TestMemoSharesOneLoweringPerFingerprint(t *testing.T) {
+	task := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
+	schs := population(task, 5, 32)
+	memo := schedule.NewMemo()
+	first := lowerRound(memo, task, schs)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, s := range schs {
+				if memo.Lower(task, s) != first[i] {
+					t.Errorf("schedule %d: memo returned a different instance", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if memo.Len() != len(schs) {
+		t.Fatalf("memo holds %d entries for %d schedules", memo.Len(), len(schs))
+	}
+
+	twin := memo.Lower(task, schs[0].Clone())
+	if twin == first[0] || memo.Len() != len(schs)+1 {
+		t.Fatal("a structurally equal clone hit the memo, which keys by pointer")
+	}
+	sameBits(t, twin, first[0])
+	memo.Release()
+}
+
 // TestMemoReleasedRoundMatchesHeap: a round run on a released memo — its
 // chunks NaN-poisoned at release — gives lowerings and feature rows
 // bitwise equal to heap Lower plus features, and the memo drawn is the
@@ -106,8 +148,9 @@ func TestMemoReleasedRoundMatchesHeap(t *testing.T) {
 	again.Release()
 }
 
-// TestMemoReleasedServesAnotherTask: Release forgets the round's task,
-// so the next round may lower another one, and Len counts from zero.
+// TestMemoReleasedServesAnotherTask: Release forgets the round's
+// schedules, so Len counts from zero and the next round — here of
+// another task — lowers into the recycled slots to the heap's bits.
 func TestMemoReleasedServesAnotherTask(t *testing.T) {
 	a := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
 	b := ir.NewElementwise(1<<14, 2, ir.FP32)

@@ -2,67 +2,30 @@ package schedule
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"pruner/internal/ir"
 )
 
-// TestMemoSharesOneLoweringPerFingerprint: the memo must hand every
-// caller the same *Lowered for one schedule structure — one fingerprint —
-// (so feature caches are shared) and be safe under concurrent access
-// from pool workers.
-func TestMemoSharesOneLoweringPerFingerprint(t *testing.T) {
-	task := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
-	gen := NewGenerator(task)
-	rng := rand.New(rand.NewSource(5))
-	schs := gen.InitPopulation(rng, 32)
-	memo := NewMemo()
-
-	first := make([]*Lowered, len(schs))
-	for i, s := range schs {
-		first[i] = memo.Lower(task, s)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, s := range schs {
-				if got := memo.Lower(task, s); got != first[i] {
-					t.Errorf("schedule %d: memo returned a different instance", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if memo.Len() > len(schs) {
-		t.Fatalf("memo holds %d entries for %d schedules", memo.Len(), len(schs))
-	}
-
-	// Clones are structurally equal, so they must share the memoized
-	// program.
-	c := schs[0].Clone()
-	if memo.Lower(task, c) != first[0] {
-		t.Fatal("structurally equal clone missed the memo")
-	}
-}
-
-// TestMemoRejectsCrossTaskUse: the cache keys by schedule structure
-// alone, so sharing a memo across tasks must fail loudly instead of
-// serving another task's lowering.
+// TestMemoRejectsCrossTaskUse: one memo serves every task — the fit memo
+// holds a whole session's records — but it keys by schedule alone, so
+// lowering one *Schedule under a second task must fail loudly instead of
+// serving the first task's lowering.
 func TestMemoRejectsCrossTaskUse(t *testing.T) {
 	a := ir.NewMatMul(64, 64, 64, ir.FP32, 0)
 	b := ir.NewMatMul(32, 32, 32, ir.FP32, 0)
+	sa := NewGenerator(a).Random(rand.New(rand.NewSource(1)))
+	sb := NewGenerator(b).Random(rand.New(rand.NewSource(2)))
 	memo := NewMemo()
-	memo.Lower(a, NewGenerator(a).Random(rand.New(rand.NewSource(1))))
+	if memo.Lower(a, sa).Task != a || memo.Lower(b, sb).Task != b || memo.Len() != 2 {
+		t.Fatal("one memo must lower each task's schedules for that task")
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("cross-task memo use should panic")
+			t.Fatal("lowering a schedule under a second task should panic")
 		}
 	}()
-	memo.Lower(b, NewGenerator(b).Random(rand.New(rand.NewSource(2))))
+	memo.Lower(b, sa)
 }
 
 // TestMemoNilDegradesToLower: call sites never special-case "no memo".

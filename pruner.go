@@ -401,7 +401,7 @@ func PretrainModel(kind string, ds *Dataset, epochs int, seed int64) (Model, *Pr
 	}
 	// The cache is scoped to this one (multi-epoch) fit: each record is
 	// lowered and featurized once instead of once per epoch.
-	m.Fit(ds.Records(), costmodel.FitOptions{Epochs: epochs, Seed: seed, Cache: costmodel.NewFitCache()})
+	m.Fit(ds.Records(), costmodel.FitOptions{Epochs: epochs, Seed: seed, Cache: schedule.NewMemo()})
 	return m, &Pretrained{Kind: kind, Weights: tuner.SnapshotParams(m)}, nil
 }
 
