@@ -96,8 +96,10 @@ serve-lifecycle:
 # after release, another task on a released memo, concurrent Lower and
 # Rows, the session fit memo that replicas of every task share, and
 # whole sessions (golden, golden matrix, adaptive, cancelled
-# mid-measurement) with parked memos poisoned, so the release-versus-
-# measurement interleavings get more than one schedule.
+# mid-measurement) with parked memos poisoned. plan draws each round
+# memo and releases it on return, so a verify after the release fails by
+# name; measurement lowers its own batch, so one that outlives its
+# cancelled session reads no memo.
 memo-lifecycle:
 	$(GO) test -race -count=3 -v -run '^TestMemo' ./internal/schedule
 	$(GO) test -race -count=3 -v -run '^TestFitFeatureCacheLowersOnce$$' ./internal/costmodel
@@ -112,9 +114,10 @@ memo-lifecycle:
 # or malformed output), plus the pool's
 # lend protocol, its hand-back of a helper's panic to the caller and the
 # online fit running beside the draft (TestPoolGo, TestPoolPanic*,
-# TestFitOverlapsDraft).
+# TestFitOverlapsDraft), plus the worker's request-body bound
+# (TestWorkerBodyBound: 413 one byte over it).
 measure-e2e:
-	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestWorkerCancelledRequest|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestPoolPanic|TestFitOverlap' \
+	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestWorkerCancelledRequest|TestWorkerBodyBound|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestPoolPanic|TestFitOverlap' \
 		./internal/server/... ./internal/measure/... ./internal/tuner/... ./internal/parallel/...
 	$(GO) test -race ./internal/obs/...
 

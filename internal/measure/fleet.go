@@ -152,7 +152,7 @@ func (f *Fleet) post(ctx context.Context, url string, body []byte, req Request) 
 		return nil, err
 	}
 	if len(recs) != len(req.Batch) {
-		return nil, lengthError("worker "+url, len(recs), len(req.Batch))
+		return nil, fmt.Errorf("measure: worker %s returned %d results for a batch of %d", url, len(recs), len(req.Batch))
 	}
 	results := make([]Result, len(recs))
 	for i, r := range recs {

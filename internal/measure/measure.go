@@ -28,7 +28,6 @@ package measure
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -63,11 +62,6 @@ type Request struct {
 	Task *ir.Task
 	// Batch is the schedules to measure, one Result each, in order.
 	Batch []*schedule.Schedule
-	// Memo optionally carries the round's lowering cache so in-process
-	// measurers reuse the search stages' lowerings. The memo, and every
-	// *Lowered and feature row drawn from it, is valid only until
-	// Measure returns: the caller then releases it for the next round.
-	Memo *schedule.Memo
 	// Pool optionally bounds an in-process measurer's fan-out.
 	Pool *parallel.Pool
 }
@@ -83,9 +77,8 @@ type Measurer interface {
 	Measure(ctx context.Context, req Request) ([]Result, error)
 }
 
-// Sim is the in-process adapter: a Measurer over *simulator.Simulator.
-// Zero behaviour change from the tuner calling the simulator directly,
-// except that cancellation is now observed between schedules mid-batch.
+// Sim is the in-process adapter: a Measurer over *simulator.Simulator
+// that observes cancellation between schedules mid-batch.
 type Sim struct {
 	sim *simulator.Simulator
 }
@@ -100,9 +93,9 @@ func (m *Sim) Info() Info {
 }
 
 // Measure evaluates the batch's true latencies on the request pool,
-// resolving lowerings through the round memo. Cancellation is checked
-// between schedules: a cancelled ctx abandons the remainder of the batch
-// and returns ctx.Err().
+// lowering each schedule itself. Cancellation is checked between
+// schedules: a cancelled ctx abandons the remainder of the batch and
+// returns ctx.Err().
 func (m *Sim) Measure(ctx context.Context, req Request) ([]Result, error) {
 	out := make([]Result, len(req.Batch))
 	var canceled atomic.Bool
@@ -114,7 +107,7 @@ func (m *Sim) Measure(ctx context.Context, req Request) ([]Result, error) {
 			canceled.Store(true)
 			return
 		}
-		lat, err := m.sim.LatencyLowered(req.Memo.Lower(req.Task, req.Batch[i]))
+		lat, err := m.sim.Latency(req.Task, req.Batch[i])
 		if err != nil {
 			out[i] = Result{Latency: math.Inf(1), Err: err}
 			return
@@ -125,9 +118,4 @@ func (m *Sim) Measure(ctx context.Context, req Request) ([]Result, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// lengthError is the shared "backend returned the wrong shape" failure.
-func lengthError(name string, got, want int) error {
-	return fmt.Errorf("measure: %s returned %d results for a batch of %d", name, got, want)
 }

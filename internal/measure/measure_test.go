@@ -228,6 +228,37 @@ func TestWorkerCancelledRequest(t *testing.T) {
 	}
 }
 
+// TestWorkerBodyBound pins the worker's request bound: a body of exactly
+// maxMeasureBodyBytes (a batch padded with blank lines, which the codec
+// skips) is measured, and one byte more is refused with 413 and counted
+// as nothing executed.
+func TestWorkerBodyBound(t *testing.T) {
+	task, schs := testBatch(t, 16)
+	body, err := encodeRequest(Request{Device: device.T4.Name, Task: task, Batch: schs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := func(n int) []byte {
+		return append(bytes.Clone(body), bytes.Repeat([]byte{'\n'}, n-len(body))...)
+	}
+	worker := NewWorker(WorkerOptions{})
+	post := func(b []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		worker.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/measure", bytes.NewReader(b)))
+		return rec
+	}
+	if rec := post(pad(maxMeasureBodyBytes)); rec.Code != http.StatusOK {
+		t.Fatalf("body at the bound: status %d (%s), want 200", rec.Code, rec.Body)
+	}
+	rec := post(pad(maxMeasureBodyBytes + 1))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the bound: status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	if st := worker.Status(); st.Batches != 1 || st.Schedules != int64(len(schs)) {
+		t.Fatalf("worker counted %+v, want only the batch at the bound", st)
+	}
+}
+
 // TestSimAdapterMatchesMeasure pins the adapter against the historical
 // simulator entry point: true latencies identical, and after session-side
 // ApplyNoise the full results match Simulator.Measure bitwise (same noise

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -119,7 +121,8 @@ func (w *Worker) Status() WorkerStatus {
 
 // Handler returns the worker's HTTP surface:
 //
-//	POST /measure  execute one batch (wire format: header line + record lines)
+//	POST /measure  execute one batch (wire format: header line + record
+//	               lines; 413 over maxMeasureBodyBytes)
 //	GET  /healthz  liveness + counters
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -141,52 +144,25 @@ func (w *Worker) handleMeasure(rw http.ResponseWriter, r *http.Request) {
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
 
-	br := bufio.NewReader(r.Body)
-	head, err := br.ReadBytes('\n')
-	if err != nil && len(head) == 0 {
-		workerError(rw, http.StatusBadRequest, "reading request header: %v", err)
-		return
-	}
-	var hdr wireHeader
-	if err := json.Unmarshal(head, &hdr); err != nil {
-		workerError(rw, http.StatusBadRequest, "decoding request header: %v", err)
-		return
-	}
-	if hdr.Task == nil {
-		workerError(rw, http.StatusBadRequest, "request header carries no task")
-		return
-	}
-	if err := hdr.Task.Validate(); err != nil {
-		workerError(rw, http.StatusBadRequest, "invalid task: %v", err)
-		return
-	}
-	sim, err := w.sim(hdr.Device)
+	sim, recs, err := w.readBatch(http.MaxBytesReader(rw, r.Body, maxMeasureBodyBytes))
 	if err != nil {
-		workerError(rw, http.StatusBadRequest, "%v", err)
-		return
-	}
-	recs, err := ReadRecords(br, []*ir.Task{hdr.Task})
-	if err != nil {
-		workerError(rw, http.StatusBadRequest, "decoding batch: %v", err)
-		return
-	}
-	if len(recs) == 0 {
-		workerError(rw, http.StatusBadRequest, "empty batch")
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		workerError(rw, code, "%v", err)
 		return
 	}
 
-	// Measure true latencies on the worker pool, one round memo sharing
-	// lowerings across the batch and released for the next request once
-	// Measure returns. A cancelled request (the session aborting the
-	// round) stops between schedules and writes nothing.
+	// Measure true latencies on the worker pool. A cancelled request
+	// (the session aborting the round) stops between schedules and
+	// writes nothing.
 	batch := make([]*schedule.Schedule, len(recs))
 	for i, rec := range recs {
 		batch[i] = rec.Sched
 	}
 	execStart := time.Now()
-	memo := schedule.NewMemo()
-	results, err := sim.Measure(r.Context(), Request{Task: hdr.Task, Batch: batch, Memo: memo, Pool: w.opts.Pool})
-	memo.Release()
+	results, err := sim.Measure(r.Context(), Request{Task: recs[0].Task, Batch: batch, Pool: w.opts.Pool})
 	if err != nil {
 		return // client gone; nothing useful to write
 	}
@@ -210,6 +186,45 @@ func (w *Worker) handleMeasure(rw http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// maxMeasureBodyBytes bounds a POST /measure body. The widest record line
+// is 269 bytes and the widest header 680 (every model-zoo task, 64
+// random schedules each), so the bound holds 3,895 schedules: a batch of
+// 1,024 with room to spare, and any the daemon's default cap admits.
+const maxMeasureBodyBytes = 1 << 20
+
+// readBatch decodes a POST /measure body — the header line, then the
+// record lines of a non-empty batch of the header's task — and returns
+// the simulator of the header's device with the batch.
+func (w *Worker) readBatch(body io.Reader) (*Sim, []costmodel.Record, error) {
+	br := bufio.NewReader(body)
+	head, err := br.ReadBytes('\n')
+	if err != nil && (len(head) == 0 || !errors.Is(err, io.EOF)) {
+		return nil, nil, fmt.Errorf("reading request header: %w", err)
+	}
+	var hdr wireHeader
+	if err := json.Unmarshal(head, &hdr); err != nil {
+		return nil, nil, fmt.Errorf("decoding request header: %w", err)
+	}
+	if hdr.Task == nil {
+		return nil, nil, errors.New("request header carries no task")
+	}
+	if err := hdr.Task.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("invalid task: %w", err)
+	}
+	sim, err := w.sim(hdr.Device)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := ReadRecords(br, []*ir.Task{hdr.Task})
+	if err != nil {
+		return nil, nil, fmt.Errorf("decoding batch: %w", err)
+	}
+	if len(recs) == 0 {
+		return nil, nil, errors.New("empty batch")
+	}
+	return sim, recs, nil
 }
 
 func workerError(rw http.ResponseWriter, code int, format string, args ...any) {

@@ -10,8 +10,8 @@ import (
 
 // Memo caches lowered programs by schedule pointer, so one tuning round
 // lowers (and, through Lowered's feature cache, featurizes) each
-// candidate exactly once across draft scoring, cost-model verification
-// and measurement — the stages hand each other the same *Schedule —
+// candidate exactly once across draft scoring and cost-model
+// verification — the stages hand each other the same *Schedule —
 // instead of once for each. Structural twins are the search's business
 // (evolve's specSet, the seen sets): the memo lowers each pointer it is
 // given. It is safe for concurrent use by pool workers; Lower is a pure
@@ -21,12 +21,11 @@ import (
 //
 // A Memo owns its storage: the Lowered programs it stores and the
 // feature rows computed for them (Lowered.Rows) are carved from chunks
-// the memo holds. The tuner draws one per measurement round, and one per
-// session for its online fits, with NewMemo; the last user hands it back
-// with Release, which rewinds the chunks for the next memo drawn to
-// reuse. Every *Lowered and feature row drawn from a memo is valid only
-// until Release. A memo that is never released is an ordinary heap
-// object that dies with its last reference.
+// the memo holds. The tuner's plan draws one per round with NewMemo and
+// releases it on return; a session's online fits share one, released as
+// the session ends. Release rewinds the chunks for the next memo drawn,
+// and every *Lowered and feature row drawn from a memo is valid only
+// until then. A memo never released dies with its last reference.
 type Memo struct {
 	mu sync.Mutex
 	m  map[*Schedule]*Lowered
@@ -56,8 +55,9 @@ const (
 // mutex-guarded intrusive stack rather than sync.Pool, as costmodel's
 // scratchPool is: the GC may empty a sync.Pool between rounds, and a
 // parked memo must keep its grown chunks for the next round. It has no
-// cap — its length converges to the peak number of memos in use at once
-// across every session — and the last memo parked is the first drawn.
+// cap — its length converges to the peak number of memos in use at once,
+// at most two per running session (the round memo while plan runs, and
+// the fit memo) — and the last memo parked is the first drawn.
 var memoPool struct {
 	mu   sync.Mutex
 	free *Memo

@@ -19,7 +19,10 @@
 // holds for a fixed depth.
 package tuner
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
 // The controller's bounds. The float ones are typed so that every
 // constant expression built from them rounds like float64 arithmetic.
@@ -161,8 +164,9 @@ func (a *adaptController) observe(taskID string, scores, lats []float64) float64
 // perfectly-ranked batch, 0.5 a random one, 1 a perfectly inverted one.
 // Pairs with equal, NaN or both-+Inf latencies carry no signal and are
 // skipped; a single +Inf (failed build) ranks last and does count — a
-// model that scores unbuildable schedules highly is miscalibrated.
-// Returns -1 when no comparable pair exists.
+// model that scores unbuildable schedules highly is miscalibrated. NaN
+// scores rank last and tie with each other, as the search ranks them, so
+// batch order cannot change the result. -1 means no comparable pair.
 func rankError(scores, lats []float64) float64 {
 	if len(scores) != len(lats) {
 		return -1
@@ -175,10 +179,10 @@ func rankError(scores, lats []float64) float64 {
 				continue
 			}
 			total++
-			switch si, sj := scores[i], scores[j]; {
-			case si == sj:
+			switch c := cmp.Compare(scores[i], scores[j]); {
+			case c == 0:
 				disc += 0.5
-			case (si > sj) != (li < lj):
+			case (c > 0) != (li < lj):
 				disc++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,6 +39,11 @@ func TestRankError(t *testing.T) {
 		// discordant pair against each finite latency.
 		{"inf-ranks-last", []float64{3, 2, 1}, []float64{inf, 0.1, 0.2}, 2.0 / 3},
 		{"both-inf-no-signal", []float64{2, 1}, []float64{inf, inf}, -1},
+		// A NaN score ranks last and ties with another NaN, whatever
+		// the batch order.
+		{"nan-score-ranks-last", []float64{math.NaN(), 1}, []float64{1, 2}, 1},
+		{"nan-score-ranks-last-permuted", []float64{1, math.NaN()}, []float64{2, 1}, 1},
+		{"nan-scores-tie", []float64{math.NaN(), math.NaN()}, []float64{1, 2}, 0.5},
 	}
 	for _, tc := range cases {
 		if got := rankError(tc.scores, tc.lats); math.Abs(got-tc.want) > 1e-12 {
@@ -208,6 +214,76 @@ const adaptiveGolden = "041474667a81fd80"
 func TestTuneAdaptivePinned(t *testing.T) {
 	if got := resultFingerprint(tuneAdaptive(1, 1, nil)); got != adaptiveGolden {
 		t.Fatalf("adaptive session fingerprint %s, golden %s", got, adaptiveGolden)
+	}
+}
+
+// faultyVerifier is PaCM with chosen rows broken: a candidate whose
+// schedule Key is 0, 1 or 2 modulo 8 scores NaN, +Inf or −Inf, whatever
+// the model computed. Rows are chosen by schedule, not by position, so
+// the faults are the same at any batch order or Parallelism. The round
+// memo, the pool and the observer reach PaCM through the embedding.
+type faultyVerifier struct {
+	*costmodel.PaCM
+	faults *[3]atomic.Int64 // NaN, +Inf, −Inf rows scored
+}
+
+func (m faultyVerifier) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
+	out := m.PaCM.Predict(t, schs)
+	for i, s := range schs {
+		switch k := s.Key() % 8; k {
+		case 0, 1, 2:
+			out[i] = [3]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k]
+			m.faults[k].Add(1)
+		}
+	}
+	return out
+}
+
+// TestTuneAdaptiveVerifierFaults runs the adaptive session over a
+// verifier that scores chosen rows NaN, +Inf and −Inf. A broken verifier
+// may cost the session its speculation, never its results: it runs every
+// round, measures exactly the candidates it planned, keeps one
+// fingerprint at Parallelism 1 and 4, and reports every CalibError as a
+// rank error, within [0, 1].
+func TestTuneAdaptiveVerifierFaults(t *testing.T) {
+	run := func(parallelism int) *Result {
+		var faults [3]atomic.Int64
+		planned := 0
+		res := Tune(device.T4, twoTasks(), Options{
+			Trials:      60,
+			BatchSize:   10,
+			Policy:      search.NewPrunerPolicy(),
+			Model:       faultyVerifier{costmodel.NewPaCM(3), &faults},
+			OnlineTrain: true,
+			Seed:        9,
+			Parallelism: parallelism,
+			AdaptBudget: true,
+			Progress: func(ev ProgressEvent) {
+				planned += ev.Batch
+				if !(ev.CalibError >= 0 && ev.CalibError <= 1) {
+					t.Errorf("P=%d round %d: CalibError %g outside [0, 1]", parallelism, ev.Round, ev.CalibError)
+				}
+			},
+		})
+		for k, name := range []string{"NaN", "+Inf", "-Inf"} {
+			if faults[k].Load() == 0 {
+				t.Errorf("P=%d: the verifier scored no row %s", parallelism, name)
+			}
+		}
+		if res.Interrupted || res.MeasureErr != nil {
+			t.Fatalf("P=%d: session interrupted=%v err=%v", parallelism, res.Interrupted, res.MeasureErr)
+		}
+		if len(res.Curve) != 6 || len(res.Records) != 60 || planned != 60 {
+			t.Fatalf("P=%d: %d rounds, %d records and %d trials in progress events; want the whole budget, 6 rounds of 60 trials",
+				parallelism, len(res.Curve), len(res.Records), planned)
+		}
+		if math.IsInf(res.FinalLatency, 1) {
+			t.Fatalf("P=%d: the session never covered the workload", parallelism)
+		}
+		return res
+	}
+	if a, b := resultFingerprint(run(1)), resultFingerprint(run(4)); a != b {
+		t.Fatalf("fingerprint %s at Parallelism 1, %s at 4", a, b)
 	}
 }
 

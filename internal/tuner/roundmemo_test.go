@@ -13,10 +13,11 @@ import (
 	"pruner/internal/simulator"
 )
 
-// lateMeasurer is the fake for a measurement still reading the round
-// memo after its session gave up: on batch cancelAt it cancels the
-// session, waits until Tune has returned, then measures the batch
-// through the memo anyway and reports the cancellation.
+// lateMeasurer is the fake for a measurement still running after its
+// session gave up: on batch cancelAt it cancels the session, waits until
+// Tune has returned — every round memo the session drew is released by
+// then — then measures the batch anyway and reports the cancellation.
+// Measurement lowers its own batch, so the late one reads no memo.
 type lateMeasurer struct {
 	inner    *measure.Sim
 	cancelAt int
@@ -44,8 +45,8 @@ func (l *lateMeasurer) Measure(ctx context.Context, req measure.Request) ([]meas
 }
 
 // cancelledSession runs tunePipeline's session at depth 1, cancelled
-// while its third batch is being measured; that measurement reads the
-// round memo after Tune has returned.
+// while its third batch is being measured; that measurement finishes
+// after Tune has returned.
 func cancelledSession() *Result {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -66,12 +67,12 @@ func cancelledSession() *Result {
 }
 
 // TestRoundMemoPoisonedSessions: no round memo is read after its
-// Release. With release poisoning on — a parked memo's float chunks
-// NaN, its slots zeroed, and Lower on it a panic — the golden session,
-// every golden-matrix cell (depths 1 and 2), the adaptive session and a
-// session cancelled mid-measurement keep their fingerprints. Moving the
-// release into commit ahead of the wait for the measurement, or into
-// plan ahead of the dispatch, fails it.
+// Release, which plan defers. With release poisoning on — a parked
+// memo's float chunks NaN, its slots zeroed, and Lower on it a panic —
+// the golden session, every golden-matrix cell (depths 1 and 2), the
+// adaptive session and a session cancelled mid-measurement keep their
+// fingerprints. Moving the release in plan ahead of the adaptive
+// session's capture of the verifier's scores fails it.
 func TestRoundMemoPoisonedSessions(t *testing.T) {
 	baseline := resultFingerprint(cancelledSession())
 	defer schedule.SetPoisonOnRelease(schedule.SetPoisonOnRelease(true))

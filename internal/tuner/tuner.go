@@ -611,15 +611,16 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		psp := eo.tr.Start("tuner.plan", obs.Int("round", round))
 		st := sched.next(round)
 
-		// One lowering memo per round: draft scoring, cost-model
-		// verification and in-process measurement all resolve candidates
-		// through it, so each is lowered and featurized exactly once.
-		// Its last user releases it — the round's measurement once
-		// Measure returns, or plan itself when it dispatches nothing —
-		// so the next round lowers into the same storage.
+		// One lowering memo per round: draft scoring and cost-model
+		// verification resolve candidates through it, so each is lowered
+		// and featurized once. It never leaves plan — measurement lowers
+		// its own batch — so plan releases it on return, and the next
+		// round lowers into the same storage.
 		memo := schedule.NewMemo()
+		defer memo.Release()
 		if mu, ok := opt.Model.(costmodel.MemoUser); ok {
 			mu.SetMemo(memo)
+			defer mu.SetMemo(nil) // before the Release: keep no round's programs
 		}
 		sctx := &search.Context{
 			Ctx:         ctx,
@@ -658,11 +659,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			// only, so the fixed clock is untouched).
 			pred = sctx.Verify(batch)
 		}
-		if mu, ok := opt.Model.(costmodel.MemoUser); ok {
-			mu.SetMemo(nil) // do not retain the round's programs
-		}
 		if ctx.Err() != nil {
-			memo.Release()
 			psp.End(obs.Bool("cancelled", true))
 			return nil, false
 		}
@@ -686,7 +683,6 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				TargetDepth:  depthAt,
 			}}
 		if len(batch) == 0 {
-			memo.Release()
 			close(f.done)
 			return f, true
 		}
@@ -699,12 +695,8 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				Device: dev.Name,
 				Task:   st.task,
 				Batch:  batch,
-				Memo:   memo,
 				Pool:   pool,
 			})
-			// Not in commit: a cancelled commit returns without waiting
-			// for this goroutine, whose Measure may still read the memo.
-			memo.Release()
 			if f.err == nil && len(f.results) != len(f.batch) {
 				f.err = fmt.Errorf("tuner: measurer %q returned %d results for a batch of %d",
 					minfo.Name, len(f.results), len(f.batch))
