@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e serve-lifecycle memo-lifecycle measure-e2e profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock test purego race serve serve-e2e serve-lifecycle memo-lifecycle measure-e2e cli-smoke profile bench bench-smoke bench-parallel ledger ledger-compare fuzz-smoke loc clean
 
 all: vet lint build test
 
@@ -120,6 +120,20 @@ measure-e2e:
 	$(GO) test -race -v -run 'TestFleet|TestMeasurer|TestWorkerFleetMatchesSimulator|TestWorkerCancelledRequest|TestWorkerBodyBound|TestTunePipeline|TestMetrics|TestObservability|TestPoolGo|TestPoolPanic|TestFitOverlap' \
 		./internal/server/... ./internal/measure/... ./internal/tuner/... ./internal/parallel/...
 	$(GO) test -race ./internal/obs/...
+
+# pruner-tune end to end: two workloads tuned side by side on the one
+# pool -parallelism sizes must print the same curves and log the same
+# records at 1 worker and at 3, and -pipeline-depth math.MaxInt (a
+# window past the round count) must run to completion.
+CLI_SMOKE_ARGS := -net resnet50,bert_tiny -trials 20 -max-tasks 1
+cli-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o $$dir/pruner-tune ./cmd/pruner-tune && \
+	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -parallelism 1 -log $$dir/p1.jsonl > $$dir/p1.out && \
+	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -parallelism 3 -log $$dir/p3.jsonl > $$dir/p3.out && \
+	cmp $$dir/p1.out $$dir/p3.out && cmp $$dir/p1.jsonl $$dir/p3.jsonl && \
+	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -pipeline-depth 9223372036854775807 > /dev/null && \
+	echo "cli-smoke: stdout and record logs identical at -parallelism 1 and 3"
 
 # Profile a representative tuning session: CPU profile + span trace from
 # one pruner-tune run, ready for `go tool pprof cpu.prof`.

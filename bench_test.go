@@ -147,11 +147,11 @@ func BenchmarkTuneParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Tune(A100, net, Config{
-					Method:      MethodPruner,
-					Trials:      80,
-					MaxTasks:    2,
-					Seed:        7,
-					Parallelism: w,
+					Method:   MethodPruner,
+					Trials:   80,
+					MaxTasks: 2,
+					Seed:     7,
+					Pool:     NewPool(w),
 				})
 				if err != nil {
 					b.Fatal(err)

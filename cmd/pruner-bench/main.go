@@ -28,7 +28,7 @@ func main() {
 		list  = flag.Bool("list", false, "list experiment ids")
 		seed  = flag.Int64("seed", 42, "base random seed")
 		cache = flag.String("cache", ".cache", "pretrained-weights cache dir")
-		par   = flag.Int("parallelism", 0, "workers per experiment (0 = all CPUs, 1 = serial); rows are seed-stable at any setting")
+		par   = flag.Int("parallelism", 0, "total workers, shared by every experiment in flight (0 = all CPUs, 1 = serial); rows are seed-stable at any setting")
 		jobs  = flag.Int("jobs", 1, "experiments run concurrently with -all (output stays in evaluation order)")
 	)
 	flag.Parse()
@@ -54,21 +54,18 @@ func main() {
 		return nil
 	}
 
+	pool := parallel.New(*par)
 	switch {
 	case *all:
 		// Fan experiments out -jobs at a time; each writes to its own
 		// buffer, printed in evaluation order once all are done racing.
-		// -parallelism is a total budget, split across concurrent jobs.
-		perJob := parallel.New(*par).Workers() / max(1, *jobs)
-		if perJob < 1 {
-			perJob = 1
-		}
+		// -parallelism is a total budget: every job draws on one pool.
 		all := experiments.All
 		bufs := make([]bytes.Buffer, len(all))
 		errs := parallel.Map(parallel.New(*jobs), len(all), func(i int) error {
 			cfg := experiments.Config{
 				Full: *full, Seed: *seed, Out: &bufs[i],
-				CacheDir: *cache, Parallelism: perJob,
+				CacheDir: *cache, Pool: pool,
 			}
 			return run(all[i].ID, cfg)
 		})
@@ -86,7 +83,7 @@ func main() {
 	case *exp != "":
 		cfg := experiments.Config{
 			Full: *full, Seed: *seed, Out: os.Stdout,
-			CacheDir: *cache, Parallelism: *par,
+			CacheDir: *cache, Pool: pool,
 		}
 		if err := run(*exp, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)

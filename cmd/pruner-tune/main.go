@@ -33,7 +33,7 @@ func main() {
 		trials   = flag.Int("trials", 400, "measurement trials")
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxTask  = flag.Int("max-tasks", 0, "tune only the top-N subgraphs (0 = all)")
-		par      = flag.Int("parallelism", 0, "workers per session (0 = all CPUs, 1 = serial); results are seed-stable at any setting")
+		par      = flag.Int("parallelism", 0, "total workers, shared by every session of the run (0 = all CPUs, 1 = serial); results are seed-stable at any setting")
 		nets     = flag.Bool("nets", false, "list workloads")
 		pre      = flag.Int("pretrain", 0, "pretrain PaCM on a K80 dataset with N schedules/task first (enables moa-pruner)")
 		logPath  = flag.String("log", "", "append this run's measurement records to the file (JSON lines)")
@@ -70,20 +70,16 @@ func main() {
 		fatalIf(err)
 	}
 
-	// The flag is a total budget: concurrent networks split it so the
-	// fan-out times per-session workers stays at -parallelism, not a
-	// multiple of it.
-	total := parallel.New(*par).Workers()
-	perSession := total / len(networks)
-	if perSession < 1 {
-		perSession = 1
-	}
+	// The flag is a total budget: one pool runs the per-network fan-out
+	// and every session inside it, so workers a finished session frees
+	// go to the ones still running.
+	pool := pruner.NewPool(*par)
 	cfg := pruner.Config{
 		Method:        pruner.Method(*method),
 		Trials:        *trials,
 		Seed:          *seed,
 		MaxTasks:      *maxTask,
-		Parallelism:   perSession,
+		Pool:          pool,
 		PipelineDepth: *depth,
 		AdaptBudget:   *adapt,
 	}
@@ -159,7 +155,7 @@ func main() {
 		err         error
 		out, status bytes.Buffer
 	}
-	sessions := parallel.Map(parallel.New(total), len(networks), func(i int) *session {
+	sessions := parallel.Map(pool, len(networks), func(i int) *session {
 		s := &session{}
 		cfg := cfg
 		if resumeData != nil {

@@ -19,14 +19,14 @@
 //	})
 //	fmt.Printf("latency: %.3f ms\n", res.FinalLatency*1e3)
 //
-// Sessions run on a worker pool sized by Config.Parallelism (default:
-// all CPUs). Candidate drafting, cost-model inference and simulated
-// measurement fan out across the pool while every random draw stays on
-// deterministic per-task streams, so a fixed Config.Seed produces a
-// bitwise-identical Result at any worker count — Parallelism: 1 is only
-// ever slower, never different. The same contract extends to sessions
-// seeded with Config.WarmStart records and observed via Config.Progress
-// or cancelled via Config.Ctx.
+// Sessions run on Config.Pool (default: a private pool of all CPUs;
+// sessions handed one pool share its budget). Candidate drafting,
+// cost-model inference and simulated measurement fan out across the pool
+// while every random draw stays on deterministic per-task streams, so a
+// fixed Config.Seed produces a bitwise-identical Result at any pool size
+// — NewPool(1) is only ever slower, never different. The same contract
+// extends to sessions seeded with Config.WarmStart records and observed
+// via Config.Progress or cancelled via Config.Ctx.
 //
 // Measurement is pluggable (Config.Measurer): the default in-process
 // simulator adapter, or a NewFleet of remote cmd/pruner-measure workers
@@ -36,7 +36,7 @@
 // round's measurement with the next round's search and the online fit
 // (results committed in strict round order; depth 1 reproduces the
 // serial loop bitwise, any fixed depth is bitwise reproducible at any
-// Parallelism).
+// pool size).
 //
 // Tuning-as-a-service: the cmd/pruner-serve daemon exposes tuning over
 // HTTP with SSE progress, persists every measurement in a durable store,

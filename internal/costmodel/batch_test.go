@@ -136,7 +136,7 @@ func TestPredictAfterFitStaysConsistent(t *testing.T) {
 // S_spec-sized draft set (512 candidates, the paper's setting), batched
 // engine vs the per-candidate baseline it replaced. Both run on a serial
 // pool so the comparison isolates the engine; the speedup compounds with
-// the session's Parallelism knob.
+// the session's pool size.
 func BenchmarkPredictBatched(b *testing.B) {
 	task := ir.NewMatMul(512, 512, 512, ir.FP32, 1)
 	schs := sampleSchedules(task, 512, 41)

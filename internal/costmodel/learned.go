@@ -48,7 +48,7 @@ func newLearned(self arch, seed int64, lr float64, replica func() arch) learned 
 
 // PoolUser is implemented by models whose batched inference can run on a
 // caller-provided worker pool. The tuner injects its session pool so one
-// Parallelism knob governs every layer of a session.
+// pool's budget governs every layer of a session.
 type PoolUser interface {
 	SetPool(p *parallel.Pool)
 }

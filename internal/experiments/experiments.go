@@ -45,13 +45,12 @@ type Config struct {
 	// CacheDir stores pretrained cost-model weights between runs
 	// (default ".cache").
 	CacheDir string
-	// Parallelism bounds the experiment's total concurrency; <= 0 selects
-	// runtime.NumCPU(). One shared pool serves the suite-level session
-	// fan-out, every session's internal scoring/measurement, and dataset
-	// generation, so the bound holds across layers instead of
-	// multiplying. Sessions are seeded independently, so reported rows
-	// are identical at any setting.
-	Parallelism int
+	// Pool bounds the experiment's total concurrency (nil: a private pool
+	// of runtime.NumCPU() workers). It serves the session fan-out, every
+	// session's scoring/measurement, dataset generation and pretraining,
+	// so the bound holds across layers and experiments sharing it.
+	// Sessions are seeded independently: rows are identical at any size.
+	Pool *parallel.Pool
 }
 
 func (c Config) withDefaults() Config {
@@ -63,6 +62,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
+	}
+	if c.Pool == nil {
+		c.Pool = parallel.New(0)
 	}
 	if c.Ctx == nil {
 		// Documented nil-Ctx default: experiment runs from the CLI own the
@@ -151,7 +153,7 @@ type harness struct {
 
 func newHarness(cfg Config) *harness {
 	cfg = cfg.withDefaults()
-	return &harness{cfg: cfg, ctx: cfg.Ctx, sc: scaleOf(cfg.Full), pool: parallel.New(cfg.Parallelism)}
+	return &harness{cfg: cfg, ctx: cfg.Ctx, sc: scaleOf(cfg.Full), pool: cfg.Pool}
 }
 
 func (h *harness) printf(format string, args ...any) {

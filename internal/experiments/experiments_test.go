@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pruner/internal/device"
+	"pruner/internal/parallel"
 	"pruner/internal/tuner"
 )
 
@@ -103,7 +104,7 @@ func TestTuneAllMatchesSerial(t *testing.T) {
 		t.Skip("runs tuning sessions")
 	}
 	run := func(parallelism int) []*tuner.Result {
-		h := newHarness(Config{Seed: 7, Out: io.Discard, Parallelism: parallelism})
+		h := newHarness(Config{Seed: 7, Out: io.Discard, Pool: parallel.New(parallelism)})
 		h.sc.trials = 30
 		h.sc.maxTasks = 1
 		tasks := h.tasksOf(mustNet("bert_tiny"))

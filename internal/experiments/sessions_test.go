@@ -9,6 +9,7 @@ import (
 
 	"pruner/internal/device"
 	"pruner/internal/ir"
+	"pruner/internal/parallel"
 )
 
 // TestHarnessSessionsPinned pins the session every harness method runs:
@@ -20,7 +21,7 @@ import (
 // policy, its sizing, model, online training, adaptation, bundle device,
 // measurer or clock moves that method's digest.
 func TestHarnessSessionsPinned(t *testing.T) {
-	h := newHarness(Config{Seed: 5, Out: io.Discard, CacheDir: t.TempDir(), Parallelism: 2})
+	h := newHarness(Config{Seed: 5, Out: io.Discard, CacheDir: t.TempDir(), Pool: parallel.New(2)})
 	h.sc.tag = "pin"
 	h.sc.trials = 20
 	h.sc.maxTasks = 1

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // paramBlob is the on-disk form of a parameter set.
@@ -41,8 +42,9 @@ func LoadParams(r io.Reader, params []*Tensor) error {
 
 // DecodeParams is LoadParams over an existing decoder (see EncodeParams).
 // Bundles reach this from user-supplied files (-model-in), so every
-// dimension is validated before any copy: a malformed blob returns an
-// error rather than panicking or half-loading a model.
+// dimension and value (the kernels assume finite weights) is validated
+// before any copy: a malformed blob returns an error rather than
+// panicking or half-loading a model.
 func DecodeParams(dec *gob.Decoder, params []*Tensor) error {
 	var blob paramBlob
 	if err := dec.Decode(&blob); err != nil {
@@ -59,6 +61,11 @@ func DecodeParams(dec *gob.Decoder, params []*Tensor) error {
 		if len(blob.Data[i]) != p.R*p.C {
 			return fmt.Errorf("nn: parameter %d has %d values, shape %dx%d needs %d",
 				i, len(blob.Data[i]), p.R, p.C, p.R*p.C)
+		}
+		for j, v := range blob.Data[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: parameter %d (%dx%d) value %d is %v; weights must be finite", i, p.R, p.C, j, v)
+			}
 		}
 	}
 	// Validate everything before mutating anything, so a bad bundle

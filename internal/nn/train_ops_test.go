@@ -488,8 +488,9 @@ func TestAddGrads(t *testing.T) {
 }
 
 // TestDecodeParamsRejectsMalformedBlobs pins the -model-in hardening: a
-// bundle with inconsistent shape/data counts or short value rows errors
-// out without mutating (or panicking) the destination model.
+// bundle with inconsistent shape/data counts, short value rows or a
+// non-finite weight errors out without mutating (or panicking) the
+// destination model.
 func TestDecodeParamsRejectsMalformedBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	dst := NewMLP(rng, 2, 3, 1)
@@ -520,6 +521,24 @@ func TestDecodeParamsRejectsMalformedBlobs(t *testing.T) {
 	blob.Data[0][0] = 99
 	if err := LoadParams(encode(blob), dst.Params()); err == nil {
 		t.Fatal("short value row must be rejected")
+	}
+
+	// Complete rows, but one weight of the last parameter is not finite:
+	// the error names that parameter and nothing is copied.
+	last := len(blob.Data) - 1
+	for i, p := range dst.Params() {
+		blob.Data[i] = make([]float64, len(p.Data))
+		blob.Data[i][0] = 99
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		blob.Data[last][len(blob.Data[last])-1] = bad
+		err := LoadParams(encode(blob), dst.Params())
+		if err == nil {
+			t.Fatalf("weight %v must be rejected", bad)
+		}
+		if want := fmt.Sprintf("parameter %d ", last); !strings.Contains(err.Error(), want) {
+			t.Fatalf("weight %v: error %q does not name %q", bad, err, want)
+		}
 	}
 	for i, v := range dst.Params()[0].Data {
 		if v != before[i] {

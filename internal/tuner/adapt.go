@@ -13,7 +13,7 @@
 // Determinism: the tracker is fed exclusively from commit-ordered
 // results on the session goroutine, so every control decision is a pure
 // function of the committed prefix of rounds. Adaptive sessions are
-// therefore bitwise reproducible at any Parallelism, any requested
+// therefore bitwise reproducible at any pool size, any requested
 // PipelineDepth (the controller owns the window when enabled) and
 // across measurement backends — the same contract the fixed engine
 // holds for a fixed depth.

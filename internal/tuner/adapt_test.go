@@ -13,6 +13,7 @@ import (
 	"pruner/internal/ir"
 	"pruner/internal/measure"
 	"pruner/internal/nn"
+	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/search"
 	"pruner/internal/simulator"
@@ -160,7 +161,7 @@ func tuneAdaptive(depth, parallelism int, m measure.Measurer) *Result {
 		Model:         costmodel.NewPaCM(3),
 		OnlineTrain:   true,
 		Seed:          9,
-		Parallelism:   parallelism,
+		Pool:          parallel.New(parallelism),
 		PipelineDepth: depth,
 		Measurer:      m,
 		AdaptBudget:   true,
@@ -178,7 +179,7 @@ func TestAdaptBudgetOffMatchesGolden(t *testing.T) {
 		Model:         costmodel.NewPaCM(3),
 		OnlineTrain:   true,
 		Seed:          9,
-		Parallelism:   1,
+		Pool:          parallel.New(1),
 		PipelineDepth: 1,
 		AdaptBudget:   false,
 	})
@@ -256,7 +257,7 @@ func TestTuneAdaptiveVerifierFaults(t *testing.T) {
 			Model:       faultyVerifier{costmodel.NewPaCM(3), &faults},
 			OnlineTrain: true,
 			Seed:        9,
-			Parallelism: parallelism,
+			Pool:        parallel.New(parallelism),
 			AdaptBudget: true,
 			Progress: func(ev ProgressEvent) {
 				planned += ev.Batch
@@ -296,7 +297,7 @@ func adaptComparison(adaptive bool, m measure.Measurer) *Result {
 		Policy:      search.NewPrunerPolicy(),
 		Model:       &oracleModel{sim: simulator.New(device.T4)},
 		Seed:        9,
-		Parallelism: 1,
+		Pool:        parallel.New(1),
 		Measurer:    m,
 		AdaptBudget: adaptive,
 	})
@@ -330,7 +331,7 @@ func TestTuneAdaptiveMeasuresFewer(t *testing.T) {
 		Policy:      search.NewPrunerPolicy(),
 		Model:       &oracleModel{sim: simulator.New(device.T4)},
 		Seed:        9,
-		Parallelism: 1,
+		Pool:        parallel.New(1),
 		AdaptBudget: true,
 		Progress: func(ev ProgressEvent) {
 			if ev.VerifyBudget > 0 && ev.VerifyBudget < 10 {

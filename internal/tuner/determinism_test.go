@@ -6,13 +6,15 @@ import (
 
 	"pruner/internal/costmodel"
 	"pruner/internal/device"
+	"pruner/internal/parallel"
 	"pruner/internal/search"
 )
 
-// tuneAt runs a fixed-seed Pruner session at the given worker count. The
-// model is rebuilt per call: Fit mutates it, so sharing one across runs
-// would leak state between the compared sessions.
-func tuneAt(parallelism int) *Result {
+// tuneAt runs a fixed-seed Pruner session on the given pool (nil: the
+// session's own NumCPU pool). The model is rebuilt per call: Fit mutates
+// it, so sharing one across runs would leak state between the compared
+// sessions.
+func tuneAt(pool *parallel.Pool) *Result {
 	return Tune(device.T4, twoTasks(), Options{
 		Trials:      60,
 		BatchSize:   10,
@@ -20,7 +22,7 @@ func tuneAt(parallelism int) *Result {
 		Model:       costmodel.NewPaCM(3),
 		OnlineTrain: true,
 		Seed:        9,
-		Parallelism: parallelism,
+		Pool:        pool,
 	})
 }
 
@@ -30,7 +32,7 @@ func tuneAt(parallelism int) *Result {
 // from a task-owned (or scheduler-owned) stream on the serial path and
 // workers evaluate only pure functions.
 func TestTuneDeterministicAcrossParallelism(t *testing.T) {
-	equalResults(t, "P=1 vs P=8", tuneAt(1), tuneAt(8))
+	equalResults(t, "P=1 vs P=8", tuneAt(parallel.New(1)), tuneAt(parallel.New(8)))
 }
 
 // equalResults is the bitwise-reproducibility assertion shared by the
@@ -97,7 +99,7 @@ func TestTuneFittedParamsDeterministicAcrossParallelism(t *testing.T) {
 			Model:       m,
 			OnlineTrain: true,
 			Seed:        9,
-			Parallelism: parallelism,
+			Pool:        parallel.New(parallelism),
 		})
 		return res, m
 	}
@@ -121,7 +123,7 @@ func TestTuneFittedParamsDeterministicAcrossParallelism(t *testing.T) {
 // and warm-starting actually changes the session (the warm records are in
 // the measured set, so the search proceeds differently than from scratch).
 func TestTuneWarmStartDeterministicAcrossParallelism(t *testing.T) {
-	warm := tuneAt(1).Records
+	warm := tuneAt(parallel.New(1)).Records
 	if len(warm) == 0 {
 		t.Fatal("no warm records produced")
 	}
@@ -133,7 +135,7 @@ func TestTuneWarmStartDeterministicAcrossParallelism(t *testing.T) {
 			Model:       costmodel.NewPaCM(3),
 			OnlineTrain: true,
 			Seed:        9,
-			Parallelism: parallelism,
+			Pool:        parallel.New(parallelism),
 			WarmStart:   warm,
 		})
 	}
@@ -188,8 +190,8 @@ func TestTuneContextCancellation(t *testing.T) {
 // TestTuneDefaultParallelismMatchesSerial pins the default (NumCPU)
 // configuration to the same contract, since that is what the facade runs.
 func TestTuneDefaultParallelismMatchesSerial(t *testing.T) {
-	def := tuneAt(0) // <= 0 selects runtime.NumCPU()
-	serial := tuneAt(1)
+	def := tuneAt(nil) // a nil Pool builds a runtime.NumCPU() pool
+	serial := tuneAt(parallel.New(1))
 	if def.FinalLatency != serial.FinalLatency || def.Clock != serial.Clock {
 		t.Fatalf("default-parallelism session diverged: lat %g vs %g, clock %+v vs %+v",
 			def.FinalLatency, serial.FinalLatency, def.Clock, serial.Clock)

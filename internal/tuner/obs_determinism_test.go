@@ -8,6 +8,7 @@ import (
 	"pruner/internal/device"
 	"pruner/internal/measure"
 	"pruner/internal/obs"
+	"pruner/internal/parallel"
 	"pruner/internal/search"
 )
 
@@ -20,7 +21,7 @@ func tuneObserved(depth, parallelism int, m measure.Measurer, ob *obs.Observer) 
 		Model:         costmodel.NewPaCM(3),
 		OnlineTrain:   true,
 		Seed:          9,
-		Parallelism:   parallelism,
+		Pool:          parallel.New(parallelism),
 		PipelineDepth: depth,
 		Measurer:      m,
 		Obs:           ob,

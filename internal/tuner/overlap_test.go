@@ -10,6 +10,7 @@ import (
 	"pruner/internal/device"
 	"pruner/internal/nn"
 	"pruner/internal/obs"
+	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/search"
 )
@@ -89,7 +90,7 @@ func TestFitOverlapsDraft(t *testing.T) {
 			Model:       m,
 			OnlineTrain: true,
 			Seed:        9,
-			Parallelism: parallelism,
+			Pool:        parallel.New(parallelism),
 		})
 	}
 

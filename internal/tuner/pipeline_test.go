@@ -18,6 +18,7 @@ import (
 	"pruner/internal/measure"
 	"pruner/internal/nn"
 	"pruner/internal/obs"
+	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/search"
 	"pruner/internal/simulator"
@@ -75,7 +76,7 @@ func tunePipeline(depth, parallelism int, m measure.Measurer) *Result {
 		Model:         costmodel.NewPaCM(3),
 		OnlineTrain:   true,
 		Seed:          9,
-		Parallelism:   parallelism,
+		Pool:          parallel.New(parallelism),
 		PipelineDepth: depth,
 		Measurer:      m,
 	})
@@ -86,7 +87,7 @@ func tunePipeline(depth, parallelism int, m measure.Measurer) *Result {
 // pre-refactor serial loop bit for bit — same curve, records, clock,
 // bests.
 func TestTunePipelineDepth1MatchesPreRefactorGolden(t *testing.T) {
-	if got := resultFingerprint(tuneAt(1)); got != preRefactorGolden {
+	if got := resultFingerprint(tuneAt(parallel.New(1))); got != preRefactorGolden {
 		t.Fatalf("default-depth session fingerprint %s, pre-refactor golden %s", got, preRefactorGolden)
 	}
 	if got := resultFingerprint(tunePipeline(1, 1, nil)); got != preRefactorGolden {
@@ -116,7 +117,7 @@ var goldenMatrix = []struct {
 		return Options{Trials: 30, Policy: smallAnsorPolicy(), Model: costmodel.NewTLP(5), OnlineTrain: true}
 	}},
 	{"ansor+tlp/t4", device.T4, "e0f76551b1c7a0d2", func() Options {
-		return Options{Trials: 20, Policy: smallAnsorPolicy(), Model: costmodel.NewTLP(6), OnlineTrain: true, PipelineDepth: 2, Parallelism: 4}
+		return Options{Trials: 20, Policy: smallAnsorPolicy(), Model: costmodel.NewTLP(6), OnlineTrain: true, PipelineDepth: 2, Pool: parallel.New(4)}
 	}},
 	{"moa+pacm/orin", device.Orin, "6dae753f4ff547b2", func() Options {
 		return Options{Trials: 40, Policy: search.NewPrunerPolicy(), Model: costmodel.NewPaCM(7), OnlineTrain: true,
@@ -124,7 +125,7 @@ var goldenMatrix = []struct {
 	}},
 	{"moa+pacm/t4", device.T4, "4359ec6e3c3fb1a4", func() Options {
 		return Options{Trials: 30, Policy: search.NewPrunerPolicy(), Model: costmodel.NewPaCM(8), OnlineTrain: true,
-			Adaptation: AdaptMoA, Pretrained: tinyPretrainedPaCM(), Parallelism: 4}
+			Adaptation: AdaptMoA, Pretrained: tinyPretrainedPaCM(), Pool: parallel.New(4)}
 	}},
 }
 
@@ -180,6 +181,18 @@ func TestTunePipelineDeterministicAcrossParallelism(t *testing.T) {
 	equalResults(t, "depth=4 P=1 vs P=8", serial, tunePipeline(4, 8, nil))
 	if len(serial.Records) != 60 {
 		t.Fatalf("depth-4 session measured %d records, want the full 60-trial budget", len(serial.Records))
+	}
+}
+
+// TestTunePipelineDepthPastRoundCount pins the window's size: a depth
+// above the session's round count behaves as depth = rounds, and
+// math.MaxInt (reachable through pruner-tune -pipeline-depth) neither
+// panics sizing the window nor tries to allocate for it.
+func TestTunePipelineDepthPastRoundCount(t *testing.T) {
+	const rounds = 6 // tunePipeline's 60 trials in batches of 10
+	want := resultFingerprint(tunePipeline(rounds, 2, nil))
+	if got := resultFingerprint(tunePipeline(math.MaxInt, 2, nil)); got != want {
+		t.Fatalf("depth math.MaxInt fingerprint %s, depth %d gives %s", got, rounds, want)
 	}
 }
 
@@ -324,7 +337,7 @@ func TestTuneCancelMidBatch(t *testing.T) {
 		Model:       m,
 		OnlineTrain: true,
 		Seed:        9,
-		Parallelism: 2,
+		Pool:        parallel.New(2),
 		Ctx:         ctx2,
 		Progress:    func(ev ProgressEvent) { events = append(events, ev) },
 		Obs:         ob,
@@ -423,7 +436,7 @@ func TestTuneBackendFailureStopsWithoutPoisonedRecords(t *testing.T) {
 		Model:         m,
 		OnlineTrain:   true,
 		Seed:          9,
-		Parallelism:   2,
+		Pool:          parallel.New(2),
 		PipelineDepth: 2,
 		Measurer:      failing,
 		Progress:      func(ev ProgressEvent) { events = append(events, ev) },

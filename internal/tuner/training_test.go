@@ -5,6 +5,7 @@ import (
 
 	"pruner/internal/costmodel"
 	"pruner/internal/device"
+	"pruner/internal/parallel"
 	"pruner/internal/search"
 )
 
@@ -42,7 +43,7 @@ func TestTuneTrainingCostLinearInRounds(t *testing.T) {
 		OnlineTrain: true,
 		Fit:         costmodel.FitOptions{Epochs: epochs},
 		Seed:        9,
-		Parallelism: 1,
+		Pool:        parallel.New(1),
 	})
 	if len(spy.reports) < trials/batch/2 {
 		t.Fatalf("too few online fits recorded: %d", len(spy.reports))

@@ -66,16 +66,12 @@ type Options struct {
 	TensorCore bool
 	// Seed drives all randomness in the session.
 	Seed int64
-	// Parallelism is the session's worker count for candidate scoring and
-	// simulated measurement; <= 0 selects runtime.NumCPU(), 1 runs
-	// serially. Results are bitwise identical at any setting: every random
-	// draw comes from a deterministic per-task (or scheduler-owned) stream
-	// on the serial path, and workers only evaluate pure functions.
-	Parallelism int
-	// Pool optionally supplies a caller-owned worker budget shared with
-	// other concurrent sessions (suite fan-outs), overriding Parallelism;
-	// nil builds a session-private pool. Sharing keeps total concurrency
-	// at the pool's budget instead of multiplying per session.
+	// Pool is the session's worker budget; nil builds a private pool of
+	// runtime.NumCPU() workers. Sessions sharing one pool (suite fan-outs,
+	// the daemon, the CLIs) share its budget instead of multiplying it.
+	// Results are bitwise identical at any pool size: every random draw
+	// comes from a deterministic per-task (or scheduler-owned) stream on
+	// the serial path, and workers only evaluate pure functions.
 	Pool *parallel.Pool
 	// Measurer is the measurement backend: the in-process simulator
 	// adapter (default), a remote worker fleet, or a test fake. Backends
@@ -86,7 +82,7 @@ type Options struct {
 	// once. 1 (the default) reproduces the serial loop bitwise; higher
 	// depths overlap round r's measurement with round r+1's search and the
 	// round-r online fit, committing results in strict round order so a
-	// fixed depth is still bitwise reproducible at any Parallelism and
+	// fixed depth is still bitwise reproducible at any pool size and
 	// across measurement backends. Ignored when AdaptBudget is set: the
 	// controller then owns the window (1..2), which makes
 	// adaptive sessions bitwise identical at any requested depth.
@@ -136,8 +132,8 @@ type Options struct {
 	// Warm records charge neither measurement time nor trials — those
 	// were paid for by an earlier session — though the priming fit
 	// itself charges training time like any online update. Identical
-	// WarmStart slices keep the session bitwise reproducible at any
-	// Parallelism.
+	// WarmStart slices keep the session bitwise reproducible at any pool
+	// size.
 	WarmStart []costmodel.Record
 }
 
@@ -330,7 +326,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	opt = opt.withDefaults(dev)
 	pool := opt.Pool
 	if pool == nil {
-		pool = parallel.New(opt.Parallelism)
+		pool = parallel.New(0)
 	}
 	if pu, ok := opt.Model.(costmodel.PoolUser); ok {
 		pu.SetPool(pool)
@@ -792,12 +788,13 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	// (committing the oldest rounds first whenever it shrinks below the
 	// current occupancy). The bound derives only from committed state,
 	// so the plan/commit interleaving — and therefore every result — is
-	// identical at any Parallelism, requested depth, or backend.
+	// identical at any pool size, requested depth, or backend.
 	maxDepth := opt.PipelineDepth
 	if ctrl != nil {
 		maxDepth = adaptMaxDepth
 	}
-	window := make([]*inflight, 0, maxDepth)
+	// A depth past the round count (up to math.MaxInt) allocates no more.
+	window := make([]*inflight, 0, max(min(maxDepth, rounds), 0))
 	for planned := 0; planned < rounds || len(window) > 0; {
 		depth := opt.PipelineDepth
 		if ctrl != nil {

@@ -46,12 +46,12 @@ func TestMethodSessionsPinned(t *testing.T) {
 		{MethodRoller, "", "f526d8cac6ef8c8e"},
 	} {
 		res, err := Tune(T4, net, Config{
-			Method:      c.method,
-			Trials:      20,
-			Seed:        3,
-			MaxTasks:    1,
-			Parallelism: 2,
-			Pretrained:  bundles[c.bundle],
+			Method:     c.method,
+			Trials:     20,
+			Seed:       3,
+			MaxTasks:   1,
+			Pool:       NewPool(2),
+			Pretrained: bundles[c.bundle],
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.method, err)

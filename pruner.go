@@ -111,8 +111,8 @@ func RegisterEngineMetrics(o *Observer) {
 }
 
 // NewPool builds a worker pool with the given budget; workers <= 0 selects
-// runtime.NumCPU(). Pass it via Config.Pool to cap total concurrency
-// across concurrent sessions.
+// runtime.NumCPU(). Pass it via Config.Pool to size a session, or to cap
+// total concurrency across concurrent sessions that share it.
 func NewPool(workers int) *Pool { return parallel.New(workers) }
 
 // NewFleet builds a measurement fleet over pruner-measure worker base
@@ -294,14 +294,11 @@ type Config struct {
 	// MaxTasks optionally tunes only the top-N subgraphs by FLOPs share
 	// (scaled experiments); 0 tunes all.
 	MaxTasks int
-	// Parallelism is the session's worker count for candidate drafting,
-	// cost-model inference and simulated measurement; <= 0 (the default)
-	// selects runtime.NumCPU(), 1 runs serially. The same Seed produces a
-	// bitwise-identical Result at any setting.
-	Parallelism int
-	// Pool optionally shares a caller-owned worker budget with other
-	// concurrent sessions, overriding Parallelism; the tuning daemon
-	// hands every job the same Pool so N jobs never exceed one budget.
+	// Pool is the session's worker budget for drafting, cost-model
+	// inference and simulated measurement; nil builds a private pool of
+	// runtime.NumCPU() workers, NewPool(1) runs serially. The same Seed
+	// gives a bitwise-identical Result at any pool size. Sessions sharing
+	// one Pool (the daemon's jobs, the CLIs' sessions) share its budget.
 	Pool *Pool
 	// Measurer selects the measurement backend; nil runs the in-process
 	// simulator adapter. A NewFleet measurer distributes batches over
@@ -310,7 +307,7 @@ type Config struct {
 	// PipelineDepth bounds in-flight measurement rounds. 1 (default) is
 	// the serial loop; higher depths overlap measurement with the next
 	// round's search and the online fit, still bitwise reproducible for a
-	// fixed depth at any Parallelism. Ignored when AdaptBudget is set
+	// fixed depth at any pool size. Ignored when AdaptBudget is set
 	// (the controller then owns the depth).
 	PipelineDepth int
 	// AdaptBudget enables calibration-driven budget control: the session
@@ -334,7 +331,7 @@ type Config struct {
 	// prime the first cost-model fit, without charging trials or
 	// measurement time (the priming fit charges training time like any
 	// online update). Identical warm-start slices with the same Seed
-	// keep the session bitwise reproducible at any Parallelism.
+	// keep the session bitwise reproducible at any pool size.
 	WarmStart []Record
 	// Obs, when non-nil, arms the session with metrics and span tracing
 	// (per-stage latencies, cost-model fit/predict spans). Clock readings
@@ -359,7 +356,6 @@ func Tune(dev *Device, net *Network, cfg Config) (*Result, error) {
 	opt.Trials = cfg.Trials
 	opt.BatchSize = cfg.BatchSize
 	opt.TensorCore = cfg.TensorCore
-	opt.Parallelism = cfg.Parallelism
 	opt.Pool = cfg.Pool
 	opt.Measurer = cfg.Measurer
 	opt.PipelineDepth = cfg.PipelineDepth
