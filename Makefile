@@ -121,19 +121,29 @@ measure-e2e:
 		./internal/server/... ./internal/measure/... ./internal/tuner/... ./internal/parallel/...
 	$(GO) test -race ./internal/obs/...
 
-# pruner-tune end to end: two workloads tuned side by side on the one
-# pool -parallelism sizes must print the same curves and log the same
-# records at 1 worker and at 3, and -pipeline-depth math.MaxInt (a
-# window past the round count) must run to completion.
+# The CLIs end to end. pruner-tune: two workloads tuned side by side on
+# the one pool -parallelism sizes must print the same curves and log the
+# same records at 1 worker and at 3, and -pipeline-depth math.MaxInt (a
+# window past the round count) must run to completion. pruner-bench -all:
+# every experiment fanned out on that pool, each run with a fresh weights
+# cache, must print the same tables at 1 worker and at 3 once the
+# "[<id> done in <t>]" timing lines are dropped (~2.5 min on 2 vCPUs).
 CLI_SMOKE_ARGS := -net resnet50,bert_tiny -trials 20 -max-tasks 1
 cli-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o $$dir/pruner-tune ./cmd/pruner-tune && \
+	$(GO) build -o $$dir/pruner-bench ./cmd/pruner-bench && \
 	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -parallelism 1 -log $$dir/p1.jsonl > $$dir/p1.out && \
 	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -parallelism 3 -log $$dir/p3.jsonl > $$dir/p3.out && \
 	cmp $$dir/p1.out $$dir/p3.out && cmp $$dir/p1.jsonl $$dir/p3.jsonl && \
 	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -pipeline-depth 9223372036854775807 > /dev/null && \
-	echo "cli-smoke: stdout and record logs identical at -parallelism 1 and 3"
+	echo "cli-smoke: pruner-tune stdout and record logs identical at -parallelism 1 and 3" && \
+	$$dir/pruner-bench -all -parallelism 1 -cache $$dir/cache1 > $$dir/b1.raw && \
+	$$dir/pruner-bench -all -parallelism 3 -cache $$dir/cache3 > $$dir/b3.raw && \
+	sed '/^\[.* done in .*\]$$/d' $$dir/b1.raw > $$dir/b1.out && \
+	sed '/^\[.* done in .*\]$$/d' $$dir/b3.raw > $$dir/b3.out && \
+	cmp $$dir/b1.out $$dir/b3.out && \
+	echo "cli-smoke: pruner-bench -all stdout identical at -parallelism 1 and 3"
 
 # Profile a representative tuning session: CPU profile + span trace from
 # one pruner-tune run, ready for `go tool pprof cpu.prof`.

@@ -5,7 +5,7 @@
 //	pruner-bench -exp table1            # one experiment, scaled
 //	pruner-bench -exp fig6 -full        # paper-scale parameters
 //	pruner-bench -all                   # the whole evaluation section
-//	pruner-bench -all -jobs 4           # four experiments at a time
+//	pruner-bench -all -parallelism 4    # ... on a budget of four workers
 //	pruner-bench -list                  # available experiment IDs
 package main
 
@@ -29,7 +29,6 @@ func main() {
 		seed  = flag.Int64("seed", 42, "base random seed")
 		cache = flag.String("cache", ".cache", "pretrained-weights cache dir")
 		par   = flag.Int("parallelism", 0, "total workers, shared by every experiment in flight (0 = all CPUs, 1 = serial); rows are seed-stable at any setting")
-		jobs  = flag.Int("jobs", 1, "experiments run concurrently with -all (output stays in evaluation order)")
 	)
 	flag.Parse()
 
@@ -57,12 +56,12 @@ func main() {
 	pool := parallel.New(*par)
 	switch {
 	case *all:
-		// Fan experiments out -jobs at a time; each writes to its own
-		// buffer, printed in evaluation order once all are done racing.
-		// -parallelism is a total budget: every job draws on one pool.
+		// Fan experiments out on the one pool, so -parallelism bounds the
+		// fan-out and every experiment's sessions together; each writes to
+		// its own buffer, printed in evaluation order once all are done.
 		all := experiments.All
 		bufs := make([]bytes.Buffer, len(all))
-		errs := parallel.Map(parallel.New(*jobs), len(all), func(i int) error {
+		errs := parallel.Map(pool, len(all), func(i int) error {
 			cfg := experiments.Config{
 				Full: *full, Seed: *seed, Out: &bufs[i],
 				CacheDir: *cache, Pool: pool,

@@ -33,7 +33,7 @@ func main() {
 		trials   = flag.Int("trials", 400, "measurement trials")
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxTask  = flag.Int("max-tasks", 0, "tune only the top-N subgraphs (0 = all)")
-		par      = flag.Int("parallelism", 0, "total workers, shared by every session of the run (0 = all CPUs, 1 = serial); results are seed-stable at any setting")
+		par      = flag.Int("parallelism", 0, "total workers, shared by every session of the run (0 = all CPUs, 1 = serial); results are seed-stable at any setting. -pretrain's dataset generation and fit run on all CPUs regardless")
 		nets     = flag.Bool("nets", false, "list workloads")
 		pre      = flag.Int("pretrain", 0, "pretrain PaCM on a K80 dataset with N schedules/task first (enables moa-pruner)")
 		logPath  = flag.String("log", "", "append this run's measurement records to the file (JSON lines)")

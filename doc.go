@@ -19,14 +19,15 @@
 //	})
 //	fmt.Printf("latency: %.3f ms\n", res.FinalLatency*1e3)
 //
-// Sessions run on Config.Pool (default: a private pool of all CPUs;
-// sessions handed one pool share its budget). Candidate drafting,
-// cost-model inference and simulated measurement fan out across the pool
-// while every random draw stays on deterministic per-task streams, so a
-// fixed Config.Seed produces a bitwise-identical Result at any pool size
-// — NewPool(1) is only ever slower, never different. The same contract
-// extends to sessions seeded with Config.WarmStart records and observed
-// via Config.Progress or cancelled via Config.Ctx.
+// Sessions run on Config.Pool (nil: the process pool of all CPUs, which
+// every caller handed no pool shares; sessions handed one pool share its
+// budget). Candidate drafting, cost-model inference and simulated
+// measurement fan out across the pool while every random draw stays on
+// deterministic per-task streams, so a fixed Config.Seed produces a
+// bitwise-identical Result at any pool size — NewPool(1) is only ever
+// slower, never different. The same contract extends to sessions seeded
+// with Config.WarmStart records and observed via Config.Progress or
+// cancelled via Config.Ctx.
 //
 // Measurement is pluggable (Config.Measurer): the default in-process
 // simulator adapter, or a NewFleet of remote cmd/pruner-measure workers

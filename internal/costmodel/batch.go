@@ -47,9 +47,6 @@ func predictBatched(pool *parallel.Pool, m arch, memo *schedule.Memo, t *ir.Task
 	if len(schs) == 0 {
 		return nil
 	}
-	if pool == nil {
-		pool = parallel.Default()
-	}
 	defer nn.FreezeParams(m.Params())()
 	out := make([]float64, len(schs))
 	chunks := (len(schs) + batchChunk - 1) / batchChunk

@@ -208,11 +208,6 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 	if len(groups) == 0 {
 		return report
 	}
-	if pool == nil {
-		// Same fallback as predictBatched: fits outside a tuning session
-		// (facade pretraining) still use the machine, not one goroutine.
-		pool = parallel.Default()
-	}
 	rng := rand.New(rand.NewSource(seed ^ opt.Seed))
 	for _, g := range groups {
 		report.Samples += len(g.recs)

@@ -84,9 +84,6 @@ func wholeAttention(a *nn.SelfAttention, x *nn.Tensor) *nn.Tensor {
 // per schedule, fanned over the pool — the ground truth for the
 // bitwise-equivalence tests and BenchmarkPredictBatched's baseline arm.
 func predictReference(pool *parallel.Pool, params []*nn.Tensor, t *ir.Task, schs []*schedule.Schedule, one func(*schedule.Lowered) *nn.Tensor) []float64 {
-	if pool == nil {
-		pool = parallel.Default()
-	}
 	defer nn.FreezeParams(params)()
 	out := make([]float64, len(schs))
 	pool.ForEach(len(schs), func(i int) {

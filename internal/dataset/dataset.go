@@ -50,7 +50,7 @@ type GenOptions struct {
 	SchedulesPerTask int
 	// Seed drives sampling and measurement noise.
 	Seed int64
-	// Pool bounds the measurement fan-out; nil sizes one to the machine.
+	// Pool bounds the measurement fan-out (nil: the process pool).
 	// Sharing a caller-owned pool keeps dataset generation inside a
 	// concurrent suite from multiplying the suite's concurrency. Schedule
 	// sampling and noise stay on one sequential stream, so the dataset is
@@ -61,9 +61,6 @@ type GenOptions struct {
 func (o GenOptions) withDefaults() GenOptions {
 	if o.SchedulesPerTask == 0 {
 		o.SchedulesPerTask = 4000
-	}
-	if o.Pool == nil {
-		o.Pool = parallel.New(0)
 	}
 	return o
 }

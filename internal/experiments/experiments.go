@@ -45,10 +45,11 @@ type Config struct {
 	// CacheDir stores pretrained cost-model weights between runs
 	// (default ".cache").
 	CacheDir string
-	// Pool bounds the experiment's total concurrency (nil: a private pool
-	// of runtime.NumCPU() workers). It serves the session fan-out, every
-	// session's scoring/measurement, dataset generation and pretraining,
-	// so the bound holds across layers and experiments sharing it.
+	// Pool bounds the experiment's total concurrency (nil: the process
+	// pool of runtime.NumCPU() workers). It serves the session fan-out,
+	// every session's scoring/measurement, dataset generation and
+	// pretraining, so the bound holds across layers and experiments
+	// sharing it.
 	// Sessions are seeded independently: rows are identical at any size.
 	Pool *parallel.Pool
 }
@@ -62,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Pool == nil {
-		c.Pool = parallel.New(0)
 	}
 	if c.Ctx == nil {
 		// Documented nil-Ctx default: experiment runs from the CLI own the

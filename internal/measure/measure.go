@@ -62,7 +62,8 @@ type Request struct {
 	Task *ir.Task
 	// Batch is the schedules to measure, one Result each, in order.
 	Batch []*schedule.Schedule
-	// Pool optionally bounds an in-process measurer's fan-out.
+	// Pool bounds an in-process measurer's fan-out (nil: the process
+	// pool).
 	Pool *parallel.Pool
 }
 

@@ -32,8 +32,8 @@ type wireHeader struct {
 
 // WorkerOptions configure a measurement worker.
 type WorkerOptions struct {
-	// Pool bounds the worker's measurement fan-out; nil sizes one to the
-	// machine.
+	// Pool bounds the worker's measurement fan-out (nil: the process
+	// pool).
 	Pool *parallel.Pool
 	// Metrics, when non-nil, exposes the worker's counters as
 	// func-backed metrics (pruner_worker_* — see metrics.go) and mounts
@@ -62,9 +62,6 @@ type Worker struct {
 
 // NewWorker builds a worker.
 func NewWorker(opts WorkerOptions) *Worker {
-	if opts.Pool == nil {
-		opts.Pool = parallel.New(0)
-	}
 	w := &Worker{opts: opts, sims: map[string]*Sim{}}
 	if reg := opts.Metrics; reg != nil {
 		// Func-backed counters sample the same atomics /healthz reports,

@@ -23,8 +23,9 @@ import (
 // fanning sessions out while each session fans its candidate scoring) the
 // helper goroutines of every level draw on the same allowance and total
 // concurrency stays at Workers instead of multiplying layer by layer.
-// The zero worker count and the nil pool both degrade to serial
-// execution, so call sites never need to special-case "no pool".
+// A nil *Pool is the process pool: one all-CPU budget shared by every
+// caller that was not handed a pool, so call sites never need to
+// special-case "no pool" and unset pools in one process never stack.
 type Pool struct {
 	workers int
 	// sem holds the shared helper-goroutine budget: Workers-1 slots,
@@ -43,25 +44,32 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers, sem: make(chan struct{}, workers-1)}
 }
 
-// Workers reports the pool's concurrency budget; a nil pool is serial.
-func (p *Pool) Workers() int {
-	if p == nil || p.workers < 1 {
-		return 1
+// process is the pool a nil *Pool stands for.
+var process = New(0)
+
+// orProcess resolves a nil pool to the process pool.
+func (p *Pool) orProcess() *Pool {
+	if p == nil {
+		return process
 	}
-	return p.workers
+	return p
 }
+
+// Workers reports the pool's concurrency budget.
+func (p *Pool) Workers() int { return p.orProcess().workers }
 
 // ForEach runs fn(i) for every i in [0, n), fanned across the pool's
 // budget with dynamic load balancing (an atomic index, so uneven items —
 // e.g. schedules of very different sizes — do not leave workers idle).
 // It blocks until all items complete. fn must be safe to call concurrently
-// and should only write state owned by its index. A nil or single-worker
-// pool, or an exhausted budget, runs inline on the caller's goroutine.
+// and should only write state owned by its index. A single-worker pool,
+// or an exhausted budget, runs inline on the caller's goroutine.
 // A panic in fn is the caller's: the first one is recovered on whichever
 // goroutine raised it, every helper still finishes and returns its slot,
 // and the panic is re-raised on the caller once they have.
 func (p *Pool) ForEach(n int, fn func(i int)) {
-	if p == nil || p.workers <= 1 || n <= 1 {
+	p = p.orProcess()
+	if p.workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -112,14 +120,15 @@ spawn:
 // held: join hands it back before it blocks, because the caller stops
 // working there, so ForEach calls fn makes after the join starts can fan
 // out over the caller's share of the budget too; if fn finishes first it
-// hands the slot back itself. With no free slot — a nil or single-worker
-// pool, or a budget in use elsewhere — fn runs inline before Go returns
-// and join is a no-op, so a serial session stays serial and a shared
-// pool stays within its budget. Everything fn writes is visible to the
+// hands the slot back itself. With no free slot — a single-worker pool
+// or a budget in use elsewhere — fn runs inline before Go returns and
+// join is a no-op, so a serial session stays serial and a shared pool
+// stays within its budget. Everything fn writes is visible to the
 // caller once join returns, and so is a panic in fn: re-raised at join,
 // after the slot went back.
 func (p *Pool) Go(fn func()) (join func()) {
-	if p == nil || p.workers <= 1 {
+	p = p.orProcess()
+	if p.workers <= 1 {
 		fn()
 		return func() {}
 	}
@@ -177,13 +186,6 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	p.ForEach(n, func(i int) { out[i] = fn(i) })
 	return out
 }
-
-// defaultPool serves call sites that are not bound to a session pool
-// (e.g. facade-level model evaluation outside a tuning session).
-var defaultPool = New(0)
-
-// Default returns the process-wide pool sized to the machine.
-func Default() *Pool { return defaultPool }
 
 // SplitSeed derives an independent deterministic seed for a numbered
 // stream (per-task, per-worker, per-session). It is a splitmix64

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,15 +22,67 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	}
 }
 
-func TestNilPoolIsSerial(t *testing.T) {
-	var p *Pool
-	if got := p.Workers(); got != 1 {
-		t.Fatalf("nil pool workers = %d, want 1", got)
-	}
+func TestSingleWorkerPoolIsSerial(t *testing.T) {
 	sum := 0
-	p.ForEach(10, func(i int) { sum += i }) // data race here would fail -race
+	New(1).ForEach(10, func(i int) { sum += i }) // data race here would fail -race
 	if sum != 45 {
 		t.Fatalf("serial ForEach sum = %d, want 45", sum)
+	}
+}
+
+// highWater counts concurrent calls of busy and keeps their peak.
+type highWater struct{ cur, peak atomic.Int32 }
+
+func (h *highWater) busy(int) {
+	c := h.cur.Add(1)
+	for {
+		pk := h.peak.Load()
+		if c <= pk || h.peak.CompareAndSwap(pk, c) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond)
+	h.cur.Add(-1)
+}
+
+// peakOutside runs one ForEach on p from each of callers goroutines the
+// pool did not start and returns the peak number of concurrent items.
+func peakOutside(p *Pool, callers int) int {
+	var (
+		h  highWater
+		wg sync.WaitGroup
+	)
+	for k := 0; k < callers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.ForEach(16, h.busy)
+		}()
+	}
+	wg.Wait()
+	return int(h.peak.Load())
+}
+
+// TestNilPoolIsProcessPool pins what an unset pool means: the one
+// all-CPU process pool, so two callers handed nil draw on one budget
+// instead of stacking one each.
+func TestNilPoolIsProcessPool(t *testing.T) {
+	var p *Pool
+	if got := p.Workers(); got != runtime.NumCPU() {
+		t.Fatalf("nil pool workers = %d, want runtime.NumCPU() = %d", got, runtime.NumCPU())
+	}
+	if got, bound := peakOutside(nil, 2), runtime.NumCPU()+1; got > bound {
+		t.Fatalf("two nil-pool callers peaked at %d concurrent items, want at most %d", got, bound)
+	}
+}
+
+// TestOutsideCallersBound pins the budget against callers on goroutines
+// the pool did not start (the daemon's job runners): each works beside
+// the pool's helpers, so k of them on New(W) peak at W + k - 1, not W.
+func TestOutsideCallersBound(t *testing.T) {
+	const budget, callers = 4, 3
+	if got, bound := peakOutside(New(budget), callers), budget+callers-1; got > bound {
+		t.Fatalf("%d outside callers on New(%d) peaked at %d, want at most %d", callers, budget, got, bound)
 	}
 }
 
@@ -87,26 +140,15 @@ func TestPoolGo(t *testing.T) {
 	t.Run("budget", func(t *testing.T) {
 		const budget = 4
 		p := New(budget)
-		var cur, peak atomic.Int32
-		busy := func(int) {
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		}
+		var h highWater
 		join := p.Go(func() {
 			for k := 0; k < 8; k++ {
-				p.ForEach(8, busy)
+				p.ForEach(8, h.busy)
 			}
 		})
-		p.ForEach(32, busy)
+		p.ForEach(32, h.busy)
 		join()
-		if got := peak.Load(); got > budget {
+		if got := h.peak.Load(); got > budget {
 			t.Fatalf("peak concurrency %d exceeds the pool budget %d", got, budget)
 		}
 		if len(p.sem) != 0 {
@@ -159,7 +201,6 @@ func TestPoolGo(t *testing.T) {
 	}
 	t.Run("workers=1 runs inline", func(t *testing.T) {
 		inline(t, New(1))
-		inline(t, nil)
 	})
 	t.Run("exhausted budget runs inline", func(t *testing.T) {
 		p := New(2)
@@ -233,21 +274,9 @@ func TestPoolPanicReachesCaller(t *testing.T) {
 func TestNestedForEachSharesBudget(t *testing.T) {
 	const budget = 4
 	p := New(budget)
-	var cur, peak atomic.Int32
-	p.ForEach(8, func(int) {
-		p.ForEach(8, func(int) {
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		})
-	})
-	if got := peak.Load(); got > budget {
+	var h highWater
+	p.ForEach(8, func(int) { p.ForEach(8, h.busy) })
+	if got := h.peak.Load(); got > budget {
 		t.Fatalf("peak concurrency %d exceeds the pool budget %d", got, budget)
 	}
 }

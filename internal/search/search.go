@@ -36,7 +36,7 @@ type Context struct {
 	// from pool workers.
 	RNG *rand.Rand
 	// Pool fans pure candidate scoring (draft evaluations, screening)
-	// across the session's workers; nil scores serially.
+	// across the session's workers (nil: the process pool).
 	Pool *parallel.Pool
 	// Measured is the task's tuning history (latest last).
 	Measured []costmodel.Record

@@ -55,8 +55,8 @@ const maxPipelineDepth = 16
 type Config struct {
 	// Store persists and answers from tuning history. Required.
 	Store *store.Store
-	// Pool is the shared tuning budget all jobs draw on; nil sizes one to
-	// the machine.
+	// Pool is the shared tuning budget all jobs draw on (nil: the process
+	// pool).
 	Pool *pruner.Pool
 	// Workers is the number of jobs tuned concurrently (default 1).
 	Workers int
@@ -93,9 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Pool == nil {
-		c.Pool = pruner.NewPool(0)
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}

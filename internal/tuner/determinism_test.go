@@ -11,7 +11,7 @@ import (
 )
 
 // tuneAt runs a fixed-seed Pruner session on the given pool (nil: the
-// session's own NumCPU pool). The model is rebuilt per call: Fit mutates
+// process pool). The model is rebuilt per call: Fit mutates
 // it, so sharing one across runs would leak state between the compared
 // sessions.
 func tuneAt(pool *parallel.Pool) *Result {
@@ -190,7 +190,7 @@ func TestTuneContextCancellation(t *testing.T) {
 // TestTuneDefaultParallelismMatchesSerial pins the default (NumCPU)
 // configuration to the same contract, since that is what the facade runs.
 func TestTuneDefaultParallelismMatchesSerial(t *testing.T) {
-	def := tuneAt(nil) // a nil Pool builds a runtime.NumCPU() pool
+	def := tuneAt(nil) // a nil Pool is the runtime.NumCPU() process pool
 	serial := tuneAt(parallel.New(1))
 	if def.FinalLatency != serial.FinalLatency || def.Clock != serial.Clock {
 		t.Fatalf("default-parallelism session diverged: lat %g vs %g, clock %+v vs %+v",

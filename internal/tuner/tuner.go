@@ -66,8 +66,8 @@ type Options struct {
 	TensorCore bool
 	// Seed drives all randomness in the session.
 	Seed int64
-	// Pool is the session's worker budget; nil builds a private pool of
-	// runtime.NumCPU() workers. Sessions sharing one pool (suite fan-outs,
+	// Pool is the session's worker budget (nil: the process pool of
+	// runtime.NumCPU() workers). Sessions sharing one pool (suite fan-outs,
 	// the daemon, the CLIs) share its budget instead of multiplying it.
 	// Results are bitwise identical at any pool size: every random draw
 	// comes from a deterministic per-task (or scheduler-owned) stream on
@@ -324,12 +324,8 @@ const trainStream = -3
 // Tune runs Algorithm 1 over the partitioned task set on one device.
 func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	opt = opt.withDefaults(dev)
-	pool := opt.Pool
-	if pool == nil {
-		pool = parallel.New(0)
-	}
 	if pu, ok := opt.Model.(costmodel.PoolUser); ok {
-		pu.SetPool(pool)
+		pu.SetPool(opt.Pool)
 	}
 	if ou, ok := opt.Model.(costmodel.ObsUser); ok {
 		ou.SetObserver(opt.Obs)
@@ -547,7 +543,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		}
 		trainedTo = len(allRecords)
 		f := &onlineFit{committed: committed}
-		f.join = pool.Go(func() {
+		f.join = opt.Pool.Go(func() {
 			if opt.Adaptation == AdaptMoA {
 				nn.CopyParams(opt.Model.Params(), siamese)
 				f.report = opt.Model.Fit(fitRecs, opt.Fit)
@@ -623,7 +619,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			Task:        st.task,
 			Gen:         st.gen,
 			RNG:         st.rng,
-			Pool:        pool,
+			Pool:        opt.Pool,
 			Measured:    st.records,
 			MeasuredSet: st.measuredSet,
 			Model:       opt.Model,
@@ -691,7 +687,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 				Device: dev.Name,
 				Task:   st.task,
 				Batch:  batch,
-				Pool:   pool,
+				Pool:   opt.Pool,
 			})
 			if f.err == nil && len(f.results) != len(f.batch) {
 				f.err = fmt.Errorf("tuner: measurer %q returned %d results for a batch of %d",

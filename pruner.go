@@ -295,7 +295,7 @@ type Config struct {
 	// (scaled experiments); 0 tunes all.
 	MaxTasks int
 	// Pool is the session's worker budget for drafting, cost-model
-	// inference and simulated measurement; nil builds a private pool of
+	// inference and simulated measurement; nil is the process pool of
 	// runtime.NumCPU() workers, NewPool(1) runs serially. The same Seed
 	// gives a bitwise-identical Result at any pool size. Sessions sharing
 	// one Pool (the daemon's jobs, the CLIs' sessions) share its budget.
