@@ -98,8 +98,8 @@ serve-lifecycle:
 # whole sessions (golden, golden matrix, adaptive, cancelled
 # mid-measurement) with parked memos poisoned. plan draws each round
 # memo and releases it on return, so a verify after the release fails by
-# name; measurement lowers its own batch, so one that outlives its
-# cancelled session reads no memo.
+# name; measurement lowers its batch into a memo of its own, so one that
+# outlives its cancelled session reads no round memo.
 memo-lifecycle:
 	$(GO) test -race -count=3 -v -run '^TestMemo' ./internal/schedule
 	$(GO) test -race -count=3 -v -run '^TestFitFeatureCacheLowersOnce$$' ./internal/costmodel
@@ -172,7 +172,10 @@ bench:
 # model Analyzer.Score to 0 heap allocations per run, schedule.Lower
 # to 1 and each feature family's first touch to 2 (internal/features) —
 # the dynamic cross-check of the static hotalloc analyzer over the same
-# //pruner:hotpath roots.
+# //pruner:hotpath roots. TestAllocRandom and TestAllocMutate
+# (internal/schedule) hold the generator to its results: Generator.Random
+# to one schedule's objects however many draws it rejects, a Mutate that
+# leaves its parent unchanged and a rejected Crossover to 0.
 bench-smoke:
 	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/costmodel ./internal/schedule ./internal/features ./internal/analyzer
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...

@@ -94,11 +94,15 @@ func (m *Sim) Info() Info {
 }
 
 // Measure evaluates the batch's true latencies on the request pool,
-// lowering each schedule itself. Cancellation is checked between
-// schedules: a cancelled ctx abandons the remainder of the batch and
-// returns ctx.Err().
+// lowering each schedule itself into a memo it draws for the batch and
+// releases on return, so a measurement's lowering and dataflow rows come
+// from recycled storage rather than the heap. Cancellation is checked
+// between schedules: a cancelled ctx abandons the remainder of the batch
+// and returns ctx.Err().
 func (m *Sim) Measure(ctx context.Context, req Request) ([]Result, error) {
 	out := make([]Result, len(req.Batch))
+	memo := schedule.NewMemo()
+	defer memo.Release()
 	var canceled atomic.Bool
 	req.Pool.ForEach(len(req.Batch), func(i int) {
 		if canceled.Load() {
@@ -108,7 +112,7 @@ func (m *Sim) Measure(ctx context.Context, req Request) ([]Result, error) {
 			canceled.Store(true)
 			return
 		}
-		lat, err := m.sim.Latency(req.Task, req.Batch[i])
+		lat, err := m.sim.LatencyLowered(memo.Lower(req.Task, req.Batch[i]))
 		if err != nil {
 			out[i] = Result{Latency: math.Inf(1), Err: err}
 			return

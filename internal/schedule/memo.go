@@ -23,9 +23,10 @@ import (
 // feature rows computed for them (Lowered.Rows) are carved from chunks
 // the memo holds. The tuner's plan draws one per round with NewMemo and
 // releases it on return; a session's online fits share one, released as
-// the session ends. Release rewinds the chunks for the next memo drawn,
-// and every *Lowered and feature row drawn from a memo is valid only
-// until then. A memo never released dies with its last reference.
+// the session ends; measure.Sim draws one per batch it measures. Release
+// rewinds the chunks for the next memo drawn, and every *Lowered and
+// feature row drawn from a memo is valid only until then. A memo never
+// released dies with its last reference.
 type Memo struct {
 	mu sync.Mutex
 	m  map[*Schedule]*Lowered
@@ -55,9 +56,10 @@ const (
 // mutex-guarded intrusive stack rather than sync.Pool, as costmodel's
 // scratchPool is: the GC may empty a sync.Pool between rounds, and a
 // parked memo must keep its grown chunks for the next round. It has no
-// cap — its length converges to the peak number of memos in use at once,
-// at most two per running session (the round memo while plan runs, and
-// the fit memo) — and the last memo parked is the first drawn.
+// cap — its length converges to the peak number of memos in use at once:
+// per running session the round memo while plan runs and the fit memo,
+// and one per batch an in-process measurer is measuring — and the last
+// memo parked is the first drawn.
 var memoPool struct {
 	mu   sync.Mutex
 	free *Memo

@@ -70,7 +70,8 @@ type Schedule struct {
 }
 
 // Clone returns a deep copy. The fingerprint cache is deliberately not
-// carried over: the genetic operators clone precisely in order to mutate.
+// carried over, so the copy may be changed before it is first
+// fingerprinted.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
 		UnrollStep: s.UnrollStep,
@@ -246,15 +247,14 @@ func largestPrimeFactor(n int) int {
 	return fs[len(fs)-1]
 }
 
-// randomFactorization fills tile with factors whose product is extent,
-// distributing the prime factors uniformly at random (one draw per
-// factor, in ascending order).
-func randomFactorization(rng *rand.Rand, extent int, tile []int) {
+// scatterFactors fills tile with factors whose product is the product of
+// fs: each tile entry starts at 1 and each prime of fs, in order,
+// multiplies a uniformly drawn entry (one draw per prime).
+func scatterFactors(rng *rand.Rand, fs []int, tile []int) {
 	for i := range tile {
 		tile[i] = 1
 	}
-	var buf [maxPrimeFactors]int
-	for _, p := range appendPrimeFactors(buf[:0], extent) {
+	for _, p := range fs {
 		tile[rng.Intn(len(tile))] *= p
 	}
 }
@@ -314,32 +314,80 @@ func (g *Generator) sharedFits(s *Schedule) bool {
 	return int(math.Ceil(words4)) <= g.MaxSharedWords
 }
 
-// Random samples one valid schedule.
+// draftAxes is how many spatial, and how many reduction, axes a task may
+// have for the genetic operators to build their candidates in stack
+// arrays; a task with more takes that scratch from the heap. Every task
+// the workloads build has at most three and two.
+const draftAxes = 6
+
+// rowsOn returns n rows of buf, or n fresh rows when buf is too short.
+func rowsOn[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
+}
+
+// Random samples one valid schedule: it draws up to 64 candidates and
+// returns the first that fits the budgets (and, when it asks for wmma,
+// aligns to the fragment); when none does, it clamps the last draw that
+// missed a budget (a 65th draw, when every miss was a misaligned wmma
+// draw) into them.
+//
+// Only the result reaches the heap. Draws land in two call-local
+// candidates — the one being drawn and the last one rejected, which the
+// clamp fallback needs — whose tiles live in stack arrays, and each axis
+// extent is factored once per call, so a call costs one schedule's
+// objects however many draws it rejects. The draw sequence is the one
+// a fresh schedule per draw made.
 func (g *Generator) Random(rng *rand.Rand) *Schedule {
 	const attempts = 64
-	var best *Schedule
+	t := g.Task
+	nS, nR := len(t.Spatial), len(t.Reduce)
+	var spBuf [2 * draftAxes][NumSpatialLevels]int
+	var rpBuf [2 * draftAxes][NumReduceLevels]int
+	sp, rp := rowsOn(spBuf[:], 2*nS), rowsOn(rpBuf[:], 2*nR)
+	// fs holds every axis's prime factors, axis i's ending at ends[i].
+	var fsBuf [2 * maxPrimeFactors]int
+	var endsBuf [2 * draftAxes]int
+	fs, ends := fsBuf[:0], rowsOn(endsBuf[:], nS+nR)
+	for i, e := range t.Spatial {
+		fs = appendPrimeFactors(fs, e)
+		ends[i] = len(fs)
+	}
+	for i, e := range t.Reduce {
+		fs = appendPrimeFactors(fs, e)
+		ends[nS+i] = len(fs)
+	}
+	tc := g.TensorCore && t.TensorCoreEligible() && g.tcAlignable()
+	x := Schedule{SpatialTiles: sp[:nS], ReduceTiles: rp[:nR], UseShared: t.Tiled(), TensorCore: tc}
+	y := Schedule{SpatialTiles: sp[nS:], ReduceTiles: rp[nR:], UseShared: t.Tiled(), TensorCore: tc}
+	cur, other := &x, &y
+	var rejected *Schedule
 	for i := 0; i < attempts; i++ {
-		s := g.randomOnce(rng)
-		if g.Fits(s) {
-			if s.TensorCore && !g.tcAligned(s) {
+		g.drawInto(rng, cur, fs, ends)
+		if g.Fits(cur) {
+			if cur.TensorCore && !g.tcAligned(cur) {
 				continue
 			}
-			return s
+			return cur.Clone()
 		}
-		best = s
+		rejected = cur
+		cur, other = other, cur
 	}
 	// Fall back to clamping: force thread and shared-memory budgets. The
 	// clamps move factors without regard to the wmma fragment, so a
 	// schedule they leave misaligned runs on the CUDA cores instead.
-	if best == nil {
-		best = g.randomOnce(rng)
+	if rejected == nil {
+		g.drawInto(rng, cur, fs, ends)
+		rejected = cur
 	}
-	g.clampThreads(best)
-	g.clampShared(best)
-	if best.TensorCore && !g.tcAligned(best) {
-		best.TensorCore = false
+	g.clampThreads(rejected)
+	g.clampShared(rejected)
+	if rejected.TensorCore && !g.tcAligned(rejected) {
+		rejected.TensorCore = false
 	}
-	return best
+	return rejected.Clone()
 }
 
 // clampShared moves reduction factors from the shared-resident levels to
@@ -392,23 +440,24 @@ func (g *Generator) clampShared(s *Schedule) {
 	}
 }
 
-func (g *Generator) randomOnce(rng *rand.Rand) *Schedule {
-	t := g.Task
-	s := &Schedule{
-		SpatialTiles: make([][NumSpatialLevels]int, len(t.Spatial)),
-		ReduceTiles:  make([][NumReduceLevels]int, len(t.Reduce)),
-		UnrollStep:   UnrollSteps[rng.Intn(len(UnrollSteps))],
-		VectorLen:    VectorLens[rng.Intn(len(VectorLens))],
-		UseShared:    t.Tiled(),
-		TensorCore:   g.TensorCore && t.TensorCoreEligible() && g.tcAlignable(),
+// drawInto draws s's annotations and tiles — the unroll step, the vector
+// length, then each axis's factors scattered over its levels — from fs,
+// the task's prime factors with axis i's ending at ends[i]. s's tile
+// counts and flags are the task's; drawInto sets everything else.
+func (g *Generator) drawInto(rng *rand.Rand, s *Schedule, fs, ends []int) {
+	s.UnrollStep = UnrollSteps[rng.Intn(len(UnrollSteps))]
+	s.VectorLen = VectorLens[rng.Intn(len(VectorLens))]
+	lo := 0
+	for d := range s.SpatialTiles {
+		scatterFactors(rng, fs[lo:ends[d]], s.SpatialTiles[d][:])
+		lo = ends[d]
 	}
-	for d, e := range t.Spatial {
-		randomFactorization(rng, e, s.SpatialTiles[d][:])
+	for d := range s.ReduceTiles {
+		hi := ends[len(s.SpatialTiles)+d]
+		scatterFactors(rng, fs[lo:hi], s.ReduceTiles[d][:])
+		lo = hi
 	}
-	for d, e := range t.Reduce {
-		randomFactorization(rng, e, s.ReduceTiles[d][:])
-	}
-	if !t.Tiled() {
+	if !g.Task.Tiled() {
 		// Flat sketch: no vthread, no shared stage; fold everything beyond
 		// grid/thread into the serial inner levels.
 		for d := range s.SpatialTiles {
@@ -417,7 +466,6 @@ func (g *Generator) randomOnce(rng *rand.Rand) *Schedule {
 			tile[LvlVThread] = 1
 		}
 	}
-	return s
 }
 
 // tcAlignable reports whether any schedule of the task can satisfy
@@ -490,11 +538,25 @@ func (g *Generator) InitPopulation(rng *rand.Rand, n int) []*Schedule {
 	return out
 }
 
-// Mutate returns a mutated copy of s. Mutations move a prime factor
-// between two levels of one axis (the paper's tiling-factor
-// transformation), or flip an annotation.
+// Mutate returns a mutated copy of s, or s itself when the mutation
+// leaves it unchanged. Mutations move a prime factor between two levels
+// of one axis (the paper's tiling-factor transformation), or flip an
+// annotation.
+//
+// The candidate is built in call-local scratch, as Random's draws are,
+// and only a changed result is allocated. Handing back s itself is safe
+// because schedules are immutable once returned: no code outside the
+// generator writes one.
 func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
-	c := s.Clone()
+	var spBuf [draftAxes][NumSpatialLevels]int
+	var rpBuf [draftAxes][NumReduceLevels]int
+	c := scratchCopy(s, spBuf[:], rpBuf[:])
+	g.mutate(rng, &c, s)
+	return settle(&c, s, s)
+}
+
+// mutate applies Mutate's mutation to c, a copy of s.
+func (g *Generator) mutate(rng *rand.Rand, c, s *Schedule) {
 	nSpatial := len(c.SpatialTiles)
 	nReduce := len(c.ReduceTiles)
 	for attempt := 0; attempt < 8; attempt++ {
@@ -507,7 +569,7 @@ func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
 					c.SpatialTiles[d][LvlVThread] = 1
 				}
 				if g.Fits(c) && (!c.TensorCore || g.tcAligned(c)) {
-					return c
+					return
 				}
 				c.SpatialTiles[d] = s.SpatialTiles[d] // undo: the only tile touched
 			}
@@ -515,19 +577,46 @@ func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
 			d := rng.Intn(nReduce)
 			if g.moveFactor(rng, c.ReduceTiles[d][:]) {
 				if g.Fits(c) && (!c.TensorCore || g.tcAligned(c)) {
-					return c
+					return
 				}
 				c.ReduceTiles[d] = s.ReduceTiles[d]
 			}
 		case choice == 8:
 			c.UnrollStep = UnrollSteps[rng.Intn(len(UnrollSteps))]
-			return c
+			return
 		default:
 			c.VectorLen = VectorLens[rng.Intn(len(VectorLens))]
-			return c
+			return
 		}
 	}
-	return c
+}
+
+// scratchCopy returns a copy of s whose tile rows live in sp and rp when
+// they are long enough (in fresh rows otherwise).
+func scratchCopy(s *Schedule, sp [][NumSpatialLevels]int, rp [][NumReduceLevels]int) Schedule {
+	sp, rp = rowsOn(sp, len(s.SpatialTiles)), rowsOn(rp, len(s.ReduceTiles))
+	copy(sp, s.SpatialTiles)
+	copy(rp, s.ReduceTiles)
+	return Schedule{
+		SpatialTiles: sp,
+		ReduceTiles:  rp,
+		UnrollStep:   s.UnrollStep,
+		VectorLen:    s.VectorLen,
+		UseShared:    s.UseShared,
+		TensorCore:   s.TensorCore,
+	}
+}
+
+// settle returns the parent a genetic operator's scratch result c equals,
+// or a heap copy of c when it equals neither.
+func settle(c, a, b *Schedule) *Schedule {
+	switch {
+	case c.Same(a):
+		return a
+	case c.Same(b):
+		return b
+	}
+	return c.Clone()
 }
 
 // moveFactor transfers one prime factor between two random levels of a
@@ -557,9 +646,13 @@ func (g *Generator) moveFactor(rng *rand.Rand, tile []int) bool {
 	return true
 }
 
-// Crossover combines per-axis tiles of two parents.
+// Crossover combines per-axis tiles of two parents. A result that
+// breaks the budgets gives a back, and one that equals a parent gives that
+// parent: like Mutate, Crossover allocates only a new schedule.
 func (g *Generator) Crossover(rng *rand.Rand, a, b *Schedule) *Schedule {
-	c := a.Clone()
+	var spBuf [draftAxes][NumSpatialLevels]int
+	var rpBuf [draftAxes][NumReduceLevels]int
+	c := scratchCopy(a, spBuf[:], rpBuf[:])
 	for d := range c.SpatialTiles {
 		if rng.Intn(2) == 1 {
 			c.SpatialTiles[d] = b.SpatialTiles[d]
@@ -576,8 +669,8 @@ func (g *Generator) Crossover(rng *rand.Rand, a, b *Schedule) *Schedule {
 	if rng.Intn(2) == 1 {
 		c.VectorLen = b.VectorLen
 	}
-	if !g.Fits(c) || (c.TensorCore && !g.tcAligned(c)) {
-		return a.Clone()
+	if !g.Fits(&c) || (c.TensorCore && !g.tcAligned(&c)) {
+		return a
 	}
-	return c
+	return settle(&c, a, b)
 }

@@ -50,15 +50,15 @@ func TestMutateCrossoverPreserveValidity(t *testing.T) {
 	}
 }
 
-// TestFactorizationProperty: random factorisations always multiply back to
-// the extent (property-based).
+// TestFactorizationProperty: an extent's primes scattered over a tile
+// always multiply back to the extent (property-based).
 func TestFactorizationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(extent16 uint16, parts8 uint8) bool {
 		extent := int(extent16%4096) + 1
 		parts := int(parts8%5) + 1
 		fs := make([]int, parts)
-		randomFactorization(rng, extent, fs)
+		scatterFactors(rng, appendPrimeFactors(nil, extent), fs)
 		p := 1
 		for _, v := range fs {
 			if v <= 0 {

@@ -165,7 +165,8 @@ func TestOrderingsMatchSliceStable(t *testing.T) {
 				t.Fatalf("trial %d: drainRanked[%d] differs from sort.SliceStable", trial, i)
 			}
 		}
-		// ... and the PriorFilter cut of it.
+		// ... and the PriorFilter cut of it, from any arrangement.
+		rng.Shuffle(len(spec.list), func(i, j int) { spec.list[i], spec.list[j] = spec.list[j], spec.list[i] })
 		pruneSpec(spec, k)
 		if len(spec.list) != k {
 			t.Fatalf("trial %d: pruneSpec left %d of %d, want %d", trial, len(spec.list), n, k)

@@ -195,19 +195,22 @@ func (t *specSet) add(c scored) (int, bool) {
 	return i, added
 }
 
-// drainRanked ranks a candidate set's entries in place and returns them,
-// best first, ties broken by ascending fingerprint (compared without
-// building the strings). That is a total order over the set's distinct
-// schedules, so the result depends on neither the order entries were
-// added in nor the sort's stability, and the cheaper unstable sort
-// yields it.
+// bestFirst is the ranking order of a candidate set: higher score first,
+// ties broken by ascending fingerprint (compared without building the
+// strings). That is a total order over the set's distinct schedules.
+func bestFirst(a, b scored) int {
+	if c := byScore(a, b); c != 0 {
+		return c
+	}
+	return schedule.CompareFingerprints(a.sch, b.sch)
+}
+
+// drainRanked ranks a candidate set's entries in place under bestFirst
+// and returns them. The order is total, so the result depends on neither
+// the order entries were added in nor the sort's stability, and the
+// cheaper unstable sort yields it.
 func drainRanked(t *specSet) []scored {
-	slices.SortFunc(t.list, func(a, b scored) int {
-		if c := byScore(a, b); c != 0 {
-			return c
-		}
-		return schedule.CompareFingerprints(a.sch, b.sch)
-	})
+	slices.SortFunc(t.list, bestFirst)
 	return t.list
 }
 
@@ -295,10 +298,17 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, f fitness, bou
 	}
 	pop = append(pop, ctx.Gen.InitPopulation(ctx.RNG, p.Population-len(pop))...)
 
-	all := newSpecSet(p.Population)
+	// The set grows to one population past the bound under PriorFilter,
+	// and to every generation's members without it.
+	size := p.Population * p.Generations
+	if bound > 0 {
+		size = min(size, bound+p.Population)
+	}
+	all := newSpecSet(size)
 	at := make([]int, 0, p.Population)                   // each member's index in all
 	fresh := make([]*schedule.Schedule, 0, p.Population) // the members new to all
 	cands := make([]scored, 0, p.Population)
+	var b breeder
 	for gen := 0; gen < p.Generations; gen++ {
 		if ctx.cancelled() {
 			break // the tuner discards rounds whose search was cut short
@@ -327,15 +337,20 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, f fitness, bou
 		if gen == p.Generations-1 {
 			break
 		}
-		pop = nextGeneration(ctx, p, cands)
+		// cands holds every member, so the next generation can take pop's
+		// storage.
+		pop = b.breed(ctx, p, cands, pop[:0])
 	}
 	return drainRanked(all)
 }
 
 // pruneSpec is PriorFilter: it trims a candidate set to its k best
-// entries in place.
+// entries in place. It selects them rather than ranking the set: which k
+// are best under bestFirst, a total order, does not depend on how they
+// are arranged, and only evolve's final drainRanked orders them.
 func pruneSpec(spec *specSet, k int) {
-	kept := drainRanked(spec)[:k]
+	selectBest(spec.list, k)
+	kept := spec.list[:k]
 	spec.ids.Reset()
 	for _, c := range kept {
 		spec.ids.Add(c.sch)
@@ -343,15 +358,68 @@ func pruneSpec(spec *specSet, k int) {
 	spec.list = kept
 }
 
+// selectBest moves the k best entries of list under bestFirst to its
+// front, in no particular order: a quickselect (median-of-three pivot,
+// Lomuto partition), whose expected comparisons grow linearly with
+// len(list) where a sort's grow as len(list)·log₂len(list). The entries
+// must be distinct schedules, as a specSet's are.
+func selectBest(list []scored, k int) {
+	lo, hi := 0, len(list) // list[:lo] are among the k best, list[hi:] not
+	for lo < k && k < hi && hi-lo > 1 {
+		m, last := lo+(hi-lo)/2, hi-1
+		if bestFirst(list[m], list[lo]) < 0 {
+			list[m], list[lo] = list[lo], list[m]
+		}
+		if bestFirst(list[last], list[m]) < 0 {
+			list[last], list[m] = list[m], list[last]
+			if bestFirst(list[m], list[lo]) < 0 {
+				list[m], list[lo] = list[lo], list[m]
+			}
+		}
+		// The median of the three is the pivot; park it at the end.
+		list[m], list[last] = list[last], list[m]
+		pivot, p := list[last], lo
+		for i := lo; i < last; i++ {
+			if bestFirst(list[i], pivot) < 0 {
+				list[i], list[p] = list[p], list[i]
+				p++
+			}
+		}
+		list[p], list[last] = list[last], list[p]
+		// Now list[lo:p] beat the pivot at list[p], which beats list[p+1:hi].
+		if k <= p {
+			hi = p
+		} else {
+			lo = p + 1
+		}
+	}
+}
+
 // nextGeneration breeds a new population with fitness-proportional parent
 // selection (softmax over ranks) plus mutation and crossover.
 func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Schedule {
-	rankStable(cands)
-	ranks := newRankSampler(len(cands))
-	sample := func() *schedule.Schedule {
-		return cands[ranks.pick(ctx.RNG.Float64()*ranks.sum())].sch
+	var b breeder
+	return b.breed(ctx, p, cands, make([]*schedule.Schedule, 0, p.Population))
+}
+
+// breeder is nextGeneration's storage, which evolve keeps from one
+// generation to the next: the rank sampler, which depends only on the
+// population size, and rankStable's buffer.
+type breeder struct {
+	ranks rankSampler
+	order []indexed
+}
+
+// breed is nextGeneration, appending the new population to next. It ranks
+// cands in place.
+func (b *breeder) breed(ctx *Context, p EvoParams, cands []scored, next []*schedule.Schedule) []*schedule.Schedule {
+	b.rank(cands)
+	if len(b.ranks.prefix) != len(cands) {
+		b.ranks = newRankSampler(len(cands))
 	}
-	next := make([]*schedule.Schedule, 0, p.Population)
+	sample := func() *schedule.Schedule {
+		return cands[b.ranks.pick(ctx.RNG.Float64()*b.ranks.sum())].sch
+	}
 	// Elitism: carry the top 5%.
 	elite := len(cands) / 20
 	for i := 0; i < elite && i < len(cands); i++ {
@@ -374,23 +442,32 @@ func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Sched
 // sort's permutation, from the cheaper unstable sort over (score, input
 // index), a total order.
 func rankStable(cands []scored) {
-	type indexed struct {
-		scored
-		at int
-	}
-	tmp := make([]indexed, len(cands))
+	var b breeder
+	b.rank(cands)
+}
+
+// indexed is a candidate with its input position, rankStable's sort key.
+type indexed struct {
+	scored
+	at int
+}
+
+// rank is rankStable over the breeder's buffer.
+func (b *breeder) rank(cands []scored) {
+	order := b.order[:0]
 	for i, c := range cands {
-		tmp[i] = indexed{c, i}
+		order = append(order, indexed{c, i})
 	}
-	slices.SortFunc(tmp, func(a, b indexed) int {
+	slices.SortFunc(order, func(a, b indexed) int {
 		if c := byScore(a.scored, b.scored); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.at, b.at)
 	})
-	for i := range tmp {
-		cands[i] = tmp[i].scored
+	for i := range order {
+		cands[i] = order[i].scored
 	}
+	b.order = order
 }
 
 // rankSampler draws rank i of n with probability proportional to

@@ -17,7 +17,8 @@ import (
 // session gave up: on batch cancelAt it cancels the session, waits until
 // Tune has returned — every round memo the session drew is released by
 // then — then measures the batch anyway and reports the cancellation.
-// Measurement lowers its own batch, so the late one reads no memo.
+// Measurement lowers its batch into a memo of its own, so the late one
+// reads no round memo.
 type lateMeasurer struct {
 	inner    *measure.Sim
 	cancelAt int
