@@ -91,18 +91,18 @@ serve-e2e:
 serve-lifecycle:
 	$(GO) test -race -count=3 -v -run 'TestServerCancel|TestServerShutdown|TestServerAdmission|TestJobPanic' ./internal/server/...
 
-# The round memo's life cycle under -race, three times over: a round on
-# a released memo against heap lowerings, release twice and lowering
-# after release, another task on a released memo, concurrent Lower and
-# Rows, the session fit memo that replicas of every task share, and
-# whole sessions (golden, golden matrix, adaptive, cancelled
-# mid-measurement) with parked memos poisoned. plan draws each round
-# memo and releases it on return, so a verify after the release fails by
-# name; measurement lowers its batch into a memo of its own, so one that
-# outlives its cancelled session reads no round memo.
+# The memo life cycle under -race, three times over: a round on a
+# released memo against heap lowerings, release twice and lowering after
+# release, another task on a released memo, concurrent Lower and Rows,
+# a fit handing its replicas one lowering per record and leaving the same
+# weights with its released memos poisoned, and whole sessions (golden,
+# golden matrix, adaptive, cancelled mid-measurement) with parked memos
+# poisoned. plan, each fit and each in-process measurement draw a memo
+# of their own and release it on return, so a read after the release
+# fails by name or moves a fingerprint.
 memo-lifecycle:
 	$(GO) test -race -count=3 -v -run '^TestMemo' ./internal/schedule
-	$(GO) test -race -count=3 -v -run '^TestFitFeatureCacheLowersOnce$$' ./internal/costmodel
+	$(GO) test -race -count=3 -v -run '^(TestFitLowersEachRecordOnce|TestFitReleasedMemoPoisoned)$$' ./internal/costmodel
 	$(GO) test -race -count=3 -v -run '^TestRoundMemoPoisonedSessions$$' ./internal/tuner
 
 # The measurement-fleet end-to-end suite under -race: pruner-serve with a
@@ -123,8 +123,10 @@ measure-e2e:
 
 # The CLIs end to end. pruner-tune: two workloads tuned side by side on
 # the one pool -parallelism sizes must print the same curves and log the
-# same records at 1 worker and at 3, and -pipeline-depth math.MaxInt (a
-# window past the round count) must run to completion. pruner-bench -all:
+# same records at 1 worker and at 3, -pipeline-depth math.MaxInt (a
+# window past the round count) must run to completion, and a session
+# whose only measurer is an unreachable loopback worker must exit 1 with
+# the backend's error on stderr. pruner-bench -all:
 # every experiment fanned out on that pool, each run with a fresh weights
 # cache, must print the same tables at 1 worker and at 3 once the
 # "[<id> done in <t>]" timing lines are dropped (~2.5 min on 2 vCPUs).
@@ -138,6 +140,9 @@ cli-smoke:
 	cmp $$dir/p1.out $$dir/p3.out && cmp $$dir/p1.jsonl $$dir/p3.jsonl && \
 	$$dir/pruner-tune $(CLI_SMOKE_ARGS) -pipeline-depth 9223372036854775807 > /dev/null && \
 	echo "cli-smoke: pruner-tune stdout and record logs identical at -parallelism 1 and 3" && \
+	{ $$dir/pruner-tune -net bert_tiny -trials 10 -max-tasks 1 -measurers http://127.0.0.1:1 > /dev/null 2> $$dir/down.err; \
+	  test $$? -eq 1; } && grep -q 'measurement backend failed' $$dir/down.err && \
+	echo "cli-smoke: pruner-tune exits 1 and names the error when its measurer is down" && \
 	$$dir/pruner-bench -all -parallelism 1 -cache $$dir/cache1 > $$dir/b1.raw && \
 	$$dir/pruner-bench -all -parallelism 3 -cache $$dir/cache3 > $$dir/b3.raw && \
 	sed '/^\[.* done in .*\]$$/d' $$dir/b1.raw > $$dir/b1.out && \

@@ -99,6 +99,9 @@ func main() {
 				urls = append(urls, u)
 			}
 		}
+		if len(urls) == 0 {
+			fatalIf(fmt.Errorf("-measurers needs at least one worker URL"))
+		}
 		cfg.Measurer = pruner.NewFleet(urls)
 		if *depth == 0 {
 			// A fleet's natural pipeline depth is its worker count: keep
@@ -196,18 +199,23 @@ func main() {
 		return s
 	})
 	// A failed session must not discard the others' paid-for work: print
-	// and log every successful session first, then exit non-zero.
-	var firstErr error
-	for _, s := range sessions {
+	// and log every session's committed rounds first, then exit non-zero.
+	// A session the measurement backend stopped failed too, after
+	// committing a prefix of its budget.
+	failed := false
+	for i, s := range sessions {
 		if s.err != nil {
 			fmt.Fprintln(os.Stderr, "pruner-tune:", s.err)
-			if firstErr == nil {
-				firstErr = s.err
-			}
+			failed = true
 			continue
 		}
 		os.Stdout.Write(s.out.Bytes())
 		os.Stderr.Write(s.status.Bytes())
+		if err := s.res.MeasureErr; err != nil {
+			fmt.Fprintf(os.Stderr, "pruner-tune: %s: measurement backend failed after %d measurements: %v\n",
+				names[i], len(s.res.Records)-s.res.Warm, err)
+			failed = true
+		}
 	}
 
 	// Persist only the new measurements (the warm prefix already lives in
@@ -239,7 +247,7 @@ func main() {
 		fatalIf(f.Close())
 		fmt.Fprintf(os.Stderr, "wrote pipeline trace to %s\n", *traceOut)
 	}
-	if firstErr != nil {
+	if failed {
 		os.Exit(1)
 	}
 }

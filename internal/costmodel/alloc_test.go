@@ -12,18 +12,12 @@ import (
 // package's TestAlloc* gates and the measured twin of the hotalloc
 // analyzer over the //pruner:hotpath replica.step: once the arena a step
 // draws has warmed to a group's shapes (the pool hands back the arena
-// the last step parked), one training pass — lowering through
-// the session's fit memo, batch assembly and dedup, the tape forward, the
-// LambdaRank loss and the backward into the replica's gradients — allocates
-// nothing, for every learned model.
+// the last step parked), one training pass over a batch of lowerings —
+// batch assembly and dedup, the tape forward, the LambdaRank loss and the
+// backward into the replica's gradients — allocates nothing, for every
+// learned model.
 func TestAllocFitStep(t *testing.T) {
-	recs := multiTaskRecords(t, 1, 40, 43)
-	lats := make([]float64, len(recs))
-	for i, r := range recs {
-		lats[i] = r.Latency
-	}
-	b := trainBatch{task: recs[0].Task, recs: recs, rel: Relevances(lats)}
-	memo := schedule.NewMemo()
+	b := batchOf(multiTaskRecords(t, 1, 40, 43))
 	for _, tc := range []struct {
 		name string
 		tr   *trainer
@@ -34,8 +28,8 @@ func TestAllocFitStep(t *testing.T) {
 	} {
 		tc.tr.grow(1)
 		rep := tc.tr.reps[0]
-		step := func() { rep.step(b, memo) }
-		step() // warm the arena and the lowering cache
+		step := func() { rep.step(b) }
+		step() // warm the arena and the lowerings' feature caches
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
 			t.Errorf("%s: %v allocs per warmed fit step, want 0", tc.name, avg)
 		}

@@ -34,12 +34,12 @@ func perRecordStep(one func(*schedule.Lowered) *nn.Tensor) stepFn {
 }
 
 // BenchmarkFit measures the online-training hot path: the data-parallel
-// macro-batch engine (with its session feature cache, as the tuner runs
-// it) against the retained pre-engine serial loop, for the two heaviest
-// learned models. EXPERIMENTS.md records the before/after numbers; CI's
-// bench-smoke keeps the harness alive. The fitted parameters at p=1 and
-// p=8 are bitwise identical (TestFitDeterministicAcrossWorkers) — only
-// wall-clock may move.
+// macro-batch engine (lowering each record once per call) against the
+// retained pre-engine serial loop, for the two heaviest learned models.
+// EXPERIMENTS.md records the before/after numbers; CI's bench-smoke keeps
+// the harness alive. The fitted parameters at p=1 and p=8 are bitwise
+// identical (TestFitDeterministicAcrossWorkers) — only wall-clock may
+// move.
 func BenchmarkFit(b *testing.B) {
 	recs := multiTaskRecords(b, 16, 48, 21)
 	opt := FitOptions{Epochs: 4, Seed: 2}
@@ -52,7 +52,7 @@ func BenchmarkFit(b *testing.B) {
 		build := builders[kind]
 		// The reference arm is the pre-engine path end to end: the serial
 		// per-group-step loop driving the per-candidate forward (one small
-		// graph per record, concatenated), with no session feature cache.
+		// graph per record, concatenated).
 		b.Run(kind+"/reference", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -72,10 +72,8 @@ func BenchmarkFit(b *testing.B) {
 					b.StopTimer()
 					m := build()
 					m.(PoolUser).SetPool(parallel.New(workers))
-					sessionOpt := opt
-					sessionOpt.Cache = schedule.NewMemo()
 					b.StartTimer()
-					m.Fit(recs, sessionOpt)
+					m.Fit(recs, opt)
 				}
 			})
 		}

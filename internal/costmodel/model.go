@@ -37,16 +37,12 @@ const macroBatch = 8
 
 // FitOptions configures one training call. Every fit runs at the
 // learning rate its model was built with (TLP's is deliberately higher).
+// A fit lowers (and, through Lowered's feature cache, featurizes) each
+// record once per call, into a memo of its own that it releases on
+// return (rankFit).
 type FitOptions struct {
 	Epochs int
 	Seed   int64
-	// Cache, when non-nil, memoizes the lowering (and, through Lowered's
-	// feature cache, the featurization) of training records across epochs
-	// and Fit calls. The tuner passes one memo per session, shared by
-	// every task: records are append-only and features deterministic, so
-	// each record is lowered and featurized once per session instead of
-	// once per epoch x round.
-	Cache *schedule.Memo
 }
 
 func (o FitOptions) withDefaults() FitOptions {
@@ -129,24 +125,28 @@ func Relevances(lats []float64) []float64 {
 	return rel
 }
 
-// group is the per-task training unit used by the shared ranking trainer.
+// group is the per-task training unit used by the shared ranking trainer:
+// each record's lowering next to its latency.
 type group struct {
 	task *ir.Task
-	recs []Record
+	lws  []*schedule.Lowered
+	lats []float64
 }
 
-// groupByTask splits records into per-task groups with stable order.
-func groupByTask(recs []Record) []group {
+// groupByTask splits records into per-task groups with stable order;
+// lws[i] is recs[i]'s lowering.
+func groupByTask(recs []Record, lws []*schedule.Lowered) []group {
 	idx := map[string]int{}
 	var groups []group
-	for _, r := range recs {
-		i, ok := idx[r.Task.ID]
+	for i, r := range recs {
+		k, ok := idx[r.Task.ID]
 		if !ok {
-			i = len(groups)
-			idx[r.Task.ID] = i
+			k = len(groups)
+			idx[r.Task.ID] = k
 			groups = append(groups, group{task: r.Task})
 		}
-		groups[i].recs = append(groups[i].recs, r)
+		groups[k].lws = append(groups[k].lws, lws[i])
+		groups[k].lats = append(groups[k].lats, r.Latency)
 	}
 	return groups
 }
@@ -156,12 +156,12 @@ func groupByTask(recs []Record) []group {
 type forwardFn func(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor
 
 // trainBatch is one group's ready-to-train slice of an epoch: the
-// (possibly subsampled) records plus their relevance labels. Batches are
-// composed on the serial path — every random draw happens there — and
-// only then fanned out to workers.
+// (possibly subsampled) lowerings plus their relevance labels. Batches
+// are composed on the serial path — every random draw happens there —
+// and only then fanned out to workers.
 type trainBatch struct {
 	task *ir.Task
-	recs []Record
+	lws  []*schedule.Lowered
 	rel  []float64
 }
 
@@ -172,46 +172,49 @@ func epochBatches(groups []group, rng *rand.Rand) []trainBatch {
 	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
 	var batches []trainBatch
 	for _, g := range groups {
-		recs := g.recs
-		if len(recs) > maxGroup {
-			sub := make([]Record, len(recs))
-			copy(sub, recs)
-			rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
-			recs = sub[:maxGroup]
+		lws, lats := g.lws, g.lats
+		if len(lws) > maxGroup {
+			lws = append([]*schedule.Lowered(nil), lws...)
+			lats = append([]float64(nil), lats...)
+			rng.Shuffle(len(lws), func(i, j int) {
+				lws[i], lws[j] = lws[j], lws[i]
+				lats[i], lats[j] = lats[j], lats[i]
+			})
+			lws, lats = lws[:maxGroup], lats[:maxGroup]
 		}
-		if len(recs) < 2 {
+		if len(lws) < 2 {
 			continue
 		}
-		lats := make([]float64, len(recs))
-		for i, r := range recs {
-			lats[i] = r.Latency
-		}
-		batches = append(batches, trainBatch{task: g.task, recs: recs, rel: Relevances(lats)})
+		batches = append(batches, trainBatch{task: g.task, lws: lws, rel: Relevances(lats)})
 	}
 	return batches
 }
 
-// rankFit is the shared LambdaRank training engine: each epoch's task
-// groups are sharded across the session pool in macro-batches of size
-// task groups (macroBatch in every product fit). Group j of a macro-batch runs
-// its forward/backward on the trainer's replica j (weights aliased to the
-// live model, gradients in the replica's own buffers); the replicas'
-// gradients are then averaged in fixed group order and applied with one
-// Adam step per macro-batch. Because every random draw stays on the serial
-// path and the reduction order is fixed, the fitted parameters are bitwise
-// identical at any worker count — the same bar the batched inference
-// engine holds (TestFitDeterministicAcrossWorkers).
+// rankFit is the shared LambdaRank training engine. It lowers every
+// record once, fanned over the pool, into a memo it draws for the call
+// and releases on return, so no lowering or feature row outlives the fit.
+// Each epoch's task groups are then sharded across the session pool in
+// macro-batches of size task groups (macroBatch in every product fit).
+// Group j of a macro-batch runs its forward/backward on the trainer's
+// replica j (weights aliased to the live model, gradients in the
+// replica's own buffers); the replicas' gradients are then averaged in
+// fixed group order and applied with one Adam step per macro-batch.
+// Because every random draw stays on the serial path and the reduction
+// order is fixed, the fitted parameters are bitwise identical at any
+// worker count — the same bar the batched inference engine holds
+// (TestFitDeterministicAcrossWorkers).
 func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, seed int64, tr *trainer, size int) FitReport {
 	opt = opt.withDefaults()
-	groups := groupByTask(recs)
-	report := FitReport{Loss: math.NaN()}
-	if len(groups) == 0 {
+	report := FitReport{Loss: math.NaN(), Samples: len(recs)}
+	if len(recs) == 0 {
 		return report
 	}
+	memo := schedule.NewMemo()
+	defer memo.Release()
+	lws := make([]*schedule.Lowered, len(recs))
+	pool.ForEach(len(recs), func(i int) { lws[i] = memo.Lower(recs[i].Task, recs[i].Sched) })
+	groups := groupByTask(recs, lws)
 	rng := rand.New(rand.NewSource(seed ^ opt.Seed))
-	for _, g := range groups {
-		report.Samples += len(g.recs)
-	}
 	losses := make([]float64, size)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		batches := epochBatches(groups, rng)
@@ -220,7 +223,7 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 			chunk := batches[lo:min(lo+size, len(batches))]
 			tr.grow(len(chunk))
 			pool.ForEach(len(chunk), func(j int) {
-				losses[j] = tr.reps[j].step(chunk[j], opt.Cache)
+				losses[j] = tr.reps[j].step(chunk[j])
 			})
 			// Serial reduction in fixed group order, then one step over the
 			// averaged macro-batch gradient (averaging keeps the per-step
@@ -231,7 +234,7 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 			for j := range chunk {
 				nn.AddGrads(tr.params, tr.reps[j].params, scale)
 				epochLoss += losses[j]
-				report.SampleVisits += len(chunk[j].recs)
+				report.SampleVisits += len(chunk[j].lws)
 			}
 			adam.Step()
 			report.Batches += len(chunk)

@@ -38,11 +38,12 @@ func TestGroupByTask(t *testing.T) {
 		{Task: b, Sched: g.Random(rng), Latency: 2},
 		{Task: a, Sched: g.Random(rng), Latency: 3},
 	}
-	groups := groupByTask(recs)
+	lws := []*schedule.Lowered{{}, {}, {}}
+	groups := groupByTask(recs, lws)
 	if len(groups) != 2 {
 		t.Fatalf("%d groups, want 2", len(groups))
 	}
-	if len(groups[0].recs) != 2 || groups[0].task != a {
+	if g := groups[0]; g.task != a || len(g.lws) != 2 || g.lws[0] != lws[0] || g.lws[1] != lws[2] || g.lats[1] != 3 {
 		t.Fatal("grouping broken")
 	}
 }

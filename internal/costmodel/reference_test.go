@@ -107,36 +107,51 @@ func groupStep(forward forwardFn) stepFn {
 }
 
 // rankFitReference is the serial fit loop — one optimiser step per task
-// group — the ground truth for the trainer's equivalence tests and
-// BenchmarkFit's baseline arm.
+// group, every record lowered by plain schedule.Lower — the ground truth
+// for the trainer's equivalence tests and BenchmarkFit's baseline arm.
 func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, step stepFn, seed int64) FitReport {
 	opt = opt.withDefaults()
-	groups := groupByTask(recs)
+	groups := groupByTask(recs, lowerAll(recs))
 	report := FitReport{Loss: math.NaN()}
 	if len(groups) == 0 {
 		return report
 	}
 	rng := rand.New(rand.NewSource(seed ^ opt.Seed))
 	for _, g := range groups {
-		report.Samples += len(g.recs)
+		report.Samples += len(g.lws)
 	}
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		batches := epochBatches(groups, rng)
 		var epochLoss float64
 		for _, b := range batches {
-			lws := make([]*schedule.Lowered, len(b.recs))
-			for i, r := range b.recs {
-				lws[i] = opt.Cache.Lower(b.task, r.Sched)
-			}
 			adam.ZeroGrad()
-			epochLoss += step(lws, b.rel)
+			epochLoss += step(b.lws, b.rel)
 			adam.Step()
 			report.Batches++
-			report.SampleVisits += len(b.recs)
+			report.SampleVisits += len(b.lws)
 		}
 		if len(batches) > 0 {
 			report.Loss = epochLoss / float64(len(batches))
 		}
 	}
 	return report
+}
+
+// lowerAll lowers each record with plain schedule.Lower, on the heap.
+func lowerAll(recs []Record) []*schedule.Lowered {
+	lws := make([]*schedule.Lowered, len(recs))
+	for i, r := range recs {
+		lws[i] = schedule.Lower(r.Task, r.Sched)
+	}
+	return lws
+}
+
+// batchOf is one task's records as a training batch: their heap
+// lowerings and relevance labels.
+func batchOf(recs []Record) trainBatch {
+	lats := make([]float64, len(recs))
+	for i, r := range recs {
+		lats[i] = r.Latency
+	}
+	return trainBatch{task: recs[0].Task, lws: lowerAll(recs), rel: Relevances(lats)}
 }

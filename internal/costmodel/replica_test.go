@@ -87,12 +87,7 @@ func TestTrainerReplicaPerPosition(t *testing.T) {
 
 	// Two steps on one batch leave the same gradient bits: each step
 	// zeroes the replica's gradients before its backward accumulates.
-	recs := distinctTaskRecords(t, 1, 12, 37)
-	lats := make([]float64, len(recs))
-	for i, r := range recs {
-		lats[i] = r.Latency
-	}
-	b := trainBatch{task: recs[0].Task, recs: recs, rel: Relevances(lats)}
+	b := batchOf(distinctTaskRecords(t, 1, 12, 37))
 	tr := NewTenSetMLP(23).trainer()
 	tr.grow(1)
 	rep := tr.reps[0]
@@ -105,9 +100,9 @@ func TestTrainerReplicaPerPosition(t *testing.T) {
 		}
 		return bits
 	}
-	rep.step(b, nil)
+	rep.step(b)
 	once := snapshot()
-	rep.step(b, nil)
+	rep.step(b)
 	twice := snapshot()
 	nonzero := false
 	for i := range once {

@@ -1,9 +1,6 @@
 package costmodel
 
-import (
-	"pruner/internal/nn"
-	"pruner/internal/schedule"
-)
+import "pruner/internal/nn"
 
 // The data-parallel training engine's per-model state. rankFit (model.go)
 // shards each epoch's task groups across the session pool; the trainer
@@ -16,35 +13,28 @@ import (
 // replica is one macro-batch position's copy of a model's forward
 // program: its parameters alias the live weights (nn.AliasParams) but
 // keep their own Grad buffers, so concurrent group gradients never touch
-// shared memory. lws holds the group's lowerings, reused group after
-// group; the arena a pass builds on — batch rows, tape nodes, gradients,
-// backward temporaries — is drawn per step from the pool verify's predict
-// chunks share (scratchPool).
+// shared memory. The arena a pass builds on — batch rows, tape nodes,
+// gradients, backward temporaries — is drawn per step from the pool
+// verify's predict chunks share (scratchPool).
 type replica struct {
 	forward forwardFn
 	params  []*nn.Tensor
-	lws     []*schedule.Lowered
 }
 
-// step is one group's training pass on the replica: lower the records
-// through memo, zero the replica's gradients, forward, LambdaRank loss and
-// backward, leaving the group's parameter gradients in r.params' Grad. The
-// arena comes from the shared pool and goes back once the loss is read, so
-// with warmed arenas the whole pass runs without touching the heap
-// (TestAllocFitStep). It returns the group's loss.
+// step is one group's training pass on the replica: zero the replica's
+// gradients, forward over the batch's lowerings, LambdaRank loss and
+// backward, leaving the group's parameter gradients in r.params' Grad.
+// The arena comes from the shared pool and goes back once the loss is
+// read, so with warmed arenas the whole pass runs without touching the
+// heap (TestAllocFitStep). It returns the group's loss.
 //
 //pruner:hotpath
-func (r *replica) step(b trainBatch, memo *schedule.Memo) float64 {
-	lws := r.lws[:0]
-	for _, rec := range b.recs {
-		lws = append(lws, memo.Lower(b.task, rec.Sched))
-	}
-	r.lws = lws
+func (r *replica) step(b trainBatch) float64 {
 	for _, p := range r.params {
 		clear(p.Grad)
 	}
 	a := getScratch()
-	loss := nn.LambdaRankLoss(r.forward(&a.Scratch, lws), b.rel)
+	loss := nn.LambdaRankLoss(r.forward(&a.Scratch, b.lws), b.rel)
 	nn.Backward(loss)
 	l := loss.Data[0]
 	putScratch(a)

@@ -6,10 +6,12 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pruner/internal/device"
 	"pruner/internal/ir"
+	"pruner/internal/nn"
 	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
@@ -184,27 +186,65 @@ func TestFitReportBatches(t *testing.T) {
 	}
 }
 
-// TestFitFeatureCacheLowersOnce pins the session's fit memo: one memo
-// serves every task's records, and across epochs and repeated Fit calls
-// (the tuner's rounds) each distinct record schedule is lowered — and
-// therefore featurized — exactly once.
-func TestFitFeatureCacheLowersOnce(t *testing.T) {
+// TestFitLowersEachRecordOnce pins the fit's lowering contract: one fit
+// over 3 task groups and 4 epochs hands its replicas exactly one
+// *Lowered per distinct record, the same one in every epoch, and so does
+// a second fit on the same model.
+func TestFitLowersEachRecordOnce(t *testing.T) {
 	recs := multiTaskRecords(t, 3, 16, 11)
 	distinct := map[*schedule.Schedule]bool{}
 	for _, r := range recs {
 		distinct[r.Sched] = true
 	}
 
-	memo := schedule.NewMemo()
 	m := NewPaCM(17)
 	m.SetPool(parallel.New(4))
-	opt := FitOptions{Epochs: 4, Seed: 12, Cache: memo}
-	m.Fit(recs, opt)      // round 1
-	m.Fit(recs, opt)      // round 2: everything already cached
-	m.Fit(recs[:10], opt) // round 3: subset, still cached
-
-	if got := memo.Len(); got != len(distinct) {
-		t.Fatalf("lowered %d programs across 3 fits x 4 epochs, want one per distinct record (%d)",
-			got, len(distinct))
+	tr := m.trainer()
+	tr.grow(macroBatch)
+	var mu sync.Mutex
+	var seen map[*schedule.Schedule]*schedule.Lowered
+	for _, rep := range tr.reps {
+		forward := rep.forward
+		rep.forward = func(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
+			mu.Lock()
+			for _, lw := range lws {
+				if prev := seen[lw.Sched]; prev != nil && prev != lw {
+					t.Errorf("a record's schedule reached the replicas as two lowerings")
+				}
+				seen[lw.Sched] = lw
+			}
+			mu.Unlock()
+			return forward(s, lws)
+		}
 	}
+	for call := 1; call <= 2; call++ {
+		seen = map[*schedule.Schedule]*schedule.Lowered{}
+		m.Fit(recs, FitOptions{Epochs: 4, Seed: 12})
+		if len(seen) != len(distinct) {
+			t.Fatalf("fit %d: replicas saw %d records' lowerings, want %d", call, len(seen), len(distinct))
+		}
+		for s := range seen {
+			if !distinct[s] {
+				t.Fatalf("fit %d: a replica saw a lowering of no record", call)
+			}
+		}
+	}
+}
+
+// TestFitReleasedMemoPoisoned checks that nothing reads a fit's memo
+// after the fit releases it: fits whose released memos are filled with
+// NaN (and then drawn again by the next fit) leave the same parameter
+// bits as fits without poisoning.
+func TestFitReleasedMemoPoisoned(t *testing.T) {
+	recs := multiTaskRecords(t, 3, 16, 13)
+	fits := func() Model {
+		m := NewPaCM(19)
+		m.SetPool(parallel.New(4))
+		m.Fit(recs, FitOptions{Epochs: 3, Seed: 5})
+		m.Fit(recs[:20], FitOptions{Epochs: 3, Seed: 6})
+		return m
+	}
+	clean := fits()
+	defer schedule.SetPoisonOnRelease(schedule.SetPoisonOnRelease(true))
+	paramsEqual(t, "poisoned vs clean", fits(), clean)
 }

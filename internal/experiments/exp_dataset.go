@@ -9,7 +9,6 @@ import (
 	"pruner/internal/dataset"
 	"pruner/internal/device"
 	"pruner/internal/ir"
-	"pruner/internal/schedule"
 )
 
 // testDataset builds (and caches) the §6.5 test split on a device: the
@@ -178,7 +177,7 @@ func Fig15(cfg Config) error {
 			if pu, ok := m.(costmodel.PoolUser); ok {
 				pu.SetPool(h.pool)
 			}
-			m.Fit(sub.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed, Cache: schedule.NewMemo()})
+			m.Fit(sub.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed})
 			h.printf(" %10.3f", test.TopK(1, func(s *dataset.TaskSet) []float64 { return predictSet(m, s) }))
 		}
 		h.printf("\n")
@@ -202,7 +201,7 @@ func Table11(cfg Config) error {
 			if pu, ok := m.(costmodel.PoolUser); ok {
 				pu.SetPool(h.pool)
 			}
-			m.Fit(train.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed, Cache: schedule.NewMemo()})
+			m.Fit(train.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: cfg.Seed})
 			score := func(s *dataset.TaskSet) []float64 { return predictSet(m, s) }
 			r := rows[kind]
 			if dev == device.T4 {

@@ -261,10 +261,7 @@ func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 		// the fitted weights are identical at any worker count.
 		pu.SetPool(h.pool)
 	}
-	m.Fit(ds.Records(), costmodel.FitOptions{
-		Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed,
-		Cache: schedule.NewMemo(), // once-per-record features across epochs
-	})
+	m.Fit(ds.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed})
 	if h.ctx.Err() != nil {
 		return tuner.SnapshotParams(m) // fitted on a partial dataset: never cache it
 	}

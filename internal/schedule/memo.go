@@ -21,12 +21,12 @@ import (
 //
 // A Memo owns its storage: the Lowered programs it stores and the
 // feature rows computed for them (Lowered.Rows) are carved from chunks
-// the memo holds. The tuner's plan draws one per round with NewMemo and
-// releases it on return; a session's online fits share one, released as
-// the session ends; measure.Sim draws one per batch it measures. Release
-// rewinds the chunks for the next memo drawn, and every *Lowered and
-// feature row drawn from a memo is valid only until then. A memo never
-// released dies with its last reference.
+// the memo holds. Each caller draws one with NewMemo and releases it on
+// return: the tuner's plan per round, the cost model's fit per call and
+// measure.Sim per batch it measures. Release rewinds the chunks for the
+// next memo drawn, and every *Lowered and feature row drawn from a memo
+// is valid only until then. A memo never released dies with its last
+// reference.
 type Memo struct {
 	mu sync.Mutex
 	m  map[*Schedule]*Lowered
@@ -57,9 +57,9 @@ const (
 // scratchPool is: the GC may empty a sync.Pool between rounds, and a
 // parked memo must keep its grown chunks for the next round. It has no
 // cap — its length converges to the peak number of memos in use at once:
-// per running session the round memo while plan runs and the fit memo,
-// and one per batch an in-process measurer is measuring — and the last
-// memo parked is the first drawn.
+// per running session the round memo while plan runs and the memo of the
+// fit in flight, and one per batch an in-process measurer is measuring —
+// and the last memo parked is the first drawn.
 var memoPool struct {
 	mu   sync.Mutex
 	free *Memo
@@ -169,8 +169,7 @@ func (m *Memo) slab(n, w int) ([]float64, [][]float64) {
 }
 
 // Len reports the number of cached programs, one per schedule pointer,
-// since the memo was drawn — what the training-engine tests use to pin
-// "each record is lowered and featurized once per session".
+// since the memo was drawn.
 func (m *Memo) Len() int {
 	if m == nil {
 		return 0

@@ -7,10 +7,10 @@ import (
 	"pruner/internal/ir"
 )
 
-// TestMemoRejectsCrossTaskUse: one memo serves every task — the fit memo
-// holds a whole session's records — but it keys by schedule alone, so
-// lowering one *Schedule under a second task must fail loudly instead of
-// serving the first task's lowering.
+// TestMemoRejectsCrossTaskUse: one memo serves every task — a fit's memo
+// holds the records of every task it trains on — but it keys by schedule
+// alone, so lowering one *Schedule under a second task must fail loudly
+// instead of serving the first task's lowering.
 func TestMemoRejectsCrossTaskUse(t *testing.T) {
 	a := ir.NewMatMul(64, 64, 64, ir.FP32, 0)
 	b := ir.NewMatMul(32, 32, 32, ir.FP32, 0)

@@ -505,12 +505,8 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 	// Online training is incremental: each fit sees the records measured
 	// since the last fit plus a seeded replay sample of older history, so
 	// per-session training cost grows linearly with rounds instead of
-	// quadratically (the full-history refit this replaces). The fit memo
-	// is session-scoped and serves every task — records are append-only
-	// and features deterministic — so each record is lowered and
-	// featurized once per session, not once per epoch x round. The last
-	// awaitFit is its last user, and Tune releases it there.
-	opt.Fit.Cache = schedule.NewMemo()
+	// quadratically (the full-history refit this replaces). Each fit
+	// lowers and featurizes its records once, into a memo of its own.
 	trainedTo := 0
 	trainRNG := rand.New(rand.NewSource(parallel.SplitSeed(opt.Seed, trainStream)))
 
@@ -818,7 +814,6 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		planned++
 	}
 	awaitFit() // the last committed round, or an interrupted session's
-	opt.Fit.Cache.Release()
 
 	for _, st := range states {
 		res.Best[st.task.ID] = BestEntry{Task: st.task, Sched: st.bestSched, Latency: st.best}

@@ -395,9 +395,7 @@ func PretrainModel(kind string, ds *Dataset, epochs int, seed int64) (Model, *Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	// The cache is scoped to this one (multi-epoch) fit: each record is
-	// lowered and featurized once instead of once per epoch.
-	m.Fit(ds.Records(), costmodel.FitOptions{Epochs: epochs, Seed: seed, Cache: schedule.NewMemo()})
+	m.Fit(ds.Records(), costmodel.FitOptions{Epochs: epochs, Seed: seed})
 	return m, &Pretrained{Kind: kind, Weights: tuner.SnapshotParams(m)}, nil
 }
 
