@@ -94,6 +94,9 @@ serve-lifecycle:
 # The memo life cycle under -race, three times over: a round on a
 # released memo against heap lowerings, release twice and lowering after
 # release, another task on a released memo, concurrent Lower and Rows,
+# schedules carved by a bound generator zeroed by a poisoned release
+# (TestMemoSchedulesReleased) and matching the heap generator's
+# (TestMemoGeneratorMatchesHeap),
 # a fit handing its replicas one lowering per record and leaving the same
 # weights with its released memos poisoned, and whole sessions (golden,
 # golden matrix, adaptive, cancelled mid-measurement) with parked memos
@@ -180,7 +183,9 @@ bench:
 # //pruner:hotpath roots. TestAllocRandom and TestAllocMutate
 # (internal/schedule) hold the generator to its results: Generator.Random
 # to one schedule's objects however many draws it rejects, a Mutate that
-# leaves its parent unchanged and a rejected Crossover to 0.
+# leaves its parent unchanged and a rejected Crossover to 0;
+# TestAllocGenerateInMemo holds a generator bound to a warmed memo to 0
+# for Random, a changing Mutate and a new Crossover (carved, not heap).
 bench-smoke:
 	$(GO) test -run='^TestAlloc' -count=1 ./internal/nn ./internal/costmodel ./internal/schedule ./internal/features ./internal/analyzer
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...

@@ -169,10 +169,40 @@ func deviceGenerator(task *ir.Task, dev *device.Device, tensorCore bool) *Genera
 	return g
 }
 
+// genOps are a generator's three operations.
+type genOps struct {
+	random    func(*rand.Rand) *Schedule
+	mutate    func(rng *rand.Rand, s *Schedule) *Schedule
+	crossover func(rng *rand.Rand, a, b *Schedule) *Schedule
+}
+
+func (g *Generator) ops() genOps { return genOps{g.Random, g.Mutate, g.Crossover} }
+
+// refOps are the reference operations on g.
+func refOps(g *Generator, paths *refPaths) genOps {
+	return genOps{
+		random: func(rng *rand.Rand) *Schedule { return refRandom(g, rng, paths) },
+		mutate: func(rng *rand.Rand, s *Schedule) *Schedule { return refMutate(g, rng, s) },
+		crossover: func(rng *rand.Rand, a, b *Schedule) *Schedule {
+			c, _ := refCrossover(g, rng, a, b)
+			return c
+		},
+	}
+}
+
 // checkAgainstReference runs Random, Mutate and Crossover on g and the
 // reference on a twin generator from equal RNGs, ops times each, and
 // fails on the first result that is not Same or RNG stream that parts.
 func checkAgainstReference(t *testing.T, name string, g *Generator, seed int64, ops int, paths *refPaths) {
+	t.Helper()
+	checkOps(t, name, seed, ops, g.ops(), refOps(g, paths))
+}
+
+// checkOps runs got's operations and want's from equal RNGs — Random,
+// then Mutate, then Crossover, ops times each, the genetic operators on
+// earlier results — and fails on the first result that is not Same or
+// RNG stream that parts.
+func checkOps(t *testing.T, name string, seed int64, ops int, g, r genOps) {
 	t.Helper()
 	rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	var pop, refPop []*Schedule
@@ -187,17 +217,15 @@ func checkAgainstReference(t *testing.T, name string, g *Generator, seed int64, 
 		pop, refPop = append(pop, got), append(refPop, want)
 	}
 	for i := 0; i < ops; i++ {
-		check("Random", g.Random(rng), refRandom(g, ref, paths))
+		check("Random", g.random(rng), r.random(ref))
 	}
 	for i := 0; i < ops; i++ {
 		j := i % len(pop)
-		check("Mutate", g.Mutate(rng, pop[j]), refMutate(g, ref, refPop[j]))
+		check("Mutate", g.mutate(rng, pop[j]), r.mutate(ref, refPop[j]))
 	}
 	for i := 0; i < ops; i++ {
 		j, k := i%len(pop), (7*i+3)%len(pop)
-		got := g.Crossover(rng, pop[j], pop[k])
-		want, _ := refCrossover(g, ref, refPop[j], refPop[k])
-		check("Crossover", got, want)
+		check("Crossover", g.crossover(rng, pop[j], pop[k]), r.crossover(ref, refPop[j], refPop[k]))
 	}
 }
 
@@ -272,6 +300,51 @@ func TestRandomMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMemoGeneratorMatchesHeap: on TestRandomMatchesReference's
+// generators — every model-zoo task on three devices, and those that
+// force Random's fallback paths — a generator bound to a memo returns
+// what the heap generator does from the same seed and leaves the RNG
+// where it does. Each generator's run draws a memo and releases it, so
+// later runs carve from recycled chunks.
+func TestMemoGeneratorMatchesHeap(t *testing.T) {
+	ops := 24
+	if testing.Short() {
+		ops = 6
+	}
+	check := func(name string, g *Generator, seed int64, ops int) {
+		t.Helper()
+		memo := NewMemo()
+		checkOps(t, name, seed, ops, g.WithMemo(memo).ops(), g.ops())
+		memo.Release()
+	}
+	for ni, name := range workloads.Names() {
+		n, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for di, dev := range []*device.Device{device.A100, device.TitanV, device.Orin} {
+			for ti, task := range n.Tasks {
+				check(name+"/"+dev.Name+"/"+task.Name, deviceGenerator(task, dev, false), int64(10000*ni+100*di+ti), ops)
+			}
+		}
+	}
+	tc := deviceGenerator(ir.NewMatMul(512, 4096, 768, ir.FP16, 1), device.A100, true)
+	redraw := deviceGenerator(ir.NewMatMul(32, 32, 32, ir.FP16, 0), device.A100, true)
+	redraw.WMMA = 32
+	missThenWmma := *redraw
+	missThenWmma.MaxThreads = 16
+	threads := deviceGenerator(ir.NewMatMul(1024, 1024, 512, ir.FP32, 1), device.A100, false)
+	threads.MaxThreads = 2
+	shared := deviceGenerator(ir.NewConv2D(ir.Conv2DShape{N: 1, H: 28, W: 28, CI: 128, CO: 256, KH: 3, KW: 3, Stride: 1, Pad: 1}, ir.FP32, 1), device.A100, false)
+	shared.MaxSharedWords = 64
+	for _, c := range []struct {
+		name string
+		g    *Generator
+	}{{"tensorcore", tc}, {"redraw", redraw}, {"miss-then-wmma", &missThenWmma}, {"threads", threads}, {"shared", shared}} {
+		check(c.name, c.g, 7, 4*ops)
+	}
+}
+
 // TestGeneticOperatorsShareUnchangedParents: a mutation or crossover
 // whose result equals a parent returns that parent's pointer, and every
 // other result is a schedule of its own.
@@ -327,6 +400,62 @@ func TestAllocRandom(t *testing.T) {
 	if got := testing.AllocsPerRun(allocRuns, func() { sink = g.Random(rng) }); got != want {
 		t.Errorf("Random: %v allocs per run, want %v (one schedule)", got, want)
 	}
+}
+
+// TestAllocGenerateInMemo: from a warmed memo, a bound generator's
+// Random, a Mutate that changes its parent and a Crossover that makes a
+// new schedule allocate nothing: each result is carved from chunks an
+// earlier round grew.
+func TestAllocGenerateInMemo(t *testing.T) {
+	task := ir.NewMatMul(256, 256, 256, ir.FP32, 1)
+	g := a100Generator(task)
+	rng := rand.New(rand.NewSource(4))
+	a, b := g.Random(rng), g.Random(rng)
+	var changed, bred int64 = -1, -1
+	for seed := int64(0); seed < 1000 && (changed < 0 || bred < 0); seed++ {
+		rng.Seed(seed)
+		if changed < 0 && g.Mutate(rng, a) != a {
+			changed = seed
+		}
+		rng.Seed(seed)
+		if c := g.Crossover(rng, a, b); bred < 0 && c != a && c != b {
+			bred = seed
+		}
+	}
+	if changed < 0 || bred < 0 {
+		t.Fatalf("no seed under 1000 gives a changing mutation (%d) and a new crossover (%d)", changed, bred)
+	}
+	cases := []struct {
+		name string
+		seed int64
+		run  func(*Generator) *Schedule
+	}{
+		{"Random", 5, func(g *Generator) *Schedule { return g.Random(rng) }},
+		{"changing Mutate", changed, func(g *Generator) *Schedule { return g.Mutate(rng, a) }},
+		{"new Crossover", bred, func(g *Generator) *Schedule { return g.Crossover(rng, a, b) }},
+	}
+	memo := NewMemo()
+	bound := g.WithMemo(memo)
+	for range 2 * (allocRuns + 2) { // twice what the checks below carve
+		for _, c := range cases {
+			rng.Seed(c.seed)
+			sink = c.run(bound)
+		}
+	}
+	memo.Release()
+	if NewMemo() != memo {
+		t.Fatal("NewMemo did not draw the memo parked last")
+	}
+	for _, c := range cases {
+		rng.Seed(c.seed)
+		if got := c.run(bound); got == a || got == b {
+			t.Fatalf("%s: returned a parent, want a new schedule", c.name)
+		}
+		if avg := testing.AllocsPerRun(allocRuns, func() { rng.Seed(c.seed); sink = c.run(bound) }); avg != 0 {
+			t.Errorf("%s: %v allocs per run from a warmed memo, want 0", c.name, avg)
+		}
+	}
+	memo.Release()
 }
 
 // TestAllocMutate: a mutation that leaves its parent unchanged, and a

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pruner/internal/ir"
 )
@@ -21,12 +22,15 @@ import (
 //
 // A Memo owns its storage: the Lowered programs it stores and the
 // feature rows computed for them (Lowered.Rows) are carved from chunks
-// the memo holds. Each caller draws one with NewMemo and releases it on
-// return: the tuner's plan per round, the cost model's fit per call and
-// measure.Sim per batch it measures. Release rewinds the chunks for the
-// next memo drawn, and every *Lowered and feature row drawn from a memo
-// is valid only until then. A memo never released dies with its last
-// reference.
+// the memo holds, and so are the schedules of a generator bound to it
+// (Generator.WithMemo): each one's header and tile rows. Each caller
+// draws one with NewMemo and releases it on return: the tuner's plan per
+// round, the cost model's fit per call and measure.Sim per batch it
+// measures. Release rewinds the chunks for the next memo drawn, and
+// every *Lowered, feature row and carved *Schedule drawn from a memo is
+// valid only until then; a carved schedule that must outlive the memo
+// (the batch plan dispatches) is cloned to the heap first. A memo never
+// released dies with its last reference.
 type Memo struct {
 	mu sync.Mutex
 	m  map[*Schedule]*Lowered
@@ -34,6 +38,11 @@ type Memo struct {
 	slots  chunked[Lowered]
 	floats chunked[float64]
 	rows   chunked[[]float64]
+	// scheds, spatial and reduce hold the schedules carve makes: their
+	// headers and tile rows.
+	scheds  chunked[Schedule]
+	spatial chunked[[NumSpatialLevels]int]
+	reduce  chunked[[NumReduceLevels]int]
 
 	parked   bool
 	nextFree *Memo // the free-list link while parked
@@ -50,6 +59,10 @@ const (
 	maxFloatChunk   = 1 << 16
 	firstRowChunk   = 64
 	maxRowChunk     = 1 << 12
+	firstSchedChunk = 16
+	maxSchedChunk   = 1 << 10
+	firstTileChunk  = 64
+	maxTileChunk    = 1 << 12
 )
 
 // memoPool is the process's free list of released memos. A
@@ -59,17 +72,20 @@ const (
 // cap — its length converges to the peak number of memos in use at once:
 // per running session the round memo while plan runs and the memo of the
 // fit in flight, and one per batch an in-process measurer is measuring —
-// and the last memo parked is the first drawn.
+// and the last memo parked is the first drawn. A parked memo keeps every
+// chunk it grew, a round memo's schedule chunks included, whichever role
+// draws it next; ParkedBytes reports the total.
 var memoPool struct {
 	mu   sync.Mutex
 	free *Memo
 }
 
 // poisonOnRelease, when set, makes Release fill a memo's float chunks
-// with NaN before parking it (the used slots are zeroed either way, so
-// their Sched and Task are nil), so a read of a feature row or lowering
-// after Release shows in every value computed from it. A test hook;
-// SetPoisonOnRelease sets it.
+// with NaN and zero the tile rows it carved before parking it (the used
+// slots and schedule headers are zeroed either way, so their Sched, Task
+// and tiles are nil), so a read of a feature row, lowering or carved
+// schedule after Release shows in every value computed from it. A test
+// hook; SetPoisonOnRelease sets it.
 var poisonOnRelease atomic.Bool
 
 // SetPoisonOnRelease turns the release poisoning on or off for the
@@ -96,22 +112,27 @@ func NewMemo() *Memo {
 }
 
 // Release rewinds the memo and parks it for the next NewMemo. Every
-// *Lowered and feature row drawn from it becomes invalid: the slots it
-// used are zeroed, so a parked memo keeps no round's schedules or tasks
-// reachable. Releasing twice panics, and so does Lower on a released
-// memo.
+// *Lowered, feature row and carved *Schedule drawn from it becomes
+// invalid: the slots and schedule headers it used are zeroed, cached
+// fingerprints included, so a parked memo keeps no round's schedules,
+// tasks or strings reachable. Releasing twice panics, and so do Lower
+// and carving on a released memo.
 func (m *Memo) Release() {
 	m.mu.Lock()
 	if m.parked {
 		m.mu.Unlock()
 		panic("schedule: Memo released twice")
 	}
-	if poisonOnRelease.Load() {
+	poison := poisonOnRelease.Load()
+	if poison {
 		m.floats.fill(math.NaN())
 	}
 	m.slots.rewind(true)
 	m.rows.rewind(true)
 	m.floats.rewind(false) // Rows zeroes each slab it hands out
+	m.scheds.rewind(true)
+	m.spatial.rewind(poison) // carve overwrites each row it hands out
+	m.reduce.rewind(poison)
 	clear(m.m)
 	m.parked = true
 	m.mu.Unlock()
@@ -168,6 +189,40 @@ func (m *Memo) slab(n, w int) ([]float64, [][]float64) {
 	return m.floats.take(n*w, firstFloatChunk, maxFloatChunk), m.rows.take(n, firstRowChunk, maxRowChunk)
 }
 
+// carve returns a copy of s whose header and tile rows are carved from
+// the memo's chunks: the schedule a bound generator returns. Like
+// Clone's, the copy's fingerprint cache starts empty.
+func (m *Memo) carve(s *Schedule) *Schedule {
+	m.mu.Lock()
+	if m.parked {
+		m.mu.Unlock()
+		panic("schedule: Memo used after Release")
+	}
+	c := &m.scheds.take(1, firstSchedChunk, maxSchedChunk)[0]
+	c.SpatialTiles = m.spatial.take(len(s.SpatialTiles), firstTileChunk, maxTileChunk)
+	c.ReduceTiles = m.reduce.take(len(s.ReduceTiles), firstTileChunk, maxTileChunk)
+	m.mu.Unlock()
+	copy(c.SpatialTiles, s.SpatialTiles)
+	copy(c.ReduceTiles, s.ReduceTiles)
+	c.UnrollStep, c.VectorLen = s.UnrollStep, s.VectorLen
+	c.UseShared, c.TensorCore = s.UseShared, s.TensorCore
+	return c
+}
+
+// ParkedBytes reports the storage the parked memos hold: the capacity of
+// their chunks, in bytes. It reads the free list under its lock, so it
+// sees no memo half parked.
+func ParkedBytes() int64 {
+	memoPool.mu.Lock()
+	defer memoPool.mu.Unlock()
+	var n int64
+	for m := memoPool.free; m != nil; m = m.nextFree {
+		n += m.slots.bytes() + m.floats.bytes() + m.rows.bytes() +
+			m.scheds.bytes() + m.spatial.bytes() + m.reduce.bytes()
+	}
+	return n
+}
+
 // Len reports the number of cached programs, one per schedule pointer,
 // since the memo was drawn.
 func (m *Memo) Len() int {
@@ -188,9 +243,9 @@ type chunked[T any] struct {
 	off    int // elements of chunks[cur] handed out
 }
 
-// take returns n elements (n ≤ max) whose capacity ends at the run. A
-// new chunk doubles the last one, from first up to max.
-func (c *chunked[T]) take(n, first, max int) []T {
+// take returns n elements whose capacity ends at the run. A new chunk
+// doubles the last one, from first up to limit (or n, when larger).
+func (c *chunked[T]) take(n, first, limit int) []T {
 	for {
 		if c.cur < len(c.chunks) {
 			if ch := c.chunks[c.cur]; c.off+n <= len(ch) {
@@ -202,8 +257,9 @@ func (c *chunked[T]) take(n, first, max int) []T {
 		}
 		size := first
 		if k := len(c.chunks); k > 0 {
-			size = min(2*len(c.chunks[k-1]), max)
+			size = min(2*len(c.chunks[k-1]), limit)
 		}
+		size = max(size, n)
 		c.chunks = append(c.chunks, make([]T, size)) //pruner:allow hotalloc — chunk growth, amortised over every round the memo serves
 	}
 }
@@ -220,6 +276,16 @@ func (c *chunked[T]) rewind(zero bool) {
 		}
 	}
 	c.cur, c.off = 0, 0
+}
+
+// bytes reports the capacity of the chunks, in bytes.
+func (c *chunked[T]) bytes() int64 {
+	var zero T
+	n := 0
+	for _, ch := range c.chunks {
+		n += cap(ch)
+	}
+	return int64(n) * int64(unsafe.Sizeof(zero))
 }
 
 // fill sets every element of every chunk to v.

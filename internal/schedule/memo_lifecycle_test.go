@@ -197,6 +197,67 @@ func TestMemoReleaseTwicePanics(t *testing.T) {
 	}
 }
 
+// TestMemoSchedulesReleased: a generator bound to a memo carves the
+// schedules it makes from the memo. Until Release each is Same as the
+// heap generator's from the same seed; a poisoned Release zeroes every
+// carved header, cached fingerprint included, and tile row, so a kept
+// schedule moves its fingerprint and fails validation, and carving from
+// the released memo panics.
+func TestMemoSchedulesReleased(t *testing.T) {
+	defer schedule.SetPoisonOnRelease(schedule.SetPoisonOnRelease(true))
+	task := convTask()
+	heap := schedule.NewGenerator(task)
+	memo := schedule.NewMemo()
+	bound := heap.WithMemo(memo)
+	rng, ref := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	var kept, want []*schedule.Schedule
+	keep := func(got, w *schedule.Schedule) {
+		if !got.Same(w) {
+			t.Fatalf("schedule %d: carved %s, heap %s", len(kept), got.Fingerprint(), w.Fingerprint())
+		}
+		kept, want = append(kept, got), append(want, w)
+	}
+	for range 64 {
+		keep(bound.Random(rng), heap.Random(ref))
+	}
+	for i := range 64 {
+		keep(bound.Mutate(rng, kept[i]), heap.Mutate(ref, want[i]))
+		keep(bound.Crossover(rng, kept[i], kept[63-i]), heap.Crossover(ref, want[i], want[63-i]))
+	}
+	type rows struct {
+		sp [][schedule.NumSpatialLevels]int
+		rd [][schedule.NumReduceLevels]int
+	}
+	tiles := make([]rows, len(kept))
+	for i, s := range kept {
+		s.Fingerprint() // cached in the carved header
+		tiles[i] = rows{s.SpatialTiles, s.ReduceTiles}
+	}
+	memo.Release()
+
+	for i, s := range kept {
+		if s.Fingerprint() == want[i].Fingerprint() || s.Validate(task) == nil {
+			t.Fatalf("schedule %d: still reads as %s after Release", i, want[i].Fingerprint())
+		}
+		for _, tile := range tiles[i].sp {
+			if tile != [schedule.NumSpatialLevels]int{} {
+				t.Fatalf("schedule %d: spatial tile %v after a poisoned Release", i, tile)
+			}
+		}
+		for _, tile := range tiles[i].rd {
+			if tile != [schedule.NumReduceLevels]int{} {
+				t.Fatalf("schedule %d: reduce tile %v after a poisoned Release", i, tile)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("carving from a released memo did not panic")
+		}
+	}()
+	bound.Random(rng)
+}
+
 // TestMemoConcurrentLowerAndRows: pool workers lowering overlapping
 // candidates and featurizing them through one memo — its chunks carved
 // under the lock, each slab zeroed outside it — are race-free and get

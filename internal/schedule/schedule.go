@@ -278,11 +278,38 @@ type Generator struct {
 	TensorCore bool
 	// WMMA is the fragment size for TensorCore alignment (16).
 	WMMA int
+
+	// memo, when set, is the memo the generator carves its results from
+	// (WithMemo); nil puts them on the heap.
+	memo *Memo
 }
 
 // NewGenerator returns a generator with default constraints.
 func NewGenerator(t *ir.Task) *Generator {
 	return &Generator{Task: t, MaxThreads: 1024, WMMA: 16}
+}
+
+// WithMemo returns a copy of g bound to m: the schedules it makes —
+// Random's results and Mutate's and Crossover's new ones — are carved
+// from m's chunks, not the heap, and live only until m's Release. A
+// tuning round binds its generator to the round memo, since nearly every
+// schedule the search makes dies with the round; whatever must outlive
+// it is cloned to the heap. It draws the same schedules and RNG stream
+// as g.
+func (g *Generator) WithMemo(m *Memo) *Generator {
+	b := *g
+	b.memo = m
+	return &b
+}
+
+// result returns a schedule of its own equal to c, a candidate in
+// call-local scratch: carved from the generator's memo when it is bound
+// to one, on the heap otherwise.
+func (g *Generator) result(c *Schedule) *Schedule {
+	if g.memo != nil {
+		return g.memo.carve(c)
+	}
+	return c.Clone()
 }
 
 // Fits reports whether a schedule satisfies the generator's resource
@@ -334,12 +361,13 @@ func rowsOn[T any](buf []T, n int) []T {
 // missed a budget (a 65th draw, when every miss was a misaligned wmma
 // draw) into them.
 //
-// Only the result reaches the heap. Draws land in two call-local
+// Only the result leaves the call: on the heap, or carved from the memo
+// of a bound generator (WithMemo). Draws land in two call-local
 // candidates — the one being drawn and the last one rejected, which the
 // clamp fallback needs — whose tiles live in stack arrays, and each axis
 // extent is factored once per call, so a call costs one schedule's
-// objects however many draws it rejects. The draw sequence is the one
-// a fresh schedule per draw made.
+// objects however many draws it rejects (none, from a warmed memo). The
+// draw sequence is the one a fresh schedule per draw made.
 func (g *Generator) Random(rng *rand.Rand) *Schedule {
 	const attempts = 64
 	t := g.Task
@@ -370,7 +398,7 @@ func (g *Generator) Random(rng *rand.Rand) *Schedule {
 			if cur.TensorCore && !g.tcAligned(cur) {
 				continue
 			}
-			return cur.Clone()
+			return g.result(cur)
 		}
 		rejected = cur
 		cur, other = other, cur
@@ -387,7 +415,7 @@ func (g *Generator) Random(rng *rand.Rand) *Schedule {
 	if rejected.TensorCore && !g.tcAligned(rejected) {
 		rejected.TensorCore = false
 	}
-	return rejected.Clone()
+	return g.result(rejected)
 }
 
 // clampShared moves reduction factors from the shared-resident levels to
@@ -544,15 +572,15 @@ func (g *Generator) InitPopulation(rng *rand.Rand, n int) []*Schedule {
 // annotation.
 //
 // The candidate is built in call-local scratch, as Random's draws are,
-// and only a changed result is allocated. Handing back s itself is safe
-// because schedules are immutable once returned: no code outside the
-// generator writes one.
+// and only a changed result is made, as Random's is. Handing back s
+// itself is safe because schedules are immutable once returned: no code
+// outside the generator writes one.
 func (g *Generator) Mutate(rng *rand.Rand, s *Schedule) *Schedule {
 	var spBuf [draftAxes][NumSpatialLevels]int
 	var rpBuf [draftAxes][NumReduceLevels]int
 	c := scratchCopy(s, spBuf[:], rpBuf[:])
 	g.mutate(rng, &c, s)
-	return settle(&c, s, s)
+	return g.settle(&c, s, s)
 }
 
 // mutate applies Mutate's mutation to c, a copy of s.
@@ -608,15 +636,15 @@ func scratchCopy(s *Schedule, sp [][NumSpatialLevels]int, rp [][NumReduceLevels]
 }
 
 // settle returns the parent a genetic operator's scratch result c equals,
-// or a heap copy of c when it equals neither.
-func settle(c, a, b *Schedule) *Schedule {
+// or, when it equals neither, a copy of c of its own (g.result).
+func (g *Generator) settle(c, a, b *Schedule) *Schedule {
 	switch {
 	case c.Same(a):
 		return a
 	case c.Same(b):
 		return b
 	}
-	return c.Clone()
+	return g.result(c)
 }
 
 // moveFactor transfers one prime factor between two random levels of a
@@ -648,7 +676,7 @@ func (g *Generator) moveFactor(rng *rand.Rand, tile []int) bool {
 
 // Crossover combines per-axis tiles of two parents. A result that
 // breaks the budgets gives a back, and one that equals a parent gives that
-// parent: like Mutate, Crossover allocates only a new schedule.
+// parent: like Mutate, Crossover makes only a new schedule.
 func (g *Generator) Crossover(rng *rand.Rand, a, b *Schedule) *Schedule {
 	var spBuf [draftAxes][NumSpatialLevels]int
 	var rpBuf [draftAxes][NumReduceLevels]int
@@ -672,5 +700,5 @@ func (g *Generator) Crossover(rng *rand.Rand, a, b *Schedule) *Schedule {
 	if !g.Fits(&c) || (c.TensorCore && !g.tcAligned(&c)) {
 		return a
 	}
-	return settle(&c, a, b)
+	return g.settle(&c, a, b)
 }

@@ -260,7 +260,8 @@ func (m countingModel) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 
 // BenchmarkEvoNextBatch times one Ansor round, the verify-bound search:
 // NextBatch at the default 2000 × 4 on resnet50's heaviest convolution
 // with TenSetMLP verifying, from an empty history. As in the tuner, the
-// round memo is drawn per round, set on the model so verify reads the
+// round memo is drawn per round, bound to the generator so the round's
+// schedules are carved from it, set on the model so verify reads the
 // draft's lowerings, and released when the round is done.
 // predicted_rows/op is how many candidates the model scored of the 8000
 // members charged.
@@ -272,6 +273,7 @@ func BenchmarkEvoNextBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := newCtx(task, device.A100, int64(i))
 		ctx.Memo = schedule.NewMemo()
+		ctx.Gen = ctx.Gen.WithMemo(ctx.Memo)
 		model.SetMemo(ctx.Memo)
 		ctx.Model = countingModel{model, &rows}
 		if batch := NewAnsorPolicy().NextBatch(ctx, 10); len(batch) != 10 {

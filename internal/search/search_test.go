@@ -182,9 +182,11 @@ func TestRollerAlignment(t *testing.T) {
 
 // BenchmarkRunLSE times the draft stage alone: one Algorithm 2 pass
 // (paper defaults, 8 000 drafted candidates) on resnet50's heaviest
-// convolution under a100 budgets, with the fresh round memo and empty
-// history a session's first round has. ns/cand is the number the paper's
-// bet rests on — it has to stay far below a learned-model inference.
+// convolution under a100 budgets, from the empty history a session's
+// first round has. As in the tuner, each pass draws a round memo, binds
+// the generator to it and releases it when done, so B/cand counts what a
+// warmed round allocates. ns/cand is the number the paper's bet rests
+// on — it has to stay far below a learned-model inference.
 func BenchmarkRunLSE(b *testing.B) {
 	task := resnetConv(b)
 	p := DefaultLSEParams()
@@ -195,9 +197,11 @@ func BenchmarkRunLSE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := newCtx(task, device.A100, int64(i))
 		ctx.Memo = schedule.NewMemo()
+		ctx.Gen = ctx.Gen.WithMemo(ctx.Memo)
 		if spec := RunLSE(ctx, p); len(spec) != p.SpecSize {
 			b.Fatalf("|S_spec| = %d, want %d", len(spec), p.SpecSize)
 		}
+		ctx.Memo.Release()
 	}
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cands, "ns/cand")

@@ -5,6 +5,7 @@ import (
 
 	"pruner"
 	"pruner/internal/obs"
+	"pruner/internal/schedule"
 )
 
 // Metric names the daemon exports on its registry. /v1/healthz is built
@@ -31,6 +32,10 @@ const (
 	// registry (func-backed; live honours Config.MeasurerTTL).
 	MetricMeasurersRegistered = "pruner_server_measurers_registered"
 	MetricMeasurersLive       = "pruner_server_measurers_live"
+	// MetricMemoParkedBytes gauges the chunk storage the process's parked
+	// round, fit and measurement memos keep for reuse
+	// (schedule.ParkedBytes; func-backed).
+	MetricMemoParkedBytes = "pruner_memo_parked_bytes"
 )
 
 // serverObs is the daemon's prepared instrument set.
@@ -69,6 +74,8 @@ func (s *Server) initObs() {
 		})
 	reg.GaugeFunc(MetricMeasurersLive, "Measurement workers within their heartbeat TTL.",
 		func() float64 { return float64(len(s.liveMeasurerURLs())) })
+	reg.GaugeFunc(MetricMemoParkedBytes, "Bytes of chunk storage held by parked memos.",
+		func() float64 { return float64(schedule.ParkedBytes()) })
 	s.cfg.Store.EnableMetrics(reg)
 	pruner.RegisterEngineMetrics(s.cfg.Obs)
 }

@@ -12,6 +12,7 @@ import (
 
 	"pruner"
 	"pruner/internal/obs"
+	"pruner/internal/schedule"
 	"pruner/internal/store"
 )
 
@@ -66,6 +67,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 		MetricJobs,                     // server: per-state job gauge
 		MetricRoundSeconds,             // server: per-round wall latency
 		MetricMeasurersRegistered,      // server: fleet registry size
+		MetricMemoParkedBytes,          // schedule: parked memo storage
 		store.MetricRecords,            // store: live occupancy
 		store.MetricAppends,            // store: append counter moved by the job
 		"pruner_tuner_stage_seconds",   // engine: per-stage latency (plan|measure|commit)
@@ -96,6 +98,13 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 	if got := srv.cfg.Obs.Reg(); func() float64 { v, _ := got.Value(store.MetricRecords); return v }() != float64(health.Store.Records) {
 		t.Fatalf("healthz store.records diverges from the registry gauge")
+	}
+
+	// The job's memos are parked once it is done, and the gauge samples
+	// the free list itself.
+	parked, ok := srv.cfg.Obs.Reg().Value(MetricMemoParkedBytes)
+	if want := float64(schedule.ParkedBytes()); !ok || parked <= 0 || parked != want {
+		t.Fatalf("%s = %v (ok=%v) after a job, want positive and schedule.ParkedBytes() = %v", MetricMemoParkedBytes, parked, ok, want)
 	}
 
 	// The span ring buffer saw the job's pipeline stages.

@@ -599,11 +599,12 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		psp := eo.tr.Start("tuner.plan", obs.Int("round", round))
 		st := sched.next(round)
 
-		// One lowering memo per round: draft scoring and cost-model
-		// verification resolve candidates through it, so each is lowered
-		// and featurized once. It never leaves plan — measurement lowers
-		// its own batch — so plan releases it on return, and the next
-		// round lowers into the same storage.
+		// One memo per round: draft scoring and cost-model verification
+		// resolve candidates through it, so each is lowered and
+		// featurized once, and the round's generator carves the
+		// schedules it makes from it. It never leaves plan — measurement
+		// lowers its own batch — so plan releases it on return, and the
+		// next round draws and lowers into the same storage.
 		memo := schedule.NewMemo()
 		defer memo.Release()
 		if mu, ok := opt.Model.(costmodel.MemoUser); ok {
@@ -613,7 +614,7 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		sctx := &search.Context{
 			Ctx:         ctx,
 			Task:        st.task,
-			Gen:         st.gen,
+			Gen:         st.gen.WithMemo(memo),
 			RNG:         st.rng,
 			Pool:        opt.Pool,
 			Measured:    st.records,
@@ -637,12 +638,19 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			sctx.DraftBudget = draftWant
 		}
 		batch := opt.Policy.NextBatch(sctx, want)
+		// The batch outlives the round — in the measured set, the
+		// measurement and the records — so it moves to the heap before
+		// anything sees it.
+		for i, s := range batch {
+			batch[i] = s.Clone()
+		}
 		awaitFit() // a policy that never verified still leaves no fit behind
 		var pred []float64
 		if ctrl != nil && len(batch) > 1 {
 			// Capture the verifier's scores for exactly the dispatched
-			// batch while the round memo still holds its features; the
-			// commit folds them against measured latencies. Verify charges
+			// batch while the round memo is live (it lowers the batch's
+			// heap copies anew); the commit folds them against measured
+			// latencies. Verify charges
 			// them like any verify-stage inference (adaptive sessions
 			// only, so the fixed clock is untouched).
 			pred = sctx.Verify(batch)
