@@ -132,7 +132,9 @@ measure-e2e:
 # the backend's error on stderr. pruner-bench -all:
 # every experiment fanned out on that pool, each run with a fresh weights
 # cache, must print the same tables at 1 worker and at 3 once the
-# "[<id> done in <t>]" timing lines are dropped (~2.5 min on 2 vCPUs).
+# "[<id> done in <t>]" timing lines are dropped (~2.5 min on 2 vCPUs);
+# at 3 workers experiments ask for shared datasets and pretrained
+# weights concurrently, and each is still built once per run.
 CLI_SMOKE_ARGS := -net resnet50,bert_tiny -trials 20 -max-tasks 1
 cli-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \

@@ -128,33 +128,20 @@ func statementBatch(s *nn.Scratch, lws []*schedule.Lowered) ([][]float64, []int)
 	return rows, lens
 }
 
-// dataflowBatch concatenates every candidate's dataflow sequence in
-// deduplicated form (nn.DedupRowsIn) plus the per-candidate segment
-// lengths, all on s. The sequences are zero-padded to a fixed length, so a
-// large share of rows across the batch are identical; the models project
-// each distinct row once and gather.
-func dataflowBatch(s *nn.Scratch, lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) {
+// sequenceBatch concatenates every candidate's feature sequence — seq
+// rows at most, from extract — in deduplicated form (nn.DedupRowsIn) plus
+// the per-candidate segment lengths, all on s. Both sequence families
+// repeat rows across a batch: dataflow sequences are zero-padded to a
+// fixed length, and TLP's primitive tokens are near-constant one-hots
+// where only split factors vary (the model's documented low feature
+// diversity). The models project each distinct row, and the attention
+// runs its Q/K/V, once and gather. The extractors are hot-path roots of
+// their own, since the lint call graph does not follow a function value.
+func sequenceBatch(s *nn.Scratch, lws []*schedule.Lowered, extract func(*schedule.Lowered) [][]float64, seq int) (uniq [][]float64, idx, lens []int) {
 	lens = s.Ints(len(lws))
-	rows := s.Rows(len(lws) * features.DataflowSeq)[:0]
+	rows := s.Rows(len(lws) * seq)[:0]
 	for i, lw := range lws {
-		r := features.Dataflow(lw)
-		lens[i] = len(r)
-		rows = append(rows, r...)
-	}
-	uniq, idx = nn.DedupRowsIn(s, rows)
-	return uniq, idx, lens
-}
-
-// primitiveBatch is dataflowBatch for TLP's primitive tokens:
-// near-constant one-hots where only split factors vary (the model's
-// documented low feature diversity), so the same token rows recur across
-// the whole batch and the projection and the attention's Q/K/V run once
-// per distinct row.
-func primitiveBatch(s *nn.Scratch, lws []*schedule.Lowered) (uniq [][]float64, idx, lens []int) {
-	lens = s.Ints(len(lws))
-	rows := s.Rows(len(lws) * features.PrimSeq)[:0]
-	for i, lw := range lws {
-		r := features.Primitives(lw)
+		r := extract(lw)
 		lens[i] = len(r)
 		rows = append(rows, r...)
 	}

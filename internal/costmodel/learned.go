@@ -238,7 +238,7 @@ func (m *PaCM) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
 		parts = nn.SegmentSumRows(emb, lens)
 	}
 	if m.UseDataflow {
-		uniq, idx, lens := dataflowBatch(s, lws)
+		uniq, idx, lens := sequenceBatch(s, lws, features.Dataflow, features.DataflowSeq)
 		tokens := nn.Tanh(m.dfProj.ForwardRows(s, uniq, features.DataflowDim))
 		ctx := nn.SegmentMeanRows(m.dfAttn.ForwardSegmentsDedup(tokens, idx, lens), lens)
 		if parts == nil {
@@ -298,7 +298,7 @@ func (m *TLP) Costs() Costs { return Costs{FeatureX: 0.35, InferX: 3.5, TrainX: 
 //
 //pruner:hotpath
 func (m *TLP) forward(s *nn.Scratch, lws []*schedule.Lowered) *nn.Tensor {
-	uniq, idx, lens := primitiveBatch(s, lws)
+	uniq, idx, lens := sequenceBatch(s, lws, features.Primitives, features.PrimSeq)
 	tokens := m.proj.ForwardRows(s, uniq, features.PrimSignal)
 	x := m.attn.ForwardSegmentsDedup(tokens, idx, lens)
 	return m.head.Forward(nn.SegmentMeanRows(x, lens))

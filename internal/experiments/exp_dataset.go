@@ -11,37 +11,31 @@ import (
 	"pruner/internal/ir"
 )
 
-// testDataset builds (and caches) the §6.5 test split on a device: the
-// five held-out networks' dominant subgraphs with TenSet-style schedule
-// pools.
+// testDataset returns the §6.5 test split on a device, built once per
+// process: the five held-out networks' dominant subgraphs with
+// TenSet-style schedule pools.
 func (h *harness) testDataset(dev *device.Device) *dataset.Dataset {
-	key := "test-" + dev.Name + "-" + h.sc.tag
-	if ds, ok := dsCache[key]; ok {
-		return ds
-	}
-	names := dataset.TestNetworks
-	perNet := 4
-	if h.cfg.Full {
-		perNet = 0
-	}
-	seen := map[string]bool{}
-	var out []*ir.Task
-	for _, name := range names {
-		net := mustNet(name)
-		for _, t := range net.Representative(perNet) {
-			if seen[t.ID] {
-				continue
-			}
-			seen[t.ID] = true
-			out = append(out, t)
+	return buildOnce(h.ctx, "test-"+dev.Name+"-"+h.sc.tag, func() *dataset.Dataset {
+		perNet := 4
+		if h.cfg.Full {
+			perNet = 0
 		}
-	}
-	ds := dataset.Generate(h.ctx, dev, out, dataset.GenOptions{
-		SchedulesPerTask: h.sc.datasetPerTask,
-		Seed:             h.cfg.Seed + 991,
+		seen := map[string]bool{}
+		var out []*ir.Task
+		for _, name := range dataset.TestNetworks {
+			for _, t := range mustNet(name).Representative(perNet) {
+				if !seen[t.ID] {
+					seen[t.ID] = true
+					out = append(out, t)
+				}
+			}
+		}
+		return dataset.Generate(h.ctx, dev, out, dataset.GenOptions{
+			SchedulesPerTask: h.sc.datasetPerTask,
+			Seed:             h.cfg.Seed + 991,
+			Pool:             h.pool,
+		})
 	})
-	dsCache[key] = ds
-	return ds
 }
 
 // specIndicesSA ranks a task set's pool by the Symbol-based Analyzer and

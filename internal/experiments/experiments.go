@@ -137,8 +137,8 @@ func scaleOf(full bool) scale {
 	}
 }
 
-// harness carries per-run shared state (pretrained weights cache) and the
-// suite worker pool used to fan independent tuning sessions out.
+// harness carries a run's configuration and the suite worker pool used
+// to fan independent tuning sessions out.
 type harness struct {
 	cfg  Config
 	ctx  context.Context // == cfg.Ctx; a receiver-level field so every harness method can forward it
@@ -159,7 +159,7 @@ func (h *harness) printf(format string, args ...any) {
 }
 
 // ---------------------------------------------------------------------------
-// Pretraining with disk cache.
+// Shared artifacts: offline datasets and pretrained weights.
 
 // pretrainTasks picks the offline-dataset subgraphs: the dominant tasks of
 // a diverse slice of the training networks.
@@ -191,105 +191,109 @@ func (h *harness) pretrainTasks() []*ir.Task {
 	return out
 }
 
-// offlineDataset builds (once per process) the synthetic TenSet slice for
-// one device. Concurrent sessions may race to the same key, so the whole
-// get-or-generate runs under dsMu; the generation itself parallelizes
-// internally.
+// offlineDataset returns the synthetic TenSet slice for one device,
+// built once per process; the generation parallelizes on h.pool.
 func (h *harness) offlineDataset(dev *device.Device) *dataset.Dataset {
 	key := fmt.Sprintf("ds-%s-%s", dev.Name, h.sc.tag)
-	dsMu.Lock()
-	ds, ok := dsCache[key]
-	dsMu.Unlock()
-	if ok {
-		return ds
-	}
-	// Generate outside the lock: a dataset build dispatches measurements
-	// and must not stall other runners on dsMu. Generation is
-	// deterministic, so a racing duplicate build produces an identical
-	// dataset and only the cache insert needs arbitration.
-	ds = dataset.Generate(h.ctx, dev, h.pretrainTasks(), dataset.GenOptions{
-		SchedulesPerTask: h.sc.datasetPerTask,
-		Seed:             h.cfg.Seed + int64(len(key)),
-		Pool:             h.pool,
+	return buildOnce(h.ctx, key, func() *dataset.Dataset {
+		return dataset.Generate(h.ctx, dev, h.pretrainTasks(), dataset.GenOptions{
+			SchedulesPerTask: h.sc.datasetPerTask,
+			Seed:             h.cfg.Seed + int64(len(key)),
+			Pool:             h.pool,
+		})
 	})
-	if h.ctx.Err() != nil {
-		return ds // cancelled part-way: never cache a partial dataset
-	}
-	dsMu.Lock()
-	if cached, ok := dsCache[key]; ok {
-		ds = cached
-	} else {
-		dsCache[key] = ds
-	}
-	dsMu.Unlock()
-	return ds
 }
 
-var (
-	dsMu    sync.Mutex
-	dsCache = map[string]*dataset.Dataset{}
-)
-
-// pretrained returns cached cross-platform weights for (kind, device),
-// training and persisting them on first use. preMu serializes concurrent
-// sessions training the same weights (it nests over dsMu via
-// offlineDataset; nothing acquires them in the reverse order).
+// pretrained returns cross-platform weights for (kind, device), built
+// once per process: loaded from CacheDir, or trained on the offline
+// dataset and persisted there.
 func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 	key := fmt.Sprintf("pre-%s-%s-%s", kind, dev.Name, h.sc.tag)
-	preMu.Lock()
-	w, ok := preCache[key]
-	preMu.Unlock()
-	if ok {
-		return w
-	}
-	// Pretraining (and the dataset generation it may trigger) runs
-	// outside the lock: it dispatches measurements and can take minutes.
-	// Fitting is deterministic for a fixed seed, so a racing duplicate
-	// yields identical weights; the cache insert arbitrates below.
-	m, _ := costmodel.New(kind, h.cfg.Seed+77)
-	path := filepath.Join(h.cfg.CacheDir, key+".gob")
-	if f, err := os.Open(path); err == nil {
-		err = nn.LoadParams(f, m.Params())
-		_ = f.Close() // read-side close of a best-effort cache
-		if err == nil {
-			return h.insertPretrained(key, tuner.SnapshotParams(m))
+	return buildOnce(h.ctx, key, func() []*nn.Tensor {
+		m, _ := costmodel.New(kind, h.cfg.Seed+77)
+		path := filepath.Join(h.cfg.CacheDir, key+".gob")
+		if f, err := os.Open(path); err == nil {
+			err = nn.LoadParams(f, m.Params())
+			_ = f.Close() // read-side close of a best-effort cache
+			if err == nil {
+				return tuner.SnapshotParams(m)
+			}
 		}
-	}
-	ds := h.offlineDataset(dev)
-	if pu, ok := m.(costmodel.PoolUser); ok {
-		// Offline pretraining shards its task groups over the suite pool;
-		// the fitted weights are identical at any worker count.
-		pu.SetPool(h.pool)
-	}
-	m.Fit(ds.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed})
-	if h.ctx.Err() != nil {
-		return tuner.SnapshotParams(m) // fitted on a partial dataset: never cache it
-	}
-	w = h.insertPretrained(key, tuner.SnapshotParams(m))
-	if err := os.MkdirAll(h.cfg.CacheDir, 0o755); err == nil {
-		if f, err := os.Create(path); err == nil {
-			_ = nn.SaveParams(f, m.Params())
-			_ = f.Close() // cache write is best-effort; a torn file fails LoadParams next run
+		ds := h.offlineDataset(dev)
+		if pu, ok := m.(costmodel.PoolUser); ok {
+			// Offline pretraining shards its task groups over the suite
+			// pool; the fitted weights are identical at any worker count.
+			pu.SetPool(h.pool)
 		}
-	}
-	return w
+		m.Fit(ds.Records(), costmodel.FitOptions{Epochs: h.sc.pretrainEpochs, Seed: h.cfg.Seed})
+		if h.ctx.Err() != nil {
+			return tuner.SnapshotParams(m) // fitted on a partial dataset: never persist it
+		}
+		if err := os.MkdirAll(h.cfg.CacheDir, 0o755); err == nil {
+			if f, err := os.Create(path); err == nil {
+				_ = nn.SaveParams(f, m.Params())
+				_ = f.Close() // cache write is best-effort; a torn file fails LoadParams next run
+			}
+		}
+		return tuner.SnapshotParams(m)
+	})
 }
 
-// insertPretrained publishes freshly fitted weights, first writer wins.
-func (h *harness) insertPretrained(key string, w []*nn.Tensor) []*nn.Tensor {
-	preMu.Lock()
-	defer preMu.Unlock()
-	if cached, ok := preCache[key]; ok {
-		return cached
-	}
-	preCache[key] = w
-	return w
-}
-
+// artifacts holds what the harness builds once per process and every
+// experiment shares — offline datasets, test splits and pretrained
+// weights — keyed by name and scale tag.
 var (
-	preMu    sync.Mutex
-	preCache = map[string][]*nn.Tensor{}
+	artifactsMu sync.Mutex
+	artifacts   = map[string]*artifact{}
 )
+
+// artifact is one key's build; done closes when it ends, and val is kept
+// only if ok.
+type artifact struct {
+	done chan struct{}
+	val  any
+	ok   bool
+}
+
+// buildOnce returns key's artifact, building it on first use. The first
+// caller of a key runs build with no lock held; concurrent callers of the
+// key wait for that build, and other keys build in parallel. A build that
+// ends with ctx cancelled is not kept: its caller gets what it built, and
+// the waiters and the next caller build it again, as after a build that
+// panicked.
+func buildOnce[T any](ctx context.Context, key string, build func() T) T {
+	for {
+		artifactsMu.Lock()
+		a := artifacts[key]
+		if a == nil {
+			a = &artifact{done: make(chan struct{})}
+			artifacts[key] = a
+			artifactsMu.Unlock()
+			return runBuild(ctx, key, a, build)
+		}
+		artifactsMu.Unlock()
+		<-a.done
+		if a.ok {
+			return a.val.(T)
+		}
+	}
+}
+
+// runBuild runs key's build into a and publishes it, or drops the key if
+// the build was cut short.
+func runBuild[T any](ctx context.Context, key string, a *artifact, build func() T) T {
+	defer func() {
+		if !a.ok {
+			artifactsMu.Lock()
+			delete(artifacts, key)
+			artifactsMu.Unlock()
+		}
+		close(a.done)
+	}()
+	v := build()
+	a.val, a.ok = v, ctx.Err() == nil
+	return v
+}
 
 // ---------------------------------------------------------------------------
 // Tuning methods.
@@ -415,8 +419,8 @@ type session struct {
 // tuneAll runs independent sessions concurrently on the suite pool and
 // returns results in input order, so callers print rows deterministically
 // no matter how the sessions interleave. Each session is self-seeded; the
-// only state they share through h — the pretrained-weights and dataset
-// caches — is mutex-guarded.
+// only state they share is the harness's artifacts (buildOnce), each
+// built once whichever session asks first.
 func (h *harness) tuneAll(ss []session) []*tuner.Result {
 	return parallel.Map(h.pool, len(ss), func(i int) *tuner.Result {
 		return h.tune(ss[i].dev, ss[i].tasks, ss[i].method, ss[i].seed)

@@ -174,7 +174,11 @@ func quantEff(x, unit float64) float64 {
 // DataflowSeq rows of DataflowDim values. Rows beyond the program's data
 // movements — and all rows of non-tiled programs — are zero (the paper's
 // zero-padding for elementwise operators). The result is cached on lw and
-// shared between callers — read-only.
+// shared between callers — read-only. A hot-path root of its own: the
+// batched engine hands it to its sequence batcher as a value, which the
+// lint call graph does not follow.
+//
+//pruner:hotpath
 func Dataflow(lw *schedule.Lowered) [][]float64 {
 	return lw.FeatureRows(slotDataflow, dataflowRows)
 }
@@ -240,7 +244,10 @@ func FlatDataflow(lw *schedule.Lowered) []float64 {
 // [0..15] primitive-type and axis one-hots (structural, near-constant
 // across schedules of one task), [16..] factor values. The sparsity of
 // varying entries reproduces TLP's low feature diversity. The result is
-// cached on lw and shared between callers — read-only.
+// cached on lw and shared between callers — read-only. A hot-path root,
+// like Dataflow.
+//
+//pruner:hotpath
 func Primitives(lw *schedule.Lowered) [][]float64 {
 	return lw.FeatureRows(slotPrimitives, primitiveRows)
 }

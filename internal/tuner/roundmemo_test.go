@@ -7,7 +7,9 @@ import (
 
 	"pruner/internal/costmodel"
 	"pruner/internal/device"
+	"pruner/internal/ir"
 	"pruner/internal/measure"
+	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/search"
 	"pruner/internal/simulator"
@@ -98,5 +100,89 @@ func TestRoundMemoPoisonedSessions(t *testing.T) {
 	}
 	if got := resultFingerprint(res); got != baseline {
 		t.Errorf("cancelled session: fingerprint %s poisoned, %s not", got, baseline)
+	}
+}
+
+// memoProbe is PaCM recording each round's Predict calls: the schedules
+// scored and how many programs each call added to the round memo. The
+// round ends when plan unsets the memo.
+type memoProbe struct {
+	*costmodel.PaCM
+	memo   *schedule.Memo
+	calls  []probeCall
+	rounds [][]probeCall
+}
+
+type probeCall struct {
+	schs  []*schedule.Schedule
+	added int
+}
+
+func (p *memoProbe) SetMemo(m *schedule.Memo) {
+	p.PaCM.SetMemo(m)
+	if m == nil && p.calls != nil {
+		p.rounds = append(p.rounds, p.calls)
+		p.calls = nil
+	}
+	p.memo = m
+}
+
+func (p *memoProbe) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
+	before := p.memo.Len()
+	out := p.PaCM.Predict(t, schs)
+	p.calls = append(p.calls, probeCall{append([]*schedule.Schedule(nil), schs...), p.memo.Len() - before})
+	return out
+}
+
+// TestAdaptiveCaptureLowersOnlyUnscored: the adaptive session's capture
+// of the verifier's scores — a round's second Predict, after the
+// policy's verify — scores the round's carved batch, so it adds to the
+// round memo exactly the batch members the policy never scored (the
+// ε-greedy random picks) and no heap clone of one it did.
+func TestAdaptiveCaptureLowersOnlyUnscored(t *testing.T) {
+	probe := &memoProbe{PaCM: costmodel.NewPaCM(3)}
+	res := Tune(device.T4, twoTasks(), Options{
+		Trials:      60,
+		BatchSize:   10,
+		Policy:      search.NewPrunerPolicy(),
+		Model:       probe,
+		OnlineTrain: true,
+		Seed:        9,
+		Pool:        parallel.New(1),
+		AdaptBudget: true,
+	})
+	if res.Interrupted || len(res.Records) != 60 {
+		t.Fatalf("session interrupted=%v with %d records", res.Interrupted, len(res.Records))
+	}
+	captured, unscored, members := 0, 0, 0
+	for r, calls := range probe.rounds {
+		if len(calls) > 2 {
+			t.Fatalf("round %d: %d Predict calls, want the policy's verify and the capture", r, len(calls))
+		}
+		if len(calls) < 2 {
+			continue
+		}
+		scored := map[*schedule.Schedule]bool{}
+		for _, s := range calls[0].schs {
+			scored[s] = true
+		}
+		capture := calls[1]
+		fresh := 0
+		for _, s := range capture.schs {
+			if !scored[s] {
+				fresh++
+			}
+		}
+		if capture.added != fresh {
+			t.Errorf("round %d: the capture added %d programs to the memo for a batch of %d with %d never scored",
+				r, capture.added, len(capture.schs), fresh)
+		}
+		captured++
+		unscored += fresh
+		members += len(capture.schs)
+	}
+	if captured == 0 || unscored == 0 || unscored == members {
+		t.Fatalf("%d captures of %d members, %d never scored: the session must capture batches mixing scored and random picks",
+			captured, members, unscored)
 	}
 }

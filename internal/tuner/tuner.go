@@ -638,29 +638,28 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 			sctx.DraftBudget = draftWant
 		}
 		batch := opt.Policy.NextBatch(sctx, want)
-		// The batch outlives the round — in the measured set, the
-		// measurement and the records — so it moves to the heap before
-		// anything sees it.
-		for i, s := range batch {
-			batch[i] = s.Clone()
-		}
 		awaitFit() // a policy that never verified still leaves no fit behind
 		var pred []float64
 		if ctrl != nil && len(batch) > 1 {
 			// Capture the verifier's scores for exactly the dispatched
-			// batch while the round memo is live (it lowers the batch's
-			// heap copies anew); the commit folds them against measured
-			// latencies. Verify charges
-			// them like any verify-stage inference (adaptive sessions
-			// only, so the fixed clock is untouched).
+			// batch while the round memo is live: the batch is still the
+			// round's carved schedules, so only the members the policy
+			// never scored are lowered here. The commit folds the scores
+			// against measured latencies. Verify charges them like any
+			// verify-stage inference (adaptive sessions only, so the
+			// fixed clock is untouched).
 			pred = sctx.Verify(batch)
 		}
 		if ctx.Err() != nil {
 			psp.End(obs.Bool("cancelled", true))
 			return nil, false
 		}
-		for _, s := range batch {
-			st.measuredSet[s.Fingerprint()] = true
+		// The batch outlives the round — in the measured set, the
+		// measurement and the records — so it moves to the heap before
+		// anything else sees it.
+		for i, s := range batch {
+			batch[i] = s.Clone()
+			st.measuredSet[batch[i].Fingerprint()] = true
 		}
 		plannedTrials += len(batch)
 		psp.End(obs.String("task", st.task.ID), obs.Int("batch", len(batch)))

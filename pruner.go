@@ -17,6 +17,7 @@ import (
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
 	"pruner/internal/tuner"
+	"pruner/internal/vendorlib"
 	"pruner/internal/workloads"
 )
 
@@ -420,7 +421,23 @@ func FrameworkLatency(framework string, dev *Device, net *Network) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	return vendorNetworkLatency(fw, dev, net), nil
+	return vendorlib.NetworkLatency(fw, dev, net), nil
+}
+
+// frameworkByName maps user-facing names to vendorlib frameworks.
+func frameworkByName(name string) (vendorlib.Framework, error) {
+	switch name {
+	case "pytorch":
+		return vendorlib.PyTorch, nil
+	case "triton":
+		return vendorlib.Triton, nil
+	case "tensorrt":
+		return vendorlib.TensorRT, nil
+	case "cudalib":
+		return vendorlib.CudaLib, nil
+	default:
+		return 0, fmt.Errorf("pruner: unknown framework %q", name)
+	}
 }
 
 // SimulatedClock summarises where a session's compilation time went.
