@@ -35,12 +35,28 @@ func perRecordStep(one func(*schedule.Lowered) *nn.Tensor) stepFn {
 
 // BenchmarkFit measures the online-training hot path: the data-parallel
 // macro-batch engine (lowering each record once per call) against the
-// retained pre-engine serial loop, for the two heaviest learned models.
-// EXPERIMENTS.md records the before/after numbers; CI's bench-smoke keeps
-// the harness alive. The fitted parameters at p=1 and p=8 are bitwise
-// identical (TestFitDeterministicAcrossWorkers) — only wall-clock may
-// move.
+// retained pre-engine serial loop, for the two heaviest learned models,
+// at the offline shape (16 tasks × 48 records, 4 epochs). The online case
+// is an online tuning round's fit: PaCM over 2 tasks' 50 records for 8
+// epochs, two groups a step, where the optimiser step after each
+// fan-out is a large share of the fit. EXPERIMENTS.md records the
+// before/after numbers; CI's bench-smoke keeps the harness alive. The
+// fitted parameters at p=1 and p=8 are bitwise identical
+// (TestFitDeterministicAcrossWorkers) — only wall-clock may move.
 func BenchmarkFit(b *testing.B) {
+	online := multiTaskRecords(b, 2, 25, 22)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("online/pacm/engine-p%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := NewPaCM(31)
+				m.SetPool(parallel.New(workers))
+				b.StartTimer()
+				m.Fit(online, FitOptions{Epochs: 8, Seed: 2})
+			}
+		})
+	}
+
 	recs := multiTaskRecords(b, 16, 48, 21)
 	opt := FitOptions{Epochs: 4, Seed: 2}
 

@@ -68,7 +68,7 @@ func (c *learned) SetObserver(o *obs.Observer) { c.mo = newModelObs(o, c.self.Na
 func (c *learned) trainer() *trainer {
 	if c.tr == nil {
 		live := c.self.Params()
-		c.tr = &trainer{params: live, build: func() *replica {
+		c.tr = &trainer{build: func() *replica {
 			r := c.replica()
 			nn.AliasParams(r.Params(), live)
 			return &replica{forward: r.forward, params: r.Params()}

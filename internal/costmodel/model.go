@@ -197,11 +197,13 @@ func epochBatches(groups []group, rng *rand.Rand) []trainBatch {
 // macro-batches of size task groups (macroBatch in every product fit).
 // Group j of a macro-batch runs its forward/backward on the trainer's
 // replica j (weights aliased to the live model, gradients in the
-// replica's own buffers); the replicas' gradients are then averaged in
-// fixed group order and applied with one Adam step per macro-batch.
-// Because every random draw stays on the serial path and the reduction
-// order is fixed, the fitted parameters are bitwise identical at any
-// worker count — the same bar the batched inference engine holds
+// replica's own buffers); one Adam step per macro-batch then averages the
+// replicas' gradients in fixed group order and applies them, its passes
+// sharded over the same pool (nn.Adam.StepFrom), so the tail after the
+// fan-out is not one goroutine's walk over every parameter. Because every
+// random draw stays on the serial path and the reduction order is fixed,
+// the fitted parameters are bitwise identical at any worker count — the
+// same bar the batched inference engine holds
 // (TestFitDeterministicAcrossWorkers).
 func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, seed int64, tr *trainer, size int) FitReport {
 	opt = opt.withDefaults()
@@ -225,18 +227,15 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 			pool.ForEach(len(chunk), func(j int) {
 				losses[j] = tr.reps[j].step(chunk[j])
 			})
-			// Serial reduction in fixed group order, then one step over the
-			// averaged macro-batch gradient (averaging keeps the per-step
-			// magnitude comparable to a single-group step, so a macro-batch
-			// of one reproduces the per-group reference bitwise).
-			adam.ZeroGrad()
-			scale := 1 / float64(len(chunk))
 			for j := range chunk {
-				nn.AddGrads(tr.params, tr.reps[j].params, scale)
 				epochLoss += losses[j]
 				report.SampleVisits += len(chunk[j].lws)
 			}
-			adam.Step()
+			// One step over the macro-batch's averaged gradient, reduced
+			// in fixed group order (averaging keeps the per-step magnitude
+			// comparable to a single-group step, so a macro-batch of one
+			// reproduces the per-group reference bitwise).
+			adam.StepFrom(pool, tr.repParams[:len(chunk)], 1/float64(len(chunk)))
 			report.Batches += len(chunk)
 		}
 		if len(batches) > 0 {

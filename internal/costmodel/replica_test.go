@@ -7,6 +7,7 @@ import (
 
 	"pruner/internal/device"
 	"pruner/internal/ir"
+	"pruner/internal/nn"
 	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
@@ -41,8 +42,8 @@ func distinctTaskRecords(t *testing.T, n, perTask int, seed int64) []Record {
 // TestTrainerReplicaPerPosition pins the trainer's replica list: a fit
 // builds one replica per macro-batch position it uses (at most
 // macroBatch), a later fit reuses them, each replica reads the live
-// weights through its own gradient buffers, and a step zeroes those
-// buffers before its backward.
+// weights through its own gradient buffers, and the optimiser step that
+// reads those buffers zeroes them for the next backward.
 func TestTrainerReplicaPerPosition(t *testing.T) {
 	opt := FitOptions{Epochs: 1, Seed: 1}
 	for _, tc := range []struct{ groups, reps int }{{3, 3}, {macroBatch + 1, macroBatch}} {
@@ -85,12 +86,14 @@ func TestTrainerReplicaPerPosition(t *testing.T) {
 		}
 	}
 
-	// Two steps on one batch leave the same gradient bits: each step
-	// zeroes the replica's gradients before its backward accumulates.
+	// Two steps on one batch leave the same gradient bits: the optimiser
+	// step between them reads the replica's gradients and zeroes them. It
+	// steps another model's weights, so the replica's stay put.
 	b := batchOf(distinctTaskRecords(t, 1, 12, 37))
 	tr := NewTenSetMLP(23).trainer()
 	tr.grow(1)
 	rep := tr.reps[0]
+	other := nn.NewAdam(NewTenSetMLP(23).Params(), 7e-4)
 	snapshot := func() []uint64 {
 		var bits []uint64
 		for _, p := range rep.params {
@@ -102,6 +105,12 @@ func TestTrainerReplicaPerPosition(t *testing.T) {
 	}
 	rep.step(b)
 	once := snapshot()
+	other.StepFrom(parallel.New(2), tr.repParams, 1)
+	for i, g := range snapshot() {
+		if g != 0 {
+			t.Fatalf("gradient element %d is %x after the optimiser step, want +0", i, g)
+		}
+	}
 	rep.step(b)
 	twice := snapshot()
 	nonzero := false

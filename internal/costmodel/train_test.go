@@ -248,3 +248,14 @@ func TestFitReleasedMemoPoisoned(t *testing.T) {
 	defer schedule.SetPoisonOnRelease(schedule.SetPoisonOnRelease(true))
 	paramsEqual(t, "poisoned vs clean", fits(), clean)
 }
+
+// TestFitPredictRawDrawsPoisoned runs the pinned fits and the batched
+// predicts against their reference with every raw arena draw and every
+// fresh strip output filled with NaN before its kernel runs
+// (nn.SetPoisonRaw): the buffers the engine no longer clears must be
+// written in full by the kernels that draw them, so every bit stays put.
+func TestFitPredictRawDrawsPoisoned(t *testing.T) {
+	defer nn.SetPoisonRaw(nn.SetPoisonRaw(true))
+	TestFitParamsPinned(t)
+	TestPredictBatchedMatchesReference(t)
+}

@@ -3,12 +3,18 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pruner/internal/costmodel"
+	"pruner/internal/device"
+	"pruner/internal/nn"
 	"pruner/internal/parallel"
 )
 
@@ -149,5 +155,59 @@ func TestBuildOnceKeysIndependent(t *testing.T) {
 	close(release)
 	if v := <-done; v != 1 {
 		t.Fatalf("key a built %d", v)
+	}
+}
+
+// TestArtifactsFollowTheSeed: harnesses of seeds 42 and 5 in one process
+// get test splits of their own, and weights cached under seed 42 are
+// loaded by seed 42 and not by seed 5. The pretraining runs under a
+// cancelled context, so a weight that is not loaded comes from a fit on
+// an empty dataset — the seed's fresh initial weights — and is never
+// persisted.
+func TestArtifactsFollowTheSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dataset generation")
+	}
+	pool := parallel.New(2)
+	h42 := newHarness(Config{Seed: 42, Out: io.Discard, CacheDir: t.TempDir(), Pool: pool})
+	h5 := newHarness(Config{Seed: 5, Out: io.Discard, CacheDir: h42.cfg.CacheDir, Pool: pool})
+	a, b := h42.testDataset(device.T4).Records(), h5.testDataset(device.T4).Records()
+	same := len(a) == len(b)
+	for i := 0; same && i < len(a); i++ {
+		same = a[i].Latency == b[i].Latency
+	}
+	if same {
+		t.Fatal("seeds 42 and 5 got the same test split")
+	}
+
+	cached, _ := costmodel.New("pacm", 1)
+	path := filepath.Join(h42.cfg.CacheDir, h42.pretrainedKey("pacm", device.K80)+".gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.SaveParams(f, cached.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h42.ctx, h5.ctx = cancelled(), cancelled()
+	loaded := func(h *harness) bool {
+		got := h.pretrained("pacm", device.K80)
+		for i, p := range cached.Params() {
+			for j, v := range p.Data {
+				if got[i].Data[j] != v {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if !loaded(h42) {
+		t.Fatal("seed 42 did not load the weights cached under seed 42")
+	}
+	if loaded(h5) {
+		t.Fatal("seed 5 loaded the weights cached under seed 42")
 	}
 }

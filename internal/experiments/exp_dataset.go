@@ -12,10 +12,10 @@ import (
 )
 
 // testDataset returns the §6.5 test split on a device, built once per
-// process: the five held-out networks' dominant subgraphs with
+// process and seed: the five held-out networks' dominant subgraphs with
 // TenSet-style schedule pools.
 func (h *harness) testDataset(dev *device.Device) *dataset.Dataset {
-	return buildOnce(h.ctx, "test-"+dev.Name+"-"+h.sc.tag, func() *dataset.Dataset {
+	return buildOnce(h.ctx, h.artifactKey("test-"+dev.Name+"-"+h.sc.tag), func() *dataset.Dataset {
 		perNet := 4
 		if h.cfg.Full {
 			perNet = 0

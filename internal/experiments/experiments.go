@@ -191,24 +191,38 @@ func (h *harness) pretrainTasks() []*ir.Task {
 	return out
 }
 
+// artifactKey is the key of the artifact name under the harness's seed:
+// what buildOnce and the weights cache know it by, so two seeds in one
+// process, or over one cache directory, never share an artifact.
+func (h *harness) artifactKey(name string) string {
+	return fmt.Sprintf("%s-seed%d", name, h.cfg.Seed)
+}
+
 // offlineDataset returns the synthetic TenSet slice for one device,
-// built once per process; the generation parallelizes on h.pool.
+// built once per process and seed; the generation parallelizes on
+// h.pool. Its generation seed is derived from the name without the seed.
 func (h *harness) offlineDataset(dev *device.Device) *dataset.Dataset {
-	key := fmt.Sprintf("ds-%s-%s", dev.Name, h.sc.tag)
-	return buildOnce(h.ctx, key, func() *dataset.Dataset {
+	name := fmt.Sprintf("ds-%s-%s", dev.Name, h.sc.tag)
+	return buildOnce(h.ctx, h.artifactKey(name), func() *dataset.Dataset {
 		return dataset.Generate(h.ctx, dev, h.pretrainTasks(), dataset.GenOptions{
 			SchedulesPerTask: h.sc.datasetPerTask,
-			Seed:             h.cfg.Seed + int64(len(key)),
+			Seed:             h.cfg.Seed + int64(len(name)),
 			Pool:             h.pool,
 		})
 	})
 }
 
+// pretrainedKey is the artifact key of (kind, device)'s pretrained
+// weights, and their cache file's name without the extension.
+func (h *harness) pretrainedKey(kind string, dev *device.Device) string {
+	return h.artifactKey(fmt.Sprintf("pre-%s-%s-%s", kind, dev.Name, h.sc.tag))
+}
+
 // pretrained returns cross-platform weights for (kind, device), built
-// once per process: loaded from CacheDir, or trained on the offline
-// dataset and persisted there.
+// once per process and seed: loaded from CacheDir, or trained on the
+// offline dataset and persisted there.
 func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
-	key := fmt.Sprintf("pre-%s-%s-%s", kind, dev.Name, h.sc.tag)
+	key := h.pretrainedKey(kind, dev)
 	return buildOnce(h.ctx, key, func() []*nn.Tensor {
 		m, _ := costmodel.New(kind, h.cfg.Seed+77)
 		path := filepath.Join(h.cfg.CacheDir, key+".gob")
@@ -241,7 +255,7 @@ func (h *harness) pretrained(kind string, dev *device.Device) []*nn.Tensor {
 
 // artifacts holds what the harness builds once per process and every
 // experiment shares — offline datasets, test splits and pretrained
-// weights — keyed by name and scale tag.
+// weights — keyed by name, scale tag and seed (artifactKey).
 var (
 	artifactsMu sync.Mutex
 	artifacts   = map[string]*artifact{}

@@ -3,6 +3,8 @@ package nn
 import (
 	"math/rand"
 	"testing"
+
+	"pruner/internal/parallel"
 )
 
 // The zero-allocation gates: once a Scratch has warmed to the call
@@ -163,4 +165,29 @@ func TestScratchReuse(t *testing.T) {
 	if t2.arena != &s {
 		t.Error("scratch tensor does not name its arena")
 	}
+}
+
+// TestAllocAdamStep is the fit tail's allocation gate: a warmed
+// optimiser step from two replicas' gradients — the combine, the norm
+// and the update over the shard plan NewAdam built — allocates nothing.
+// The pool has one worker, so the passes run inline; what a wider pool
+// allocates to fan them out is the pool's own (parallel.Pool.ForEach).
+func TestAllocAdamStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	params, reps := adamSetup(rng, 2)
+	adam := NewAdam(params, 7e-4)
+	pool := parallel.New(1)
+	mustZeroAllocs(t, "Adam.StepFrom", func() { adam.StepFrom(pool, reps, 0.5) })
+}
+
+// TestRawDrawsPoisoned runs the pinned tape tests — the fused affine op,
+// the attention block and the delegated ops — with every raw draw and
+// every fresh strip output filled with NaN before its kernel runs
+// (SetPoisonRaw): a kernel that leaves an element it did not clear
+// unwritten moves a digest.
+func TestRawDrawsPoisoned(t *testing.T) {
+	defer SetPoisonRaw(SetPoisonRaw(true))
+	TestAffinePinned(t)
+	TestAttentionTapePinned(t)
+	TestDelegatedTapeOpsPinned(t)
 }

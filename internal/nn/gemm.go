@@ -10,7 +10,13 @@
 //
 // with k ascending per element and a step k skipped when both of its
 // scalars are zero; then each output row is finished: o[j] += bias[j]
-// when a bias is given, then o[j] = max(o[j], 0) when the ReLU is on.
+// when a bias is given, then o[j] = max(o[j], 0) when the ReLU is on. In
+// fresh mode the sums start at +0.0 instead of at the outputs' values,
+// and the outputs are written without being read: how every product
+// whose output block holds nothing yet runs (the forward, dX's
+// accumulator, the attention core's scores, value mix and gradients), so
+// its buffer is drawn raw (scratch.go) and never cleared. Only dW, which
+// adds into the parameter's gradient, accumulates onto its outputs.
 // Only the forward passes a bias or the ReLU. The forward, dX, the
 // scores, the value mix, dP and dQ read their scalars along a row
 // (lda = 1); dW, dV and dK read them down a column (lda = K for x, n for
@@ -56,12 +62,16 @@ import "math"
 // and adds their terms in one pass over the two rows — each output
 // element loaded and stored once per four terms, the four still added in
 // ascending k — and a last one to three a step at a time, then finishes
-// each distinct row with epilogue. It is one function on purpose: a call
-// inside the gather loop makes the compiler keep the loop's counters on
-// the stack.
-func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu bool) {
+// each distinct row with epilogue. Fresh, it clears the two rows first.
+// It is one function on purpose: a call inside the gather loop makes the
+// compiler keep the loop's counters on the stack.
+func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu, fresh bool) {
 	c := len(o0)
 	o1 = o1[:c]
+	if fresh {
+		clear(o0)
+		clear(o1)
+	}
 	var p, q [4]float64
 	var rows [4]int // where the steps' rows start in b
 	a0, a1 := a[off0:], a[off1:]

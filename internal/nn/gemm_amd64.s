@@ -13,9 +13,9 @@
 //	CX      columns left     BX   b at the current step, then the bias
 //	AX      scratch
 //
-// Each column block loads its outputs into registers, runs every step of
-// the contraction on them, finishes them (the bias, then the ReLU) and
-// stores them once.
+// Each column block loads its outputs into registers (or, fresh, sets
+// them to +0.0 there), runs every step of the contraction on them,
+// finishes them (the bias, then the ReLU) and stores them once.
 
 // START rewinds to step 0 of the column block: BX = b there, DX = 0.
 #define START \
@@ -104,6 +104,13 @@
 	VPCMPEQQ abs, abs, abs \
 	VPSRLQ   $1, abs, abs
 
+// FRESH jumps to zero when the strip runs fresh: the block's
+// accumulators then start at +0.0 in registers, and its outputs are
+// written without being read.
+#define FRESH(zero) \
+	CMPB fresh+81(FP), $0 \
+	JNE  zero
+
 // ADVANCE moves the outputs and b past a finished column block of n
 // columns (bytes = 8n).
 #define ADVANCE(n, bytes) \
@@ -112,13 +119,14 @@
 	ADDQ $bytes, R11 \
 	SUBQ $n, CX
 
-// func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
-TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-81
+// func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu, fresh bool)
+TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-82
 	ARGS
 
 z32:
 	CMPQ CX, $32
 	JLT  z16
+	FRESH(z32zero)
 	VMOVUPD 0(DI), Z0
 	VMOVUPD 64(DI), Z1
 	VMOVUPD 128(DI), Z2
@@ -127,6 +135,19 @@ z32:
 	VMOVUPD 64(SI), Z5
 	VMOVUPD 128(SI), Z6
 	VMOVUPD 192(SI), Z7
+	JMP  z32go
+
+z32zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+z32go:
 	START
 
 z32step:
@@ -181,10 +202,20 @@ z32store:
 z16:
 	CMPQ CX, $16
 	JLT  z8
+	FRESH(z16zero)
 	VMOVUPD 0(DI), Z0
 	VMOVUPD 64(DI), Z1
 	VMOVUPD 0(SI), Z4
 	VMOVUPD 64(SI), Z5
+	JMP  z16go
+
+z16zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+
+z16go:
 	START
 
 z16step:
@@ -222,8 +253,16 @@ z16store:
 z8:
 	CMPQ CX, $8
 	JLT  zmask
+	FRESH(z8zero)
 	VMOVUPD 0(DI), Z0
 	VMOVUPD 0(SI), Z4
+	JMP  z8go
+
+z8zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z4, Z4, Z4
+
+z8go:
 	START
 
 z8step:
@@ -259,8 +298,16 @@ zmask:
 	SHLQ  CX, AX
 	SUBQ  $1, AX
 	KMOVW AX, K1
+	FRESH(zmzero)
 	VMOVUPD.Z 0(DI), K1, Z0
 	VMOVUPD.Z 0(SI), K1, Z4
+	JMP  zmgo
+
+zmzero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z4, Z4, Z4
+
+zmgo:
 	START
 
 zmstep:
@@ -301,13 +348,14 @@ DATA laneMask<>+48(SB)/8, $0
 DATA laneMask<>+56(SB)/8, $0
 GLOBL laneMask<>(SB), RODATA|NOPTR, $64
 
-// func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
-TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-81
+// func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu, fresh bool)
+TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-82
 	ARGS
 
 y16:
 	CMPQ CX, $16
 	JLT  y8
+	FRESH(y16zero)
 	VMOVUPD 0(DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD 64(DI), Y2
@@ -316,6 +364,19 @@ y16:
 	VMOVUPD 32(SI), Y5
 	VMOVUPD 64(SI), Y6
 	VMOVUPD 96(SI), Y7
+	JMP  y16go
+
+y16zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+y16go:
 	START
 
 y16step:
@@ -370,10 +431,20 @@ y16store:
 y8:
 	CMPQ CX, $8
 	JLT  y4
+	FRESH(y8zero)
 	VMOVUPD 0(DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD 0(SI), Y4
 	VMOVUPD 32(SI), Y5
+	JMP  y8go
+
+y8zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+
+y8go:
 	START
 
 y8step:
@@ -411,8 +482,16 @@ y8store:
 y4:
 	CMPQ CX, $4
 	JLT  ymask
+	FRESH(y4zero)
 	VMOVUPD 0(DI), Y0
 	VMOVUPD 0(SI), Y4
+	JMP  y4go
+
+y4zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+
+y4go:
 	START
 
 y4step:
@@ -448,8 +527,16 @@ ymask:
 	MOVQ  $4, DX
 	SUBQ  CX, DX
 	VMOVDQU (AX)(DX*8), Y13
+	FRESH(ymzero)
 	VMASKMOVPD 0(DI), Y13, Y0
 	VMASKMOVPD 0(SI), Y13, Y4
+	JMP  ymgo
+
+ymzero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+
+ymgo:
 	START
 
 ymstep:

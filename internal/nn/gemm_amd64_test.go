@@ -75,16 +75,6 @@ func reluSparse(rng *rand.Rand, x *Tensor) {
 	}
 }
 
-func bitsEqual(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: entry %d: %v (bits %x), Go %v (bits %x)",
-				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-}
-
 // stripWidths are the output widths the kernels are checked at: every
 // width through two 16-lane blocks and a ragged tail on either kernel,
 // and the models' real widths, one past the widest.
@@ -143,7 +133,10 @@ var zeroPatterns = [][2]bool{{true, true}, {true, false}, {false, true}, {false,
 // finishValues; then with every step skipped, so that the pre-activations
 // are finishValues themselves; then through the forward and both
 // gradient GEMMs over odd row counts, dense and ReLU-sparse; then through
-// the attention core's forward and backward (attendMatchesGo).
+// the attention core's forward and backward (attendMatchesGo). The fresh
+// cases run the strip in fresh mode over outputs filled with NaN, at
+// every width, alias and finish, against the Go strip's fresh mode and
+// its accumulation from zeroed outputs (freshMatchesGo).
 func TestGemmBlockMatchesGo(t *testing.T) {
 	for _, kernel := range simdKernels {
 		t.Run(kernelNames[kernel], func(t *testing.T) {
@@ -164,6 +157,18 @@ func TestGemmBlockMatchesGo(t *testing.T) {
 					for _, fin := range finishes {
 						name := fmt.Sprintf("forced c=%d alias=%v %v", c, alias, fin)
 						finishMatchesGo(t, rng, kernel, name, c, alias, fin)
+					}
+				}
+			}
+			for _, c := range stripWidths {
+				for _, k := range []int{1, 3, 8} {
+					for _, lda := range []int{1, k} {
+						for _, alias := range []bool{false, true} {
+							for _, fin := range finishes {
+								name := fmt.Sprintf("fresh c=%d K=%d lda=%d alias=%v %v", c, k, lda, alias, fin)
+								freshMatchesGo(t, rng, kernel, name, c, k, lda, alias, fin)
+							}
+						}
 					}
 				}
 			}
@@ -214,8 +219,44 @@ func stripMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c, K,
 	if fin.bias {
 		bias = finishVector(rng, c)
 	}
-	bitsEqual(t, name, runStrip(kernel, init, a, off1, lda, b, c, K, alias, bias, fin.relu),
-		runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, fin.relu))
+	bitsEqual(t, name, runStrip(kernel, init, a, off1, lda, b, c, K, alias, bias, fin.relu, false),
+		runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, fin.relu, false))
+}
+
+// freshMatchesGo runs one fresh strip call, scalars and steps as in
+// stripMatchesGo, over outputs filled with NaN on kernel and on the Go
+// strip, and checks both against the Go strip accumulating onto zeroed
+// outputs: a fresh strip must write every output without reading it.
+func freshMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c, K, lda int, alias bool, fin finish) {
+	t.Helper()
+	off1 := K
+	if lda > 1 {
+		off1 = 1
+	}
+	a := edgeTensor(rng, 1, off1+(K-1)*lda+2).Data
+	rot := rng.Intn(len(zeroPatterns))
+	for k := 0; k < K; k++ {
+		zp := zeroPatterns[(k+rot)%len(zeroPatterns)]
+		if zp[0] {
+			a[k*lda] = 0
+		}
+		if zp[1] {
+			a[off1+k*lda] = math.Copysign(0, -1)
+		}
+	}
+	b := edgeTensor(rng, K, c).Data
+	var bias []float64
+	if fin.bias {
+		bias = finishVector(rng, c)
+	}
+	nans := make([]float64, 2*c)
+	poison(nans)
+	want := runStrip(kernelGo, make([]float64, 2*c), a, off1, lda, b, c, K, alias, bias, fin.relu, false)
+	if alias {
+		want = want[:c] // the second row is not an output
+	}
+	bitsEqual(t, name+" Go", runStrip(kernelGo, nans, a, off1, lda, b, c, K, alias, bias, fin.relu, true), want)
+	bitsEqual(t, name, runStrip(kernel, nans, a, off1, lda, b, c, K, alias, bias, fin.relu, true), want)
 }
 
 // finishMatchesGo runs one strip call whose every step is skipped (all
@@ -233,19 +274,20 @@ func finishMatchesGo(t *testing.T, rng *rand.Rand, kernel int, name string, c in
 	if fin.bias {
 		bias = finishVector(rng, c)
 	}
-	bitsEqual(t, name, runStrip(kernel, init, a, K, 1, b, c, K, alias, bias, fin.relu),
-		runStrip(kernelGo, init, a, K, 1, b, c, K, alias, bias, fin.relu))
+	bitsEqual(t, name, runStrip(kernel, init, a, K, 1, b, c, K, alias, bias, fin.relu, false),
+		runStrip(kernelGo, init, a, K, 1, b, c, K, alias, bias, fin.relu, false))
 }
 
-// runStrip runs one strip call on kernel over a copy of init (two c-wide
-// output rows; alias runs row 0 as both rows) and returns the copy.
-func runStrip(kernel int, init, a []float64, off1, lda int, b []float64, c, K int, alias bool, bias []float64, relu bool) []float64 {
+// runStrip runs one strip call, fresh or accumulating, on kernel over a
+// copy of init (two c-wide output rows; alias runs row 0 as both rows)
+// and returns the copy.
+func runStrip(kernel int, init, a []float64, off1, lda int, b []float64, c, K int, alias bool, bias []float64, relu, fresh bool) []float64 {
 	o := append([]float64(nil), init...)
 	o0, o1 := o[:c], o[c:]
 	if alias {
 		o1, off1 = o0, 0
 	}
-	onKernel(kernel, func() { gemmStrip(o0, o1, a, 0, off1, lda, b, c, K, bias, relu) })
+	onKernel(kernel, func() { gemmStrip(o0, o1, a, 0, off1, lda, b, c, K, bias, relu, fresh) })
 	return o
 }
 
@@ -496,7 +538,9 @@ func attendBackwardRef(s *Scratch, q, k, v, out *Tensor, lens []int, probs []flo
 // the same arbitrary finite operands — width, contraction length, scalar
 // stride, aliased rows and initial outputs included — and the same
 // finish: mode's bit 2 takes the ReLU, and bit 3 adds a bias of any bits,
-// NaN and ±Inf included. It demands identical bits.
+// NaN and ±Inf included. Bit 4 runs the strip fresh over outputs filled
+// with NaN, which must match the Go strip accumulating onto zeroed ones.
+// It demands identical bits.
 func FuzzGemmBlock(f *testing.F) {
 	var kernels []int
 	for _, kernel := range simdKernels {
@@ -518,6 +562,8 @@ func FuzzGemmBlock(f *testing.F) {
 	f.Add(uint8(1), uint8(128), uint8(11), append(make([]byte, 16), seed...)) // zero pairs among the scalars
 	f.Add(uint8(12), uint8(40), uint8(3), seed)
 	f.Add(uint8(14), uint8(9), uint8(1), []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0xff, 0x80})
+	f.Add(uint8(16), uint8(37), uint8(6), seed)
+	f.Add(uint8(30), uint8(9), uint8(4), seed[5:])
 	f.Fuzz(func(t *testing.T, mode, width, steps uint8, data []byte) {
 		if len(data) == 0 {
 			return
@@ -547,9 +593,20 @@ func FuzzGemmBlock(f *testing.F) {
 				bias[i] = floatFrom(data, n)
 			}
 		}
-		want := runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, relu)
+		fresh := mode&16 != 0
+		if fresh {
+			clear(init)
+		}
+		want := runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, relu, false)
+		if fresh {
+			if alias {
+				want = want[:c] // the second row is not an output
+			}
+			poison(init)
+			bitsEqual(t, "go fresh", runStrip(kernelGo, init, a, off1, lda, b, c, K, alias, bias, relu, true), want)
+		}
 		for _, kernel := range kernels {
-			bitsEqual(t, kernelNames[kernel], runStrip(kernel, init, a, off1, lda, b, c, K, alias, bias, relu), want)
+			bitsEqual(t, kernelNames[kernel], runStrip(kernel, init, a, off1, lda, b, c, K, alias, bias, relu, fresh), want)
 		}
 	})
 }
@@ -624,9 +681,8 @@ func BenchmarkAttend(b *testing.B) {
 			{"scores", func(*Scratch) {
 				for off := 0; off < segs*n; off += n {
 					Pb := P[off*n : (off+n)*n]
-					clear(Pb)
 					transposeInto(kT, k.Data[off*C:(off+n)*C], n, C)
-					stripRows(Pb, n, q.Data, off*C, C, 1, kT, n, C)
+					stripRows(Pb, n, q.Data, off*C, C, 1, kT, n, C, true)
 					for j := range Pb {
 						Pb[j] *= scale
 					}
@@ -637,9 +693,8 @@ func BenchmarkAttend(b *testing.B) {
 				}
 			}},
 			{"mix", func(*Scratch) {
-				clear(ctx.Data)
 				for off := 0; off < segs*n; off += n {
-					stripRows(ctx.Data[off*C:(off+n)*C], C, probs, off*n, n, 1, v.Data[off*C:], C, n)
+					stripRows(ctx.Data[off*C:(off+n)*C], C, probs, off*n, n, 1, v.Data[off*C:], C, n, true)
 				}
 			}, func(*Scratch) {
 				clear(ctx.Data)

@@ -29,11 +29,13 @@ import (
 // matmulFused is the forward GEMM: out = x @ w (+ bias) (then ReLU), with
 // the output drawn from s. It runs on the strip (gemm.go), one call per
 // pair of output rows, each output element held in a register for the
-// whole contraction and finished there with the bias and the ReLU. Per
-// element the terms still add in ascending k, so the result is bitwise
-// identical to separate matmul, bias and ReLU passes for finite w. A step whose two activations are both zero is
-// skipped, matching the reference's per-term zero-skip; feature rows'
-// structurally-zero columns never reach it (compactRowsIn). The engine
+// whole contraction and finished there with the bias and the ReLU. The
+// strips run fresh, so the output is drawn raw and never cleared. Per
+// element the terms still add in ascending k from +0.0, so the result is
+// bitwise identical to separate matmul, bias and ReLU passes for finite
+// w. A step whose two activations are both zero is skipped, matching the
+// reference's per-term zero-skip; feature rows' structurally-zero
+// columns never reach it (compactRowsIn). The engine
 // counters tally forward GEMMs, so they are bumped here and not in the
 // strip the backward and the attention core share.
 func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
@@ -43,10 +45,10 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	engineGEMMCalls.Add(1)
 	engineGEMMRows.Add(uint64(x.R))
 	K, C := x.C, w.C
-	out := s.tensor(x.R, C)
+	out := s.tensorRaw(x.R, C)
 	for i := 0; i < x.R; i += 2 {
 		i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
-		gemmStrip(out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C], x.Data, i*K, i1*K, 1, w.Data, C, K, bias, relu)
+		gemmStrip(out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C], x.Data, i*K, i1*K, 1, w.Data, C, K, bias, relu, true)
 	}
 	return out
 }
@@ -85,7 +87,7 @@ func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 		// Degenerate all-zero batch: keep one column so shapes stay valid.
 		cols = append(cols, 0)
 	}
-	x := s.tensor(len(rows), len(cols))
+	x := s.tensorRaw(len(rows), len(cols))
 	for i, r := range rows {
 		if len(r) != width {
 			panic(fmt.Sprintf("nn: compactRows ragged row %d vs %d", len(r), width))
@@ -175,7 +177,7 @@ func gatherRowsOn(s *Scratch, src *Tensor, idx []int) *Tensor {
 // gatherRowsIn is the row-gather kernel: row i of the result is src row
 // idx[i].
 func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
-	out := s.tensor(len(idx), src.C)
+	out := s.tensorRaw(len(idx), src.C)
 	for i, j := range idx {
 		copy(out.Data[i*src.C:(i+1)*src.C], src.Data[j*src.C:(j+1)*src.C])
 	}
@@ -190,21 +192,22 @@ func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 // P·V on the strip: every value accumulated in the order of the
 // per-segment composition softmax(scale · qs ksᵀ) vs. It also returns the
 // softmax rows, one n×n block per segment in segment order, on s: the
-// training node's saved state.
+// training node's saved state. Both products run fresh, so the segments'
+// blocks, which tile ctx and the softmax rows, are drawn raw.
 func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) (ctx *Tensor, probs []float64) {
 	C := q.C
-	ctx = s.tensor(q.R, C)
+	ctx = s.tensorRaw(q.R, C)
 	n2 := 0
 	for _, n := range lens {
 		n2 += n * n
 	}
-	probs = s.floats(n2)
-	kT := s.floats(C * maxN)
+	probs = s.floatsRaw(n2)
+	kT := s.floatsRaw(C * maxN)
 	off, pOff := 0, 0
 	for _, n := range lens {
 		P := probs[pOff : pOff+n*n]
 		transposeInto(kT, k.Data[off*C:(off+n)*C], n, C)
-		stripRows(P, n, q.Data, off*C, C, 1, kT, n, C)
+		stripRows(P, n, q.Data, off*C, C, 1, kT, n, C, true)
 		for i := 0; i < n; i++ {
 			row := P[i*n : i*n+n]
 			for j := range row {
@@ -214,7 +217,7 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) 
 		}
 		// A softmax weight is only zero on deep underflow; the exact ±0.0
 		// term it contributes, or the step the strip skips, is harmless.
-		stripRows(ctx.Data[off*C:(off+n)*C], C, P, 0, n, 1, v.Data[off*C:], C, n)
+		stripRows(ctx.Data[off*C:(off+n)*C], C, P, 0, n, 1, v.Data[off*C:], C, n, true)
 		off += n
 		pOff += n * n
 	}
@@ -222,13 +225,14 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) 
 }
 
 // stripRows runs the strip over every row of the c-wide output block o,
-// two rows a call: row i's K scalars start at a[aOff + i·aStep], lda
-// apart. An odd last row is both rows of its strip.
-func stripRows(o []float64, c int, a []float64, aOff, aStep, lda int, b []float64, ldb, K int) {
+// two rows a call, fresh or accumulating: row i's K scalars start at
+// a[aOff + i·aStep], lda apart. An odd last row is both rows of its
+// strip.
+func stripRows(o []float64, c int, a []float64, aOff, aStep, lda int, b []float64, ldb, K int, fresh bool) {
 	r := len(o) / c
 	for i := 0; i < r; i += 2 {
 		i1 := min(i+1, r-1)
-		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false)
+		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false, fresh)
 	}
 }
 
@@ -270,7 +274,7 @@ func layerNormRowsIn(s *Scratch, x, g, b *Tensor, saved []float64) *Tensor {
 		panic("nn: layernorm parameter shape mismatch")
 	}
 	n := float64(x.C)
-	out := s.tensor(x.R, x.C)
+	out := s.tensorRaw(x.R, x.C)
 	for i := 0; i < x.R; i++ {
 		var mu float64
 		for j := 0; j < x.C; j++ {
@@ -345,7 +349,7 @@ func checkSegments(op string, lens []int, rows int) (maxN int) {
 // over the segment alone.
 func segmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 	sum := segmentSumRowsIn(s, x, lens)
-	out := s.tensor(sum.R, sum.C)
+	out := s.tensorRaw(sum.R, sum.C)
 	for sg, n := range lens {
 		inv := 1 / float64(n)
 		for j := 0; j < sum.C; j++ {
@@ -357,7 +361,7 @@ func segmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
 
 // tanhIn applies the hyperbolic tangent elementwise.
 func tanhIn(s *Scratch, x *Tensor) *Tensor {
-	out := s.tensor(x.R, x.C)
+	out := s.tensorRaw(x.R, x.C)
 	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
 	}
@@ -370,7 +374,7 @@ func concatColsIn(s *Scratch, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
 	}
 	cols := a.C + b.C
-	out := s.tensor(a.R, cols)
+	out := s.tensorRaw(a.R, cols)
 	for i := 0; i < a.R; i++ {
 		copy(out.Data[i*cols:i*cols+a.C], a.Data[i*a.C:(i+1)*a.C])
 		copy(out.Data[i*cols+a.C:(i+1)*cols], b.Data[i*b.C:(i+1)*b.C])

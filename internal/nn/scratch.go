@@ -6,10 +6,19 @@
 // (pinned by the TestAlloc* gates and the hotalloc analyzer), so neither
 // stage feeds the garbage collector.
 //
-// A Scratch hands out zeroed buffers and reset tensor headers in call
-// order and is rewound wholesale with Reset — allocation happens only
-// while a buffer sequence is still growing toward its steady-state
-// shape. Buffers alias memory owned by the Scratch: results needed
+// A Scratch hands out buffers and reset tensor headers in call order and
+// is rewound wholesale with Reset — allocation happens only while a
+// buffer sequence is still growing toward its steady-state shape. A
+// float buffer is drawn one of two ways: zeroed (floats, tensor), for a
+// buffer its kernel accumulates into — a gradient, dW, a segment sum —
+// or raw (floatsRaw, tensorRaw), holding whatever its slot last held, for
+// a buffer its kernel writes in every element before any read — a GEMM
+// output in the strip's fresh mode (gemm.go), a gather, a transposed
+// panel. A raw draw skips the clear, which is most of what an arena
+// draw would otherwise cost; SetPoisonRaw fills raw draws with NaN, so a
+// kernel that leaves one element unwritten shows in every value computed
+// from it. (A nil Scratch's buffers are fresh heap memory, zeroed either
+// way.) Buffers alias memory owned by the Scratch: results needed
 // beyond the next Reset must be copied out. The header list doubles as
 // the tape (tape.go): a training forward's nodes are the headers it drew,
 // in creation order. A Scratch is single-goroutine state; concurrent
@@ -19,6 +28,11 @@
 // convention that lets one kernel serve the arena and the heap callers.
 
 package nn
+
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Scratch is a grow-only arena of float64, int and row-view buffers and
 // Tensor headers, reused across arena-kernel calls. The zero value is
@@ -42,13 +56,16 @@ type slots[T any] struct {
 	n    int
 }
 
-// get returns a zeroed buffer of length n. The slot grows when n exceeds
-// its previous capacity and is reused otherwise.
-func (l *slots[T]) get(n int) []T {
+// get returns a buffer of length n, zeroed when zero is set and holding
+// the slot's last contents otherwise. The slot grows when n exceeds its
+// previous capacity and is reused otherwise.
+func (l *slots[T]) get(n int, zero bool) []T {
 	if l.n < len(l.bufs) && cap(l.bufs[l.n]) >= n {
 		buf := l.bufs[l.n][:n]
 		l.n++
-		clear(buf)
+		if zero {
+			clear(buf)
+		}
 		return buf
 	}
 	buf := make([]T, n)
@@ -72,7 +89,40 @@ func (s *Scratch) floats(n int) []float64 {
 	if s == nil {
 		return make([]float64, n)
 	}
-	return s.floatSlots.get(n)
+	return s.floatSlots.get(n, true)
+}
+
+// floatsRaw returns a float buffer of length n with unspecified
+// contents: the caller writes every element before it reads any.
+func (s *Scratch) floatsRaw(n int) []float64 {
+	if s == nil {
+		return make([]float64, n)
+	}
+	buf := s.floatSlots.get(n, false)
+	if poisonRaw.Load() {
+		poison(buf)
+	}
+	return buf
+}
+
+// poisonRaw, when set, makes every raw arena draw and every output the
+// assembly strips run fresh on (gemm_amd64.go) start as NaN, so an
+// element its kernel fails to write poisons every value computed from
+// it. A test hook; SetPoisonRaw sets it.
+var poisonRaw atomic.Bool
+
+// SetPoisonRaw turns the poisoning of raw draws and fresh strip outputs
+// on or off for the process and reports the previous setting. It exists
+// for tests that check every kernel writes what it does not clear.
+func SetPoisonRaw(on bool) (was bool) {
+	return poisonRaw.Swap(on)
+}
+
+// poison fills buf with NaN.
+func poison(buf []float64) {
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
 }
 
 // Ints returns a zeroed int buffer of length n, valid until the next
@@ -81,7 +131,7 @@ func (s *Scratch) Ints(n int) []int {
 	if s == nil {
 		return make([]int, n)
 	}
-	return s.intSlots.get(n)
+	return s.intSlots.get(n, true)
 }
 
 // Rows returns n nil row views, valid until the next Reset: storage for
@@ -90,7 +140,7 @@ func (s *Scratch) Rows(n int) [][]float64 {
 	if s == nil {
 		return make([][]float64, n)
 	}
-	return s.rowSlots.get(n)
+	return s.rowSlots.get(n, true)
 }
 
 // tensor returns a zeroed r x c tensor whose Data aliases arena memory.
@@ -99,6 +149,20 @@ func (s *Scratch) tensor(r, c int) *Tensor {
 	if s == nil {
 		return New(r, c)
 	}
+	return s.header(r, c, s.floats(r*c))
+}
+
+// tensorRaw is tensor drawn raw (floatsRaw): the caller writes every
+// element of Data.
+func (s *Scratch) tensorRaw(r, c int) *Tensor {
+	if s == nil {
+		return New(r, c)
+	}
+	return s.header(r, c, s.floatsRaw(r*c))
+}
+
+// header pushes a reset r x c tensor header over data onto the arena.
+func (s *Scratch) header(r, c int, data []float64) *Tensor {
 	var t *Tensor
 	if s.tensorN < len(s.tensors) {
 		t = s.tensors[s.tensorN]
@@ -106,7 +170,7 @@ func (s *Scratch) tensor(r, c int) *Tensor {
 		t = new(Tensor)
 	}
 	s.push(t)
-	*t = Tensor{R: r, C: c, Data: s.floats(r * c), arena: s}
+	*t = Tensor{R: r, C: c, Data: data, arena: s}
 	return t
 }
 

@@ -142,7 +142,7 @@ func Add(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: add shape mismatch %dx%d vs %dx%d", a.R, a.C, b.R, b.C))
 	}
 	s, grad := opArena(a, b, nil)
-	out := s.tensor(a.R, a.C)
+	out := s.tensorRaw(a.R, a.C)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
@@ -185,7 +185,7 @@ func LayerNormRows(x, g, b *Tensor) *Tensor {
 	s, grad := opArena(x, g, b)
 	var saved []float64
 	if grad {
-		saved = s.floats(x.R*x.C + x.R)
+		saved = s.floatsRaw(x.R*x.C + x.R)
 	}
 	return layerNormRowsIn(s, x, g, b, saved).link(grad, node{op: opLayerNorm, a: x, b: g, c: b, saved: saved})
 }

@@ -41,6 +41,17 @@ func checkGrads(t *testing.T, name string, params []*Tensor, fn func() *Tensor) 
 	}
 }
 
+// bitsEqual fails t unless got matches want bit for bit.
+func bitsEqual(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d: %v (bits %x), Go %v (bits %x)",
+				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
 func randParam(rng *rand.Rand, r, c int) *Tensor {
 	p := Param(rng, r, c)
 	for i := range p.Data {

@@ -2,14 +2,15 @@ package nn
 
 import "fmt"
 
-// This file is the data-parallel training substrate: parameter aliasing
-// and gradient reduction. The parallel LambdaRank trainer
+// This file is the data-parallel training substrate: the fused training
+// ops and parameter aliasing. The parallel LambdaRank trainer
 // (internal/costmodel) runs one forward/backward per task group on an
 // architecture replica whose parameters share the live model's weight
 // memory but accumulate gradients into the replica's own Grad buffers, so
 // concurrent backwards never write shared state. Reducing the replicas'
-// gradients into the live parameters in a fixed group order (AddGrads)
-// keeps the fitted weights bitwise independent of the worker count.
+// gradients into the live parameters in a fixed replica order
+// (Adam.StepFrom) keeps the fitted weights bitwise independent of the
+// worker count.
 
 // Affine is the fused training op out = x@W + b, optionally through
 // ReLU: one tape node, so a Linear layer's forward draws one output and
@@ -82,16 +83,15 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 	if x.requiresGrad {
 		// dX = g @ Wᵀ: output columns are W's rows, so the strip's
 		// operand is the transposed panel. Each element is one dot over j
-		// in ascending order into a fresh accumulator, then added to
-		// x.Grad — the chain's xGrad[k] += dot.
-		wT := s.floats(C * K)
+		// in ascending order into an accumulator the strip starts fresh,
+		// then added to x.Grad — the chain's xGrad[k] += dot.
+		wT := s.floatsRaw(C * K)
 		transposeInto(wT, w.Data, K, C)
-		acc := s.floats(2 * K)
+		acc := s.floatsRaw(2 * K)
 		for i := 0; i < x.R; i += 2 {
 			i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
 			n := i1 - i + 1
-			clear(acc[:n*K])
-			gemmStrip(acc[:K], acc[(n-1)*K:n*K], g, i*C, i1*C, 1, wT, K, C, nil, false)
+			gemmStrip(acc[:K], acc[(n-1)*K:n*K], g, i*C, i1*C, 1, wT, K, C, nil, false, true)
 			for k, v := range acc[:n*K] {
 				x.Grad[i*K+k] += v
 			}
@@ -103,7 +103,7 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		// each step's two scalars read down columns k and k+1 of x (lda =
 		// K), so no transposed copy of x is made. An odd last W row is both
 		// rows of its strip.
-		stripRows(w.Grad, C, x.Data, 0, 1, K, g, C, x.R)
+		stripRows(w.Grad, C, x.Data, 0, 1, K, g, C, x.R, false)
 	}
 }
 
@@ -134,15 +134,16 @@ func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
 //	dQ = dS K
 //	dK = dSᵀ Q  dS read down its columns; q·s for s·q commutes exactly
 //
-// dV, dK and dQ are accumulated in scratch blocks and then added to the
-// operands' gradients. Temporaries come from s.
+// dP, dV, dK and dQ are computed fresh in raw scratch blocks, never
+// cleared, and dV, dK and dQ are then added to the operands' gradients.
+// Temporaries come from s.
 //
 //pruner:hotpath
 func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float64, scale float64) {
 	C, maxN := q.C, checkSegments("attention", lens, out.R)
-	dP := s.floats(maxN * maxN)
-	dV, dK, dQ := s.floats(maxN*C), s.floats(maxN*C), s.floats(maxN*C)
-	vT := s.floats(C * maxN)
+	dP := s.floatsRaw(maxN * maxN)
+	dV, dK, dQ := s.floatsRaw(maxN*C), s.floatsRaw(maxN*C), s.floatsRaw(maxN*C)
+	vT := s.floatsRaw(C * maxN)
 	off, pOff := out.R, len(probs)
 	for sg := len(lens) - 1; sg >= 0; sg-- {
 		n := lens[sg]
@@ -150,13 +151,9 @@ func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float6
 		pOff -= n * n
 		P, at := probs[pOff:pOff+n*n], off*C // at: the segment's first element
 		dv, dk, dq, dp := dV[:n*C], dK[:n*C], dQ[:n*C], dP[:n*n]
-		clear(dv)
-		clear(dk)
-		clear(dq)
-		clear(dp)
 		transposeInto(vT, v.Data[at:at+n*C], n, C)
-		stripRows(dp, n, out.Grad, at, C, 1, vT, n, C)
-		stripRows(dv, C, P, 0, 1, n, out.Grad[at:], C, n)
+		stripRows(dp, n, out.Grad, at, C, 1, vT, n, C, true)
+		stripRows(dv, C, P, 0, 1, n, out.Grad[at:], C, n, true)
 		for i := 0; i < n; i++ {
 			row, grow := P[i*n:i*n+n], dp[i*n:i*n+n]
 			var dot float64
@@ -167,8 +164,8 @@ func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float6
 				grow[j] = row[j] * (grow[j] - dot) * scale
 			}
 		}
-		stripRows(dq, C, dp, 0, n, 1, k.Data[at:], C, n)
-		stripRows(dk, C, dp, 0, 1, n, q.Data[at:], C, n)
+		stripRows(dq, C, dp, 0, n, 1, k.Data[at:], C, n, true)
+		stripRows(dk, C, dp, 0, 1, n, q.Data[at:], C, n, true)
 		addRows(v, off, dv)
 		addRows(k, off, dk)
 		addRows(q, off, dq)
@@ -200,25 +197,5 @@ func AliasParams(replica, master []*Tensor) {
 			panic(fmt.Sprintf("nn: AliasParams shape mismatch at %d: %dx%d vs %dx%d", i, r.R, r.C, m.R, m.C))
 		}
 		r.Data = m.Data
-	}
-}
-
-// AddGrads accumulates scale * src's gradients into dst's: dst[i].Grad
-// += src[i].Grad * scale, element by element. The trainer reduces its
-// replicas in a fixed order, which is what makes the summed gradient —
-// and everything downstream of it — independent of which worker computed
-// each replica's pass. Shapes must match.
-func AddGrads(dst, src []*Tensor, scale float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: AddGrads count mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, d := range dst {
-		g := src[i].Grad
-		if len(g) != len(d.Grad) {
-			panic(fmt.Sprintf("nn: AddGrads shape mismatch at %d", i))
-		}
-		for j, v := range g {
-			d.Grad[j] += v * scale
-		}
 	}
 }

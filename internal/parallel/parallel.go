@@ -75,6 +75,9 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
+	// Only what the helpers share is captured: a captured p would move to
+	// the heap on every call, the inline ones above included.
+	sem := p.sem
 	var (
 		next  atomic.Int64
 		fault panicSlot
@@ -97,11 +100,11 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 spawn:
 	for k := 0; k < helpers; k++ {
 		select {
-		case p.sem <- struct{}{}:
+		case sem <- struct{}{}:
 			wg.Add(1)
 			go func() {
 				defer func() {
-					<-p.sem
+					<-sem
 					wg.Done()
 				}()
 				run()
