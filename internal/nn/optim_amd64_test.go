@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -27,8 +28,8 @@ func TestAdamLanesMatchGo(t *testing.T) {
 					p, g := adamEdgeVector(rng, n, false), adamEdgeVector(rng, n, false)
 					m, v := adamEdgeVector(rng, n, false), adamEdgeVector(rng, n, true)
 					parts := [4]string{"weights", "gradients", "m", "v"}
-					want := [4][]float64{clone(p), g, clone(m), clone(v)}
-					got := [4][]float64{clone(p), g, clone(m), clone(v)}
+					want := [4][]float64{slices.Clone(p), g, slices.Clone(m), slices.Clone(v)}
+					got := [4][]float64{slices.Clone(p), g, slices.Clone(m), slices.Clone(v)}
 					for step := 1; step <= 3; step++ {
 						k := adamConsts{scale: scale, beta1: 0.9, omb1: 1 - 0.9, beta2: 0.999, omb2: 1 - 0.999, lr: 7e-4,
 							b1c: 1 - math.Pow(0.9, float64(step)), b2c: 1 - math.Pow(0.999, float64(step)), eps: 1e-8}
@@ -51,14 +52,12 @@ func onAdamKernel(kernel int, f func()) {
 	f()
 }
 
-func clone(x []float64) []float64 { return append([]float64(nil), x...) }
-
 // BenchmarkAdamUpdate times the update over PaCM's ~45 k parameters on
 // each kernel, named by the kernel that ran.
 func BenchmarkAdamUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(94))
 	const n = 45000
-	p, g := adamEdgeVector(rng, n, false), make([]float64, n)
+	p, g := make([]float64, n), make([]float64, n)
 	m, v := make([]float64, n), make([]float64, n)
 	for i := range p {
 		p[i], g[i] = rng.NormFloat64(), rng.NormFloat64()

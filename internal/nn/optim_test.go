@@ -169,3 +169,32 @@ func adamEdgeVector(rng *rand.Rand, n int, nonneg bool) []float64 {
 	}
 	return x
 }
+
+// BenchmarkAdamStepFrom times one optimiser step from two replicas over
+// PaCM's parameter shapes on a one-worker pool: the fit's tail as it runs
+// when the pool is busy with the draft.
+func BenchmarkAdamStepFrom(b *testing.B) {
+	rng := rand.New(rand.NewSource(95))
+	var params []*Tensor
+	for _, sh := range [][2]int{{164, 96}, {1, 96}, {96, 96}, {1, 96}, {23, 48}, {1, 48},
+		{48, 48}, {1, 48}, {48, 48}, {1, 48}, {48, 48}, {1, 48}, {48, 48}, {1, 48}, {1, 48}, {1, 48},
+		{144, 64}, {1, 64}, {64, 1}, {1, 1}} {
+		params = append(params, randParam(rng, sh[0], sh[1]))
+	}
+	reps := make([][]*Tensor, 2)
+	for r := range reps {
+		for _, p := range params {
+			reps[r] = append(reps[r], randParam(rng, p.R, p.C))
+		}
+	}
+	adam := NewAdam(params, 7e-4)
+	pool := parallel.New(1)
+	for i := 0; i < b.N; i++ {
+		for _, rep := range reps {
+			for _, p := range rep {
+				p.Grad[0] = 1 // a fresh gradient for the step to read
+			}
+		}
+		adam.StepFrom(pool, reps, 0.5)
+	}
+}
