@@ -44,13 +44,15 @@ type Adam struct {
 // shard is elements [lo, hi) of parameter p.
 type shard struct{ p, lo, hi int }
 
-// shardSize bounds a shard: small enough that a step's ~45 k PaCM
-// elements spread over both workers of a small pool, large enough that a
-// shard's lanes outweigh its hand-out.
+// shardSize bounds a shard, so a step's ~45 k PaCM elements make 39
+// shards to spread over the pool. The value is not tuned:
+// BenchmarkAdamStepFrom on one and two workers reads the same, within its
+// run-to-run spread, at 512, 2,048 and 8,192 and with one shard per
+// parameter (EXPERIMENTS.md).
 const shardSize = 2048
 
-// adamConsts are one step's constants, in the order the lane kernels
-// (optim_amd64.s) read them.
+// adamConsts are one step's constants, in the order the lane kernel
+// (optim_amd64.s) reads them.
 type adamConsts struct {
 	scale       float64 // the clipping factor applied to every gradient
 	beta1, omb1 float64 // β1 and 1 − β1
@@ -78,7 +80,8 @@ func NewAdam(params []*Tensor, lr float64) *Adam {
 	return a
 }
 
-// ZeroGrad clears accumulated gradients.
+// ZeroGrad clears the parameters' gradients, ahead of a backward on the
+// live model stepped with Step.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {
 		clear(p.Grad)
@@ -96,12 +99,29 @@ func (a *Adam) GradNorm() float64 {
 	return math.Sqrt(sq)
 }
 
-// Step applies one update from the parameters' own gradients, serially:
-// how a caller that ran its backward on the live model steps.
+// Step applies one update from the parameters' own gradients as one
+// serial loop over every element, with no shard plan and no lanes. It is
+// the reference StepFrom is checked against (TestAdamShardedMatchesSerial)
+// and the step of the single-model reference fits in tests; the fit
+// steps with StepFrom, and no other code should.
 func (a *Adam) Step() {
-	a.prepare()
-	for i := range a.shards {
-		a.updateShard(i)
+	a.step++
+	scale := 1.0
+	if a.ClipNorm > 0 {
+		if n := a.GradNorm(); n > a.ClipNorm {
+			scale = a.ClipNorm / n
+		}
+	}
+	b1c := 1 - math.Pow(a.Beta1, float64(a.step))
+	b2c := 1 - math.Pow(a.Beta2, float64(a.step))
+	for pi, p := range a.params {
+		m, v := a.m[pi], a.v[pi]
+		for i := range p.Data {
+			g := p.Grad[i] * scale
+			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			p.Data[i] -= a.LR * (m[i] / b1c) / (math.Sqrt(v[i]/b2c) + a.Eps)
+		}
 	}
 }
 
@@ -162,7 +182,7 @@ func (a *Adam) updateShard(i int) {
 }
 
 // adamGo is the update in Go, element by element: the loop the lane
-// kernels reproduce bit for bit and the fallback where there are none.
+// kernel reproduces bit for bit and the fallback where there is none.
 func adamGo(p, g, m, v []float64, k *adamConsts) {
 	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
 	for i := range p {

@@ -28,30 +28,6 @@ func AddGrads(dst, src []*Tensor, scale float64) {
 	}
 }
 
-// stepRef is the update as one serial loop over every parameter, as
-// Adam.Step ran before the shard plan and the lanes: the reference for
-// both.
-func stepRef(a *Adam) {
-	a.step++
-	scale := 1.0
-	if a.ClipNorm > 0 {
-		if n := a.GradNorm(); n > a.ClipNorm {
-			scale = a.ClipNorm / n
-		}
-	}
-	b1c := 1 - math.Pow(a.Beta1, float64(a.step))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.step))
-	for pi, p := range a.params {
-		m, v := a.m[pi], a.v[pi]
-		for i := range p.Data {
-			g := p.Grad[i] * scale
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			p.Data[i] -= a.LR * (m[i] / b1c) / (math.Sqrt(v[i]/b2c) + a.Eps)
-		}
-	}
-}
-
 // adamShapes are parameter shapes around the shard size: single
 // elements, a parameter of exactly one shard, ragged last shards and a
 // parameter of several.
@@ -100,7 +76,7 @@ func cloneParams(ps []*Tensor) []*Tensor {
 // gradients combined shard by shard on the pool, the norm taken
 // serially, the update run shard by shard on the pool in lanes — against
 // the sequence it replaced (ZeroGrad, AddGrads once per replica in order,
-// GradNorm and the serial update loop) over three steps at pool sizes 1,
+// GradNorm and Step) over three steps at pool sizes 1,
 // 2 and 8, with clipping engaged and off: the weights, m and v must be
 // bit-equal, and the replicas' gradients zero after each step.
 func TestAdamShardedMatchesSerial(t *testing.T) {
@@ -119,7 +95,7 @@ func TestAdamShardedMatchesSerial(t *testing.T) {
 				for _, rep := range reps {
 					AddGrads(ref.params, rep, scale)
 				}
-				stepRef(ref)
+				ref.Step()
 				saved := make([][]*Tensor, len(reps))
 				for r, rep := range reps {
 					saved[r] = cloneParams(rep)
@@ -171,8 +147,9 @@ func adamEdgeVector(rng *rand.Rand, n int, nonneg bool) []float64 {
 }
 
 // BenchmarkAdamStepFrom times one optimiser step from two replicas over
-// PaCM's parameter shapes on a one-worker pool: the fit's tail as it runs
-// when the pool is busy with the draft.
+// PaCM's parameter shapes on a pool of one worker (the fit's tail while
+// the draft holds the pool's other slot) and of two (after the session
+// joins the fit).
 func BenchmarkAdamStepFrom(b *testing.B) {
 	rng := rand.New(rand.NewSource(95))
 	var params []*Tensor
@@ -188,13 +165,17 @@ func BenchmarkAdamStepFrom(b *testing.B) {
 		}
 	}
 	adam := NewAdam(params, 7e-4)
-	pool := parallel.New(1)
-	for i := 0; i < b.N; i++ {
-		for _, rep := range reps {
-			for _, p := range rep {
-				p.Grad[0] = 1 // a fresh gradient for the step to read
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := parallel.New(workers)
+			for i := 0; i < b.N; i++ {
+				for _, rep := range reps {
+					for _, p := range rep {
+						p.Grad[0] = 1 // a fresh gradient for the step to read
+					}
+				}
+				adam.StepFrom(pool, reps, 0.5)
 			}
-		}
-		adam.StepFrom(pool, reps, 0.5)
+		})
 	}
 }
