@@ -63,10 +63,31 @@ const (
 	slotPrimitives
 )
 
-// lg is a sign-safe log2(1+x) used for all count-valued features.
+// lgTableLen bounds the integer arguments lg reads from lgTable.
+const lgTableLen = 4096
+
+// lgTable holds math.Log2(1+n) for 0 < n < lgTableLen, filled at init by
+// the very call lg makes for any other argument, so a table read has the
+// bits of the direct call on every host.
+var lgTable = func() (t [lgTableLen]float64) {
+	for n := 1; n < lgTableLen; n++ {
+		t[n] = math.Log2(1 + float64(n))
+	}
+	return t
+}()
+
+// lg is a sign-safe log2(1+x) used for all count-valued features. Most
+// arguments are counts — tile sizes, threads, trips — so an integer in
+// (0, lgTableLen) is read from lgTable; anything else (a fraction, a
+// large count, ±Inf, NaN) takes math.Log2.
 func lg(x float64) float64 {
 	if x <= 0 {
 		return 0
+	}
+	if x < lgTableLen {
+		if n := int(x); float64(n) == x {
+			return lgTable[n]
+		}
 	}
 	return math.Log2(1 + x)
 }

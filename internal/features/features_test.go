@@ -10,6 +10,7 @@ import (
 
 	"pruner/internal/ir"
 	"pruner/internal/schedule"
+	"pruner/internal/workloads"
 )
 
 func lowered(t *ir.Task, seed int64) *schedule.Lowered {
@@ -173,6 +174,31 @@ func TestLgSafety(t *testing.T) {
 	}
 }
 
+// TestLgMatchesLog2 checks lg bit for bit against the direct call
+// math.Log2(1+x): on every integer through the table's end and one past
+// it, on a fraction and a large count, which skip the table, and on ±0, a
+// subnormal and +Inf; negatives, −Inf included, clamp to +0 (where the
+// direct call is NaN), and NaN stays NaN.
+func TestLgMatchesLog2(t *testing.T) {
+	xs := []float64{4095.5, 1e9, 0, math.Copysign(0, -1), 5e-324, math.Inf(1)}
+	for n := 1; n <= lgTableLen; n++ {
+		xs = append(xs, float64(n))
+	}
+	for _, x := range xs {
+		if got, want := lg(x), math.Log2(1+x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("lg(%v) = %v (%#x), math.Log2(1+x) = %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), -3, math.Inf(-1)} {
+		if got := lg(x); math.Float64bits(got) != 0 {
+			t.Errorf("lg(%v) = %v, want +0", x, got)
+		}
+	}
+	if got := lg(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("lg(NaN) = %v, want NaN", got)
+	}
+}
+
 func TestQuantEff(t *testing.T) {
 	if quantEff(32, 32) != 1 {
 		t.Fatal("full transaction should be 1")
@@ -283,5 +309,45 @@ func TestAllocFeatures(t *testing.T) {
 				t.Errorf("%s rows of %s: %v allocs per run, want <= 2", fam.name, lw.Task.Name, avg)
 			}
 		}
+	}
+}
+
+// BenchmarkFeatureRows times each family's rows over fixed lowerings: 32
+// random schedules of each of resnet50's two heaviest convolutions (the
+// tasks of the benchmark's online workloads), one op featurizing all 64.
+// The lowerings are plain Lower's, so each program's rows are one heap
+// slab and one header slice, as TestAllocFeatures counts; rows/op is the
+// rows made.
+func BenchmarkFeatureRows(b *testing.B) {
+	net, err := workloads.ByName("resnet50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lws []*schedule.Lowered
+	for i, task := range net.Representative(2) {
+		g := schedule.NewGenerator(task)
+		rng := rand.New(rand.NewSource(int64(300 + i)))
+		for range 32 {
+			lws = append(lws, schedule.Lower(task, g.Random(rng)))
+		}
+	}
+	for _, fam := range []struct {
+		name string
+		rows func(*schedule.Lowered) [][]float64
+	}{
+		{"statement", statementRows},
+		{"dataflow", dataflowRows},
+		{"primitives", primitiveRows},
+	} {
+		b.Run(fam.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				for _, lw := range lws {
+					rows += len(fam.rows(lw))
+				}
+			}
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
 	}
 }

@@ -29,12 +29,12 @@
 //
 // The strip exists three times, picked once at init from what the
 // processor and the operating system report, never by an option: an
-// AVX-512 kernel that keeps a 2-row × 32-column block of outputs in eight
-// zmm registers for the whole contraction, an AVX2 kernel that keeps a
-// 2 × 16 block in eight ymm registers (both in gemm_amd64.s; ragged
-// widths narrow to smaller blocks and one masked vector; each block adds
-// the bias and takes the ReLU while its outputs are still in registers),
-// and gemmStripGo below, which finishes its rows with epilogue: the
+// AVX-512 kernel that keeps a 2-row × 64-column block of outputs in
+// sixteen zmm registers for the whole contraction, an AVX2 kernel that
+// keeps a 2 × 16 block in eight ymm registers (both in gemm_amd64.s;
+// ragged widths narrow to smaller blocks and one masked vector; each
+// block adds the bias and takes the ReLU while its outputs are still in
+// registers), and gemmStripGo below, which finishes its rows with epilogue: the
 // fallback and the reference both are tested against. Lanes are output
 // columns, never contraction steps, and the assembly multiplies and adds
 // with separate instructions (no FMA), so each output element still

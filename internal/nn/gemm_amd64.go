@@ -42,9 +42,10 @@ func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int
 	}
 }
 
-// gemmStripAVX512 is the strip in gemm_amd64.s on AVX-512F: a 2 × 32
-// block of outputs in eight zmm registers for the whole contraction, then
-// 2 × 16, 2 × 8 and one masked 2 × (c mod 8) block for a ragged width.
+// gemmStripAVX512 is the strip in gemm_amd64.s on AVX-512F: a 2 × 64
+// block of outputs in sixteen zmm registers (Z0–Z7 and Z16–Z23) for the
+// whole contraction, then 2 × 32, 2 × 16, 2 × 8 and one masked
+// 2 × (c mod 8) block for a ragged width.
 // Each block starts from its outputs or, fresh, from +0.0 in registers,
 // and adds the bias (nil: none) and takes the ReLU in registers.
 //

@@ -15,7 +15,11 @@
 //
 // Each column block loads its outputs into registers (or, fresh, sets
 // them to +0.0 there), runs every step of the contraction on them,
-// finishes them (the bias, then the ReLU) and stores them once.
+// finishes them (the bias, then the ReLU) and stores them once. The
+// AVX-512 strip's widest block, 2 × 64, keeps row 0's outputs in Z0–Z7
+// and row 1's in Z16–Z23, its scalars in Z8 and Z9 and its b vectors in
+// Z10–Z13 and Z24–Z27; every narrower block, on either kernel, keeps row
+// 0's outputs from register 0 and row 1's from register 4.
 
 // START rewinds to step 0 of the column block: BX = b there, DX = 0.
 #define START \
@@ -123,6 +127,130 @@
 TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-82
 	ARGS
 
+z64:
+	CMPQ CX, $64
+	JLT  z32
+	FRESH(z64zero)
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD 0(SI), Z16
+	VMOVUPD 64(SI), Z17
+	VMOVUPD 128(SI), Z18
+	VMOVUPD 192(SI), Z19
+	VMOVUPD 256(SI), Z20
+	VMOVUPD 320(SI), Z21
+	VMOVUPD 384(SI), Z22
+	VMOVUPD 448(SI), Z23
+	JMP  z64go
+
+z64zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+
+z64go:
+	START
+
+z64step:
+	SKIP(z64next)
+	VBROADCASTSD (R8)(DX*1), Z8
+	VBROADCASTSD (R9)(DX*1), Z9
+	VMOVUPD 0(BX), Z10
+	VMOVUPD 64(BX), Z11
+	VMOVUPD 128(BX), Z12
+	VMOVUPD 192(BX), Z13
+	VMOVUPD 256(BX), Z24
+	VMOVUPD 320(BX), Z25
+	VMOVUPD 384(BX), Z26
+	VMOVUPD 448(BX), Z27
+	MULADD(Z10, Z8, Z9, Z0, Z16, Z14, Z15)
+	MULADD(Z11, Z8, Z9, Z1, Z17, Z28, Z29)
+	MULADD(Z12, Z8, Z9, Z2, Z18, Z14, Z15)
+	MULADD(Z13, Z8, Z9, Z3, Z19, Z28, Z29)
+	MULADD(Z24, Z8, Z9, Z4, Z20, Z14, Z15)
+	MULADD(Z25, Z8, Z9, Z5, Z21, Z28, Z29)
+	MULADD(Z26, Z8, Z9, Z6, Z22, Z14, Z15)
+	MULADD(Z27, Z8, Z9, Z7, Z23, Z28, Z29)
+
+z64next:
+	NEXT(z64step)
+	BIASAT(z64relu)
+	VMOVUPD 0(BX), Z10
+	VMOVUPD 64(BX), Z11
+	VMOVUPD 128(BX), Z12
+	VMOVUPD 192(BX), Z13
+	VMOVUPD 256(BX), Z24
+	VMOVUPD 320(BX), Z25
+	VMOVUPD 384(BX), Z26
+	VMOVUPD 448(BX), Z27
+	ADDBIAS(Z10, Z0, Z16)
+	ADDBIAS(Z11, Z1, Z17)
+	ADDBIAS(Z12, Z2, Z18)
+	ADDBIAS(Z13, Z3, Z19)
+	ADDBIAS(Z24, Z4, Z20)
+	ADDBIAS(Z25, Z5, Z21)
+	ADDBIAS(Z26, Z6, Z22)
+	ADDBIAS(Z27, Z7, Z23)
+
+z64relu:
+	RELUON(z64store)
+	RELUCONST512(Z8, Z9)
+	RELU(Z0, Z8, Z9, VPANDQ)
+	RELU(Z1, Z8, Z9, VPANDQ)
+	RELU(Z2, Z8, Z9, VPANDQ)
+	RELU(Z3, Z8, Z9, VPANDQ)
+	RELU(Z4, Z8, Z9, VPANDQ)
+	RELU(Z5, Z8, Z9, VPANDQ)
+	RELU(Z6, Z8, Z9, VPANDQ)
+	RELU(Z7, Z8, Z9, VPANDQ)
+	RELU(Z16, Z8, Z9, VPANDQ)
+	RELU(Z17, Z8, Z9, VPANDQ)
+	RELU(Z18, Z8, Z9, VPANDQ)
+	RELU(Z19, Z8, Z9, VPANDQ)
+	RELU(Z20, Z8, Z9, VPANDQ)
+	RELU(Z21, Z8, Z9, VPANDQ)
+	RELU(Z22, Z8, Z9, VPANDQ)
+	RELU(Z23, Z8, Z9, VPANDQ)
+
+z64store:
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z16, 0(SI)
+	VMOVUPD Z17, 64(SI)
+	VMOVUPD Z18, 128(SI)
+	VMOVUPD Z19, 192(SI)
+	VMOVUPD Z20, 256(SI)
+	VMOVUPD Z21, 320(SI)
+	VMOVUPD Z22, 384(SI)
+	VMOVUPD Z23, 448(SI)
+	ADVANCE(64, 512)
+	JMP z64
+
 z32:
 	CMPQ CX, $32
 	JLT  z16
@@ -197,7 +325,6 @@ z32store:
 	VMOVUPD Z6, 128(SI)
 	VMOVUPD Z7, 192(SI)
 	ADVANCE(32, 256)
-	JMP z32
 
 z16:
 	CMPQ CX, $16

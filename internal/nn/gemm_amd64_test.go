@@ -76,12 +76,13 @@ func reluSparse(rng *rand.Rand, x *Tensor) {
 }
 
 // stripWidths are the output widths the kernels are checked at: every
-// width through two 16-lane blocks and a ragged tail on either kernel,
-// and the models' real widths, one past the widest.
+// width from 1 to 136, so the AVX-512 strip runs its 64-lane block twice
+// (the models' widest layer is 128) and then every tail of its cascade
+// (32, 16, 8, masked), and the AVX2 strip every tail of its own.
 var stripWidths = func() []int {
-	ws := []int{48, 64, 96, 128, 129}
-	for c := 40; c >= 1; c-- {
-		ws = append(ws, c)
+	ws := make([]int, 136)
+	for i := range ws {
+		ws[i] = i + 1
 	}
 	return ws
 }()
@@ -564,6 +565,11 @@ func FuzzGemmBlock(f *testing.F) {
 	f.Add(uint8(14), uint8(9), uint8(1), []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0xff, 0x80})
 	f.Add(uint8(16), uint8(37), uint8(6), seed)
 	f.Add(uint8(30), uint8(9), uint8(4), seed[5:])
+	// Widths 64, 65 and 127: one 64-lane block alone, with a masked lane,
+	// and with every narrower block of the cascade after it.
+	f.Add(uint8(0), uint8(63), uint8(5), seed)
+	f.Add(uint8(21), uint8(64), uint8(3), seed[2:])
+	f.Add(uint8(28), uint8(126), uint8(9), append(make([]byte, 16), seed...))
 	f.Fuzz(func(t *testing.T, mode, width, steps uint8, data []byte) {
 		if len(data) == 0 {
 			return

@@ -61,20 +61,18 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 // Reset. Dropping an all-zero column removes only exact-zero terms from
 // every output sum, so a layer fed through the correspondingly gathered
 // weight panel (affineRows) is bitwise identical to the full-width
-// forward. The scan for used columns stops once every column is used, so
-// each row's width is checked where every row is visited: in the copy.
+// forward. A column is used when any row holds a value other than ±0
+// there (NaN and subnormals count). The scan visits every row and marks
+// without a branch, ORing in each value's bits shifted past the sign —
+// zero only for ±0, the strip's skip test — and each row's width is
+// checked in the copy.
 func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 	used := s.Ints(width)
-	cnt := 0
 	for _, r := range rows {
-		if cnt == width {
-			break
-		}
-		for k, v := range r[:min(len(r), width)] {
-			if v != 0 && used[k] == 0 {
-				used[k] = 1
-				cnt++
-			}
+		r = r[:min(len(r), width)]
+		u := used[:len(r)]
+		for k, v := range r {
+			u[k] |= int(math.Float64bits(v) << 1)
 		}
 	}
 	cols := s.Ints(width)[:0]
