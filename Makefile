@@ -213,9 +213,9 @@ ledger-compare:
 # Short fuzz pass over the record codec (the store's segment format and
 # the fleet's wire format), the store's torn-tail segment replay, the
 # hand-editable wire.lock parser, every SIMD GEMM strip the host runs
-# (AVX-512, AVX2) against the Go one, the rows op (compacted input,
-# gathered weight panel) against Affine over the uncompacted rows,
-# forward and W/b gradients bit for bit, and the schedule identity (Same
+# (AVX-512, AVX2) against the Go one, the rows op (rows copied whole,
+# W's leading rows, all-zero columns) against Affine over the rows
+# zero-extended to W's height, forward and W/b gradients bit for bit, and the schedule identity (Same
 # is fingerprint equality, equal schedules share a Key, and
 # CompareFingerprints orders as strings.Compare over the fingerprints).
 # The seed corpora also run as plain tests under `make test`.

@@ -17,10 +17,11 @@ import (
 // it, and the serial one-step-per-group fit loop.
 
 // forwardOne scores one candidate with the unbatched composition: every
-// layer an Affine over the uncompacted input, the feature rows
-// zero-extended to the model width (so the rows op's narrow rows and
-// column compaction are checked independently), whole-program one-segment
-// sums and means, and the attention block over one segment with no dedup.
+// layer an Affine over the full-width input, the feature rows
+// zero-extended to the model width (so the rows op's narrow rows and its
+// multiply by W's leading rows are checked independently), whole-program
+// one-segment sums and means, and the attention block over one segment
+// with no dedup.
 func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 	emb := reluLayers(m.embed, padded(features.Statement(lw), features.StmtDim))
 	return m.head.Forward(nn.SegmentSumRows(emb, []int{emb.R}))

@@ -17,7 +17,8 @@
 // memoized lowering (valid until the memo's Release), from the heap for
 // a plain one. A row narrower than its model width stands for the row
 // zero-extended to it: the models' rows op (nn's affineRows) contracts
-// only the stored columns, which is bitwise the full-width product.
+// only the stored columns against the weight's leading rows, which is
+// bitwise the full-width product.
 package features
 
 import (

@@ -18,7 +18,10 @@
 // tests pin). The kernels assume finite weights: a zero activation then
 // contributes an exact ±0.0 term, which cannot perturb any partial sum,
 // letting the inner loops run branchless where the reference branches per
-// term.
+// term. The one zero-skip is the GEMM strip's: a step whose two
+// activations are both ±0 is not run, so the columns of feature rows that
+// are zero in every row cost the input layer (affineRows) a test, not a
+// multiply.
 package nn
 
 import (
@@ -34,10 +37,10 @@ import (
 // element the terms still add in ascending k from +0.0, so the result is
 // bitwise identical to separate matmul, bias and ReLU passes for finite
 // w. A step whose two activations are both zero is skipped, matching the
-// reference's per-term zero-skip; feature rows' structurally-zero
-// columns never reach it (compactRowsIn). The engine
-// counters tally forward GEMMs, so they are bumped here and not in the
-// strip the backward and the attention core share.
+// reference's per-term zero-skip, and is how the rows op (affineRows)
+// passes over feature rows' all-zero columns. The engine counters tally
+// forward GEMMs, so they are bumped here and not in the strip the
+// backward and the attention core share.
 func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	if x.C != w.R {
 		panic(fmt.Sprintf("nn: matmulFused %dx%d @ %dx%d", x.R, x.C, w.R, w.C))
@@ -51,51 +54,6 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 		gemmStrip(out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C], x.Data, i*K, i1*K, 1, w.Data, C, K, bias, relu, true)
 	}
 	return out
-}
-
-// compactRowsIn builds a GEMM input directly from feature rows: columns
-// that are zero in every row (padding tails, unused one-hot slots) are
-// dropped at copy time, so the first GEMM runs the dense kernel on the
-// surviving columns only. It returns the compacted tensor and the kept
-// column indices (ascending); both alias s and are valid until its next
-// Reset. Dropping an all-zero column removes only exact-zero terms from
-// every output sum, so a layer fed through the correspondingly gathered
-// weight panel (affineRows) is bitwise identical to the full-width
-// forward. A column is used when any row holds a value other than ±0
-// there (NaN and subnormals count). The scan visits every row and marks
-// without a branch, ORing in each value's bits shifted past the sign —
-// zero only for ±0, the strip's skip test — and each row's width is
-// checked in the copy.
-func compactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
-	used := s.Ints(width)
-	for _, r := range rows {
-		r = r[:min(len(r), width)]
-		u := used[:len(r)]
-		for k, v := range r {
-			u[k] |= int(math.Float64bits(v) << 1)
-		}
-	}
-	cols := s.Ints(width)[:0]
-	for k, u := range used {
-		if u != 0 {
-			cols = append(cols, k)
-		}
-	}
-	if len(cols) == 0 {
-		// Degenerate all-zero batch: keep one column so shapes stay valid.
-		cols = append(cols, 0)
-	}
-	x := s.tensorRaw(len(rows), len(cols))
-	for i, r := range rows {
-		if len(r) != width {
-			panic(fmt.Sprintf("nn: compactRows ragged row %d vs %d", len(r), width))
-		}
-		dst := x.Data[i*len(cols) : (i+1)*len(cols)]
-		for n, k := range cols {
-			dst[n] = r[k]
-		}
-	}
-	return x, cols
 }
 
 // DedupRowsIn returns the distinct rows of a feature matrix in
@@ -161,14 +119,8 @@ func sameBits(a, b []float64) bool {
 // row order, so gradients are deterministic) — which is what lets the
 // forwards project a distinct row once and gather: bitwise identical in
 // the forward, and the duplicates' gradients summed in the backward.
-func GatherRows(src *Tensor, idx []int) *Tensor { return gatherRowsOn(nil, src, idx) }
-
-// gatherRowsOn is GatherRows with its output on s when src carries no
-// arena of its own: how a parameter's rows are gathered into a forward's
-// arena (affineRows).
-func gatherRowsOn(s *Scratch, src *Tensor, idx []int) *Tensor {
-	grad := src.requiresGrad
-	s = tapeArena(join(s, src), grad)
+func GatherRows(src *Tensor, idx []int) *Tensor {
+	s, grad := opArena(src, nil, nil)
 	return gatherRowsIn(s, src, idx).link(grad, node{op: opGatherRows, a: src, ints: idx})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -146,119 +145,6 @@ func TestAttentionPanicsOnBadLengths(t *testing.T) {
 				}
 			}()
 			attend(q, k, v, tc.lens, 1)
-		}()
-	}
-}
-
-// compactRowsRef is compactRowsIn as a plain scan: a column is kept when
-// some row holds a value that compares unequal to zero there, and an
-// all-zero batch keeps column 0.
-func compactRowsRef(rows [][]float64, width int) (*Tensor, []int) {
-	var cols []int
-	for k := 0; k < width; k++ {
-		for _, r := range rows {
-			if r[k] != 0 {
-				cols = append(cols, k)
-				break
-			}
-		}
-	}
-	if len(cols) == 0 {
-		cols = []int{0}
-	}
-	x := New(len(rows), len(cols))
-	for i, r := range rows {
-		for n, k := range cols {
-			x.Data[i*len(cols)+n] = r[k]
-		}
-	}
-	return x, cols
-}
-
-// TestCompactRowsMatchesReference checks compactRowsIn against
-// compactRowsRef, kept columns and copied bits, on batches where each
-// column is zero throughout, −0 throughout (dropped), or holds a NaN, a
-// subnormal or a Gaussian value in a few rows (kept); on an all-zero
-// batch (column 0 kept); and on one row. One Scratch, reset between
-// batches and with raw draws poisoned, serves every batch, so no batch
-// sees an earlier one's marks.
-func TestCompactRowsMatchesReference(t *testing.T) {
-	defer SetPoisonRaw(SetPoisonRaw(true))
-	rng := rand.New(rand.NewSource(26))
-	negZero := math.Copysign(0, -1)
-	special := []float64{math.NaN(), 5e-324, -5e-324, 2.5e-310, math.Inf(-1)}
-	batch := func(n, width int) [][]float64 {
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, width)
-		}
-		for k := 0; k < width; k++ {
-			kind := rng.Intn(4)
-			for _, r := range rows {
-				switch {
-				case kind == 1:
-					r[k] = negZero
-				case kind == 2 && rng.Intn(3) == 0:
-					r[k] = special[rng.Intn(len(special))]
-				case kind == 3 && rng.Intn(3) == 0:
-					r[k] = rng.NormFloat64()
-				case kind >= 2 && rng.Intn(2) == 0:
-					r[k] = negZero
-				}
-			}
-		}
-		return rows
-	}
-	var s Scratch
-	check := func(name string, rows [][]float64, width int) {
-		t.Helper()
-		s.Reset()
-		got, gotCols := compactRowsIn(&s, rows, width)
-		want, wantCols := compactRowsRef(rows, width)
-		if fmt.Sprint(gotCols) != fmt.Sprint(wantCols) {
-			t.Fatalf("%s: kept columns %v, want %v", name, gotCols, wantCols)
-		}
-		bitwiseEqual(t, name, got, want)
-	}
-	for _, width := range []int{1, 7, 21, 50} {
-		for _, n := range []int{1, 2, 5, 16} {
-			for rep := 0; rep < 4; rep++ {
-				check(fmt.Sprintf("w=%d n=%d #%d", width, n, rep), batch(n, width), width)
-			}
-		}
-		zeros := make([][]float64, 3)
-		for i := range zeros {
-			zeros[i] = make([]float64, width)
-			if i == 1 {
-				for k := range zeros[i] {
-					zeros[i][k] = negZero
-				}
-			}
-		}
-		check(fmt.Sprintf("w=%d all zero", width), zeros, width)
-	}
-}
-
-// TestCompactRowsRaggedAfterFullScan puts a ragged row after rows that
-// already use every column: it must still be reported as ragged, longer
-// or shorter.
-func TestCompactRowsRaggedAfterFullScan(t *testing.T) {
-	full := []float64{1, 2, 3}
-	for _, tc := range []struct {
-		name string
-		row  []float64
-	}{
-		{"longer", []float64{1, 2, 3, 4}},
-		{"shorter", []float64{1, 2}},
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "ragged row") {
-					t.Errorf("%s: got panic %q, want a ragged row panic", tc.name, msg)
-				}
-			}()
-			compactRowsIn(nil, [][]float64{full, full, tc.row}, len(full))
 		}()
 	}
 }
@@ -463,7 +349,7 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 
 	rows, _ := randRows(rng, 12, 9)
 	for _, r := range rows {
-		r[2], r[7] = 0, 0 // columns the rows op compacts away
+		r[2], r[7] = 0, 0 // zero columns: steps the strip skips in every row pair
 	}
 	x := FromRows(rows)
 	lens := []int{4, 3, 5}

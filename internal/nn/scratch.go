@@ -13,11 +13,11 @@
 // buffer its kernel accumulates into — a gradient, dW, a segment sum —
 // or raw (floatsRaw, tensorRaw), holding whatever its slot last held, for
 // a buffer its kernel writes in every element before any read — a GEMM
-// output in the strip's fresh mode (gemm.go), a gather, a transposed
-// panel. A raw draw skips the clear, which is most of what an arena
-// draw would otherwise cost; SetPoisonRaw fills raw draws with NaN, so a
-// kernel that leaves one element unwritten shows in every value computed
-// from it. (A nil Scratch's buffers are fresh heap memory, zeroed either
+// output in the strip's fresh mode (gemm.go), a gather, the rows op's
+// copied input, a transposed panel. A raw draw skips the clear, which is
+// most of what an arena draw would otherwise cost; SetPoisonRaw fills raw
+// draws with NaN, so a kernel that leaves one element unwritten shows in
+// every value computed from it. (A nil Scratch's buffers are fresh heap memory, zeroed either
 // way.) Buffers alias memory owned by the Scratch: results needed
 // beyond the next Reset must be copied out. The header list doubles as
 // the tape (tape.go): a training forward's nodes are the headers it drew,
@@ -163,6 +163,9 @@ func (s *Scratch) tensorRaw(r, c int) *Tensor {
 
 // header pushes a reset r x c tensor header over data onto the arena.
 func (s *Scratch) header(r, c int, data []float64) *Tensor {
+	if s == nil {
+		return &Tensor{R: r, C: c, Data: data}
+	}
 	var t *Tensor
 	if s.tensorN < len(s.tensors) {
 		t = s.tensors[s.tensorN]

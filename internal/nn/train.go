@@ -33,23 +33,34 @@ func Affine(x, w, b *Tensor, relu bool) *Tensor {
 // width k <= W.R, and every row must be exactly k wide, so a row family
 // fed to the wrong layer panics instead of passing as zero-extended; a
 // row stands for itself zero-extended to W.R (features stores only the
-// columns that can be nonzero). The rows are compacted at copy time
-// (compactRowsIn) and contracted against the weight rows of the kept
-// columns, gathered by a GatherRows node; a column past k is zero in
-// every row, so it would have been dropped anyway. The backward
-// therefore runs affineBackward on that panel and the gather adds the
-// panel's gradient rows into W.Grad[cols[n]]. The forward is bitwise
-// Affine(FromRows(rows), w, b, relu) over the zero-extended rows, and so
-// are the W and b gradients whenever W.Grad starts at zero, as a training
-// step's does: each used row's dW sum starts at +0.0 either way, and a
-// column that is zero in every row only ever receives exact zero terms.
+// columns that can be nonzero). The rows are copied whole into x and
+// multiplied by W's first k rows: W itself when k == W.R, else a leaf
+// over W's leading k·C elements, Data and Grad, so the backward's dW
+// lands in W.Grad in place. A column past k is zero in every row, so its
+// terms are exact zeros the full-width product adds nothing from; a
+// column zero in every row within k is a step the strip skips in every
+// row pair. The forward is therefore bitwise Affine(FromRows(rows), w, b,
+// relu) over the zero-extended rows, and so are the W and b gradients.
 // The rows carry no gradient.
 func affineRows(s *Scratch, rows [][]float64, k int, w, b *Tensor, relu bool) *Tensor {
 	if k > w.R {
 		panic(fmt.Sprintf("nn: affineRows rows %d wide for a %dx%d weight", k, w.R, w.C))
 	}
-	x, cols := compactRowsIn(s, rows, k)
-	return Affine(x, gatherRowsOn(s, w, cols), b, relu)
+	x := s.tensorRaw(len(rows), k)
+	for i, r := range rows {
+		if len(r) != k {
+			panic(fmt.Sprintf("nn: affineRows ragged row %d vs %d", len(r), k))
+		}
+		copy(x.Data[i*k:(i+1)*k], r)
+	}
+	if k < w.R {
+		lead := s.header(k, w.C, w.Data[:k*w.C])
+		if w.requiresGrad {
+			lead.requiresGrad, lead.Grad = true, w.Grad[:k*w.C]
+		}
+		w = lead
+	}
+	return Affine(x, w, b, relu)
 }
 
 // affineBackward is Affine's backward. Both gradient GEMMs run on the

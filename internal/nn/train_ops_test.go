@@ -81,7 +81,7 @@ func TestAffinePinned(t *testing.T) {
 // TestGradAffineRows finite-difference-checks the rows op's weight and
 // bias gradients, with and without the fused ReLU, on rows whose columns
 // 1 and 4 are zero throughout, and pins its forward values and W and b
-// gradient bits to Affine over the uncompacted FromRows input.
+// gradient bits to Affine over the zero-extended FromRows input.
 func TestGradAffineRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, relu := range []bool{false, true} {
@@ -112,9 +112,11 @@ func TestGradAffineRows(t *testing.T) {
 // zero-extended to W's height — through the
 // same loss, each from zeroed W and b gradients as a training step
 // starts, and demands identical forward values and W and b gradients,
-// bit for bit.
+// bit for bit. Raw draws are poisoned, so a packed input the rows op
+// leaves partly unwritten shows as NaN.
 func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, lossW *Tensor, relu bool) {
 	t.Helper()
+	defer SetPoisonRaw(SetPoisonRaw(true))
 	pass := func(f func() *Tensor) [3][]float64 {
 		clear(w.Grad)
 		clear(b.Grad)
@@ -148,7 +150,7 @@ func zeroExtend(rows [][]float64, width int) [][]float64 {
 // TestAffineRowsPanics: the rows op names its two width faults — a
 // stated width wider than W, and a row whose width differs from the
 // stated one, wider or narrower, the first row included (a row family
-// fed to the wrong layer).
+// fed to the wrong layer) and after rows that use every column.
 func TestAffineRowsPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w, b := randParam(rng, 4, 3), randParam(rng, 1, 3)
@@ -161,6 +163,7 @@ func TestAffineRowsPanics(t *testing.T) {
 		{"longer row", "ragged row 4 vs 3", 3, [][]float64{{1, 2, 3}, {1, 2, 3, 4}}},
 		{"shorter row", "ragged row 2 vs 3", 3, [][]float64{{1, 2, 3}, {1, 2}}},
 		{"wrong family", "ragged row 2 vs 3", 3, [][]float64{{1, 2}, {1, 2}}},
+		{"ragged after full rows", "ragged row 4 vs 3", 3, [][]float64{{1, 2, 3}, {4, 5, 6}, {1, 2, 3, 4}}},
 	} {
 		func() {
 			defer func() {
@@ -204,7 +207,7 @@ func finiteFrom(data []byte, n int) float64 {
 // FuzzAffineRows feeds the rows op arbitrary finite rows K wide — columns
 // whose zeroCols bit is set hold ±0.0 in every row — weights K+extra
 // rows high and loss weights, and demands the forward and the W and b
-// gradient bits of Affine over the uncompacted FromRows input, the rows
+// gradient bits of Affine over the FromRows input, the rows
 // zero-extended to W's height. The seeds cover all-zero columns, ±0.0,
 // denormals, a single row, odd widths and rows narrower than W.
 func FuzzAffineRows(f *testing.F) {
