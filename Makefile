@@ -228,10 +228,11 @@ fuzz-smoke:
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzAffineRows$$' -fuzztime 10s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz '^FuzzScheduleKey$$' -fuzztime 10s
 
-# Non-test Go lines outside bench/ and testdata, per package directory
-# and in total: the size the simplicity changes are measured by.
+# Non-test Go and assembly (.s) lines outside bench/ and testdata, per
+# package directory and in total: the size the simplicity changes are
+# measured by.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | sort | xargs wc -l | \
+	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | sort | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; all += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", all }'
 

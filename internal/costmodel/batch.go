@@ -111,6 +111,19 @@ func putScratch(a *arena) {
 	scratchPool.mu.Unlock()
 }
 
+// ParkedScratchBytes reports the storage the parked arenas hold: the
+// capacity of their buffers, in bytes. It reads the free list under its
+// lock, so it sees no arena half parked.
+func ParkedScratchBytes() int64 {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	var n int64
+	for a := scratchPool.free; a != nil; a = a.next {
+		n += a.BufferBytes()
+	}
+	return n
+}
+
 // statementBatch concatenates every candidate's statement feature rows
 // (shared cache references, no copies) plus the per-candidate segment
 // lengths, both on s.

@@ -1,26 +1,25 @@
 // The GEMM strip: every contraction of the learned models — the forward
-// x@W (matmulFused), dX = g@Wᵀ and dW += xᵀ@g (affineBackward), and the
+// x@W (matmulFused), dX = g@Wᵀ and dW = xᵀ@g (affineBackward), and the
 // attention core's scores Q·Kᵀ and value mix P·V (attendIn) and its
 // gradients dP = G·Vᵀ, dV = Pᵀ·G, dQ = dS·K and dK = dSᵀ·Q
 // (attendBackward) — is a loop over pairs of output rows, each pair one
 // call of
 //
-//	o0[j] += Σ_k a[off0 + k·lda] · b[k·ldb + j]
-//	o1[j] += Σ_k a[off1 + k·lda] · b[k·ldb + j]        k < K, j < len(o0)
+//	o0[j] = Σ_k a[off0 + k·lda] · b[k·ldb + j]
+//	o1[j] = Σ_k a[off1 + k·lda] · b[k·ldb + j]         k < K, j < len(o0)
 //
-// with k ascending per element and a step k skipped when both of its
-// scalars are zero; then each output row is finished: o[j] += bias[j]
-// when a bias is given, then o[j] = max(o[j], 0) when the ReLU is on. In
-// fresh mode the sums start at +0.0 instead of at the outputs' values,
-// and the outputs are written without being read: how every product
-// whose output block holds nothing yet runs (the forward, dX's
-// accumulator, the attention core's scores, value mix and gradients), so
-// its buffer is drawn raw (scratch.go) and never cleared. Only dW, which
-// adds into the parameter's gradient, accumulates onto its outputs.
-// Only the forward passes a bias or the ReLU. The forward, dX, the
-// scores, the value mix, dP and dQ read their scalars along a row
-// (lda = 1); dW, dV and dK read them down a column (lda = K for x, n for
-// a segment's P or dS), so no transposed copy of the scalars is made.
+// each sum starting at +0.0, with k ascending per element and a step k
+// skipped when both of its scalars are zero; then each output row is
+// finished: o[j] += bias[j] when a bias is given, then o[j] = max(o[j], 0)
+// when the ReLU is on. The outputs are written without being read, so
+// every output block is drawn raw (scratch.go) and never cleared; a
+// product that belongs in a gradient (dX, dW, dV, dK, dQ) is computed
+// into such a block, dX and dW two rows at a time (stripAddRows), and
+// then added there. Only the forward passes a bias
+// or the ReLU. The forward, dX, the scores, the value mix, dP and dQ read
+// their scalars along a row (lda = 1); dW, dV and dK read them down a
+// column (lda = K for x, n for a segment's P or dS), so no transposed
+// copy of the scalars is made.
 // Where the output columns are another matrix's rows — dX's Wᵀ, the
 // scores' Kᵀ, dP's Vᵀ — b is a transposed panel of it on the arena. An
 // odd last row runs as both rows of its strip (o1 = o0, off1 = off0): the
@@ -49,9 +48,9 @@
 //
 // The skip leans on one IEEE fact: for finite operands a zero scalar
 // contributes an exact ±0.0 term, which leaves a partial sum unchanged
-// (no accumulator here is ever −0.0: each starts at +0.0 or at a sum that
-// did). All three kernels skip exactly the same steps even so, so they
-// agree bit for bit on any accumulator, −0.0 included.
+// (no accumulator here is ever −0.0: each starts at +0.0, and a sum
+// from +0.0 is never −0.0). All three kernels skip exactly the same
+// steps even so.
 
 package nn
 
@@ -62,16 +61,14 @@ import "math"
 // and adds their terms in one pass over the two rows — each output
 // element loaded and stored once per four terms, the four still added in
 // ascending k — and a last one to three a step at a time, then finishes
-// each distinct row with epilogue. Fresh, it clears the two rows first.
+// each distinct row with epilogue. It clears the two rows first.
 // It is one function on purpose: a call inside the gather loop makes the
 // compiler keep the loop's counters on the stack.
-func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu, fresh bool) {
+func gemmStripGo(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu bool) {
 	c := len(o0)
 	o1 = o1[:c]
-	if fresh {
-		clear(o0)
-		clear(o1)
-	}
+	clear(o0)
+	clear(o1)
 	var p, q [4]float64
 	var rows [4]int // where the steps' rows start in b
 	a0, a1 := a[off0:], a[off1:]

@@ -13,21 +13,20 @@ const (
 // processor and the operating system report, never by an option.
 var gemmKernel = bestKernel()
 
-// gemmStrip runs the strip (gemm.go) over len(o0) output columns, from
-// +0.0 when fresh is set and from the outputs' values otherwise, then
-// adds bias (nil: none) and takes the ReLU.
-func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu, fresh bool) {
+// gemmStrip runs the strip (gemm.go) over len(o0) output columns, each
+// sum from +0.0, then adds bias (nil: none) and takes the ReLU.
+func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int, bias []float64, relu bool) {
 	if gemmKernel == kernelGo || K <= 0 {
-		gemmStripGo(o0, o1, a, off0, off1, lda, b, ldb, K, bias, relu, fresh)
+		gemmStripGo(o0, o1, a, off0, off1, lda, b, ldb, K, bias, relu)
 		return
 	}
-	if fresh && poisonRaw.Load() {
-		poison(o0) // fresh, the assembly must write what it never reads
+	if poisonRaw.Load() {
+		poison(o0) // the assembly must write what it never reads
 		poison(o1)
 	}
-	// The assembly reads c elements of each output row and of the bias,
-	// K scalars from each of &a[off0] and &a[off1] lda apart, and K rows
-	// of b, ldb apart, c long (c >= 1: no tensor is empty).
+	// The assembly writes c elements of each output row and reads c of
+	// the bias, K scalars from each of &a[off0] and &a[off1] lda apart,
+	// and K rows of b, ldb apart, c long (c >= 1: no tensor is empty).
 	c, last := len(o0), (K-1)*lda
 	_, _, _, _ = o1[c-1], a[off0+last], a[off1+last], b[(K-1)*ldb+c-1]
 	var bp *float64
@@ -36,9 +35,9 @@ func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int
 		bp = &bias[0]
 	}
 	if gemmKernel == kernelAVX512 {
-		gemmStripAVX512(&o0[0], &o1[0], &a[off0], &a[off1], lda, &b[0], ldb, K, c, bp, relu, fresh)
+		gemmStripAVX512(&o0[0], &o1[0], &a[off0], &a[off1], lda, &b[0], ldb, K, c, bp, relu)
 	} else {
-		gemmStripAVX2(&o0[0], &o1[0], &a[off0], &a[off1], lda, &b[0], ldb, K, c, bp, relu, fresh)
+		gemmStripAVX2(&o0[0], &o1[0], &a[off0], &a[off1], lda, &b[0], ldb, K, c, bp, relu)
 	}
 }
 
@@ -46,18 +45,18 @@ func gemmStrip(o0, o1, a []float64, off0, off1, lda int, b []float64, ldb, K int
 // block of outputs in sixteen zmm registers (Z0–Z7 and Z16–Z23) for the
 // whole contraction, then 2 × 32, 2 × 16, 2 × 8 and one masked
 // 2 × (c mod 8) block for a ragged width.
-// Each block starts from its outputs or, fresh, from +0.0 in registers,
-// and adds the bias (nil: none) and takes the ReLU in registers.
+// Each block starts from +0.0 in registers, and adds the bias (nil:
+// none) and takes the ReLU in registers.
 //
 //go:noescape
-func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu, fresh bool)
+func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
 
 // gemmStripAVX2 is the strip in gemm_amd64.s on AVX2: a 2 × 16 block in
 // eight ymm registers, then 2 × 8, 2 × 4 and one masked 2 × (c mod 4),
 // each finished like the AVX-512 strip's.
 //
 //go:noescape
-func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu, fresh bool)
+func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

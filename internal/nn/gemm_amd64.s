@@ -13,9 +13,9 @@
 //	CX      columns left     BX   b at the current step, then the bias
 //	AX      scratch
 //
-// Each column block loads its outputs into registers (or, fresh, sets
-// them to +0.0 there), runs every step of the contraction on them,
-// finishes them (the bias, then the ReLU) and stores them once. The
+// Each column block sets its outputs to +0.0 in registers, runs every
+// step of the contraction on them, finishes them (the bias, then the
+// ReLU) and stores them once, never reading the outputs. The
 // AVX-512 strip's widest block, 2 × 64, keeps row 0's outputs in Z0–Z7
 // and row 1's in Z16–Z23, its scalars in Z8 and Z9 and its b vectors in
 // Z10–Z13 and Z24–Z27; every narrower block, on either kernel, keeps row
@@ -108,13 +108,6 @@
 	VPCMPEQQ abs, abs, abs \
 	VPSRLQ   $1, abs, abs
 
-// FRESH jumps to zero when the strip runs fresh: the block's
-// accumulators then start at +0.0 in registers, and its outputs are
-// written without being read.
-#define FRESH(zero) \
-	CMPB fresh+81(FP), $0 \
-	JNE  zero
-
 // ADVANCE moves the outputs and b past a finished column block of n
 // columns (bytes = 8n).
 #define ADVANCE(n, bytes) \
@@ -123,33 +116,13 @@
 	ADDQ $bytes, R11 \
 	SUBQ $n, CX
 
-// func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu, fresh bool)
-TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-82
+// func gemmStripAVX512(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
+TEXT ·gemmStripAVX512(SB), NOSPLIT, $0-81
 	ARGS
 
 z64:
 	CMPQ CX, $64
 	JLT  z32
-	FRESH(z64zero)
-	VMOVUPD 0(DI), Z0
-	VMOVUPD 64(DI), Z1
-	VMOVUPD 128(DI), Z2
-	VMOVUPD 192(DI), Z3
-	VMOVUPD 256(DI), Z4
-	VMOVUPD 320(DI), Z5
-	VMOVUPD 384(DI), Z6
-	VMOVUPD 448(DI), Z7
-	VMOVUPD 0(SI), Z16
-	VMOVUPD 64(SI), Z17
-	VMOVUPD 128(SI), Z18
-	VMOVUPD 192(SI), Z19
-	VMOVUPD 256(SI), Z20
-	VMOVUPD 320(SI), Z21
-	VMOVUPD 384(SI), Z22
-	VMOVUPD 448(SI), Z23
-	JMP  z64go
-
-z64zero:
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -166,8 +139,6 @@ z64zero:
 	VPXORQ Z21, Z21, Z21
 	VPXORQ Z22, Z22, Z22
 	VPXORQ Z23, Z23, Z23
-
-z64go:
 	START
 
 z64step:
@@ -254,18 +225,6 @@ z64store:
 z32:
 	CMPQ CX, $32
 	JLT  z16
-	FRESH(z32zero)
-	VMOVUPD 0(DI), Z0
-	VMOVUPD 64(DI), Z1
-	VMOVUPD 128(DI), Z2
-	VMOVUPD 192(DI), Z3
-	VMOVUPD 0(SI), Z4
-	VMOVUPD 64(SI), Z5
-	VMOVUPD 128(SI), Z6
-	VMOVUPD 192(SI), Z7
-	JMP  z32go
-
-z32zero:
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -274,8 +233,6 @@ z32zero:
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
-
-z32go:
 	START
 
 z32step:
@@ -329,20 +286,10 @@ z32store:
 z16:
 	CMPQ CX, $16
 	JLT  z8
-	FRESH(z16zero)
-	VMOVUPD 0(DI), Z0
-	VMOVUPD 64(DI), Z1
-	VMOVUPD 0(SI), Z4
-	VMOVUPD 64(SI), Z5
-	JMP  z16go
-
-z16zero:
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z4, Z4, Z4
 	VPXORQ Z5, Z5, Z5
-
-z16go:
 	START
 
 z16step:
@@ -380,16 +327,8 @@ z16store:
 z8:
 	CMPQ CX, $8
 	JLT  zmask
-	FRESH(z8zero)
-	VMOVUPD 0(DI), Z0
-	VMOVUPD 0(SI), Z4
-	JMP  z8go
-
-z8zero:
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z4, Z4, Z4
-
-z8go:
 	START
 
 z8step:
@@ -425,16 +364,8 @@ zmask:
 	SHLQ  CX, AX
 	SUBQ  $1, AX
 	KMOVW AX, K1
-	FRESH(zmzero)
-	VMOVUPD.Z 0(DI), K1, Z0
-	VMOVUPD.Z 0(SI), K1, Z4
-	JMP  zmgo
-
-zmzero:
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z4, Z4, Z4
-
-zmgo:
 	START
 
 zmstep:
@@ -475,25 +406,13 @@ DATA laneMask<>+48(SB)/8, $0
 DATA laneMask<>+56(SB)/8, $0
 GLOBL laneMask<>(SB), RODATA|NOPTR, $64
 
-// func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu, fresh bool)
-TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-82
+// func gemmStripAVX2(o0, o1, a0, a1 *float64, lda int, b *float64, ldb, k, c int, bias *float64, relu bool)
+TEXT ·gemmStripAVX2(SB), NOSPLIT, $0-81
 	ARGS
 
 y16:
 	CMPQ CX, $16
 	JLT  y8
-	FRESH(y16zero)
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 0(SI), Y4
-	VMOVUPD 32(SI), Y5
-	VMOVUPD 64(SI), Y6
-	VMOVUPD 96(SI), Y7
-	JMP  y16go
-
-y16zero:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -502,8 +421,6 @@ y16zero:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-
-y16go:
 	START
 
 y16step:
@@ -558,20 +475,10 @@ y16store:
 y8:
 	CMPQ CX, $8
 	JLT  y4
-	FRESH(y8zero)
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 0(SI), Y4
-	VMOVUPD 32(SI), Y5
-	JMP  y8go
-
-y8zero:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
-
-y8go:
 	START
 
 y8step:
@@ -609,16 +516,8 @@ y8store:
 y4:
 	CMPQ CX, $4
 	JLT  ymask
-	FRESH(y4zero)
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 0(SI), Y4
-	JMP  y4go
-
-y4zero:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y4, Y4, Y4
-
-y4go:
 	START
 
 y4step:
@@ -654,16 +553,8 @@ ymask:
 	MOVQ  $4, DX
 	SUBQ  CX, DX
 	VMOVDQU (AX)(DX*8), Y13
-	FRESH(ymzero)
-	VMASKMOVPD 0(DI), Y13, Y0
-	VMASKMOVPD 0(SI), Y13, Y4
-	JMP  ymgo
-
-ymzero:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y4, Y4, Y4
-
-ymgo:
 	START
 
 ymstep:

@@ -33,10 +33,10 @@ import (
 // the output drawn from s. It runs on the strip (gemm.go), one call per
 // pair of output rows, each output element held in a register for the
 // whole contraction and finished there with the bias and the ReLU. The
-// strips run fresh, so the output is drawn raw and never cleared. Per
-// element the terms still add in ascending k from +0.0, so the result is
-// bitwise identical to separate matmul, bias and ReLU passes for finite
-// w. A step whose two activations are both zero is skipped, matching the
+// strip writes its outputs unread, so the output is drawn raw and never
+// cleared. Per element the terms still add in ascending k from +0.0, so
+// the result is bitwise identical to separate matmul, bias and ReLU
+// passes for finite w. A step whose two activations are both zero is skipped, matching the
 // reference's per-term zero-skip, and is how the rows op (affineRows)
 // passes over feature rows' all-zero columns. The engine counters tally
 // forward GEMMs, so they are bumped here and not in the strip the
@@ -51,7 +51,7 @@ func matmulFused(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	out := s.tensorRaw(x.R, C)
 	for i := 0; i < x.R; i += 2 {
 		i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
-		gemmStrip(out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C], x.Data, i*K, i1*K, 1, w.Data, C, K, bias, relu, true)
+		gemmStrip(out.Data[i*C:i*C+C], out.Data[i1*C:i1*C+C], x.Data, i*K, i1*K, 1, w.Data, C, K, bias, relu)
 	}
 	return out
 }
@@ -142,8 +142,9 @@ func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 // P·V on the strip: every value accumulated in the order of the
 // per-segment composition softmax(scale · qs ksᵀ) vs. It also returns the
 // softmax rows, one n×n block per segment in segment order, on s: the
-// training node's saved state. Both products run fresh, so the segments'
-// blocks, which tile ctx and the softmax rows, are drawn raw.
+// training node's saved state. The strip writes its outputs unread, so
+// the segments' blocks, which tile ctx and the softmax rows, are drawn
+// raw.
 func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) (ctx *Tensor, probs []float64) {
 	C := q.C
 	ctx = s.tensorRaw(q.R, C)
@@ -157,7 +158,7 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) 
 	for _, n := range lens {
 		P := probs[pOff : pOff+n*n]
 		transposeInto(kT, k.Data[off*C:(off+n)*C], n, C)
-		stripRows(P, n, q.Data, off*C, C, 1, kT, n, C, true)
+		stripRows(P, n, q.Data, off*C, C, 1, kT, n, C)
 		for i := 0; i < n; i++ {
 			row := P[i*n : i*n+n]
 			for j := range row {
@@ -167,7 +168,7 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) 
 		}
 		// A softmax weight is only zero on deep underflow; the exact ±0.0
 		// term it contributes, or the step the strip skips, is harmless.
-		stripRows(ctx.Data[off*C:(off+n)*C], C, P, 0, n, 1, v.Data[off*C:], C, n, true)
+		stripRows(ctx.Data[off*C:(off+n)*C], C, P, 0, n, 1, v.Data[off*C:], C, n)
 		off += n
 		pOff += n * n
 	}
@@ -175,14 +176,14 @@ func attendIn(s *Scratch, q, k, v *Tensor, lens []int, maxN int, scale float64) 
 }
 
 // stripRows runs the strip over every row of the c-wide output block o,
-// two rows a call, fresh or accumulating: row i's K scalars start at
+// two rows a call, writing it whole: row i's K scalars start at
 // a[aOff + i·aStep], lda apart. An odd last row is both rows of its
 // strip.
-func stripRows(o []float64, c int, a []float64, aOff, aStep, lda int, b []float64, ldb, K int, fresh bool) {
+func stripRows(o []float64, c int, a []float64, aOff, aStep, lda int, b []float64, ldb, K int) {
 	r := len(o) / c
 	for i := 0; i < r; i += 2 {
 		i1 := min(i+1, r-1)
-		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false, fresh)
+		gemmStrip(o[i*c:i*c+c], o[i1*c:i1*c+c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false)
 	}
 }
 

@@ -10,11 +10,11 @@
 // is rewound wholesale with Reset — allocation happens only while a
 // buffer sequence is still growing toward its steady-state shape. A
 // float buffer is drawn one of two ways: zeroed (floats, tensor), for a
-// buffer its kernel accumulates into — a gradient, dW, a segment sum —
+// buffer its kernel accumulates into — a gradient, a segment sum —
 // or raw (floatsRaw, tensorRaw), holding whatever its slot last held, for
 // a buffer its kernel writes in every element before any read — a GEMM
-// output in the strip's fresh mode (gemm.go), a gather, the rows op's
-// copied input, a transposed panel. A raw draw skips the clear, which is
+// strip's output (gemm.go), a gradient product's accumulator included, a
+// gather, the rows op's copied input, a transposed panel. A raw draw skips the clear, which is
 // most of what an arena draw would otherwise cost; SetPoisonRaw fills raw
 // draws with NaN, so a kernel that leaves one element unwritten shows in
 // every value computed from it. (A nil Scratch's buffers are fresh heap memory, zeroed either
@@ -32,6 +32,7 @@ package nn
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Scratch is a grow-only arena of float64, int and row-view buffers and
@@ -78,6 +79,22 @@ func (l *slots[T]) get(n int, zero bool) []T {
 	return buf
 }
 
+// BufferBytes reports the capacity of the arena's float, int and row-view
+// buffers, in bytes: the storage it keeps across Resets.
+func (s *Scratch) BufferBytes() int64 {
+	return s.floatSlots.bytes() + s.intSlots.bytes() + s.rowSlots.bytes()
+}
+
+// bytes reports the capacity of the list's buffers, in bytes.
+func (l *slots[T]) bytes() int64 {
+	var zero T
+	n := 0
+	for _, buf := range l.bufs {
+		n += cap(buf)
+	}
+	return int64(n) * int64(unsafe.Sizeof(zero))
+}
+
 // Reset rewinds the arena: every buffer and tensor handed out since the
 // last Reset is reclaimed (and its memory retained for reuse).
 func (s *Scratch) Reset() {
@@ -105,14 +122,14 @@ func (s *Scratch) floatsRaw(n int) []float64 {
 	return buf
 }
 
-// poisonRaw, when set, makes every raw arena draw and every output the
-// assembly strips run fresh on (gemm_amd64.go) start as NaN, so an
-// element its kernel fails to write poisons every value computed from
-// it. A test hook; SetPoisonRaw sets it.
+// poisonRaw, when set, makes every raw arena draw and every output of the
+// assembly strips (gemm_amd64.go) start as NaN, so an element its kernel
+// fails to write poisons every value computed from it. A test hook;
+// SetPoisonRaw sets it.
 var poisonRaw atomic.Bool
 
-// SetPoisonRaw turns the poisoning of raw draws and fresh strip outputs
-// on or off for the process and reports the previous setting. It exists
+// SetPoisonRaw turns the poisoning of raw draws and strip outputs on or
+// off for the process and reports the previous setting. It exists
 // for tests that check every kernel writes what it does not clear.
 func SetPoisonRaw(on bool) (was bool) {
 	return poisonRaw.Swap(on)

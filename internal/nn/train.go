@@ -18,8 +18,8 @@ import "fmt"
 // bitwise identical for the finite weights training produces to separate
 // matmul, bias and ReLU passes (the test suite's reference loops); the
 // backward fuses the ReLU mask, the bias column-sum and the two gradient
-// GEMMs, each accumulating per element in ascending order, and is pinned
-// bit for bit by TestAffinePinned.
+// GEMMs, each summing per element in ascending order, and is pinned bit
+// for bit by TestAffinePinned.
 func Affine(x, w, b *Tensor, relu bool) *Tensor {
 	if w.R != x.C || b.R != 1 || b.C != w.C {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
@@ -35,8 +35,8 @@ func Affine(x, w, b *Tensor, relu bool) *Tensor {
 // row stands for itself zero-extended to W.R (features stores only the
 // columns that can be nonzero). The rows are copied whole into x and
 // multiplied by W's first k rows: W itself when k == W.R, else a leaf
-// over W's leading k·C elements, Data and Grad, so the backward's dW
-// lands in W.Grad in place. A column past k is zero in every row, so its
+// over W's leading k·C elements, Data and Grad, so the backward adds dW
+// into W.Grad's leading rows. A column past k is zero in every row, so its
 // terms are exact zeros the full-width product adds nothing from; a
 // column zero in every row within k is a step the strip skips in every
 // row pair. The forward is therefore bitwise Affine(FromRows(rows), w, b,
@@ -84,6 +84,8 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 		}
 	}
 	if b.requiresGrad {
+		// db, the column sum of g, accumulates into b.Grad row by row,
+		// in place.
 		for i := 0; i < out.R; i++ {
 			gRow := g[i*C : (i+1)*C]
 			for j, gv := range gRow {
@@ -94,27 +96,17 @@ func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 	if x.requiresGrad {
 		// dX = g @ Wᵀ: output columns are W's rows, so the strip's
 		// operand is the transposed panel. Each element is one dot over j
-		// in ascending order into an accumulator the strip starts fresh,
-		// then added to x.Grad — the chain's xGrad[k] += dot.
+		// in ascending order — the chain's xGrad[k] += dot.
 		wT := s.floatsRaw(C * K)
 		transposeInto(wT, w.Data, K, C)
-		acc := s.floatsRaw(2 * K)
-		for i := 0; i < x.R; i += 2 {
-			i1 := min(i+1, x.R-1) // an odd last row is both rows of its strip
-			n := i1 - i + 1
-			gemmStrip(acc[:K], acc[(n-1)*K:n*K], g, i*C, i1*C, 1, wT, K, C, nil, false, true)
-			for k, v := range acc[:n*K] {
-				x.Grad[i*K+k] += v
-			}
-		}
+		stripAddRows(x.Grad, K, g, 0, C, 1, wT, K, C, s.floatsRaw(2*K))
 	}
 	if w.requiresGrad {
-		// dW += xᵀ @ g, in place: output rows are W's rows, two per
-		// strip; the contraction runs over batch rows in ascending order,
-		// each step's two scalars read down columns k and k+1 of x (lda =
-		// K), so no transposed copy of x is made. An odd last W row is both
-		// rows of its strip.
-		stripRows(w.Grad, C, x.Data, 0, 1, K, g, C, x.R, false)
+		// dW = xᵀ @ g: output rows are W's rows; the contraction runs
+		// over batch rows in ascending order, each step's two scalars read
+		// down columns k and k+1 of x (lda = K), so no transposed copy of
+		// x is made.
+		stripAddRows(w.Grad, C, x.Data, 0, 1, K, g, C, x.R, s.floatsRaw(2*C))
 	}
 }
 
@@ -145,7 +137,7 @@ func attend(q, k, v *Tensor, lens []int, scale float64) *Tensor {
 //	dQ = dS K
 //	dK = dSᵀ Q  dS read down its columns; q·s for s·q commutes exactly
 //
-// dP, dV, dK and dQ are computed fresh in raw scratch blocks, never
+// dP, dV, dK and dQ are written whole into raw scratch blocks, never
 // cleared, and dV, dK and dQ are then added to the operands' gradients.
 // Temporaries come from s.
 //
@@ -163,8 +155,8 @@ func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float6
 		P, at := probs[pOff:pOff+n*n], off*C // at: the segment's first element
 		dv, dk, dq, dp := dV[:n*C], dK[:n*C], dQ[:n*C], dP[:n*n]
 		transposeInto(vT, v.Data[at:at+n*C], n, C)
-		stripRows(dp, n, out.Grad, at, C, 1, vT, n, C, true)
-		stripRows(dv, C, P, 0, 1, n, out.Grad[at:], C, n, true)
+		stripRows(dp, n, out.Grad, at, C, 1, vT, n, C)
+		stripRows(dv, C, P, 0, 1, n, out.Grad[at:], C, n)
 		for i := 0; i < n; i++ {
 			row, grow := P[i*n:i*n+n], dp[i*n:i*n+n]
 			var dot float64
@@ -175,8 +167,8 @@ func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float6
 				grow[j] = row[j] * (grow[j] - dot) * scale
 			}
 		}
-		stripRows(dq, C, dp, 0, n, 1, k.Data[at:], C, n, true)
-		stripRows(dk, C, dp, 0, 1, n, q.Data[at:], C, n, true)
+		stripRows(dq, C, dp, 0, n, 1, k.Data[at:], C, n)
+		stripRows(dk, C, dp, 0, 1, n, q.Data[at:], C, n)
 		addRows(v, off, dv)
 		addRows(k, off, dk)
 		addRows(q, off, dq)
@@ -191,6 +183,24 @@ func addRows(t *Tensor, off int, block []float64) {
 	dst := t.Grad[off*t.C : off*t.C+len(block)]
 	for i, g := range block {
 		dst[i] += g
+	}
+}
+
+// stripAddRows adds the product stripRows would write over the c-wide
+// rows of grad into them, two rows a call through acc (2·c long): the
+// strip sums each pair from +0.0 and the pair is then added, so every
+// element of grad gains one finished sum. An odd last row is both rows
+// of its strip.
+func stripAddRows(grad []float64, c int, a []float64, aOff, aStep, lda int, b []float64, ldb, K int, acc []float64) {
+	r := len(grad) / c
+	for i := 0; i < r; i += 2 {
+		i1 := min(i+1, r-1)
+		n := i1 - i + 1
+		gemmStrip(acc[:c], acc[(n-1)*c:n*c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false)
+		dst := grad[i*c : (i+n)*c]
+		for j, v := range acc[:len(dst)] {
+			dst[j] += v
+		}
 	}
 }
 

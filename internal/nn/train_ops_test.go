@@ -137,6 +137,101 @@ func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, 
 	}
 }
 
+// TestAffineGradAddsOnce: an affine backward adds each product into a
+// gradient once, as a finished sum. From finite gradients G, one backward
+// leaves G + D in W.Grad and x.Grad bit for bit, D being what the same
+// backward leaves on zeroed gradients: through Affine, with the ReLU off
+// and on, and through the rows op over W's leading rows (k < W.R). One
+// Linear applied twice in one graph adds the outer application's dW and
+// then the inner one's: (G + D₂) + D₁, each Dᵢ taken from the same graph
+// over two weight leaves sharing W's values. The bias is left out: db
+// accumulates into b.Grad row by row, in place.
+func TestAffineGradAddsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	gauss := func(ps []*Tensor) [][]float64 {
+		gs := make([][]float64, len(ps))
+		for i, p := range ps {
+			gs[i] = randConst(rng, p.R, p.C).Data
+		}
+		return gs
+	}
+	// run starts each of ps's gradients at start (zeroed when nil), runs
+	// graph's backward and returns the gradients it leaves.
+	run := func(ps []*Tensor, start [][]float64, graph func() *Tensor) [][]float64 {
+		for i, p := range ps {
+			clear(p.Grad)
+			if start != nil {
+				copy(p.Grad, start[i])
+			}
+		}
+		Backward(graph())
+		out := make([][]float64, len(ps))
+		for i, p := range ps {
+			out[i] = slices.Clone(p.Grad)
+		}
+		return out
+	}
+	addsOnce := func(name string, ps []*Tensor, graph func() *Tensor) {
+		t.Helper()
+		G := gauss(ps)
+		D := run(ps, nil, graph)
+		got := run(ps, G, graph)
+		for i := range ps {
+			want := make([]float64, len(G[i]))
+			for j := range want {
+				want[j] = G[i][j] + D[i][j]
+			}
+			bitsEqual(t, fmt.Sprintf("%s param %d", name, i), got[i], want)
+		}
+	}
+	for _, relu := range []bool{false, true} {
+		x, w, b := randParam(rng, 7, 6), randParam(rng, 6, 5), randParam(rng, 1, 5)
+		for i := 0; i < len(x.Data); i += 3 {
+			x.Data[i] = 0
+		}
+		lossW := randConst(rng, 7, 5).Data
+		addsOnce(fmt.Sprintf("affine relu=%v", relu), []*Tensor{x, w}, func() *Tensor {
+			return weightedMean(Affine(x, w, b, relu), lossW)
+		})
+
+		rows := make([][]float64, 5)
+		for i := range rows {
+			rows[i] = randConst(rng, 1, 4).Data
+		}
+		wr, br := randParam(rng, 6, 3), randParam(rng, 1, 3)
+		lossR := randConst(rng, 5, 3).Data
+		var s Scratch
+		addsOnce(fmt.Sprintf("rows k=4 of 6 relu=%v", relu), []*Tensor{wr}, func() *Tensor {
+			s.Reset()
+			return weightedMean(affineRows(&s, rows, 4, wr, br, relu), lossR)
+		})
+	}
+
+	l := &Linear{W: randParam(rng, 5, 5), B: randParam(rng, 1, 5)}
+	x := randParam(rng, 4, 5)
+	lossW := randConst(rng, 4, 5).Data
+	twice := func(inner, outer *Tensor) func() *Tensor {
+		return func() *Tensor {
+			return weightedMean(Affine(Affine(x, inner, l.B, false), outer, l.B, false), lossW)
+		}
+	}
+	inner, outer := ZeroParam(5, 5), ZeroParam(5, 5)
+	AliasParams([]*Tensor{inner, outer}, []*Tensor{l.W, l.W})
+	D := run([]*Tensor{inner, outer}, nil, twice(inner, outer))
+	G := gauss([]*Tensor{l.W})
+	got := run([]*Tensor{l.W}, G, func() *Tensor {
+		return weightedMean(l.Forward(l.Forward(x)), lossW)
+	})
+	want := make([]float64, len(G[0]))
+	for j := range want {
+		want[j] = (G[0][j] + D[1][j]) + D[0][j]
+	}
+	bitsEqual(t, "one Linear twice: W", got[0], want)
+	addsOnce("one Linear twice: x", []*Tensor{x}, func() *Tensor {
+		return weightedMean(l.Forward(l.Forward(x)), lossW)
+	})
+}
+
 // zeroExtend copies rows, each zero-extended to width.
 func zeroExtend(rows [][]float64, width int) [][]float64 {
 	out := make([][]float64, len(rows))

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"pruner"
+	"pruner/internal/costmodel"
 	"pruner/internal/obs"
 	"pruner/internal/schedule"
 )
@@ -36,6 +37,10 @@ const (
 	// round, fit and measurement memos keep for reuse
 	// (schedule.ParkedBytes; func-backed).
 	MetricMemoParkedBytes = "pruner_memo_parked_bytes"
+	// MetricScratchParkedBytes gauges the buffer storage the process's
+	// parked cost-model arenas keep for reuse
+	// (costmodel.ParkedScratchBytes; func-backed).
+	MetricScratchParkedBytes = "pruner_scratch_parked_bytes"
 )
 
 // serverObs is the daemon's prepared instrument set.
@@ -76,6 +81,8 @@ func (s *Server) initObs() {
 		func() float64 { return float64(len(s.liveMeasurerURLs())) })
 	reg.GaugeFunc(MetricMemoParkedBytes, "Bytes of chunk storage held by parked memos.",
 		func() float64 { return float64(schedule.ParkedBytes()) })
+	reg.GaugeFunc(MetricScratchParkedBytes, "Bytes of buffer storage held by parked cost-model arenas.",
+		func() float64 { return float64(costmodel.ParkedScratchBytes()) })
 	s.cfg.Store.EnableMetrics(reg)
 	pruner.RegisterEngineMetrics(s.cfg.Obs)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pruner"
+	"pruner/internal/costmodel"
 	"pruner/internal/obs"
 	"pruner/internal/schedule"
 	"pruner/internal/store"
@@ -68,6 +69,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 		MetricRoundSeconds,             // server: per-round wall latency
 		MetricMeasurersRegistered,      // server: fleet registry size
 		MetricMemoParkedBytes,          // schedule: parked memo storage
+		MetricScratchParkedBytes,       // costmodel: parked arena storage
 		store.MetricRecords,            // store: live occupancy
 		store.MetricAppends,            // store: append counter moved by the job
 		"pruner_tuner_stage_seconds",   // engine: per-stage latency (plan|measure|commit)
@@ -100,11 +102,15 @@ func TestMetricsEndpointScrape(t *testing.T) {
 		t.Fatalf("healthz store.records diverges from the registry gauge")
 	}
 
-	// The job's memos are parked once it is done, and the gauge samples
-	// the free list itself.
+	// The job's memos and arenas are parked once it is done, and each
+	// gauge samples its free list itself.
 	parked, ok := srv.cfg.Obs.Reg().Value(MetricMemoParkedBytes)
 	if want := float64(schedule.ParkedBytes()); !ok || parked <= 0 || parked != want {
 		t.Fatalf("%s = %v (ok=%v) after a job, want positive and schedule.ParkedBytes() = %v", MetricMemoParkedBytes, parked, ok, want)
+	}
+	scratch, ok := srv.cfg.Obs.Reg().Value(MetricScratchParkedBytes)
+	if want := float64(costmodel.ParkedScratchBytes()); !ok || scratch <= 0 || scratch != want {
+		t.Fatalf("%s = %v (ok=%v) after a job, want positive and costmodel.ParkedScratchBytes() = %v", MetricScratchParkedBytes, scratch, ok, want)
 	}
 
 	// The span ring buffer saw the job's pipeline stages.
