@@ -145,11 +145,7 @@ func (a *Adam) combineShard(i int) {
 	g := a.params[sh.p].Grad[sh.lo:sh.hi]
 	clear(g)
 	for _, rep := range a.reps {
-		rg := rep[sh.p].Grad[sh.lo:sh.hi]
-		for j, v := range rg {
-			g[j] += v * a.repScale
-		}
-		clear(rg)
+		drainInto(g, rep[sh.p].Grad[sh.lo:sh.hi], a.repScale)
 	}
 }
 

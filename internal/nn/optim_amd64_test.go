@@ -33,7 +33,7 @@ func TestAdamLanesMatchGo(t *testing.T) {
 					k := adamConsts{scale: scale, beta1: 0.9, omb1: 1 - 0.9, beta2: 0.999, omb2: 1 - 0.999, lr: 7e-4,
 						b1c: 1 - math.Pow(0.9, float64(step)), b2c: 1 - math.Pow(0.999, float64(step)), eps: 1e-8}
 					adamGo(want[0], want[1], want[2], want[3], &k)
-					onAdamKernel(kernelAVX2, func() { adamUpdate(got[0], got[1], got[2], got[3], &k) })
+					onLaneKernel(kernelAVX2, func() { adamUpdate(got[0], got[1], got[2], got[3], &k) })
 					for _, i := range []int{0, 2, 3} {
 						bitsEqual(t, fmt.Sprintf("%s step %d %s", name, step, parts[i]), got[i], want[i])
 					}
@@ -43,10 +43,10 @@ func TestAdamLanesMatchGo(t *testing.T) {
 	})
 }
 
-// onAdamKernel runs f with the update forced to kernel.
-func onAdamKernel(kernel int, f func()) {
-	defer func(prev int) { adamKernel = prev }(adamKernel)
-	adamKernel = kernel
+// onLaneKernel runs f with the update forced to kernel.
+func onLaneKernel(kernel int, f func()) {
+	defer func(prev int) { laneKernel = prev }(laneKernel)
+	laneKernel = kernel
 	f()
 }
 
@@ -64,7 +64,7 @@ func BenchmarkAdamUpdate(b *testing.B) {
 	for _, kernel := range []int{kernelGo, kernelAVX2} {
 		b.Run(kernelNames[kernel], func(b *testing.B) {
 			needKernel(b, kernel)
-			onAdamKernel(kernel, func() {
+			onLaneKernel(kernel, func() {
 				for i := 0; i < b.N; i++ {
 					adamUpdate(p, g, m, v, &k)
 				}

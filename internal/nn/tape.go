@@ -124,9 +124,11 @@ func (out *Tensor) backward() {
 	switch n.op {
 	case opNone:
 	case opAdd:
-		for i, gv := range g {
-			addGrad(a, i, gv)
-			addGrad(b, i, gv)
+		if a.requiresGrad {
+			addInto(a.Grad, g)
+		}
+		if b.requiresGrad {
+			addInto(b.Grad, g)
 		}
 	case opTanh:
 		for i, gv := range g {
@@ -135,11 +137,12 @@ func (out *Tensor) backward() {
 		}
 	case opConcatCols:
 		for i := 0; i < a.R; i++ {
-			for j := 0; j < a.C; j++ {
-				addGrad(a, i*a.C+j, g[i*out.C+j])
+			gRow := g[i*out.C : (i+1)*out.C]
+			if a.requiresGrad {
+				addInto(a.Grad[i*a.C:(i+1)*a.C], gRow)
 			}
-			for j := 0; j < b.C; j++ {
-				addGrad(b, i*b.C+j, g[i*out.C+a.C+j])
+			if b.requiresGrad {
+				addInto(b.Grad[i*b.C:(i+1)*b.C], gRow[a.C:])
 			}
 		}
 	case opGatherRows:
@@ -167,6 +170,9 @@ func (out *Tensor) backward() {
 // segmentBackward scatters out's per-segment gradient rows back over x's
 // rows in ascending row order, scaled by 1/len when mean is set.
 func segmentBackward(x, out *Tensor, lens []int, mean bool) {
+	if !x.requiresGrad {
+		return
+	}
 	row := 0
 	for s, n := range lens {
 		gRow := out.Grad[s*x.C : (s+1)*x.C]
@@ -174,11 +180,8 @@ func segmentBackward(x, out *Tensor, lens []int, mean bool) {
 		if mean {
 			inv = 1 / float64(n)
 		}
-		for r := 0; r < n; r++ {
-			base := row * x.C
-			for j, g := range gRow {
-				addGrad(x, base+j, g*inv)
-			}
+		for range n {
+			addScaledInto(x.Grad[row*x.C:(row+1)*x.C], gRow, inv)
 			row++
 		}
 	}

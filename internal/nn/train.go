@@ -72,26 +72,21 @@ func affineRows(s *Scratch, rows [][]float64, k int, w, b *Tensor, relu bool) *T
 func affineBackward(s *Scratch, x, w, b, out *Tensor, relu bool) {
 	K, C := x.C, w.C
 	g := out.Grad
+	// The chain's ReLU backward: gradient flows only where the
+	// pre-activation was positive — equivalently where the fused output
+	// is (max(pre, 0) > 0 iff pre > 0). Masked in place: out.Grad is
+	// dead once this backward has run. Then db, the column sum of g,
+	// accumulates into b.Grad row by row, in place. One pass does both
+	// (maskBias).
+	var mask, db []float64
 	if relu {
-		// The chain's ReLU backward: gradient flows only where the
-		// pre-activation was positive — equivalently where the fused
-		// output is (max(pre, 0) > 0 iff pre > 0). Masked in place:
-		// out.Grad is dead once this backward has run.
-		for i, v := range out.Data {
-			if !(v > 0) {
-				g[i] = 0
-			}
-		}
+		mask = out.Data
 	}
 	if b.requiresGrad {
-		// db, the column sum of g, accumulates into b.Grad row by row,
-		// in place.
-		for i := 0; i < out.R; i++ {
-			gRow := g[i*C : (i+1)*C]
-			for j, gv := range gRow {
-				b.Grad[j] += gv
-			}
-		}
+		db = b.Grad
+	}
+	if mask != nil || db != nil {
+		maskBias(g, mask, db, C)
 	}
 	if x.requiresGrad {
 		// dX = g @ Wᵀ: output columns are W's rows, so the strip's
@@ -177,12 +172,8 @@ func attendBackward(s *Scratch, q, k, v, out *Tensor, lens []int, probs []float6
 
 // addRows adds a block of gradient rows into t's rows from off on.
 func addRows(t *Tensor, off int, block []float64) {
-	if !t.requiresGrad {
-		return
-	}
-	dst := t.Grad[off*t.C : off*t.C+len(block)]
-	for i, g := range block {
-		dst[i] += g
+	if t.requiresGrad {
+		addInto(t.Grad[off*t.C:off*t.C+len(block)], block)
 	}
 }
 
@@ -197,9 +188,59 @@ func stripAddRows(grad []float64, c int, a []float64, aOff, aStep, lda int, b []
 		i1 := min(i+1, r-1)
 		n := i1 - i + 1
 		gemmStrip(acc[:c], acc[(n-1)*c:n*c], a, aOff+i*aStep, aOff+i1*aStep, lda, b, ldb, K, nil, false)
-		dst := grad[i*c : (i+n)*c]
-		for j, v := range acc[:len(dst)] {
-			dst[j] += v
+		addInto(grad[i*c:(i+n)*c], acc)
+	}
+}
+
+// The gradient adds in Go, element by element: the loops the lane
+// kernels (train_amd64.s) reproduce bit for bit and the fallback where
+// there are none. Each ranges over dst with its sources cut to
+// len(dst), so the compiler drops every bounds check.
+
+// addGo is dst[i] += src[i].
+func addGo(dst, src []float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
+// addScaledGo is dst[i] += src[i]·s, written product first: the order
+// the compiler keeps for ADDSD's sources (whose first NaN wins) in every
+// build, -race included, where the += form loads dst first.
+func addScaledGo(dst, src []float64, s float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = src[i]*s + dst[i]
+	}
+}
+
+// drainGo is addScaledGo that also zeroes src as it reads it.
+func drainGo(dst, src []float64, s float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = src[i]*s + dst[i]
+		src[i] = 0
+	}
+}
+
+// maskBiasGo is affineBackward's ReLU mask and bias gradient over
+// columns lo … c−1 of g's c-wide rows, row by row: each row of g is
+// zeroed where out is not positive (out nil: no mask), then added into
+// db (nil: no bias gradient).
+func maskBiasGo(g, out, db []float64, c, lo int) {
+	for r := 0; r < len(g); r += c {
+		gRow := g[r+lo : r+c]
+		if out != nil {
+			oRow := out[r+lo : r+c][:len(gRow)]
+			for j := range gRow {
+				if !(oRow[j] > 0) {
+					gRow[j] = 0
+				}
+			}
+		}
+		if db != nil {
+			addGo(db[lo:c], gRow)
 		}
 	}
 }

@@ -144,8 +144,10 @@ func affineRowsMatchesAffine(t *testing.T, name string, rows [][]float64, w, b, 
 // and on, and through the rows op over W's leading rows (k < W.R). One
 // Linear applied twice in one graph adds the outer application's dW and
 // then the inner one's: (G + D₂) + D₁, each Dᵢ taken from the same graph
-// over two weight leaves sharing W's values. The bias is left out: db
-// accumulates into b.Grad row by row, in place.
+// over two weight leaves sharing W's values. The bias is not a finished
+// sum: from a non-zero b.Grad, db accumulates into it row by row, in
+// place, so b.Grad ends as (((G + g₀) + g₁) + …), gᵢ being row i of the
+// masked output gradient the backward leaves in out.Grad.
 func TestAffineGradAddsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	gauss := func(ps []*Tensor) [][]float64 {
@@ -193,6 +195,19 @@ func TestAffineGradAddsOnce(t *testing.T) {
 		addsOnce(fmt.Sprintf("affine relu=%v", relu), []*Tensor{x, w}, func() *Tensor {
 			return weightedMean(Affine(x, w, b, relu), lossW)
 		})
+		var out *Tensor
+		G := gauss([]*Tensor{b})
+		got := run([]*Tensor{b}, G, func() *Tensor {
+			out = Affine(x, w, b, relu)
+			return weightedMean(out, lossW)
+		})
+		want := slices.Clone(G[0])
+		for i := 0; i < out.R; i++ {
+			for j := range want {
+				want[j] += out.Grad[i*out.C+j]
+			}
+		}
+		bitsEqual(t, fmt.Sprintf("affine relu=%v db row by row", relu), got[0], want)
 
 		rows := make([][]float64, 5)
 		for i := range rows {
@@ -230,6 +245,31 @@ func TestAffineGradAddsOnce(t *testing.T) {
 	addsOnce("one Linear twice: x", []*Tensor{x}, func() *Tensor {
 		return weightedMean(l.Forward(l.Forward(x)), lossW)
 	})
+}
+
+// BenchmarkAffineStep times one Affine forward and backward, the ReLU on
+// and x, W and b all taking gradients, on a warmed arena: at PaCM's
+// hidden 60×96→96 and its statement input 60×164→96. Its ns/op is the
+// strip's three products plus the gradient tail (ReLU mask, bias
+// gradient, the two-row adds).
+func BenchmarkAffineStep(b *testing.B) {
+	for _, sh := range [][3]int{{60, 96, 96}, {60, 164, 96}} {
+		r, k, c := sh[0], sh[1], sh[2]
+		b.Run(fmt.Sprintf("%dx%d-%d", r, k, c), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(97))
+			x, w, bias := randParam(rng, r, k), randParam(rng, k, c), randParam(rng, 1, c)
+			outGrad := randConst(rng, r, c).Data
+			var s Scratch
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Reset()
+				out := matmulFused(&s, x, w, bias.Data, true)
+				out.Grad = s.floatsRaw(r * c)
+				copy(out.Grad, outGrad)
+				affineBackward(&s, x, w, bias, out, true)
+			}
+		})
+	}
 }
 
 // zeroExtend copies rows, each zero-extended to width.
